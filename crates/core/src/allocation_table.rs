@@ -7,14 +7,16 @@
 //! derived.
 
 use alecto_types::Pc;
+use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
 use crate::config::AlectoConfig;
 use crate::state::{transition, PrefetcherState, StateTransitionInput};
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct AllocationEntry {
     pc: Pc,
-    states: Vec<PrefetcherState>,
+    /// The first `prefetchers` slots are live.
+    states: [PrefetcherState; MAX_COMPOSITE_PREFETCHERS],
     lru: u64,
 }
 
@@ -32,11 +34,16 @@ impl AllocationTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `prefetchers` is zero.
+    /// Panics if `entries` or `prefetchers` is zero, or `prefetchers` is above
+    /// [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0, "allocation table needs entries");
         assert!(prefetchers > 0, "allocation table needs at least one prefetcher");
+        assert!(
+            prefetchers <= MAX_COMPOSITE_PREFETCHERS,
+            "allocation table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
+        );
         Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
     }
 
@@ -79,7 +86,7 @@ impl AllocationTable {
                 };
                 self.entries[slot] = Some(AllocationEntry {
                     pc,
-                    states: vec![PrefetcherState::Unidentified; self.prefetchers],
+                    states: [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS],
                     lru: clock,
                 });
                 slot
@@ -87,14 +94,15 @@ impl AllocationTable {
         };
         let entry = self.entries[slot].as_mut().expect("slot filled above");
         entry.lru = clock;
-        &self.entries[slot].as_ref().expect("slot filled above").states
+        &entry.states[..self.prefetchers]
     }
 
     /// Returns the states of `pc` without allocating, if present.
     #[must_use]
     pub fn get(&self, pc: Pc) -> Option<&[PrefetcherState]> {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index is occupied").states.as_slice())
+        self.find(pc).map(|i| {
+            &self.entries[i].as_ref().expect("found index is occupied").states[..self.prefetchers]
+        })
     }
 
     /// Resets every prefetcher of `pc` back to UI (the dead-counter recovery
@@ -102,9 +110,7 @@ impl AllocationTable {
     pub fn reset_to_unidentified(&mut self, pc: Pc) {
         if let Some(i) = self.find(pc) {
             let entry = self.entries[i].as_mut().expect("found index is occupied");
-            for s in &mut entry.states {
-                *s = PrefetcherState::Unidentified;
-            }
+            entry.states = [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS];
         }
     }
 
@@ -118,53 +124,43 @@ impl AllocationTable {
         accuracies: &[Option<f64>],
         is_temporal: &[bool],
         config: &AlectoConfig,
-    ) -> Vec<PrefetcherState> {
+    ) -> &[PrefetcherState] {
         let Some(i) = self.find(pc) else {
-            return Vec::new();
+            return &[];
         };
         let entry = self.entries[i].as_mut().expect("found index is occupied");
-        assert_eq!(accuracies.len(), entry.states.len(), "one accuracy per prefetcher");
-        assert_eq!(is_temporal.len(), entry.states.len(), "one temporal flag per prefetcher");
+        let states = &mut entry.states[..self.prefetchers];
+        assert_eq!(accuracies.len(), states.len(), "one accuracy per prefetcher");
+        assert_eq!(is_temporal.len(), states.len(), "one temporal flag per prefetcher");
 
         let pb = config.proficiency_boundary;
         // Which prefetchers qualify for promotion this epoch?
-        let promotable: Vec<bool> = entry
-            .states
-            .iter()
-            .zip(accuracies)
-            .map(|(s, acc)| {
-                matches!(s, PrefetcherState::Unidentified) && acc.map(|a| a >= pb).unwrap_or(false)
-            })
-            .collect();
+        let mut promotable = [false; MAX_COMPOSITE_PREFETCHERS];
+        for (p, (s, acc)) in promotable.iter_mut().zip(states.iter().zip(accuracies)) {
+            *p = *s == PrefetcherState::Unidentified && acc.is_some_and(|a| a >= pb);
+        }
         let non_temporal_promotable = promotable.iter().zip(is_temporal).any(|(&p, &t)| p && !t);
         let any_promotable = promotable.iter().any(|&p| p);
 
-        let mut new_states: Vec<PrefetcherState> = entry
-            .states
-            .iter()
-            .enumerate()
-            .map(|(j, &s)| {
-                let input = StateTransitionInput {
-                    accuracy: accuracies[j],
-                    another_promoted: any_promotable && !promotable[j],
-                    temporal_demotion: promotable[j] && is_temporal[j] && non_temporal_promotable,
-                };
-                transition(s, input, config)
-            })
-            .collect();
+        for (j, s) in states.iter_mut().enumerate() {
+            let input = StateTransitionInput {
+                accuracy: accuracies[j],
+                another_promoted: any_promotable && !promotable[j],
+                temporal_demotion: promotable[j] && is_temporal[j] && non_temporal_promotable,
+            };
+            *s = transition(*s, input, config);
+        }
 
         // Event ②/③ follow-up: if no prefetcher remains aggressive, thawed
         // (IB_0) prefetchers are reconsidered, i.e. moved back to UI.
-        let any_aggressive = new_states.iter().any(PrefetcherState::is_aggressive);
-        if !any_aggressive {
-            for s in &mut new_states {
+        if !states.iter().any(PrefetcherState::is_aggressive) {
+            for s in states.iter_mut() {
                 if *s == PrefetcherState::Blocked(0) {
                     *s = PrefetcherState::Unidentified;
                 }
             }
         }
-        entry.states = new_states.clone();
-        new_states
+        states
     }
 }
 

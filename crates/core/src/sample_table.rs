@@ -8,13 +8,15 @@
 //! without producing prefetches (threshold 150).
 
 use alecto_types::{Pc, RatioCounter};
+use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
 use crate::config::AlectoConfig;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SampleEntry {
     pc: Pc,
-    per_prefetcher: Vec<RatioCounter>,
+    /// The first `prefetchers` counters are live.
+    per_prefetcher: [RatioCounter; MAX_COMPOSITE_PREFETCHERS],
     demand_counter: u32,
     dead_counter: u32,
     lru: u64,
@@ -48,11 +50,16 @@ impl SampleTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `prefetchers` is zero.
+    /// Panics if `entries` or `prefetchers` is zero, or `prefetchers` is above
+    /// [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0, "sample table needs entries");
         assert!(prefetchers > 0, "sample table needs at least one prefetcher");
+        assert!(
+            prefetchers <= MAX_COMPOSITE_PREFETCHERS,
+            "sample table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
+        );
         Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
     }
 
@@ -85,7 +92,7 @@ impl SampleTable {
         };
         self.entries[slot] = Some(SampleEntry {
             pc,
-            per_prefetcher: vec![RatioCounter::new(); self.prefetchers],
+            per_prefetcher: [RatioCounter::new(); MAX_COMPOSITE_PREFETCHERS],
             demand_counter: 0,
             dead_counter: 0,
             lru: 0,
@@ -148,10 +155,8 @@ impl SampleTable {
     #[must_use]
     pub fn accuracies(&self, pc: Pc) -> Vec<Option<f64>> {
         match self.find(pc) {
-            Some(i) => self.entries[i]
-                .as_ref()
-                .expect("found index occupied")
-                .per_prefetcher
+            Some(i) => self.entries[i].as_ref().expect("found index occupied").per_prefetcher
+                [..self.prefetchers]
                 .iter()
                 .map(RatioCounter::accuracy)
                 .collect(),
@@ -164,9 +169,7 @@ impl SampleTable {
     pub fn reset_epoch(&mut self, pc: Pc) {
         if let Some(i) = self.find(pc) {
             let entry = self.entries[i].as_mut().expect("found index occupied");
-            for c in &mut entry.per_prefetcher {
-                c.reset();
-            }
+            entry.per_prefetcher = [RatioCounter::new(); MAX_COMPOSITE_PREFETCHERS];
             entry.demand_counter = 0;
         }
     }

@@ -12,6 +12,7 @@
 //!    Alecto does not need the external prefetch filter the baselines get.
 
 use alecto_types::{fold_pc, hash::mix64, LineAddr, Pc};
+use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
 /// Per-prefetcher slot inside a sandbox entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,12 +21,12 @@ struct PrefetcherSlot {
     pc_hash: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SandboxEntry {
     /// Partial tag of the prefetched line (6 bits in Table III; the model
     /// keeps the full line address for exactness and charges only 6 bits).
     line: LineAddr,
-    slots: Vec<PrefetcherSlot>,
+    slots: [PrefetcherSlot; MAX_COMPOSITE_PREFETCHERS],
 }
 
 /// The address-indexed Sandbox Table.
@@ -45,11 +46,16 @@ impl SandboxTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or not a power of two, or `prefetchers` is zero.
+    /// Panics if `entries` is zero or not a power of two, or `prefetchers` is
+    /// zero or above [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
     pub fn new(entries: usize, prefetchers: usize) -> Self {
         assert!(entries > 0 && entries.is_power_of_two(), "sandbox table must be a power of two");
         assert!(prefetchers > 0, "sandbox table needs at least one prefetcher");
+        assert!(
+            prefetchers <= MAX_COMPOSITE_PREFETCHERS,
+            "sandbox table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
+        );
         // §IV-C: the PC hash width matches the logarithm of the entry count.
         let pc_hash_bits = entries.trailing_zeros().max(1);
         Self {
@@ -106,7 +112,7 @@ impl SandboxTable {
                 true
             }
             slot => {
-                let mut slots = vec![PrefetcherSlot::default(); self.prefetchers];
+                let mut slots = [PrefetcherSlot::default(); MAX_COMPOSITE_PREFETCHERS];
                 slots[prefetcher] = PrefetcherSlot { valid: true, pc_hash };
                 *slot = Some(SandboxEntry { line, slots });
                 self.recorded += 1;
@@ -116,25 +122,25 @@ impl SandboxTable {
     }
 
     /// Step ④/⑤: checks an incoming demand request against the table and
-    /// returns the indices of prefetchers whose recorded (hashed) trigger PC
-    /// matches the demand's PC — these get a Confirmed increment.
-    pub fn confirm_demand(&mut self, line: LineAddr, pc: Pc) -> Vec<usize> {
+    /// returns a bitmask of the prefetchers whose recorded (hashed) trigger
+    /// PC matches the demand's PC — bit `i` set means prefetcher `i` gets a
+    /// Confirmed increment.
+    pub fn confirm_demand(&mut self, line: LineAddr, pc: Pc) -> u32 {
         let idx = self.index(line);
         let pc_hash = fold_pc(pc, self.pc_hash_bits);
         let Some(entry) = &self.entries[idx] else {
-            return Vec::new();
+            return 0;
         };
         if entry.line != line {
-            return Vec::new();
+            return 0;
         }
-        let matched: Vec<usize> = entry
+        let matched: u32 = entry
             .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.valid && s.pc_hash == pc_hash)
-            .map(|(i, _)| i)
-            .collect();
-        self.confirmations += matched.len() as u64;
+            .fold(0, |mask, (i, _)| mask | 1 << i);
+        self.confirmations += u64::from(matched.count_ones());
         matched
     }
 
@@ -155,8 +161,12 @@ mod tests {
         let pc = Pc::new(0x30b00);
         assert!(!t.filter_and_record(LineAddr::new(100), 2, pc));
         let matched = t.confirm_demand(LineAddr::new(100), pc);
-        assert_eq!(matched, vec![2]);
+        assert_eq!(matched, 0b100, "bit 2: prefetcher 2 is confirmed");
         assert_eq!(t.confirmations(), 1);
+        // Every prefetcher that recorded the line under this PC is credited.
+        assert!(t.filter_and_record(LineAddr::new(100), 0, pc));
+        assert_eq!(t.confirm_demand(LineAddr::new(100), pc), 0b101);
+        assert_eq!(t.confirmations(), 3);
     }
 
     #[test]
@@ -164,7 +174,7 @@ mod tests {
         let mut t = SandboxTable::new(512, 3);
         t.filter_and_record(LineAddr::new(100), 1, Pc::new(0x30b00));
         let matched = t.confirm_demand(LineAddr::new(100), Pc::new(0x30aca));
-        assert!(matched.is_empty());
+        assert_eq!(matched, 0);
     }
 
     #[test]
@@ -175,14 +185,14 @@ mod tests {
         assert_eq!(t.filtered(), 1);
         assert_eq!(t.recorded(), 1);
         // Both prefetchers can now be confirmed by their own PCs.
-        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x10)), vec![0]);
-        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x20)), vec![1]);
+        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x10)), 0b01);
+        assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x20)), 0b10);
     }
 
     #[test]
     fn unknown_line_confirms_nothing() {
         let mut t = SandboxTable::new(64, 2);
-        assert!(t.confirm_demand(LineAddr::new(1234), Pc::new(0x40)).is_empty());
+        assert_eq!(t.confirm_demand(LineAddr::new(1234), Pc::new(0x40)), 0);
     }
 
     #[test]
@@ -206,6 +216,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         let _ = SandboxTable::new(100, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 prefetchers")]
+    fn more_prefetchers_than_the_largest_composite_panic() {
+        let _ = SandboxTable::new(64, MAX_COMPOSITE_PREFETCHERS + 1);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! 4. the Sandbox Table filters duplicate prefetch requests before they reach
 //!    the prefetch queue (step ⑥).
 
-use alecto_types::{DemandAccess, PrefetchRequest};
-use prefetch::Prefetcher;
-use selectors::{AllocationDecision, DegreeAllocation, Selector};
+use alecto_types::{DemandAccess, FillLevel, PrefetchRequest};
+use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
+use selectors::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
 use crate::allocation_table::AllocationTable;
 use crate::config::AlectoConfig;
@@ -54,11 +54,16 @@ impl AlectoSelector {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`AlectoConfig::validate`])
-    /// or `prefetcher_count` is zero.
+    /// or `prefetcher_count` is zero or above [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
     pub fn new(config: AlectoConfig, prefetcher_count: usize) -> Self {
         config.validate();
         assert!(prefetcher_count > 0, "Alecto needs at least one prefetcher to schedule");
+        assert!(
+            prefetcher_count <= MAX_COMPOSITE_PREFETCHERS,
+            "Alecto schedules at most MAX_COMPOSITE_PREFETCHERS = {MAX_COMPOSITE_PREFETCHERS} \
+             prefetchers (the largest composite), got {prefetcher_count}"
+        );
         Self {
             allocation: AllocationTable::new(config.allocation_entries, prefetcher_count),
             sample: SampleTable::new(config.sample_entries, prefetcher_count),
@@ -99,17 +104,18 @@ impl AlectoSelector {
     pub const fn sandbox(&self) -> &SandboxTable {
         &self.sandbox
     }
+}
 
-    fn decision_for_state(&self, state: PrefetcherState) -> Option<DegreeAllocation> {
-        let c = self.config.conservative_degree;
-        match state {
-            PrefetcherState::Unidentified => Some(DegreeAllocation::l1(c)),
-            PrefetcherState::Aggressive(m) => match self.config.fixed_ia_degree {
-                Some(fixed) => Some(DegreeAllocation::l1(fixed)),
-                None => Some(DegreeAllocation::split(c, m + 1)),
-            },
-            PrefetcherState::Blocked(_) => None,
-        }
+/// The degree a prefetcher in `state` is allocated (`None`: it must not train).
+fn decision_for_state(config: &AlectoConfig, state: PrefetcherState) -> Option<DegreeAllocation> {
+    let c = config.conservative_degree;
+    match state {
+        PrefetcherState::Unidentified => Some(DegreeAllocation::l1(c)),
+        PrefetcherState::Aggressive(m) => match config.fixed_ia_degree {
+            Some(fixed) => Some(DegreeAllocation::l1(fixed)),
+            None => Some(DegreeAllocation::split(c, m + 1)),
+        },
+        PrefetcherState::Blocked(_) => None,
     }
 }
 
@@ -142,8 +148,10 @@ impl Selector for AlectoSelector {
         self.stats.demands += 1;
 
         // Step ④/⑤: confirm earlier prefetches that this demand request hits.
-        for pf_idx in self.sandbox.confirm_demand(access.line(), access.pc) {
-            self.sample.record_confirmed(access.pc, pf_idx);
+        let mut confirmed = self.sandbox.confirm_demand(access.line(), access.pc);
+        while confirmed != 0 {
+            self.sample.record_confirmed(access.pc, confirmed.trailing_zeros() as usize);
+            confirmed &= confirmed - 1;
         }
 
         // Step ①: per-PC demand counting, epoch transitions, deadlock resets.
@@ -168,9 +176,11 @@ impl Selector for AlectoSelector {
         }
 
         // Step ②: build the identifier from the per-prefetcher states.
-        let states: Vec<PrefetcherState> = self.allocation.lookup_or_insert(access.pc).to_vec();
-        let per_prefetcher: Vec<Option<DegreeAllocation>> =
-            states.iter().map(|&s| self.decision_for_state(s)).collect();
+        let mut per_prefetcher = Allocations::filled(self.prefetcher_count, None);
+        let states = self.allocation.lookup_or_insert(access.pc);
+        for (slot, &state) in per_prefetcher.iter_mut().zip(states) {
+            *slot = decision_for_state(&self.config, state);
+        }
         if per_prefetcher.iter().any(Option::is_none) {
             self.stats.allocations_withheld += 1;
         }
@@ -180,40 +190,40 @@ impl Selector for AlectoSelector {
     fn select_requests(
         &mut self,
         access: &DemandAccess,
-        candidates: Vec<PrefetchRequest>,
+        mut candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
         // Step ③ + ⑥: the Sandbox Table drops duplicates and records the
         // rest; the Sample Table's Issued counters count the requests that
         // actually reach the prefetch queue (a request whose line is already
         // pending is not a new issue, though its issuer is still remembered in
         // the sandbox entry so a later demand hit can confirm it).
-        let mut issued_per_prefetcher = vec![0u32; self.prefetcher_count];
-        let mut out = Vec::with_capacity(candidates.len());
-        for req in candidates {
-            let duplicate =
-                self.sandbox.filter_and_record(req.line, req.issuer.index(), req.trigger_pc);
-            if !duplicate {
-                // §IV-B: the first c (surviving) lines of a prefetcher fill the
-                // cache the prefetchers reside in; the extra lines granted by
-                // the IA_m state fill the next-level cache.
-                let fill = if self.config.fixed_ia_degree.is_some()
-                    || issued_per_prefetcher[req.issuer.index()] < self.config.conservative_degree
-                {
-                    alecto_types::FillLevel::L1
-                } else {
-                    alecto_types::FillLevel::L2
-                };
-                issued_per_prefetcher[req.issuer.index()] += 1;
-                out.push(req.with_fill_level(fill));
+        let mut issued_per_prefetcher = [0u32; MAX_COMPOSITE_PREFETCHERS];
+        candidates.retain_mut(|req| {
+            let issuer = req.issuer.index();
+            if self.sandbox.filter_and_record(req.line, issuer, req.trigger_pc) {
+                return false;
             }
-        }
-        for (i, count) in issued_per_prefetcher.into_iter().enumerate() {
+            // §IV-B: the first c (surviving) lines of a prefetcher fill the
+            // cache the prefetchers reside in; the extra lines granted by
+            // the IA_m state fill the next-level cache.
+            let fill = if self.config.fixed_ia_degree.is_some()
+                || issued_per_prefetcher[issuer] < self.config.conservative_degree
+            {
+                FillLevel::L1
+            } else {
+                FillLevel::L2
+            };
+            issued_per_prefetcher[issuer] += 1;
+            *req = req.with_fill_level(fill);
+            true
+        });
+        for (i, &count) in issued_per_prefetcher[..self.prefetcher_count].iter().enumerate() {
             self.sample.record_issued(access.pc, i, count);
         }
 
         // Dead-counter bookkeeping: did this prediction produce any prefetch?
-        self.sample.record_prediction_outcome(access.pc, !out.is_empty());
-        out
+        self.sample.record_prediction_outcome(access.pc, !candidates.is_empty());
+        candidates
     }
 
     fn needs_external_filter(&self) -> bool {
@@ -323,6 +333,40 @@ mod tests {
         let out = alecto.select_requests(&a, vec![req(2, 0x8c, 500)]);
         assert!(out.is_empty(), "later duplicates are also dropped");
         assert!(!alecto.needs_external_filter());
+
+        // Filtering happens in place: survivors keep candidate order, and
+        // each prefetcher's first c survivors fill the L1, the rest the L2.
+        let mut alecto = AlectoSelector::default_config(3);
+        assert_eq!(alecto.config().conservative_degree, 3);
+        let candidates = vec![
+            req(1, 0x8c, 600),
+            req(0, 0x8c, 600),
+            req(0, 0x8c, 700),
+            req(1, 0x8c, 601),
+            req(1, 0x8c, 602),
+            req(1, 0x8c, 603),
+            req(0, 0x8c, 701),
+        ];
+        let buffer = candidates.as_ptr();
+        let out = alecto.select_requests(&a, candidates);
+        assert_eq!(out.as_ptr(), buffer, "the candidate buffer is handed back");
+        assert_eq!(
+            out,
+            [
+                req(1, 0x8c, 600),
+                req(0, 0x8c, 700),
+                req(1, 0x8c, 601),
+                req(1, 0x8c, 602),
+                req(1, 0x8c, 603).with_fill_level(FillLevel::L2),
+                req(0, 0x8c, 701),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_COMPOSITE_PREFETCHERS = 4 prefetchers")]
+    fn more_prefetchers_than_the_largest_composite_panic() {
+        let _ = AlectoSelector::default_config(MAX_COMPOSITE_PREFETCHERS + 1);
     }
 
     #[test]

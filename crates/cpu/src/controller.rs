@@ -9,6 +9,7 @@
 //! memory hierarchy.
 
 use alecto_types::{DemandAccess, FillLevel, LineAddr, PrefetchRequest, PrefetcherId};
+use memsys::{Hierarchy, PrefetchFeedback};
 use prefetch::{build_composite, CompositeKind, Prefetcher, TableStats};
 use selectors::{PrefetchFilter, PrefetchOutcome, Selector};
 
@@ -37,6 +38,10 @@ pub struct PrefetchController {
     filter: PrefetchFilter,
     stats: ControllerStats,
     scratch: Vec<LineAddr>,
+    /// The latest access's requests; the next access reuses the buffer.
+    requests: Vec<PrefetchRequest>,
+    /// Hierarchy feedback being forwarded; swapped, never reallocated.
+    feedback: Vec<PrefetchFeedback>,
 }
 
 impl std::fmt::Debug for PrefetchController {
@@ -61,6 +66,8 @@ impl PrefetchController {
             filter: PrefetchFilter::default_config(),
             stats: ControllerStats::default(),
             scratch: Vec::with_capacity(16),
+            requests: Vec::new(),
+            feedback: Vec::new(),
         }
     }
 
@@ -108,18 +115,20 @@ impl PrefetchController {
     }
 
     /// Handles one demand access: allocation, training, selection, filtering.
-    /// Returns the prefetch requests to issue.
-    pub fn on_demand_access(&mut self, access: &DemandAccess) -> Vec<PrefetchRequest> {
+    /// Returns the prefetch requests to issue, valid until the next call.
+    pub fn on_demand_access(&mut self, access: &DemandAccess) -> &[PrefetchRequest] {
         self.stats.demands += 1;
         let Some(selector) = self.selector.as_mut() else {
-            return Vec::new();
+            return &[];
         };
 
         // 1. Allocation: which prefetchers see this request, at what degree.
         let decision = selector.allocate(access, &self.prefetchers);
 
         // 2. Training + candidate generation, restricted to the allocation.
-        let mut candidates: Vec<PrefetchRequest> = Vec::new();
+        // The candidates go into the previous access's request buffer.
+        let mut candidates = std::mem::take(&mut self.requests);
+        candidates.clear();
         for (idx, allocation) in decision.per_prefetcher.iter().enumerate() {
             let Some(alloc) = allocation else { continue };
             self.scratch.clear();
@@ -136,33 +145,44 @@ impl PrefetchController {
         self.stats.candidates += candidate_count;
 
         // 3. Selection-specific post-processing (priority mux, PPF, Sandbox).
-        let selected = selector.select_requests(access, candidates);
+        let mut selected = selector.select_requests(access, candidates);
         self.stats.dropped_by_selector +=
             candidate_count - u64::try_from(selected.len()).expect("count fits in u64");
 
         // 4. External duplicate filter for selectors that do not bring their own.
-        let final_requests: Vec<PrefetchRequest> = if selector.needs_external_filter() {
-            selected
-                .into_iter()
-                .filter(|r| {
-                    let dropped = self.filter.check_and_insert(r.line);
-                    if dropped {
-                        self.stats.dropped_by_filter += 1;
-                    }
-                    !dropped
-                })
-                .collect()
-        } else {
-            selected
-        };
-        self.stats.issued += u64::try_from(final_requests.len()).expect("count fits in u64");
-        final_requests
+        if selector.needs_external_filter() {
+            selected.retain(|r| {
+                let dropped = self.filter.check_and_insert(r.line);
+                if dropped {
+                    self.stats.dropped_by_filter += 1;
+                }
+                !dropped
+            });
+        }
+        self.stats.issued += u64::try_from(selected.len()).expect("count fits in u64");
+        self.requests = selected;
+        &self.requests
     }
 
     /// Forwards prefetch usefulness feedback from the memory system.
     pub fn on_prefetch_outcome(&mut self, outcome: &PrefetchOutcome) {
         if let Some(selector) = self.selector.as_mut() {
             selector.on_prefetch_outcome(outcome);
+        }
+    }
+
+    /// Takes the usefulness feedback `hierarchy` gathered since the last call
+    /// (from every core's traffic) and forwards it to the selector.
+    pub fn forward_feedback(&mut self, hierarchy: &mut Hierarchy) {
+        hierarchy.swap_feedback(&mut self.feedback);
+        let Some(selector) = self.selector.as_mut() else { return };
+        for fb in &self.feedback {
+            selector.on_prefetch_outcome(&PrefetchOutcome {
+                issuer: fb.issuer,
+                trigger_pc: fb.trigger_pc,
+                line: fb.line,
+                useful: fb.useful,
+            });
         }
     }
 

@@ -13,7 +13,6 @@ use std::collections::{HashMap, VecDeque};
 
 use alecto_types::{AccessKind, MemoryRecord};
 use memsys::Hierarchy;
-use selectors::PrefetchOutcome;
 
 use crate::config::SystemConfig;
 use crate::controller::PrefetchController;
@@ -215,14 +214,7 @@ impl CoreModel {
             let delay = u64::try_from(k).expect("prefetch queue index fits in u64");
             hierarchy.issue_prefetch(self.core_id, req, issue_cycle + 1 + delay);
         }
-        for fb in hierarchy.drain_feedback() {
-            self.controller.on_prefetch_outcome(&PrefetchOutcome {
-                issuer: fb.issuer,
-                trigger_pc: fb.trigger_pc,
-                line: fb.line,
-                useful: fb.useful,
-            });
-        }
+        self.controller.forward_feedback(hierarchy);
 
         // --- Retirement ----------------------------------------------------------
         self.retire_time += 1.0 / self.commit_width;

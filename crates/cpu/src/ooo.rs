@@ -19,7 +19,6 @@
 
 use alecto_types::{AccessKind, MemoryRecord};
 use memsys::Hierarchy;
-use selectors::PrefetchOutcome;
 
 use crate::branch::{GsharePredictor, MISPREDICT_PENALTY};
 use crate::config::SystemConfig;
@@ -168,14 +167,7 @@ impl OooCore {
                 hierarchy.issue_prefetch(self.core_id, req, issue + 1 + delay);
             }
         }
-        for fb in hierarchy.drain_feedback() {
-            self.controller.on_prefetch_outcome(&PrefetchOutcome {
-                issuer: fb.issuer,
-                trigger_pc: fb.trigger_pc,
-                line: fb.line,
-                useful: fb.useful,
-            });
-        }
+        self.controller.forward_feedback(hierarchy);
 
         // --- Dispatch into the window ---------------------------------------
         // Gap instructions are ready the cycle they dispatch; a load's result

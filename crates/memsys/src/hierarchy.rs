@@ -7,7 +7,7 @@ use alecto_types::{FillLevel, LineAddr, Pc, PrefetchRequest, PrefetcherId};
 use crate::cache::Cache;
 use crate::config::{HierarchyParams, Level};
 use crate::dram::DramModel;
-use crate::mshr::MshrFile;
+use crate::mshr::{MshrEntry, MshrFile};
 use crate::stats::{CacheStats, Cycle, PrefetchQuality};
 use crate::timing::{BandwidthQueue, BandwidthQueueStats, TimingStats};
 
@@ -49,17 +49,6 @@ pub struct DemandResult {
     pub completion_cycle: Cycle,
     /// Prefetch coverage classification for Fig. 10.
     pub coverage: CoverageEvent,
-}
-
-/// One demand access of a batch handed to [`Hierarchy::demand_access_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemandRequest {
-    /// Line accessed.
-    pub line: LineAddr,
-    /// Cycle the access issues at.
-    pub now: Cycle,
-    /// Whether the access is a store (marks the line dirty).
-    pub is_store: bool,
 }
 
 /// Result of issuing one prefetch request.
@@ -247,27 +236,45 @@ impl Hierarchy {
             .or_else(|| self.l3_mshr.completion_of(line, now))
     }
 
-    /// Drains accumulated prefetch usefulness feedback.
-    pub fn drain_feedback(&mut self) -> Vec<PrefetchFeedback> {
-        std::mem::take(&mut self.feedback)
+    /// Moves the prefetch usefulness feedback accumulated since the last
+    /// call into `out`, replacing its contents. The two buffers trade
+    /// places, so a caller that keeps `out` between calls never allocates.
+    pub fn swap_feedback(&mut self, out: &mut Vec<PrefetchFeedback>) {
+        out.clear();
+        std::mem::swap(&mut self.feedback, out);
     }
 
+    /// Reports a prefetched line evicted before any demand used it as
+    /// useless feedback, charged to `core`'s overprediction count.
     fn record_eviction_feedback(
-        feedback: &mut Vec<PrefetchFeedback>,
+        &mut self,
+        core: usize,
         evicted: Option<crate::cache::EvictionInfo>,
     ) {
-        if let Some(ev) = evicted {
-            if ev.was_unused_prefetch {
-                if let Some(issuer) = ev.prefetch_issuer {
-                    feedback.push(PrefetchFeedback {
-                        issuer,
-                        trigger_pc: ev.trigger_pc,
-                        line: ev.line,
-                        useful: false,
-                    });
-                }
-            }
-        }
+        let Some(ev) = evicted.filter(|ev| ev.was_unused_prefetch) else { return };
+        let Some(issuer) = ev.prefetch_issuer else { return };
+        self.feedback.push(PrefetchFeedback {
+            issuer,
+            trigger_pc: ev.trigger_pc,
+            line: ev.line,
+            useful: false,
+        });
+        self.cores[core].quality.overpredicted += 1;
+    }
+
+    /// Books a demand that merged into the in-flight miss `merged` (as it
+    /// stood before the merge): the first demand to merge into a prefetch's
+    /// entry covers that prefetch late.
+    fn merged_coverage(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        merged: MshrEntry,
+    ) -> Option<CoverageEvent> {
+        let issuer = merged.prefetch_issuer.filter(|_| !merged.demand_merged)?;
+        self.cores[core].quality.covered_untimely += 1;
+        self.feedback.push(PrefetchFeedback { issuer, trigger_pc: None, line, useful: true });
+        Some(CoverageEvent::CoveredUntimely { issuer, trigger_pc: None })
     }
 
     /// Performs a demand access from `core` to `line` at cycle `now`.
@@ -297,34 +304,6 @@ impl Hierarchy {
         result
     }
 
-    /// Performs a batch of demand accesses from `core`, appending one
-    /// [`DemandResult`] per request to `out` in request order. Semantically
-    /// identical to calling [`Hierarchy::demand_access_kind`] once per
-    /// request — the batch entry point exists to amortise dispatch across
-    /// the hot path (one call, one `&mut self` borrow, one bounds check on
-    /// the core index per batch instead of per access); the determinism
-    /// suite pins the equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn demand_access_batch(
-        &mut self,
-        core: usize,
-        requests: &[DemandRequest],
-        out: &mut Vec<DemandResult>,
-    ) {
-        assert!(core < self.cores.len(), "core index {core} out of range");
-        out.reserve(requests.len());
-        for req in requests {
-            let result = self.demand_access_inner(core, req.line, req.now, req.is_store);
-            let timing = &mut self.cores[core].timing;
-            timing.demand_accesses += 1;
-            timing.demand_latency_cycles += result.latency;
-            out.push(result);
-        }
-    }
-
     fn demand_access_inner(
         &mut self,
         core: usize,
@@ -339,29 +318,14 @@ impl Hierarchy {
 
         // --- L1 MSHR: line already being fetched? -------------------------
         let cp = &mut self.cores[core];
-        if let Some(entry) = cp.l1_mshr.lookup(line, now) {
-            let completion = entry.completion;
-            let issuer = entry.prefetch_issuer;
-            let first_merge = !entry.demand_merged;
-            entry.demand_merged = true;
+        if let Some(merged) = cp.l1_mshr.merge_demand(line, now) {
             cp.l1d.stats_mut().demand_mshr_merges += 1;
             // Clear the prefetched-unused bit so the later array hit is not
             // double counted; ignore the array's own coverage signal.
             let _ = cp.l1d.demand_lookup(line, is_store);
-            let coverage = match issuer {
-                Some(p) if first_merge => {
-                    cp.quality.covered_untimely += 1;
-                    self.feedback.push(PrefetchFeedback {
-                        issuer: p,
-                        trigger_pc: None,
-                        line,
-                        useful: true,
-                    });
-                    CoverageEvent::CoveredUntimely { issuer: p, trigger_pc: None }
-                }
-                _ => CoverageEvent::CacheHit,
-            };
-            let latency = l1_latency.max(completion.saturating_sub(now));
+            let coverage =
+                self.merged_coverage(core, line, merged).unwrap_or(CoverageEvent::CacheHit);
+            let latency = l1_latency.max(merged.completion.saturating_sub(now));
             return DemandResult {
                 hit_level: None,
                 latency,
@@ -420,24 +384,11 @@ impl Hierarchy {
                 });
                 coverage = CoverageEvent::CoveredTimely { issuer, trigger_pc: meta.trigger_pc };
             }
-        } else if let Some(entry) = self.cores[core].l2_mshr.lookup(line, now) {
-            let completion = entry.completion;
-            let issuer = entry.prefetch_issuer;
-            let first_merge = !entry.demand_merged;
-            entry.demand_merged = true;
+        } else if let Some(merged) = self.cores[core].l2_mshr.merge_demand(line, now) {
             self.cores[core].l2.stats_mut().demand_mshr_merges += 1;
-            base_latency = l2_latency.max(completion.saturating_sub(now));
-            if let Some(p) = issuer {
-                if first_merge {
-                    self.cores[core].quality.covered_untimely += 1;
-                    self.feedback.push(PrefetchFeedback {
-                        issuer: p,
-                        trigger_pc: None,
-                        line,
-                        useful: true,
-                    });
-                    coverage = CoverageEvent::CoveredUntimely { issuer: p, trigger_pc: None };
-                }
+            base_latency = l2_latency.max(merged.completion.saturating_sub(now));
+            if let Some(late) = self.merged_coverage(core, line, merged) {
+                coverage = late;
             }
         } else {
             // L3 lookup / MSHR.
@@ -458,24 +409,11 @@ impl Hierarchy {
                     });
                     coverage = CoverageEvent::CoveredTimely { issuer, trigger_pc: meta.trigger_pc };
                 }
-            } else if let Some(entry) = self.l3_mshr.lookup(line, now) {
-                let completion = entry.completion;
-                let issuer = entry.prefetch_issuer;
-                let first_merge = !entry.demand_merged;
-                entry.demand_merged = true;
+            } else if let Some(merged) = self.l3_mshr.merge_demand(line, now) {
                 self.l3.stats_mut().demand_mshr_merges += 1;
-                base_latency = l3_latency.max(completion.saturating_sub(now));
-                if let Some(p) = issuer {
-                    if first_merge {
-                        self.cores[core].quality.covered_untimely += 1;
-                        self.feedback.push(PrefetchFeedback {
-                            issuer: p,
-                            trigger_pc: None,
-                            line,
-                            useful: true,
-                        });
-                        coverage = CoverageEvent::CoveredUntimely { issuer: p, trigger_pc: None };
-                    }
+                base_latency = l3_latency.max(merged.completion.saturating_sub(now));
+                if let Some(late) = self.merged_coverage(core, line, merged) {
+                    coverage = late;
                 }
             } else {
                 // DRAM: the request first wins an admission slot at the
@@ -521,23 +459,16 @@ impl Hierarchy {
         let completion = now + latency;
 
         // --- Fills -----------------------------------------------------------
-        let mut local_feedback = Vec::new();
         let ev = self.cores[core].l1d.fill(line, None, None, is_store);
-        Self::record_eviction_feedback(&mut local_feedback, ev);
+        self.record_eviction_feedback(core, ev);
         if fill_l2 {
             let ev = self.cores[core].l2.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            self.record_eviction_feedback(core, ev);
         }
         if fill_l3 {
             let ev = self.l3.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            self.record_eviction_feedback(core, ev);
         }
-        for fb in &local_feedback {
-            if !fb.useful {
-                self.cores[core].quality.overpredicted += 1;
-            }
-        }
-        self.feedback.extend(local_feedback);
 
         DemandResult { hit_level, latency, completion_cycle: completion, coverage }
     }
@@ -662,7 +593,6 @@ impl Hierarchy {
         }
 
         // Fill the target level (timing is governed by the MSHR entry).
-        let mut local_feedback = Vec::new();
         let ev = match fill_level {
             FillLevel::L1 => {
                 self.cores[core].l1d.fill(line, Some(req.issuer), Some(req.trigger_pc), false)
@@ -671,17 +601,11 @@ impl Hierarchy {
                 self.cores[core].l2.fill(line, Some(req.issuer), Some(req.trigger_pc), false)
             }
         };
-        Self::record_eviction_feedback(&mut local_feedback, ev);
+        self.record_eviction_feedback(core, ev);
         if went_to_dram {
             let ev = self.l3.fill(line, None, None, false);
-            Self::record_eviction_feedback(&mut local_feedback, ev);
+            self.record_eviction_feedback(core, ev);
         }
-        for fb in &local_feedback {
-            if !fb.useful {
-                self.cores[core].quality.overpredicted += 1;
-            }
-        }
-        self.feedback.extend(local_feedback);
 
         self.prefetches_issued += 1;
         PrefetchIssueResult { issued: true, completion_cycle: completion, went_to_dram }
@@ -744,7 +668,8 @@ mod tests {
         let r = h.demand_access(0, LineAddr::new(0x200), p.completion_cycle + 10);
         assert!(matches!(r.coverage, CoverageEvent::CoveredTimely { issuer: PrefetcherId(0), .. }));
         assert_eq!(h.quality(0).covered_timely, 1);
-        let fb = h.drain_feedback();
+        let mut fb = Vec::new();
+        h.swap_feedback(&mut fb);
         assert!(fb.iter().any(|f| f.useful && f.line == LineAddr::new(0x200)));
     }
 
@@ -805,39 +730,13 @@ mod tests {
             let r = h.demand_access(0, line, t);
             t = r.completion_cycle + 1;
         }
-        let fb = h.drain_feedback();
+        let mut fb = Vec::new();
+        h.swap_feedback(&mut fb);
         assert!(
             fb.iter().any(|f| !f.useful && f.line == victim),
             "victim should be reported useless"
         );
         assert!(h.quality(0).overpredicted >= 1);
-    }
-
-    #[test]
-    fn batched_demand_accesses_match_scalar_accesses() {
-        // The batch entry point must be indistinguishable from per-access
-        // calls: same results, same stats, same feedback, same DRAM state.
-        let requests: Vec<DemandRequest> = (0..200u64)
-            .map(|i| DemandRequest {
-                line: LineAddr::new((i * 13) % 64),
-                now: i * 3,
-                is_store: i % 5 == 0,
-            })
-            .collect();
-        let mut scalar = hier(1);
-        let scalar_results: Vec<DemandResult> = requests
-            .iter()
-            .map(|r| scalar.demand_access_kind(0, r.line, r.now, r.is_store))
-            .collect();
-        let mut batched = hier(1);
-        let mut batched_results = Vec::new();
-        for chunk in requests.chunks(7) {
-            batched.demand_access_batch(0, chunk, &mut batched_results);
-        }
-        assert_eq!(batched_results, scalar_results);
-        assert_eq!(batched.timing_stats(0), scalar.timing_stats(0));
-        assert_eq!(batched.l1_stats(0), scalar.l1_stats(0));
-        assert_eq!(batched.drain_feedback(), scalar.drain_feedback());
     }
 
     #[test]

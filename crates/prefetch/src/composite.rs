@@ -14,6 +14,11 @@ use crate::stride::StridePrefetcher;
 use crate::temporal::{TemporalConfig, TemporalPrefetcher};
 use crate::traits::Prefetcher;
 
+/// The most prefetchers any [`CompositeKind`] holds (the temporal bundle's
+/// four). Selection state sized per prefetcher is stored inline at this
+/// capacity, so deciding an allocation never touches the heap.
+pub const MAX_COMPOSITE_PREFETCHERS: usize = 4;
+
 /// Which composite prefetcher bundle to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompositeKind {
@@ -124,6 +129,34 @@ mod tests {
         assert_eq!(build_composite(CompositeKind::PmpOnly).len(), 1);
         assert_eq!(build_composite(CompositeKind::BertiOnly)[0].name(), "Berti");
         assert_eq!(CompositeKind::PmpOnly.label(), "PMP");
+    }
+
+    #[test]
+    fn every_composite_fits_the_inline_capacity() {
+        let kinds = [
+            CompositeKind::GsCsPmp,
+            CompositeKind::GsBertiCplx,
+            CompositeKind::GsCsPmpTemporal { metadata_bytes: 64 * 1024 },
+            CompositeKind::PmpOnly,
+            CompositeKind::BertiOnly,
+        ];
+        for kind in kinds {
+            // Exhaustive on purpose: a new variant must be listed above.
+            match kind {
+                CompositeKind::GsCsPmp
+                | CompositeKind::GsBertiCplx
+                | CompositeKind::GsCsPmpTemporal { .. }
+                | CompositeKind::PmpOnly
+                | CompositeKind::BertiOnly => {}
+            }
+            assert_eq!(build_composite(kind).len(), kind.prefetcher_count());
+            assert!(kind.prefetcher_count() <= MAX_COMPOSITE_PREFETCHERS, "{kind:?}");
+        }
+        // The capacity is exactly the largest bundle, not a guess.
+        assert_eq!(
+            kinds.iter().map(CompositeKind::prefetcher_count).max(),
+            Some(MAX_COMPOSITE_PREFETCHERS)
+        );
     }
 
     #[test]

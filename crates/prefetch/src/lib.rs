@@ -43,7 +43,7 @@ pub mod temporal;
 pub mod traits;
 
 pub use berti::BertiPrefetcher;
-pub use composite::{build_composite, CompositeKind};
+pub use composite::{build_composite, CompositeKind, MAX_COMPOSITE_PREFETCHERS};
 pub use cplx::CplxPrefetcher;
 pub use pmp::PmpPrefetcher;
 pub use stream::StreamPrefetcher;

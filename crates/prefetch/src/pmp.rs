@@ -139,26 +139,25 @@ impl PmpPrefetcher {
     ) {
         let signature = Self::signature(pc, trigger_offset);
         self.stats.lookups += 1;
-        let Some(pattern) = self.pht.iter().flatten().find(|e| e.signature == signature).cloned()
-        else {
+        let Some(pattern) = self.pht.iter().flatten().find(|e| e.signature == signature) else {
             self.stats.misses += 1;
             return;
         };
         self.stats.hits += 1;
-        // Collect offsets above threshold, strongest and nearest first.
-        let mut candidates: Vec<(u8, u64)> = pattern
-            .counters
-            .iter()
-            .enumerate()
-            .skip(1) // position 0 is the trigger itself
-            .filter(|(_, &c)| c >= self.config.counter_threshold)
-            .map(|(i, &c)| (c, i as u64))
-            .collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (_, rel) in candidates.into_iter().take(degree as usize) {
-            let offset = (trigger_offset + rel) % OFFSETS as u64;
-            out.push(page.line(offset));
-            self.stats.candidates_emitted += 1;
+        // Emit offsets above threshold, strongest and nearest first: one pass
+        // per counter value from the saturation value down, each in offset
+        // order (position 0 is the trigger itself).
+        let mut budget = degree as usize;
+        for value in (self.config.counter_threshold..=self.config.counter_max).rev() {
+            for rel in (1..OFFSETS).filter(|&rel| pattern.counters[rel] == value) {
+                if budget == 0 {
+                    return;
+                }
+                budget -= 1;
+                let offset = (trigger_offset + rel as u64) % OFFSETS as u64;
+                out.push(page.line(offset));
+                self.stats.candidates_emitted += 1;
+            }
         }
     }
 }
@@ -292,6 +291,29 @@ mod tests {
         }
         let out = touch_page(&mut pf, 0x700, 2000, &[0], 3);
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn candidates_come_strongest_then_nearest_first() {
+        let mut pf = PmpPrefetcher::default_config();
+        let pc = Pc::new(0x714);
+        let mut counters = [0; OFFSETS];
+        for (rel, c) in [(9, 2), (4, 3), (1, 2), (7, 3), (0, 3), (12, 1)] {
+            counters[rel] = c;
+        }
+        let signature = PmpPrefetcher::signature(pc, 0);
+        pf.pht[0] = Some(PatternEntry { signature, counters, lru: 0 });
+        // Relative offsets 4 and 7 (counter 3), then 1 and 9 (counter 2),
+        // rotated from the trigger at 60; 12 is below threshold and 0 is the
+        // trigger itself.
+        let page = PageAddr::new(9);
+        let mut out = Vec::new();
+        pf.predict(pc, page, 60, 8, &mut out);
+        assert_eq!(out, [page.line(0), page.line(3), page.line(61), page.line(5)]);
+        out.clear();
+        pf.predict(pc, page, 60, 3, &mut out);
+        assert_eq!(out, [page.line(0), page.line(3), page.line(61)]);
+        assert_eq!(pf.table_stats().candidates_emitted, 7);
     }
 
     #[test]

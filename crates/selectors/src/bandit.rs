@@ -13,7 +13,7 @@ use prefetch::Prefetcher;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::traits::{AllocationDecision, DegreeAllocation, Selector};
+use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
 /// Which stock Bandit variant is being run (affects only the display name and
 /// the candidate degree set).
@@ -121,14 +121,15 @@ impl BanditSelector {
     /// Decodes an arm index into per-prefetcher degrees.
     #[must_use]
     pub fn arm_degrees(&self, arm: usize) -> Vec<u32> {
+        (0..self.config.prefetchers).map(|i| self.arm_degree(arm, i)).collect()
+    }
+
+    /// Degree arm `arm` gives prefetcher `prefetcher`: digit `prefetcher` of
+    /// `arm` written in base `degree_choices.len()`, least significant first.
+    fn arm_degree(&self, arm: usize, prefetcher: usize) -> u32 {
         let base = self.config.degree_choices.len();
-        let mut degrees = Vec::with_capacity(self.config.prefetchers);
-        let mut rest = arm;
-        for _ in 0..self.config.prefetchers {
-            degrees.push(self.config.degree_choices[rest % base]);
-            rest /= base;
-        }
-        degrees
+        let digit = (0..prefetcher).fold(arm, |rest, _| rest / base) % base;
+        self.config.degree_choices[digit]
     }
 
     /// Index of the arm currently in use.
@@ -181,11 +182,14 @@ impl Selector for BanditSelector {
         prefetchers: &[Box<dyn Prefetcher>],
     ) -> AllocationDecision {
         // Bandit does not gate training: every prefetcher observes every
-        // demand request; only the output degree is controlled by the arm.
-        let degrees = self.arm_degrees(self.current_arm);
-        let per_prefetcher = (0..prefetchers.len())
-            .map(|i| Some(DegreeAllocation::l1(degrees.get(i).copied().unwrap_or(0))))
-            .collect();
+        // demand request; only the output degree is controlled by the arm
+        // (prefetchers beyond the configured count get degree 0).
+        let mut per_prefetcher = Allocations::filled(prefetchers.len(), None);
+        for (i, slot) in per_prefetcher.iter_mut().enumerate() {
+            let degree =
+                if i < self.config.prefetchers { self.arm_degree(self.current_arm, i) } else { 0 };
+            *slot = Some(DegreeAllocation::l1(degree));
+        }
         AllocationDecision { per_prefetcher }
     }
 
@@ -244,6 +248,18 @@ mod tests {
         assert_eq!(all_on, vec![3, 3, 3]);
         let mixed = b.arm_degrees(5); // binary 101
         assert_eq!(mixed, vec![3, 0, 3]);
+        // `allocate` decodes the same digits in place, for every base.
+        let prefetchers = build_composite(CompositeKind::GsCsPmp);
+        let access = DemandAccess::load(Pc::new(1), Addr::new(0x40));
+        for mut b in [BanditSelector::bandit3(3), BanditSelector::extended(3, 5, 3)] {
+            let arms = b.arms.len();
+            for arm in [0, 1, 5, 7, 100, 511].into_iter().filter(|&a| a < arms) {
+                b.current_arm = arm;
+                let d = b.allocate(&access, &prefetchers);
+                let totals: Vec<u32> = d.per_prefetcher.iter().map(|a| a.unwrap().total).collect();
+                assert_eq!(totals, b.arm_degrees(arm), "arm {arm}");
+            }
+        }
     }
 
     #[test]

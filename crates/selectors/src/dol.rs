@@ -11,7 +11,7 @@
 use alecto_types::{DemandAccess, PrefetchRequest};
 use prefetch::Prefetcher;
 
-use crate::traits::{AllocationDecision, DegreeAllocation, Selector};
+use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
 /// The DOL sequential-coordinator selector.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ impl Selector for DolSelector {
     ) -> AllocationDecision {
         // Walk the static priority chain; every prefetcher up to and including
         // the first one that claims the access gets trained.
-        let mut per_prefetcher = vec![None; prefetchers.len()];
+        let mut per_prefetcher = Allocations::filled(prefetchers.len(), None);
         let mut handled_at = prefetchers.len();
         for (i, pf) in prefetchers.iter().enumerate() {
             per_prefetcher[i] = Some(DegreeAllocation::l1(self.degree));

@@ -64,18 +64,18 @@ impl Selector for IpcpSelector {
     fn select_requests(
         &mut self,
         _access: &DemandAccess,
-        candidates: Vec<PrefetchRequest>,
+        mut candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
         // Keep only the output of the highest-priority prefetcher that
         // produced anything (lowest issuer index wins).
         let Some(winner) = candidates.iter().map(|r| r.issuer).min_by_key(|p| p.index()) else {
-            return Vec::new();
+            return candidates;
         };
-        let (selected, dropped): (Vec<_>, Vec<_>) =
-            candidates.into_iter().partition(|r| r.issuer == winner);
-        self.requests_selected += selected.len() as u64;
-        self.requests_dropped += dropped.len() as u64;
-        selected
+        let before = candidates.len();
+        candidates.retain(|r| r.issuer == winner);
+        self.requests_selected += candidates.len() as u64;
+        self.requests_dropped += (before - candidates.len()) as u64;
+        candidates
     }
 
     fn storage_bits(&self) -> u64 {
@@ -108,8 +108,7 @@ mod tests {
         let mut s = IpcpSelector::default_config();
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         let out = s.select_requests(&access, vec![req(2, 10), req(0, 20), req(1, 30), req(0, 21)]);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|r| r.issuer == PrefetcherId(0)));
+        assert_eq!(out, [req(0, 20), req(0, 21)], "the winner's requests, in candidate order");
         assert_eq!(s.requests_selected(), 2);
         assert_eq!(s.requests_dropped(), 2);
     }

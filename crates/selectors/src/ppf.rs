@@ -156,21 +156,19 @@ impl Selector for PpfFilterSelector {
         access: &DemandAccess,
         candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
-        let prioritized = self.inner.select_requests(access, candidates);
-        let mut out = Vec::with_capacity(prioritized.len());
-        for req in prioritized {
-            let features = Self::features(access, &req);
+        let mut prioritized = self.inner.select_requests(access, candidates);
+        prioritized.retain(|req| {
+            let features = Self::features(access, req);
             if self.sum(&features) >= self.config.filter_threshold {
                 self.pending.insert(req.line, features);
                 if self.pending.len() > 4096 {
                     // Bound the bookkeeping; the map is ordered, so dropping
                     // the smallest line address is deterministic run-to-run
                     // (a HashMap's "first key" would not be).
-                    let key = *self.pending.keys().next().expect("non-empty map");
-                    self.pending.remove(&key);
+                    self.pending.pop_first();
                 }
                 self.passed += 1;
-                out.push(req);
+                true
             } else {
                 self.filtered += 1;
                 // Rejected prefetches still train toward "useless" slowly via
@@ -178,9 +176,10 @@ impl Selector for PpfFilterSelector {
                 // PPF proper uses a reject table — approximated by immediate
                 // weak negative training.
                 self.train(&features, false);
+                false
             }
-        }
-        out
+        });
+        prioritized
     }
 
     fn on_prefetch_outcome(&mut self, outcome: &PrefetchOutcome) {

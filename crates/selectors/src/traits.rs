@@ -15,7 +15,7 @@
 //!    prefetch usefulness feedback and periodic performance rewards.
 
 use alecto_types::{DemandAccess, LineAddr, Pc, PrefetchRequest, PrefetcherId};
-use prefetch::Prefetcher;
+use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
 
 /// Degree granted to one prefetcher for one demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,25 +41,75 @@ impl DegreeAllocation {
     }
 }
 
+/// One optional [`DegreeAllocation`] per prefetcher of a composite, stored
+/// inline (at most [`MAX_COMPOSITE_PREFETCHERS`]) and used as a slice of the
+/// composite's length through `Deref`.
+#[derive(Debug, Clone, Copy)]
+pub struct Allocations {
+    slots: [Option<DegreeAllocation>; MAX_COMPOSITE_PREFETCHERS],
+    len: usize,
+}
+
+impl Allocations {
+    /// `prefetchers` copies of `allocation`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefetchers` exceeds [`MAX_COMPOSITE_PREFETCHERS`].
+    #[must_use]
+    pub fn filled(prefetchers: usize, allocation: Option<DegreeAllocation>) -> Self {
+        assert!(
+            prefetchers <= MAX_COMPOSITE_PREFETCHERS,
+            "{prefetchers} prefetchers exceed the largest composite \
+             (MAX_COMPOSITE_PREFETCHERS = {MAX_COMPOSITE_PREFETCHERS})"
+        );
+        Self { slots: [allocation; MAX_COMPOSITE_PREFETCHERS], len: prefetchers }
+    }
+}
+
+impl std::ops::Deref for Allocations {
+    type Target = [Option<DegreeAllocation>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for Allocations {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.slots[..self.len]
+    }
+}
+
+impl PartialEq for Allocations {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Allocations {}
+
 /// Per-prefetcher training/degree decision for one demand access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocationDecision {
     /// Indexed by prefetcher position in the composite; `None` means the
     /// prefetcher must not observe (train on) this demand request.
-    pub per_prefetcher: Vec<Option<DegreeAllocation>>,
+    pub per_prefetcher: Allocations,
 }
 
 impl AllocationDecision {
     /// Every prefetcher trains with the same L1-filling degree.
     #[must_use]
     pub fn all(prefetchers: usize, degree: u32) -> Self {
-        Self { per_prefetcher: vec![Some(DegreeAllocation::l1(degree)); prefetchers] }
+        Self {
+            per_prefetcher: Allocations::filled(prefetchers, Some(DegreeAllocation::l1(degree))),
+        }
     }
 
     /// Nobody trains (prefetching disabled for this access).
     #[must_use]
     pub fn none(prefetchers: usize) -> Self {
-        Self { per_prefetcher: vec![None; prefetchers] }
+        Self { per_prefetcher: Allocations::filled(prefetchers, None) }
     }
 
     /// Number of prefetchers that were allocated the request.
@@ -102,6 +152,9 @@ pub trait Selector: Send {
 
     /// Post-processes the candidate prefetch requests produced by the allowed
     /// prefetchers and returns the ones to issue, most important first.
+    ///
+    /// Implementations filter `candidates` in place and hand the same buffer
+    /// back, so a caller that reuses it never allocates per demand.
     fn select_requests(
         &mut self,
         access: &DemandAccess,
@@ -152,5 +205,22 @@ mod tests {
         assert!(all.per_prefetcher.iter().all(|d| d == &Some(DegreeAllocation::l1(2))));
         let none = AllocationDecision::none(3);
         assert_eq!(none.allocated_count(), 0);
+        // The inline storage reads as a slice of exactly the composite's
+        // length, and equality ignores the unused slots.
+        assert_eq!(none.per_prefetcher.len(), 3);
+        let mut one = AllocationDecision::none(MAX_COMPOSITE_PREFETCHERS);
+        one.per_prefetcher[0] = Some(DegreeAllocation::l1(1));
+        assert_eq!(one.allocated_count(), 1);
+        assert_ne!(one, AllocationDecision::none(MAX_COMPOSITE_PREFETCHERS));
+        let mut short = AllocationDecision::all(2, 5);
+        short.per_prefetcher.fill(None);
+        assert_eq!(short, AllocationDecision::none(2));
+        assert_ne!(short, AllocationDecision::none(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_COMPOSITE_PREFETCHERS = 4")]
+    fn allocations_beyond_the_largest_composite_panic() {
+        let _ = AllocationDecision::all(MAX_COMPOSITE_PREFETCHERS + 1, 2);
     }
 }

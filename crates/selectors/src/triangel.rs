@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use alecto_types::{DemandAccess, Pc, PrefetchRequest};
 use prefetch::Prefetcher;
 
-use crate::traits::{AllocationDecision, DegreeAllocation, Selector};
+use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
 /// Per-PC reuse tracking state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -84,7 +84,8 @@ impl Selector for TriangelFilterSelector {
         access: &DemandAccess,
         prefetchers: &[Box<dyn Prefetcher>],
     ) -> AllocationDecision {
-        let mut per_prefetcher = vec![Some(DegreeAllocation::l1(self.degree)); prefetchers.len()];
+        let mut per_prefetcher =
+            Allocations::filled(prefetchers.len(), Some(DegreeAllocation::l1(self.degree)));
         // Identify the temporal prefetcher (by convention the last one; fall
         // back to a kind check so other layouts still work).
         let temporal_idx = prefetchers.iter().rposition(|p| p.is_temporal());
