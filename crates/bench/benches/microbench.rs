@@ -3,14 +3,15 @@
 //! benches for the design choices called out in DESIGN.md (cost of DDRA per
 //! demand access, cost of the simulator substrate per simulated access).
 
-use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+use alecto_types::TraceSource;
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsys::{Hierarchy, HierarchyParams};
 use prefetch::build_composite;
 
 fn selector_per_access_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("selector_per_access");
-    let workload = traces::spec06::workload("GemsFDTD", 4_000);
+    let workload = traces::spec06::source("GemsFDTD", 4_000).collect();
     for algorithm in [
         SelectionAlgorithm::Ipcp,
         SelectionAlgorithm::Dol,
@@ -33,7 +34,7 @@ fn selector_per_access_cost(c: &mut Criterion) {
 
 fn prefetcher_training_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefetcher_train");
-    let workload = traces::spec06::workload("soplex", 4_000);
+    let workload = traces::spec06::source("soplex", 4_000).collect();
     for kind in [CompositeKind::GsCsPmp, CompositeKind::GsBertiCplx] {
         for mut pf in build_composite(kind) {
             let label = format!("{}_{}", kind.label(), pf.name());
@@ -69,16 +70,14 @@ fn hierarchy_demand_access_cost(c: &mut Criterion) {
 fn full_system_simulation_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("system_throughput");
     group.sample_size(10);
-    let workload = traces::spec06::workload("GemsFDTD", 3_000);
+    // Materialised once, so the timing covers simulation, not generation.
+    let source = TraceSource::from_workload(traces::spec06::source("GemsFDTD", 3_000).collect());
     for algorithm in [SelectionAlgorithm::NoPrefetching, SelectionAlgorithm::Alecto] {
         group.bench_function(algorithm.label(), |b| {
             b.iter(|| {
-                black_box(cpu::run_single_core(
-                    SystemConfig::skylake_like(1),
-                    algorithm,
-                    CompositeKind::GsCsPmp,
-                    &workload,
-                ))
+                let mut system =
+                    System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp);
+                black_box(system.run_sources(std::slice::from_ref(&source)))
             });
         });
     }

@@ -21,7 +21,7 @@ use crate::ooo::OooCore;
 ///
 /// Implementations must be deterministic: equal record streams against equal
 /// hierarchy state produce equal state, reports and `current_time`
-/// trajectories, at any batch size or producer-thread count. `current_time`
+/// trajectories, on whichever thread runs them. `current_time`
 /// must be monotone non-decreasing across `step` calls — the multi-core
 /// drive loop orders cores by it.
 pub trait CoreTiming {

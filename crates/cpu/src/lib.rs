@@ -12,17 +12,16 @@
 //!
 //! ```
 //! use cpu::{System, SystemConfig, SelectionAlgorithm, CompositeKind};
-//! use alecto_types::{Workload, MemoryRecord, Pc, Addr};
+//! use alecto_types::{TraceSource, MemoryRecord, Pc, Addr};
 //!
-//! // A small streaming workload.
-//! let records: Vec<MemoryRecord> = (0..2_000)
-//!     .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x10_0000 + i * 64), 6))
-//!     .collect();
-//! let workload = Workload::new("stream", records, true);
+//! // A small streaming workload, generated lazily.
+//! let source = TraceSource::new("stream", true, 2_000, || {
+//!     Box::new((0..).map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x10_0000 + i * 64), 6)))
+//! });
 //!
 //! let config = SystemConfig::skylake_like(1);
 //! let mut sim = System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
-//! let report = sim.run(&[workload]);
+//! let report = sim.run_sources(&[source]).unwrap();
 //! assert!(report.cores[0].ipc > 0.0);
 //! ```
 
@@ -49,4 +48,4 @@ pub use metrics::{CoreReport, PrefetcherReport, SystemReport};
 pub use ooo::OooCore;
 pub use prefetch::CompositeKind;
 pub use selection::{build_selector, SelectionAlgorithm};
-pub use system::{run_single_core, DriveOptions, RunError, System, DEFAULT_BATCH_RECORDS};
+pub use system::{RunError, System, DEFAULT_BATCH_RECORDS};

@@ -5,23 +5,14 @@
 //! that shared-resource contention (L3, DRAM channels) is modelled
 //! faithfully.
 //!
-//! # The batched producer/consumer pipeline
-//!
-//! Record production (trace generation, `.altr` decode) and record
-//! consumption (the timing model) are separable: producers only decide
-//! *where* each core's records come from, never the order the drive loop
-//! consumes them in. [`DriveOptions`] exposes that split — records move from
-//! sources to the drive loop in batches, optionally produced on background
-//! threads feeding bounded per-core queues — and the serial min-time merge in
-//! `System::drive` stays untouched, so every batch size × producer count
-//! combination yields byte-identical reports (pinned by the determinism
-//! suite).
+//! Records reach the drive loop one way: [`System::run_sources`], where each
+//! core replays its own [`TraceSource`] inline, in batches of
+//! [`DEFAULT_BATCH_RECORDS`].
 
 use std::fmt;
-use std::sync::mpsc;
-use std::thread;
+use std::iter::Flatten;
 
-use alecto_types::{MemoryRecord, TraceSource, Workload};
+use alecto_types::{MemoryRecord, RecordBatches, TraceSource};
 use memsys::Hierarchy;
 use prefetch::CompositeKind;
 
@@ -31,15 +22,9 @@ use crate::core_timing::{CoreEngine, CoreTiming};
 use crate::metrics::SystemReport;
 use crate::selection::SelectionAlgorithm;
 
-/// Records per batch moved from a producer to the drive loop when no other
-/// size is requested. Matches the `.altr` block size, so a batch of a
-/// replayed trace is one decoded block.
+/// Records per batch a core pulls from its source at a time. Matches the
+/// `.altr` block size, so a batch of a replayed trace is one decoded block.
 pub const DEFAULT_BATCH_RECORDS: usize = 4096;
-
-/// Batches a producer may buffer ahead of the drive loop, per core. Bounds
-/// the memory of a run at `cores × queue × batch` records while letting
-/// producers stay ahead of the consumer.
-const PRODUCER_QUEUE_BATCHES: usize = 4;
 
 /// Validation error from [`System::run_sources`]: the run cannot start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,38 +42,6 @@ impl fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
-
-/// Execution knobs for a run: how records move from the sources to the drive
-/// loop. These change wall-clock behaviour only, never simulated results —
-/// which is why they are deliberately *not* part of [`SystemConfig`] (whose
-/// `Debug` rendering feeds the harness cell cache key) and are never folded
-/// into trace fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriveOptions {
-    /// Records per batch handed from a producer to the drive loop (min 1).
-    /// Batching amortises per-record iterator dispatch; concatenating the
-    /// batches reproduces the per-record stream exactly.
-    pub batch_records: usize,
-    /// Background producer threads generating/decoding record batches, one
-    /// per core up to the core count (`0` produces inline on the driving
-    /// thread). Each producer feeds a bounded queue the drive loop consumes
-    /// in the usual deterministic timestamp-order merge.
-    pub producer_threads: usize,
-}
-
-impl DriveOptions {
-    /// The default execution knobs (batched, inline production).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self { batch_records: DEFAULT_BATCH_RECORDS, producer_threads: 0 }
-    }
-}
-
-impl Default for DriveOptions {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// A complete simulated system.
 #[derive(Debug)]
@@ -128,105 +81,34 @@ impl System {
         self.algorithm
     }
 
-    /// Runs the system to completion over one workload per core and returns
-    /// the report. Workloads are assigned to cores in order; if fewer
-    /// workloads than cores are provided, the assignment wraps around
-    /// (homogeneous mixes simply pass a single workload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty.
-    pub fn run(&mut self, workloads: &[Workload]) -> SystemReport {
-        assert!(!workloads.is_empty(), "at least one workload is required");
-        let names: Vec<&str> =
-            (0..self.cores.len()).map(|i| workloads[i % workloads.len()].name.as_str()).collect();
-        let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-            .map(|i| {
-                Box::new(workloads[i % workloads.len()].records.iter().copied()) as RecordStream<'_>
-            })
-            .collect();
-        self.drive(&names, streams)
-    }
-
-    /// Streaming counterpart of [`System::run`]: one lazy [`TraceSource`]
-    /// per core (wrapping around like `run`), generating records on demand —
-    /// O(1) trace memory however long the run. Produces exactly the report
-    /// `run` would produce over the materialised workloads.
+    /// Runs the system to completion over one lazy [`TraceSource`] per core
+    /// and returns the report. Sources are assigned to cores in order; if
+    /// fewer sources than cores are provided, the assignment wraps around
+    /// (homogeneous mixes simply pass a single source). Records are generated
+    /// on demand, so trace memory stays O(1) however long the run.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::NoSources`] if `sources` is empty.
     pub fn run_sources(&mut self, sources: &[TraceSource]) -> Result<SystemReport, RunError> {
-        self.run_sources_with(sources, DriveOptions::default())
-    }
-
-    /// [`System::run_sources`] with explicit execution knobs. Whatever the
-    /// batch size or producer count, the drive loop consumes the identical
-    /// per-core record sequences in the identical deterministic merge order,
-    /// so the report is byte-identical to `run_sources` — `options` trades
-    /// wall-clock for threads, nothing else.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::NoSources`] if `sources` is empty.
-    pub fn run_sources_with(
-        &mut self,
-        sources: &[TraceSource],
-        options: DriveOptions,
-    ) -> Result<SystemReport, RunError> {
         if sources.is_empty() {
             return Err(RunError::NoSources);
         }
-        let names: Vec<&str> =
-            (0..self.cores.len()).map(|i| sources[i % sources.len()].name()).collect();
-        let batch = options.batch_records.max(1);
-        let producers = options.producer_threads.min(self.cores.len());
+        let assigned = |i: usize| &sources[i % sources.len()];
+        let names: Vec<&str> = (0..self.cores.len()).map(|i| assigned(i).name()).collect();
         // Each core replays its own iterator, even when several cores share
         // one source (homogeneous mixes).
-        if producers == 0 {
-            let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-                .map(|i| {
-                    Box::new(sources[i % sources.len()].record_batches(batch).flatten())
-                        as RecordStream<'_>
-                })
-                .collect();
-            return Ok(self.drive(&names, streams));
-        }
-        // The first `producers` cores get a dedicated background producer
-        // feeding a bounded batch queue; any remaining cores produce inline.
-        // Producers are independent per core, so the consumer blocking on one
-        // core's queue can never deadlock another core's producer.
-        let report = thread::scope(|scope| {
-            let streams: Vec<RecordStream<'_>> = (0..self.cores.len())
-                .map(|i| {
-                    let batches = sources[i % sources.len()].record_batches(batch);
-                    if i < producers {
-                        let (tx, rx) = mpsc::sync_channel(PRODUCER_QUEUE_BATCHES);
-                        scope.spawn(move || {
-                            for b in batches {
-                                // The drive loop always drains every stream,
-                                // so a send only fails if it panicked.
-                                if tx.send(b).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        Box::new(rx.into_iter().flatten()) as RecordStream<'_>
-                    } else {
-                        Box::new(batches.flatten()) as RecordStream<'_>
-                    }
-                })
-                .collect();
-            self.drive(&names, streams)
-        });
-        Ok(report)
+        let streams = (0..self.cores.len())
+            .map(|i| assigned(i).record_batches(DEFAULT_BATCH_RECORDS).flatten())
+            .collect();
+        Ok(self.drive(&names, streams))
     }
 
     /// Advances the core with the smallest local time that still has trace
     /// left, so cores interleave their accesses to the shared levels in
     /// approximate timestamp order. Only one record per core is ever held in
     /// memory — the whole point of the streaming data path.
-    fn drive(&mut self, names: &[&str], mut streams: Vec<RecordStream<'_>>) -> SystemReport {
+    fn drive(&mut self, names: &[&str], mut streams: Vec<RecordStream>) -> SystemReport {
         // Single-core fast path: with one stream the min-time merge always
         // selects core 0, so step straight through the records and skip the
         // per-record scan and pending-slot juggling entirely. Byte-identical
@@ -284,9 +166,8 @@ impl System {
     }
 }
 
-/// One core's record feed during a run (borrowed from the workload slice or
-/// minted by a [`TraceSource`] factory).
-type RecordStream<'a> = Box<dyn Iterator<Item = MemoryRecord> + 'a>;
+/// One core's record feed during a run.
+type RecordStream = Flatten<RecordBatches>;
 
 // The parallel experiment engine builds a `System` from a shared
 // `&SystemConfig` on a worker thread and sends the `SystemReport` back, so
@@ -301,44 +182,40 @@ const _: () = {
     assert_sync::<SystemConfig>();
     assert_send::<SystemReport>();
     assert_sync::<SystemReport>();
-    assert_send::<Workload>();
-    assert_sync::<Workload>();
     assert_send::<TraceSource>();
     assert_sync::<TraceSource>();
 };
-
-/// Convenience helper: run `algorithm` on a single-core system over one
-/// workload and return the report. Used heavily by the harness and tests.
-#[must_use]
-pub fn run_single_core(
-    config: SystemConfig,
-    algorithm: SelectionAlgorithm,
-    composite: CompositeKind,
-    workload: &Workload,
-) -> SystemReport {
-    let mut system = System::new(config, algorithm, composite);
-    system.run(std::slice::from_ref(workload))
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use alecto_types::{Addr, MemoryRecord, Pc};
 
-    fn stream_workload(n: u64, name: &str) -> Workload {
-        let records = (0..n)
-            .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6))
-            .collect();
-        Workload::new(name, records, true)
+    fn stream_source(n: u64, name: &'static str) -> TraceSource {
+        TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
+            Box::new(
+                (0..n)
+                    .map(|i| MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)),
+            )
+        })
+    }
+
+    fn run(
+        config: SystemConfig,
+        algorithm: SelectionAlgorithm,
+        sources: &[TraceSource],
+    ) -> SystemReport {
+        System::new(config, algorithm, CompositeKind::GsCsPmp)
+            .run_sources(sources)
+            .expect("non-empty sources")
     }
 
     #[test]
     fn single_core_run_produces_report() {
-        let report = run_single_core(
+        let report = run(
             SystemConfig::skylake_like(1),
             SelectionAlgorithm::Alecto,
-            CompositeKind::GsCsPmp,
-            &stream_workload(3_000, "stream"),
+            &[stream_source(3_000, "stream")],
         );
         assert_eq!(report.cores.len(), 1);
         assert_eq!(report.selector, "Alecto");
@@ -349,12 +226,11 @@ mod tests {
 
     #[test]
     fn eight_core_homogeneous_run() {
-        let mut system = System::new(
+        let report = run(
             SystemConfig::skylake_like(8),
             SelectionAlgorithm::Ipcp,
-            CompositeKind::GsCsPmp,
+            &[stream_source(800, "stream")],
         );
-        let report = system.run(&[stream_workload(800, "stream")]);
         assert_eq!(report.cores.len(), 8);
         assert!(report.cores.iter().all(|c| c.instructions > 0));
         assert!(report.geomean_ipc().unwrap() > 0.0);
@@ -364,8 +240,7 @@ mod tests {
     fn out_of_order_system_runs_and_reports_pipeline_metrics() {
         let config =
             SystemConfig::skylake_like(2).with_core_model(crate::config::CoreModelKind::OutOfOrder);
-        let mut system = System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
-        let report = system.run(&[stream_workload(1_200, "stream")]);
+        let report = run(config, SelectionAlgorithm::Alecto, &[stream_source(1_200, "stream")]);
         assert_eq!(report.cores.len(), 2);
         for core in &report.cores {
             assert!(core.ipc > 0.0 && core.ipc.is_finite());
@@ -378,14 +253,11 @@ mod tests {
 
     #[test]
     fn heterogeneous_assignment_wraps_workloads() {
-        let mut system = System::new(
+        let report = run(
             SystemConfig::skylake_like(4),
             SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
+            &[stream_source(500, "a"), stream_source(700, "b")],
         );
-        let a = stream_workload(500, "a");
-        let b = stream_workload(700, "b");
-        let report = system.run(&[a, b]);
         assert_eq!(report.cores[0].workload, "a");
         assert_eq!(report.cores[1].workload, "b");
         assert_eq!(report.cores[2].workload, "a");
@@ -398,30 +270,21 @@ mod tests {
         // (each in its own address space, like SPEC-rate): per-core IPC must
         // drop when eight cores fight for the shared L3 and DRAM.
         let make = |core: u64| {
-            let records: Vec<MemoryRecord> = (0..2_000)
-                .map(|i| {
+            TraceSource::new(format!("mem{core}"), true, 2_000, move || {
+                Box::new((0..2_000).map(move |i| {
                     MemoryRecord::load(
                         Pc::new(0x90),
                         Addr::new((core + 1) * (1 << 36) + ((i * 7919) % 100_000) * 4096),
                         2,
                     )
-                })
-                .collect();
-            Workload::new(format!("mem{core}"), records, true)
+                }))
+            })
         };
-        let single = run_single_core(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
-            &make(0),
-        );
-        let mut multi = System::new(
-            SystemConfig::skylake_like(8),
-            SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
-        );
-        let copies: Vec<Workload> = (0..8).map(make).collect();
-        let multi_report = multi.run(&copies);
+        let single =
+            run(SystemConfig::skylake_like(1), SelectionAlgorithm::NoPrefetching, &[make(0)]);
+        let copies: Vec<TraceSource> = (0..8).map(make).collect();
+        let multi_report =
+            run(SystemConfig::skylake_like(8), SelectionAlgorithm::NoPrefetching, &copies);
         let avg_multi: f64 =
             multi_report.cores.iter().map(|c| c.ipc).sum::<f64>() / multi_report.cores.len() as f64;
         assert!(
@@ -433,70 +296,17 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_materialised_run() {
-        // The same trace fed lazily (TraceSource) and eagerly (Workload)
-        // must produce byte-identical reports — single and multi core, with
-        // wrap-around assignment sharing one source between cores.
-        let mk_source =
-            |n: u64, name: &'static str| {
-                TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
-                    Box::new((0..n).map(|i| {
-                        MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)
-                    }))
-                })
-            };
+        // The same trace generated lazily and replayed from materialised
+        // records must produce byte-identical reports — single and multi
+        // core, with wrap-around assignment sharing one source between cores.
         for cores in [1usize, 4] {
-            let sources = [mk_source(900, "s"), mk_source(500, "t")];
-            let workloads: Vec<Workload> = sources.iter().map(TraceSource::collect).collect();
-            let mut eager = System::new(
-                SystemConfig::skylake_like(cores),
-                SelectionAlgorithm::Alecto,
-                CompositeKind::GsCsPmp,
-            );
-            let mut lazy = System::new(
-                SystemConfig::skylake_like(cores),
-                SelectionAlgorithm::Alecto,
-                CompositeKind::GsCsPmp,
-            );
-            let a = eager.run(&workloads);
-            let b = lazy.run_sources(&sources).expect("non-empty sources");
-            assert_eq!(a, b, "streamed vs collected reports diverged at {cores} cores");
-        }
-    }
-
-    #[test]
-    fn batched_and_threaded_runs_match_the_default_drive() {
-        // Every batch size × producer count must reproduce the default run
-        // byte for byte: the knobs move records in bigger units or on other
-        // threads, they never reorder the deterministic merge.
-        let mk_source =
-            |n: u64, name: &'static str| {
-                TraceSource::new(name, true, usize::try_from(n).unwrap(), move || {
-                    Box::new((0..n).map(|i| {
-                        MemoryRecord::load(Pc::new(0x400), Addr::new(0x40_0000 + i * 64), 6)
-                    }))
-                })
-            };
-        for cores in [1usize, 4] {
-            let sources = [mk_source(900, "s"), mk_source(500, "t")];
-            let run_with = |options: DriveOptions| {
-                let mut system = System::new(
-                    SystemConfig::skylake_like(cores),
-                    SelectionAlgorithm::Alecto,
-                    CompositeKind::GsCsPmp,
-                );
-                system.run_sources_with(&sources, options).expect("non-empty sources")
-            };
-            let reference = run_with(DriveOptions::default());
-            for batch_records in [1usize, 7, 4096] {
-                for producer_threads in [0usize, 1, 8] {
-                    let report = run_with(DriveOptions { batch_records, producer_threads });
-                    assert_eq!(
-                        report, reference,
-                        "batch {batch_records} × producers {producer_threads} diverged \
-                         at {cores} cores"
-                    );
-                }
-            }
+            let lazy = [stream_source(900, "s"), stream_source(500, "t")];
+            let materialised: Vec<TraceSource> =
+                lazy.iter().map(|s| TraceSource::from_workload(s.collect())).collect();
+            let a = run(SystemConfig::skylake_like(cores), SelectionAlgorithm::Alecto, &lazy);
+            let b =
+                run(SystemConfig::skylake_like(cores), SelectionAlgorithm::Alecto, &materialised);
+            assert_eq!(a, b, "streamed vs materialised reports diverged at {cores} cores");
         }
     }
 
@@ -513,16 +323,5 @@ mod tests {
             err.to_string().contains("at least one workload"),
             "error message should explain the validation failure"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one workload")]
-    fn empty_workloads_panics() {
-        let mut system = System::new(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::Alecto,
-            CompositeKind::GsCsPmp,
-        );
-        let _ = system.run(&[]);
     }
 }

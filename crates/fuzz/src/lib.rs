@@ -8,8 +8,8 @@
 //!
 //! * **sanity** — metrics are finite, non-negative, and IPC stays within the
 //!   machine's fetch width;
-//! * **determinism** — the identical cell reports byte-identical results
-//!   under different drive batching and producer-thread counts;
+//! * **determinism** — the identical cell, re-run in a fresh system on a
+//!   newly spawned thread, reports byte-identical results;
 //! * **pathology** — the paper's adaptive selector does not lose to the best
 //!   *static* prefetcher stack by more than a threshold.
 //!

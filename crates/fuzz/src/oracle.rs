@@ -5,8 +5,11 @@
 //! panel's selection); the first one that fires *is* the finding. Keeping the
 //! order fixed makes findings — and therefore whole fuzz runs — byte-stable.
 
+use std::panic;
+use std::thread;
+
 use alecto_types::TraceSource;
-use cpu::{CompositeKind, DriveOptions, SelectionAlgorithm, System, SystemConfig, SystemReport};
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
 use machine::MachineSpec;
 
 /// Default pathology threshold: the selector must stay within 5% of the best
@@ -19,8 +22,10 @@ pub enum OracleKind {
     /// Metrics must be well-formed: finite, non-negative, IPC within the
     /// machine's fetch width.
     Sanity,
-    /// The identical cell must report byte-identical results under different
-    /// batch sizes and producer-thread counts.
+    /// The identical cell, re-run in a fresh `System` on a newly spawned
+    /// thread, must report byte-identical results — the `--jobs` analogue:
+    /// the experiment engine runs each cell on whichever worker takes it,
+    /// after whatever that thread ran before.
     Determinism,
     /// The adaptive selector must not lose to the best *static* prefetcher
     /// stack by more than the panel's threshold.
@@ -107,10 +112,9 @@ pub fn run_cell(
     source: &TraceSource,
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
-    options: DriveOptions,
 ) -> SystemReport {
     let mut system = System::new(SystemConfig::from_machine(spec), algorithm, composite);
-    system.run_sources_with(std::slice::from_ref(source), options).expect("one source provided")
+    system.run_sources(std::slice::from_ref(source)).expect("one source provided")
 }
 
 /// FNV-1a64 digest of a report's full `Debug` rendering — the identity the
@@ -123,11 +127,10 @@ pub fn report_digest(report: &SystemReport) -> u64 {
 }
 
 /// The report the digest is computed over: the panel's *subject* cell — the
-/// paper's adaptive selector on the machine's composite, default drive
-/// options.
+/// paper's adaptive selector on the machine's composite.
 #[must_use]
 pub fn subject_report(spec: &MachineSpec, source: &TraceSource) -> SystemReport {
-    run_cell(spec, source, SelectionAlgorithm::Alecto, machine_composite(spec), DriveOptions::new())
+    run_cell(spec, source, SelectionAlgorithm::Alecto, machine_composite(spec))
 }
 
 /// Checks `source` on `spec` against the panel; returns the first firing
@@ -135,8 +138,7 @@ pub fn subject_report(spec: &MachineSpec, source: &TraceSource) -> SystemReport 
 #[must_use]
 pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -> Option<Firing> {
     let composite = machine_composite(spec);
-    let subject =
-        run_cell(spec, source, SelectionAlgorithm::Alecto, composite, DriveOptions::new());
+    let subject = run_cell(spec, source, SelectionAlgorithm::Alecto, composite);
 
     if panel.enabled(OracleKind::Sanity) {
         if let Some(detail) = sanity_violation(spec, &subject) {
@@ -145,23 +147,20 @@ pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -
     }
 
     if panel.enabled(OracleKind::Determinism) {
-        // Same cell, different batching and producer threading: the drive
-        // loop documents these knobs trade wall-clock for threads and
-        // nothing else, so any field-level difference is a finding.
-        let alternate = run_cell(
-            spec,
-            source,
-            SelectionAlgorithm::Alecto,
-            composite,
-            DriveOptions { batch_records: 257, producer_threads: 2 },
-        );
-        if alternate != subject {
+        // Same cell, fresh system, another thread: a cell's report must
+        // not depend on which worker runs it or what that worker ran before,
+        // so any field-level difference is a finding.
+        let rerun = thread::scope(|scope| {
+            scope.spawn(|| run_cell(spec, source, SelectionAlgorithm::Alecto, composite)).join()
+        })
+        .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        if rerun != subject {
             return Some(Firing {
                 oracle: OracleKind::Determinism,
                 detail: format!(
-                    "report diverges across drive options: geomean IPC {:?} (batch default, serial) vs {:?} (batch 257, 2 producers)",
+                    "report diverges when the cell re-runs on another thread: geomean IPC {:?} (first run) vs {:?} (re-run)",
                     subject.geomean_ipc(),
-                    alternate.geomean_ipc()
+                    rerun.geomean_ipc()
                 ),
             });
         }
@@ -174,8 +173,7 @@ pub fn evaluate(spec: &MachineSpec, source: &TraceSource, panel: &OraclePanel) -
         let (best_stack, best_ipc) = static_stacks
             .into_iter()
             .map(|stack| {
-                let report =
-                    run_cell(spec, source, SelectionAlgorithm::Ipcp, stack, DriveOptions::new());
+                let report = run_cell(spec, source, SelectionAlgorithm::Ipcp, stack);
                 (stack, report.geomean_ipc().unwrap_or(0.0))
             })
             .reduce(|best, candidate| if candidate.1 > best.1 { candidate } else { best })

@@ -127,9 +127,9 @@ impl Scenario {
     }
 }
 
-/// Reads the weight of the named component. Component names are the
-/// [`BENIGN`] / [`ADVERSARIAL`] strings; anything else panics (the set is
-/// closed and internal to the fuzzer).
+/// Reads the weight of the named component. Component names are the benign
+/// pattern names and the [`ADVERSARIAL`] strings; anything else panics (the
+/// set is closed and internal to the fuzzer).
 #[must_use]
 pub fn component_weight(blend: &Blend, name: &str) -> f64 {
     match name {

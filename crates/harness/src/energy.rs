@@ -83,23 +83,18 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpu::{run_single_core, CompositeKind, SelectionAlgorithm, SystemConfig};
+    use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig};
+
+    fn run(algorithm: SelectionAlgorithm, name: &str, accesses: usize) -> SystemReport {
+        System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp)
+            .run_sources(&[traces::spec06::source(name, accesses)])
+            .expect("one source")
+    }
 
     #[test]
     fn energy_scales_with_activity() {
-        let w = traces::spec06::workload("lbm", 3_000);
-        let small = run_single_core(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::Ipcp,
-            CompositeKind::GsCsPmp,
-            &traces::spec06::workload("lbm", 1_000),
-        );
-        let big = run_single_core(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::Ipcp,
-            CompositeKind::GsCsPmp,
-            &w,
-        );
+        let small = run(SelectionAlgorithm::Ipcp, "lbm", 1_000);
+        let big = run(SelectionAlgorithm::Ipcp, "lbm", 3_000);
         let m = EnergyModel::default();
         let e_small = m.evaluate(&small);
         let e_big = m.evaluate(&big);
@@ -110,13 +105,7 @@ mod tests {
 
     #[test]
     fn dram_dominates_hierarchy_energy_for_miss_heavy_runs() {
-        let w = traces::spec06::workload("mcf", 2_000);
-        let r = run_single_core(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::NoPrefetching,
-            CompositeKind::GsCsPmp,
-            &w,
-        );
+        let r = run(SelectionAlgorithm::NoPrefetching, "mcf", 2_000);
         let m = EnergyModel::default();
         let e = m.evaluate(&r);
         let dram_only = r.dram.accesses as f64 * m.dram_access_pj / 1000.0;

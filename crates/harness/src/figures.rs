@@ -193,7 +193,7 @@ pub fn fig1(scale: &RunScale) -> Experiment {
 /// deltas of the two dominant PCs over a window of the trace.
 #[must_use]
 pub fn fig2(scale: &RunScale) -> Experiment {
-    let w = traces::spec06::workload("GemsFDTD", scale.accesses.min(4_000));
+    let w = traces::spec06::source("GemsFDTD", scale.accesses.min(4_000)).collect();
     // The two busiest PCs stand in for 0x30b00 (spatial) and 0x30aca (stream).
     let mut counts: Vec<(u64, usize)> = Vec::new();
     for r in &w.records {

@@ -55,13 +55,12 @@ pub mod server;
 
 pub use cellcache::{CacheCounters, CellCache};
 pub use compare::{compare_reports, Comparison, DEFAULT_TOLERANCE_PCT};
-pub use cpu::DriveOptions;
 pub use energy::{EnergyModel, HierarchyEnergy};
 pub use report::{
     experiments_to_json, Experiment, GridCell, Table, JSON_SCHEMA, JSON_SCHEMA_PREFIX,
 };
 pub use runner::{
-    current_drive_options, effective_jobs, run_cell, with_cell_executor, with_drive_options,
-    worker_count, CellExecutor, CellJob, RunScale, SpeedupGrid,
+    effective_jobs, run_cell, with_cell_executor, worker_count, CellExecutor, CellJob, RunScale,
+    SpeedupGrid,
 };
 pub use server::{Server, ServerConfig};

@@ -158,11 +158,13 @@ fn import_converts_champsim_text_and_rejects_malformed_lines() {
 
 #[test]
 fn zero_accesses_exits_two_with_usage_everywhere() {
-    // Satellite contract: `--accesses 0` is rejected exactly like
-    // `--jobs 0`, in the experiment path and in every trace action.
+    // `--accesses 0` is rejected exactly like `--jobs 0`, in the experiment
+    // path and in every trace action; so is a zero multi-core budget, which
+    // would otherwise emit all-zero speedups and NaN geomeans.
     let cases: &[&[&str]] = &[
         &["quick", "--accesses", "0"],
         &["fig8", "--accesses", "0"],
+        &["fig17", "--accesses", "300", "--multicore-accesses", "0"],
         &["trace", "record", "mcf", "--accesses", "0", "--out", "x.altr"],
         &["trace", "replay", "mcf", "--accesses", "0"],
     ];

@@ -467,52 +467,6 @@ impl TraceReader {
         .with_content_tag(&format!("altr:{:#018x}", header_checksum))
         .with_content_seed(self.header.seed)
     }
-
-    /// Like [`TraceReader::source`], but each replay decodes block frames on
-    /// `workers` background threads ([`crate::parallel`]). The record stream
-    /// — and therefore the source's fingerprint and every simulation result —
-    /// is byte-identical to the serial [`TraceReader::source`]; only
-    /// wall-clock changes, so the worker count is deliberately *not* part of
-    /// the fingerprint. `workers == 0` falls back to the serial source.
-    #[must_use]
-    pub fn source_parallel(&self, cap: Option<usize>, workers: usize) -> TraceSource {
-        if workers == 0 {
-            return self.source(cap);
-        }
-        let count = usize::try_from(self.header.record_count).unwrap_or(usize::MAX);
-        let accesses = cap.map_or(count, |c| c.min(count));
-        let path = Arc::new(self.path.clone());
-        let header_count = self.header.record_count;
-        let header_checksum = self.header.checksum;
-        TraceSource::new(
-            self.header.name.clone(),
-            self.header.memory_intensive,
-            accesses,
-            move || {
-                let path = Arc::clone(&path);
-                let mut reader = BufReader::new(File::open(path.as_ref()).unwrap_or_else(|err| {
-                    panic!("replaying {}: {err}", path.display());
-                }));
-                TraceHeader::decode(&mut reader).unwrap_or_else(|err| {
-                    panic!("replaying {}: {err}", path.display());
-                });
-                let display = path.display().to_string();
-                let records = crate::parallel::parallel_records(
-                    reader,
-                    header_count,
-                    Some(header_checksum),
-                    workers,
-                );
-                Box::new(records.map(move |record| {
-                    record.unwrap_or_else(|err| panic!("replaying {display}: {err}"))
-                }))
-            },
-        )
-        // Same content identity as the serial source: identical records must
-        // share a cache identity regardless of how they were decoded.
-        .with_content_tag(&format!("altr:{:#018x}", header_checksum))
-        .with_content_seed(self.header.seed)
-    }
 }
 
 /// Convenience: opens `path` and returns a [`TraceSource`] over it, capped
@@ -523,18 +477,4 @@ impl TraceReader {
 /// Returns the [`TraceReader::open`] errors.
 pub fn file_source(path: &Path, cap: Option<usize>) -> io::Result<TraceSource> {
     Ok(TraceReader::open(path)?.source(cap))
-}
-
-/// Convenience: opens `path` and returns a block-parallel [`TraceSource`]
-/// over it — see [`TraceReader::source_parallel`].
-///
-/// # Errors
-///
-/// Returns the [`TraceReader::open`] errors.
-pub fn file_source_parallel(
-    path: &Path,
-    cap: Option<usize>,
-    workers: usize,
-) -> io::Result<TraceSource> {
-    Ok(TraceReader::open(path)?.source_parallel(cap, workers))
 }

@@ -75,9 +75,9 @@ impl Blend {
 
     /// Materialises the blend into a trace of `accesses` memory accesses.
     ///
-    /// This is the *legacy eager* path (O(accesses) memory); long-horizon
-    /// runs should prefer [`Blend::source`], which generates the identical
-    /// records lazily.
+    /// This is the eager reference (O(accesses) memory) the streaming tests
+    /// compare against; runs should use [`Blend::source`], which generates
+    /// the identical records lazily.
     #[must_use]
     pub fn build(&self, accesses: usize) -> Workload {
         let (components, weights) = self.components();

@@ -8,7 +8,7 @@
 //! pages), so the family spans the whole selection difficulty range inside
 //! single queries.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -53,18 +53,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named database workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of the named database workload: `accesses`
+/// records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -77,11 +67,12 @@ pub fn source(name: &str, accesses: usize) -> TraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alecto_types::Workload;
 
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 130);
+            let w = blend(name).build(130);
             assert_eq!(w.memory_accesses(), 130);
             assert_eq!(source(name, 130).collect(), w);
         }
@@ -97,8 +88,8 @@ mod tests {
                 .filter(|p| p[1].addr.line().delta_from(p[0].addr.line()) == 1)
                 .count()
         };
-        let scan = workload("seq-scan", 2_000);
-        let join = workload("hash-join", 2_000);
+        let scan = source("seq-scan", 2_000).collect();
+        let join = source("hash-join", 2_000).collect();
         assert!(
             sequential(&scan) > 2 * sequential(&join),
             "a table scan must look far more sequential than a hash-join probe stream"
@@ -108,6 +99,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown database benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("sort-merge", 10);
+        let _ = source("sort-merge", 10);
     }
 }

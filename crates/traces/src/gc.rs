@@ -9,7 +9,7 @@
 //! with the workloads that stress Alecto's demand request allocation the
 //! hardest.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -65,18 +65,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named pointer-chasing workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of the named pointer-chasing workload: `accesses`
+/// records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -93,7 +83,7 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 120);
+            let w = blend(name).build(120);
             assert_eq!(w.memory_accesses(), 120);
             assert_eq!(source(name, 120).collect(), w);
         }
@@ -101,7 +91,7 @@ mod tests {
 
     #[test]
     fn chasing_dominates_the_list_walk() {
-        let w = workload("linked-list", 2_000);
+        let w = source("linked-list", 2_000).collect();
         let dependent = w.records.iter().filter(|r| r.dependent).count();
         assert!(dependent > 1_400, "most accesses should be dependent loads, got {dependent}");
         assert!(w.memory_intensive);
@@ -110,6 +100,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown pointer-chase benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("btree", 10);
+        let _ = source("btree", 10);
     }
 }

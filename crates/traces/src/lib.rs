@@ -16,9 +16,9 @@
 //! # Example
 //!
 //! ```
-//! let w = traces::spec06::workload("GemsFDTD", 5_000);
-//! assert_eq!(w.memory_accesses(), 5_000);
-//! assert!(w.memory_intensive);
+//! let source = traces::spec06::source("GemsFDTD", 5_000);
+//! assert!(source.memory_intensive());
+//! assert_eq!(source.records().count(), 5_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +40,7 @@ pub use patterns::{
     pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian,
 };
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 /// The registered benchmark suites: the four the paper evaluates, the three
 /// production-scenario families (pointer chasing, Zipfian web serving,
@@ -125,29 +125,8 @@ impl Suite {
         }
     }
 
-    /// Generates the named workload with `accesses` memory accesses (eager,
-    /// O(accesses) memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark name is not part of the suite, or (for
-    /// [`Suite::File`]) if the trace file cannot be opened.
-    #[must_use]
-    pub fn workload(&self, name: &str, accesses: usize) -> Workload {
-        match self {
-            Suite::Spec06 => spec06::workload(name, accesses),
-            Suite::Spec17 => spec17::workload(name, accesses),
-            Suite::Parsec => parsec::workload(name, accesses),
-            Suite::Ligra => ligra::workload(name, accesses),
-            Suite::PointerChase => gc::workload(name, accesses),
-            Suite::WebServe => web::workload(name, accesses),
-            Suite::Database => db::workload(name, accesses),
-            Suite::File => self.source(name, accesses).collect(),
-        }
-    }
-
-    /// Streaming variant of [`Suite::workload`]: a lazy [`TraceSource`]
-    /// producing the identical records in O(1) memory.
+    /// A lazy [`TraceSource`] of the named benchmark: `accesses` records
+    /// generated on demand in O(1) memory.
     ///
     /// For [`Suite::File`], `name` is the full `file:<path>` spec and
     /// `accesses` caps the replay at `min(accesses, recorded records)` — so
@@ -179,12 +158,6 @@ impl Suite {
         }
     }
 
-    /// Generates every workload of the suite (eager).
-    #[must_use]
-    pub fn all_workloads(&self, accesses: usize) -> Vec<Workload> {
-        self.benchmarks().iter().map(|b| self.workload(b, accesses)).collect()
-    }
-
     /// Lazy sources for every benchmark of the suite.
     #[must_use]
     pub fn all_sources(&self, accesses: usize) -> Vec<TraceSource> {
@@ -212,7 +185,7 @@ mod tests {
     fn every_benchmark_generates_a_trace() {
         for suite in Suite::ALL {
             for name in suite.benchmarks() {
-                let w = suite.workload(name, 500);
+                let w = suite.source(name, 500).collect();
                 assert_eq!(w.memory_accesses(), 500, "{name}");
                 assert!(w.instructions() >= 500, "{name}");
             }
@@ -232,12 +205,29 @@ mod tests {
         assert_eq!(Suite::WebServe.name(), "web-serve");
     }
 
+    /// The eager reference of a blend-backed suite's benchmark; `None` for
+    /// Ligra, whose kernels are generated by a graph walk, not a blend.
+    fn eager_blend(suite: Suite, name: &str) -> Option<Blend> {
+        match suite {
+            Suite::Spec06 => Some(spec06::blend(name)),
+            Suite::Spec17 => Some(spec17::blend(name)),
+            Suite::Parsec => Some(parsec::blend(name)),
+            Suite::PointerChase => Some(gc::blend(name)),
+            Suite::WebServe => Some(web::blend(name)),
+            Suite::Database => Some(db::blend(name)),
+            Suite::Ligra | Suite::File => None,
+        }
+    }
+
     #[test]
     fn sources_match_workloads_across_the_registry() {
         for suite in Suite::ALL {
             let name = suite.benchmarks()[0];
             let s = suite.source(name, 200);
-            assert_eq!(s.collect(), suite.workload(name, 200), "{name}");
+            match eager_blend(suite, name) {
+                Some(blend) => assert_eq!(s.collect(), blend.build(200), "{name}"),
+                None => assert_eq!(s.collect(), s.collect(), "{name} replays identically"),
+            }
         }
         assert_eq!(Suite::Database.all_sources(10).len(), Suite::Database.benchmarks().len());
     }
@@ -259,24 +249,24 @@ mod tests {
         // Replay is record-identical to the generator, keeps the recorded
         // name and intensity, and honours the access cap.
         let replayed = Suite::File.source(&spec, 120);
-        assert_eq!(replayed.collect(), Suite::Spec06.workload("mcf", 120));
+        assert_eq!(replayed.collect(), source.collect());
         let capped = Suite::File.source(&spec, 10);
         assert_eq!(capped.memory_accesses(), 10);
-        assert_eq!(capped.collect().records, Suite::Spec06.workload("mcf", 10).records);
-        assert_eq!(Suite::File.workload(&spec, 120), Suite::Spec06.workload("mcf", 120));
+        assert_eq!(capped.collect().records, Suite::Spec06.source("mcf", 10).collect().records);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Suite::Spec06.workload("mcf", 1_000);
-        let b = Suite::Spec06.workload("mcf", 1_000);
+        let a = Suite::Spec06.source("mcf", 1_000).collect();
+        let b = Suite::Spec06.source("mcf", 1_000).collect();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn all_workloads_helper() {
-        let all = Suite::Ligra.all_workloads(100);
+    fn all_sources_helper() {
+        let all = Suite::Ligra.all_sources(100);
         assert_eq!(all.len(), Suite::Ligra.benchmarks().len());
+        assert!(all.iter().all(|s| s.memory_accesses() == 100));
     }
 }

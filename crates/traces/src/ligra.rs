@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use alecto_types::{Addr, MemoryRecord, Pc, TraceSource, Workload};
+use alecto_types::{Addr, MemoryRecord, Pc, TraceSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,20 +132,8 @@ fn static_name(name: &str) -> &'static str {
         .unwrap_or_else(|| panic!("unknown Ligra kernel: {name}"))
 }
 
-/// Generates the named Ligra-like workload with `accesses` memory accesses
-/// (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is not one of [`BENCHMARKS`].
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    let name = static_name(name);
-    Workload::new(name, record_stream(name).take(accesses).collect(), true)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory with respect to the trace length (the
+/// A lazy [`TraceSource`] of the named Ligra-like kernel: `accesses` records
+/// generated on demand in O(1) memory with respect to the trace length (the
 /// synthetic rMat graph itself — a few hundred KB — is rebuilt per replay).
 ///
 /// # Panics
@@ -165,7 +153,7 @@ mod tests {
     #[test]
     fn all_kernels_generate() {
         for name in BENCHMARKS {
-            let w = workload(name, 400);
+            let w = source(name, 400).collect();
             assert_eq!(w.memory_accesses(), 400);
             assert!(w.memory_intensive);
         }
@@ -173,7 +161,7 @@ mod tests {
 
     #[test]
     fn mixes_streaming_and_irregular_pcs() {
-        let w = workload("BFS", 3_000);
+        let w = source("BFS", 3_000).collect();
         let pcs: HashSet<u64> = w.records.iter().map(|r| r.pc.raw()).collect();
         assert!(pcs.len() >= 3, "BFS should exercise several distinct PCs");
         // The edges PC is a pure stream: consecutive accesses differ by 4 bytes.
@@ -190,15 +178,15 @@ mod tests {
 
     #[test]
     fn kernels_differ_in_compute_intensity() {
-        let bfs = workload("BFS", 2_000);
-        let pr = workload("PageRank", 2_000);
+        let bfs = source("BFS", 2_000).collect();
+        let pr = source("PageRank", 2_000).collect();
         assert!(pr.instructions() > bfs.instructions());
     }
 
     #[test]
     #[should_panic(expected = "unknown Ligra kernel")]
     fn unknown_kernel_panics() {
-        let _ = workload("TriangleCount", 10);
+        let _ = source("TriangleCount", 10);
     }
 
     #[test]
@@ -209,7 +197,9 @@ mod tests {
                 let s = source(name, accesses);
                 assert_eq!(s.memory_accesses(), accesses);
                 assert!(s.memory_intensive());
-                assert_eq!(s.collect(), workload(name, accesses), "{name}@{accesses}");
+                let collected: Vec<MemoryRecord> = record_stream(name).take(accesses).collect();
+                assert_eq!(s.collect().records, collected, "{name}@{accesses}");
+                assert_eq!(s.collect(), s.collect(), "{name}@{accesses} replays identically");
             }
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! PARSEC regions of interest are parallel loops; for the trace-driven model
 //! each core receives its own copy of the benchmark's blend, offset into a
-//! private address-space slice, which is what [`per_core_workloads`] provides.
+//! private address-space slice, which is what [`per_core_sources`] provides.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -55,18 +55,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates one thread's worth of the named PARSEC-like workload.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of one thread's worth of the named PARSEC-like
+/// workload: `accesses` records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -76,9 +66,17 @@ pub fn source(name: &str, accesses: usize) -> TraceSource {
     blend(name).source(accesses)
 }
 
-/// Streaming variant of [`per_core_workloads`]: `cores` lazy per-thread
-/// sources, each shifted into its disjoint address-space slice, generating
-/// records on demand instead of materialising `cores × accesses` records.
+/// `cores` lazy per-thread sources of the named workload, each shifted into
+/// a disjoint slice of the address space (threads share code but mostly work
+/// on private data partitions in these benchmarks' regions of interest).
+/// Records are generated on demand instead of materialising
+/// `cores × accesses` records.
+///
+/// Each thread's trace is generated from [`crate::derive_seed`]`(name, core)`
+/// — a pure function of the benchmark name and core index — so the threads'
+/// access interleavings are decorrelated (as real sibling threads are) while
+/// generation stays position-independent: any core's trace can be
+/// regenerated in isolation, in any order, on any worker thread.
 ///
 /// A zero `accesses` budget is valid and yields empty (but well-formed)
 /// traces — callers must not assume every core has at least one record.
@@ -101,39 +99,26 @@ pub fn per_core_sources(name: &str, accesses: usize, cores: usize) -> Vec<TraceS
         .collect()
 }
 
-/// Generates `cores` per-thread workloads, each shifted into a disjoint slice
-/// of the address space (threads share code but mostly work on private data
-/// partitions in these benchmarks' regions of interest).
-///
-/// Each thread's trace is generated from [`crate::derive_seed`]`(name, core)`
-/// — a pure function of the benchmark name and core index — so the threads'
-/// access interleavings are decorrelated (as real sibling threads are) while
-/// generation stays position-independent: any core's trace can be
-/// regenerated in isolation, in any order, on any worker thread.
-///
-/// Tiny access budgets degrade gracefully: `accesses == 0` produces empty
-/// per-core traces rather than panicking, so downstream consumers must not
-/// `unwrap()` aggregates (`min`/`max`) over a core's records.
-#[must_use]
-pub fn per_core_workloads(name: &str, accesses: usize, cores: usize) -> Vec<Workload> {
-    per_core_sources(name, accesses, cores).iter().map(TraceSource::collect).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alecto_types::{Addr, MemoryRecord, Workload};
+
+    fn collect_per_core(name: &str, accesses: usize, cores: usize) -> Vec<Workload> {
+        per_core_sources(name, accesses, cores).iter().map(TraceSource::collect).collect()
+    }
 
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 100);
+            let w = source(name, 100).collect();
             assert_eq!(w.memory_accesses(), 100);
         }
     }
 
     #[test]
-    fn per_core_workloads_are_disjoint() {
-        let per_core = per_core_workloads("canneal", 200, 4);
+    fn per_core_sources_are_disjoint() {
+        let per_core = collect_per_core("canneal", 200, 4);
         assert_eq!(per_core.len(), 4);
         // Guarded aggregation: an empty per-core trace (tiny access budgets)
         // must fail the test with a message, not panic inside max()/min().
@@ -151,43 +136,51 @@ mod tests {
         // A tiny or zero --accesses budget must not panic anywhere in the
         // per-core pipeline: cores simply receive empty (or short) traces.
         for accesses in [0usize, 1, 2] {
-            let per_core = per_core_workloads("canneal", accesses, 3);
+            let per_core = collect_per_core("canneal", accesses, 3);
             assert_eq!(per_core.len(), 3);
             for (core, w) in per_core.iter().enumerate() {
                 assert_eq!(w.memory_accesses(), accesses, "core {core}");
                 assert_eq!(w.instructions(), w.records.iter().map(|r| r.instructions()).sum());
             }
-            let sources = per_core_sources("canneal", accesses, 3);
-            assert!(sources.iter().all(|s| s.records().count() == accesses));
         }
     }
 
     #[test]
     fn per_core_sources_stream_what_workloads_collect() {
-        let sources = per_core_sources("dedup", 150, 2);
-        let workloads = per_core_workloads("dedup", 150, 2);
-        for (s, w) in sources.iter().zip(&workloads) {
-            assert_eq!(&s.collect(), w);
+        // Each lazy per-core source replays the eagerly built blend of its
+        // thread seed, shifted into the thread's address slice.
+        for (core, s) in per_core_sources("dedup", 150, 2).iter().enumerate() {
+            let mut eager = blend("dedup");
+            eager.seed = crate::derive_seed("dedup", core as u64);
+            let offset = (core as u64) << 38;
+            let expected: Vec<MemoryRecord> = eager
+                .build(150)
+                .records
+                .iter()
+                .map(|r| MemoryRecord { addr: Addr::new(r.addr.raw() + offset), ..*r })
+                .collect();
+            assert_eq!(s.records().collect::<Vec<_>>(), expected, "core {core}");
+            assert_eq!(s.name(), format!("dedup#t{core}"));
         }
     }
 
     #[test]
     fn per_core_threads_are_decorrelated_but_position_independent() {
-        let per_core = per_core_workloads("canneal", 300, 3);
+        let per_core = collect_per_core("canneal", 300, 3);
         // Core 0 is the canonical (job 0) trace, unshifted.
-        assert_eq!(per_core[0].records, workload("canneal", 300).records);
+        assert_eq!(per_core[0].records, source("canneal", 300).collect().records);
         // Sibling threads draw different interleavings from derived seeds.
-        let strip = |w: &crate::Workload, core: u64| -> Vec<u64> {
+        let strip = |w: &Workload, core: u64| -> Vec<u64> {
             w.records.iter().map(|r| r.addr.raw() - (core << 38)).collect()
         };
         assert_ne!(strip(&per_core[1], 1), strip(&per_core[2], 2));
         // Regenerating the same core in isolation reproduces it exactly.
-        assert_eq!(per_core_workloads("canneal", 300, 2)[1], per_core[1]);
+        assert_eq!(collect_per_core("canneal", 300, 2)[1], per_core[1]);
     }
 
     #[test]
     #[should_panic(expected = "unknown PARSEC benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("raytrace", 10);
+        let _ = source("raytrace", 10);
     }
 }

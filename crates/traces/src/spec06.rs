@@ -5,7 +5,7 @@
 //! (e.g. `GemsFDTD` interleaves a spatial PC with a stream PC as in Fig. 2,
 //! `mcf`/`omnetpp` are pointer-chasing, `lbm`/`libquantum` stream).
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -139,18 +139,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named SPEC CPU2006-like workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of the named SPEC CPU2006-like workload: `accesses`
+/// records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -173,7 +163,7 @@ mod tests {
     #[test]
     fn all_29_benchmarks_have_blends() {
         for b in &BENCHMARKS {
-            let w = workload(b.name, 200);
+            let w = source(b.name, 200).collect();
             assert_eq!(w.memory_accesses(), 200);
             assert_eq!(w.memory_intensive, b.memory_intensive, "{}", b.name);
         }
@@ -190,8 +180,8 @@ mod tests {
 
     #[test]
     fn intensity_shows_up_in_instruction_gaps() {
-        let mem = workload("mcf", 2_000);
-        let compute = workload("povray", 2_000);
+        let mem = source("mcf", 2_000).collect();
+        let compute = source("povray", 2_000).collect();
         assert!(
             compute.instructions() > 3 * mem.instructions(),
             "compute-bound benchmarks must have far larger gaps"
@@ -201,6 +191,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown SPEC CPU2006 benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("not-a-benchmark", 10);
+        let _ = source("not-a-benchmark", 10);
     }
 }

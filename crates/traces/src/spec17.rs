@@ -1,6 +1,6 @@
 //! SPEC CPU2017-like workloads (Fig. 9).
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 use crate::spec06::BenchmarkInfo;
@@ -100,18 +100,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named SPEC CPU2017-like workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of the named SPEC CPU2017-like workload: `accesses`
+/// records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -134,7 +124,7 @@ mod tests {
     #[test]
     fn all_21_benchmarks_have_blends() {
         for b in &BENCHMARKS {
-            let w = workload(b.name, 150);
+            let w = source(b.name, 150).collect();
             assert_eq!(w.memory_accesses(), 150);
             assert_eq!(w.memory_intensive, b.memory_intensive, "{}", b.name);
         }
@@ -151,6 +141,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown SPEC CPU2017 benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("mcf", 10);
+        let _ = source("mcf", 10);
     }
 }

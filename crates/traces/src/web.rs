@@ -7,7 +7,7 @@
 //! separates selection schemes that can keep the tail out of the prefetcher
 //! tables from those that let it thrash them.
 
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::blend::Blend;
 
@@ -63,18 +63,8 @@ pub fn blend(name: &str) -> Blend {
     }
 }
 
-/// Generates the named web-serving workload (eager, O(accesses) memory).
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn workload(name: &str, accesses: usize) -> Workload {
-    blend(name).build(accesses)
-}
-
-/// Streaming variant of [`workload`]: a lazy [`TraceSource`] producing the
-/// identical records in O(1) memory.
+/// A lazy [`TraceSource`] of the named web-serving workload: `accesses`
+/// records generated on demand in O(1) memory.
 ///
 /// # Panics
 ///
@@ -92,7 +82,7 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for name in BENCHMARKS {
-            let w = workload(name, 150);
+            let w = blend(name).build(150);
             assert_eq!(w.memory_accesses(), 150);
             assert_eq!(source(name, 150).collect(), w);
         }
@@ -100,7 +90,7 @@ mod tests {
 
     #[test]
     fn zipf_requests_dominate_the_cache_mix() {
-        let w = workload("web-cache", 3_000);
+        let w = source("web-cache", 3_000).collect();
         let zipf_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
         assert!(zipf_pc > 1_500, "object requests should dominate, got {zipf_pc}");
         // Power-law reuse: far fewer distinct lines than accesses.
@@ -112,6 +102,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown web-serving benchmark")]
     fn unknown_name_panics() {
-        let _ = workload("memcached", 10);
+        let _ = source("memcached", 10);
     }
 }

@@ -155,8 +155,8 @@ impl TraceSource {
     }
 
     /// Wraps an already-materialised workload (the records are shared, not
-    /// copied, between replays). The legacy bridge for callers that still
-    /// build `Workload`s eagerly. The fingerprint covers the actual record
+    /// copied, between replays) — how tests replay hand-built or edited
+    /// record vectors. The fingerprint covers the actual record
     /// bytes, so two materialised workloads share a fingerprint exactly when
     /// their traces are identical.
     #[must_use]
@@ -204,8 +204,8 @@ impl TraceSource {
     }
 
     /// Starts a fresh replay yielding the records in batches of at most
-    /// `batch` records (minimum 1) — the unit the batched drive pipeline
-    /// moves between producer threads and the simulation loop.
+    /// `batch` records (minimum 1) — how `System::run_sources` feeds each
+    /// core.
     ///
     /// Batching changes how many records move per call, never which records
     /// or in what order: concatenating the yielded batches reproduces
@@ -217,9 +217,8 @@ impl TraceSource {
         RecordBatches { inner: self.records(), batch: batch.max(1) }
     }
 
-    /// Materialises the trace into a [`Workload`] (O(accesses) memory — the
-    /// legacy representation, still used by record-introspecting tests and
-    /// figures).
+    /// Materialises the trace into a [`Workload`] (O(accesses) memory, for
+    /// record-introspecting tests and figures).
     #[must_use]
     pub fn collect(&self) -> Workload {
         Workload::new(self.name.clone(), self.records().collect(), self.memory_intensive)
@@ -297,8 +296,8 @@ impl TraceSource {
 
 /// Iterator of record batches minted by [`TraceSource::record_batches`].
 /// Every batch but the last holds exactly the requested batch size; the last
-/// holds the remainder. `Send`, like the per-record iterator, so a batch
-/// stream can be driven from a background producer thread.
+/// holds the remainder. `Send`, like the per-record iterator, so a cell
+/// holding one can move to any worker thread.
 pub struct RecordBatches {
     inner: BoxedRecordIter,
     batch: usize,

@@ -15,7 +15,7 @@ use prefetch::build_composite;
 use selectors::Selector;
 
 fn main() {
-    let workload = traces::spec06::workload("GemsFDTD", 30_000);
+    let workload = traces::spec06::source("GemsFDTD", 30_000).collect();
     let mut prefetchers = build_composite(CompositeKind::GsCsPmp);
     let names: Vec<&str> = prefetchers.iter().map(|p| p.name()).collect();
     let mut alecto = AlectoSelector::default_config(prefetchers.len());

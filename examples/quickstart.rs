@@ -28,25 +28,19 @@ fn main() {
         std::process::exit(2);
     });
     println!("benchmark: {benchmark} (suite {}, {accesses} memory accesses)", suite.name());
-    let workload = suite.workload(benchmark, accesses);
+    let source = suite.source(benchmark, accesses);
+    let run = |algorithm| {
+        cpu::System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp)
+            .run_sources(std::slice::from_ref(&source))
+            .expect("one source")
+    };
 
     // Baseline: prefetching disabled.
-    let baseline = cpu::run_single_core(
-        SystemConfig::skylake_like(1),
-        SelectionAlgorithm::NoPrefetching,
-        CompositeKind::GsCsPmp,
-        &workload,
-    );
-    let base_ipc = baseline.cores[0].ipc;
+    let base_ipc = run(SelectionAlgorithm::NoPrefetching).cores[0].ipc;
     println!("no prefetching: IPC {base_ipc:.3}");
 
     for algorithm in SelectionAlgorithm::main_comparison() {
-        let report = cpu::run_single_core(
-            SystemConfig::skylake_like(1),
-            algorithm,
-            CompositeKind::GsCsPmp,
-            &workload,
-        );
+        let report = run(algorithm);
         let core = &report.cores[0];
         println!(
             "{:8}  IPC {:.3}  speedup {:.3}  accuracy {:.2}  coverage {:.2}  table misses {}",

@@ -8,29 +8,30 @@
 //! obtains over the plain L1 composite.
 
 use alecto_repro::prelude::*;
+use alecto_repro::types::TraceSource;
 
-fn run(
-    algorithm: SelectionAlgorithm,
-    composite: CompositeKind,
-    workload: &alecto_repro::types::Workload,
-) -> f64 {
-    cpu::run_single_core(SystemConfig::skylake_like(1), algorithm, composite, workload).cores[0].ipc
+fn run(algorithm: SelectionAlgorithm, composite: CompositeKind, source: &TraceSource) -> f64 {
+    cpu::System::new(SystemConfig::skylake_like(1), algorithm, composite)
+        .run_sources(std::slice::from_ref(source))
+        .expect("one source")
+        .cores[0]
+        .ipc
 }
 
 fn main() {
     let accesses: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(40_000);
-    let workload = traces::spec06::workload("mcf", accesses);
+    let source = traces::spec06::source("mcf", accesses);
     println!("workload: mcf-like pointer chase, {accesses} accesses\n");
 
     // Reference: each policy scheduling only the L1 composite.
-    let bandit_base = run(SelectionAlgorithm::Bandit6, CompositeKind::GsCsPmp, &workload);
-    let alecto_base = run(SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp, &workload);
+    let bandit_base = run(SelectionAlgorithm::Bandit6, CompositeKind::GsCsPmp, &source);
+    let alecto_base = run(SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp, &source);
 
     println!("{:>12}  {:>18}  {:>18}", "metadata", "Bandit6 speedup", "Alecto speedup");
     for kb in [128u64, 256, 512, 1024] {
         let composite = CompositeKind::GsCsPmpTemporal { metadata_bytes: kb * 1024 };
-        let bandit = run(SelectionAlgorithm::Bandit6, composite, &workload) / bandit_base;
-        let alecto = run(SelectionAlgorithm::Alecto, composite, &workload) / alecto_base;
+        let bandit = run(SelectionAlgorithm::Bandit6, composite, &source) / bandit_base;
+        let alecto = run(SelectionAlgorithm::Alecto, composite, &source) / alecto_base;
         println!("{:>10}KB  {:>18.3}  {:>18.3}", kb, bandit, alecto);
     }
     println!(

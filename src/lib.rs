@@ -25,10 +25,10 @@
 //! ```
 //! use alecto_repro::prelude::*;
 //!
-//! let workload = traces::spec06::workload("lbm", 50_000);
+//! let source = traces::spec06::source("lbm", 50_000);
 //! let config = cpu::SystemConfig::skylake_like(1);
 //! let mut sim = cpu::System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
-//! let report = sim.run(&[workload]);
+//! let report = sim.run_sources(&[source]).unwrap();
 //! assert!(report.cores[0].ipc > 0.0);
 //! ```
 

@@ -7,7 +7,7 @@
 
 use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
 use harness::runner::{run_multicore_mix, run_single_core_suite};
-use harness::{with_drive_options, DriveOptions, SpeedupGrid};
+use harness::SpeedupGrid;
 
 fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
     let sources = vec![
@@ -104,20 +104,14 @@ fn repeated_parallel_runs_are_identical() {
 }
 
 #[test]
-fn out_of_order_suite_is_identical_at_any_jobs_and_batch() {
+fn out_of_order_suite_is_identical_at_any_jobs() {
     // The staged pipeline core must honour the same contract as the analytic
-    // model: worker count, batch granularity and producer threading are pure
-    // wall-clock knobs. Sweep the full {jobs} × {batch} matrix against the
-    // serial, default-batch reference.
+    // model: the worker count is a pure wall-clock knob. Sweep it against
+    // the serial reference.
     let reference = quick_suite_with_model(1, CoreModelKind::OutOfOrder);
-    for jobs in [1usize, 2, 4] {
-        for batch_records in [1usize, 4096] {
-            let options = DriveOptions { batch_records, ..DriveOptions::new() };
-            let grid = with_drive_options(options, || {
-                quick_suite_with_model(jobs, CoreModelKind::OutOfOrder)
-            });
-            assert_grids_identical(&reference, &grid);
-        }
+    for jobs in [2usize, 4] {
+        let grid = quick_suite_with_model(jobs, CoreModelKind::OutOfOrder);
+        assert_grids_identical(&reference, &grid);
     }
     // And the pipeline metrics it adds actually reach the v2 cells.
     for cell in harness::report::grid_cells(&reference) {
@@ -163,51 +157,6 @@ fn determinism_holds_below_and_above_the_multicore_derivation_floor() {
         };
         assert_grids_identical(&mk(1), &mk(4));
     }
-}
-
-#[test]
-fn batch_size_never_changes_a_grid() {
-    // The batched producer/consumer pipeline is a pure wall-clock knob:
-    // record batches concatenate to the identical per-core stream, so a
-    // degenerate batch of 1, an awkward prime, and the default block-sized
-    // batch must all reproduce the reference grid byte for byte.
-    let reference = quick_suite(2);
-    for batch_records in [1usize, 7, 4096] {
-        let options = DriveOptions { batch_records, ..DriveOptions::new() };
-        let grid = with_drive_options(options, || quick_suite(2));
-        assert_grids_identical(&reference, &grid);
-    }
-}
-
-#[test]
-fn cell_internal_producer_threads_never_change_a_grid() {
-    // Background record producers move *where* records are generated, never
-    // the order the drive loop consumes them in — grids stay byte-identical
-    // whether production is inline or threaded, at any worker count. This is
-    // the contract that lets the engine lend spare `--jobs` threads to the
-    // cells themselves.
-    let reference = quick_suite(1);
-    for (producer_threads, jobs) in [(1usize, 1usize), (4, 1), (2, 4)] {
-        let options = DriveOptions { producer_threads, ..DriveOptions::new() };
-        let grid = with_drive_options(options, || quick_suite(jobs));
-        assert_grids_identical(&reference, &grid);
-    }
-    // Same for a multi-core mix, where several per-core queues are in
-    // flight at once and batches interleave with the min-time merge.
-    let mix = |producer_threads: usize, jobs: usize| {
-        let options = DriveOptions { producer_threads, batch_records: 64 };
-        with_drive_options(options, || {
-            run_multicore_mix(
-                "canneal-x4",
-                &traces::parsec::per_core_sources("canneal", 500, 4),
-                &[SelectionAlgorithm::Alecto],
-                CompositeKind::GsCsPmp,
-                &SystemConfig::skylake_like(4),
-                jobs,
-            )
-        })
-    };
-    assert_grids_identical(&mix(0, 1), &mix(4, 2));
 }
 
 #[test]

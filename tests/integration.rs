@@ -2,15 +2,30 @@
 //! examples and the harness do — traces → system → selection → reports.
 
 use alecto_repro::prelude::*;
-use alecto_repro::types::Workload;
+use alecto_repro::types::TraceSource;
 
-fn run(algorithm: SelectionAlgorithm, workload: &Workload) -> cpu::SystemReport {
-    cpu::run_single_core(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp, workload)
+fn run_with(
+    algorithm: SelectionAlgorithm,
+    composite: CompositeKind,
+    source: &TraceSource,
+) -> cpu::SystemReport {
+    cpu::System::new(SystemConfig::skylake_like(1), algorithm, composite)
+        .run_sources(std::slice::from_ref(source))
+        .expect("one source")
+}
+
+fn run(algorithm: SelectionAlgorithm, source: &TraceSource) -> cpu::SystemReport {
+    run_with(algorithm, CompositeKind::GsCsPmp, source)
+}
+
+/// Instructions a core retires replaying `source` in full.
+fn instructions(source: &TraceSource) -> u64 {
+    source.records().map(|r| r.instructions()).sum()
 }
 
 #[test]
 fn every_selection_algorithm_completes_a_spec_workload() {
-    let workload = traces::spec06::workload("GemsFDTD", 3_000);
+    let source = traces::spec06::source("GemsFDTD", 3_000);
     for algorithm in [
         SelectionAlgorithm::NoPrefetching,
         SelectionAlgorithm::Ipcp,
@@ -24,18 +39,18 @@ fn every_selection_algorithm_completes_a_spec_workload() {
         SelectionAlgorithm::PpfConservative,
         SelectionAlgorithm::Triangel,
     ] {
-        let report = run(algorithm, &workload);
+        let report = run(algorithm, &source);
         let core = &report.cores[0];
         assert!(core.ipc > 0.0 && core.ipc <= 4.0, "{algorithm:?}: IPC {} out of range", core.ipc);
-        assert_eq!(core.instructions, workload.instructions(), "{algorithm:?}");
+        assert_eq!(core.instructions, instructions(&source), "{algorithm:?}");
     }
 }
 
 #[test]
 fn prefetching_helps_a_prefetch_friendly_benchmark() {
-    let workload = traces::spec06::workload("leslie3d", 8_000);
-    let base = run(SelectionAlgorithm::NoPrefetching, &workload).cores[0].ipc;
-    let alecto = run(SelectionAlgorithm::Alecto, &workload).cores[0].ipc;
+    let source = traces::spec06::source("leslie3d", 8_000);
+    let base = run(SelectionAlgorithm::NoPrefetching, &source).cores[0].ipc;
+    let alecto = run(SelectionAlgorithm::Alecto, &source).cores[0].ipc;
     assert!(
         alecto > base * 1.05,
         "Alecto should speed up a streaming benchmark (got {alecto:.3} vs baseline {base:.3})"
@@ -44,10 +59,10 @@ fn prefetching_helps_a_prefetch_friendly_benchmark() {
 
 #[test]
 fn prefetching_is_harmless_on_a_compute_bound_benchmark() {
-    let workload = traces::spec06::workload("povray", 6_000);
-    let base = run(SelectionAlgorithm::NoPrefetching, &workload).cores[0].ipc;
+    let source = traces::spec06::source("povray", 6_000);
+    let base = run(SelectionAlgorithm::NoPrefetching, &source).cores[0].ipc;
     for algorithm in SelectionAlgorithm::main_comparison() {
-        let ipc = run(algorithm, &workload).cores[0].ipc;
+        let ipc = run(algorithm, &source).cores[0].ipc;
         assert!(
             ipc > base * 0.93,
             "{algorithm:?} must not slow down a cache-resident benchmark ({ipc:.3} vs {base:.3})"
@@ -62,10 +77,9 @@ fn alecto_reduces_prefetcher_table_pressure_versus_ipcp() {
     let mut ipcp_trainings = 0u64;
     let mut alecto_trainings = 0u64;
     for name in ["GemsFDTD", "mcf", "omnetpp", "soplex"] {
-        let workload = traces::spec06::workload(name, 5_000);
-        ipcp_trainings += run(SelectionAlgorithm::Ipcp, &workload).cores[0].training_occurrences;
-        alecto_trainings +=
-            run(SelectionAlgorithm::Alecto, &workload).cores[0].training_occurrences;
+        let source = traces::spec06::source(name, 5_000);
+        ipcp_trainings += run(SelectionAlgorithm::Ipcp, &source).cores[0].training_occurrences;
+        alecto_trainings += run(SelectionAlgorithm::Alecto, &source).cores[0].training_occurrences;
     }
     assert!(
         (alecto_trainings as f64) < 0.8 * ipcp_trainings as f64,
@@ -84,19 +98,19 @@ fn alecto_storage_matches_table3_and_beats_extended_bandit() {
 
 #[test]
 fn eight_core_simulation_produces_consistent_reports() {
-    let per_core = traces::parsec::per_core_workloads("streamcluster", 1_200, 8);
+    let per_core = traces::parsec::per_core_sources("streamcluster", 1_200, 8);
     let mut system = cpu::System::new(
         SystemConfig::skylake_like(8),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
     );
-    let report = system.run(&per_core);
+    let report = system.run_sources(&per_core).expect("eight sources");
     assert_eq!(report.cores.len(), 8);
     assert!(report.geomean_ipc().unwrap() > 0.0);
     assert!(report.dram.accesses > 0);
     // Every core retired its whole trace.
-    for (core, workload) in report.cores.iter().zip(&per_core) {
-        assert_eq!(core.instructions, workload.instructions());
+    for (core, source) in report.cores.iter().zip(&per_core) {
+        assert_eq!(core.instructions, instructions(source));
     }
 }
 
@@ -111,13 +125,8 @@ fn harness_quick_experiments_render() {
 
 #[test]
 fn alternate_composite_works_end_to_end() {
-    let workload = traces::spec17::workload("roms_17", 4_000);
-    let report = cpu::run_single_core(
-        SystemConfig::skylake_like(1),
-        SelectionAlgorithm::Alecto,
-        CompositeKind::GsBertiCplx,
-        &workload,
-    );
+    let source = traces::spec17::source("roms_17", 4_000);
+    let report = run_with(SelectionAlgorithm::Alecto, CompositeKind::GsBertiCplx, &source);
     assert_eq!(report.composite, "GS+Berti+CPLX");
     assert_eq!(report.cores[0].prefetchers.len(), 3);
     assert!(report.cores[0].prefetches_issued > 0);
@@ -125,12 +134,11 @@ fn alternate_composite_works_end_to_end() {
 
 #[test]
 fn temporal_composite_trains_the_temporal_prefetcher() {
-    let workload = traces::spec06::workload("mcf", 6_000);
-    let report = cpu::run_single_core(
-        SystemConfig::skylake_like(1),
+    let source = traces::spec06::source("mcf", 6_000);
+    let report = run_with(
         SelectionAlgorithm::Triangel,
         CompositeKind::GsCsPmpTemporal { metadata_bytes: 256 * 1024 },
-        &workload,
+        &source,
     );
     let tp = report.cores[0].prefetchers.iter().find(|p| p.name == "TP").expect("TP present");
     assert!(tp.stats.trainings > 0, "the temporal prefetcher must receive training");

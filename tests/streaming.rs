@@ -1,11 +1,11 @@
-//! Streaming ↔ collected equivalence: the lazy `TraceSource` path must
-//! reproduce the legacy eagerly-collected generation record for record, for
-//! every benchmark registered in the `Suite` registry, at every access
-//! budget and per-job seed. This is the contract that lets the experiment
-//! engine stream 10-million-access traces in O(1) memory without changing a
-//! single golden grid value.
+//! Streaming ↔ eager equivalence: the lazy `TraceSource` path must
+//! reproduce the eager reference — each benchmark's blend built in one pass
+//! by `Blend::build` — record for record, for every benchmark registered in
+//! the `Suite` registry, at every access budget and per-job seed. This is the
+//! contract that lets the experiment engine stream 10-million-access traces
+//! in O(1) memory without changing a single golden grid value.
 
-use alecto_repro::types::TraceSource;
+use alecto_repro::types::{TraceSource, Workload};
 use proptest::prelude::*;
 use traces::Suite;
 
@@ -14,9 +14,34 @@ fn registry() -> Vec<(Suite, &'static str)> {
     Suite::ALL.iter().flat_map(|s| s.benchmarks().into_iter().map(move |b| (*s, b))).collect()
 }
 
+/// The eager reference for `name`: its registry blend built in one pass.
+/// `None` for Ligra, whose kernels come from a graph walk, not a blend.
+fn eager_build(suite: Suite, name: &str, accesses: usize) -> Option<Workload> {
+    let blend = match suite {
+        Suite::Spec06 => traces::spec06::blend(name),
+        Suite::Spec17 => traces::spec17::blend(name),
+        Suite::Parsec => traces::parsec::blend(name),
+        Suite::PointerChase => traces::gc::blend(name),
+        Suite::WebServe => traces::web::blend(name),
+        Suite::Database => traces::db::blend(name),
+        Suite::Ligra | Suite::File => return None,
+    };
+    Some(blend.build(accesses))
+}
+
+/// Asserts that `source` streams its eager reference; for Ligra, which has
+/// none, that two replays agree.
+fn assert_streams_its_reference(suite: Suite, name: &str, source: &TraceSource) {
+    let streamed = source.collect();
+    match eager_build(suite, name, source.memory_accesses()) {
+        Some(eager) => assert_eq!(streamed, eager, "suite {suite:?} benchmark {name}"),
+        None => assert_eq!(streamed, source.collect(), "suite {suite:?} benchmark {name}"),
+    }
+}
+
 proptest! {
-    // Streamed records equal the legacy collected records for a random
-    // registered benchmark × access budget.
+    // Streamed records equal the eager reference for a random registered
+    // benchmark × access budget.
     #[test]
     fn streamed_equals_collected_for_every_registered_benchmark(
         bench_idx in 0usize..70,
@@ -24,12 +49,10 @@ proptest! {
     ) {
         let reg = registry();
         let (suite, name) = reg[bench_idx % reg.len()];
-        let collected = suite.workload(name, accesses);
         let streamed = suite.source(name, accesses);
         prop_assert_eq!(streamed.name(), name);
         prop_assert_eq!(streamed.memory_accesses(), accesses);
-        let streamed = streamed.collect();
-        prop_assert_eq!(&streamed, &collected);
+        assert_streams_its_reference(suite, name, &streamed);
     }
 
     // Per-job derived seeds stay position independent through the streaming
@@ -103,16 +126,15 @@ proptest! {
 #[test]
 fn every_registered_benchmark_streams_exactly_its_collected_records() {
     for (suite, name) in registry() {
-        let collected = suite.workload(name, 257); // odd budget: mid-batch cuts
-        let streamed = suite.source(name, 257).collect();
-        assert_eq!(streamed, collected, "suite {suite:?} benchmark {name}");
+        // Odd budget: mid-batch cuts.
+        assert_streams_its_reference(suite, name, &suite.source(name, 257));
     }
 }
 
-/// Workload-backed sources (the legacy bridge) round-trip losslessly.
+/// Workload-backed sources round-trip losslessly.
 #[test]
 fn workload_bridge_round_trips() {
-    let w = traces::web::workload("kv-store", 123);
+    let w = traces::web::source("kv-store", 123).collect();
     let s = TraceSource::from_workload(w.clone());
     assert_eq!(s.collect(), w);
 }
