@@ -8,8 +8,7 @@
 
 use alecto_types::{Addr, MemoryRecord, Pc};
 use cpu::{
-    CompositeKind, CoreEngine, CoreModelKind, CoreTiming, PrefetchController, SelectionAlgorithm,
-    SystemConfig,
+    CompositeKind, Core, CoreModelKind, PrefetchController, SelectionAlgorithm, SystemConfig,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsys::{Hierarchy, HierarchyParams};
@@ -43,7 +42,7 @@ fn core_step(c: &mut Criterion) {
                 b.iter(|| {
                     let controller =
                         PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::Alecto);
-                    let mut core = CoreEngine::new(0, &config, controller);
+                    let mut core = Core::new(0, &config, controller);
                     let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
                     for r in &records {
                         core.step(r, &mut hier);

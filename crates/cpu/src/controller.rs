@@ -8,10 +8,12 @@
 //! prefetch requests back to the caller (the core model) for issue into the
 //! memory hierarchy.
 
-use alecto_types::{DemandAccess, FillLevel, LineAddr, PrefetchRequest, PrefetcherId};
-use memsys::{Hierarchy, PrefetchFeedback};
+use alecto_types::{
+    DemandAccess, FillLevel, LineAddr, PrefetchOutcome, PrefetchRequest, PrefetcherId,
+};
+use memsys::Hierarchy;
 use prefetch::{build_composite, CompositeKind, Prefetcher, TableStats};
-use selectors::{PrefetchFilter, PrefetchOutcome, Selector};
+use selectors::{PrefetchFilter, Selector};
 
 use crate::selection::{build_selector, SelectionAlgorithm};
 
@@ -41,7 +43,7 @@ pub struct PrefetchController {
     /// The latest access's requests; the next access reuses the buffer.
     requests: Vec<PrefetchRequest>,
     /// Hierarchy feedback being forwarded; swapped, never reallocated.
-    feedback: Vec<PrefetchFeedback>,
+    feedback: Vec<PrefetchOutcome>,
 }
 
 impl std::fmt::Debug for PrefetchController {
@@ -164,25 +166,13 @@ impl PrefetchController {
         &self.requests
     }
 
-    /// Forwards prefetch usefulness feedback from the memory system.
-    pub fn on_prefetch_outcome(&mut self, outcome: &PrefetchOutcome) {
-        if let Some(selector) = self.selector.as_mut() {
-            selector.on_prefetch_outcome(outcome);
-        }
-    }
-
     /// Takes the usefulness feedback `hierarchy` gathered since the last call
     /// (from every core's traffic) and forwards it to the selector.
     pub fn forward_feedback(&mut self, hierarchy: &mut Hierarchy) {
         hierarchy.swap_feedback(&mut self.feedback);
         let Some(selector) = self.selector.as_mut() else { return };
-        for fb in &self.feedback {
-            selector.on_prefetch_outcome(&PrefetchOutcome {
-                issuer: fb.issuer,
-                trigger_pc: fb.trigger_pc,
-                line: fb.line,
-                useful: fb.useful,
-            });
+        for outcome in &self.feedback {
+            selector.on_prefetch_outcome(outcome);
         }
     }
 
@@ -294,12 +284,6 @@ mod tests {
     fn epoch_and_outcome_forwarding_do_not_panic() {
         let mut c = PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::Bandit6);
         c.on_epoch(10_000, 5_000);
-        c.on_prefetch_outcome(&PrefetchOutcome {
-            issuer: PrefetcherId(0),
-            trigger_pc: Some(Pc::new(1)),
-            line: LineAddr::new(42),
-            useful: true,
-        });
         let mut none =
             PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
         none.on_epoch(10_000, 5_000);

@@ -1,22 +1,34 @@
-//! The per-core trace-driven timing model.
+//! The per-core model: one [`Core`] for both timing presets.
 //!
-//! The model approximates a Table I-style out-of-order core: instructions are
-//! fetched at `fetch_width` and retired in order at `commit_width`; loads
-//! issue to the memory hierarchy as soon as they are fetched (subject to the
-//! load-queue size), overlap freely within the 256-entry ROB window, and block
-//! retirement until their data returns. This captures the two effects the
-//! paper's evaluation depends on: memory-level parallelism inside the ROB
-//! window, and the full exposure of DRAM latency once the window fills behind
-//! a miss.
+//! Every record takes the same path whichever preset runs it: the demand
+//! access goes to the hierarchy, then to the prefetch controller, whose
+//! requests are issued one per cycle behind it; usefulness feedback and
+//! periodic epoch rewards flow back to the selector. Pointer-chase records
+//! (`dependent`) cannot issue before the previous dependent load of their PC
+//! completes. [`Core`] owns that path. What differs between the presets is
+//! *when* a record issues and retires, which a private `Pipeline` answers:
+//!
+//! * Approx — the analytic model (fast; the sweep default). Instructions are
+//!   fetched at `fetch_width` and retired in order at `commit_width` on
+//!   fractional-cycle frontiers; loads issue as soon as they are fetched
+//!   (subject to the load-queue size), overlap freely within the ROB window,
+//!   and block retirement until their data returns. This captures the two
+//!   effects the paper's evaluation depends on: memory-level parallelism
+//!   inside the ROB window, and the full exposure of DRAM latency once the
+//!   window fills behind a miss.
+//! * OutOfOrder — the staged integer-cycle pipeline of [`crate::ooo`]: an
+//!   explicit ROB, a load/store queue and a gshare predictor whose
+//!   mispredicts squash fetch and gate the record's wrong-path prefetches.
 
 use std::collections::{HashMap, VecDeque};
 
 use alecto_types::{AccessKind, MemoryRecord};
 use memsys::Hierarchy;
 
-use crate::config::SystemConfig;
+use crate::config::{CoreModelKind, SystemConfig};
 use crate::controller::PrefetchController;
-use crate::metrics::CoreReport;
+use crate::metrics::{CoreReport, PrefetcherReport};
+use crate::ooo::OooPipeline;
 
 /// Maximum distinct PCs tracked for pointer-chase serialisation.
 ///
@@ -24,34 +36,34 @@ use crate::metrics::CoreReport;
 /// PCs; an unbounded map would grow with the trace. 4096 entries comfortably
 /// cover every synthetic family and the hot chains of real traces while
 /// keeping memory O(1) in trace length.
-pub(crate) const CHAIN_TABLE_CAPACITY: usize = 4096;
+const CHAIN_TABLE_CAPACITY: usize = 4096;
 
-/// Fixed-capacity PC → completion map with deterministic FIFO eviction.
+/// Fixed-capacity PC → completion-cycle map with deterministic FIFO eviction.
 ///
 /// Backed by a `HashMap` for O(1) lookup plus an insertion-order queue for
 /// eviction. The map is never iterated, so hash order cannot leak into
 /// simulation results; the eviction victim is always the *oldest first
 /// inserted* key, which is a pure function of the record stream.
 #[derive(Debug)]
-pub(crate) struct ChainTable<V> {
-    map: HashMap<u64, V>,
+struct ChainTable {
+    map: HashMap<u64, u64>,
     order: VecDeque<u64>,
     capacity: usize,
 }
 
-impl<V: Copy> ChainTable<V> {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl ChainTable {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "chain table needs at least one entry");
         Self { map: HashMap::new(), order: VecDeque::new(), capacity }
     }
 
-    pub(crate) fn get(&self, key: u64) -> Option<V> {
+    fn get(&self, key: u64) -> Option<u64> {
         self.map.get(&key).copied()
     }
 
     /// Inserts or updates `key`. A brand-new key beyond capacity first evicts
     /// the oldest inserted key; updating an existing key never evicts.
-    pub(crate) fn insert(&mut self, key: u64, value: V) {
+    fn insert(&mut self, key: u64, value: u64) {
         if self.map.insert(key, value).is_none() {
             if self.map.len() > self.capacity {
                 if let Some(oldest) = self.order.pop_front() {
@@ -62,35 +74,23 @@ impl<V: Copy> ChainTable<V> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
     }
 }
 
-/// Timing and bookkeeping state of one simulated core.
+/// One simulated core of the timing model [`SystemConfig::core_model`]
+/// selects.
 #[derive(Debug)]
-pub struct CoreModel {
+pub struct Core {
     core_id: usize,
-    fetch_width: f64,
-    commit_width: f64,
-    rob_entries: u64,
-    load_queue: usize,
-    /// Time at which the next instruction can be fetched.
-    fetch_time: f64,
-    /// In-order retirement frontier.
-    retire_time: f64,
-    /// Instructions retired so far.
+    pipeline: Pipeline,
+    /// Instructions fetched so far; every one of them eventually retires.
     instructions: u64,
-    /// Retirement times of recent memory instructions, used to model the ROB
-    /// occupancy limit (instruction i cannot fetch before instruction
-    /// i - ROB_SIZE has retired).
-    rob_window: VecDeque<(u64, f64)>,
-    /// Completion times of in-flight loads (bounds MLP by the LQ size).
-    inflight_loads: VecDeque<f64>,
-    /// Completion time of the most recent *dependent* load of each PC, used to
-    /// serialise pointer-chase chains. Bounded at [`CHAIN_TABLE_CAPACITY`]
-    /// with deterministic FIFO eviction so long replays stay O(1) in memory.
-    chain_completion: ChainTable<f64>,
+    /// Completion cycle of the most recent *dependent* load of each PC, used
+    /// to serialise pointer-chase chains.
+    chain_completion: ChainTable,
     /// The prefetch controller attached to this core's L1D.
     controller: PrefetchController,
     epoch_len: u64,
@@ -98,21 +98,19 @@ pub struct CoreModel {
     epoch_cycle_mark: f64,
 }
 
-impl CoreModel {
-    /// Creates a core model with the given id, configuration and controller.
+impl Core {
+    /// Creates core `core_id` with the timing model `config.core_model`
+    /// selects and the given prefetch controller.
     #[must_use]
     pub fn new(core_id: usize, config: &SystemConfig, controller: PrefetchController) -> Self {
+        let pipeline = match config.core_model {
+            CoreModelKind::Approx => Pipeline::Approx(ApproxPipeline::new(config)),
+            CoreModelKind::OutOfOrder => Pipeline::OutOfOrder(OooPipeline::new(config)),
+        };
         Self {
             core_id,
-            fetch_width: f64::from(config.fetch_width),
-            commit_width: f64::from(config.commit_width),
-            rob_entries: u64::try_from(config.rob_entries).expect("ROB size fits in u64"),
-            load_queue: config.load_queue,
-            fetch_time: 0.0,
-            retire_time: 0.0,
+            pipeline,
             instructions: 0,
-            rob_window: VecDeque::with_capacity(64),
-            inflight_loads: VecDeque::with_capacity(80),
             chain_completion: ChainTable::new(CHAIN_TABLE_CAPACITY),
             controller,
             epoch_len: config.selector_epoch_instructions,
@@ -121,24 +119,12 @@ impl CoreModel {
         }
     }
 
-    /// This core's id.
-    #[must_use]
-    pub const fn core_id(&self) -> usize {
-        self.core_id
-    }
-
-    /// The current simulated time of the core in cycles (its retirement
-    /// frontier). Used by the multi-core driver to keep cores in rough
-    /// lockstep.
+    /// The core's current simulated time in cycles. Monotone non-decreasing
+    /// across [`Core::step`] calls; the multi-core drive loop orders cores by
+    /// it to keep them in rough lockstep.
     #[must_use]
     pub fn current_time(&self) -> f64 {
-        self.retire_time.max(self.fetch_time)
-    }
-
-    /// Instructions retired so far.
-    #[must_use]
-    pub const fn instructions(&self) -> u64 {
-        self.instructions
+        self.pipeline.current_time()
     }
 
     /// Borrow of the attached prefetch controller.
@@ -150,14 +136,196 @@ impl CoreModel {
     /// Advances the core over one trace record, performing the demand access
     /// and any resulting prefetches against `hierarchy`.
     pub fn step(&mut self, record: &MemoryRecord, hierarchy: &mut Hierarchy) {
+        self.instructions += u64::from(record.gap_instructions) + 1;
+        let (mut issue, mispredicted) =
+            self.pipeline.issue(record, self.instructions, hierarchy, self.core_id);
+
+        // --- Serial dependence (pointer chasing), then the demand access ----
+        let pc = record.pc.raw();
+        if record.dependent {
+            if let Some(ready) = self.chain_completion.get(pc) {
+                issue = issue.max(ready);
+            }
+        }
+        let demand = record.demand();
+        let is_store = record.kind == AccessKind::Store;
+        let completion = hierarchy
+            .demand_access_kind(self.core_id, demand.line(), issue, is_store)
+            .completion_cycle;
+        if record.dependent {
+            self.chain_completion.insert(pc, completion);
+        }
+
+        // --- Prefetching (a mispredicted record's triggers are wrong-path) --
+        let requests = self.controller.on_demand_access(&demand);
+        if !mispredicted {
+            for (k, req) in requests.iter().enumerate() {
+                // Prefetches trickle out of the prefetch queue one per cycle.
+                let delay = u64::try_from(k).expect("prefetch queue index fits in u64");
+                hierarchy.issue_prefetch(self.core_id, req, issue + 1 + delay);
+            }
+        }
+        self.controller.forward_feedback(hierarchy);
+
+        self.pipeline.retire(record, issue, completion, self.instructions, mispredicted);
+
+        // --- Selector reward epochs -----------------------------------------
+        if self.instructions - self.epoch_instr_mark >= self.epoch_len {
+            let frontier = self.pipeline.frontier();
+            let cycle_delta = (frontier - self.epoch_cycle_mark).max(1.0) as u64;
+            self.controller.on_epoch(self.instructions - self.epoch_instr_mark, cycle_delta);
+            self.epoch_instr_mark = self.instructions;
+            self.epoch_cycle_mark = frontier;
+        }
+    }
+
+    /// Produces the per-core report after the trace has been consumed.
+    #[must_use]
+    pub fn report(&self, workload_name: &str, hierarchy: &Hierarchy) -> CoreReport {
+        // IPC derives from the integer cycle count, so a JSON consumer
+        // recomputing `instructions / cycles` gets exactly the report's `ipc`.
+        let cycles = self.pipeline.cycles();
+        let (branch_mpki, rob_occupancy) = self.pipeline.metrics(self.instructions);
+        CoreReport {
+            workload: workload_name.to_string(),
+            selector: self.controller.selector_name().to_string(),
+            instructions: self.instructions,
+            cycles,
+            ipc: self.instructions as f64 / cycles as f64,
+            timing: *hierarchy.timing_stats(self.core_id),
+            l1: *hierarchy.l1_stats(self.core_id),
+            l2: *hierarchy.l2_stats(self.core_id),
+            quality: *hierarchy.quality(self.core_id),
+            prefetchers: self
+                .controller
+                .table_stats()
+                .into_iter()
+                .map(|(name, stats)| PrefetcherReport { name: name.to_string(), stats })
+                .collect(),
+            training_occurrences: self.controller.training_occurrences(),
+            table_misses: self.controller.table_misses(),
+            prefetches_issued: self.controller.stats().issued,
+            branch_mpki,
+            rob_occupancy,
+        }
+    }
+}
+
+/// When a record issues and retires: the part of the timing the two presets
+/// do not share.
+#[derive(Debug)]
+enum Pipeline {
+    Approx(ApproxPipeline),
+    OutOfOrder(OooPipeline),
+}
+
+impl Pipeline {
+    /// Fetches `record` (`instructions` counts it already) and returns the
+    /// cycle its access can issue, before chain dependence, and whether it
+    /// sits on a mispredicted path.
+    fn issue(
+        &mut self,
+        record: &MemoryRecord,
+        instructions: u64,
+        hierarchy: &Hierarchy,
+        core_id: usize,
+    ) -> (u64, bool) {
+        match self {
+            Self::Approx(p) => (p.issue(record, instructions), false),
+            Self::OutOfOrder(p) => p.issue(record, hierarchy, core_id),
+        }
+    }
+
+    /// Retires `record`, whose access issued at `issue` and completes at
+    /// `completion`.
+    fn retire(
+        &mut self,
+        record: &MemoryRecord,
+        issue: u64,
+        completion: u64,
+        instructions: u64,
+        mispredicted: bool,
+    ) {
+        match self {
+            Self::Approx(p) => p.retire(record, completion, instructions),
+            Self::OutOfOrder(p) => p.retire(record, issue, completion, mispredicted),
+        }
+    }
+
+    /// Retirement frontier the selector's reward epochs are timed against.
+    fn frontier(&self) -> f64 {
+        match self {
+            Self::Approx(p) => p.retire_time,
+            Self::OutOfOrder(p) => p.current_time(),
+        }
+    }
+
+    fn current_time(&self) -> f64 {
+        match self {
+            Self::Approx(p) => p.retire_time.max(p.fetch_time),
+            Self::OutOfOrder(p) => p.current_time(),
+        }
+    }
+
+    /// Final cycle count, at least 1.
+    fn cycles(&self) -> u64 {
+        match self {
+            Self::Approx(p) => p.retire_time.max(1.0).ceil() as u64,
+            Self::OutOfOrder(p) => p.cycles(),
+        }
+    }
+
+    /// Branch MPKI and mean ROB occupancy; the analytic model has neither,
+    /// so both stay null in its reports.
+    fn metrics(&self, instructions: u64) -> (Option<f64>, Option<f64>) {
+        match self {
+            Self::Approx(_) => (None, None),
+            Self::OutOfOrder(p) => p.metrics(instructions),
+        }
+    }
+}
+
+/// Timing state of the analytic (Approx) preset, in fractional cycles.
+#[derive(Debug)]
+struct ApproxPipeline {
+    fetch_width: f64,
+    commit_width: f64,
+    rob_entries: u64,
+    load_queue: usize,
+    /// Time at which the next instruction can be fetched.
+    fetch_time: f64,
+    /// In-order retirement frontier.
+    retire_time: f64,
+    /// Retirement times of recent memory instructions, used to model the ROB
+    /// occupancy limit (instruction i cannot fetch before instruction
+    /// i - ROB_SIZE has retired).
+    rob_window: VecDeque<(u64, f64)>,
+    /// Completion times of in-flight loads (bounds MLP by the LQ size).
+    inflight_loads: VecDeque<f64>,
+}
+
+impl ApproxPipeline {
+    fn new(config: &SystemConfig) -> Self {
+        Self {
+            fetch_width: f64::from(config.fetch_width),
+            commit_width: f64::from(config.commit_width),
+            rob_entries: u64::try_from(config.rob_entries).expect("ROB size fits in u64"),
+            load_queue: config.load_queue,
+            fetch_time: 0.0,
+            retire_time: 0.0,
+            rob_window: VecDeque::with_capacity(64),
+            inflight_loads: VecDeque::with_capacity(80),
+        }
+    }
+
+    fn issue(&mut self, record: &MemoryRecord, instructions: u64) -> u64 {
         // --- Non-memory instructions preceding the access -------------------
         let gap = f64::from(record.gap_instructions);
         self.fetch_time += gap / self.fetch_width;
         self.retire_time = (self.retire_time + gap / self.commit_width).max(self.fetch_time);
-        self.instructions += u64::from(record.gap_instructions) + 1;
 
         // --- ROB occupancy limit --------------------------------------------
-        let oldest_allowed = self.instructions.saturating_sub(self.rob_entries);
+        let oldest_allowed = instructions.saturating_sub(self.rob_entries);
         let mut rob_limit = 0.0f64;
         while let Some(&(idx, retire)) = self.rob_window.front() {
             if idx <= oldest_allowed {
@@ -171,8 +339,7 @@ impl CoreModel {
         self.fetch_time += 1.0 / self.fetch_width;
 
         // --- Load-queue limit -------------------------------------------------
-        let is_load = record.kind == AccessKind::Load;
-        if is_load {
+        if record.kind == AccessKind::Load {
             // Loads whose data has already returned free their queue entries.
             self.inflight_loads.retain(|&completion| completion > self.fetch_time);
             // A full queue stalls fetch until the *earliest-completing*
@@ -188,93 +355,19 @@ impl CoreModel {
                 self.inflight_loads.remove(idx);
             }
         }
+        // The chain wait `Core` applies next is a whole cycle, so rounding up
+        // before it gives the same issue cycle as rounding up after it.
+        self.fetch_time.ceil() as u64
+    }
 
-        // --- Serial dependence (pointer chasing) --------------------------------
-        let mut issue_time = self.fetch_time;
-        if record.dependent {
-            if let Some(ready) = self.chain_completion.get(record.pc.raw()) {
-                issue_time = issue_time.max(ready);
-            }
-        }
-
-        // --- The demand access -------------------------------------------------
-        let issue_cycle = issue_time.ceil() as u64;
-        let demand = record.demand();
-        let result =
-            hierarchy.demand_access_kind(self.core_id, demand.line(), issue_cycle, !is_load);
-        let completion = result.completion_cycle as f64;
-        if record.dependent {
-            self.chain_completion.insert(record.pc.raw(), completion);
-        }
-
-        // --- Prefetching --------------------------------------------------------
-        let requests = self.controller.on_demand_access(&demand);
-        for (k, req) in requests.iter().enumerate() {
-            // Prefetches trickle out of the prefetch queue one per cycle.
-            let delay = u64::try_from(k).expect("prefetch queue index fits in u64");
-            hierarchy.issue_prefetch(self.core_id, req, issue_cycle + 1 + delay);
-        }
-        self.controller.forward_feedback(hierarchy);
-
-        // --- Retirement ----------------------------------------------------------
+    fn retire(&mut self, record: &MemoryRecord, completion: u64, instructions: u64) {
         self.retire_time += 1.0 / self.commit_width;
-        if is_load {
+        if record.kind == AccessKind::Load {
+            let completion = completion as f64;
             self.retire_time = self.retire_time.max(completion);
             self.inflight_loads.push_back(completion);
         }
-        self.rob_window.push_back((self.instructions, self.retire_time));
-
-        // --- Selector reward epochs -----------------------------------------------
-        if self.instructions - self.epoch_instr_mark >= self.epoch_len {
-            let instr_delta = self.instructions - self.epoch_instr_mark;
-            let cycle_delta = (self.retire_time - self.epoch_cycle_mark).max(1.0) as u64;
-            self.controller.on_epoch(instr_delta, cycle_delta);
-            self.epoch_instr_mark = self.instructions;
-            self.epoch_cycle_mark = self.retire_time;
-        }
-    }
-
-    /// Produces the per-core report after the trace has been consumed.
-    #[must_use]
-    pub fn report(&self, workload_name: &str, hierarchy: &Hierarchy) -> CoreReport {
-        // Round the cycle count up once and derive IPC from the *rounded*
-        // value, so a JSON consumer recomputing `instructions / cycles` from
-        // the report gets exactly the report's own `ipc` field.
-        let cycles = self.retire_time.max(1.0).ceil() as u64;
-        CoreReport {
-            workload: workload_name.to_string(),
-            selector: self.controller.selector_name().to_string(),
-            instructions: self.instructions,
-            cycles,
-            ipc: self.instructions as f64 / cycles as f64,
-            timing: *hierarchy.timing_stats(self.core_id),
-            l1: *hierarchy.l1_stats(self.core_id),
-            l2: *hierarchy.l2_stats(self.core_id),
-            quality: *hierarchy.quality(self.core_id),
-            prefetchers: self
-                .controller
-                .table_stats()
-                .into_iter()
-                .map(|(name, stats)| crate::metrics::PrefetcherReport {
-                    name: name.to_string(),
-                    stats,
-                })
-                .collect(),
-            training_occurrences: self.controller.training_occurrences(),
-            table_misses: self.controller.table_misses(),
-            prefetches_issued: self.controller.stats().issued,
-            // The analytic model carries no branch predictor and no explicit
-            // ROB occupancy; the fields stay null in the v2 report.
-            branch_mpki: None,
-            rob_occupancy: None,
-        }
-    }
-
-    /// Number of PCs currently tracked for chain serialisation (bounded at
-    /// `CHAIN_TABLE_CAPACITY`; exposed for the regression tests).
-    #[must_use]
-    pub fn chain_table_len(&self) -> usize {
-        self.chain_completion.len()
+        self.rob_window.push_back((instructions, self.retire_time));
     }
 }
 
@@ -295,7 +388,7 @@ mod tests {
     fn run(algo: SelectionAlgorithm, records: &[MemoryRecord]) -> CoreReport {
         let config = SystemConfig::skylake_like(1);
         let controller = PrefetchController::new(CompositeKind::GsCsPmp, algo);
-        let mut core = CoreModel::new(0, &config, controller);
+        let mut core = Core::new(0, &config, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         for r in records {
             core.step(r, &mut hier);
@@ -398,7 +491,7 @@ mod tests {
             let config = SystemConfig::with_timing(1, timing);
             let controller =
                 PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-            let mut core = CoreModel::new(0, &config, controller);
+            let mut core = Core::new(0, &config, controller);
             let mut hier = Hierarchy::new(config.hierarchy.clone());
             for r in &trace {
                 core.step(r, &mut hier);
@@ -449,15 +542,16 @@ mod tests {
         let config = SystemConfig::skylake_like(1);
         let controller =
             PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-        let mut core = CoreModel::new(0, &config, controller);
+        let mut core = Core::new(0, &config, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         // Zero-gap DRAM-bound loads keep the queue saturated.
         for r in &stream_trace(4_000, 0) {
             core.step(r, &mut hier);
+            let Pipeline::Approx(pipeline) = &core.pipeline else { unreachable!("Approx preset") };
             assert!(
-                core.inflight_loads.len() <= config.load_queue,
+                pipeline.inflight_loads.len() <= config.load_queue,
                 "load queue holds {} entries, capacity {}",
-                core.inflight_loads.len(),
+                pipeline.inflight_loads.len(),
                 config.load_queue
             );
         }
@@ -470,7 +564,7 @@ mod tests {
         // capacity, not at 1M entries.
         let mut table = ChainTable::new(CHAIN_TABLE_CAPACITY);
         for pc in 0..1_000_000u64 {
-            table.insert(pc, pc as f64);
+            table.insert(pc, pc);
             assert!(table.len() <= CHAIN_TABLE_CAPACITY);
         }
         assert_eq!(table.len(), CHAIN_TABLE_CAPACITY);
@@ -478,9 +572,9 @@ mod tests {
         assert!(table.get(0).is_none());
         assert!(table.get(999_999).is_some());
         // Updating an existing key neither grows the map nor evicts.
-        table.insert(999_999, 1.0);
+        table.insert(999_999, 1);
         assert_eq!(table.len(), CHAIN_TABLE_CAPACITY);
-        assert_eq!(table.get(999_999), Some(1.0));
+        assert_eq!(table.get(999_999), Some(1));
     }
 
     #[test]
@@ -490,15 +584,41 @@ mod tests {
         let config = SystemConfig::skylake_like(1);
         let controller =
             PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-        let mut core = CoreModel::new(0, &config, controller);
+        let mut core = Core::new(0, &config, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         let distinct = u64::try_from(CHAIN_TABLE_CAPACITY).unwrap() * 3;
         for i in 0..distinct {
             let r = MemoryRecord::dependent_load(Pc::new(i * 4), Addr::new(0x10_0000 + i * 64), 2);
             core.step(&r, &mut hier);
         }
-        assert_eq!(core.chain_table_len(), CHAIN_TABLE_CAPACITY);
-        assert!(core.instructions() == distinct * 3);
+        assert_eq!(core.chain_completion.len(), CHAIN_TABLE_CAPACITY);
+        assert_eq!(core.instructions, distinct * 3);
+    }
+
+    #[test]
+    fn both_pipelines_honour_the_core_contract() {
+        for kind in [CoreModelKind::Approx, CoreModelKind::OutOfOrder] {
+            let config = SystemConfig::skylake_like(1).with_core_model(kind);
+            let controller =
+                PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
+            let mut core = Core::new(0, &config, controller);
+            let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
+            let mut last_time = 0.0f64;
+            for i in 0..500u64 {
+                let r = MemoryRecord::load(Pc::new(0x40), Addr::new(0x8000 + i * 64), 3);
+                core.step(&r, &mut hier);
+                let now = core.current_time();
+                assert!(now >= last_time, "{kind:?}: time went backwards");
+                last_time = now;
+            }
+            let report = core.report("w", &hier);
+            assert_eq!(report.instructions, 500 * 4);
+            assert!(report.cycles >= 1);
+            assert!(report.ipc > 0.0 && report.ipc.is_finite());
+            // The nullable pipeline metrics are the presets' signature.
+            assert_eq!(report.branch_mpki.is_some(), kind == CoreModelKind::OutOfOrder);
+            assert_eq!(report.rob_occupancy.is_some(), kind == CoreModelKind::OutOfOrder);
+        }
     }
 
     #[test]

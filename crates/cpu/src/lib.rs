@@ -1,6 +1,12 @@
-//! The CPU-side simulator: a trace-driven out-of-order core timing model, the
-//! L1D prefetch controller that wires a composite prefetcher and a selection
-//! algorithm together, and the multi-core [`System`] driver.
+//! The CPU-side simulator: the trace-driven [`Core`], the L1D prefetch
+//! controller that wires a composite prefetcher and a selection algorithm
+//! together, and the multi-core [`System`] that steps one core per trace.
+//!
+//! A [`Core`] runs the per-demand path (demand access, prefetch selection and
+//! issue, usefulness feedback, reward epochs) once for both timing presets;
+//! [`SystemConfig::core_model`] picks whether its issue and retire timing
+//! comes from the analytic Approx pipeline or the staged out-of-order one
+//! ([`ooo`]).
 //!
 //! This is the substrate on which every experiment of the paper runs. A
 //! [`System`] is configured like Table I ([`SystemConfig::skylake_like`]),
@@ -32,7 +38,6 @@ pub mod branch;
 pub mod config;
 pub mod controller;
 pub mod core_model;
-pub mod core_timing;
 pub mod lsq;
 pub mod metrics;
 pub mod ooo;
@@ -42,10 +47,8 @@ pub mod system;
 
 pub use config::{composite_from_stack, CoreModelKind, SystemConfig};
 pub use controller::PrefetchController;
-pub use core_model::CoreModel;
-pub use core_timing::{CoreEngine, CoreTiming};
+pub use core_model::Core;
 pub use metrics::{CoreReport, PrefetcherReport, SystemReport};
-pub use ooo::OooCore;
 pub use prefetch::CompositeKind;
 pub use selection::{build_selector, SelectionAlgorithm};
 pub use system::{RunError, System, DEFAULT_BATCH_RECORDS};

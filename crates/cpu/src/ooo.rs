@@ -1,4 +1,5 @@
-//! The staged out-of-order core model (`CoreModelKind::OutOfOrder`).
+//! The staged out-of-order pipeline (`CoreModelKind::OutOfOrder`): when a
+//! [`crate::Core`] of that preset issues and retires each record.
 //!
 //! Integer-cycle pipeline built from three stages:
 //!
@@ -22,10 +23,7 @@ use memsys::Hierarchy;
 
 use crate::branch::{GsharePredictor, MISPREDICT_PENALTY};
 use crate::config::SystemConfig;
-use crate::controller::PrefetchController;
-use crate::core_model::{ChainTable, CHAIN_TABLE_CAPACITY};
 use crate::lsq::LoadStoreQueue;
-use crate::metrics::CoreReport;
 use crate::rob::ReorderBuffer;
 
 /// Deterministic outcome of the conditional branch synthesised for `record`:
@@ -38,10 +36,9 @@ pub fn branch_outcome(record: &MemoryRecord) -> bool {
     (h >> 61) != 0
 }
 
-/// Timing and bookkeeping state of one out-of-order core.
+/// Timing state of one out-of-order core.
 #[derive(Debug)]
-pub struct OooCore {
-    core_id: usize,
+pub(crate) struct OooPipeline {
     fetch_width: u64,
     rob: ReorderBuffer,
     lsq: LoadStoreQueue,
@@ -50,62 +47,23 @@ pub struct OooCore {
     fetch_cycle: u64,
     /// Fetch slots already consumed within `fetch_cycle`.
     fetch_slots: u64,
-    instructions: u64,
-    /// Completion cycle of the most recent *dependent* load per PC (bounded,
-    /// deterministic FIFO eviction — shared policy with the Approx model).
-    chain_completion: ChainTable<u64>,
-    controller: PrefetchController,
-    epoch_len: u64,
-    epoch_instr_mark: u64,
-    epoch_cycle_mark: u64,
 }
 
-impl OooCore {
-    /// Creates an out-of-order core with the given id, configuration and
-    /// prefetch controller.
-    #[must_use]
-    pub fn new(core_id: usize, config: &SystemConfig, controller: PrefetchController) -> Self {
+impl OooPipeline {
+    pub(crate) fn new(config: &SystemConfig) -> Self {
         Self {
-            core_id,
             fetch_width: u64::from(config.fetch_width),
             rob: ReorderBuffer::new(config.rob_entries, config.commit_width),
             lsq: LoadStoreQueue::new(config.load_queue, config.store_queue),
             branch: GsharePredictor::new(),
             fetch_cycle: 0,
             fetch_slots: 0,
-            instructions: 0,
-            chain_completion: ChainTable::new(CHAIN_TABLE_CAPACITY),
-            controller,
-            epoch_len: config.selector_epoch_instructions,
-            epoch_instr_mark: 0,
-            epoch_cycle_mark: 0,
         }
     }
 
-    /// This core's id.
-    #[must_use]
-    pub const fn core_id(&self) -> usize {
-        self.core_id
-    }
-
-    /// Current simulated time in cycles — the later of the fetch clock and
-    /// the retirement frontier. Monotone; the multi-core drive loop uses it
-    /// to keep cores in rough lockstep.
-    #[must_use]
-    pub fn current_time(&self) -> f64 {
+    /// The later of the fetch clock and the retirement frontier. Monotone.
+    pub(crate) fn current_time(&self) -> f64 {
         self.rob.frontier().max(self.fetch_cycle) as f64
-    }
-
-    /// Instructions dispatched (and eventually retired) so far.
-    #[must_use]
-    pub const fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Borrow of the attached prefetch controller.
-    #[must_use]
-    pub const fn controller(&self) -> &PrefetchController {
-        &self.controller
     }
 
     /// Consumes `count` fetch slots at `fetch_width` per cycle.
@@ -115,12 +73,17 @@ impl OooCore {
         self.fetch_slots = total % self.fetch_width;
     }
 
-    /// Advances the core over one trace record, performing the demand access
-    /// and any resulting prefetches against `hierarchy`.
-    pub fn step(&mut self, record: &MemoryRecord, hierarchy: &mut Hierarchy) {
-        let gap = u64::from(record.gap_instructions);
-
+    /// Fetches `record`'s group, predicts its synthesised branch and waits
+    /// for a free LSQ slot; returns the cycle the access can issue and
+    /// whether the branch mispredicted.
+    pub(crate) fn issue(
+        &mut self,
+        record: &MemoryRecord,
+        hierarchy: &Hierarchy,
+        core_id: usize,
+    ) -> (u64, bool) {
         // --- Fetch: ROB space, then the group at fetch_width ----------------
+        let gap = u64::from(record.gap_instructions);
         let room = self.rob.make_room(gap + 1);
         if room > self.fetch_cycle {
             self.fetch_cycle = room;
@@ -128,109 +91,68 @@ impl OooCore {
         }
         self.rob.sample_occupancy();
         self.advance_fetch(gap);
-        let dispatch_cycle = self.fetch_cycle;
 
         // --- The synthesised conditional branch at the record boundary ------
         let mispredicted = self.branch.predict_and_train(record.pc.raw(), branch_outcome(record));
 
-        // --- Issue: LSQ allocation, chain dependence, the demand access -----
-        let is_load = record.kind == AccessKind::Load;
-        let mut issue = dispatch_cycle + 1;
-        issue = if is_load {
-            self.lsq.load_slot_ready(issue, hierarchy, self.core_id)
+        // --- Issue: the LSQ slot ---------------------------------------------
+        let ready = self.fetch_cycle + 1;
+        let issue = if record.kind == AccessKind::Load {
+            self.lsq.load_slot_ready(ready, hierarchy, core_id)
         } else {
-            self.lsq.store_slot_ready(issue)
+            self.lsq.store_slot_ready(ready)
         };
-        if record.dependent {
-            if let Some(ready) = self.chain_completion.get(record.pc.raw()) {
-                issue = issue.max(ready);
-            }
-        }
-        let demand = record.demand();
-        let result = hierarchy.demand_access_kind(self.core_id, demand.line(), issue, !is_load);
-        let completion = result.completion_cycle;
-        if record.dependent {
-            self.chain_completion.insert(record.pc.raw(), completion);
-        }
+        (issue, mispredicted)
+    }
+
+    /// Records the access in the LSQ and dispatches the record's group into
+    /// the window, where it retires in order; a mispredict then squashes
+    /// fetch.
+    pub(crate) fn retire(
+        &mut self,
+        record: &MemoryRecord,
+        issue: u64,
+        completion: u64,
+        mispredicted: bool,
+    ) {
+        let is_load = record.kind == AccessKind::Load;
         if is_load {
-            self.lsq.push_load(demand.line(), completion);
+            self.lsq.push_load(record.addr.line(), completion);
         } else {
             self.lsq.push_store(completion);
         }
-
-        // --- Prefetch triggers (gated on the wrong path) --------------------
-        let requests = self.controller.on_demand_access(&demand);
-        if !mispredicted {
-            for (k, req) in requests.iter().enumerate() {
-                // Prefetches trickle out of the prefetch queue one per cycle.
-                let delay = u64::try_from(k).expect("prefetch queue index fits in u64");
-                hierarchy.issue_prefetch(self.core_id, req, issue + 1 + delay);
-            }
-        }
-        self.controller.forward_feedback(hierarchy);
-
-        // --- Dispatch into the window ---------------------------------------
-        // Gap instructions are ready the cycle they dispatch; a load's result
-        // is ready at its fill, a store commits without waiting for its fill.
-        self.rob.dispatch(gap, dispatch_cycle);
+        // The fetch clock has not moved since `issue`, so it is the group's
+        // dispatch cycle. Gap instructions are ready the cycle they dispatch;
+        // a load's result is ready at its fill, a store commits without
+        // waiting for its fill.
+        self.rob.dispatch(u64::from(record.gap_instructions), self.fetch_cycle);
         self.rob.dispatch(1, if is_load { completion } else { issue });
-        self.instructions += gap + 1;
         self.advance_fetch(1);
         if mispredicted {
             // Squash: the front end refills after the resolution bubble.
             self.fetch_cycle += MISPREDICT_PENALTY;
             self.fetch_slots = 0;
         }
-
-        // --- Selector reward epochs -----------------------------------------
-        if self.instructions - self.epoch_instr_mark >= self.epoch_len {
-            let instr_delta = self.instructions - self.epoch_instr_mark;
-            let frontier = self.rob.frontier().max(self.fetch_cycle);
-            let cycle_delta = frontier.saturating_sub(self.epoch_cycle_mark).max(1);
-            self.controller.on_epoch(instr_delta, cycle_delta);
-            self.epoch_instr_mark = self.instructions;
-            self.epoch_cycle_mark = frontier;
-        }
     }
 
-    /// Produces the per-core report after the trace has been consumed.
-    #[must_use]
-    pub fn report(&self, workload_name: &str, hierarchy: &Hierarchy) -> CoreReport {
-        // Cycle count: everything dispatched retires (the ROB drains), and
-        // IPC derives from the rounded integer so JSON consumers recomputing
-        // instructions / cycles reproduce the report's own `ipc`.
-        let cycles = self.rob.drain_cycle().max(self.fetch_cycle).max(1);
-        CoreReport {
-            workload: workload_name.to_string(),
-            selector: self.controller.selector_name().to_string(),
-            instructions: self.instructions,
-            cycles,
-            ipc: self.instructions as f64 / cycles as f64,
-            timing: *hierarchy.timing_stats(self.core_id),
-            l1: *hierarchy.l1_stats(self.core_id),
-            l2: *hierarchy.l2_stats(self.core_id),
-            quality: *hierarchy.quality(self.core_id),
-            prefetchers: self
-                .controller
-                .table_stats()
-                .into_iter()
-                .map(|(name, stats)| crate::metrics::PrefetcherReport {
-                    name: name.to_string(),
-                    stats,
-                })
-                .collect(),
-            training_occurrences: self.controller.training_occurrences(),
-            table_misses: self.controller.table_misses(),
-            prefetches_issued: self.controller.stats().issued,
-            branch_mpki: Some(self.branch.mpki(self.instructions)),
-            rob_occupancy: Some(self.rob.mean_occupancy()),
-        }
+    /// Final cycle count: everything dispatched retires (the ROB drains).
+    pub(crate) fn cycles(&self) -> u64 {
+        self.rob.drain_cycle().max(self.fetch_cycle).max(1)
+    }
+
+    /// Branch MPKI over `instructions` and mean ROB occupancy.
+    pub(crate) fn metrics(&self, instructions: u64) -> (Option<f64>, Option<f64>) {
+        (Some(self.branch.mpki(instructions)), Some(self.rob.mean_occupancy()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CoreModelKind;
+    use crate::controller::PrefetchController;
+    use crate::core_model::Core;
+    use crate::metrics::CoreReport;
     use crate::selection::SelectionAlgorithm;
     use alecto_types::{Addr, Pc};
     use memsys::HierarchyParams;
@@ -243,9 +165,9 @@ mod tests {
     }
 
     fn run(algo: SelectionAlgorithm, records: &[MemoryRecord]) -> CoreReport {
-        let config = SystemConfig::skylake_like(1);
+        let config = SystemConfig::skylake_like(1).with_core_model(CoreModelKind::OutOfOrder);
         let controller = PrefetchController::new(CompositeKind::GsCsPmp, algo);
-        let mut core = OooCore::new(0, &config, controller);
+        let mut core = Core::new(0, &config, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         for r in records {
             core.step(r, &mut hier);

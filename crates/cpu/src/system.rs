@@ -1,8 +1,7 @@
-//! The multi-core system driver: one [`CoreEngine`] per core (the timing
-//! model [`SystemConfig::core_model`] selects, driven through the
-//! [`CoreTiming`] trait), a shared [`memsys::Hierarchy`], and a
-//! round-robin-by-time scheduler that keeps the cores in rough lockstep so
-//! that shared-resource contention (L3, DRAM channels) is modelled
+//! The multi-core [`System`]: one [`Core`] per core (in the timing preset
+//! [`SystemConfig::core_model`] selects), a shared [`memsys::Hierarchy`],
+//! and a round-robin-by-time scheduler that keeps the cores in rough lockstep
+//! so that shared-resource contention (L3, DRAM channels) is modelled
 //! faithfully.
 //!
 //! Records reach the drive loop one way: [`System::run_sources`], where each
@@ -18,7 +17,7 @@ use prefetch::CompositeKind;
 
 use crate::config::SystemConfig;
 use crate::controller::PrefetchController;
-use crate::core_timing::{CoreEngine, CoreTiming};
+use crate::core_model::Core;
 use crate::metrics::SystemReport;
 use crate::selection::SelectionAlgorithm;
 
@@ -50,7 +49,7 @@ pub struct System {
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
     hierarchy: Hierarchy,
-    cores: Vec<CoreEngine>,
+    cores: Vec<Core>,
 }
 
 impl System {
@@ -64,7 +63,7 @@ impl System {
     ) -> Self {
         let hierarchy = Hierarchy::new(config.hierarchy.clone());
         let cores = (0..config.cores)
-            .map(|id| CoreEngine::new(id, &config, PrefetchController::new(composite, algorithm)))
+            .map(|id| Core::new(id, &config, PrefetchController::new(composite, algorithm)))
             .collect();
         Self { config, algorithm, composite, hierarchy, cores }
     }

@@ -7,24 +7,21 @@
 
 use alecto_types::{Addr, MemoryRecord, Pc, TraceSource, Workload};
 use cpu::{
-    CompositeKind, CoreEngine, CoreModelKind, CoreTiming, PrefetchController, SelectionAlgorithm,
-    System, SystemConfig,
+    CompositeKind, Core, CoreModelKind, PrefetchController, SelectionAlgorithm, System,
+    SystemConfig,
 };
 use memsys::{Hierarchy, HierarchyParams};
 
 const BOTH: [CoreModelKind; 2] = [CoreModelKind::Approx, CoreModelKind::OutOfOrder];
 
-fn engine(kind: CoreModelKind) -> (CoreEngine, Hierarchy) {
+/// Steps `records` through a fresh core of `kind`, asserting the clock is
+/// monotone, and returns the final report.
+fn run_checked(kind: CoreModelKind, records: &[MemoryRecord]) -> cpu::CoreReport {
     let config = SystemConfig::skylake_like(1).with_core_model(kind);
     let controller =
         PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-    (CoreEngine::new(0, &config, controller), Hierarchy::new(HierarchyParams::skylake_like(1)))
-}
-
-/// Steps `records` through a fresh engine of `kind`, asserting the clock is
-/// monotone, and returns the final report.
-fn run_checked(kind: CoreModelKind, records: &[MemoryRecord]) -> cpu::CoreReport {
-    let (mut core, mut hier) = engine(kind);
+    let mut core = Core::new(0, &config, controller);
+    let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
     let mut last = core.current_time();
     for r in records {
         core.step(r, &mut hier);

@@ -13,11 +13,6 @@ pub enum Level {
     Dram,
 }
 
-impl Level {
-    /// All on-chip cache levels, ordered from closest to the core.
-    pub const CACHES: [Level; 3] = [Level::L1, Level::L2, Level::L3];
-}
-
 /// Parameters of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {

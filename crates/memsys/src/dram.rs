@@ -154,8 +154,7 @@ impl DramModel {
     }
 
     /// Idealised unloaded latency of a row-miss access (activation + column +
-    /// burst), used by the core model when estimating whether a prefetch could
-    /// have been timely.
+    /// burst): what a first access to an idle bank costs.
     #[must_use]
     pub fn unloaded_latency(&self) -> u64 {
         self.act_cycles + self.cas_cycles + self.burst_cycles

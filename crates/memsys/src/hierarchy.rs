@@ -2,7 +2,7 @@
 //! shared L3, and DRAM, plus the plumbing that lets the CPU model issue
 //! demand accesses and prefetch requests with cycle timestamps.
 
-use alecto_types::{FillLevel, LineAddr, Pc, PrefetchRequest, PrefetcherId};
+use alecto_types::{FillLevel, LineAddr, Pc, PrefetchOutcome, PrefetchRequest, PrefetcherId};
 
 use crate::cache::Cache;
 use crate::config::{HierarchyParams, Level};
@@ -63,22 +63,6 @@ pub struct PrefetchIssueResult {
     pub went_to_dram: bool,
 }
 
-/// Usefulness feedback about a previously issued prefetch, consumed by
-/// selection algorithms that learn from prefetch outcomes (PPF, Bandit reward
-/// shaping, statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchFeedback {
-    /// Which prefetcher issued the prefetch.
-    pub issuer: PrefetcherId,
-    /// PC that triggered it, if recorded.
-    pub trigger_pc: Option<Pc>,
-    /// The prefetched line.
-    pub line: LineAddr,
-    /// `true` if a demand access used the line, `false` if it was evicted
-    /// without use.
-    pub useful: bool,
-}
-
 /// Channel backlog (in 64 B burst slots) beyond which off-chip prefetches are
 /// dropped rather than queued behind demand traffic.
 const PREFETCH_DRAM_PRESSURE_LIMIT: f64 = 32.0;
@@ -104,9 +88,7 @@ pub struct Hierarchy {
     /// Memory-controller admission queue in front of the DRAM banks; demand
     /// and prefetch fills alike consume its drain bandwidth.
     dram_queue: BandwidthQueue,
-    feedback: Vec<PrefetchFeedback>,
-    prefetches_issued: u64,
-    prefetches_redundant: u64,
+    feedback: Vec<PrefetchOutcome>,
 }
 
 impl Hierarchy {
@@ -139,8 +121,6 @@ impl Hierarchy {
             cores,
             params,
             feedback: Vec::new(),
-            prefetches_issued: 0,
-            prefetches_redundant: 0,
         }
     }
 
@@ -148,12 +128,6 @@ impl Hierarchy {
     #[must_use]
     pub const fn params(&self) -> &HierarchyParams {
         &self.params
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// L1D statistics of `core`.
@@ -200,18 +174,6 @@ impl Hierarchy {
         self.dram_queue.stats()
     }
 
-    /// Total prefetches that actually went out (not dropped as redundant).
-    #[must_use]
-    pub const fn prefetches_issued(&self) -> u64 {
-        self.prefetches_issued
-    }
-
-    /// Prefetches dropped because the line was resident or in flight.
-    #[must_use]
-    pub const fn prefetches_redundant(&self) -> u64 {
-        self.prefetches_redundant
-    }
-
     /// Completion-time query for an individual outstanding access: the cycle
     /// at which the in-flight miss covering `line` completes, probing `core`'s
     /// private L1 and L2 MSHRs and then the shared L3 file, or `None` when the
@@ -239,7 +201,7 @@ impl Hierarchy {
     /// Moves the prefetch usefulness feedback accumulated since the last
     /// call into `out`, replacing its contents. The two buffers trade
     /// places, so a caller that keeps `out` between calls never allocates.
-    pub fn swap_feedback(&mut self, out: &mut Vec<PrefetchFeedback>) {
+    pub fn swap_feedback(&mut self, out: &mut Vec<PrefetchOutcome>) {
         out.clear();
         std::mem::swap(&mut self.feedback, out);
     }
@@ -253,7 +215,7 @@ impl Hierarchy {
     ) {
         let Some(ev) = evicted.filter(|ev| ev.was_unused_prefetch) else { return };
         let Some(issuer) = ev.prefetch_issuer else { return };
-        self.feedback.push(PrefetchFeedback {
+        self.feedback.push(PrefetchOutcome {
             issuer,
             trigger_pc: ev.trigger_pc,
             line: ev.line,
@@ -273,7 +235,7 @@ impl Hierarchy {
     ) -> Option<CoverageEvent> {
         let issuer = merged.prefetch_issuer.filter(|_| !merged.demand_merged)?;
         self.cores[core].quality.covered_untimely += 1;
-        self.feedback.push(PrefetchFeedback { issuer, trigger_pc: None, line, useful: true });
+        self.feedback.push(PrefetchOutcome { issuer, trigger_pc: None, line, useful: true });
         Some(CoverageEvent::CoveredUntimely { issuer, trigger_pc: None })
     }
 
@@ -339,7 +301,7 @@ impl Hierarchy {
             let coverage = if before.prefetched_unused {
                 let issuer = before.prefetch_issuer.expect("prefetched line records its issuer");
                 self.cores[core].quality.covered_timely += 1;
-                self.feedback.push(PrefetchFeedback {
+                self.feedback.push(PrefetchOutcome {
                     issuer,
                     trigger_pc: before.trigger_pc,
                     line,
@@ -376,7 +338,7 @@ impl Hierarchy {
             if meta.prefetched_unused {
                 let issuer = meta.prefetch_issuer.expect("prefetched line records its issuer");
                 self.cores[core].quality.covered_timely += 1;
-                self.feedback.push(PrefetchFeedback {
+                self.feedback.push(PrefetchOutcome {
                     issuer,
                     trigger_pc: meta.trigger_pc,
                     line,
@@ -401,7 +363,7 @@ impl Hierarchy {
                 if meta.prefetched_unused {
                     let issuer = meta.prefetch_issuer.expect("prefetched line records its issuer");
                     self.cores[core].quality.covered_timely += 1;
-                    self.feedback.push(PrefetchFeedback {
+                    self.feedback.push(PrefetchOutcome {
                         issuer,
                         trigger_pc: meta.trigger_pc,
                         line,
@@ -493,7 +455,6 @@ impl Hierarchy {
         let in_flight = self.cores[core].l1_mshr.lookup(line, now).is_some()
             || self.cores[core].l2_mshr.lookup(line, now).is_some();
         if resident || in_flight {
-            self.prefetches_redundant += 1;
             return PrefetchIssueResult {
                 issued: false,
                 completion_cycle: now,
@@ -510,7 +471,6 @@ impl Hierarchy {
             fill_level = FillLevel::L2;
         }
         if fill_level == FillLevel::L2 && !self.cores[core].l2_mshr.has_free(now) {
-            self.prefetches_redundant += 1;
             return PrefetchIssueResult {
                 issued: false,
                 completion_cycle: now,
@@ -519,7 +479,6 @@ impl Hierarchy {
         }
         if fill_level == FillLevel::L2 && self.cores[core].l2.contains(line) {
             // Demoted request finds its line already in the L2: nothing to do.
-            self.prefetches_redundant += 1;
             return PrefetchIssueResult {
                 issued: false,
                 completion_cycle: now,
@@ -560,7 +519,6 @@ impl Hierarchy {
                 // deep backlog, issuing the prefetch would only delay demand
                 // fills, so it is dropped instead.
                 if self.dram.queue_pressure(line, now + l3_latency) > PREFETCH_DRAM_PRESSURE_LIMIT {
-                    self.prefetches_redundant += 1;
                     return PrefetchIssueResult {
                         issued: false,
                         completion_cycle: now,
@@ -607,14 +565,7 @@ impl Hierarchy {
             self.record_eviction_feedback(core, ev);
         }
 
-        self.prefetches_issued += 1;
         PrefetchIssueResult { issued: true, completion_cycle: completion, went_to_dram }
-    }
-
-    /// Idealised DRAM latency (used by the core model for stall estimation).
-    #[must_use]
-    pub fn unloaded_dram_latency(&self) -> u64 {
-        self.params.l3.latency + self.dram.unloaded_latency()
     }
 }
 
@@ -698,7 +649,6 @@ mod tests {
         let req = PrefetchRequest::new(line, Pc::new(0x48), PrefetcherId(0));
         let p = h.issue_prefetch(0, &req, r.completion_cycle + 1);
         assert!(!p.issued);
-        assert_eq!(h.prefetches_redundant(), 1);
     }
 
     #[test]

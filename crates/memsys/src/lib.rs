@@ -37,9 +37,7 @@ pub use cache::{Cache, EvictionInfo, LineMeta};
 pub use config::{CacheParams, DramKind, DramParams, HierarchyParams, Level};
 pub use dram::DramModel;
 pub use dram::DramStats;
-pub use hierarchy::{
-    CoverageEvent, DemandResult, Hierarchy, PrefetchFeedback, PrefetchIssueResult,
-};
+pub use hierarchy::{CoverageEvent, DemandResult, Hierarchy, PrefetchIssueResult};
 pub use mshr::{MshrEntry, MshrFile};
 pub use stats::{CacheStats, Cycle, PrefetchQuality};
 pub use timing::{BandwidthQueue, BandwidthQueueStats, TimingParams, TimingStats};

@@ -180,10 +180,6 @@ impl Prefetcher for BertiPrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         // Per entry: tag 16 b + 8 history lines × 58 b + 8 deltas × (12 + 4) b + LRU 6 b.
         (self.config.entries as u64)

@@ -247,10 +247,6 @@ impl Prefetcher for CplxPrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         // IP entry: tag 16 b + last line 58 b + 2×12 b deltas + 2 b valid + 6 b LRU.
         // DPT entry: signature 12 b + delta 12 b + confidence 3 b + LRU 7 b.
@@ -347,8 +343,6 @@ mod tests {
         let s = pf.table_stats();
         assert!(s.lookups > 0);
         assert!(s.trainings > 0);
-        pf.reset_stats();
-        assert_eq!(pf.table_stats().lookups, 0);
     }
 
     #[test]

@@ -230,10 +230,6 @@ impl Prefetcher for PmpPrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         // Accumulation entry: page tag 36 b + footprint 64 b + trigger offset 6 b
         // + PC hash 10 b + LRU 4 b. PHT entry: signature 10 b + 64×2 b counters + LRU 6 b.
@@ -359,7 +355,5 @@ mod tests {
         assert!(pf.storage_bits() > 0);
         assert_eq!(pf.name(), "PMP");
         assert_eq!(pf.kind(), PrefetcherKind::Spatial);
-        pf.reset_stats();
-        assert_eq!(pf.table_stats().lookups, 0);
     }
 }

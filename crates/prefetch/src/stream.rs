@@ -227,10 +227,6 @@ impl Prefetcher for StreamPrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         // IP entry: tag 16 b + last line 58 b + dir 1 b + conf 2 b + LRU 6 b.
         // RST entry: region tag 48 b + touched 6 b + last index 5 b + 2×3 b + LRU 3 b.
@@ -310,8 +306,6 @@ mod tests {
         let s = pf.table_stats();
         assert_eq!(s.lookups, 5);
         assert_eq!(s.misses, 5);
-        pf.reset_stats();
-        assert_eq!(pf.table_stats().lookups, 0);
     }
 
     #[test]

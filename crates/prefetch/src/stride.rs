@@ -143,10 +143,6 @@ impl Prefetcher for StridePrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         // Per entry: tag (16 b folded PC), last line (58 b), stride (12 b),
         // confidence (2 b), LRU (6 b) — the same ballpark as IPCP's CS.
@@ -242,21 +238,6 @@ mod tests {
             pf.train_and_predict(&access(0x50, 0x2000), 4, &mut out);
         }
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn stats_reset_keeps_table() {
-        let mut pf = StridePrefetcher::default_config();
-        let mut out = Vec::new();
-        for i in 0..3u64 {
-            pf.train_and_predict(&access(0x60, 0x1000 + i * 64), 1, &mut out);
-        }
-        pf.reset_stats();
-        assert_eq!(pf.table_stats().trainings, 0);
-        out.clear();
-        // The learned stride survives the stats reset.
-        pf.train_and_predict(&access(0x60, 0x1000 + 3 * 64), 1, &mut out);
-        assert!(!out.is_empty());
     }
 
     #[test]

@@ -169,10 +169,6 @@ impl Prefetcher for TemporalPrefetcher {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = TableStats::default();
-    }
-
     fn storage_bits(&self) -> u64 {
         self.config.metadata_bytes * 8
     }

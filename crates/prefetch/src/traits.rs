@@ -50,28 +50,6 @@ pub struct TableStats {
     pub candidates_emitted: u64,
 }
 
-impl TableStats {
-    /// Table hit ratio in `[0, 1]`; zero when no lookups happened.
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Merges another stats record into this one.
-    pub fn merge(&mut self, other: &TableStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.trainings += other.trainings;
-        self.evictions += other.evictions;
-        self.candidates_emitted += other.candidates_emitted;
-    }
-}
-
 /// A hardware prefetcher that is trained on demand accesses and produces
 /// candidate prefetch lines.
 ///
@@ -108,10 +86,6 @@ pub trait Prefetcher: Send {
     /// Statistics of the internal metadata table.
     fn table_stats(&self) -> &TableStats;
 
-    /// Clears statistics (not the table contents), used between warm-up and
-    /// measurement phases.
-    fn reset_stats(&mut self);
-
     /// Storage requirement of the prefetcher's metadata in bits, for the
     /// Table III-style storage accounting.
     fn storage_bits(&self) -> u64;
@@ -125,35 +99,6 @@ pub trait Prefetcher: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_stats_ratio_and_merge() {
-        let mut a = TableStats {
-            lookups: 10,
-            hits: 7,
-            misses: 3,
-            trainings: 10,
-            evictions: 1,
-            candidates_emitted: 5,
-        };
-        assert!((a.hit_ratio() - 0.7).abs() < 1e-12);
-        let b = TableStats {
-            lookups: 10,
-            hits: 3,
-            misses: 7,
-            trainings: 2,
-            evictions: 0,
-            candidates_emitted: 1,
-        };
-        a.merge(&b);
-        assert_eq!(a.lookups, 20);
-        assert_eq!(a.hits, 10);
-        assert_eq!(a.misses, 10);
-        assert_eq!(a.trainings, 12);
-        assert_eq!(a.evictions, 1);
-        assert_eq!(a.candidates_emitted, 6);
-        assert_eq!(TableStats::default().hit_ratio(), 0.0);
-    }
 
     #[test]
     fn kind_temporal_flag() {

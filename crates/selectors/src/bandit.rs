@@ -106,12 +106,6 @@ impl BanditSelector {
         Self::new_with_variant(BanditConfig::extended(c, m, prefetchers), Variant::Extended)
     }
 
-    /// Custom configuration (treated as an extended variant for naming).
-    #[must_use]
-    pub fn with_config(config: BanditConfig) -> Self {
-        Self::new_with_variant(config, Variant::Extended)
-    }
-
     /// Configuration in use.
     #[must_use]
     pub const fn config(&self) -> &BanditConfig {

@@ -32,5 +32,5 @@ pub use dol::DolSelector;
 pub use filter::PrefetchFilter;
 pub use ipcp::IpcpSelector;
 pub use ppf::{PpfConfig, PpfFilterSelector};
-pub use traits::{AllocationDecision, Allocations, DegreeAllocation, PrefetchOutcome, Selector};
+pub use traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 pub use triangel::TriangelFilterSelector;

@@ -10,11 +10,11 @@
 
 use std::collections::BTreeMap;
 
-use alecto_types::{fold_pc, DemandAccess, LineAddr, PrefetchRequest};
+use alecto_types::{fold_pc, DemandAccess, LineAddr, PrefetchOutcome, PrefetchRequest};
 use prefetch::Prefetcher;
 
 use crate::ipcp::IpcpSelector;
-use crate::traits::{AllocationDecision, PrefetchOutcome, Selector};
+use crate::traits::{AllocationDecision, Selector};
 
 const FEATURE_TABLE_BITS: u32 = 8;
 const FEATURE_TABLE_SIZE: usize = 1 << FEATURE_TABLE_BITS;

@@ -14,7 +14,7 @@
 //! 3. [`Selector::on_prefetch_outcome`] / [`Selector::on_epoch`] — learn from
 //!    prefetch usefulness feedback and periodic performance rewards.
 
-use alecto_types::{DemandAccess, LineAddr, Pc, PrefetchRequest, PrefetcherId};
+use alecto_types::{DemandAccess, PrefetchOutcome, PrefetchRequest};
 use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
 
 /// Degree granted to one prefetcher for one demand access.
@@ -117,21 +117,6 @@ impl AllocationDecision {
     pub fn allocated_count(&self) -> usize {
         self.per_prefetcher.iter().filter(|d| d.is_some()).count()
     }
-}
-
-/// Usefulness feedback about a previously issued prefetch, delivered when the
-/// prefetched line is either used by a demand access or evicted unused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchOutcome {
-    /// Which prefetcher issued the prefetch.
-    pub issuer: PrefetcherId,
-    /// PC that triggered the prefetch, when known.
-    pub trigger_pc: Option<Pc>,
-    /// The prefetched line.
-    pub line: LineAddr,
-    /// `true` if a demand access hit the line, `false` if it was evicted
-    /// without use.
-    pub useful: bool,
 }
 
 /// A prefetcher selection algorithm.

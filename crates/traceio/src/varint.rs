@@ -6,7 +6,7 @@
 //! mapping first so that small *negative* deltas — backwards strides, the
 //! return edge of a pointer chase — stay small on the wire too.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Maximum encoded size of a `u64` LEB128 varint, in bytes.
 pub const MAX_VARINT_BYTES: usize = 10;
@@ -78,18 +78,6 @@ pub fn decode_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
 /// Propagates the [`decode_u64`] error conditions.
 pub fn decode_i64<R: Read>(reader: &mut R) -> io::Result<i64> {
     decode_u64(reader).map(unzigzag)
-}
-
-/// Writes `value` as LEB128 straight to `writer` (header-sized fields only;
-/// the record codec batches through a `Vec` buffer instead).
-///
-/// # Errors
-///
-/// Propagates the underlying write error.
-pub fn write_u64<W: Write>(writer: &mut W, value: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(MAX_VARINT_BYTES);
-    encode_u64(value, &mut buf);
-    writer.write_all(&buf)
 }
 
 #[cfg(test)]

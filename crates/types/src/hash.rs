@@ -35,38 +35,6 @@ pub fn fold_pc(pc: Pc, bits: u32) -> u32 {
     (folded & mask) as u32
 }
 
-/// A reusable folded-XOR hasher with a fixed output width, convenient when a
-/// table stores many hashed PC tags of the same width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FoldedPcHasher {
-    bits: u32,
-}
-
-impl FoldedPcHasher {
-    /// Creates a hasher producing `bits`-wide hashes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 32.
-    #[must_use]
-    pub fn new(bits: u32) -> Self {
-        assert!(bits > 0 && bits <= 32, "fold width must be 1..=32 bits");
-        Self { bits }
-    }
-
-    /// Output width in bits.
-    #[must_use]
-    pub const fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Hashes a PC.
-    #[must_use]
-    pub fn hash(&self, pc: Pc) -> u32 {
-        fold_pc(pc, self.bits)
-    }
-}
-
 /// Offset basis of the FNV-1a64 hash ([`fnv1a_64`] starts from this).
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -131,13 +99,6 @@ mod tests {
         let a = fold_pc(Pc::new(0x30b00), 9);
         let b = fold_pc(Pc::new(0x30aca), 9);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn hasher_matches_free_function() {
-        let h = FoldedPcHasher::new(9);
-        assert_eq!(h.bits(), 9);
-        assert_eq!(h.hash(Pc::new(0x1234_5678)), fold_pc(Pc::new(0x1234_5678), 9));
     }
 
     #[test]

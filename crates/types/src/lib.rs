@@ -1,9 +1,9 @@
 //! Common types shared across the Alecto reproduction workspace.
 //!
 //! This crate deliberately contains only small, dependency-free building
-//! blocks: strongly typed addresses, demand/prefetch request descriptors,
-//! saturating counters, the folded-XOR PC hash used by the Sandbox Table, and
-//! a handful of statistics helpers used when aggregating results.
+//! blocks: strongly typed addresses, demand/prefetch request and prefetch
+//! outcome descriptors, saturating counters, the folded-XOR PC hash used by
+//! the Sandbox Table, and the geometric mean used when aggregating results.
 //!
 //! # Example
 //!
@@ -30,7 +30,9 @@ pub use addr::{
     PAGE_OFFSET_BITS,
 };
 pub use counter::{RatioCounter, SaturatingCounter};
-pub use hash::{fnv1a_64, fold_pc, FoldedPcHasher, FNV1A_OFFSET};
-pub use request::{AccessKind, DemandAccess, FillLevel, PrefetchRequest, PrefetcherId};
-pub use stats::{geomean, harmonic_mean, weighted_geomean, Summary};
+pub use hash::{fnv1a_64, fold_pc, FNV1A_OFFSET};
+pub use request::{
+    AccessKind, DemandAccess, FillLevel, PrefetchOutcome, PrefetchRequest, PrefetcherId,
+};
+pub use stats::geomean;
 pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource, Workload};

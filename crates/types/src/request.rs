@@ -1,5 +1,6 @@
-//! Demand-access and prefetch-request descriptors exchanged between the core,
-//! the selection framework, the prefetchers and the cache hierarchy.
+//! Demand-access, prefetch-request and prefetch-outcome descriptors exchanged
+//! between the core, the selection framework, the prefetchers and the cache
+//! hierarchy.
 
 use crate::addr::{Addr, LineAddr, Pc};
 
@@ -122,6 +123,22 @@ impl PrefetchRequest {
         self.fill_level = level;
         self
     }
+}
+
+/// Usefulness feedback about a previously issued prefetch, recorded by the
+/// cache hierarchy when the prefetched line is either used by a demand access
+/// or evicted unused, and delivered to the selection algorithm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefetchOutcome {
+    /// Which prefetcher issued the prefetch.
+    pub issuer: PrefetcherId,
+    /// PC that triggered the prefetch, when known.
+    pub trigger_pc: Option<Pc>,
+    /// The prefetched line.
+    pub line: LineAddr,
+    /// `true` if a demand access hit the line, `false` if it was evicted
+    /// without use.
+    pub useful: bool,
 }
 
 #[cfg(test)]

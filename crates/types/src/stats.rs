@@ -1,6 +1,6 @@
-//! Statistics helpers used when aggregating per-benchmark results into the
+//! The statistics helper used when aggregating per-benchmark results into the
 //! geometric means the paper reports (every speedup figure is a geomean over
-//! benchmarks, and single-core SPEC numbers are weighted over checkpoints).
+//! benchmarks).
 
 /// Geometric mean of a slice of positive values.
 ///
@@ -21,109 +21,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Weighted geometric mean; weights must be non-negative and not all zero.
-///
-/// Used to aggregate per-checkpoint results "with weighted averages" (§V-D).
-#[must_use]
-pub fn weighted_geomean(values: &[f64], weights: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.len() != weights.len() {
-        return None;
-    }
-    if values.iter().any(|v| *v <= 0.0) || weights.iter().any(|w| *w < 0.0) {
-        return None;
-    }
-    let total_weight: f64 = weights.iter().sum();
-    if total_weight <= 0.0 {
-        return None;
-    }
-    let log_sum: f64 = values.iter().zip(weights).map(|(v, w)| w * v.ln()).sum();
-    Some((log_sum / total_weight).exp())
-}
-
-/// Harmonic mean of positive values (used for multi-programmed throughput
-/// sanity checks; the paper's multi-core figures report weighted speedups).
-#[must_use]
-pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|v| *v <= 0.0) {
-        return None;
-    }
-    let inv_sum: f64 = values.iter().map(|v| 1.0 / v).sum();
-    Some(values.len() as f64 / inv_sum)
-}
-
-/// A running summary (count, mean, min, max) of an online stream of samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Summary {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples added.
-    #[must_use]
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub const fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or `None` if no samples were added.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Smallest sample seen, or `None` if empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Largest sample seen, or `None` if empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,45 +30,5 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]).unwrap() - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[1.0, 0.0]), None);
         assert_eq!(geomean(&[1.0, -1.0]), None);
-    }
-
-    #[test]
-    fn weighted_geomean_reduces_to_geomean_with_equal_weights() {
-        let v = [1.1, 1.3, 0.9, 2.0];
-        let w = [1.0, 1.0, 1.0, 1.0];
-        let a = geomean(&v).unwrap();
-        let b = weighted_geomean(&v, &w).unwrap();
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_geomean_validates_input() {
-        assert_eq!(weighted_geomean(&[1.0], &[1.0, 2.0]), None);
-        assert_eq!(weighted_geomean(&[1.0], &[0.0]), None);
-        assert_eq!(weighted_geomean(&[1.0], &[-1.0]), None);
-        assert_eq!(weighted_geomean(&[], &[]), None);
-    }
-
-    #[test]
-    fn harmonic_mean_basic() {
-        assert!((harmonic_mean(&[1.0, 1.0]).unwrap() - 1.0).abs() < 1e-12);
-        assert!((harmonic_mean(&[2.0, 6.0]).unwrap() - 3.0).abs() < 1e-12);
-        assert_eq!(harmonic_mean(&[]), None);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        for x in [3.0, 1.0, 2.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-        assert!((s.mean().unwrap() - 2.0).abs() < 1e-12);
-        assert!((s.sum() - 6.0).abs() < 1e-12);
     }
 }

@@ -5,7 +5,9 @@
 //! pure wall-clock knob and lets CI compare `BENCH_*.json` files across
 //! machines.
 
+use alecto_repro::types::{fnv1a_64, FNV1A_OFFSET};
 use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
+use harness::cellcache::report_to_json;
 use harness::runner::{run_multicore_mix, run_single_core_suite};
 use harness::SpeedupGrid;
 
@@ -27,6 +29,42 @@ fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid
 
 fn quick_suite(jobs: usize) -> SpeedupGrid {
     quick_suite_with_model(jobs, CoreModelKind::Approx)
+}
+
+fn canneal_mix(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
+    run_multicore_mix(
+        "canneal-x4",
+        &traces::parsec::per_core_sources("canneal", 500, 4),
+        &[SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
+        CompositeKind::GsCsPmp,
+        &SystemConfig::skylake_like(4).with_core_model(core_model),
+        jobs,
+    )
+}
+
+/// FNV-1a64 over the canonical JSON of every report in `grid`: each
+/// benchmark's baseline, then its algorithms in run order.
+fn grid_digest(grid: &SpeedupGrid) -> u64 {
+    grid.benchmarks
+        .iter()
+        .flat_map(|b| std::iter::once(&b.baseline).chain(b.algorithms.iter().map(|a| &a.report)))
+        .fold(FNV1A_OFFSET, |h, report| fnv1a_64(h, report_to_json(report).as_bytes()))
+}
+
+/// Asserts the single-core suite and the 4-core mix under `core_model` hash
+/// to the pinned digests.
+fn assert_digests(core_model: CoreModelKind, suite: u64, mix: u64) {
+    let got = (
+        grid_digest(&quick_suite_with_model(1, core_model)),
+        grid_digest(&canneal_mix(1, core_model)),
+    );
+    assert_eq!(
+        got,
+        (suite, mix),
+        "{core_model:?} reports moved: (suite, canneal-x4) digests are {:#018x}, {:#018x}",
+        got.0,
+        got.1
+    );
 }
 
 fn assert_grids_identical(a: &SpeedupGrid, b: &SpeedupGrid) {
@@ -123,17 +161,24 @@ fn out_of_order_suite_is_identical_at_any_jobs() {
 
 #[test]
 fn multicore_mix_is_identical_across_worker_counts() {
-    let mk = |jobs: usize| {
-        run_multicore_mix(
-            "canneal-x4",
-            &traces::parsec::per_core_sources("canneal", 500, 4),
-            &[SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
-            CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(4),
-            jobs,
-        )
-    };
+    let mk = |jobs: usize| canneal_mix(jobs, CoreModelKind::Approx);
     assert_grids_identical(&mk(1), &mk(3));
+}
+
+// Digest pins: every report byte of both core models, single- and
+// multi-core. `BENCH_quick.json` covers the out-of-order model only through a
+// few single-core cells, so these pins are what hold a refactor of the core
+// models to byte-identical output. Re-record them only for a change that is
+// meant to move results.
+
+#[test]
+fn approx_report_digests_are_pinned() {
+    assert_digests(CoreModelKind::Approx, 0x72a4_6ad9_bcd8_deb8, 0xa9dd_61a9_3479_4cb9);
+}
+
+#[test]
+fn out_of_order_report_digests_are_pinned() {
+    assert_digests(CoreModelKind::OutOfOrder, 0xfbac_1f8c_8a8c_c96c, 0x749c_f129_75ab_9d2d);
 }
 
 #[test]
