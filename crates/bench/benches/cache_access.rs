@@ -1,133 +1,19 @@
-//! Hot-path comparison: the flat-array cache (`memsys::Cache`) versus the
-//! original `Vec<Vec<LineMeta>>` layout it replaced, on the exact
-//! demand-lookup + fill sequence a simulated access performs.
+//! Hot-path benchmark of the flat-array cache (`memsys::Cache`) on the exact
+//! demand-lookup + fill sequence a simulated access performs, covering the
+//! regimes the simulator mixes per access:
 //!
-//! `LegacyCache` below is a faithful copy of the pre-rewrite implementation
-//! (per-set `Vec` of metadata structs, line scan over whole 56-byte entries,
-//! `min_by_key` eviction). The benchmark drives both through identical
-//! workloads covering the regimes the simulator mixes per access:
-//!
-//! * steady-state **hit service** (`*_hits`, `*_l3`) — the common case for a
-//!   provisioned cache, where the packed tag lane + tag-bit flags let a hit
-//!   touch two cache lines instead of walking metadata structs; this is
-//!   where the rewrite targets ≥2× (measured ≈1.8–2.0× on an unloaded
-//!   machine, L2 and L3 geometries alike);
-//! * **residency probes** (`*_probe`) — the 1–3 `contains` checks every
-//!   prefetch issue performs (≈1.5×);
-//! * the all-miss **eviction storm** (`flat_array_new` vs
-//!   `vec_of_vec_legacy`) — the adversarial bound where every access scans,
-//!   misses and evicts; the old layout's single 448 B block is hard to beat
-//!   here and the flat layout concedes ~10–25%, which end-to-end grid
-//!   timings show is fully absorbed by the rest of the simulator.
+//! * the all-miss **eviction storm** (`flat_array_new`), where every access
+//!   scans, misses and evicts;
+//! * steady-state **hit service** (`flat_array_new_hits`, `flat_array_new_l3`),
+//!   the common case for a provisioned cache, where the packed tag lane and
+//!   tag-bit flags let a hit touch two cache lines;
+//! * **residency probes** (`flat_array_new_probe`), the 1–3 `contains`
+//!   checks every prefetch issue performs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memsys::{Cache, CacheParams};
 
-use alecto_types::{LineAddr, Pc, PrefetcherId};
-
-// --- The pre-rewrite implementation, kept verbatim for the comparison. ----
-
-#[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // mirrors the old layout byte for byte; some fields exist only for size
-struct LegacyLineMeta {
-    line: LineAddr,
-    dirty: bool,
-    prefetched_unused: bool,
-    prefetch_issuer: Option<PrefetcherId>,
-    trigger_pc: Option<Pc>,
-    lru_stamp: u64,
-}
-
-struct LegacyCache {
-    ways: usize,
-    num_sets: usize,
-    sets: Vec<Vec<LegacyLineMeta>>,
-    stamp: u64,
-    demand_hits: u64,
-    demand_misses: u64,
-}
-
-impl LegacyCache {
-    fn new(params: CacheParams) -> Self {
-        let num_sets = params.num_sets();
-        Self {
-            ways: params.ways,
-            num_sets,
-            sets: vec![Vec::with_capacity(params.ways); num_sets],
-            stamp: 0,
-            demand_hits: 0,
-            demand_misses: 0,
-        }
-    }
-
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() as usize) & (self.num_sets - 1)
-    }
-
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
-    }
-
-    fn demand_lookup(&mut self, line: LineAddr, is_store: bool) -> Option<LegacyLineMeta> {
-        let idx = self.set_index(line);
-        let stamp = self.next_stamp();
-        let entry = self.sets[idx].iter_mut().find(|e| e.line == line);
-        match entry {
-            Some(e) => {
-                let before = *e;
-                e.lru_stamp = stamp;
-                if is_store {
-                    e.dirty = true;
-                }
-                e.prefetched_unused = false;
-                self.demand_hits += 1;
-                Some(before)
-            }
-            None => {
-                self.demand_misses += 1;
-                None
-            }
-        }
-    }
-
-    fn contains(&self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        self.sets[idx].iter().any(|e| e.line == line)
-    }
-
-    fn fill(&mut self, line: LineAddr) -> Option<LegacyLineMeta> {
-        let idx = self.set_index(line);
-        let stamp = self.next_stamp();
-        if let Some(e) = self.sets[idx].iter_mut().find(|e| e.line == line) {
-            e.lru_stamp = stamp;
-            return None;
-        }
-        let meta = LegacyLineMeta {
-            line,
-            dirty: false,
-            prefetched_unused: false,
-            prefetch_issuer: None,
-            trigger_pc: None,
-            lru_stamp: stamp,
-        };
-        if self.sets[idx].len() < self.ways {
-            self.sets[idx].push(meta);
-            return None;
-        }
-        let victim_pos = self.sets[idx]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.lru_stamp)
-            .map(|(i, _)| i)
-            .expect("set is non-empty when full");
-        let victim = self.sets[idx][victim_pos];
-        self.sets[idx][victim_pos] = meta;
-        Some(victim)
-    }
-}
-
-// --- Shared drive sequence --------------------------------------------------
+use alecto_types::LineAddr;
 
 /// A deterministic mixed line sequence: one streaming walker, one strided
 /// walker and one xorshift "random" walker, interleaved — enough conflict
@@ -202,21 +88,6 @@ fn bench_cache_access(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("vec_of_vec_legacy", |b| {
-        let mut cache = LegacyCache::new(l2_params());
-        b.iter(|| {
-            let mut hits = 0u64;
-            for &line in &seq {
-                if cache.demand_lookup(line, false).is_none() {
-                    cache.fill(line);
-                } else {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        });
-    });
-
     group.bench_function("flat_array_new_hits", |b| {
         let mut cache = Cache::new(l2_params());
         b.iter(|| {
@@ -232,24 +103,7 @@ fn bench_cache_access(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("vec_of_vec_legacy_hits", |b| {
-        let mut cache = LegacyCache::new(l2_params());
-        b.iter(|| {
-            let mut hits = 0u64;
-            for &line in &hot_seq {
-                if cache.demand_lookup(line, false).is_none() {
-                    cache.fill(line);
-                } else {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        });
-    });
-
-    // The shared L3 (2048 sets × 16 ways): the widest scan in Table I, where
-    // the packed tag lane (2 cache lines) replaces a walk over 16 × 56 B of
-    // metadata structs.
+    // The shared L3 (2048 sets × 16 ways): the widest scan in Table I.
     let l3_seq: Vec<LineAddr> = {
         let mut rnd = 777u64;
         (0..64 * 1024)
@@ -277,46 +131,12 @@ fn bench_cache_access(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("vec_of_vec_legacy_l3", |b| {
-        let mut cache = LegacyCache::new(l3_params());
-        b.iter(|| {
-            let mut hits = 0u64;
-            for &line in &l3_seq {
-                if cache.demand_lookup(line, false).is_none() {
-                    cache.fill(line);
-                } else {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        });
-    });
-
     // Prefetch-probe path: every issued prefetch performs 1-3 residency
     // probes (`contains`) against the private levels before any fill.
     group.bench_function("flat_array_new_probe", |b| {
         let mut cache = Cache::new(l2_params());
         for &line in &hot_seq {
             cache.fill(line, None, None, false);
-        }
-        b.iter(|| {
-            let mut resident = 0u64;
-            for &line in &hot_seq {
-                if cache.contains(line) {
-                    resident += 1;
-                }
-                if cache.contains(LineAddr::new(line.raw() + (1 << 30))) {
-                    resident += 1;
-                }
-            }
-            black_box(resident)
-        });
-    });
-
-    group.bench_function("vec_of_vec_legacy_probe", |b| {
-        let mut cache = LegacyCache::new(l2_params());
-        for &line in &hot_seq {
-            cache.fill(line);
         }
         b.iter(|| {
             let mut resident = 0u64;

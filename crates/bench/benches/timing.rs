@@ -34,7 +34,10 @@ fn demand_access_with_timing(c: &mut Criterion) {
         ("bandwidth_bound", TimingParams::bandwidth_bound()),
     ] {
         group.bench_function(label, |b| {
-            let mut hier = Hierarchy::new(HierarchyParams::with_timing(1, params));
+            let mut hier = Hierarchy::new(HierarchyParams {
+                timing: params,
+                ..HierarchyParams::skylake_like(1)
+            });
             let mut line = 0u64;
             let mut cycle = 0u64;
             b.iter(|| {
@@ -57,11 +60,10 @@ fn drive_loop_under_timing_presets(c: &mut Criterion) {
         group.bench_function(label, |b| {
             let source = traces::db::source("seq-scan", 4_000);
             b.iter(|| {
-                let mut system = System::new(
-                    SystemConfig::with_timing(1, params),
-                    SelectionAlgorithm::Alecto,
-                    CompositeKind::GsCsPmp,
-                );
+                let mut config = SystemConfig::skylake_like(1);
+                config.hierarchy.timing = params;
+                let mut system =
+                    System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
                 let report =
                     system.run_sources(std::slice::from_ref(&source)).expect("non-empty sources");
                 black_box(report.avg_mem_latency())

@@ -3,12 +3,11 @@
 //!
 //! All construction funnels through [`SystemConfig::from_machine`]: a
 //! [`MachineSpec`] (from the built-in registry, a machine file, or the
-//! anonymous [`MachineSpec::table1`] defaults) is lowered into the concrete
-//! simulator parameters here, and the historical `with_*` constructors are
-//! thin wrappers over that one lowering.
+//! anonymous [`MachineSpec::table1`] defaults, varied with its `with_*`
+//! modifiers) is lowered into the concrete simulator parameters here.
 
 use machine::{MachineSpec, PrefetchStack};
-use memsys::{DramKind, HierarchyParams};
+use memsys::HierarchyParams;
 use prefetch::CompositeKind;
 
 pub use machine::CoreModelKind;
@@ -100,26 +99,6 @@ impl SystemConfig {
     pub fn with_core_model(mut self, kind: CoreModelKind) -> Self {
         self.core_model = kind;
         self
-    }
-
-    /// Table I configuration with an explicit LLC capacity per core (Fig. 15).
-    #[must_use]
-    pub fn with_llc_per_core(cores: usize, llc_bytes_per_core: u64) -> Self {
-        Self::from_machine(&MachineSpec::table1(cores).with_llc_per_core(llc_bytes_per_core))
-    }
-
-    /// Table I configuration with the given DRAM generation (Fig. 16).
-    #[must_use]
-    pub fn with_dram(cores: usize, kind: DramKind) -> Self {
-        Self::from_machine(&MachineSpec::table1(cores).with_dram_kind(kind))
-    }
-
-    /// Table I configuration with explicit timing knobs (the `timing`
-    /// experiment sweeps latency-sensitive vs bandwidth-bound DRAM admission
-    /// rates).
-    #[must_use]
-    pub fn with_timing(cores: usize, timing: memsys::TimingParams) -> Self {
-        Self::from_machine(&MachineSpec::table1(cores).with_timing(timing))
     }
 
     /// Renders the configuration as the rows of Table I (used by the harness's
@@ -226,10 +205,11 @@ mod tests {
 
     #[test]
     fn llc_and_dram_variants() {
-        let c = SystemConfig::with_llc_per_core(1, 512 * 1024);
+        let c = SystemConfig::from_machine(&MachineSpec::table1(1).with_llc_per_core(512 * 1024));
         assert_eq!(c.hierarchy.l3.size_bytes, 512 * 1024);
-        let c = SystemConfig::with_dram(1, DramKind::Ddr3_1600);
-        assert_eq!(c.hierarchy.dram.kind, DramKind::Ddr3_1600);
+        let kind = memsys::DramKind::Ddr3_1600;
+        let c = SystemConfig::from_machine(&MachineSpec::table1(1).with_dram_kind(kind));
+        assert_eq!(c.hierarchy.dram.kind, kind);
     }
 
     #[test]

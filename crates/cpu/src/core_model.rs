@@ -376,6 +376,7 @@ mod tests {
     use super::*;
     use crate::selection::SelectionAlgorithm;
     use alecto_types::{Addr, Pc};
+    use machine::MachineSpec;
     use memsys::HierarchyParams;
     use prefetch::CompositeKind;
 
@@ -488,7 +489,7 @@ mod tests {
         // slower and expose a higher average memory latency.
         let trace = stream_trace(4_000, 6);
         let run_with = |timing: memsys::TimingParams| {
-            let config = SystemConfig::with_timing(1, timing);
+            let config = SystemConfig::from_machine(&MachineSpec::table1(1).with_timing(timing));
             let controller =
                 PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
             let mut core = Core::new(0, &config, controller);

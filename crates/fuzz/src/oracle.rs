@@ -117,8 +117,10 @@ pub fn run_cell(
     system.run_sources(std::slice::from_ref(source)).expect("one source provided")
 }
 
-/// FNV-1a64 digest of a report's full `Debug` rendering — the identity the
-/// repro manifest pins and replay compares against.
+/// Digest of a report's full `Debug` rendering — the identity the repro
+/// manifest pins and replay compares against. It is an FNV-1a-style fold
+/// whose multiplier `0x1_0000_01b3` is not the FNV-1a64 prime, so it is not
+/// `alecto_types::fnv1a_64`; persisted manifests pin its values.
 #[must_use]
 pub fn report_digest(report: &SystemReport) -> u64 {
     format!("{report:?}")

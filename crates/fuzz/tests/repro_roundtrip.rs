@@ -90,7 +90,7 @@ fn persisted_finding_replays_byte_identically() {
 
     // The recorded trace passes a full verification walk.
     let reader = traceio::TraceReader::open(&paths.trace).expect("open repro trace");
-    reader.verify_blocks().expect("repro trace verifies");
+    reader.stats().expect("repro trace verifies");
 
     // Replay re-fires the recorded oracle and reproduces the report digest.
     let first = replay(&paths.manifest).expect("replay");

@@ -1013,6 +1013,33 @@ pub fn replay(sources: &[TraceSource], scale: &RunScale) -> Experiment {
         )
 }
 
+/// Resolves a trace spec, a registered benchmark name or `file:<path>`, into
+/// a lazy source plus the seed to stamp when re-recording it: the one
+/// resolver behind `trace record`, `trace replay` and the sweep server's
+/// replay sweeps. A file-backed trace is opened and fully verified (every
+/// block and the body checksum) before it is returned, so a corrupt file is
+/// an error here instead of a panic inside a running cell. `accesses` caps a
+/// file's replay and sizes a generated one (default: [`RunScale::default`]).
+///
+/// # Errors
+///
+/// Returns a message naming the spec's file or benchmark when the file
+/// cannot be opened or verified, or the benchmark is unknown.
+pub fn resolve_trace_spec(
+    spec: &str,
+    accesses: Option<usize>,
+) -> Result<(TraceSource, u64), String> {
+    if let Some(path) = traceio::file_spec_path(spec) {
+        let reader = traceio::TraceReader::open(path).map_err(|err| err.to_string())?;
+        reader.stats().map_err(|err| format!("{}: {err}", path.display()))?;
+        return Ok((reader.source(accesses), reader.header().seed));
+    }
+    let suite = traces::Suite::of(spec)
+        .ok_or_else(|| format!("unknown benchmark {spec:?} (see `alecto-harness list`)"))?;
+    let accesses = accesses.unwrap_or(RunScale::default().accesses);
+    Ok((suite.source(spec, accesses), traces::derive_seed(spec, 0)))
+}
+
 /// Every experiment id the CLI dispatches, in paper order, plus the
 /// composite runs — what `alecto-harness list` prints. Kept next to
 /// [`all`] so a new experiment is added to both or neither.
@@ -1111,6 +1138,13 @@ mod tests {
 
     fn tiny() -> RunScale {
         RunScale::with_accesses(600, 300)
+    }
+
+    #[test]
+    fn replay_specs_resolve_benchmarks_and_reject_junk() {
+        assert!(resolve_trace_spec("lbm", Some(100)).is_ok());
+        assert!(resolve_trace_spec("no-such-benchmark", Some(100)).is_err());
+        assert!(resolve_trace_spec("file:/does/not/exist.altr", Some(100)).is_err());
     }
 
     #[test]

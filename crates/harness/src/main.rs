@@ -14,7 +14,7 @@
 //! alecto-harness serve [--addr HOST:PORT] [--sweep-workers N] [--jobs N]
 //!                      [--cache-capacity N] [--cache-dir PATH]
 //! alecto-harness trace record <benchmark> [--accesses N] --out PATH
-//! alecto-harness trace info <file.altr> [--verify]
+//! alecto-harness trace info <file.altr>
 //! alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]
 //!                             [--machine NAME|FILE] [--core-model approx|ooo] [--json PATH]
 //! alecto-harness trace import <records.txt> --out PATH [--name NAME] [--memory-intensive]
@@ -53,10 +53,10 @@
 //!
 //! * `record` writes a registered benchmark's stream to a versioned binary
 //!   `.altr` file (see the `traceio` crate for the format);
-//! * `info` prints the trace header plus per-field statistics, verifying
-//!   the body checksum; `--verify` additionally re-walks the block framing
-//!   and per-record encoding, exiting 2 with a block-numbered error on the
-//!   first structural defect or checksum mismatch;
+//! * `info` prints the trace header plus per-field statistics from one
+//!   full decode that checks every block's framing and records and the body
+//!   checksum, exiting 2 with a block-numbered error on the first structural
+//!   defect or checksum mismatch;
 //! * `replay` drives the full hierarchy × selector grid of the paper's main
 //!   comparison from a trace — a `file:PATH` spec replays a recorded file,
 //!   a benchmark name runs the same grid from the generator, and the two
@@ -131,7 +131,7 @@ fn usage() -> ! {
          \x20      alecto-harness serve [--addr HOST:PORT] [--sweep-workers N] [--jobs N]\n\
          \x20                           [--cache-capacity N] [--cache-dir PATH]\n\
          \x20      alecto-harness trace record <benchmark> [--accesses N] --out PATH\n\
-         \x20      alecto-harness trace info <file.altr> [--verify]\n\
+         \x20      alecto-harness trace info <file.altr>\n\
          \x20      alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]\n\
          \x20                                  [--machine NAME|FILE]\n\
          \x20                                  [--core-model approx|ooo] [--json PATH]\n\
@@ -174,9 +174,6 @@ fn usage() -> ! {
          \x20 --name NAME             benchmark name stamped into an imported trace's header\n\
          \x20                         (default: the input file stem)\n\
          \x20 --memory-intensive      mark an imported trace as memory intensive\n\
-         \x20 --verify                trace info: re-walk every block, re-checking framing,\n\
-         \x20                         record encoding and the FNV-1a64 body checksum; exits 2\n\
-         \x20                         with a block-numbered error on the first defect\n\
          \x20 --dir DIR               trace import: bulk-import every .txt/.csv/.champsim\n\
          \x20                         file in DIR on a worker pool (per-file summary table;\n\
          \x20                         continues past failures, exit 1 if any file failed)\n\
@@ -375,29 +372,13 @@ fn write_trace_atomically(
     }
 }
 
-/// Resolves a benchmark spec — a registry name or `file:<path>` — into a
-/// lazy source plus the seed to stamp when re-recording it. File-backed
-/// traces are fully validated (checksum included) before anything runs, so
-/// a corrupt file exits 2 here instead of panicking inside a worker thread.
+/// [`figures::resolve_trace_spec`], exiting 2 with usage when the spec does
+/// not resolve: before any simulation runs.
 fn resolve_spec(spec: &str, accesses: Option<usize>) -> (TraceSource, u64) {
-    if let Some(path) = traceio::file_spec_path(spec) {
-        let reader = traceio::TraceReader::open(path).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            usage();
-        });
-        if let Err(err) = reader.stats() {
-            eprintln!("error: {}: {err}", path.display());
-            usage();
-        }
-        let seed = reader.header().seed;
-        return (reader.source(accesses), seed);
-    }
-    let Some(suite) = traces::Suite::of(spec) else {
-        eprintln!("error: unknown benchmark {spec:?} (try `alecto-harness list`)");
+    figures::resolve_trace_spec(spec, accesses).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
         usage();
-    };
-    let accesses = accesses.unwrap_or(RunScale::default().accesses);
-    (suite.source(spec, accesses), traces::derive_seed(spec, 0))
+    })
 }
 
 /// The `serve` subcommand: run the sweep server until killed. Exit 2 on bad
@@ -462,7 +443,6 @@ fn run_trace(args: &[String]) -> ! {
     let mut json_path: Option<String> = None;
     let mut name: Option<String> = None;
     let mut memory_intensive = false;
-    let mut verify = false;
     let mut dir: Option<String> = None;
     let mut positionals: Vec<&String> = Vec::new();
     let mut i = 0;
@@ -498,7 +478,6 @@ fn run_trace(args: &[String]) -> ! {
             "--json" => json_path = Some(parse_path_value(rest, &mut i)),
             "--name" => name = Some(parse_path_value(rest, &mut i)),
             "--memory-intensive" => memory_intensive = true,
-            "--verify" => verify = true,
             "--dir" => dir = Some(parse_path_value(rest, &mut i)),
             flag if flag.starts_with("--") => usage(),
             _ => positionals.push(&rest[i]),
@@ -528,7 +507,7 @@ fn run_trace(args: &[String]) -> ! {
             );
             std::process::exit(0);
         }
-        ("info", [path]) => run_trace_info(path, verify),
+        ("info", [path]) => run_trace_info(path),
         ("replay", [spec]) => {
             if let Some(path) = &json_path {
                 check_writable(path, "--json");
@@ -692,23 +671,14 @@ fn run_trace_import_dir(
     std::process::exit(i32::from(failed > 0));
 }
 
-/// `trace info`: header fields plus one full verified decode pass of stats.
-/// With `verify`, the block framing and record encoding are additionally
-/// re-walked ([`traceio::TraceReader::verify_blocks`]); any structural
-/// defect or checksum mismatch exits 2 with a block-numbered error.
-fn run_trace_info(path: &str, verify: bool) -> ! {
+/// `trace info`: header fields plus the stats of one full verified decode
+/// pass; a structural defect or checksum mismatch exits 2 with the error,
+/// which names the block for structural ones.
+fn run_trace_info(path: &str) -> ! {
     let reader = traceio::TraceReader::open(std::path::Path::new(path)).unwrap_or_else(|err| {
         eprintln!("error: {err}");
         usage();
     });
-    let blocks_walked = if verify {
-        Some(reader.verify_blocks().unwrap_or_else(|err| {
-            eprintln!("error: {path}: {err}");
-            std::process::exit(2);
-        }))
-    } else {
-        None
-    };
     let stats = reader.stats().unwrap_or_else(|err| {
         eprintln!("error: {path}: {err}");
         std::process::exit(2);
@@ -722,15 +692,8 @@ fn run_trace_info(path: &str, verify: bool) -> ! {
         ("format version", traceio::FORMAT_VERSION.to_string()),
         ("generation seed", format!("{:#018x}", header.seed)),
         ("records", header.record_count.to_string()),
-        (
-            "checksum",
-            match blocks_walked {
-                Some(blocks) => {
-                    format!("{:#018x} (verified, {blocks} block(s) re-walked)", header.checksum)
-                }
-                None => format!("{:#018x} (verified)", header.checksum),
-            },
-        ),
+        ("blocks", stats.blocks.to_string()),
+        ("checksum", format!("{:#018x} (verified)", header.checksum)),
         ("file size", format!("{bytes} bytes")),
         (
             "encoded size",

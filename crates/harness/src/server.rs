@@ -496,22 +496,6 @@ fn optional_positive(doc: &JsonValue, key: &str) -> Result<Option<usize>, String
     }
 }
 
-/// Resolves one replay trace spec — `file:<path>` or a registered benchmark
-/// name — mirroring the CLI's `trace replay` semantics, but returning errors
-/// instead of exiting. File-backed traces are fully validated (checksum
-/// included) *before* the job is accepted, so corruption is a 400 at submit
-/// time, not a failed job minutes later.
-fn resolve_replay_spec(spec: &str, accesses: usize) -> Result<TraceSource, String> {
-    if let Some(path) = traceio::file_spec_path(spec) {
-        let reader = traceio::TraceReader::open(path).map_err(|err| format!("{spec}: {err}"))?;
-        reader.stats().map_err(|err| format!("{spec}: {err}"))?;
-        return Ok(reader.source(Some(accesses)));
-    }
-    let suite = traces::Suite::of(spec)
-        .ok_or_else(|| format!("unknown benchmark {spec:?} (see `alecto-harness list`)"))?;
-    Ok(suite.source(spec, accesses))
-}
-
 /// Flattens an inline `"machine"` JSON object into the dotted-path entries
 /// the machine compiler consumes (`{"cache":{"l1d":{"ways":4}}}` becomes
 /// `cache.l1d.ways = 4`), at line 0 so errors come back without a source
@@ -662,8 +646,8 @@ fn submit_sweep(state: &Arc<ServerState>, body: &str) -> Response {
         }
         let mut sources = Vec::new();
         for spec in &trace_specs {
-            match resolve_replay_spec(spec, scale.accesses) {
-                Ok(source) => sources.push(source),
+            match figures::resolve_trace_spec(spec, Some(scale.accesses)) {
+                Ok((source, _)) => sources.push(source),
                 Err(message) => return Response::error(400, "invalid_trace", &message),
             }
         }
@@ -931,12 +915,5 @@ mod tests {
         let doc = json::parse(r#"{"cores":2.5}"#).unwrap();
         let err = flatten_machine_object("", &doc).unwrap_err();
         assert!(err.contains("`cores`"), "{err}");
-    }
-
-    #[test]
-    fn replay_specs_resolve_benchmarks_and_reject_junk() {
-        assert!(resolve_replay_spec("lbm", 100).is_ok());
-        assert!(resolve_replay_spec("no-such-benchmark", 100).is_err());
-        assert!(resolve_replay_spec("file:/does/not/exist.altr", 100).is_err());
     }
 }

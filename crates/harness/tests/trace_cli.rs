@@ -226,6 +226,25 @@ fn trace_usage_errors_exit_two() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
+/// Rewrites block 1's payload-length varint with `edit` and re-patches the
+/// header checksum over the edited body, so only the block frame lies.
+fn edit_first_payload_len(bytes: &[u8], edit: impl FnOnce(u64) -> u64) -> Vec<u8> {
+    use traceio::varint;
+    let mut cursor = std::io::Cursor::new(bytes);
+    let header = traceio::TraceHeader::decode(&mut cursor).expect("header");
+    let records = varint::decode_u64(&mut cursor).expect("block records");
+    let payload_len = varint::decode_u64(&mut cursor).expect("payload length");
+    let body = header.encoded_len() as usize;
+    let mut edited = bytes[..body].to_vec();
+    varint::encode_u64(records, &mut edited);
+    varint::encode_u64(edit(payload_len), &mut edited);
+    edited.extend_from_slice(&bytes[cursor.position() as usize..]);
+    let checksum = alecto_types::fnv1a_64(alecto_types::FNV1A_OFFSET, &edited[body..]);
+    let at = header.count_offset() as usize + 8;
+    edited[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
+    edited
+}
+
 #[test]
 fn corrupt_trace_files_are_rejected_before_any_simulation() {
     let trace = Scratch::new("corrupt.altr");
@@ -234,19 +253,26 @@ fn corrupt_trace_files_are_rejected_before_any_simulation() {
         .output()
         .expect("spawn harness");
     assert!(output.status.success());
-    // Flip a byte deep in the body.
-    let mut bytes = std::fs::read(&trace.0).expect("read trace");
+    let bytes = std::fs::read(&trace.0).expect("read trace");
+    // A byte flipped deep in the body, and block 1's frame claiming one more
+    // payload byte than its records use, or 2^44 bytes.
+    let mut flipped = bytes.clone();
     let idx = bytes.len() - 40;
-    bytes[idx] ^= 0x55;
-    std::fs::write(&trace.0, &bytes).expect("rewrite");
+    flipped[idx] ^= 0x55;
+    let cases = [
+        ("flipped", flipped, "error"),
+        ("payload_len + 1", edit_first_payload_len(&bytes, |len| len + 1), "block 1:"),
+        ("payload_len 2^44", edit_first_payload_len(&bytes, |_| 1 << 44), "block 1:"),
+    ];
     let spec = format!("file:{}", trace.as_str());
-    for args in [vec!["trace", "info", trace.as_str()], vec!["trace", "replay", spec.as_str()]] {
-        let output = harness().args(&args).output().expect("spawn harness");
-        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2 on corruption");
-        let stderr = String::from_utf8(output.stderr).expect("utf-8");
-        assert!(
-            stderr.contains("checksum") || stderr.contains("error"),
-            "corruption must be named:\n{stderr}"
-        );
+    for (case, corrupt, needle) in cases {
+        std::fs::write(&trace.0, &corrupt).expect("rewrite");
+        for args in [vec!["trace", "info", trace.as_str()], vec!["trace", "replay", spec.as_str()]]
+        {
+            let output = harness().args(&args).output().expect("spawn harness");
+            assert_eq!(output.status.code(), Some(2), "{case}: {args:?} must exit 2");
+            let stderr = String::from_utf8(output.stderr).expect("utf-8");
+            assert!(stderr.contains(needle), "{case}: corruption must be named:\n{stderr}");
+        }
     }
 }

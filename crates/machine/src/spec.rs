@@ -295,11 +295,6 @@ impl MachineSpec {
     #[must_use]
     pub fn hierarchy(&self) -> HierarchyParams {
         let cores = self.cores;
-        let dram = if cores == 1 {
-            DramParams::single_core(self.dram)
-        } else {
-            DramParams::multi_core(self.dram, cores)
-        };
         HierarchyParams {
             cores,
             l1d: self.l1d,
@@ -309,7 +304,7 @@ impl MachineSpec {
                 mshrs: self.l3_per_core.mshrs * cores,
                 ..self.l3_per_core
             },
-            dram,
+            dram: DramParams::for_cores(self.dram, cores),
             timing: self.timing.params(),
         }
     }
@@ -477,15 +472,18 @@ mod tests {
 
     #[test]
     fn modifiers_match_the_historical_presets() {
-        let spec = MachineSpec::table1(1).with_llc_per_core(512 * 1024);
-        assert_eq!(spec.hierarchy(), HierarchyParams::with_llc_per_core(1, 512 * 1024));
-        let spec = MachineSpec::table1(1).with_dram_kind(DramKind::Ddr3_1600);
-        assert_eq!(spec.hierarchy(), HierarchyParams::with_dram(1, DramKind::Ddr3_1600));
-        let spec = MachineSpec::table1(1).with_timing(TimingParams::bandwidth_bound());
-        assert_eq!(
-            spec.hierarchy(),
-            HierarchyParams::with_timing(1, TimingParams::bandwidth_bound())
-        );
+        for cores in [1usize, 2, 8] {
+            let table1 = HierarchyParams::skylake_like(cores);
+            let spec = MachineSpec::table1(cores).with_llc_per_core(512 * 1024);
+            let l3 = CacheParams { size_bytes: 512 * 1024 * cores as u64, ..table1.l3 };
+            assert_eq!(spec.hierarchy(), HierarchyParams { l3, ..table1.clone() });
+            let spec = MachineSpec::table1(cores).with_dram_kind(DramKind::Ddr3_1600);
+            let dram = DramParams::for_cores(DramKind::Ddr3_1600, cores);
+            assert_eq!(spec.hierarchy(), HierarchyParams { dram, ..table1.clone() });
+            let spec = MachineSpec::table1(cores).with_timing(TimingParams::bandwidth_bound());
+            let timing = TimingParams::bandwidth_bound();
+            assert_eq!(spec.hierarchy(), HierarchyParams { timing, ..table1 });
+        }
     }
 
     #[test]

@@ -137,17 +137,16 @@ pub struct DramParams {
 }
 
 impl DramParams {
-    /// Table I single-core configuration: one channel, one rank per channel.
+    /// Table I DRAM organisation for `cores` cores: one channel with one
+    /// rank for a single core; otherwise `cores / 2` channels (at least one)
+    /// with two ranks each.
     #[must_use]
-    pub fn single_core(kind: DramKind) -> Self {
-        Self::with_channels(kind, 1, 1)
-    }
-
-    /// Table I multi-core configuration: `#cores / 2` channels (at least one),
-    /// two ranks per channel.
-    #[must_use]
-    pub fn multi_core(kind: DramKind, cores: usize) -> Self {
-        Self::with_channels(kind, (cores / 2).max(1), 2)
+    pub fn for_cores(kind: DramKind, cores: usize) -> Self {
+        if cores == 1 {
+            Self::with_channels(kind, 1, 1)
+        } else {
+            Self::with_channels(kind, (cores / 2).max(1), 2)
+        }
     }
 
     fn with_channels(kind: DramKind, channels: usize, ranks: usize) -> Self {
@@ -239,51 +238,14 @@ impl HierarchyParams {
     #[must_use]
     pub fn skylake_like(cores: usize) -> Self {
         assert!(cores > 0, "at least one core required");
-        let dram = if cores == 1 {
-            DramParams::single_core(DramKind::Ddr4_2400)
-        } else {
-            DramParams::multi_core(DramKind::Ddr4_2400, cores)
-        };
         Self {
             cores,
             l1d: CacheParams::l1d_default(),
             l2: CacheParams::l2_default(),
             l3: CacheParams::l3_default(cores),
-            dram,
+            dram: DramParams::for_cores(DramKind::Ddr4_2400, cores),
             timing: crate::timing::TimingParams::default(),
         }
-    }
-
-    /// Same as [`HierarchyParams::skylake_like`] but with an explicit LLC
-    /// capacity per core (Fig. 15 sweeps 0.5–4 MB per core).
-    #[must_use]
-    pub fn with_llc_per_core(cores: usize, llc_bytes_per_core: u64) -> Self {
-        let mut p = Self::skylake_like(cores);
-        p.l3.size_bytes = llc_bytes_per_core * cores as u64;
-        p
-    }
-
-    /// Same as [`HierarchyParams::skylake_like`] but with the given DRAM kind
-    /// (Fig. 16 compares DDR3-1600 to DDR4-2400).
-    #[must_use]
-    pub fn with_dram(cores: usize, kind: DramKind) -> Self {
-        let mut p = Self::skylake_like(cores);
-        p.dram = if cores == 1 {
-            DramParams::single_core(kind)
-        } else {
-            DramParams::multi_core(kind, cores)
-        };
-        p
-    }
-
-    /// Same as [`HierarchyParams::skylake_like`] but with explicit timing
-    /// knobs (the `timing` experiment sweeps latency-sensitive vs
-    /// bandwidth-bound DRAM admission rates).
-    #[must_use]
-    pub fn with_timing(cores: usize, timing: crate::timing::TimingParams) -> Self {
-        let mut p = Self::skylake_like(cores);
-        p.timing = timing;
-        p
     }
 }
 
@@ -305,20 +267,22 @@ mod tests {
 
     #[test]
     fn dram_bandwidth_ordering() {
-        let d3 = DramParams::single_core(DramKind::Ddr3_1600);
-        let d4 = DramParams::single_core(DramKind::Ddr4_2400);
+        let d3 = DramParams::for_cores(DramKind::Ddr3_1600, 1);
+        let d4 = DramParams::for_cores(DramKind::Ddr4_2400, 1);
         assert!(d3.burst_cycles() > d4.burst_cycles());
         assert!(d4.channel_bytes_per_ns() > d3.channel_bytes_per_ns());
     }
 
     #[test]
     fn multicore_channels_scale() {
-        let d = DramParams::multi_core(DramKind::Ddr4_2400, 8);
+        let d = DramParams::for_cores(DramKind::Ddr4_2400, 8);
         assert_eq!(d.channels, 4);
         assert_eq!(d.ranks_per_channel, 2);
         assert_eq!(d.total_banks(), 4 * 2 * 8);
-        let d1 = DramParams::multi_core(DramKind::Ddr4_2400, 1);
-        assert_eq!(d1.channels, 1);
+        let d2 = DramParams::for_cores(DramKind::Ddr4_2400, 2);
+        assert_eq!((d2.channels, d2.ranks_per_channel), (1, 2));
+        let d1 = DramParams::for_cores(DramKind::Ddr4_2400, 1);
+        assert_eq!((d1.channels, d1.ranks_per_channel), (1, 1));
     }
 
     #[test]
@@ -326,10 +290,7 @@ mod tests {
         let h = HierarchyParams::skylake_like(8);
         assert_eq!(h.cores, 8);
         assert_eq!(h.l3.size_bytes, 16 * 1024 * 1024);
-        let h = HierarchyParams::with_llc_per_core(2, 512 * 1024);
-        assert_eq!(h.l3.size_bytes, 1024 * 1024);
-        let h = HierarchyParams::with_dram(1, DramKind::Ddr3_1600);
-        assert_eq!(h.dram.kind, DramKind::Ddr3_1600);
+        assert_eq!(h.dram, DramParams::for_cores(DramKind::Ddr4_2400, 8));
     }
 
     #[test]
@@ -385,14 +346,16 @@ mod tests {
         h.timing.dram_drain_period = 0;
         let err = h.validate().unwrap_err();
         assert!(err.starts_with("timing:"), "timing must be named: {err}");
-        let t = HierarchyParams::with_timing(2, crate::timing::TimingParams::bandwidth_bound());
-        assert_eq!(t.timing, crate::timing::TimingParams::bandwidth_bound());
+        let t = HierarchyParams {
+            timing: crate::timing::TimingParams::bandwidth_bound(),
+            ..HierarchyParams::skylake_like(2)
+        };
         assert!(t.validate().is_ok());
     }
 
     #[test]
     fn ns_to_cycles_rounds_up() {
-        let d = DramParams::single_core(DramKind::Ddr4_2400);
+        let d = DramParams::for_cores(DramKind::Ddr4_2400, 1);
         assert_eq!(d.ns_to_cycles(0.1), 1);
         assert_eq!(d.ns_to_cycles(14.0), 35);
     }

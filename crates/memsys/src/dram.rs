@@ -218,7 +218,7 @@ mod tests {
     use crate::config::DramKind;
 
     fn model(kind: DramKind) -> DramModel {
-        DramModel::new(DramParams::single_core(kind))
+        DramModel::new(DramParams::for_cores(kind, 1))
     }
 
     #[test]
@@ -270,14 +270,14 @@ mod tests {
 
     #[test]
     fn multichannel_increases_throughput() {
-        let single = DramModel::new(DramParams::single_core(DramKind::Ddr4_2400));
-        let quad = DramModel::new(DramParams::multi_core(DramKind::Ddr4_2400, 8));
+        let single = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 1));
+        let quad = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
         assert!(quad.peak_lines_per_kcycle() > 3.0 * single.peak_lines_per_kcycle());
     }
 
     #[test]
     fn consecutive_lines_spread_over_banks() {
-        let d = DramModel::new(DramParams::multi_core(DramKind::Ddr4_2400, 8));
+        let d = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
         let lines: Vec<LineAddr> = (0..64).map(LineAddr::new).collect();
         let balance = d.bank_balance(&lines);
         assert!(

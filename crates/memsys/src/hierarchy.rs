@@ -764,7 +764,8 @@ mod tests {
         // (~1/9 req/cycle on one DDR4 channel), so a 1/16 admission drain is
         // the binding constraint while the latency-sensitive drain is not.
         let run = |timing: crate::timing::TimingParams| {
-            let mut h = Hierarchy::new(HierarchyParams::with_timing(1, timing));
+            let mut h =
+                Hierarchy::new(HierarchyParams { timing, ..HierarchyParams::skylake_like(1) });
             let mut done = 0;
             for i in 0..64u64 {
                 let r = h.demand_access(0, LineAddr::new(i), 0);

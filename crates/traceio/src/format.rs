@@ -46,19 +46,6 @@ pub const FORMAT_VERSION: u16 = 1;
 /// inside L2 while amortising the framing overhead to noise.
 pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
-/// Offset basis of the FNV-1a64 running checksum.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a64 running state.
-#[must_use]
-pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state = (state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 /// The decoded fixed header of an `.altr` trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -70,7 +57,8 @@ pub struct TraceHeader {
     pub seed: u64,
     /// Number of records in the trace.
     pub record_count: u64,
-    /// FNV-1a64 checksum over every byte following the header.
+    /// FNV-1a64 checksum ([`alecto_types::fnv1a_64`]) over every byte
+    /// following the header.
     pub checksum: u64,
 }
 
@@ -157,6 +145,7 @@ impl TraceHeader {
 }
 
 /// The framing of one block: record count and payload length, both varints.
+/// Only [`crate::RecordDecoder`] walks blocks, so this stays crate-private.
 ///
 /// Returns `None` at a clean end of input (no more blocks).
 ///
@@ -164,7 +153,7 @@ impl TraceHeader {
 ///
 /// Propagates varint decode errors; a truncation *inside* the framing (after
 /// its first byte) is an error, not a clean end.
-pub fn read_block_frame<R: Read>(reader: &mut R) -> io::Result<Option<(u64, u64)>> {
+pub(crate) fn read_block_frame<R: Read>(reader: &mut R) -> io::Result<Option<(u64, u64)>> {
     let mut first = [0u8; 1];
     match reader.read_exact(&mut first) {
         Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
@@ -245,13 +234,5 @@ mod tests {
         // One-byte (small) frames work through the fast path.
         let small = [3u8, 9u8];
         assert_eq!(read_block_frame(&mut Cursor::new(&small)).unwrap(), Some((3, 9)));
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a64 test vectors.
-        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x85944171f73967e8);
     }
 }

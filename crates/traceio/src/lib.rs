@@ -65,7 +65,7 @@ pub fn file_spec_path(spec: &str) -> Option<&std::path::Path> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::{Addr, MemoryRecord, Pc};
+    use alecto_types::{fnv1a_64, Addr, MemoryRecord, Pc, FNV1A_OFFSET};
     use std::io::Cursor;
 
     fn sample_records(n: u64) -> Vec<MemoryRecord> {
@@ -143,13 +143,37 @@ mod tests {
         assert!(per_record < 4.5, "sequential stream costs {per_record:.2} B/record");
     }
 
+    /// Writes `bytes` to a fresh temporary file and opens it.
+    fn reader_over(bytes: &[u8], tag: &str) -> (TraceReader, std::path::PathBuf) {
+        let path = std::env::temp_dir().join(format!("traceio-{tag}-{}.altr", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        (TraceReader::open(&path).unwrap(), path)
+    }
+
+    /// Rewrites block 1's payload-length varint with `edit` and re-patches
+    /// the header checksum over the edited body, so only the frame lies.
+    fn edit_first_payload_len(bytes: &[u8], edit: impl FnOnce(u64) -> u64) -> Vec<u8> {
+        let mut cursor = Cursor::new(bytes);
+        let header = TraceHeader::decode(&mut cursor).unwrap();
+        let records = varint::decode_u64(&mut cursor).unwrap();
+        let payload_len = varint::decode_u64(&mut cursor).unwrap();
+        let body = header.encoded_len() as usize;
+        let mut edited = bytes[..body].to_vec();
+        varint::encode_u64(records, &mut edited);
+        varint::encode_u64(edit(payload_len), &mut edited);
+        edited.extend_from_slice(&bytes[cursor.position() as usize..]);
+        let checksum = fnv1a_64(FNV1A_OFFSET, &edited[body..]);
+        let at = header.count_offset() as usize + 8;
+        edited[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
+        edited
+    }
+
     #[test]
-    fn verify_blocks_walks_and_localises_corruption() {
+    fn stats_walks_and_localises_corruption() {
         let records = sample_records(100);
         let bytes = encode(&records, 16); // 6 full blocks + 1 partial
-        let path = std::env::temp_dir().join(format!("traceio-verify-{}.altr", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(TraceReader::open(&path).unwrap().verify_blocks().unwrap(), 7);
+        let (reader, path) = reader_over(&bytes, "walk");
+        assert_eq!(reader.stats().unwrap().blocks, 7);
 
         // A flipped payload byte either breaks a block's structure or the
         // body checksum; both errors name blocks.
@@ -157,13 +181,36 @@ mod tests {
         let target = bytes.len() - 3;
         corrupt[target] ^= 0x40;
         std::fs::write(&path, &corrupt).unwrap();
-        let err = TraceReader::open(&path).unwrap().verify_blocks().unwrap_err().to_string();
+        let err = reader.stats().unwrap_err().to_string();
         assert!(err.contains("block"), "{err}");
 
         // Truncation is pinned to the block where the walk ran dry.
         std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        let err = TraceReader::open(&path).unwrap().verify_blocks().unwrap_err().to_string();
+        let err = reader.stats().unwrap_err().to_string();
         assert!(err.starts_with("block 7:"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_payload_length_its_records_do_not_use_is_rejected() {
+        let bytes = encode(&sample_records(100), 16);
+        let longer = edit_first_payload_len(&bytes, |len| len + 1);
+        assert_eq!(longer.len(), bytes.len(), "the edit keeps the varint width");
+        let err = decode_document(&longer).unwrap_err().to_string();
+        assert!(err.starts_with("block 1:"), "{err}");
+        let (reader, path) = reader_over(&longer, "longer");
+        let err = reader.stats().unwrap_err().to_string();
+        assert!(err.starts_with("block 1:"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_huge_payload_length_is_an_error_not_an_allocation() {
+        let bytes = encode(&sample_records(100), 16);
+        let huge = edit_first_payload_len(&bytes, |_| 1 << 44);
+        let (reader, path) = reader_over(&huge, "huge");
+        let err = reader.stats().unwrap_err().to_string();
+        assert!(err.starts_with("block 1:"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,182 +2,188 @@
 //! adapter that lets recorded traces drop into `System::run_sources`, the
 //! `Suite` registry and every existing experiment unchanged.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use alecto_types::{AccessKind, Addr, MemoryRecord, Pc, TraceSource};
+use alecto_types::{fnv1a_64, AccessKind, Addr, MemoryRecord, Pc, TraceSource, FNV1A_OFFSET};
 
-use crate::format::{self, read_block_frame, TraceHeader};
+use crate::format::{read_block_frame, TraceHeader};
 use crate::varint;
 
-/// Decodes the record stream following an already-consumed header.
+/// Decodes the block stream following an already-consumed header; the only
+/// code that walks the `.altr` block framing.
+///
+/// Each block's payload is read into one reused buffer, never longer than
+/// the bytes the input actually holds whatever the frame claims, folded into
+/// the running FNV-1a64 checksum and decoded from memory. Its records must
+/// use exactly the framed payload length. Together with the last record the
+/// header promises, the decoder checks that nothing follows the final block
+/// and that the checksum matches the header's, withholding that record if
+/// either fails, so every full pass verifies the whole file. Structural
+/// errors start with `block N:` (1-based).
 ///
 /// Yields `io::Result<MemoryRecord>`; after the first error the iterator
-/// fuses to `None`. The decoder carries the running checksum so a full pass
-/// can verify the header's stored value (see [`RecordDecoder::verify`]).
+/// fuses to `None`.
 #[derive(Debug)]
 pub struct RecordDecoder<R: Read> {
     reader: R,
-    /// Records the header promises; decoding stops after this many.
+    /// Records the header promises that are not decoded yet.
     remaining: u64,
-    /// Records left in the current block.
-    block_remaining: u64,
+    /// The header's body checksum, checked at the end of the stream.
+    expected_checksum: u64,
     checksum: u64,
-    /// When set, the final [`Iterator::next`] call additionally runs the
-    /// trailing-bytes and checksum checks against this expected value and
-    /// refuses to yield the last record of a corrupt stream.
-    expected_checksum: Option<u64>,
+    /// The current block's payload and the read offset into it.
+    payload: Vec<u8>,
+    offset: usize,
+    /// Records in the current block, and how many of them are still to come.
+    block_records: u64,
+    block_remaining: u64,
+    /// Blocks started so far, which is also the current block's number.
+    blocks: u64,
     last_pc: u64,
     last_addr: u64,
-    failed: bool,
+    done: bool,
+}
+
+/// An `InvalidData` error naming the 1-based block it was found in.
+fn in_block(block: u64, msg: impl Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("block {block}: {msg}"))
 }
 
 impl<R: Read> RecordDecoder<R> {
-    /// Starts decoding `record_count` records from `reader`, positioned at
-    /// the first block frame.
+    /// Starts decoding the records `header` describes from `reader`,
+    /// positioned at the first block frame.
     #[must_use]
-    pub fn new(reader: R, record_count: u64) -> Self {
+    pub fn new(reader: R, header: &TraceHeader) -> Self {
         Self {
             reader,
-            remaining: record_count,
+            remaining: header.record_count,
+            expected_checksum: header.checksum,
+            checksum: FNV1A_OFFSET,
+            payload: Vec::new(),
+            offset: 0,
+            block_records: 0,
             block_remaining: 0,
-            checksum: format::FNV_OFFSET,
-            expected_checksum: None,
+            blocks: 0,
             last_pc: 0,
             last_addr: 0,
-            failed: false,
+            done: false,
         }
     }
 
-    /// Arms end-of-stream verification: when the iterator reaches the last
-    /// record it also checks the running checksum against `expected` (and
-    /// that nothing follows the final block), erroring instead of yielding
-    /// that record on a mismatch. This is how every replay a
-    /// [`TraceReader`]-minted source performs detects corruption without a
-    /// separate validation pass.
+    /// Blocks decoded so far: every block of the trace after a full pass.
     #[must_use]
-    pub fn verifying(mut self, expected: u64) -> Self {
-        self.expected_checksum = Some(expected);
-        self
+    pub fn blocks(&self) -> u64 {
+        self.blocks
     }
 
-    fn bad(&mut self, msg: String) -> io::Error {
-        self.failed = true;
-        io::Error::new(io::ErrorKind::InvalidData, msg)
-    }
-
-    /// The end-of-stream integrity checks shared by [`RecordDecoder::verify`]
-    /// and the armed iterator path: no trailing bytes, checksum matches.
-    fn finish_checks(&mut self, expected: u64) -> io::Result<()> {
-        let mut tail = [0u8; 1];
-        if self.reader.read(&mut tail)? != 0 {
-            return Err(self.bad("trailing bytes after the last block".to_string()));
+    /// Reads the next block's frame and payload.
+    fn start_block(&mut self) -> io::Result<()> {
+        self.blocks += 1;
+        let block = self.blocks;
+        let Some((records, payload_len)) =
+            read_block_frame(&mut self.reader).map_err(|err| in_block(block, err))?
+        else {
+            let msg = format!("trace ends {} record(s) early (truncated file?)", self.remaining);
+            return Err(in_block(block, msg));
+        };
+        if records == 0 {
+            return Err(in_block(block, "empty block"));
         }
-        if self.checksum != expected {
-            let msg = format!(
-                "checksum mismatch: file body hashes to {:#018x}, header says {expected:#018x} \
-                 (corrupt or hand-edited trace)",
-                self.checksum
-            );
-            return Err(self.bad(msg));
+        if records > self.remaining {
+            let excess = records - self.remaining;
+            let msg = format!("block of {records} record(s) overruns the header count by {excess}");
+            return Err(in_block(block, msg));
         }
+        // Checksum the frame exactly as the writer emitted it by re-encoding
+        // the two varints (canonical LEB128 is unique).
+        self.payload.clear();
+        varint::encode_u64(records, &mut self.payload);
+        varint::encode_u64(payload_len, &mut self.payload);
+        self.checksum = fnv1a_64(self.checksum, &self.payload);
+        self.payload.clear();
+        let read = self
+            .reader
+            .by_ref()
+            .take(payload_len)
+            .read_to_end(&mut self.payload)
+            .map_err(|err| in_block(block, err))?;
+        if read as u64 != payload_len {
+            let msg = format!("payload of {payload_len} byte(s) is truncated after {read}");
+            return Err(in_block(block, msg));
+        }
+        self.checksum = fnv1a_64(self.checksum, &self.payload);
+        self.offset = 0;
+        self.block_records = records;
+        self.block_remaining = records;
+        self.last_pc = 0;
+        self.last_addr = 0;
         Ok(())
     }
 
-    fn next_record(&mut self) -> io::Result<MemoryRecord> {
-        if self.block_remaining == 0 {
-            // Checksum the frame exactly as the writer emitted it by
-            // re-encoding the two varints (canonical LEB128 is unique).
-            let Some((records, payload_len)) = read_block_frame(&mut self.reader)? else {
-                return Err(self.bad(format!(
-                    "trace ends {} record(s) early (truncated file?)",
-                    self.remaining
-                )));
-            };
-            if records == 0 {
-                return Err(self.bad("empty block".to_string()));
-            }
-            if records > self.remaining {
-                let msg = format!(
-                    "block of {records} record(s) overruns the header count by {}",
-                    records - self.remaining
-                );
-                return Err(self.bad(msg));
-            }
-            let mut frame = Vec::with_capacity(2 * varint::MAX_VARINT_BYTES);
-            varint::encode_u64(records, &mut frame);
-            varint::encode_u64(payload_len, &mut frame);
-            self.checksum = format::fnv1a(self.checksum, &frame);
-            self.block_remaining = records;
-            self.last_pc = 0;
-            self.last_addr = 0;
+    /// Decodes the next record, or, for a header promising no records, only
+    /// runs the end-of-stream checks.
+    fn step(&mut self) -> io::Result<Option<MemoryRecord>> {
+        if self.remaining == 0 {
+            self.finish()?;
+            return Ok(None);
         }
-        let mut tracked = ChecksumReader { inner: &mut self.reader, state: self.checksum };
-        let pc_delta = varint::decode_i64(&mut tracked)?;
-        let addr_delta = varint::decode_i64(&mut tracked)?;
-        let flags = varint::decode_u64(&mut tracked)?;
-        self.checksum = tracked.state;
+        if self.block_remaining == 0 {
+            self.start_block()?;
+        }
+        let block = self.blocks;
+        let record = self.block_records - self.block_remaining + 1;
+        let in_record = |msg: &dyn Display| in_block(block, format!("record {record}: {msg}"));
+        let mut payload = &self.payload[self.offset..];
+        let pc_delta = varint::decode_i64(&mut payload).map_err(|err| in_record(&err))?;
+        let addr_delta = varint::decode_i64(&mut payload).map_err(|err| in_record(&err))?;
+        let flags = varint::decode_u64(&mut payload).map_err(|err| in_record(&err))?;
+        self.offset = self.payload.len() - payload.len();
         let gap = flags >> 2;
-        let Ok(gap_instructions) = u32::try_from(gap) else {
-            return Err(self.bad(format!("record gap {gap} exceeds u32")));
-        };
+        let gap_instructions =
+            u32::try_from(gap).map_err(|_| in_record(&format!("gap {gap} exceeds u32")))?;
         self.last_pc = self.last_pc.wrapping_add(pc_delta as u64);
         self.last_addr = self.last_addr.wrapping_add(addr_delta as u64);
         self.block_remaining -= 1;
         self.remaining -= 1;
-        if self.remaining == 0 {
-            if let Some(expected) = self.expected_checksum {
-                self.finish_checks(expected)?;
-            }
+        if self.block_remaining == 0 && self.offset != self.payload.len() {
+            let undecoded = self.payload.len() - self.offset;
+            let msg =
+                format!("payload carries {undecoded} undecoded byte(s) after the last record");
+            return Err(in_block(block, msg));
         }
-        Ok(MemoryRecord {
+        if self.remaining == 0 {
+            self.finish()?;
+        }
+        Ok(Some(MemoryRecord {
             pc: Pc::new(self.last_pc),
             addr: Addr::new(self.last_addr),
             kind: if flags & 0b10 == 0 { AccessKind::Load } else { AccessKind::Store },
             gap_instructions,
             dependent: flags & 0b01 != 0,
-        })
+        }))
     }
 
-    /// After full decoding, checks the running checksum against the header's
-    /// stored value and that no trailing garbage follows the last block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::ErrorKind::InvalidData`] on a checksum mismatch or
-    /// trailing bytes, and an error if records remain undecoded.
-    pub fn verify(mut self, header: &TraceHeader) -> io::Result<()> {
-        if self.remaining != 0 {
-            let msg = format!("verify called with {} record(s) undecoded", self.remaining);
-            return Err(self.bad(msg));
+    /// The end-of-stream checks: nothing follows the last block, and the
+    /// body hashes to the header's checksum.
+    fn finish(&mut self) -> io::Result<()> {
+        let blocks = self.blocks;
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut tail = [0u8; 1];
+        if self.reader.read(&mut tail)? != 0 {
+            return Err(invalid(format!("trailing bytes after {blocks} block(s)")));
         }
-        if self.failed {
-            // The armed iterator path already reported (and consumed) the
-            // failure; don't re-read past it.
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "decode already failed"));
+        if self.checksum != self.expected_checksum {
+            return Err(invalid(format!(
+                "body checksum mismatch over {blocks} block(s): blocks hash to {:#018x}, header \
+                 says {:#018x} (corrupt or hand-edited trace)",
+                self.checksum, self.expected_checksum
+            )));
         }
-        if self.expected_checksum.is_some() {
-            // An armed decoder that delivered every record already ran the
-            // end-of-stream checks.
-            return Ok(());
-        }
-        self.finish_checks(header.checksum)
-    }
-}
-
-/// Folds every byte it passes through into the FNV-1a64 running state.
-struct ChecksumReader<'a, R: Read> {
-    inner: &'a mut R,
-    state: u64,
-}
-
-impl<R: Read> Read for ChecksumReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.state = format::fnv1a(self.state, &buf[..n]);
-        Ok(n)
+        Ok(())
     }
 }
 
@@ -185,32 +191,26 @@ impl<R: Read> Iterator for RecordDecoder<R> {
     type Item = io::Result<MemoryRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.remaining == 0 {
+        if self.done {
             return None;
         }
-        match self.next_record() {
-            Ok(record) => Some(Ok(record)),
-            Err(err) => {
-                self.failed = true;
-                Some(Err(err))
-            }
-        }
+        let step = self.step();
+        self.done = step.is_err() || self.remaining == 0;
+        step.transpose()
     }
 }
 
-/// Decodes an entire in-memory `.altr` document (header + blocks),
-/// verifying the checksum. The eager counterpart of [`TraceReader`], used by
-/// tests and the round-trip proptests.
+/// Decodes and verifies an entire in-memory `.altr` document (header +
+/// blocks). The eager counterpart of [`TraceReader`], used by tests and the
+/// round-trip proptests.
 ///
 /// # Errors
 ///
-/// Returns any header, record or checksum error.
+/// Returns any header, block, record or checksum error.
 pub fn decode_document(bytes: &[u8]) -> io::Result<(TraceHeader, Vec<MemoryRecord>)> {
     let mut cursor = io::Cursor::new(bytes);
     let header = TraceHeader::decode(&mut cursor)?;
-    let mut decoder = RecordDecoder::new(cursor, header.record_count);
-    let records: Vec<MemoryRecord> = (&mut decoder).collect::<io::Result<_>>()?;
-    decoder.verify(&header)?;
+    let records = RecordDecoder::new(cursor, &header).collect::<io::Result<_>>()?;
     Ok((header, records))
 }
 
@@ -218,6 +218,8 @@ pub fn decode_document(bytes: &[u8]) -> io::Result<(TraceHeader, Vec<MemoryRecor
 /// `alecto-harness trace info`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceStats {
+    /// Blocks in the file.
+    pub blocks: u64,
     /// Demand loads.
     pub loads: u64,
     /// Demand stores.
@@ -265,10 +267,10 @@ pub struct TraceReader {
 
 impl TraceReader {
     /// Opens `path` and decodes its header. The body is *not* scanned here —
-    /// use [`TraceReader::stats`] to verify the checksum eagerly. Sources
-    /// minted by [`TraceReader::source`] verify it on every *full* replay
-    /// (a replay capped below the recorded count never reaches the stream
-    /// tail, so it checks structure but not the final checksum).
+    /// use [`TraceReader::stats`] to verify the file eagerly. Sources minted
+    /// by [`TraceReader::source`] verify it on every *full* replay (a replay
+    /// capped below the recorded count never reaches the stream tail, so it
+    /// checks the blocks it reads but not the final checksum).
     ///
     /// # Errors
     ///
@@ -293,7 +295,7 @@ impl TraceReader {
         &self.path
     }
 
-    /// Starts one decoding pass over the records.
+    /// Starts one verifying decoding pass over the records.
     ///
     /// # Errors
     ///
@@ -302,15 +304,16 @@ impl TraceReader {
     pub fn records(&self) -> io::Result<RecordDecoder<BufReader<File>>> {
         let mut reader = BufReader::new(File::open(&self.path)?);
         TraceHeader::decode(&mut reader)?;
-        Ok(RecordDecoder::new(reader, self.header.record_count))
+        Ok(RecordDecoder::new(reader, &self.header))
     }
 
-    /// Decodes the whole trace once, verifying the checksum, and returns the
-    /// per-field statistics.
+    /// Decodes and verifies the whole trace once and returns the per-field
+    /// statistics.
     ///
     /// # Errors
     ///
-    /// Returns any decode or checksum error.
+    /// Returns any decode or checksum error; structural ones name the
+    /// 1-based block as `block N:`.
     pub fn stats(&self) -> io::Result<TraceStats> {
         let mut decoder = self.records()?;
         let mut stats = TraceStats { min_addr: u64::MAX, ..TraceStats::default() };
@@ -322,112 +325,13 @@ impl TraceReader {
             pages.insert(record.addr.page().raw());
             pcs.insert(record.pc.raw());
         }
-        decoder.verify(&self.header)?;
         if self.header.record_count == 0 {
             stats.min_addr = 0;
         }
+        stats.blocks = decoder.blocks();
         stats.touched_pages = pages.len() as u64;
         stats.distinct_pcs = pcs.len() as u64;
         Ok(stats)
-    }
-
-    /// Re-walks the trace block by block, checking every block's structure
-    /// (frame varints, record payloads, header record count) and finally the
-    /// FNV-1a64 body checksum against the header's stored value — the check
-    /// `trace info --verify` runs. Returns the number of blocks walked.
-    ///
-    /// Unlike [`TraceReader::stats`], which detects corruption as a side
-    /// effect of decoding records, this pass is about *localising* it:
-    /// structural errors name the 1-based block (and record within it) where
-    /// the walk failed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::ErrorKind::InvalidData`] with a `block N:`-prefixed
-    /// message for structural corruption, and a block-count-qualified
-    /// checksum-mismatch message when the body hashes to something other
-    /// than the header's stored checksum.
-    pub fn verify_blocks(&self) -> io::Result<u64> {
-        let block_err = |block: u64, msg: String| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("block {block}: {msg}"))
-        };
-        let mut reader = BufReader::new(File::open(&self.path)?);
-        TraceHeader::decode(&mut reader)?;
-        let mut checksum = format::FNV_OFFSET;
-        let mut remaining = self.header.record_count;
-        let mut blocks: u64 = 0;
-        while remaining > 0 {
-            let block = blocks + 1;
-            let Some((records, payload_len)) =
-                read_block_frame(&mut reader).map_err(|err| block_err(block, err.to_string()))?
-            else {
-                return Err(block_err(
-                    block,
-                    format!("trace ends {remaining} record(s) early (truncated file?)"),
-                ));
-            };
-            if records == 0 {
-                return Err(block_err(block, "empty block".to_string()));
-            }
-            if records > remaining {
-                return Err(block_err(
-                    block,
-                    format!(
-                        "block of {records} record(s) overruns the header count by {}",
-                        records - remaining
-                    ),
-                ));
-            }
-            let mut frame = Vec::with_capacity(2 * varint::MAX_VARINT_BYTES);
-            varint::encode_u64(records, &mut frame);
-            varint::encode_u64(payload_len, &mut frame);
-            checksum = format::fnv1a(checksum, &frame);
-            let len = usize::try_from(payload_len).map_err(|_| {
-                block_err(block, format!("payload length {payload_len} exceeds usize"))
-            })?;
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload).map_err(|err| {
-                block_err(block, format!("payload of {payload_len} byte(s) is truncated: {err}"))
-            })?;
-            checksum = format::fnv1a(checksum, &payload);
-            // The payload must hold exactly `records` delta triples.
-            let mut cursor = io::Cursor::new(&payload[..]);
-            for record in 0..records {
-                let triple = varint::decode_i64(&mut cursor)
-                    .and_then(|_| varint::decode_i64(&mut cursor))
-                    .and_then(|_| varint::decode_u64(&mut cursor));
-                if let Err(err) = triple {
-                    return Err(block_err(block, format!("record {}: {err}", record + 1)));
-                }
-            }
-            let undecoded = payload_len - cursor.position();
-            if undecoded != 0 {
-                return Err(block_err(
-                    block,
-                    format!("payload carries {undecoded} undecoded byte(s) after the last record"),
-                ));
-            }
-            remaining -= records;
-            blocks = block;
-        }
-        let mut tail = [0u8; 1];
-        if reader.read(&mut tail)? != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trailing bytes after block {blocks}"),
-            ));
-        }
-        if checksum != self.header.checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "body checksum mismatch over {blocks} block(s): blocks hash to \
-                     {checksum:#018x}, header says {:#018x} (corrupt or hand-edited trace)",
-                    self.header.checksum
-                ),
-            ));
-        }
-        Ok(blocks)
     }
 
     /// A lazy [`TraceSource`] replaying the file, optionally capped to the
@@ -439,23 +343,15 @@ impl TraceReader {
     pub fn source(&self, cap: Option<usize>) -> TraceSource {
         let count = usize::try_from(self.header.record_count).unwrap_or(usize::MAX);
         let accesses = cap.map_or(count, |c| c.min(count));
-        let path = Arc::new(self.path.clone());
-        let header_count = self.header.record_count;
-        let header_checksum = self.header.checksum;
+        let reader = Arc::new(self.clone());
         TraceSource::new(
             self.header.name.clone(),
             self.header.memory_intensive,
             accesses,
             move || {
-                let path = Arc::clone(&path);
-                let mut reader = BufReader::new(File::open(path.as_ref()).unwrap_or_else(|err| {
-                    panic!("replaying {}: {err}", path.display());
-                }));
-                TraceHeader::decode(&mut reader).unwrap_or_else(|err| {
-                    panic!("replaying {}: {err}", path.display());
-                });
-                let display = path.display().to_string();
-                let decoder = RecordDecoder::new(reader, header_count).verifying(header_checksum);
+                let display = reader.path.display().to_string();
+                let decoder =
+                    reader.records().unwrap_or_else(|err| panic!("replaying {display}: {err}"));
                 Box::new(decoder.map(move |record| {
                     record.unwrap_or_else(|err| panic!("replaying {display}: {err}"))
                 }))
@@ -464,7 +360,7 @@ impl TraceReader {
         // Tie the source identity to the file *content* (body checksum +
         // generation seed from the header), not the path: re-recorded or
         // moved files only share a cache identity when their records match.
-        .with_content_tag(&format!("altr:{:#018x}", header_checksum))
+        .with_content_tag(&format!("altr:{:#018x}", self.header.checksum))
         .with_content_seed(self.header.seed)
     }
 }

@@ -4,9 +4,9 @@ use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use alecto_types::{MemoryRecord, TraceSource};
+use alecto_types::{fnv1a_64, MemoryRecord, TraceSource, FNV1A_OFFSET};
 
-use crate::format::{self, TraceHeader, DEFAULT_BLOCK_RECORDS};
+use crate::format::{TraceHeader, DEFAULT_BLOCK_RECORDS};
 use crate::varint;
 
 /// Streams [`MemoryRecord`]s into the block-structured `.altr` encoding.
@@ -62,7 +62,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             memory_intensive,
             seed,
             record_count: 0,
-            checksum: format::FNV_OFFSET,
+            checksum: FNV1A_OFFSET,
         };
         sink.write_all(&header.encode())?;
         Ok(Self {
@@ -72,7 +72,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             block_records: 0,
             records_per_block: DEFAULT_BLOCK_RECORDS,
             written_records: 0,
-            checksum: format::FNV_OFFSET,
+            checksum: FNV1A_OFFSET,
             last_pc: 0,
             last_addr: 0,
         })
@@ -134,8 +134,8 @@ impl<W: Write + Seek> TraceWriter<W> {
         let mut frame = Vec::with_capacity(2 * varint::MAX_VARINT_BYTES);
         varint::encode_u64(self.block_records, &mut frame);
         varint::encode_u64(self.block.len() as u64, &mut frame);
-        self.checksum = format::fnv1a(self.checksum, &frame);
-        self.checksum = format::fnv1a(self.checksum, &self.block);
+        self.checksum = fnv1a_64(self.checksum, &frame);
+        self.checksum = fnv1a_64(self.checksum, &self.block);
         self.sink.write_all(&frame)?;
         self.sink.write_all(&self.block)?;
         self.block.clear();

@@ -247,8 +247,10 @@ pub struct BlendBuilder {
 /// how many workloads were generated before this one — so trace generation
 /// is *position-independent*: a cell of a parallel sweep regenerates exactly
 /// the same records whether it runs first, last, serially or on any worker
-/// thread. Job 0 is the canonical workload (the plain FNV-1a hash of the
-/// name, matching what [`BlendBuilder::new`] has always produced); higher
+/// thread. Job 0 is the canonical workload (an FNV-1a-style fold of the name
+/// whose multiplier `0x1_0000_01b3` is not the FNV-1a64 prime, so it is not
+/// `alecto_types::fnv1a_64`; every generated trace's seed derives from it,
+/// matching what [`BlendBuilder::new`] has always produced); higher
 /// job indices mix the index in through a splitmix64 round for per-core or
 /// per-shard variants that must not correlate.
 #[must_use]

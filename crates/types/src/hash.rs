@@ -108,6 +108,13 @@ mod tests {
     }
 
     #[test]
+    fn fnv_matches_reference_vectors() {
+        // Standard FNV-1a64 test vectors ("foobar" is the doctest's).
+        assert_eq!(fnv1a_64(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
     fn mix64_spreads_small_inputs() {
         let a = mix64(1);
         let b = mix64(2);

@@ -6,9 +6,9 @@
 //!
 //! See `tests/fixtures/README.md` for the regeneration/bump procedure.
 
-use alecto_repro::types::{Addr, MemoryRecord, Pc};
+use alecto_repro::types::{fnv1a_64, Addr, MemoryRecord, Pc, FNV1A_OFFSET};
 use std::io::Cursor;
-use traceio::{decode_document, format, TraceWriter};
+use traceio::{decode_document, TraceWriter};
 
 const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.altr");
 
@@ -69,7 +69,7 @@ fn fixture_bytes() -> Vec<u8> {
 #[test]
 fn fixture_checksum_is_pinned() {
     let bytes = fixture_bytes();
-    let fnv = format::fnv1a(format::FNV_OFFSET, &bytes);
+    let fnv = fnv1a_64(FNV1A_OFFSET, &bytes);
     assert_eq!(
         fnv, GOLDEN_FILE_FNV1A64,
         "the committed golden.altr changed (file hashes to {fnv:#018x}); if this is a \
