@@ -32,9 +32,8 @@ pub mod shrink;
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use alecto_types::par_map;
 use machine::MachineSpec;
 
 pub use oracle::{
@@ -165,13 +164,6 @@ impl FuzzOutcome {
     }
 }
 
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Runs the fuzzer: scans `budget` scenarios across the worker pool, then —
 /// serially, in scenario-index order, so the outcome is independent of
 /// `jobs` — shrinks and persists every firing scenario.
@@ -183,34 +175,19 @@ fn effective_jobs(jobs: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the simulator or the fuzzer).
+/// Propagates a panic from a scenario's scan (a bug in the simulator or the
+/// fuzzer).
 pub fn run_fuzz(config: &FuzzConfig) -> io::Result<FuzzOutcome> {
-    let workers =
-        effective_jobs(config.jobs).min(usize::try_from(config.budget).unwrap_or(1)).max(1);
-    let next = AtomicU64::new(0);
-    let fired: Mutex<Vec<(u64, Firing)>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= config.budget {
-                    break;
-                }
-                let scenario =
-                    Scenario::generate(config.seed, index, config.accesses, &config.machine);
-                if let Some(firing) = evaluate(&config.machine, &scenario.source(), &config.panel) {
-                    fired.lock().expect("collector poisoned").push((index, firing));
-                }
-            });
-        }
+    let budget = usize::try_from(config.budget).expect("a scan budget fits in usize");
+    let fired = par_map(budget, config.jobs, |index| {
+        let scenario =
+            Scenario::generate(config.seed, index as u64, config.accesses, &config.machine);
+        evaluate(&config.machine, &scenario.source(), &config.panel)
     });
 
-    let mut fired = fired.into_inner().expect("collector poisoned");
-    fired.sort_by_key(|(index, _)| *index);
-
-    let mut findings = Vec::with_capacity(fired.len());
-    for (index, firing) in fired {
+    let mut findings = Vec::new();
+    for (index, firing) in (0u64..).zip(fired) {
+        let Some(firing) = firing else { continue };
         let scenario = Scenario::generate(config.seed, index, config.accesses, &config.machine);
         let (scenario, dropped, firing) = if config.shrink {
             let shrunk = shrink(

@@ -4,8 +4,8 @@
 //! The crate exposes one function per experiment (`figures::fig8`,
 //! `figures::fig13`, `figures::table3`, ...), all returning an
 //! [`report::Experiment`] — a titled text table plus the raw numbers — so the
-//! same code backs the `alecto-harness` CLI, the integration tests and the
-//! Criterion benches.
+//! same code backs the `alecto-harness` CLI, the sweep server and the
+//! integration tests.
 //!
 //! # Module map
 //!
@@ -59,8 +59,5 @@ pub use energy::{EnergyModel, HierarchyEnergy};
 pub use report::{
     experiments_to_json, Experiment, GridCell, Table, JSON_SCHEMA, JSON_SCHEMA_PREFIX,
 };
-pub use runner::{
-    effective_jobs, run_cell, with_cell_executor, worker_count, CellExecutor, CellJob, RunScale,
-    SpeedupGrid,
-};
+pub use runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScale, SpeedupGrid};
 pub use server::{Server, ServerConfig};

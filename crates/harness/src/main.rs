@@ -81,6 +81,10 @@
 //! * `corpus` tabulates the repro manifests in a directory — the corpus the
 //!   `stress` experiment graduates via `ALECTO_STRESS_CORPUS`.
 //!
+//! Each `trace` and `fuzz` action takes only the flags its usage line lists.
+//! Any other flag, including one a sibling action reads, exits 2 with usage
+//! like an unknown flag does, instead of being silently ignored.
+//!
 //! `serve` turns the harness into a long-running sweep server: experiments
 //! are submitted over HTTP (`POST /v1/sweep`), executed by a persistent
 //! worker pool, and every finished simulation cell is memoized in a
@@ -434,9 +438,22 @@ fn run_serve(args: &[String]) -> ! {
 fn run_trace(args: &[String]) -> ! {
     let Some(action) = args.first() else { usage() };
     let rest = &args[1..];
+    let accepted: &[&str] = match action.as_str() {
+        "record" => &["--accesses", "--out"],
+        "info" => &[],
+        "replay" => &["--accesses", "--jobs", "--machine", "--core-model", "--json"],
+        // Bulk mode names each trace after its file; a single import runs on
+        // one thread. An argument `--dir` is always the flag: no import
+        // value may start with a dash.
+        "import" if rest.iter().any(|arg| arg == "--dir") => {
+            &["--dir", "--out", "--jobs", "--memory-intensive"]
+        }
+        "import" => &["--out", "--name", "--memory-intensive"],
+        _ => usage(),
+    };
 
     let mut accesses: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
+    let mut jobs = 0usize;
     let mut machine_spec: Option<machine::MachineSpec> = None;
     let mut core_model: Option<cpu::CoreModelKind> = None;
     let mut out: Option<String> = None;
@@ -448,6 +465,10 @@ fn run_trace(args: &[String]) -> ! {
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
+            flag if flag.starts_with("--") && !accepted.contains(&flag) => {
+                eprintln!("error: trace {action} does not take {flag}");
+                usage();
+            }
             "--accesses" => {
                 let n: usize = parse_flag_value(rest, &mut i);
                 if n == 0 {
@@ -460,7 +481,7 @@ fn run_trace(args: &[String]) -> ! {
                 if n == 0 {
                     usage();
                 }
-                jobs = Some(n);
+                jobs = n;
             }
             "--machine" => {
                 let arg: String = parse_path_value(rest, &mut i);
@@ -479,7 +500,6 @@ fn run_trace(args: &[String]) -> ! {
             "--name" => name = Some(parse_path_value(rest, &mut i)),
             "--memory-intensive" => memory_intensive = true,
             "--dir" => dir = Some(parse_path_value(rest, &mut i)),
-            flag if flag.starts_with("--") => usage(),
             _ => positionals.push(&rest[i]),
         }
         i += 1;
@@ -512,10 +532,7 @@ fn run_trace(args: &[String]) -> ! {
             if let Some(path) = &json_path {
                 check_writable(path, "--json");
             }
-            let mut scale = RunScale::default();
-            if let Some(n) = jobs {
-                scale.jobs = n;
-            }
+            let mut scale = RunScale { jobs, ..RunScale::default() };
             if let Some(spec) = machine_spec {
                 scale = scale.with_machine(spec);
             }
@@ -534,15 +551,9 @@ fn run_trace(args: &[String]) -> ! {
             std::process::exit(0);
         }
         ("import", []) if dir.is_some() => {
-            // Bulk mode: --name makes no sense across many files (each trace
-            // is stamped with its own file stem), so reject the combination.
-            if name.is_some() {
-                eprintln!("error: --name does not apply to trace import --dir");
-                usage();
-            }
             run_trace_import_dir(&dir.unwrap_or_default(), out.as_deref(), jobs, memory_intensive)
         }
-        ("import", [input]) => {
+        ("import", [input]) if dir.is_none() => {
             let Some(out) = out else {
                 eprintln!("error: trace import needs --out PATH");
                 usage();
@@ -578,7 +589,7 @@ fn run_trace(args: &[String]) -> ! {
 fn run_trace_import_dir(
     dir: &str,
     out_dir: Option<&str>,
-    jobs: Option<usize>,
+    jobs: usize,
     memory_intensive: bool,
 ) -> ! {
     let entries = std::fs::read_dir(dir).unwrap_or_else(|err| {
@@ -603,50 +614,35 @@ fn run_trace_import_dir(
         usage();
     }
 
-    // Independent files, independent workers: a work-stealing index pull
-    // like the experiment engine's, with results re-sorted by input order so
-    // the summary table is deterministic whatever the pool interleaving.
-    let workers = harness::effective_jobs(jobs.unwrap_or(0)).min(inputs.len()).max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
     // (record count, output path) on success, a message naming the cause on
-    // failure; indexed by input position so the table re-sorts deterministically.
-    type ImportOutcome = Result<(u64, String), String>;
-    let results: std::sync::Mutex<Vec<(usize, ImportOutcome)>> = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(input) = inputs.get(index) else { break };
-                let stem = input
-                    .file_stem()
-                    .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned());
-                let out = out_root.join(format!("{stem}.altr"));
-                let out_str = out.to_string_lossy().into_owned();
-                let outcome = std::fs::File::open(input)
-                    .map_err(|err| format!("cannot read: {err}"))
-                    .and_then(|file| {
-                        write_trace_atomically(&out_str, |tmp| {
-                            traceio::import_text(
-                                std::io::BufReader::new(file),
-                                &stem,
-                                memory_intensive,
-                                tmp,
-                            )
-                        })
-                        .map_err(|err| err.to_string())
-                    })
-                    .map(|count| (count, out_str));
-                results.lock().expect("collector poisoned").push((index, outcome));
-            });
-        }
+    // failure, in input order whatever the pool interleaving.
+    let results = alecto_types::par_map(inputs.len(), jobs, |index| {
+        let input = &inputs[index];
+        let stem = input
+            .file_stem()
+            .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned());
+        let out = out_root.join(format!("{stem}.altr"));
+        let out_str = out.to_string_lossy().into_owned();
+        std::fs::File::open(input)
+            .map_err(|err| format!("cannot read: {err}"))
+            .and_then(|file| {
+                write_trace_atomically(&out_str, |tmp| {
+                    traceio::import_text(
+                        std::io::BufReader::new(file),
+                        &stem,
+                        memory_intensive,
+                        tmp,
+                    )
+                })
+                .map_err(|err| err.to_string())
+            })
+            .map(|count| (count, out_str))
     });
-    let mut results = results.into_inner().expect("collector poisoned");
-    results.sort_by_key(|(index, _)| *index);
 
     let mut table = Table::new(vec!["input", "records", "output", "status"]);
     let mut failed = 0usize;
-    for (index, outcome) in &results {
-        let input = inputs[*index].display().to_string();
+    for (input, outcome) in inputs.iter().zip(&results) {
+        let input = input.display().to_string();
         match outcome {
             Ok((count, out)) => {
                 table.push_row(vec![input, count.to_string(), out.clone(), "ok".to_string()]);
@@ -664,9 +660,10 @@ fn run_trace_import_dir(
     }
     println!("{}", table.render());
     println!(
-        "imported {}/{} file(s) from {dir} on {workers} worker(s)",
+        "imported {}/{} file(s) from {dir} on {} worker(s)",
         results.len() - failed,
-        results.len()
+        results.len(),
+        alecto_types::worker_count(jobs, inputs.len())
     );
     std::process::exit(i32::from(failed > 0));
 }
@@ -698,12 +695,13 @@ fn run_trace_info(path: &str) -> ! {
         (
             "encoded size",
             format!(
-                "{:.2} B/record (raw in-memory: 22)",
+                "{:.2} B/record (raw in-memory: {})",
                 if header.record_count == 0 {
                     0.0
                 } else {
                     bytes as f64 / header.record_count as f64
-                }
+                },
+                size_of::<alecto_types::MemoryRecord>()
             ),
         ),
         ("loads", stats.loads.to_string()),
@@ -741,6 +739,11 @@ fn run_fuzz_cli(args: &[String]) -> ! {
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
+            // Only `run` reads flags; `repro` and `corpus` take none.
+            flag if flag.starts_with("--") && action != "run" => {
+                eprintln!("error: fuzz {action} does not take {flag}");
+                usage();
+            }
             "--seed" => seed = parse_flag_value(rest, &mut i),
             "--budget" => {
                 let n: u64 = parse_flag_value(rest, &mut i);

@@ -9,8 +9,8 @@
 //! `&SystemConfig` and streams its records from a shared, immutable
 //! [`TraceSource`] (each cell replays its own lazy iterator, so traces are
 //! never materialised — a 10-million-access sweep holds one record per core
-//! in memory). The engine fans the cells out across a [`std::thread::scope`]
-//! worker pool (no external dependencies) and re-assembles the reports **in
+//! in memory). The engine fans the cells out across
+//! [`alecto_types::par_map`]'s worker pool, which returns the reports **in
 //! job order**, so the resulting [`SpeedupGrid`] is byte-identical whatever
 //! the worker count or the order in which workers finish. Determinism rests
 //! on three guarantees, each enforced elsewhere in the workspace:
@@ -24,11 +24,9 @@
 //!    `System` construction is `Send`-clean.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 
-use alecto_types::{fnv1a_64, geomean, TraceSource, FNV1A_OFFSET};
+use alecto_types::{fnv1a_64, geomean, par_map, TraceSource, FNV1A_OFFSET};
 use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
 
 use crate::report::Table;
@@ -182,26 +180,6 @@ impl RunScale {
     }
 }
 
-/// Resolves a requested worker count: `0` means one worker per available
-/// hardware thread (falling back to 1 if that cannot be determined).
-#[must_use]
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        requested
-    }
-}
-
-/// Worker threads actually spawned for `job_count` jobs under a requested
-/// `--jobs` value: the resolved count clamped to the number of jobs, so
-/// `--jobs 64` on a 6-cell grid spawns 6 workers, not 64 mostly-idle
-/// threads (and never fewer than one).
-#[must_use]
-pub fn worker_count(requested: usize, job_count: usize) -> usize {
-    effective_jobs(requested).min(job_count).max(1)
-}
-
 /// One independent simulation cell: one algorithm (or the baseline) over one
 /// trace-source assignment under one system configuration. Sources are lazy:
 /// the cell regenerates its records on its worker thread, so a sweep's
@@ -293,11 +271,9 @@ pub fn with_cell_executor<R>(executor: Arc<dyn CellExecutor>, f: impl FnOnce() -
     f()
 }
 
-/// Executes `jobs` across up to `requested_workers` scoped worker threads
-/// (resolved via [`effective_jobs`]) and returns the reports **in job
-/// order**, regardless of which worker ran which job or in what order they
-/// finished. Workers pull jobs from a shared atomic counter, so long cells
-/// do not leave threads idle behind a static partition.
+/// Executes `jobs` on [`par_map`]'s ordered pool of up to
+/// `requested_workers` threads and returns the reports **in job order**,
+/// regardless of which worker ran which job or in what order they finished.
 ///
 /// The calling thread's [`with_cell_executor`] scope (if any) is captured
 /// here — before the workers spawn — and shared with all of them, so a
@@ -306,40 +282,13 @@ pub fn with_cell_executor<R>(executor: Arc<dyn CellExecutor>, f: impl FnOnce() -
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the cell's own panic is propagated).
+/// Propagates a cell's panic.
 fn execute_jobs(jobs: &[CellJob<'_>], requested_workers: usize) -> Vec<SystemReport> {
     let executor = CELL_EXECUTOR.with(|slot| slot.borrow().clone());
-    let workers = worker_count(requested_workers, jobs.len());
-    let run = |job: &CellJob<'_>| match &executor {
-        Some(executor) => executor.execute(job),
-        None => run_cell(job),
-    };
-    if workers == 1 {
-        return jobs.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<SystemReport>> = (0..jobs.len()).map(|_| None).collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut completed = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else { break };
-                        completed.push((idx, run(job)));
-                    }
-                    completed
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, report) in handle.join().expect("experiment worker panicked") {
-                results[idx] = Some(report);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every job executed exactly once")).collect()
+    par_map(jobs.len(), requested_workers, |index| match &executor {
+        Some(executor) => executor.execute(&jobs[index]),
+        None => run_cell(&jobs[index]),
+    })
 }
 
 /// Result of one benchmark under one selection algorithm.
@@ -595,24 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_jobs_resolves_auto() {
-        assert!(effective_jobs(0) >= 1);
-        assert_eq!(effective_jobs(3), 3);
-    }
-
-    #[test]
-    fn worker_count_is_clamped_to_the_job_count() {
-        // --jobs 64 on a 6-cell grid spawns 6 workers, not 64 idle threads.
-        assert_eq!(worker_count(64, 6), 6);
-        assert_eq!(worker_count(4, 6), 4);
-        // Degenerate grids still get one worker.
-        assert_eq!(worker_count(8, 0), 1);
-        // Auto resolution is clamped the same way.
-        assert!(worker_count(0, 2) <= 2);
-        assert!(worker_count(0, 1_000_000) >= 1);
-    }
-
-    #[test]
     fn memory_intensive_geomean_filters() {
         let grid = run_single_core_suite(
             &tiny_workloads(),
@@ -733,7 +664,7 @@ mod tests {
 
     #[test]
     fn scoped_executor_intercepts_every_cell_and_restores() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
         struct Counting(AtomicUsize);
         impl CellExecutor for Counting {

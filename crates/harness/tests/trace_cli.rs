@@ -31,6 +31,7 @@ impl Scratch {
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -84,7 +85,8 @@ fn record_info_replay_round_trip_is_byte_identical_to_the_generated_run() {
     let output = harness().args(["trace", "info", trace.as_str()]).output().expect("spawn harness");
     assert!(output.status.success(), "info failed: {output:?}");
     let stdout = String::from_utf8(output.stdout).expect("utf-8");
-    for needle in ["web-cache", "records", "400", "(verified)", "format version"] {
+    let raw_size = format!("raw in-memory: {}", size_of::<alecto_types::MemoryRecord>());
+    for needle in ["web-cache", "records", "400", "(verified)", "format version", &raw_size] {
         assert!(stdout.contains(needle), "info output is missing {needle}:\n{stdout}");
     }
 
@@ -203,6 +205,17 @@ fn trace_usage_errors_exit_two() {
     let missing = Scratch::new("missing.altr");
     let probe = Scratch::new("probe.altr");
     let out = probe.as_str();
+    // A valid trace and an existing directory, so the flag an action does
+    // not read is the only thing wrong with those cases.
+    let trace = Scratch::new("valid.altr");
+    let output = harness()
+        .args(["trace", "record", "mcf", "--accesses", "60", "--out", trace.as_str()])
+        .output()
+        .expect("spawn harness");
+    assert!(output.status.success(), "record failed: {output:?}");
+    let corpus = Scratch::new("corpus");
+    std::fs::create_dir(&corpus.0).expect("create corpus dir");
+    let report = Scratch::new("info.json");
     let cases: &[&[&str]] = &[
         // Unknown action, missing operands, unknown flags.
         &["trace"],
@@ -214,6 +227,10 @@ fn trace_usage_errors_exit_two() {
         &["trace", "record", "mcf", "--bogus", "--out", out],
         // Unknown benchmark and unreadable trace file.
         &["trace", "record", "no-such-bench", "--out", out],
+        // A flag the action does not read.
+        &["trace", "info", trace.as_str(), "--json", report.as_str()],
+        &["trace", "record", "mcf", "--out", out, "--jobs", "4", "--core-model", "ooo"],
+        &["fuzz", "corpus", corpus.as_str(), "--seed", "3"],
     ];
     for args in cases {
         let output = harness().args(*args).output().expect("spawn harness");

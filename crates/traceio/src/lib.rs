@@ -15,7 +15,8 @@
 //! header carrying the benchmark name, generation seed, record count and an
 //! FNV-1a64 body checksum ([`mod@format`]). Sequential access streams compress
 //! to a few bytes per record; even pointer-chase streams stay well under the
-//! 22 bytes a raw in-memory record occupies.
+//! 24 bytes a raw in-memory record occupies on 64-bit targets
+//! (`size_of::<MemoryRecord>()`, which `trace info` prints).
 //!
 //! The header's body checksum is also the trace's *identity*: sources minted
 //! by [`TraceReader::source`] fold it (plus the recorded seed) into their
@@ -137,7 +138,7 @@ mod tests {
             (0..4096u64).map(|i| MemoryRecord::load(Pc::new(0x40), Addr::new(i * 64), 3)).collect();
         let bytes = encode(&records, DEFAULT_BLOCK_RECORDS);
         // pc delta 0 (1 B), addr delta 64 → zigzag 128 (2 B), gap 3 (1 B):
-        // four bytes per steady-state record, well under the 22-byte
+        // four bytes per steady-state record, well under the 24-byte
         // in-memory representation.
         let per_record = bytes.len() as f64 / records.len() as f64;
         assert!(per_record < 4.5, "sequential stream costs {per_record:.2} B/record");

@@ -3,7 +3,8 @@
 //! This crate deliberately contains only small, dependency-free building
 //! blocks: strongly typed addresses, demand/prefetch request and prefetch
 //! outcome descriptors, saturating counters, the folded-XOR PC hash used by
-//! the Sandbox Table, and the geometric mean used when aggregating results.
+//! the Sandbox Table, the geometric mean used when aggregating results, and
+//! the ordered worker pool that spreads independent items across threads.
 //!
 //! # Example
 //!
@@ -21,6 +22,7 @@
 pub mod addr;
 pub mod counter;
 pub mod hash;
+pub mod pool;
 pub mod request;
 pub mod stats;
 pub mod trace;
@@ -31,6 +33,7 @@ pub use addr::{
 };
 pub use counter::{RatioCounter, SaturatingCounter};
 pub use hash::{fnv1a_64, fold_pc, FNV1A_OFFSET};
+pub use pool::{par_map, worker_count};
 pub use request::{
     AccessKind, DemandAccess, FillLevel, PrefetchOutcome, PrefetchRequest, PrefetcherId,
 };

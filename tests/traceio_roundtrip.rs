@@ -81,7 +81,7 @@ fn every_registered_benchmark_round_trips_at_fixed_small_budgets() {
 
 #[test]
 fn replayed_grid_cells_are_byte_identical_across_sources_and_worker_counts() {
-    // The acceptance criterion: record → replay produces the same
+    // The acceptance bar: record → replay produces the same
     // alecto-bench-v2 report — byte for byte — as the generated-source run,
     // and neither depends on the worker count.
     let accesses = 600;
