@@ -61,13 +61,6 @@ impl AlectoConfig {
         Self { fixed_ia_degree: Some(degree), ..Self::default() }
     }
 
-    /// Largest total degree a prefetcher can be granted (`c + M + 1`), the
-    /// value the extended-Bandit comparison of §VI-H enumerates.
-    #[must_use]
-    pub const fn max_total_degree(&self) -> u32 {
-        self.conservative_degree + self.max_aggressive + 1
-    }
-
     /// Validates the configuration, panicking on nonsensical parameters.
     ///
     /// # Panics
@@ -112,12 +105,6 @@ mod tests {
         assert_eq!(c.sandbox_entries, 512);
         assert_eq!(c.fixed_ia_degree, None);
         c.validate();
-    }
-
-    #[test]
-    fn max_total_degree_matches_section_vi_h() {
-        // c = 3, M = 5 → degrees 0, 3, 4, ..., 9: maximum 9 = c + M + 1.
-        assert_eq!(AlectoConfig::default().max_total_degree(), 9);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct CoreReport {
     pub prefetches_issued: u64,
     /// Branch mispredicts per kilo-instruction. `None` for core models
     /// without a branch predictor (the Approx preset) — emitted as `null` in
-    /// alecto-bench-v2 so old reports and the `compare` gate keep parsing.
+    /// alecto-bench-v2, so cells of both core models carry the same fields.
     pub branch_mpki: Option<f64>,
     /// Mean reorder-buffer occupancy in entries, sampled once per record.
     /// `None` for core models without an explicit ROB (the Approx preset).
@@ -52,16 +52,6 @@ pub struct CoreReport {
 }
 
 impl CoreReport {
-    /// Misses per kilo-instruction at the L1D (memory-intensity indicator).
-    #[must_use]
-    pub fn l1_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            1000.0 * self.l1.demand_misses as f64 / self.instructions as f64
-        }
-    }
-
     /// Average load-to-use latency per demand access, in cycles (0 when the
     /// core performed no memory accesses).
     #[must_use]
@@ -133,12 +123,6 @@ impl SystemReport {
             q.merge(&c.quality);
         }
         q
-    }
-
-    /// Total prefetcher training occurrences across all cores.
-    #[must_use]
-    pub fn total_training_occurrences(&self) -> u64 {
-        self.cores.iter().map(|c| c.training_occurrences).sum()
     }
 
     /// Total prefetcher table misses across all cores (Fig. 1).
@@ -233,12 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn mpki_computation() {
-        let c = dummy_core(1.0, 10);
-        assert!((c.l1_mpki() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn avg_mem_latency_per_core_and_aggregate() {
         let c = dummy_core(1.0, 10);
         assert!((c.avg_mem_latency() - 20.0).abs() < 1e-9);
@@ -279,7 +257,6 @@ mod tests {
             selector_storage_bits: 100,
         };
         assert!((report.geomean_ipc().unwrap() - 2.0).abs() < 1e-9);
-        assert_eq!(report.total_training_occurrences(), 40);
         assert_eq!(report.total_table_misses(), 14);
         let q = report.total_quality();
         assert_eq!(q.covered_timely, 20);

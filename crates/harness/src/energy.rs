@@ -46,14 +46,6 @@ pub struct HierarchyEnergy {
     pub prefetcher_nj: f64,
 }
 
-impl HierarchyEnergy {
-    /// Total energy in nanojoules.
-    #[must_use]
-    pub fn total_nj(&self) -> f64 {
-        self.hierarchy_nj + self.prefetcher_nj
-    }
-}
-
 impl EnergyModel {
     /// Evaluates the model over a system report.
     #[must_use]
@@ -100,7 +92,6 @@ mod tests {
         let e_big = m.evaluate(&big);
         assert!(e_big.hierarchy_nj > e_small.hierarchy_nj);
         assert!(e_big.prefetcher_nj > e_small.prefetcher_nj);
-        assert!(e_big.total_nj() > e_big.hierarchy_nj);
     }
 
     #[test]

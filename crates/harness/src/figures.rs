@@ -20,14 +20,6 @@ fn main_algorithms() -> Vec<SelectionAlgorithm> {
     SelectionAlgorithm::main_comparison().to_vec()
 }
 
-/// The scale's machine (Table I by default) lowered at `cores` cores under
-/// the scale's core timing model — every sweep experiment builds its
-/// `SystemConfig` through here (or lowers a modified `machine_at` spec), so
-/// `--machine` and `--core-model` reach each cell.
-fn system_config(scale: &RunScale, cores: usize) -> SystemConfig {
-    scale.base_config(cores)
-}
-
 fn spec06_workloads(scale: &RunScale) -> Vec<TraceSource> {
     traces::Suite::Spec06.all_sources(scale.accesses)
 }
@@ -165,7 +157,7 @@ pub fn fig1(scale: &RunScale) -> Experiment {
             &workloads,
             &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
             scale.composite(CompositeKind::GsCsPmp),
-            &system_config(scale, 1),
+            &scale.base_config(1),
             scale.jobs,
         );
         let misses = |algo: &str| -> u64 {
@@ -253,7 +245,7 @@ pub fn fig8(scale: &RunScale) -> Experiment {
         &spec06_workloads(scale),
         &main_algorithms(),
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     Experiment::new("fig8", "SPEC CPU2006 speedup over no prefetching (Fig. 8)", grid.to_table())
@@ -269,7 +261,7 @@ pub fn fig9(scale: &RunScale) -> Experiment {
         &spec17_workloads(scale),
         &main_algorithms(),
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     Experiment::new("fig9", "SPEC CPU2017 speedup over no prefetching (Fig. 9)", grid.to_table())
@@ -286,7 +278,7 @@ pub fn fig10(scale: &RunScale) -> Experiment {
         &workloads,
         &main_algorithms(),
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     let mut table = Table::new(vec![
@@ -333,14 +325,14 @@ pub fn fig11(scale: &RunScale) -> Experiment {
             &spec06_workloads(scale),
             &main_algorithms(),
             CompositeKind::GsBertiCplx,
-            &system_config(scale, 1),
+            &scale.base_config(1),
             scale.jobs,
         ),
         run_single_core_suite(
             &spec17_workloads(scale),
             &main_algorithms(),
             CompositeKind::GsBertiCplx,
-            &system_config(scale, 1),
+            &scale.base_config(1),
             scale.jobs,
         ),
     ]);
@@ -364,7 +356,7 @@ pub fn fig11(scale: &RunScale) -> Experiment {
 pub fn fig12(scale: &RunScale) -> Experiment {
     let workloads: Vec<TraceSource> =
         spec06_workloads(scale).into_iter().chain(spec17_workloads(scale)).collect();
-    let config = system_config(scale, 1);
+    let config = scale.base_config(1);
     let mut table = Table::new(vec!["configuration", "geomean speedup"]);
     let single = |composite: CompositeKind| -> f64 {
         let grid = run_single_core_suite(
@@ -418,7 +410,7 @@ fn temporal_speedup(
     scale: &RunScale,
 ) -> f64 {
     let jobs = scale.jobs;
-    let config = system_config(scale, 1);
+    let config = scale.base_config(1);
     let with_grid = run_single_core_suite(
         workloads,
         &[with_temporal],
@@ -566,7 +558,7 @@ pub fn fig17(scale: &RunScale) -> Experiment {
     let algorithms = main_algorithms();
     // Eight cores historically; a selected machine brings its own count.
     let cores = scale.multicore_cores(8);
-    let config = system_config(scale, cores);
+    let config = scale.base_config(cores);
     let mut grids = Vec::new();
 
     // Heterogeneous SPEC06 and SPEC17 mixes over the memory-intensive subset
@@ -660,7 +652,7 @@ fn offset_source(source: TraceSource, core: usize) -> TraceSource {
 #[must_use]
 pub fn fig18(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let config = system_config(scale, 1);
+    let config = scale.base_config(1);
     let grid = run_single_core_suite(
         &workloads,
         &[SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
@@ -732,7 +724,7 @@ pub fn fig19(scale: &RunScale) -> Experiment {
             SelectionAlgorithm::Alecto,
         ],
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     Experiment::new("fig19", "Ablation: Alecto with fixed prefetching degree (Fig. 19)", grid.to_table())
@@ -752,7 +744,7 @@ pub fn fig20(scale: &RunScale) -> Experiment {
             SelectionAlgorithm::Alecto,
         ],
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     Experiment::new(
@@ -778,7 +770,7 @@ pub fn bandit_extended(scale: &RunScale) -> Experiment {
             SelectionAlgorithm::Alecto,
         ],
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     let mut table = Table::new(vec!["algorithm", "geomean speedup", "storage (bytes)"]);
@@ -816,7 +808,7 @@ pub fn bandit_extended(scale: &RunScale) -> Experiment {
 pub fn stress(scale: &RunScale) -> Experiment {
     let algorithms =
         [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto];
-    let config = system_config(scale, 1);
+    let config = scale.base_config(1);
     let mut grids = Vec::new();
     let corpus = corpus_sources(scale.accesses);
     for mult in [1usize, 2, 4] {
@@ -872,7 +864,7 @@ pub fn stress(scale: &RunScale) -> Experiment {
 
 /// Env var naming a directory whose `*.altr` traces graduate into the
 /// `stress` sweep: every readable trace in it (sorted by file name, so the
-/// sweep stays deterministic) is appended as a `file:`-backed benchmark at
+/// sweep stays deterministic) is appended as a file-backed benchmark at
 /// the scale's base access budget. Unset — the default everywhere except
 /// fuzzing workflows — leaves `stress` exactly as it always was.
 pub const STRESS_CORPUS_ENV: &str = "ALECTO_STRESS_CORPUS";
@@ -901,7 +893,10 @@ fn corpus_sources(accesses: usize) -> Vec<TraceSource> {
     paths.sort();
     paths
         .into_iter()
-        .map(|path| traces::Suite::File.source(&format!("file:{}", path.display()), accesses))
+        .map(|path| {
+            traceio::file_source(&path, Some(accesses))
+                .unwrap_or_else(|err| panic!("cannot open trace {}: {err}", path.display()))
+        })
         .collect()
 }
 
@@ -1002,7 +997,7 @@ pub fn replay(sources: &[TraceSource], scale: &RunScale) -> Experiment {
         sources,
         &main_algorithms(),
         scale.composite(CompositeKind::GsCsPmp),
-        &system_config(scale, 1),
+        &scale.base_config(1),
         scale.jobs,
     );
     Experiment::new("replay", "Hierarchy x selector grid over trace sources", grid.to_table())

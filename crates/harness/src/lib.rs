@@ -10,7 +10,9 @@
 //! # Module map
 //!
 //! * [`figures`] — the experiment definitions themselves, plus
-//!   [`figures::builder`] mapping CLI/server experiment ids to builders.
+//!   [`figures::builder`] mapping CLI/server experiment ids to builders and
+//!   [`figures::resolve_trace_spec`], the one resolver of trace specs
+//!   (benchmark names and verified `file:<path>` traces).
 //! * [`runner`] — the parallel cell engine: [`CellJob`] (one benchmark ×
 //!   algorithm simulation with a content-addressed [`CellJob::cache_key`]),
 //!   the work-stealing fan-out, the scoped [`CellExecutor`] hook
@@ -18,7 +20,6 @@
 //! * [`report`] — text-table rendering, the alecto-bench-v2 JSON emitter
 //!   ([`experiments_to_json`]) and the strict serde-free parser
 //!   (`report::json`).
-//! * [`compare`] — the perf-regression gate over two JSON reports.
 //! * [`cellcache`] — the two-tier (LRU memory + checksummed disk)
 //!   content-addressed memoization of cell results.
 //! * [`server`] — `alecto-harness serve`: the sweep HTTP API over a
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod cellcache;
-pub mod compare;
 pub mod energy;
 pub mod figures;
 pub mod report;
@@ -54,10 +54,37 @@ pub mod runner;
 pub mod server;
 
 pub use cellcache::{CacheCounters, CellCache};
-pub use compare::{compare_reports, Comparison, DEFAULT_TOLERANCE_PCT};
 pub use energy::{EnergyModel, HierarchyEnergy};
-pub use report::{
-    experiments_to_json, Experiment, GridCell, Table, JSON_SCHEMA, JSON_SCHEMA_PREFIX,
-};
+pub use report::{experiments_to_json, Experiment, GridCell, Table, JSON_SCHEMA};
 pub use runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScale, SpeedupGrid};
 pub use server::{Server, ServerConfig};
+
+#[cfg(test)]
+mod tests {
+    use super::figures::resolve_trace_spec;
+
+    #[test]
+    fn file_scheme_resolves_and_replays_recorded_traces() {
+        let path =
+            std::env::temp_dir().join(format!("harness-file-scheme-{}.altr", std::process::id()));
+        let source = traces::Suite::Spec06.source("mcf", 120);
+        let seed = traces::derive_seed("mcf", 0);
+        traceio::record_source(&source, seed, &path).expect("record");
+        let spec = format!("file:{}", path.display());
+
+        // The spec resolves to the recorded trace and its recorded seed.
+        let (replayed, replayed_seed) = resolve_trace_spec(&spec, Some(120)).expect("resolves");
+        assert_eq!(replayed_seed, seed);
+
+        // Replay is record-identical to the generator, keeps the recorded
+        // name and intensity, and honours the access cap.
+        assert_eq!(replayed.collect(), source.collect());
+        let (capped, _) = resolve_trace_spec(&spec, Some(10)).expect("resolves");
+        assert_eq!(capped.memory_accesses(), 10);
+        assert_eq!(
+            capped.collect().records,
+            traces::Suite::Spec06.source("mcf", 10).collect().records
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+}

@@ -1,12 +1,10 @@
-//! `alecto-harness` — regenerate the paper's tables and figures, gate
-//! performance regressions between report files, and record/replay binary
-//! `.altr` traces.
+//! `alecto-harness` — regenerate the paper's tables and figures, serve them
+//! over HTTP, and record/replay binary `.altr` traces.
 //!
 //! ```text
 //! alecto-harness <experiment> [--accesses N] [--multicore-accesses N]
 //!                [--quick] [--jobs N] [--machine NAME|FILE]
 //!                [--core-model approx|ooo] [--json PATH]
-//! alecto-harness compare <baseline.json> <candidate.json> [--tolerance PCT]
 //! alecto-harness list
 //! alecto-harness machines [list]
 //! alecto-harness machines show <name|file>
@@ -29,11 +27,6 @@
 //!              fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 bandit-ext
 //!              stress timing all quick
 //! ```
-//!
-//! `compare` exits 0 when every cell shared by the two reports keeps its
-//! speedup and IPC within the tolerance (default 5%) below the baseline, 1
-//! with a per-cell diff table when any cell regressed, and 2 on usage or
-//! parse errors. CI runs it against the committed `BENCH_*.json` baselines.
 //!
 //! `list` prints every registered benchmark (grouped by suite) and every
 //! experiment id, then exits 0.
@@ -65,7 +58,9 @@
 //! * `import` converts a ChampSim-style text/CSV dump into `.altr`;
 //!   `--dir DIR` bulk-imports every `.txt`/`.csv`/`.champsim` file in a
 //!   directory across a worker pool, continuing past per-file errors and
-//!   rendering a per-file summary table (exit 1 when any file failed).
+//!   rendering a per-file summary table (exit 1 when any file failed). Two
+//!   inputs with one stem (`a.txt`, `a.csv`) would write the same `a.altr`,
+//!   so both fail and neither is written.
 //!
 //! The `fuzz` subcommand family drives the adversarial scenario fuzzer (the
 //! `fuzz` crate; see ARCHITECTURE.md § Fuzzing):
@@ -115,7 +110,9 @@
 //! `--json PATH` additionally writes the machine-readable
 //! `alecto-bench-v2` report to `PATH`. Both report (`--json`) and trace
 //! (`--out`) destinations are checked for writability up front, so a bad
-//! path exits 2 before minutes of simulation, not after.
+//! path exits 2 before minutes of simulation, not after. The check removes
+//! any file it created, so a later usage error (an unknown experiment or
+//! trace spec) leaves no empty report or trace behind.
 
 use alecto_types::TraceSource;
 use harness::figures;
@@ -127,7 +124,6 @@ fn usage() -> ! {
         "usage: alecto-harness <experiment> [--accesses N] [--multicore-accesses N] [--quick]\n\
          \x20                  [--jobs N] [--machine NAME|FILE]\n\
          \x20                  [--core-model approx|ooo] [--json PATH]\n\
-         \x20      alecto-harness compare <baseline.json> <candidate.json> [--tolerance PCT]\n\
          \x20      alecto-harness list\n\
          \x20      alecto-harness machines [list]\n\
          \x20      alecto-harness machines show <name|file>\n\
@@ -191,9 +187,6 @@ fn usage() -> ! {
          \x20                         (default 5)\n\
          \x20 --no-shrink             fuzz run: keep firing scenarios at full size instead of\n\
          \x20                         dropping components / halving accesses\n\
-         \x20 --tolerance PCT         compare: allowed speedup/IPC drop below the baseline\n\
-         \x20                         in percent (default 5); exits 0 in-tolerance, 1 on\n\
-         \x20                         regression with a per-cell diff, 2 on usage/parse errors\n\
          \x20 --addr HOST:PORT        serve: listen address (default 127.0.0.1:7171; port 0\n\
          \x20                         picks a free port, printed on startup)\n\
          \x20 --sweep-workers N       serve: concurrent sweep jobs (default 2)\n\
@@ -201,71 +194,6 @@ fn usage() -> ! {
          \x20 --cache-dir PATH        serve: persist cache entries across restarts under PATH"
     );
     std::process::exit(2);
-}
-
-/// The `compare` subcommand: gate `candidate` against `baseline`.
-/// Exit codes: 0 pass, 1 regression, 2 usage/parse error.
-fn run_compare(args: &[String]) -> ! {
-    let mut tolerance = harness::DEFAULT_TOLERANCE_PCT;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                let Some(value) = args.get(i) else { usage() };
-                match value.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 0.0 => tolerance = t,
-                    _ => {
-                        eprintln!("error: --tolerance {value}: not a non-negative percentage");
-                        usage();
-                    }
-                }
-            }
-            flag if flag.starts_with('-') => usage(),
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [baseline_path, candidate_path] = paths[..] else { usage() };
-    let read = |path: &String| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|err| {
-            eprintln!("error: cannot read {path}: {err}");
-            usage();
-        })
-    };
-    let baseline = read(baseline_path);
-    let candidate = read(candidate_path);
-    match harness::compare_reports(&baseline, &candidate, tolerance) {
-        Err(err) => {
-            eprintln!("error: {err}");
-            usage();
-        }
-        Ok(comparison) => {
-            println!(
-                "compared {} shared cell(s) ({} baseline-only, {} candidate-only) \
-                 at {tolerance}% tolerance",
-                comparison.shared_cells, comparison.baseline_only, comparison.candidate_only
-            );
-            // A comparison that gates nothing must not read as a pass: a
-            // renamed experiment or benchmark set would otherwise silently
-            // disarm the CI perf gate.
-            if comparison.shared_cells == 0 {
-                eprintln!(
-                    "error: the reports share no cells — wrong file pair, or the baseline \
-                     needs refreshing"
-                );
-                std::process::exit(2);
-            }
-            if comparison.passed() {
-                println!("PASS: no cell regressed beyond tolerance");
-                std::process::exit(0);
-            }
-            println!("FAIL: {} metric(s) regressed beyond tolerance", comparison.regressions.len());
-            println!("{}", comparison.diff_table().render());
-            std::process::exit(1);
-        }
-    }
 }
 
 /// The `list` subcommand: every registered benchmark and experiment id.
@@ -351,8 +279,19 @@ fn run_machines(args: &[String]) -> ! {
 /// Fails fast (exit 2 + usage) when `path` cannot be created, naming `flag`.
 /// A full-scale run takes minutes; discovering the bad destination only at
 /// the final write would throw the whole run away.
+///
+/// The probe removes a file it created, so a command that later fails (an
+/// unknown experiment or trace spec) leaves no empty report or 0-byte trace
+/// behind; an existing destination is opened for append and keeps its bytes.
 fn check_writable(path: &str, flag: &str) {
-    if let Err(err) = std::fs::OpenOptions::new().create(true).append(true).open(path).map(drop) {
+    let probe = match std::fs::OpenOptions::new().write(true).create_new(true).open(path) {
+        Ok(_) => std::fs::remove_file(path),
+        Err(err) if err.kind() == std::io::ErrorKind::AlreadyExists => {
+            std::fs::OpenOptions::new().append(true).open(path).map(drop)
+        }
+        Err(err) => Err(err),
+    };
+    if let Err(err) = probe {
         eprintln!("error: {flag} {path}: {err}");
         usage();
     }
@@ -584,8 +523,9 @@ fn run_trace(args: &[String]) -> ! {
 
 /// `trace import --dir`: fan every ChampSim text file in `dir` across a
 /// worker pool, continuing past per-file failures, and render a per-file
-/// summary table. Exits 0 when every file imported, 1 when any failed, 2
-/// when the directory is unreadable or holds no importable files.
+/// summary table. Inputs that would write the same `<stem>.altr` fail
+/// without writing it. Exits 0 when every file imported, 1 when any failed,
+/// 2 when the directory is unreadable or holds no importable files.
 fn run_trace_import_dir(
     dir: &str,
     out_dir: Option<&str>,
@@ -614,25 +554,47 @@ fn run_trace_import_dir(
         usage();
     }
 
+    let stems: Vec<String> = inputs
+        .iter()
+        .map(|input| {
+            input
+                .file_stem()
+                .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned())
+        })
+        .collect();
+    let outputs: Vec<std::path::PathBuf> =
+        stems.iter().map(|stem| out_root.join(format!("{stem}.altr"))).collect();
+    // Inputs that share an output path (`a.txt` and `a.csv`) are all refused:
+    // importing them would let one silently overwrite the other.
+    let mut importers: std::collections::BTreeMap<&std::path::Path, Vec<usize>> =
+        std::collections::BTreeMap::new();
+    for (index, out) in outputs.iter().enumerate() {
+        importers.entry(out).or_default().push(index);
+    }
+
     // (record count, output path) on success, a message naming the cause on
     // failure, in input order whatever the pool interleaving.
     let results = alecto_types::par_map(inputs.len(), jobs, |index| {
-        let input = &inputs[index];
-        let stem = input
-            .file_stem()
-            .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned());
-        let out = out_root.join(format!("{stem}.altr"));
+        let (input, stem, out) = (&inputs[index], &stems[index], &outputs[index]);
+        let sharing = &importers[out.as_path()];
+        if sharing.len() > 1 {
+            let others: Vec<String> = sharing
+                .iter()
+                .filter(|&&other| other != index)
+                .map(|&other| inputs[other].display().to_string())
+                .collect();
+            return Err(format!(
+                "output {} is also the output of {}",
+                out.display(),
+                others.join(", ")
+            ));
+        }
         let out_str = out.to_string_lossy().into_owned();
         std::fs::File::open(input)
             .map_err(|err| format!("cannot read: {err}"))
             .and_then(|file| {
                 write_trace_atomically(&out_str, |tmp| {
-                    traceio::import_text(
-                        std::io::BufReader::new(file),
-                        &stem,
-                        memory_intensive,
-                        tmp,
-                    )
+                    traceio::import_text(std::io::BufReader::new(file), stem, memory_intensive, tmp)
                 })
                 .map_err(|err| err.to_string())
             })
@@ -923,7 +885,6 @@ fn main() {
         usage();
     }
     match args[0].as_str() {
-        "compare" => run_compare(&args[1..]),
         "list" => run_list(),
         "machines" => run_machines(&args[1..]),
         "serve" => run_serve(&args[1..]),

@@ -1,7 +1,8 @@
 //! Experiment reports: a titled table of rows rendered with aligned columns
 //! so the harness output reads like the paper's tables, plus a hand-rolled
-//! machine-readable JSON form (`--json`) that CI archives as `BENCH_*.json`
-//! to track performance trajectories across PRs.
+//! machine-readable JSON form (`--json`). CI requires fresh `quick` and
+//! `stress` reports to be byte-identical to the committed `BENCH_*.json`
+//! baselines.
 //!
 //! The JSON support is deliberately serde-free (crates.io is unreachable in
 //! this environment): [`json`] contains a minimal writer and a strict
@@ -14,14 +15,10 @@ use crate::runner::SpeedupGrid;
 /// detect schema changes.
 ///
 /// `v2` extends every grid cell of `v1` with the cycle-level timing fields
-/// (`instructions`, `cycles`, `avg_mem_latency`); the `compare` subcommand
-/// accepts both versions since the gated metrics (speedup, IPC) exist in
-/// each.
+/// (`instructions`, `cycles`, `avg_mem_latency`) and the nullable
+/// core-pipeline fields (`branch_mpki`, `rob_occupancy`). Only `v2` is
+/// written.
 pub const JSON_SCHEMA: &str = "alecto-bench-v2";
-
-/// Prefix every supported schema version starts with (see
-/// [`crate::compare`]).
-pub const JSON_SCHEMA_PREFIX: &str = "alecto-bench-v";
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, PartialEq)]

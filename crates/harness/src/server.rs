@@ -54,16 +54,18 @@ use crate::runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScal
 /// so anything near this is abuse or a protocol error.
 const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Connection-handler threads servicing the HTTP side; sweeps themselves run
+/// on the sweep workers.
+const HANDLER_THREADS: usize = 4;
+
 /// Tuning knobs of a [`Server`]; `Default` is sized for a small shared
-/// instance (two concurrent sweeps, four connection handlers, the default
-/// cache capacity, no persistence).
+/// instance (two concurrent sweeps, the default cache capacity, no
+/// persistence).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Persistent sweep-worker threads: how many submitted sweeps execute
     /// concurrently (further submissions queue).
     pub sweep_workers: usize,
-    /// Connection-handler threads servicing the HTTP side.
-    pub handler_threads: usize,
     /// Default per-sweep cell-engine worker count (`0` = one per hardware
     /// thread), overridable per request via the `jobs` field.
     pub default_jobs: usize,
@@ -77,7 +79,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             sweep_workers: 2,
-            handler_threads: 4,
             default_jobs: 0,
             cache_capacity: CellCache::DEFAULT_CAPACITY,
             cache_dir: None,
@@ -211,7 +212,7 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let pending: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
             Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-        for handler in 0..self.state.config.handler_threads.max(1) {
+        for handler in 0..HANDLER_THREADS {
             let pending = Arc::clone(&pending);
             let state = Arc::clone(&self.state);
             thread::Builder::new()
@@ -790,7 +791,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let config = ServerConfig::default();
         assert!(config.sweep_workers >= 1);
-        assert!(config.handler_threads >= 1);
         assert_eq!(config.cache_capacity, CellCache::DEFAULT_CAPACITY);
         assert!(config.cache_dir.is_none());
     }

@@ -135,10 +135,14 @@ fn timing_experiment_contrasts_both_regimes() {
 
 #[test]
 fn unknown_experiment_exits_two_with_usage() {
-    let output = harness().arg("fig99").output().expect("spawn harness");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8(output.stderr).expect("utf-8 usage");
-    assert!(stderr.contains("usage: alecto-harness"), "no usage on stderr:\n{stderr}");
+    // `compare` is not a subcommand: CI gates baselines with `cmp`.
+    for args in [&["fig99"][..], &["compare", "a.json", "b.json"]] {
+        let output = harness().args(args).output().expect("spawn harness");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 usage");
+        assert!(stderr.contains("usage: alecto-harness"), "no usage on stderr:\n{stderr}");
+        assert!(!stderr.contains("compare"), "usage still lists compare:\n{stderr}");
+    }
 }
 
 #[test]

@@ -201,6 +201,69 @@ fn unwritable_out_path_exits_two_with_usage_before_recording() {
 }
 
 #[test]
+fn usage_errors_after_the_path_check_leave_no_file_behind() {
+    // The up-front writability probe must not leave an empty report or a
+    // 0-byte (broken) trace when the experiment id or trace spec is bad.
+    let trace = Scratch::new("x.altr");
+    let report = Scratch::new("r.json");
+    let replay_report = Scratch::new("r2.json");
+    let cases: [(&[&str], &Scratch); 3] = [
+        (&["trace", "record", "no-such-bench", "--out", trace.as_str()], &trace),
+        (&["fig99", "--json", report.as_str()], &report),
+        (&["trace", "replay", "no-such", "--json", replay_report.as_str()], &replay_report),
+    ];
+    for (args, file) in cases {
+        let output = harness().args(args).output().expect("spawn harness");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(!file.0.exists(), "{args:?} left {} behind", file.as_str());
+    }
+    // A destination that already existed keeps its bytes.
+    std::fs::write(&report.0, "keep").expect("write report");
+    let output =
+        harness().args(["fig99", "--json", report.as_str()]).output().expect("spawn harness");
+    assert_eq!(output.status.code(), Some(2));
+    assert_eq!(std::fs::read_to_string(&report.0).expect("read report"), "keep");
+}
+
+#[test]
+fn import_dir_fails_inputs_that_share_an_output_and_writes_neither() {
+    let dir = Scratch::new("import-dir");
+    std::fs::create_dir(&dir.0).expect("create dir");
+    let write = |name: &str, text: &str| std::fs::write(dir.0.join(name), text).expect("write");
+    write("a.txt", "0x400 0x1000 L\n0x404 0x2000 L\n");
+    write("a.csv", "1,4096,L\n2,8192,L\n3,12288,S\n");
+    write("bad.txt", "not-a-record\n");
+    write("good.champsim", "0x10 0x40 L\n");
+    let input = |name: &str| dir.0.join(name).display().to_string();
+    let collided = dir.0.join("a.altr");
+    for jobs in ["1", "2"] {
+        let output = harness()
+            .args(["trace", "import", "--dir", dir.as_str(), "--jobs", jobs])
+            .output()
+            .expect("spawn harness");
+        assert_eq!(output.status.code(), Some(1), "--jobs {jobs}: {output:?}");
+        let stdout = String::from_utf8(output.stdout).expect("utf-8");
+        let row = |name: &str| {
+            let input = input(name);
+            stdout
+                .lines()
+                .find(|line| line.split_whitespace().next() == Some(input.as_str()))
+                .unwrap_or_else(|| panic!("no row for {input}:\n{stdout}"))
+                .to_string()
+        };
+        let collision = format!("failed: output {} is also the output of", collided.display());
+        assert!(row("a.csv").contains(&format!("{collision} {}", input("a.txt"))), "{stdout}");
+        assert!(row("a.txt").contains(&format!("{collision} {}", input("a.csv"))), "{stdout}");
+        assert!(row("bad.txt").contains("failed: line 1"), "{stdout}");
+        let good = row("good.champsim");
+        assert!(good.contains(&dir.0.join("good.altr").display().to_string()), "{stdout}");
+        assert!(good.trim_end().ends_with("ok"), "{stdout}");
+        assert!(stdout.contains("imported 1/4 file(s)"), "{stdout}");
+        assert!(!collided.exists(), "--jobs {jobs} wrote {}", collided.display());
+    }
+}
+
+#[test]
 fn trace_usage_errors_exit_two() {
     let missing = Scratch::new("missing.altr");
     let probe = Scratch::new("probe.altr");

@@ -9,7 +9,7 @@ use crate::config::{HierarchyParams, Level};
 use crate::dram::DramModel;
 use crate::mshr::{MshrEntry, MshrFile};
 use crate::stats::{CacheStats, Cycle, PrefetchQuality};
-use crate::timing::{BandwidthQueue, BandwidthQueueStats, TimingStats};
+use crate::timing::{BandwidthQueue, TimingStats};
 
 /// How a demand access interacted with previously issued prefetches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,13 +165,6 @@ impl Hierarchy {
     #[must_use]
     pub fn timing_stats(&self, core: usize) -> &TimingStats {
         &self.cores[core].timing
-    }
-
-    /// Statistics of the DRAM admission (bandwidth) queue, shared by all
-    /// cores and by prefetch traffic.
-    #[must_use]
-    pub const fn dram_queue_stats(&self) -> &BandwidthQueueStats {
-        self.dram_queue.stats()
     }
 
     /// Completion-time query for an individual outstanding access: the cycle
@@ -771,14 +764,14 @@ mod tests {
                 let r = h.demand_access(0, LineAddr::new(i), 0);
                 done = done.max(r.completion_cycle);
             }
-            (done, h.timing_stats(0).dram_queue_cycles, h.dram_queue_stats().admitted)
+            (done, h.timing_stats(0).dram_queue_cycles, h.dram_stats().accesses)
         };
-        let (fast_done, fast_queue, fast_admitted) =
+        let (fast_done, fast_queue, fast_fills) =
             run(crate::timing::TimingParams::latency_sensitive());
-        let (slow_done, slow_queue, slow_admitted) =
+        let (slow_done, slow_queue, slow_fills) =
             run(crate::timing::TimingParams::bandwidth_bound());
-        assert_eq!(fast_admitted, 64);
-        assert_eq!(slow_admitted, 64);
+        assert_eq!(fast_fills, 64);
+        assert_eq!(slow_fills, 64);
         assert!(
             slow_done > fast_done,
             "bandwidth-bound drain must stretch the burst ({slow_done} vs {fast_done})"

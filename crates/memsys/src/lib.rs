@@ -40,4 +40,4 @@ pub use dram::DramStats;
 pub use hierarchy::{CoverageEvent, DemandResult, Hierarchy, PrefetchIssueResult};
 pub use mshr::{MshrEntry, MshrFile};
 pub use stats::{CacheStats, Cycle, PrefetchQuality};
-pub use timing::{BandwidthQueue, BandwidthQueueStats, TimingParams, TimingStats};
+pub use timing::{BandwidthQueue, TimingParams, TimingStats};

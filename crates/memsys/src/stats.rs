@@ -32,17 +32,6 @@ impl CacheStats {
     pub const fn demand_accesses(&self) -> u64 {
         self.demand_hits + self.demand_misses + self.demand_mshr_merges
     }
-
-    /// Demand miss ratio in `[0, 1]`; `0` when no accesses were observed.
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.demand_accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.demand_misses as f64 / total as f64
-        }
-    }
 }
 
 /// The four-way breakdown of Fig. 10: covered misses with timely prefetches,
@@ -115,10 +104,9 @@ mod tests {
     #[test]
     fn cache_stats_ratios() {
         let mut s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
+        assert_eq!(s.demand_accesses(), 0);
         s.demand_hits = 75;
         s.demand_misses = 25;
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
         assert_eq!(s.demand_accesses(), 100);
     }
 

@@ -88,15 +88,6 @@ impl TimingParams {
     }
 }
 
-/// Statistics kept by the [`BandwidthQueue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BandwidthQueueStats {
-    /// Requests admitted (demand and prefetch alike).
-    pub admitted: u64,
-    /// Total cycles requests spent waiting for an admission slot.
-    pub queue_cycles: u64,
-}
-
 /// A rate-limited admission queue: at most `drain_requests` requests enter
 /// per `drain_period` cycles, in arrival order. Arrival order is the drive
 /// loop's deterministic call order, so the queue adds no nondeterminism.
@@ -107,7 +98,6 @@ pub struct BandwidthQueue {
     period_start: Cycle,
     /// Admissions already granted inside that period.
     admitted_in_period: u32,
-    stats: BandwidthQueueStats,
 }
 
 impl BandwidthQueue {
@@ -119,12 +109,7 @@ impl BandwidthQueue {
     #[must_use]
     pub fn new(params: TimingParams) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid timing parameters: {e}"));
-        Self {
-            params,
-            period_start: 0,
-            admitted_in_period: 0,
-            stats: BandwidthQueueStats::default(),
-        }
+        Self { params, period_start: 0, admitted_in_period: 0 }
     }
 
     /// Parameters in use.
@@ -133,15 +118,10 @@ impl BandwidthQueue {
         &self.params
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub const fn stats(&self) -> &BandwidthQueueStats {
-        &self.stats
-    }
-
     /// Admits a request arriving at `now` and returns the cycle at which it
     /// actually enters DRAM (`>= now`). The difference is the bandwidth
-    /// stall, also accumulated in [`BandwidthQueueStats::queue_cycles`].
+    /// stall, which the hierarchy adds to the demanding core's
+    /// [`TimingStats::dram_queue_cycles`].
     pub fn admit(&mut self, now: Cycle) -> Cycle {
         let period = Cycle::from(self.params.dram_drain_period);
         // The queue's backlog frontier never moves backwards; a request
@@ -156,10 +136,7 @@ impl BandwidthQueue {
             self.admitted_in_period = 0;
         }
         self.admitted_in_period += 1;
-        let granted = self.period_start.max(now);
-        self.stats.admitted += 1;
-        self.stats.queue_cycles += granted - now;
-        granted
+        self.period_start.max(now)
     }
 }
 
@@ -248,7 +225,8 @@ mod tests {
             BandwidthQueue::new(TimingParams { dram_drain_requests: 2, dram_drain_period: 1 });
         assert_eq!(q.admit(10), 10);
         assert_eq!(q.admit(10), 10);
-        assert_eq!(q.stats().queue_cycles, 0);
+        // The third request of the cycle waits for the next one.
+        assert_eq!(q.admit(10), 11);
     }
 
     #[test]
@@ -259,8 +237,6 @@ mod tests {
         assert_eq!(q.admit(0), 4); // next period
         assert_eq!(q.admit(0), 8);
         assert_eq!(q.admit(1), 12); // still queued behind the backlog
-        assert_eq!(q.stats().admitted, 4);
-        assert_eq!(q.stats().queue_cycles, 4 + 8 + 11);
     }
 
     #[test]

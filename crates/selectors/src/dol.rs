@@ -17,31 +17,19 @@ use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector}
 #[derive(Debug, Clone)]
 pub struct DolSelector {
     degree: u32,
-    chain_lengths: u64,
-    allocations: u64,
 }
 
 impl DolSelector {
     /// Creates a DOL selector with per-prefetcher degree `degree`.
     #[must_use]
     pub fn new(degree: u32) -> Self {
-        Self { degree, chain_lengths: 0, allocations: 0 }
+        Self { degree }
     }
 
     /// Default degree of 4 (same as the IPCP baseline).
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(4)
-    }
-
-    /// Average number of prefetchers each demand request passed through.
-    #[must_use]
-    pub fn average_chain_length(&self) -> f64 {
-        if self.allocations == 0 {
-            0.0
-        } else {
-            self.chain_lengths as f64 / self.allocations as f64
-        }
     }
 }
 
@@ -58,17 +46,12 @@ impl Selector for DolSelector {
         // Walk the static priority chain; every prefetcher up to and including
         // the first one that claims the access gets trained.
         let mut per_prefetcher = Allocations::filled(prefetchers.len(), None);
-        let mut handled_at = prefetchers.len();
         for (i, pf) in prefetchers.iter().enumerate() {
             per_prefetcher[i] = Some(DegreeAllocation::l1(self.degree));
             if pf.probe(access) {
-                handled_at = i;
                 break;
             }
         }
-        let chain = handled_at.min(prefetchers.len() - 1) + 1;
-        self.chain_lengths += chain as u64;
-        self.allocations += 1;
         AllocationDecision { per_prefetcher }
     }
 
@@ -125,7 +108,6 @@ mod tests {
         assert!(d.per_prefetcher[0].is_some());
         assert!(d.per_prefetcher[1].is_some());
         assert!(d.per_prefetcher[2].is_none());
-        assert!(s.average_chain_length() > 0.0);
     }
 
     #[test]

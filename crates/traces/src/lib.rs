@@ -42,10 +42,10 @@ pub use patterns::{
 
 use alecto_types::TraceSource;
 
-/// The registered benchmark suites: the four the paper evaluates, the three
-/// production-scenario families (pointer chasing, Zipfian web serving,
-/// database scan/join) the stress sweeps exercise, plus the `file:` scheme
-/// for recorded `.altr` traces.
+/// The registered benchmark suites: the four the paper evaluates and the
+/// three production-scenario families (pointer chasing, Zipfian web serving,
+/// database scan/join) the stress sweeps exercise. Recorded `.altr` traces
+/// (`file:<path>` specs) are resolved by the harness, not by this registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2006 (single-core, Fig. 8).
@@ -62,17 +62,10 @@ pub enum Suite {
     WebServe,
     /// Database scan/join ([`db`]).
     Database,
-    /// On-disk `.altr` traces, addressed as `file:<path>`. Unlike the
-    /// generator suites this one has no enumerable benchmark list (any
-    /// readable trace file is a member), so it is excluded from
-    /// [`Suite::ALL`] and reached only through [`Suite::of`] /
-    /// [`Suite::source`].
-    File,
 }
 
 impl Suite {
-    /// Every enumerable suite, in registry order ([`Suite::File`] is
-    /// resolution-only: its members are paths, not names).
+    /// Every suite, in registry order.
     pub const ALL: [Suite; 7] = [
         Suite::Spec06,
         Suite::Spec17,
@@ -94,19 +87,13 @@ impl Suite {
             Suite::PointerChase => "pointer-chase",
             Suite::WebServe => "web-serve",
             Suite::Database => "database",
-            Suite::File => "file",
         }
     }
 
     /// Finds the suite that registers `benchmark`, if any (benchmark names
-    /// are unique across suites). A `file:<path>` spec resolves to
-    /// [`Suite::File`] syntactically — whether the path actually holds a
-    /// readable trace only surfaces when the source is built.
+    /// are unique across suites).
     #[must_use]
     pub fn of(benchmark: &str) -> Option<Suite> {
-        if benchmark.starts_with(traceio::FILE_SCHEME) {
-            return Some(Suite::File);
-        }
         Suite::ALL.into_iter().find(|s| s.benchmarks().contains(&benchmark))
     }
 
@@ -121,24 +108,15 @@ impl Suite {
             Suite::PointerChase => gc::BENCHMARKS.to_vec(),
             Suite::WebServe => web::BENCHMARKS.to_vec(),
             Suite::Database => db::BENCHMARKS.to_vec(),
-            Suite::File => Vec::new(),
         }
     }
 
     /// A lazy [`TraceSource`] of the named benchmark: `accesses` records
     /// generated on demand in O(1) memory.
     ///
-    /// For [`Suite::File`], `name` is the full `file:<path>` spec and
-    /// `accesses` caps the replay at `min(accesses, recorded records)` — so
-    /// a recorded trace slots into any experiment's access budget exactly
-    /// like a generator would.
-    ///
     /// # Panics
     ///
-    /// Panics if the benchmark name is not part of the suite, or (for
-    /// [`Suite::File`]) if the trace file cannot be opened or has a bad
-    /// header. Callers that must not panic (the CLI) open the trace through
-    /// [`traceio::TraceReader`] directly and handle the `Result`.
+    /// Panics if the benchmark name is not part of the suite.
     #[must_use]
     pub fn source(&self, name: &str, accesses: usize) -> TraceSource {
         match self {
@@ -149,12 +127,6 @@ impl Suite {
             Suite::PointerChase => gc::source(name, accesses),
             Suite::WebServe => web::source(name, accesses),
             Suite::Database => db::source(name, accesses),
-            Suite::File => {
-                let path = traceio::file_spec_path(name)
-                    .unwrap_or_else(|| panic!("{name:?} is not a file:<path> spec"));
-                traceio::file_source(path, Some(accesses))
-                    .unwrap_or_else(|err| panic!("cannot open trace {}: {err}", path.display()))
-            }
         }
     }
 
@@ -215,7 +187,7 @@ mod tests {
             Suite::PointerChase => Some(gc::blend(name)),
             Suite::WebServe => Some(web::blend(name)),
             Suite::Database => Some(db::blend(name)),
-            Suite::Ligra | Suite::File => None,
+            Suite::Ligra => None,
         }
     }
 
@@ -230,30 +202,6 @@ mod tests {
             }
         }
         assert_eq!(Suite::Database.all_sources(10).len(), Suite::Database.benchmarks().len());
-    }
-
-    #[test]
-    fn file_scheme_resolves_and_replays_recorded_traces() {
-        let path =
-            std::env::temp_dir().join(format!("traces-file-scheme-{}.altr", std::process::id()));
-        let source = Suite::Spec06.source("mcf", 120);
-        traceio::record_source(&source, derive_seed("mcf", 0), &path).expect("record");
-        let spec = format!("file:{}", path.display());
-
-        // `Suite::of` resolves the scheme; ALL stays the enumerable suites.
-        assert_eq!(Suite::of(&spec), Some(Suite::File));
-        assert!(!Suite::ALL.contains(&Suite::File));
-        assert_eq!(Suite::File.name(), "file");
-        assert!(Suite::File.benchmarks().is_empty());
-
-        // Replay is record-identical to the generator, keeps the recorded
-        // name and intensity, and honours the access cap.
-        let replayed = Suite::File.source(&spec, 120);
-        assert_eq!(replayed.collect(), source.collect());
-        let capped = Suite::File.source(&spec, 10);
-        assert_eq!(capped.memory_accesses(), 10);
-        assert_eq!(capped.collect().records, Suite::Spec06.source("mcf", 10).collect().records);
-        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl Addr {
         PageAddr(self.0 >> PAGE_OFFSET_BITS)
     }
 
-    /// Byte offset within the cache line.
-    #[must_use]
-    pub const fn line_offset(self) -> u64 {
-        self.0 & (CACHE_LINE_BYTES - 1)
-    }
-
     /// Returns the address advanced by `bytes` (wrapping).
     #[must_use]
     pub const fn offset(self, bytes: i64) -> Self {
@@ -125,14 +119,6 @@ impl LineAddr {
     #[must_use]
     pub const fn offset(self, delta: i64) -> Self {
         Self(self.0.wrapping_add(delta as u64))
-    }
-
-    /// Index of `addr` within this line, measured in lines-within-page terms:
-    /// returns 1 if `addr` sits exactly one line above this line's base, etc.
-    /// Mostly useful in doctests; the simulator works at line granularity.
-    #[must_use]
-    pub const fn block_offset_of(self, addr: Addr) -> u64 {
-        addr.line().0.wrapping_sub(self.0).wrapping_add(1)
     }
 }
 
@@ -221,7 +207,6 @@ mod tests {
         let a = Addr::new(0x1_2345);
         assert_eq!(a.line().raw(), 0x1_2345 >> 6);
         assert_eq!(a.page().raw(), 0x1_2345 >> 12);
-        assert_eq!(a.line_offset(), 0x05);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl SaturatingCounter {
         self.value = 0;
     }
 
-    /// Whether the counter has reached its maximum.
-    #[must_use]
-    pub const fn is_saturated(&self) -> bool {
-        self.value == self.max
-    }
-
     /// Whether the counter has reached `threshold`.
     #[must_use]
     pub const fn reached(&self, threshold: u32) -> bool {
@@ -146,7 +140,6 @@ mod tests {
             c.increment();
         }
         assert_eq!(c.value(), 3);
-        assert!(c.is_saturated());
         assert!(c.reached(3));
         assert!(!c.reached(4));
         c.reset();

@@ -13,7 +13,6 @@
 //!
 //! let access = DemandAccess::new(Pc::new(0x30b00), Addr::new(0x7fff_0040), AccessKind::Load);
 //! assert_eq!(access.line(), LineAddr::new(0x7fff_0040 >> 6));
-//! assert_eq!(access.line().block_offset_of(Addr::new(0x7fff_0040)), 1);
 //! ```
 
 #![forbid(unsafe_code)]

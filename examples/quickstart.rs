@@ -4,12 +4,14 @@
 //! The benchmark may come from any registered suite — the paper's four
 //! (SPEC06/SPEC17/PARSEC/Ligra) or the production scenario families
 //! (`linked-list`, `gc-mark`, … / `web-cache`, `kv-store`, … /
-//! `seq-scan`, `hash-join`, …):
+//! `seq-scan`, `hash-join`, …) — or be a recorded trace, `file:<path>`
+//! (see `alecto-harness trace record`), replayed up to `accesses` records:
 //!
 //! ```text
-//! cargo run --release --example quickstart [benchmark] [accesses]
+//! cargo run --release --example quickstart [benchmark|file:PATH] [accesses]
 //! cargo run --release --example quickstart web-cache 50000
 //! cargo run --release --example quickstart hash-join
+//! cargo run --release --example quickstart file:mcf.altr
 //! ```
 
 use alecto_repro::prelude::*;
@@ -19,16 +21,19 @@ fn main() {
     let benchmark = args.first().map_or("GemsFDTD", String::as_str);
     let accesses: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(20_000);
 
-    // Resolve the benchmark through the suite registry.
-    let suite = traces::Suite::of(benchmark).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {benchmark:?}; registered benchmarks:");
-        for suite in traces::Suite::ALL {
-            eprintln!("  {:13} {}", suite.name(), suite.benchmarks().join(" "));
-        }
-        std::process::exit(2);
-    });
-    println!("benchmark: {benchmark} (suite {}, {accesses} memory accesses)", suite.name());
-    let source = suite.source(benchmark, accesses);
+    // Resolve the benchmark the way the CLI does: a registry name or a
+    // verified `file:` trace.
+    let (source, _) = harness::figures::resolve_trace_spec(benchmark, Some(accesses))
+        .unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            eprintln!("registered benchmarks (or file:<PATH> for a recorded trace):");
+            for suite in traces::Suite::ALL {
+                eprintln!("  {:13} {}", suite.name(), suite.benchmarks().join(" "));
+            }
+            std::process::exit(2);
+        });
+    let suite = traces::Suite::of(benchmark).map_or("file", |suite| suite.name());
+    println!("benchmark: {benchmark} (suite {suite}, {accesses} memory accesses)");
     let run = |algorithm| {
         cpu::System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp)
             .run_sources(std::slice::from_ref(&source))

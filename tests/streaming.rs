@@ -24,7 +24,7 @@ fn eager_build(suite: Suite, name: &str, accesses: usize) -> Option<Workload> {
         Suite::PointerChase => traces::gc::blend(name),
         Suite::WebServe => traces::web::blend(name),
         Suite::Database => traces::db::blend(name),
-        Suite::Ligra | Suite::File => return None,
+        Suite::Ligra => return None,
     };
     Some(blend.build(accesses))
 }

@@ -114,16 +114,17 @@ fn replayed_grid_cells_are_byte_identical_across_sources_and_worker_counts() {
 
 #[test]
 fn file_scheme_sources_drop_into_multicore_runs() {
-    // A recorded trace is a first-class TraceSource: per-core address
-    // slicing and System::run_sources work on it unchanged.
+    // A recorded trace is a first-class TraceSource: once a `file:` spec is
+    // resolved through the harness resolver, per-core address slicing and
+    // System::run_sources work on it unchanged.
     let generated = traces::parsec::source("canneal", 300);
     let (scratch, _) = record(&generated, "mc");
     let spec = format!("file:{}", scratch.0.display());
     let per_core: Vec<TraceSource> = (0..2)
         .map(|i| {
-            Suite::of(&spec)
+            harness::figures::resolve_trace_spec(&spec, Some(300))
                 .expect("file scheme resolves")
-                .source(&spec, 300)
+                .0
                 .with_addr_offset((i as u64) << 40)
         })
         .collect();
