@@ -21,8 +21,6 @@ use crate::selection::{build_selector, SelectionAlgorithm};
 /// already inside the prefetchers' own [`TableStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
-    /// Demand accesses observed.
-    pub demands: u64,
     /// Candidate prefetch lines produced by the trained prefetchers.
     pub candidates: u64,
     /// Requests dropped by the selector's own post-processing.
@@ -113,7 +111,6 @@ impl PrefetchController {
     /// Handles one demand access: allocation, training, selection, filtering.
     /// Returns the prefetch requests to issue, valid until the next call.
     pub fn on_demand_access(&mut self, access: &DemandAccess) -> &[PrefetchRequest] {
-        self.stats.demands += 1;
         let Some(selector) = self.selector.as_mut() else {
             return &[];
         };

@@ -149,9 +149,7 @@ impl Core {
         }
         let demand = record.demand();
         let is_store = record.kind == AccessKind::Store;
-        let completion = hierarchy
-            .demand_access_kind(self.core_id, demand.line(), issue, is_store)
-            .completion_cycle;
+        let completion = hierarchy.demand_access(self.core_id, demand.line(), issue, is_store);
         if record.dependent {
             self.chain_completion.insert(pc, completion);
         }

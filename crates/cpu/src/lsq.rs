@@ -163,15 +163,15 @@ mod tests {
     fn live_probe_overrides_the_recorded_completion() {
         let mut hier = empty_hierarchy();
         // A real outstanding miss in the hierarchy for line 0x100...
-        let r = hier.demand_access(0, LineAddr::new(0x100), 0);
+        let done = hier.demand_access(0, LineAddr::new(0x100), 0, false);
         let live = hier
             .outstanding_completion(0, LineAddr::new(0x100), 1)
             .expect("the miss is outstanding in an MSHR");
-        assert!(live <= r.completion_cycle, "the MSHR fill precedes end-to-end completion");
+        assert!(live <= done, "the MSHR fill precedes end-to-end completion");
         let mut lsq = LoadStoreQueue::new(1, 1);
         // ...recorded in the LSQ with a (stale) pessimistic completion. The
         // probe's live answer wins.
-        lsq.push_load(LineAddr::new(0x100), r.completion_cycle + 1_000);
+        lsq.push_load(LineAddr::new(0x100), done + 1_000);
         assert_eq!(lsq.load_slot_ready(1, &hier, 0), live);
     }
 

@@ -9,8 +9,7 @@
 //! alecto-harness machines [list]
 //! alecto-harness machines show <name|file>
 //! alecto-harness machines check <name|file>...
-//! alecto-harness serve [--addr HOST:PORT] [--sweep-workers N] [--jobs N]
-//!                      [--cache-capacity N] [--cache-dir PATH]
+//! alecto-harness serve [--addr HOST:PORT] [--jobs N] [--cache-dir PATH]
 //! alecto-harness trace record <benchmark> [--accesses N] --out PATH
 //! alecto-harness trace info <file.altr>
 //! alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]
@@ -81,12 +80,13 @@
 //! like an unknown flag does, instead of being silently ignored.
 //!
 //! `serve` turns the harness into a long-running sweep server: experiments
-//! are submitted over HTTP (`POST /v1/sweep`), executed by a persistent
-//! worker pool, and every finished simulation cell is memoized in a
-//! content-addressed cache (`--cache-dir` persists it across restarts), so
-//! repeated or overlapping sweeps cost near zero. `GET /v1/results/<id>`
-//! serves the same bytes `--json` would write for the equivalent CLI run.
-//! See `docs/PROTOCOL.md` for the wire format.
+//! are submitted over HTTP (`POST /v1/sweep`), executed two at a time by a
+//! persistent worker pool, and every finished simulation cell is memoized
+//! in a content-addressed cache of 4096 cells in memory (`--cache-dir`
+//! persists it across restarts), so repeated or overlapping sweeps cost
+//! near zero. `--jobs N` sets the default cell workers per sweep.
+//! `GET /v1/results/<id>` serves the same bytes `--json` would write for
+//! the equivalent CLI run. See `docs/PROTOCOL.md` for the wire format.
 //!
 //! Flag interaction is explicit and position-independent:
 //!
@@ -128,8 +128,7 @@ fn usage() -> ! {
          \x20      alecto-harness machines [list]\n\
          \x20      alecto-harness machines show <name|file>\n\
          \x20      alecto-harness machines check <name|file>...\n\
-         \x20      alecto-harness serve [--addr HOST:PORT] [--sweep-workers N] [--jobs N]\n\
-         \x20                           [--cache-capacity N] [--cache-dir PATH]\n\
+         \x20      alecto-harness serve [--addr HOST:PORT] [--jobs N] [--cache-dir PATH]\n\
          \x20      alecto-harness trace record <benchmark> [--accesses N] --out PATH\n\
          \x20      alecto-harness trace info <file.altr>\n\
          \x20      alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]\n\
@@ -189,8 +188,6 @@ fn usage() -> ! {
          \x20                         dropping components / halving accesses\n\
          \x20 --addr HOST:PORT        serve: listen address (default 127.0.0.1:7171; port 0\n\
          \x20                         picks a free port, printed on startup)\n\
-         \x20 --sweep-workers N       serve: concurrent sweep jobs (default 2)\n\
-         \x20 --cache-capacity N      serve: in-memory cell-cache entries (default 4096)\n\
          \x20 --cache-dir PATH        serve: persist cache entries across restarts under PATH"
     );
     std::process::exit(2);
@@ -333,26 +330,12 @@ fn run_serve(args: &[String]) -> ! {
     while i < args.len() {
         match args[i].as_str() {
             "--addr" => addr = parse_path_value(args, &mut i),
-            "--sweep-workers" => {
-                let n: usize = parse_flag_value(args, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                config.sweep_workers = n;
-            }
             "--jobs" => {
                 let n: usize = parse_flag_value(args, &mut i);
                 if n == 0 {
                     usage();
                 }
                 config.default_jobs = n;
-            }
-            "--cache-capacity" => {
-                let n: usize = parse_flag_value(args, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                config.cache_capacity = n;
             }
             "--cache-dir" => config.cache_dir = Some(parse_path_value(args, &mut i).into()),
             _ => usage(),

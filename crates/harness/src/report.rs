@@ -404,7 +404,7 @@ pub mod json {
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -427,11 +427,21 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    /// Deepest array/object nesting [`parse`] accepts. The parser recurses
+    /// once per level, so the cap keeps hostile input (a request body of
+    /// `[[[[...`) from overflowing the stack; the reports this crate writes
+    /// nest 6 levels.
+    const MAX_DEPTH: usize = 128;
+
+    /// Parses the value at `*pos`, which sits inside `depth` arrays/objects.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos))
+            }
+            Some(b'{') => parse_object(bytes, pos, depth + 1),
+            Some(b'[') => parse_array(bytes, pos, depth + 1),
             Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
             Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
             Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -539,19 +549,24 @@ pub mod json {
                     return Err(format!("unescaped control character at byte {}", *pos));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via the chars iterator).
-                    let rest = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    // Copy the run of bytes up to the next quote, escape or
+                    // control character in one step, so a long string costs
+                    // linear time. The input is a &str and the run ends at an
+                    // ASCII byte, so the run is whole UTF-8 scalars.
+                    let start = *pos;
+                    while bytes.get(*pos).is_some_and(|&b| b >= 0x20 && b != b'"' && b != b'\\') {
+                        *pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&bytes[start..*pos])
+                            .map_err(|_| "invalid utf-8 in string".to_string())?,
+                    );
                 }
             }
         }
     }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         expect(bytes, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(bytes, pos);
@@ -560,7 +575,7 @@ pub mod json {
             return Ok(JsonValue::Array(items));
         }
         loop {
-            items.push(parse_value(bytes, pos)?);
+            items.push(parse_value(bytes, pos, depth)?);
             skip_ws(bytes, pos);
             match bytes.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -573,7 +588,7 @@ pub mod json {
         }
     }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
         expect(bytes, pos, b'{')?;
         let mut members = Vec::new();
         skip_ws(bytes, pos);
@@ -586,7 +601,7 @@ pub mod json {
             let key = parse_string(bytes, pos)?;
             skip_ws(bytes, pos);
             expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
+            let value = parse_value(bytes, pos, depth)?;
             members.push((key, value));
             skip_ws(bytes, pos);
             match bytes.get(*pos) {
@@ -749,6 +764,27 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        // 128 levels parse; one more is an error naming its byte offset.
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(json::parse(&deep(128)).is_ok());
+        let err = json::parse(&deep(129)).unwrap_err();
+        assert!(err.contains("nesting") && err.contains("byte 128"), "{err}");
+        assert!(json::parse(&"{\"a\":".repeat(200)).unwrap_err().contains("nesting"));
+        // A hostile body of unclosed brackets is an error, not a stack overflow.
+        assert!(json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn parser_reads_long_strings_in_one_pass() {
+        // A 1 MiB string of two-byte scalars: re-validating the rest of the
+        // input per scalar would take minutes.
+        let text = "\u{e9}".repeat(1 << 19);
+        let parsed = json::parse(&json::string(&text)).unwrap();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -54,36 +54,30 @@ use crate::runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScal
 /// so anything near this is abuse or a protocol error.
 const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Upper bound on the request line and on each header line, terminator
+/// included: the protocol's longest line is a short request target.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the number of header lines in one request.
+const MAX_HEADERS: usize = 64;
+
 /// Connection-handler threads servicing the HTTP side; sweeps themselves run
 /// on the sweep workers.
 const HANDLER_THREADS: usize = 4;
 
-/// Tuning knobs of a [`Server`]; `Default` is sized for a small shared
-/// instance (two concurrent sweeps, the default cache capacity, no
-/// persistence).
-#[derive(Debug, Clone)]
+/// Persistent sweep-worker threads: how many submitted sweeps execute
+/// concurrently (further submissions queue).
+const SWEEP_WORKERS: usize = 2;
+
+/// Settings of a [`Server`]; `Default` uses every hardware thread per sweep
+/// and keeps the cell cache in memory only.
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Persistent sweep-worker threads: how many submitted sweeps execute
-    /// concurrently (further submissions queue).
-    pub sweep_workers: usize,
     /// Default per-sweep cell-engine worker count (`0` = one per hardware
     /// thread), overridable per request via the `jobs` field.
     pub default_jobs: usize,
-    /// Memory-tier capacity of the shared cell cache, in entries.
-    pub cache_capacity: usize,
     /// Optional directory persisting cache entries across restarts.
     pub cache_dir: Option<PathBuf>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            sweep_workers: 2,
-            default_jobs: 0,
-            cache_capacity: CellCache::DEFAULT_CAPACITY,
-            cache_dir: None,
-        }
-    }
 }
 
 /// What a sweep job runs: a registered experiment builder, or a replay over
@@ -169,8 +163,8 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let cache = match &config.cache_dir {
-            Some(dir) => CellCache::with_dir(config.cache_capacity.max(1), dir)?,
-            None => CellCache::new(config.cache_capacity.max(1)),
+            Some(dir) => CellCache::with_dir(CellCache::DEFAULT_CAPACITY, dir)?,
+            None => CellCache::new(CellCache::DEFAULT_CAPACITY),
         };
         let state = Arc::new(ServerState {
             cache: Arc::new(cache),
@@ -183,7 +177,7 @@ impl Server {
             busy_workers: AtomicUsize::new(0),
             config,
         });
-        for worker in 0..state.config.sweep_workers.max(1) {
+        for worker in 0..SWEEP_WORKERS {
             let state = Arc::clone(&state);
             thread::Builder::new()
                 .name(format!("sweep-worker-{worker}"))
@@ -377,33 +371,54 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         Err(message) => Response::error(400, "malformed_request", &message),
     };
     let mut stream = reader.into_inner();
-    let _ = write!(
-        stream,
+    // One write: the pieces of a response written separately can be held
+    // back by Nagle's algorithm and then lost to the reset that closing a
+    // socket with unread request bytes (a rejected request) sends.
+    let message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         response.status,
         reason(response.status),
         response.body.len(),
         response.body
     );
+    let _ = stream.write_all(message.as_bytes());
     let _ = stream.flush();
+}
+
+/// Reads one newline-terminated line of at most [`MAX_LINE_BYTES`] bytes
+/// (`what` names it in errors), so a client cannot make the server buffer
+/// an endless line.
+fn read_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = Vec::new();
+    let limit = u64::try_from(MAX_LINE_BYTES).expect("line cap fits in u64");
+    reader
+        .by_ref()
+        .take(limit)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| format!("reading {what}: {e}"))?;
+    if line.len() == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+        return Err(format!("{what} exceeds {MAX_LINE_BYTES} bytes"));
+    }
+    String::from_utf8(line).map_err(|_| format!("{what} is not UTF-8"))
 }
 
 /// Parses the request line, the headers we care about (`Content-Length`),
 /// and the body. Everything else is skipped — the protocol needs nothing
 /// more.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), String> {
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("reading request line: {e}"))?;
+fn read_request(reader: &mut impl BufRead) -> Result<(String, String, String), String> {
+    let line = read_line(reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("request line without target")?.to_string();
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| format!("reading headers: {e}"))?;
+    for headers in 0.. {
+        let header = read_line(reader, "header line")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -458,7 +473,6 @@ fn stats_response(state: &Arc<ServerState>) -> Response {
             JobStatus::Failed(_) => failed += 1,
         }
     }
-    let total_workers = state.config.sweep_workers.max(1);
     Response::ok(format!(
         "{{\"uptime_seconds\":{},\"requests\":{},\
          \"cache\":{{\"memory_hits\":{},\"disk_hits\":{},\"hits\":{},\"misses\":{},\
@@ -476,8 +490,8 @@ fn stats_response(state: &Arc<ServerState>) -> Response {
         counters.corrupt_entries,
         counters.resident,
         json::number(counters.hit_rate()),
-        total_workers,
-        state.busy_workers.load(Ordering::Relaxed).min(total_workers),
+        SWEEP_WORKERS,
+        state.busy_workers.load(Ordering::Relaxed).min(SWEEP_WORKERS),
     ))
 }
 
@@ -790,9 +804,35 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = ServerConfig::default();
-        assert!(config.sweep_workers >= 1);
-        assert_eq!(config.cache_capacity, CellCache::DEFAULT_CAPACITY);
+        assert_eq!(config.default_jobs, 0, "one cell worker per hardware thread");
         assert!(config.cache_dir.is_none());
+    }
+
+    #[test]
+    fn read_request_parses_line_headers_and_body() {
+        let raw = b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}";
+        let (method, target, body) = read_request(&mut &raw[..]).unwrap();
+        assert_eq!((method.as_str(), target.as_str(), body.as_str()), ("POST", "/v1/sweep", "{}"));
+    }
+
+    #[test]
+    fn read_request_caps_line_length_and_header_count() {
+        // A request line that exactly fills the cap is read whole...
+        let target = "/".repeat(MAX_LINE_BYTES - "GET  HTTP/1.1\r\n".len());
+        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
+        assert_eq!(read_request(&mut raw.as_bytes()).unwrap().1, target);
+        // ...one byte more is refused, as is an over-long header line.
+        let raw = format!("GET /{target} HTTP/1.1\r\n\r\n");
+        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        assert!(err.contains("request line exceeds"), "{err}");
+        let raw = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(1 << 20));
+        let err = read_request(&mut raw.as_bytes()).unwrap_err();
+        assert!(err.contains("header line exceeds"), "{err}");
+        // The header count is capped too.
+        let headers = |n: usize| format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(n));
+        assert!(read_request(&mut headers(MAX_HEADERS).as_bytes()).is_ok());
+        let err = read_request(&mut headers(MAX_HEADERS + 1).as_bytes()).unwrap_err();
+        assert!(err.contains("header lines"), "{err}");
     }
 
     #[test]

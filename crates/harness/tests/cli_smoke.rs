@@ -92,6 +92,22 @@ fn zero_or_malformed_jobs_exits_two_with_usage() {
 }
 
 #[test]
+fn serve_rejects_the_removed_tuning_flags() {
+    // Sweep workers and cache capacity are constants: their old flags are
+    // unknown flags (exit 2 with usage), refused before any bind attempt —
+    // 999.0.0.1 is no address, so binding it would exit 1.
+    for flag in ["--sweep-workers", "--cache-capacity"] {
+        let output = harness()
+            .args(["serve", flag, "2", "--addr", "999.0.0.1:1"])
+            .output()
+            .expect("spawn harness");
+        assert_eq!(output.status.code(), Some(2), "{flag} must be rejected");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 usage");
+        assert!(stderr.contains("usage: alecto-harness"), "{stderr}");
+    }
+}
+
+#[test]
 fn unwritable_json_path_exits_two_with_usage() {
     // A bad --json path (missing parent directory) is a flag error like any
     // other: exit 2 with the usage text, not a raw io error with exit 1 —

@@ -14,17 +14,26 @@ use harness::{figures, RunScale, Server, ServerConfig};
 
 /// Issues one HTTP/1.1 request and returns `(status, body)`.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+    send(
+        addr,
+        &format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+/// Sends raw request bytes and returns the response's `(status, body)`.
+fn send(addr: &str, request: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to server");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
+    // A server that rejects a request before reading all of it answers and
+    // then resets the connection, which can fail the rest of the write and
+    // the read after the response: what counts is the response received.
+    let _ = stream.write_all(request.as_bytes());
     let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
+    let _ = stream.read_to_string(&mut raw);
     let status: u16 = raw
         .split_whitespace()
         .nth(1)
@@ -132,7 +141,7 @@ fn sweep_lifecycle_cache_reuse_and_byte_identity() {
 
 #[test]
 fn concurrent_submissions_all_complete() {
-    let addr = start_server(ServerConfig { sweep_workers: 2, ..ServerConfig::default() });
+    let addr = start_server(ServerConfig::default());
     let addr = Arc::new(addr);
     let ids: Vec<String> = (0..4)
         .map(|i| {
@@ -229,6 +238,30 @@ fn protocol_errors_use_the_error_envelope() {
     let (status, body) = http(&addr, "GET", "/v2/anything", "");
     assert_eq!(status, 404);
     expect_code(status, &body, "not_found");
+}
+
+#[test]
+fn hostile_requests_are_400s_and_the_server_keeps_serving() {
+    let addr = start_server(ServerConfig::default());
+    let error_code = |body: &str| {
+        let doc = json::parse(body).unwrap_or_else(|e| panic!("body {body:?} not JSON: {e}"));
+        doc.get("error").and_then(|e| e.get("code")).and_then(JsonValue::as_str).map(String::from)
+    };
+
+    // 100,000 unclosed brackets: far under the body cap, far past the
+    // JSON nesting cap.
+    let (status, body) = http(&addr, "POST", "/v1/sweep", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_code(&body).as_deref(), Some("invalid_json"));
+
+    // A 1 MiB header line is cut off at the line cap, not buffered whole.
+    let pad = "a".repeat(1 << 20);
+    let (status, body) = send(&addr, &format!("GET /v1/health HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"));
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_code(&body).as_deref(), Some("malformed_request"));
+
+    let (status, body) = http(&addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200, "{body}");
 }
 
 #[test]

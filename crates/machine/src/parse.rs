@@ -224,7 +224,9 @@ fn apply_cache_section(
         size = Some((positive(bytes, line, &format!("{prefix}.size"))?, line, "size"));
     }
     if let Some((kb, line)) = pool.take_int(&format!("{prefix}.size_kb"))? {
-        let bytes = positive(kb, line, &format!("{prefix}.size_kb"))? * 1024;
+        let bytes = positive(kb, line, &format!("{prefix}.size_kb"))?
+            .checked_mul(1024)
+            .ok_or_else(|| err_at(line, format!("`{prefix}.size_kb` = {kb} is too large")))?;
         if let Some((prev, prev_line, prev_key)) = size {
             if prev != bytes {
                 return Err(err_at(
@@ -237,8 +239,9 @@ fn apply_cache_section(
     }
     if let Some((sets, line)) = pool.take_int(&format!("{prefix}.sets"))? {
         let bytes = positive(sets, line, &format!("{prefix}.sets"))?
-            * params.ways as u64
-            * CACHE_LINE_BYTES;
+            .checked_mul(params.ways as u64)
+            .and_then(|lines| lines.checked_mul(CACHE_LINE_BYTES))
+            .ok_or_else(|| err_at(line, format!("`{prefix}.sets` = {sets} is too large")))?;
         if let Some((prev, prev_line, prev_key)) = size {
             if prev != bytes {
                 return Err(err_at(
@@ -548,6 +551,16 @@ mod tests {
         let err = parse(&minimal("[cache.l1d]\nsize_kb = 32\nsets = 128\n")).unwrap_err();
         assert!(err.contains("disagree"), "{err}");
         assert!(err.starts_with("line 6:"), "{err}");
+    }
+
+    #[test]
+    fn oversized_capacities_are_rejected_not_wrapped() {
+        // Both values come to 2^64 + 32768 bytes: wrapped, each would read
+        // back as a valid 32 KiB cache.
+        let err = parse(&minimal("[cache.l1d]\nsize_kb = 18014398509482016\n")).unwrap_err();
+        assert_eq!(err, "line 5: `cache.l1d.size_kb` = 18014398509482016 is too large");
+        let err = parse(&minimal("[cache.l2]\nsets = 36028797018964032\n")).unwrap_err();
+        assert_eq!(err, "line 5: `cache.l2.sets` = 36028797018964032 is too large");
     }
 
     #[test]

@@ -213,7 +213,6 @@ impl MachineSpec {
     #[must_use]
     pub fn table1(cores: usize) -> Self {
         assert!(cores > 0, "at least one core required");
-        let l3_total = CacheParams::l3_default(cores);
         Self {
             name: String::new(),
             cores,
@@ -226,11 +225,9 @@ impl MachineSpec {
             selector_epoch_instructions: 20_000,
             l1d: CacheParams::l1d_default(),
             l2: CacheParams::l2_default(),
-            l3_per_core: CacheParams {
-                size_bytes: l3_total.size_bytes / cores as u64,
-                mshrs: l3_total.mshrs / cores,
-                ..l3_total
-            },
+            // `l3_default` scales size and MSHRs linearly with the core
+            // count, so its one-core geometry is the per-core share.
+            l3_per_core: CacheParams::l3_default(1),
             dram: DramKind::Ddr4_2400,
             timing: TimingSpec::Preset(TimingPreset::Balanced),
             prefetch: None,

@@ -1,8 +1,9 @@
 //! Property tests over the `alecto-machine-v1` format: every well-formed
 //! spec must survive the spec → canonical text → spec round trip exactly,
 //! the fingerprint must be a function of the spec alone (stable across
-//! cosmetic reformatting, different for any semantic change), and parse
-//! errors must point at the offending source line.
+//! cosmetic reformatting, different for any semantic change), parse
+//! errors must point at the offending source line, and no integer value
+//! makes the parser panic.
 
 use machine::{parse, CoreModelKind, MachineSpec, TimingPreset, TimingSpec};
 use memsys::{CacheParams, DramKind, TimingParams};
@@ -62,7 +63,59 @@ fn machine_spec() -> impl Strategy<Value = MachineSpec> {
     )
 }
 
+/// Every integer key of the format, as a dotted path.
+fn integer_keys() -> Vec<String> {
+    let mut keys: Vec<String> = [
+        "cores",
+        "core.rob",
+        "core.fetch_width",
+        "core.commit_width",
+        "core.load_queue",
+        "core.store_queue",
+        "timing.dram_drain_requests",
+        "timing.dram_drain_period",
+        "selector.epoch_instructions",
+        "prefetch.temporal_metadata_kb",
+    ]
+    .map(String::from)
+    .into();
+    for level in ["l1d", "l2", "l3"] {
+        for key in ["size_kb", "size", "sets", "ways", "line", "latency", "miss_latency", "mshrs"] {
+            keys.push(format!("cache.{level}.{key}"));
+        }
+    }
+    keys
+}
+
+/// The minimal two-core machine file with the integer key `path` set to
+/// `value`.
+fn minimal_with(path: &str, value: u64) -> String {
+    let head = "format = \"alecto-machine-v1\"\nname = \"t\"\n";
+    match path.rsplit_once('.') {
+        None => format!("{head}{path} = {value}\n"),
+        Some((section, key)) => format!("{head}cores = 2\n[{section}]\n{key} = {value}\n"),
+    }
+}
+
 proptest! {
+    #[test]
+    fn any_integer_value_is_parsed_or_rejected(
+        values in proptest::collection::vec(prop_oneof![any::<u64>(), 0u64..5_000], 34..35),
+    ) {
+        let keys = integer_keys();
+        prop_assert_eq!(keys.len(), values.len());
+        for (path, value) in keys.iter().zip(values) {
+            // A panic (an overflow in a debug build) fails the test; a
+            // value that parses must describe a valid, re-parseable machine.
+            if let Ok(spec) = parse(&minimal_with(path, value)) {
+                prop_assert!(spec.validate().is_ok(), "{path} = {value}");
+                let reparsed = parse(&spec.canonical_text())
+                    .map_err(proptest::test_runner::TestCaseError::fail)?;
+                prop_assert_eq!(&reparsed, &spec);
+            }
+        }
+    }
+
     #[test]
     fn canonical_text_round_trips_exactly(spec in machine_spec()) {
         prop_assert!(spec.validate().is_ok(), "generator must produce valid specs");

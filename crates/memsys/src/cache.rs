@@ -413,17 +413,6 @@ impl Cache {
         self.hot[block + self.ways + way] = stamp;
     }
 
-    /// Invalidates `line` if present, returning its metadata. Used by the
-    /// mostly-exclusive L3 when a line is promoted to the private levels.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<LineMeta> {
-        let block = self.hot_block(line);
-        let (way, _) = self.find_way(block, line.raw())?;
-        let meta = self.meta_at(block, way);
-        self.hot[block + way] = NO_TAG;
-        self.hot[block + self.ways + way] = 0;
-        Some(meta)
-    }
-
     /// Number of resident lines (for tests and occupancy reporting).
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -527,15 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny_cache(2, 2);
-        c.fill(LineAddr::new(5), None, None, false);
-        assert!(c.invalidate(LineAddr::new(5)).is_some());
-        assert!(!c.contains(LineAddr::new(5)));
-        assert!(c.invalidate(LineAddr::new(5)).is_none());
-    }
-
-    #[test]
     fn refill_does_not_duplicate() {
         let mut c = tiny_cache(2, 1);
         c.fill(LineAddr::new(1), None, None, false);
@@ -551,20 +531,6 @@ mod tests {
             c.fill(LineAddr::new(i), None, None, false);
         }
         assert_eq!(c.occupancy(), 10);
-    }
-
-    #[test]
-    fn fill_reuses_an_invalidated_way() {
-        // An invalidated way becomes a hole in the flat arrays; the next fill
-        // to the set must land there instead of evicting a live line.
-        let mut c = tiny_cache(2, 1);
-        c.fill(LineAddr::new(0), None, None, false);
-        c.fill(LineAddr::new(1), None, None, false);
-        assert!(c.invalidate(LineAddr::new(0)).is_some());
-        assert!(c.fill(LineAddr::new(2), None, None, false).is_none(), "no eviction expected");
-        assert!(c.contains(LineAddr::new(1)));
-        assert!(c.contains(LineAddr::new(2)));
-        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]
@@ -597,17 +563,19 @@ mod tests {
 
     #[test]
     fn eviction_order_is_stamp_based_not_storage_based() {
-        // Touch lines in an order that, under the old Vec layout, shuffles
-        // storage positions (invalidate + refill); the LRU victim must still
-        // be the least recently *stamped* line.
+        // Touch lines so that the LRU line sits in the last way and then in
+        // a middle one; the victim must be the least recently *stamped* line
+        // wherever it is stored.
         let mut c = tiny_cache(3, 1);
         for i in 0..3 {
             c.fill(LineAddr::new(i), None, None, false);
         }
-        c.demand_lookup(LineAddr::new(0), false); // 1 is now LRU
-        c.invalidate(LineAddr::new(2));
-        c.fill(LineAddr::new(2), None, None, false); // refill into the hole
+        c.demand_lookup(LineAddr::new(0), false);
+        c.demand_lookup(LineAddr::new(1), false); // 2 (last way) is now LRU
         let ev = c.fill(LineAddr::new(9), None, None, false).expect("full set evicts");
+        assert_eq!(ev.line, LineAddr::new(2));
+        c.demand_lookup(LineAddr::new(0), false); // 1 (middle way) is now LRU
+        let ev = c.fill(LineAddr::new(10), None, None, false).expect("full set evicts");
         assert_eq!(ev.line, LineAddr::new(1));
     }
 }

@@ -1,18 +1,5 @@
 //! Memory-system configuration mirroring Table I of the paper.
 
-/// Cache levels in the modelled hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Level {
-    /// Private L1 data cache.
-    L1,
-    /// Private, mostly-inclusive L2.
-    L2,
-    /// Shared, mostly-exclusive L3 (LLC).
-    L3,
-    /// Main memory.
-    Dram,
-}
-
 /// Parameters of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {

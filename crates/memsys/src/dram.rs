@@ -7,8 +7,6 @@
 //! limited bandwidth (prefetch over-aggressiveness hurts, Fig. 16) and
 //! bank-level parallelism (MLP helps).
 
-use std::collections::HashMap;
-
 use alecto_types::LineAddr;
 
 use crate::config::DramParams;
@@ -153,13 +151,6 @@ impl DramModel {
         completion
     }
 
-    /// Idealised unloaded latency of a row-miss access (activation + column +
-    /// burst): what a first access to an idle bank costs.
-    #[must_use]
-    pub fn unloaded_latency(&self) -> u64 {
-        self.act_cycles + self.cas_cycles + self.burst_cycles
-    }
-
     /// Backlog of the channel that `line` maps to, measured in burst slots
     /// (how many line transfers are already queued ahead of an access issued
     /// at `now`). Memory controllers use exactly this signal to drop or
@@ -173,17 +164,6 @@ impl DramModel {
         } else {
             0.0
         }
-    }
-
-    /// Histogram of how many accesses each bank has served (testing aid).
-    #[must_use]
-    pub fn bank_balance(&self, lines: &[LineAddr]) -> HashMap<usize, u64> {
-        let mut h = HashMap::new();
-        for &l in lines {
-            let (_, bank, _) = self.map(l);
-            *h.entry(bank).or_insert(0) += 1;
-        }
-        h
     }
 }
 
@@ -200,7 +180,9 @@ mod tests {
     fn first_access_pays_activation() {
         let mut d = model(DramKind::Ddr4_2400);
         let done = d.access(LineAddr::new(0), 0);
-        assert_eq!(done, d.unloaded_latency());
+        // Activation + column access + one burst on an idle bank and bus.
+        let p = *d.params();
+        assert_eq!(done, p.ns_to_cycles(p.trcd_ns) + p.ns_to_cycles(p.tcas_ns) + p.burst_cycles());
         assert_eq!(d.stats().row_misses, 1);
     }
 
@@ -257,13 +239,16 @@ mod tests {
 
     #[test]
     fn consecutive_lines_spread_over_banks() {
-        let d = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
-        let lines: Vec<LineAddr> = (0..64).map(LineAddr::new).collect();
-        let balance = d.bank_balance(&lines);
+        // A bank serves its accesses one after another, each costing at
+        // least a column access, so a burst of 64 consecutive lines that
+        // drains before eight column accesses has used more than 8 banks.
+        let mut d = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
+        let done = (0..64).map(|i| d.access(LineAddr::new(i), 0)).max().unwrap_or(0);
+        let p = *d.params();
+        let eight_in_one_bank = 8 * p.ns_to_cycles(p.tcas_ns);
         assert!(
-            balance.len() > 8,
-            "64 consecutive lines should hit many banks, got {}",
-            balance.len()
+            done < eight_in_one_bank,
+            "64 consecutive lines should hit many banks: {done} >= {eight_in_one_bank} cycles"
         );
     }
 

@@ -1,67 +1,21 @@
 //! The three-level hierarchy of Table I: per-core private L1D and L2, a
 //! shared L3, and DRAM, plus the plumbing that lets the CPU model issue
 //! demand accesses and prefetch requests with cycle timestamps.
+//!
+//! A demand access returns only its completion cycle, and a prefetch
+//! returns nothing. Every other per-access fact is recorded once, where the
+//! reports read it: the serving level in the per-level [`CacheStats`] and
+//! in `DramStats::accesses`, prefetch coverage in [`PrefetchQuality`] and
+//! as [`PrefetchOutcome`] feedback.
 
-use alecto_types::{FillLevel, LineAddr, Pc, PrefetchOutcome, PrefetchRequest, PrefetcherId};
+use alecto_types::{FillLevel, LineAddr, PrefetchOutcome, PrefetchRequest};
 
-use crate::cache::Cache;
-use crate::config::{HierarchyParams, Level};
+use crate::cache::{Cache, LineMeta};
+use crate::config::HierarchyParams;
 use crate::dram::DramModel;
 use crate::mshr::{MshrEntry, MshrFile};
 use crate::stats::{CacheStats, Cycle, PrefetchQuality};
 use crate::timing::{BandwidthQueue, TimingStats};
-
-/// How a demand access interacted with previously issued prefetches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoverageEvent {
-    /// Ordinary cache hit on a line that was not brought in by a prefetch.
-    CacheHit,
-    /// The access hit a line that a completed prefetch had brought in.
-    CoveredTimely {
-        /// Prefetcher that issued the covering prefetch.
-        issuer: PrefetcherId,
-        /// PC that triggered the covering prefetch, if recorded.
-        trigger_pc: Option<Pc>,
-    },
-    /// The access found its line still in flight from a prefetch (late).
-    CoveredUntimely {
-        /// Prefetcher that issued the covering prefetch.
-        issuer: PrefetcherId,
-        /// PC that triggered the covering prefetch, if recorded.
-        trigger_pc: Option<Pc>,
-    },
-    /// The access had to fetch the line from DRAM itself.
-    Uncovered,
-    /// The access missed the L1 but was satisfied on-chip (L2/L3) by a line
-    /// that no prefetch had brought in.
-    OnChipMiss,
-}
-
-/// Result of a demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemandResult {
-    /// Level that supplied the data (`None` means the line merged with an
-    /// in-flight miss).
-    pub hit_level: Option<Level>,
-    /// Load-to-use latency in cycles, including MSHR stalls and DRAM queueing.
-    pub latency: u64,
-    /// Absolute cycle at which the data is available.
-    pub completion_cycle: Cycle,
-    /// Prefetch coverage classification for Fig. 10.
-    pub coverage: CoverageEvent,
-}
-
-/// Result of issuing one prefetch request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchIssueResult {
-    /// `false` if the request was dropped as redundant (already resident or
-    /// already in flight).
-    pub issued: bool,
-    /// Cycle at which the prefetched line lands in its target cache.
-    pub completion_cycle: Cycle,
-    /// `true` if the fill had to go all the way to DRAM.
-    pub went_to_dram: bool,
-}
 
 /// Channel backlog (in 64 B burst slots) beyond which off-chip prefetches are
 /// dropped rather than queued behind demand traffic.
@@ -220,43 +174,54 @@ impl Hierarchy {
     /// Books a demand that merged into the in-flight miss `merged` (as it
     /// stood before the merge): the first demand to merge into a prefetch's
     /// entry covers that prefetch late.
-    fn merged_coverage(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        merged: MshrEntry,
-    ) -> Option<CoverageEvent> {
-        let issuer = merged.prefetch_issuer.filter(|_| !merged.demand_merged)?;
+    fn merged_coverage(&mut self, core: usize, line: LineAddr, merged: MshrEntry) {
+        let Some(issuer) = merged.prefetch_issuer.filter(|_| !merged.demand_merged) else {
+            return;
+        };
         self.cores[core].quality.covered_untimely += 1;
         self.feedback.push(PrefetchOutcome { issuer, trigger_pc: None, line, useful: true });
-        Some(CoverageEvent::CoveredUntimely { issuer, trigger_pc: None })
     }
 
-    /// Performs a demand access from `core` to `line` at cycle `now`.
+    /// Books a demand hit on the array line `before` (its metadata as it
+    /// stood before the hit): the first demand to reach a prefetched line
+    /// covers that prefetch in time.
+    fn hit_coverage(&mut self, core: usize, line: LineAddr, before: LineMeta) {
+        if !before.prefetched_unused {
+            return;
+        }
+        let issuer = before.prefetch_issuer.expect("prefetched line records its issuer");
+        self.cores[core].quality.covered_timely += 1;
+        self.feedback.push(PrefetchOutcome {
+            issuer,
+            trigger_pc: before.trigger_pc,
+            line,
+            useful: true,
+        });
+    }
+
+    /// Performs a demand access from `core` to `line` at cycle `now`, marking
+    /// the line dirty when `is_store`, and returns the cycle at which the
+    /// data is available (load-to-use, including MSHR stalls and DRAM
+    /// queueing).
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn demand_access(&mut self, core: usize, line: LineAddr, now: Cycle) -> DemandResult {
-        self.demand_access_kind(core, line, now, false)
-    }
-
-    /// Performs a demand access, marking the line dirty when `is_store`.
-    pub fn demand_access_kind(
+    pub fn demand_access(
         &mut self,
         core: usize,
         line: LineAddr,
         now: Cycle,
         is_store: bool,
-    ) -> DemandResult {
-        let result = self.demand_access_inner(core, line, now, is_store);
+    ) -> Cycle {
+        let completion = self.demand_access_inner(core, line, now, is_store);
         // Cycle bookkeeping over the same deterministic stream: every demand
         // access contributes its load-to-use latency to the per-core timing
         // record the CPU model folds into IPC / average-latency figures.
         let timing = &mut self.cores[core].timing;
         timing.demand_accesses += 1;
-        timing.demand_latency_cycles += result.latency;
-        result
+        timing.demand_latency_cycles += completion - now;
+        completion
     }
 
     fn demand_access_inner(
@@ -265,7 +230,7 @@ impl Hierarchy {
         line: LineAddr,
         now: Cycle,
         is_store: bool,
-    ) -> DemandResult {
+    ) -> Cycle {
         assert!(core < self.cores.len(), "core index {core} out of range");
         let l1_latency = self.params.l1d.latency;
         let l2_latency = self.params.l2.latency;
@@ -278,115 +243,56 @@ impl Hierarchy {
             // Clear the prefetched-unused bit so the later array hit is not
             // double counted; ignore the array's own coverage signal.
             let _ = cp.l1d.demand_lookup(line, is_store);
-            let coverage =
-                self.merged_coverage(core, line, merged).unwrap_or(CoverageEvent::CacheHit);
-            let latency = l1_latency.max(merged.completion.saturating_sub(now));
-            return DemandResult {
-                hit_level: None,
-                latency,
-                completion_cycle: now + latency,
-                coverage,
-            };
+            self.merged_coverage(core, line, merged);
+            return now + l1_latency.max(merged.completion.saturating_sub(now));
         }
 
         // --- L1 array ------------------------------------------------------
         if let Some(before) = self.cores[core].l1d.demand_lookup(line, is_store) {
-            let coverage = if before.prefetched_unused {
-                let issuer = before.prefetch_issuer.expect("prefetched line records its issuer");
-                self.cores[core].quality.covered_timely += 1;
-                self.feedback.push(PrefetchOutcome {
-                    issuer,
-                    trigger_pc: before.trigger_pc,
-                    line,
-                    useful: true,
-                });
-                CoverageEvent::CoveredTimely { issuer, trigger_pc: before.trigger_pc }
-            } else {
-                CoverageEvent::CacheHit
-            };
-            return DemandResult {
-                hit_level: Some(Level::L1),
-                latency: l1_latency,
-                completion_cycle: now + l1_latency,
-                coverage,
-            };
+            self.hit_coverage(core, line, before);
+            return now + l1_latency;
         }
 
         // --- L1 miss: walk the outer levels --------------------------------
         // Each level a request misses in costs that level's tag-check
         // escalation penalty on top of wherever the data is finally found.
-        let mut went_to_dram = false;
-        let mut hit_level = None;
-        let mut coverage = CoverageEvent::OnChipMiss;
-        let base_latency;
         let mut escalation = self.params.l1d.miss_latency;
         let mut fill_l2 = false;
         let mut fill_l3 = false;
 
         // L2 lookup / MSHR.
-        let l2_meta = self.cores[core].l2.demand_lookup(line, is_store);
-        if let Some(meta) = l2_meta {
-            hit_level = Some(Level::L2);
-            base_latency = l2_latency;
-            if meta.prefetched_unused {
-                let issuer = meta.prefetch_issuer.expect("prefetched line records its issuer");
-                self.cores[core].quality.covered_timely += 1;
-                self.feedback.push(PrefetchOutcome {
-                    issuer,
-                    trigger_pc: meta.trigger_pc,
-                    line,
-                    useful: true,
-                });
-                coverage = CoverageEvent::CoveredTimely { issuer, trigger_pc: meta.trigger_pc };
-            }
+        let base_latency = if let Some(before) = self.cores[core].l2.demand_lookup(line, is_store) {
+            self.hit_coverage(core, line, before);
+            l2_latency
         } else if let Some(merged) = self.cores[core].l2_mshr.merge_demand(line, now) {
             self.cores[core].l2.stats_mut().demand_mshr_merges += 1;
-            base_latency = l2_latency.max(merged.completion.saturating_sub(now));
-            if let Some(late) = self.merged_coverage(core, line, merged) {
-                coverage = late;
-            }
+            self.merged_coverage(core, line, merged);
+            l2_latency.max(merged.completion.saturating_sub(now))
         } else {
             // L3 lookup / MSHR.
             fill_l2 = true;
             escalation += self.params.l2.miss_latency;
-            let l3_meta = self.l3.demand_lookup(line, is_store);
-            if let Some(meta) = l3_meta {
-                hit_level = Some(Level::L3);
-                base_latency = l3_latency;
-                if meta.prefetched_unused {
-                    let issuer = meta.prefetch_issuer.expect("prefetched line records its issuer");
-                    self.cores[core].quality.covered_timely += 1;
-                    self.feedback.push(PrefetchOutcome {
-                        issuer,
-                        trigger_pc: meta.trigger_pc,
-                        line,
-                        useful: true,
-                    });
-                    coverage = CoverageEvent::CoveredTimely { issuer, trigger_pc: meta.trigger_pc };
-                }
+            if let Some(before) = self.l3.demand_lookup(line, is_store) {
+                self.hit_coverage(core, line, before);
+                l3_latency
             } else if let Some(merged) = self.l3_mshr.merge_demand(line, now) {
                 self.l3.stats_mut().demand_mshr_merges += 1;
-                base_latency = l3_latency.max(merged.completion.saturating_sub(now));
-                if let Some(late) = self.merged_coverage(core, line, merged) {
-                    coverage = late;
-                }
+                self.merged_coverage(core, line, merged);
+                l3_latency.max(merged.completion.saturating_sub(now))
             } else {
                 // DRAM: the request first wins an admission slot at the
                 // memory controller (the bandwidth queue), then pays the
                 // bank/bus timing from the admitted cycle.
-                went_to_dram = true;
                 fill_l3 = true;
-                hit_level = Some(Level::Dram);
                 escalation += self.params.l3.miss_latency;
                 let enter = now + l3_latency;
                 let admitted = self.dram_queue.admit(enter);
                 self.cores[core].timing.dram_queue_cycles += admitted - enter;
                 let dram_done = self.dram.access(line, admitted);
-                base_latency = dram_done.saturating_sub(now);
                 self.cores[core].quality.uncovered += 1;
-                coverage = CoverageEvent::Uncovered;
+                dram_done.saturating_sub(now)
             }
-        }
+        };
 
         // --- MSHR allocation stalls -----------------------------------------
         // The guessed completion includes the escalation penalties so a
@@ -403,15 +309,13 @@ impl Hierarchy {
             self.cores[core].l2.stats_mut().mshr_stall_cycles += l2_stall;
             stall += l2_stall;
         }
-        if went_to_dram {
+        if fill_l3 {
             let l3_stall = self.l3_mshr.allocate(line, completion_guess + stall, None, now);
             self.l3.stats_mut().mshr_stall_cycles += l3_stall;
             stall += l3_stall;
             self.l3.stats_mut().demand_misses += 1;
         }
         self.cores[core].timing.mshr_stall_cycles += stall;
-        let latency = base_latency + escalation + stall + l1_latency.min(4);
-        let completion = now + latency;
 
         // --- Fills -----------------------------------------------------------
         let ev = self.cores[core].l1d.fill(line, None, None, is_store);
@@ -425,16 +329,21 @@ impl Hierarchy {
             self.record_eviction_feedback(core, ev);
         }
 
-        DemandResult { hit_level, latency, completion_cycle: completion, coverage }
+        now + base_latency + escalation + stall + l1_latency.min(4)
     }
 
     /// Issues one prefetch request on behalf of `core` at cycle `now`.
-    pub fn issue_prefetch(
-        &mut self,
-        core: usize,
-        req: &PrefetchRequest,
-        now: Cycle,
-    ) -> PrefetchIssueResult {
+    ///
+    /// A request is dropped when its line is already resident at the target
+    /// level or in flight, when no MSHR can take it, or when the DRAM
+    /// channel it needs is backlogged. An issued prefetch shows up as a
+    /// `prefetch_fills` count of its target level and, until its fill lands,
+    /// in [`Hierarchy::outstanding_completion`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn issue_prefetch(&mut self, core: usize, req: &PrefetchRequest, now: Cycle) {
         assert!(core < self.cores.len(), "core index {core} out of range");
         let line = req.line;
         let l2_latency = self.params.l2.latency;
@@ -448,11 +357,7 @@ impl Hierarchy {
         let in_flight = self.cores[core].l1_mshr.lookup(line, now).is_some()
             || self.cores[core].l2_mshr.lookup(line, now).is_some();
         if resident || in_flight {
-            return PrefetchIssueResult {
-                issued: false,
-                completion_cycle: now,
-                went_to_dram: false,
-            };
+            return;
         }
 
         // MSHR admission control happens *before* any bandwidth is spent:
@@ -464,25 +369,17 @@ impl Hierarchy {
             fill_level = FillLevel::L2;
         }
         if fill_level == FillLevel::L2 && !self.cores[core].l2_mshr.has_free(now) {
-            return PrefetchIssueResult {
-                issued: false,
-                completion_cycle: now,
-                went_to_dram: false,
-            };
+            return;
         }
         if fill_level == FillLevel::L2 && self.cores[core].l2.contains(line) {
             // Demoted request finds its line already in the L2: nothing to do.
-            return PrefetchIssueResult {
-                issued: false,
-                completion_cycle: now,
-                went_to_dram: false,
-            };
+            return;
         }
 
         // Find the data: L2 (when targeting L1), then L3, then DRAM. Each
         // level probed and missed costs its tag-check escalation penalty,
         // exactly as on the demand path.
-        let mut went_to_dram = false;
+        let mut fill_l3 = false;
         let mut escalation = 0;
         let mut base_latency = match fill_level {
             FillLevel::L1 => {
@@ -512,13 +409,9 @@ impl Hierarchy {
                 // deep backlog, issuing the prefetch would only delay demand
                 // fills, so it is dropped instead.
                 if self.dram.queue_pressure(line, now + l3_latency) > PREFETCH_DRAM_PRESSURE_LIMIT {
-                    return PrefetchIssueResult {
-                        issued: false,
-                        completion_cycle: now,
-                        went_to_dram: false,
-                    };
+                    return;
                 }
-                went_to_dram = true;
+                fill_l3 = true;
                 escalation += self.params.l3.miss_latency;
                 // Prefetch fills consume the same admission bandwidth as
                 // demand fills — that shared drain is what lets aggressive
@@ -528,9 +421,7 @@ impl Hierarchy {
                 base_latency = dram_done.saturating_sub(now);
             }
         }
-        let base_latency = base_latency + escalation;
-
-        let completion = now + base_latency;
+        let completion = now + base_latency + escalation;
         match fill_level {
             FillLevel::L1 => {
                 self.cores[core].l1_mshr.allocate(line, completion, Some(req.issuer), now);
@@ -539,7 +430,7 @@ impl Hierarchy {
                 self.cores[core].l2_mshr.allocate(line, completion, Some(req.issuer), now);
             }
         }
-        if went_to_dram {
+        if fill_l3 {
             self.l3_mshr.allocate(line, completion, Some(req.issuer), now);
         }
 
@@ -553,95 +444,112 @@ impl Hierarchy {
             }
         };
         self.record_eviction_feedback(core, ev);
-        if went_to_dram {
+        if fill_l3 {
             let ev = self.l3.fill(line, None, None, false);
             self.record_eviction_feedback(core, ev);
         }
-
-        PrefetchIssueResult { issued: true, completion_cycle: completion, went_to_dram }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::Pc;
+    use alecto_types::{Pc, PrefetcherId};
 
     fn hier(cores: usize) -> Hierarchy {
         Hierarchy::new(HierarchyParams::skylake_like(cores))
     }
 
+    fn feedback(h: &mut Hierarchy) -> Vec<PrefetchOutcome> {
+        let mut fb = Vec::new();
+        h.swap_feedback(&mut fb);
+        fb
+    }
+
     #[test]
     fn cold_miss_goes_to_dram_then_hits() {
         let mut h = hier(1);
-        let r = h.demand_access(0, LineAddr::new(0x100), 0);
-        assert_eq!(r.hit_level, Some(Level::Dram));
-        assert_eq!(r.coverage, CoverageEvent::Uncovered);
-        assert!(r.latency > h.params().l3.latency);
-        let r2 = h.demand_access(0, LineAddr::new(0x100), r.completion_cycle + 1);
-        assert_eq!(r2.hit_level, Some(Level::L1));
-        assert_eq!(r2.latency, h.params().l1d.latency);
-        assert_eq!(r2.coverage, CoverageEvent::CacheHit);
+        let line = LineAddr::new(0x100);
+        let done = h.demand_access(0, line, 0, false);
+        assert_eq!(h.dram_stats().accesses, 1);
+        assert_eq!(*h.quality(0), PrefetchQuality { uncovered: 1, ..PrefetchQuality::default() });
+        assert!(done > h.params().l3.latency);
+        let hit = h.demand_access(0, line, done + 1, false);
+        assert_eq!(h.l1_stats(0).demand_hits, 1);
+        assert_eq!(hit - (done + 1), h.params().l1d.latency);
+        // A plain hit covers nothing and reaches no further level.
+        assert_eq!(*h.quality(0), PrefetchQuality { uncovered: 1, ..PrefetchQuality::default() });
+        assert_eq!(h.dram_stats().accesses, 1);
     }
 
     #[test]
     fn outstanding_completion_tracks_an_individual_miss() {
         let mut h = hier(1);
         let line = LineAddr::new(0x180);
-        let r = h.demand_access(0, line, 0);
+        let done = h.demand_access(0, line, 0, false);
         // The miss is outstanding: the probe reports the MSHR's fill arrival
         // (at or before the access's end-to-end completion, which also pays
         // the L1 forward latency) and repeating it does not disturb anything.
         let fill = h.outstanding_completion(0, line, 1).expect("miss is in flight");
-        assert!(fill > 1 && fill <= r.completion_cycle);
+        assert!(fill > 1 && fill <= done);
         assert_eq!(h.outstanding_completion(0, line, 1), Some(fill));
         // A line never requested is not outstanding.
         assert_eq!(h.outstanding_completion(0, LineAddr::new(0x999), 1), None);
         // Once the fill lands the access is no longer in flight.
-        assert_eq!(h.outstanding_completion(0, line, r.completion_cycle), None);
+        assert_eq!(h.outstanding_completion(0, line, done), None);
     }
 
     #[test]
     fn timely_prefetch_is_covered() {
         let mut h = hier(1);
-        let req = PrefetchRequest::new(LineAddr::new(0x200), Pc::new(0x40), PrefetcherId(0));
-        let p = h.issue_prefetch(0, &req, 0);
-        assert!(p.issued);
-        assert!(p.went_to_dram);
+        let line = LineAddr::new(0x200);
+        let req = PrefetchRequest::new(line, Pc::new(0x40), PrefetcherId(0));
+        h.issue_prefetch(0, &req, 0);
+        // Issued into the L1 from DRAM, and in flight until the fill lands.
+        assert_eq!(h.l1_stats(0).prefetch_fills, 1);
+        assert_eq!(h.dram_stats().accesses, 1);
+        let fill = h.outstanding_completion(0, line, 0).expect("prefetch in flight");
         // Demand arrives after the prefetch completed: timely.
-        let r = h.demand_access(0, LineAddr::new(0x200), p.completion_cycle + 10);
-        assert!(matches!(r.coverage, CoverageEvent::CoveredTimely { issuer: PrefetcherId(0), .. }));
+        h.demand_access(0, line, fill + 10, false);
         assert_eq!(h.quality(0).covered_timely, 1);
-        let mut fb = Vec::new();
-        h.swap_feedback(&mut fb);
-        assert!(fb.iter().any(|f| f.useful && f.line == LineAddr::new(0x200)));
+        assert_eq!(
+            feedback(&mut h),
+            [PrefetchOutcome {
+                issuer: PrefetcherId(0),
+                trigger_pc: Some(Pc::new(0x40)),
+                line,
+                useful: true
+            }]
+        );
     }
 
     #[test]
     fn late_prefetch_is_covered_untimely() {
         let mut h = hier(1);
-        let req = PrefetchRequest::new(LineAddr::new(0x300), Pc::new(0x44), PrefetcherId(1));
-        let p = h.issue_prefetch(0, &req, 0);
-        assert!(p.issued);
+        let line = LineAddr::new(0x300);
+        let req = PrefetchRequest::new(line, Pc::new(0x44), PrefetcherId(1));
+        h.issue_prefetch(0, &req, 0);
+        let fill = h.outstanding_completion(0, line, 0).expect("prefetch in flight");
         // Demand arrives while the prefetch is still in flight.
-        let r = h.demand_access(0, LineAddr::new(0x300), 1);
-        assert!(matches!(
-            r.coverage,
-            CoverageEvent::CoveredUntimely { issuer: PrefetcherId(1), .. }
-        ));
-        assert!(r.latency > h.params().l1d.latency);
-        assert!(r.latency < p.completion_cycle + 10);
+        let latency = h.demand_access(0, line, 1, false) - 1;
+        assert!(latency > h.params().l1d.latency);
+        assert!(latency < fill + 10);
         assert_eq!(h.quality(0).covered_untimely, 1);
+        assert_eq!(
+            feedback(&mut h),
+            [PrefetchOutcome { issuer: PrefetcherId(1), trigger_pc: None, line, useful: true }]
+        );
     }
 
     #[test]
     fn redundant_prefetch_is_dropped() {
         let mut h = hier(1);
         let line = LineAddr::new(0x400);
-        let r = h.demand_access(0, line, 0);
+        let done = h.demand_access(0, line, 0, false);
         let req = PrefetchRequest::new(line, Pc::new(0x48), PrefetcherId(0));
-        let p = h.issue_prefetch(0, &req, r.completion_cycle + 1);
-        assert!(!p.issued);
+        h.issue_prefetch(0, &req, done + 1);
+        let l1 = h.l1_stats(0);
+        assert_eq!((l1.prefetch_hits, l1.prefetch_fills), (1, 0));
     }
 
     #[test]
@@ -650,12 +558,16 @@ mod tests {
         let line = LineAddr::new(0x500);
         let req = PrefetchRequest::new(line, Pc::new(0x4c), PrefetcherId(2))
             .with_fill_level(alecto_types::FillLevel::L2);
-        let p = h.issue_prefetch(0, &req, 0);
-        assert!(p.issued);
+        h.issue_prefetch(0, &req, 0);
+        assert_eq!(h.l2_stats(0).prefetch_fills, 1);
+        assert_eq!(h.l1_stats(0).prefetch_fills, 0);
+        let fill = h.outstanding_completion(0, line, 0).expect("prefetch in flight");
         // Demand later: L1 misses, L2 hits with the prefetched line.
-        let r = h.demand_access(0, line, p.completion_cycle + 5);
-        assert_eq!(r.hit_level, Some(Level::L2));
-        assert!(matches!(r.coverage, CoverageEvent::CoveredTimely { issuer: PrefetcherId(2), .. }));
+        h.demand_access(0, line, fill + 5, false);
+        assert_eq!(h.l2_stats(0).demand_hits, 1);
+        assert_eq!(h.quality(0).covered_timely, 1);
+        let fb = feedback(&mut h);
+        assert!(fb.iter().any(|f| f.useful && f.issuer == PrefetcherId(2) && f.line == line));
     }
 
     #[test]
@@ -669,14 +581,10 @@ mod tests {
         h.issue_prefetch(0, &req, 0);
         let mut t = 1_000;
         for i in 1..=16 {
-            let line = LineAddr::new(7 + i * set_stride);
-            let r = h.demand_access(0, line, t);
-            t = r.completion_cycle + 1;
+            t = h.demand_access(0, LineAddr::new(7 + i * set_stride), t, false) + 1;
         }
-        let mut fb = Vec::new();
-        h.swap_feedback(&mut fb);
         assert!(
-            fb.iter().any(|f| !f.useful && f.line == victim),
+            feedback(&mut h).iter().any(|f| !f.useful && f.line == victim),
             "victim should be reported useless"
         );
         assert!(h.quality(0).overpredicted >= 1);
@@ -686,10 +594,10 @@ mod tests {
     fn multicore_cores_are_isolated_in_private_levels() {
         let mut h = hier(2);
         let line = LineAddr::new(0x900);
-        let r0 = h.demand_access(0, line, 0);
+        let done = h.demand_access(0, line, 0, false);
         // Core 1 misses its private caches but hits the shared L3.
-        let r1 = h.demand_access(1, line, r0.completion_cycle + 1);
-        assert_eq!(r1.hit_level, Some(Level::L3));
+        h.demand_access(1, line, done + 1, false);
+        assert_eq!(h.l3_stats().demand_hits, 1);
         assert_eq!(h.l1_stats(1).demand_misses, 1);
         assert_eq!(h.l1_stats(0).demand_misses, 1);
     }
@@ -698,16 +606,16 @@ mod tests {
     fn dram_contention_increases_latency() {
         let mut h = hier(1);
         // Back-to-back cold misses at the same cycle queue in DRAM.
-        let a = h.demand_access(0, LineAddr::new(0x10_000), 0);
-        let b = h.demand_access(0, LineAddr::new(0x20_000), 0);
-        assert!(b.latency >= a.latency, "second concurrent miss should not be faster");
+        let a = h.demand_access(0, LineAddr::new(0x10_000), 0, false);
+        let b = h.demand_access(0, LineAddr::new(0x20_000), 0, false);
+        assert!(b >= a, "second concurrent miss should not be faster");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_core_index_panics() {
         let mut h = hier(1);
-        let _ = h.demand_access(3, LineAddr::new(1), 0);
+        let _ = h.demand_access(3, LineAddr::new(1), 0, false);
     }
 
     #[test]
@@ -716,9 +624,9 @@ mod tests {
         let mut t = 0;
         let mut latency_sum = 0;
         for i in 0..10u64 {
-            let r = h.demand_access(0, LineAddr::new(i * 1000), t);
-            latency_sum += r.latency;
-            t = r.completion_cycle + 1;
+            let done = h.demand_access(0, LineAddr::new(i * 1000), t, false);
+            latency_sum += done - t;
+            t = done + 1;
         }
         let stats = h.timing_stats(0);
         assert_eq!(stats.demand_accesses, 10);
@@ -734,16 +642,15 @@ mod tests {
         // L3 hit additionally costs the L2 miss penalty.
         let mut h = hier(2);
         let line = LineAddr::new(0x5000);
-        let r0 = h.demand_access(0, line, 0); // cold: DRAM
-                                              // Core 0 again: L1 hit, no penalty.
-        let r1 = h.demand_access(0, line, r0.completion_cycle + 1);
-        assert_eq!(r1.latency, h.params().l1d.latency);
+        // Cold: DRAM. Then core 0 again: L1 hit, no penalty.
+        let done = h.demand_access(0, line, 0, false);
+        assert_eq!(h.demand_access(0, line, done + 1, false) - (done + 1), h.params().l1d.latency);
         // Core 1: misses its private levels, hits the shared L3.
-        let r2 = h.demand_access(1, line, r0.completion_cycle + 2);
-        assert_eq!(r2.hit_level, Some(Level::L3));
+        let l3_hit = h.demand_access(1, line, done + 2, false) - (done + 2);
+        assert_eq!(h.l3_stats().demand_hits, 1);
         let p = h.params().clone();
         assert_eq!(
-            r2.latency,
+            l3_hit,
             p.l3.latency + p.l1d.miss_latency + p.l2.miss_latency + p.l1d.latency.min(4)
         );
     }
@@ -761,8 +668,7 @@ mod tests {
                 Hierarchy::new(HierarchyParams { timing, ..HierarchyParams::skylake_like(1) });
             let mut done = 0;
             for i in 0..64u64 {
-                let r = h.demand_access(0, LineAddr::new(i), 0);
-                done = done.max(r.completion_cycle);
+                done = done.max(h.demand_access(0, LineAddr::new(i), 0, false));
             }
             (done, h.timing_stats(0).dram_queue_cycles, h.dram_stats().accesses)
         };

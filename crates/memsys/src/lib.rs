@@ -11,13 +11,14 @@
 //!
 //! ```
 //! use memsys::{Hierarchy, HierarchyParams};
-//! use alecto_types::{LineAddr, Pc, PrefetcherId};
+//! use alecto_types::LineAddr;
 //!
 //! let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
-//! let r = hier.demand_access(0, LineAddr::new(0x1000), 0);
-//! assert!(r.latency > 0);               // cold miss goes to DRAM
-//! let r2 = hier.demand_access(0, LineAddr::new(0x1000), r.completion_cycle + 1);
-//! assert_eq!(r2.hit_level, Some(memsys::Level::L1));
+//! let line = LineAddr::new(0x1000);
+//! let done = hier.demand_access(0, line, 0, false); // cold miss goes to DRAM
+//! assert_eq!(hier.dram_stats().accesses, 1);
+//! hier.demand_access(0, line, done + 1, false);
+//! assert_eq!(hier.l1_stats(0).demand_hits, 1);
 //! ```
 //!
 //! [`cpu`]: https://docs.rs/cpu
@@ -34,10 +35,10 @@ pub mod stats;
 pub mod timing;
 
 pub use cache::{Cache, EvictionInfo, LineMeta};
-pub use config::{CacheParams, DramKind, DramParams, HierarchyParams, Level};
+pub use config::{CacheParams, DramKind, DramParams, HierarchyParams};
 pub use dram::DramModel;
 pub use dram::DramStats;
-pub use hierarchy::{CoverageEvent, DemandResult, Hierarchy, PrefetchIssueResult};
+pub use hierarchy::Hierarchy;
 pub use mshr::{MshrEntry, MshrFile};
 pub use stats::{CacheStats, Cycle, PrefetchQuality};
 pub use timing::{BandwidthQueue, TimingParams, TimingStats};

@@ -46,7 +46,7 @@ pub struct PrefetchQuality {
     pub covered_untimely: u64,
     /// Demand misses not covered by any prefetch.
     pub uncovered: u64,
-    /// Prefetched lines that were evicted (or invalidated) without use.
+    /// Prefetched lines that were evicted without use.
     pub overpredicted: u64,
 }
 

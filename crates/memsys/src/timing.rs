@@ -80,12 +80,6 @@ impl TimingParams {
         }
         Ok(())
     }
-
-    /// Sustainable admissions per cycle implied by the drain rate.
-    #[must_use]
-    pub fn drain_per_cycle(&self) -> f64 {
-        f64::from(self.dram_drain_requests) / f64::from(self.dram_drain_period)
-    }
 }
 
 /// A rate-limited admission queue: at most `drain_requests` requests enter
@@ -183,14 +177,13 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_by_drain_rate() {
-        assert!(
-            TimingParams::latency_sensitive().drain_per_cycle()
-                > TimingParams::balanced().drain_per_cycle()
-        );
-        assert!(
-            TimingParams::balanced().drain_per_cycle()
-                > TimingParams::bandwidth_bound().drain_per_cycle()
-        );
+        // The cycle at which a queue admits the last of a same-cycle burst.
+        let drain = |params| {
+            let mut q = BandwidthQueue::new(params);
+            (0..64).map(|_| q.admit(0)).max().unwrap_or(0)
+        };
+        assert!(drain(TimingParams::latency_sensitive()) < drain(TimingParams::balanced()));
+        assert!(drain(TimingParams::balanced()) < drain(TimingParams::bandwidth_bound()));
         for p in [
             TimingParams::balanced(),
             TimingParams::latency_sensitive(),

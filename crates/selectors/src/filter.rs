@@ -13,8 +13,6 @@ use alecto_types::LineAddr;
 #[derive(Debug, Clone)]
 pub struct PrefetchFilter {
     entries: Vec<Option<LineAddr>>,
-    inserted: u64,
-    dropped: u64,
 }
 
 impl PrefetchFilter {
@@ -26,7 +24,7 @@ impl PrefetchFilter {
     #[must_use]
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0 && entries.is_power_of_two(), "filter size must be a power of two");
-        Self { entries: vec![None; entries], inserted: 0, dropped: 0 }
+        Self { entries: vec![None; entries] }
     }
 
     /// The default 512-entry filter (same entry count as Alecto's Sandbox
@@ -45,30 +43,10 @@ impl PrefetchFilter {
     pub fn check_and_insert(&mut self, line: LineAddr) -> bool {
         let idx = self.index(line);
         if self.entries[idx] == Some(line) {
-            self.dropped += 1;
             return true;
         }
         self.entries[idx] = Some(line);
-        self.inserted += 1;
         false
-    }
-
-    /// Number of requests recorded.
-    #[must_use]
-    pub const fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Number of requests dropped as duplicates.
-    #[must_use]
-    pub const fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Storage in bits (tag per entry, ~22-bit partial tags).
-    #[must_use]
-    pub fn storage_bits(&self) -> u64 {
-        self.entries.len() as u64 * 22
     }
 }
 
@@ -81,8 +59,6 @@ mod tests {
         let mut f = PrefetchFilter::new(64);
         assert!(!f.check_and_insert(LineAddr::new(10)));
         assert!(f.check_and_insert(LineAddr::new(10)));
-        assert_eq!(f.dropped(), 1);
-        assert_eq!(f.inserted(), 1);
     }
 
     #[test]
@@ -100,25 +76,18 @@ mod tests {
     #[test]
     fn capacity_conflicts_eventually_forget() {
         let mut f = PrefetchFilter::new(8);
-        f.check_and_insert(LineAddr::new(1));
-        // Flood with many other lines, likely overwriting slot of line 1.
+        assert!(!f.check_and_insert(LineAddr::new(1)));
+        // Flood with many other lines: each is new, so none is dropped, and
+        // together they overwrite the slot of line 1.
         for i in 2..200u64 {
-            f.check_and_insert(LineAddr::new(i));
+            assert!(!f.check_and_insert(LineAddr::new(i)), "line {i} was never seen");
         }
-        // Line 1 may or may not still be present, but re-inserting never panics
-        // and the counters stay consistent.
-        let _ = f.check_and_insert(LineAddr::new(1));
-        assert!(f.inserted() + f.dropped() == 200);
+        assert!(!f.check_and_insert(LineAddr::new(1)), "line 1 should be forgotten");
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         let _ = PrefetchFilter::new(100);
-    }
-
-    #[test]
-    fn storage_scales_with_entries() {
-        assert!(PrefetchFilter::new(512).storage_bits() > PrefetchFilter::new(64).storage_bits());
     }
 }

@@ -16,8 +16,6 @@ use crate::traits::{AllocationDecision, Selector};
 #[derive(Debug, Clone)]
 pub struct IpcpSelector {
     degree: u32,
-    requests_selected: u64,
-    requests_dropped: u64,
 }
 
 impl IpcpSelector {
@@ -25,25 +23,13 @@ impl IpcpSelector {
     /// candidates per training event.
     #[must_use]
     pub fn new(degree: u32) -> Self {
-        Self { degree, requests_selected: 0, requests_dropped: 0 }
+        Self { degree }
     }
 
     /// Default degree of 4, comparable to the conservative end of Bandit.
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(4)
-    }
-
-    /// Requests selected (passed through the priority mux) so far.
-    #[must_use]
-    pub const fn requests_selected(&self) -> u64 {
-        self.requests_selected
-    }
-
-    /// Requests dropped by the priority mux so far.
-    #[must_use]
-    pub const fn requests_dropped(&self) -> u64 {
-        self.requests_dropped
     }
 }
 
@@ -71,10 +57,7 @@ impl Selector for IpcpSelector {
         let Some(winner) = candidates.iter().map(|r| r.issuer).min_by_key(|p| p.index()) else {
             return candidates;
         };
-        let before = candidates.len();
         candidates.retain(|r| r.issuer == winner);
-        self.requests_selected += candidates.len() as u64;
-        self.requests_dropped += (before - candidates.len()) as u64;
         candidates
     }
 
@@ -109,8 +92,6 @@ mod tests {
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         let out = s.select_requests(&access, vec![req(2, 10), req(0, 20), req(1, 30), req(0, 21)]);
         assert_eq!(out, [req(0, 20), req(0, 21)], "the winner's requests, in candidate order");
-        assert_eq!(s.requests_selected(), 2);
-        assert_eq!(s.requests_dropped(), 2);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub struct PpfFilterSelector {
     /// Features of still-in-flight prefetches, keyed by line, so that outcome
     /// feedback can train the same weights the decision used.
     pending: BTreeMap<LineAddr, [usize; NUM_FEATURES]>,
-    filtered: u64,
-    passed: u64,
 }
 
 impl PpfFilterSelector {
@@ -73,8 +71,6 @@ impl PpfFilterSelector {
             aggressive,
             weights: vec![vec![0; FEATURE_TABLE_SIZE]; NUM_FEATURES],
             pending: BTreeMap::new(),
-            filtered: 0,
-            passed: 0,
         }
     }
 
@@ -88,18 +84,6 @@ impl PpfFilterSelector {
     #[must_use]
     pub fn conservative() -> Self {
         Self::new(PpfConfig::conservative(), false)
-    }
-
-    /// Prefetch requests dropped by the perceptron so far.
-    #[must_use]
-    pub const fn filtered(&self) -> u64 {
-        self.filtered
-    }
-
-    /// Prefetch requests allowed through so far.
-    #[must_use]
-    pub const fn passed(&self) -> u64 {
-        self.passed
     }
 
     fn features(access: &DemandAccess, req: &PrefetchRequest) -> [usize; NUM_FEATURES] {
@@ -167,10 +151,8 @@ impl Selector for PpfFilterSelector {
                     // (a HashMap's "first key" would not be).
                     self.pending.pop_first();
                 }
-                self.passed += 1;
                 true
             } else {
-                self.filtered += 1;
                 // Rejected prefetches still train toward "useless" slowly via
                 // an implicit negative outcome when the demand never arrives;
                 // PPF proper uses a reject table — approximated by immediate
@@ -216,66 +198,62 @@ mod tests {
         assert_eq!(d.allocated_count(), 3);
     }
 
-    #[test]
-    fn useless_feedback_teaches_filtering() {
-        let mut ppf = PpfFilterSelector::aggressive();
-        let a = access(0x33, 0x8000);
-        // Keep issuing the same kind of prefetch and reporting it useless.
-        for i in 0..200u64 {
-            let reqs = ppf.select_requests(&a, vec![req(0, 0x200 + i)]);
+    /// Offers one candidate per round, reports each prefetch that passes as
+    /// useful or not by `useful(round)`, and returns how many were filtered.
+    fn count_filtered(
+        ppf: &mut PpfFilterSelector,
+        a: &DemandAccess,
+        issuer: usize,
+        first_line: u64,
+        rounds: u64,
+        useful: impl Fn(u64) -> bool,
+    ) -> usize {
+        let mut filtered = 0;
+        for i in 0..rounds {
+            let reqs = ppf.select_requests(a, vec![req(issuer, first_line + i)]);
+            filtered += 1 - reqs.len();
             for r in reqs {
                 ppf.on_prefetch_outcome(&PrefetchOutcome {
                     issuer: r.issuer,
                     trigger_pc: Some(a.pc),
                     line: r.line,
-                    useful: false,
+                    useful: useful(i),
                 });
             }
         }
-        // Eventually the perceptron should start rejecting these prefetches.
-        assert!(ppf.filtered() > 0, "aggressive PPF must learn to reject useless prefetches");
+        filtered
+    }
+
+    #[test]
+    fn useless_feedback_teaches_filtering() {
+        let mut ppf = PpfFilterSelector::aggressive();
+        let a = access(0x33, 0x8000);
+        // Keep issuing the same kind of prefetch and reporting it useless:
+        // eventually the perceptron should start rejecting these prefetches.
+        assert!(
+            count_filtered(&mut ppf, &a, 0, 0x200, 200, |_| false) > 0,
+            "aggressive PPF must learn to reject useless prefetches"
+        );
     }
 
     #[test]
     fn useful_feedback_keeps_prefetches_flowing() {
         let mut ppf = PpfFilterSelector::conservative();
         let a = access(0x44, 0x9000);
-        for i in 0..100u64 {
-            let reqs = ppf.select_requests(&a, vec![req(0, 0x600 + i)]);
-            for r in reqs {
-                ppf.on_prefetch_outcome(&PrefetchOutcome {
-                    issuer: r.issuer,
-                    trigger_pc: Some(a.pc),
-                    line: r.line,
-                    useful: true,
-                });
-            }
-        }
-        assert_eq!(ppf.filtered(), 0, "conservative PPF with useful prefetches should not filter");
-        assert!(ppf.passed() >= 100);
+        assert_eq!(
+            count_filtered(&mut ppf, &a, 0, 0x600, 100, |_| true),
+            0,
+            "conservative PPF with useful prefetches should not filter"
+        );
     }
 
     #[test]
     fn aggressive_filters_more_than_conservative() {
-        let mut agg = PpfFilterSelector::aggressive();
-        let mut con = PpfFilterSelector::conservative();
         let a = access(0x55, 0xa000);
         // Mixed outcomes: 50% useful. The aggressive threshold rejects these
         // borderline prefetches earlier than the conservative one.
-        for ppf in [&mut agg, &mut con] {
-            for i in 0..300u64 {
-                let reqs = ppf.select_requests(&a, vec![req(1, 0x900 + i)]);
-                for r in reqs {
-                    ppf.on_prefetch_outcome(&PrefetchOutcome {
-                        issuer: r.issuer,
-                        trigger_pc: Some(a.pc),
-                        line: r.line,
-                        useful: i % 2 == 0,
-                    });
-                }
-            }
-        }
-        assert!(agg.filtered() >= con.filtered());
+        let run = |mut ppf| count_filtered(&mut ppf, &a, 1, 0x900, 300, |i| i % 2 == 0);
+        assert!(run(PpfFilterSelector::aggressive()) >= run(PpfFilterSelector::conservative()));
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub struct TriangelFilterSelector {
     /// temporal prefetcher after bootstrap.
     reuse_threshold: f64,
     reuse: HashMap<Pc, PcReuse>,
-    filtered_temporal_trainings: u64,
-    allowed_temporal_trainings: u64,
 }
 
 impl TriangelFilterSelector {
@@ -49,8 +47,6 @@ impl TriangelFilterSelector {
             bootstrap_trainings: 64,
             reuse_threshold: 0.05,
             reuse: HashMap::new(),
-            filtered_temporal_trainings: 0,
-            allowed_temporal_trainings: 0,
         }
     }
 
@@ -59,18 +55,6 @@ impl TriangelFilterSelector {
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(4, 1)
-    }
-
-    /// Temporal training events suppressed so far.
-    #[must_use]
-    pub const fn filtered_temporal_trainings(&self) -> u64 {
-        self.filtered_temporal_trainings
-    }
-
-    /// Temporal training events allowed so far.
-    #[must_use]
-    pub const fn allowed_temporal_trainings(&self) -> u64 {
-        self.allowed_temporal_trainings
     }
 }
 
@@ -103,13 +87,7 @@ impl Selector for TriangelFilterSelector {
         } else {
             f64::from(entry.temporal_hits) / f64::from(entry.trainings) >= self.reuse_threshold
         };
-        if allow {
-            per_prefetcher[idx] = Some(DegreeAllocation::l1(self.temporal_degree));
-            self.allowed_temporal_trainings += 1;
-        } else {
-            per_prefetcher[idx] = None;
-            self.filtered_temporal_trainings += 1;
-        }
+        per_prefetcher[idx] = allow.then_some(DegreeAllocation::l1(self.temporal_degree));
         AllocationDecision { per_prefetcher }
     }
 
@@ -186,7 +164,6 @@ mod tests {
             line += 3;
         }
         assert!(filtered_any, "a never-recurring PC should lose its temporal training slot");
-        assert!(s.filtered_temporal_trainings() > 0);
     }
 
     #[test]
@@ -196,10 +173,12 @@ mod tests {
         // A pointer-chase loop over 50 lines, repeated: the temporal table
         // hits constantly, so training is never cut off.
         let seq: Vec<u64> = (0..50).map(|i| (i * 7919 + 13) % 10_000).collect();
+        let mut allowed = 0;
         for _ in 0..10 {
             for &l in &seq {
                 let a = access(0xbb, l);
                 let d = s.allocate(&a, &prefetchers);
+                allowed += usize::from(d.per_prefetcher[3].is_some());
                 let mut out = Vec::new();
                 for (i, alloc) in d.per_prefetcher.iter().enumerate() {
                     if let Some(a_) = alloc {
@@ -208,12 +187,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            s.filtered_temporal_trainings(),
-            0,
-            "a strongly recurring PC must keep its temporal training"
-        );
-        assert!(s.allowed_temporal_trainings() > 400);
+        assert_eq!(allowed, 500, "a strongly recurring PC must keep its temporal training");
     }
 
     #[test]

@@ -72,6 +72,24 @@ fn server_machine_report_is_jobs_invariant() {
 }
 
 #[test]
+fn oversized_cache_file_is_rejected_by_machines_check() {
+    // `machines check` exits 2 exactly when `machine::load` fails. A size of
+    // 18014398509482016 KiB is 2^64 + 32 KiB bytes, which must be refused,
+    // not wrapped into a valid 32 KiB L1D.
+    let path = std::env::temp_dir().join(format!("alecto-huge-l1d-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "format = \"alecto-machine-v1\"\nname = \"huge\"\ncores = 1\n\n\
+         [cache.l1d]\nsize_kb = 18014398509482016\n",
+    )
+    .expect("write temp machine");
+    let result = machine::load(path.to_str().expect("utf-8 temp path"));
+    std::fs::remove_file(&path).ok();
+    let err = result.expect_err("an overflowing size must not parse");
+    assert!(err.ends_with("line 6: `cache.l1d.size_kb` = 18014398509482016 is too large"), "{err}");
+}
+
+#[test]
 fn builtin_machines_rescale_without_losing_their_identity() {
     // `--machine` composes with experiments that sweep the core count
     // (fig17 lowers the spec at several core counts): rescaling preserves

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the reproduction: address arithmetic, saturating counters,
-//! the Alecto state machine, the Sandbox/Sample tables, cache behaviour and
-//! the prefetchers' output contracts.
+//! the Alecto state machine, the Sandbox/Sample tables, cache behaviour,
+//! the prefetchers' output contracts and the JSON reader's failure mode.
 
 use alecto::AlectoConfig;
 use proptest::prelude::*;
@@ -232,6 +232,45 @@ mod prefetcher_props {
                 pf.train_and_predict(&access, degree, &mut out);
                 prop_assert!(!out.contains(&access.line()), "prefetching the demand line is useless");
             }
+        }
+    }
+}
+
+mod json_props {
+    use super::*;
+    use harness::report::json;
+
+    /// JSON tokens and fragments, including escapes and a non-ASCII scalar.
+    const TOKENS: [&str; 22] = [
+        "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u", "\\ud83d", "d8", "0", "-", "1.5", "e+",
+        "true", "fals", "null", " ", "\n", "\u{e9}", "\"k\":",
+    ];
+
+    proptest! {
+        #[test]
+        fn deep_nesting_is_an_error_not_a_crash(
+            depth in prop_oneof![0usize..256, 0usize..200_000],
+            objects in any::<bool>(),
+            closed in any::<bool>(),
+        ) {
+            let (open, close) = if objects { ("{\"a\":", "}") } else { ("[", "]") };
+            let mut text = open.repeat(depth);
+            text.push('0');
+            if closed {
+                text.push_str(&close.repeat(depth));
+            }
+            let parsed = json::parse(&text);
+            // The reader accepts 128 levels and rejects anything deeper.
+            prop_assert_eq!(parsed.is_ok(), depth <= 128 && (closed || depth == 0));
+        }
+
+        #[test]
+        fn token_soup_is_parsed_or_rejected(
+            picks in proptest::collection::vec(0..TOKENS.len(), 0..64),
+        ) {
+            let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            // Any outcome but a panic or a hang is acceptable.
+            let _ = json::parse(&text);
         }
     }
 }
