@@ -26,7 +26,6 @@
 
 pub mod oracle;
 pub mod persist;
-pub mod rng;
 pub mod scenario;
 pub mod shrink;
 
@@ -41,7 +40,6 @@ pub use oracle::{
     DEFAULT_PATHOLOGY_THRESHOLD_PCT,
 };
 pub use persist::{persist_finding, replay, Manifest, Replay, ReproPaths, MANIFEST_FORMAT};
-pub use rng::FuzzRng;
 pub use scenario::Scenario;
 pub use shrink::{shrink, Shrunk, MIN_ACCESSES};
 

@@ -118,14 +118,12 @@ pub fn run_cell(
 }
 
 /// Digest of a report's full `Debug` rendering — the identity the repro
-/// manifest pins and replay compares against. It is an FNV-1a-style fold
-/// whose multiplier `0x1_0000_01b3` is not the FNV-1a64 prime, so it is not
-/// `alecto_types::fnv1a_64`; persisted manifests pin its values.
+/// manifest pins and replay compares against. It is
+/// [`alecto_types::hash::fnv1a_like_64`] of that rendering, not
+/// [`alecto_types::fnv1a_64`]; persisted manifests pin its values.
 #[must_use]
 pub fn report_digest(report: &SystemReport) -> u64 {
-    format!("{report:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3))
+    alecto_types::hash::fnv1a_like_64(format!("{report:?}").as_bytes())
 }
 
 /// The report the digest is computed over: the panel's *subject* cell — the

@@ -2,11 +2,9 @@
 //! reproducible adversarial [`Blend`] plus an access budget, derived purely
 //! from `(master_seed, index)` and the target machine's cache geometry.
 
-use alecto_types::TraceSource;
+use alecto_types::{SplitMix64, TraceSource};
 use machine::MachineSpec;
 use traces::Blend;
-
-use crate::rng::FuzzRng;
 
 /// The benign pattern ingredients the fuzzer may sprinkle into a scenario.
 const BENIGN: [&str; 7] =
@@ -42,7 +40,7 @@ impl Scenario {
     /// 2–4× the associativity, so revisits always conflict).
     #[must_use]
     pub fn generate(master_seed: u64, index: u64, accesses: usize, spec: &MachineSpec) -> Self {
-        let mut rng = FuzzRng::new(master_seed ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let mut rng = SplitMix64::new(master_seed ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d));
         let seed = rng.next_u64();
         let name = format!("fuzz-{master_seed:016x}-{index:04}");
 
@@ -63,12 +61,14 @@ impl Scenario {
         let [alias, phase, chase, zipf] = adversarial;
 
         // Benign filler: each ingredient joins with probability 1/2 at a
-        // quantized weight, diluting the adversarial share the way real
-        // workloads bury their pathological PCs in ordinary traffic.
+        // weight in {0, 1/8, …, 1}, diluting the adversarial share the way
+        // real workloads bury their pathological PCs in ordinary traffic.
+        // Quantized weights keep the blend's `Debug` rendering (and so
+        // source fingerprints and repro manifests) short and exact.
         let mut benign = [0.0f64; BENIGN.len()];
         for weight in &mut benign {
-            if rng.chance(50) {
-                *weight = rng.weight(8);
+            if rng.below(100) < 50 {
+                *weight = rng.below(9) as f64 / 8.0;
             }
         }
         let [stream, stride, spatial, delta, loop_stream, resident, noise] = benign;
@@ -190,6 +190,10 @@ mod tests {
                 ADVERSARIAL.iter().map(|name| component_weight(&s.blend, name)).sum();
             assert!(adversarial_weight > 0.0, "scenario {index} is entirely benign: {s:?}");
             assert!(!s.active_components().is_empty());
+            for name in BENIGN.iter().chain(ADVERSARIAL.iter()) {
+                let eighths = component_weight(&s.blend, name) * 8.0;
+                assert_eq!(eighths.fract(), 0.0, "{name} weight is not a multiple of 1/8: {s:?}");
+            }
         }
     }
 

@@ -800,6 +800,7 @@ fn result_response(state: &Arc<ServerState>, id: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alecto_types::SplitMix64;
 
     #[test]
     fn config_defaults_are_sane() {
@@ -833,6 +834,103 @@ mod tests {
         assert!(read_request(&mut headers(MAX_HEADERS).as_bytes()).is_ok());
         let err = read_request(&mut headers(MAX_HEADERS + 1).as_bytes()).unwrap_err();
         assert!(err.contains("header lines"), "{err}");
+    }
+
+    /// One request-shaped byte string for the reader's property test, with
+    /// the body length it declares; `None` when it declares no valid length,
+    /// so the reader must refuse it.
+    fn arbitrary_request(rng: &mut SplitMix64) -> (Vec<u8>, Option<usize>) {
+        let mut raw = Vec::new();
+        let mut declared = Some(0);
+        let kind = rng.below(7);
+        if kind == 0 {
+            // Random bytes, with enough separators to form lines and tokens.
+            for _ in 0..rng.below(512) {
+                let separator = rng.below(4) == 0;
+                raw.push(if separator {
+                    b"\r\n :"[rng.below(4) as usize]
+                } else {
+                    rng.below(256) as u8
+                });
+            }
+            return (raw, declared);
+        }
+        // A request line: plain, padded to 8191, 8192 or 8193 bytes with its
+        // CRLF, or carrying a non-UTF-8 byte.
+        let mut line = b"POST /v1/sweep".to_vec();
+        if kind == 1 {
+            let len = MAX_LINE_BYTES - 1 + rng.below(3) as usize;
+            line.resize(len - b" HTTP/1.1\r\n".len(), b'a');
+        } else if kind == 2 {
+            line.push(0x80 + rng.below(0x80) as u8);
+        }
+        raw.extend_from_slice(&line);
+        raw.extend_from_slice(b" HTTP/1.1\r\n");
+        // Headers: 63, 64 or 65 of them, or a few random ones, some of them
+        // `Content-Length` (numeric or not; the last one counts) unless the
+        // request is cut short below.
+        let headers =
+            if kind == 3 { MAX_HEADERS - 1 + rng.below(3) as usize } else { rng.below(6) as usize };
+        for _ in 0..headers {
+            if kind == 3 || rng.below(2) == 0 {
+                raw.extend_from_slice(b"X-Pad: y\r\n");
+            } else if kind == 4 || rng.below(2) == 0 {
+                // Random value bytes, never a line break.
+                raw.extend_from_slice(b"X-Rand: ");
+                raw.extend(
+                    (0..rng.below(64)).map(|_| rng.below(256) as u8).filter(|&b| b != b'\n'),
+                );
+                raw.extend_from_slice(b"\r\n");
+            } else if rng.below(3) == 0 {
+                let junk = ["abc", "-1", "1e3", "", "0x10", "18446744073709551616", "1 2"];
+                let value = junk[rng.below(junk.len() as u64) as usize];
+                raw.extend_from_slice(format!("Content-Length: {value}\r\n").as_bytes());
+                declared = None;
+            } else {
+                // Up to 256, or at and just above the 1 MiB cap.
+                let len = match rng.below(4) {
+                    0 => MAX_BODY_BYTES + rng.below(2) as usize,
+                    _ => rng.below(257) as usize,
+                };
+                raw.extend_from_slice(format!("content-length: {len}\r\n").as_bytes());
+                declared = Some(len);
+            }
+        }
+        if kind == 4 {
+            // Truncated: the request ends mid-line, without a newline.
+            raw.truncate(rng.below(raw.len() as u64) as usize);
+            return (raw, declared);
+        }
+        raw.extend_from_slice(b"\r\n");
+        // The body: exactly the declared length, fewer bytes, or a
+        // non-UTF-8 byte.
+        let len = declared.unwrap_or(8);
+        let mut body = vec![b'{'; len];
+        if len > 0 && kind == 5 {
+            body.truncate(rng.below(len as u64) as usize);
+        } else if len > 0 && kind == 6 {
+            body[rng.below(len as u64) as usize] = 0xff;
+        }
+        raw.extend_from_slice(&body);
+        (raw, declared)
+    }
+
+    #[test]
+    fn read_request_refuses_or_reads_whole_requests_for_arbitrary_bytes() {
+        let mut rng = SplitMix64::new(0x4774_5052);
+        let (mut ok, mut refused) = (0, 0);
+        for case in 0..3_000 {
+            let (raw, declared) = arbitrary_request(&mut rng);
+            match read_request(&mut raw.as_slice()) {
+                Ok((method, target, body)) => {
+                    assert!(!method.is_empty() && !target.is_empty(), "case {case}: {raw:?}");
+                    assert_eq!(Some(body.len()), declared, "case {case}: {method} {target}");
+                    ok += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(ok > 500 && refused > 500, "{ok} read, {refused} refused");
     }
 
     #[test]

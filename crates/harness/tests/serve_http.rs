@@ -260,6 +260,17 @@ fn hostile_requests_are_400s_and_the_server_keeps_serving() {
     assert_eq!(status, 400, "{body}");
     assert_eq!(error_code(&body).as_deref(), Some("malformed_request"));
 
+    // A valid-looking inline machine with a 1 PiB L2 is refused up front,
+    // not queued to abort the server while allocating its cache arrays.
+    let (status, body) = http(
+        &addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"experiment":"fig8","accesses":100,"jobs":1,"machine":{"format":"alecto-machine-v1","name":"huge","cores":1,"cache":{"l2":{"size_kb":1099511627776}}}}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_code(&body).as_deref(), Some("invalid_machine"));
+
     let (status, body) = http(&addr, "GET", "/v1/health", "");
     assert_eq!(status, 200, "{body}");
 }

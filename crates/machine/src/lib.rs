@@ -66,6 +66,13 @@
 //! Every key is optional except `format`, `name` and `cores`: omitted keys
 //! take the Table-I default at the machine's core count, so a file only has
 //! to say what differs.
+//!
+//! A machine validates only if its total simulated cache capacity,
+//! `cores × (L1D + L2) + L3`, is at most 4 GiB (see
+//! [`memsys::HierarchyParams::validate`]): every built-in fits (the largest,
+//! `server`, holds 36.5 MiB), as does the 1024-core Table-I machine
+//! (2.28 GiB), while a valid-looking geometry such as a 1 PiB L2 is an
+//! error rather than an allocation that aborts the process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -179,6 +179,14 @@ impl DramParams {
     }
 }
 
+/// The most simulated cache capacity one hierarchy may hold, summed over
+/// every core's L1D and L2 and the shared L3. It admits every built-in
+/// machine and the 1024-core Table-I machine (2.28 GiB), and at 48 host
+/// bytes per simulated 64-byte line it keeps one hierarchy's arrays near
+/// 3 GiB, so a valid-looking but enormous geometry is an error instead of
+/// an allocation that aborts the process.
+const MAX_TOTAL_CACHE_BYTES: u64 = 4 << 30;
+
 /// Full hierarchy configuration for `cores` cores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyParams {
@@ -198,13 +206,15 @@ pub struct HierarchyParams {
 
 impl HierarchyParams {
     /// Validates every cache level of the hierarchy (see
-    /// [`CacheParams::validate`]) plus the core count, so a bad sweep
-    /// configuration fails with one message naming the level instead of a
-    /// panic deep inside `Cache::new`.
+    /// [`CacheParams::validate`]), the core count and the total simulated
+    /// capacity, `cores × (L1D + L2) + L3`, which may not exceed 4 GiB. A
+    /// bad sweep configuration fails with one message naming the level (or
+    /// the total and the bound) instead of a panic or a failed allocation
+    /// inside `Cache::new`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid level.
+    /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("at least one core required".to_string());
@@ -213,7 +223,23 @@ impl HierarchyParams {
             level.validate().map_err(|e| format!("{label}: {e}"))?;
         }
         self.timing.validate().map_err(|e| format!("timing: {e}"))?;
-        Ok(())
+        let total = self
+            .l1d
+            .size_bytes
+            .checked_add(self.l2.size_bytes)
+            .and_then(|private| private.checked_mul(self.cores as u64))
+            .and_then(|private| private.checked_add(self.l3.size_bytes));
+        match total {
+            Some(total) if total <= MAX_TOTAL_CACHE_BYTES => Ok(()),
+            Some(total) => Err(format!(
+                "total cache capacity cores × (L1D + L2) + L3 = {total} B exceeds the \
+                 {MAX_TOTAL_CACHE_BYTES} B (4 GiB) bound"
+            )),
+            None => Err(format!(
+                "total cache capacity cores × (L1D + L2) + L3 overflows 64 bits, far beyond the \
+                 {MAX_TOTAL_CACHE_BYTES} B (4 GiB) bound"
+            )),
+        }
     }
 
     /// The Skylake-like configuration of Table I for `cores` cores with
@@ -316,6 +342,29 @@ mod tests {
     fn non_power_of_two_sets_panic_at_construction() {
         let _ = CacheParams { size_bytes: 3 * 64, ways: 1, latency: 1, miss_latency: 1, mshrs: 1 }
             .num_sets();
+    }
+
+    #[test]
+    fn hierarchy_capacity_is_bounded() {
+        // 1024 Table-I cores total 2.28 GiB and pass.
+        assert!(HierarchyParams::skylake_like(1024).validate().is_ok());
+        // A 1 PiB L2 has a valid set count but would abort in `Cache::new`.
+        let mut h = HierarchyParams::skylake_like(1);
+        h.l2.size_bytes = 1 << 50;
+        let err = h.validate().unwrap_err();
+        assert!(
+            err.contains(&format!("{} B", (1u64 << 50) + 32 * 1024 + 2 * 1024 * 1024)),
+            "{err}"
+        );
+        assert!(err.contains("4294967296 B (4 GiB) bound"), "{err}");
+        // A 4 GiB L3 plus one core's private levels is just past the bound.
+        h.l2.size_bytes = 256 * 1024;
+        h.l3.size_bytes = MAX_TOTAL_CACHE_BYTES;
+        assert!(h.validate().unwrap_err().contains("exceeds"));
+        // The sum is checked, so it cannot wrap back under the bound.
+        h.l3.size_bytes = 2 * 1024 * 1024;
+        h.cores = usize::MAX;
+        assert!(h.validate().unwrap_err().contains("overflows"));
     }
 
     #[test]

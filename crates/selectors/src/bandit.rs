@@ -8,10 +8,8 @@
 //! may take any of `M + 3` values, yielding `(M+3)^P` arms and the storage
 //! blow-up the paper criticises.
 
-use alecto_types::{DemandAccess, PrefetchRequest};
+use alecto_types::{DemandAccess, PrefetchRequest, SplitMix64};
 use prefetch::Prefetcher;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
@@ -75,13 +73,13 @@ pub struct BanditSelector {
     arms: Vec<ArmState>,
     current_arm: usize,
     epochs: u64,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl BanditSelector {
     fn new_with_variant(config: BanditConfig, variant: Variant) -> Self {
         let arms = vec![ArmState::default(); config.num_arms()];
-        let rng = StdRng::seed_from_u64(config.seed);
+        let rng = SplitMix64::new(config.seed);
         // Start from the most aggressive arm (all prefetchers on), which is
         // also what the hardware proposal boots with.
         let current_arm = config.num_arms() - 1;
@@ -141,8 +139,8 @@ impl BanditSelector {
     fn pick_next_arm(&mut self) {
         // Epsilon-greedy with optimistic initialisation: unexplored arms are
         // preferred, otherwise the best empirical mean wins.
-        if self.rng.gen::<f64>() < self.config.epsilon {
-            self.current_arm = self.rng.gen_range(0..self.arms.len());
+        if self.rng.chance(self.config.epsilon) {
+            self.current_arm = self.rng.below(self.arms.len() as u64) as usize;
             return;
         }
         if let Some(unexplored) = self.arms.iter().position(|a| a.pulls == 0) {

@@ -9,9 +9,7 @@
 
 use std::collections::VecDeque;
 
-use alecto_types::{Addr, MemoryRecord, Pc, TraceSource};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use alecto_types::{Addr, MemoryRecord, Pc, SplitMix64, TraceSource};
 
 /// The Ligra kernels modelled.
 pub const BENCHMARKS: [&str; 5] = ["BFS", "PageRank", "Components", "BC", "Radii"];
@@ -24,14 +22,14 @@ const AVG_DEGREE: usize = 5;
 fn rmat_edges(seed: u64) -> Vec<u32> {
     // Power-law-ish edge targets: repeatedly halve the vertex range with a
     // biased coin, the core idea of rMat generation.
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::with_capacity(VERTICES * AVG_DEGREE);
     for _ in 0..VERTICES * AVG_DEGREE {
         let mut lo = 0u32;
         let mut hi = VERTICES as u32;
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if rng.gen_bool(0.65) {
+            if rng.chance(0.65) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -78,7 +76,7 @@ fn record_stream(name: &'static str) -> impl Iterator<Item = MemoryRecord> + Sen
     let pc_vertex = Pc::new(0x7_0020);
     let pc_frontier = Pc::new(0x7_0030);
 
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
+    let mut rng = SplitMix64::new(seed ^ 0xfeed);
     let mut edge_cursor = 0usize;
     let mut vertex_cursor = 0usize;
     // One vertex's visit is generated at a time (at most 1 + 3·AVG_DEGREE
@@ -110,7 +108,7 @@ fn record_stream(name: &'static str) -> impl Iterator<Item = MemoryRecord> + Sen
                 Addr::new(vertex_base + u64::from(target) * 64),
                 gap,
             ));
-            if rng.gen_bool(frontier_ratio) {
+            if rng.chance(frontier_ratio) {
                 pending.push_back(MemoryRecord::store(
                     pc_frontier,
                     Addr::new(vertex_base + u64::from(target) * 64 + 32),

@@ -5,9 +5,7 @@
 //! such component streams into one trace with a given mixing ratio, which is
 //! how whole benchmarks are assembled in [`crate::blend`].
 
-use alecto_types::{AccessKind, Addr, MemoryRecord, Pc};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use alecto_types::{AccessKind, Addr, MemoryRecord, Pc, SplitMix64};
 
 /// A lazily generated component stream of memory accesses. Components are
 /// `Send` so that a [`alecto_types::TraceSource`] built from them can be
@@ -78,15 +76,14 @@ pub fn spatial_pages(pc: u64, base_page: u64, offsets: Vec<u64>, gap: u32) -> Co
 #[must_use]
 pub fn pointer_chase(pc: u64, base: u64, nodes: usize, gap: u32, seed: u64) -> Component {
     assert!(nodes > 1, "a pointer chase needs at least two nodes");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     // A random cyclic permutation of node indices placed at random lines.
     let mut order: Vec<usize> = (0..nodes).collect();
     for i in (1..nodes).rev() {
-        let j = rng.gen_range(0..=i);
+        let j = rng.below(i as u64 + 1) as usize;
         order.swap(i, j);
     }
-    let lines: Vec<u64> =
-        (0..nodes).map(|_| (base >> 6) + rng.gen_range(0..nodes as u64 * 23)).collect();
+    let lines: Vec<u64> = (0..nodes).map(|_| (base >> 6) + rng.below(nodes as u64 * 23)).collect();
     let mut pos = 0usize;
     Box::new(move || {
         let line = lines[order[pos]];
@@ -117,11 +114,11 @@ pub fn looping_stream(pc: u64, base: u64, length_lines: u64, gap: u32) -> Compon
 /// that trains no prefetcher usefully and pollutes their tables.
 #[must_use]
 pub fn random_noise(pc: u64, base: u64, span_bytes: u64, gap: u32, seed: u64) -> Component {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let span_lines = (span_bytes >> 6).max(1);
     Box::new(move || {
-        let line = (base >> 6) + rng.gen_range(0..span_lines);
-        let kind = if rng.gen_bool(0.3) { AccessKind::Store } else { AccessKind::Load };
+        let line = (base >> 6) + rng.below(span_lines);
+        let kind = if rng.chance(0.3) { AccessKind::Store } else { AccessKind::Load };
         MemoryRecord {
             pc: Pc::new(pc),
             addr: Addr::new(line << 6),
@@ -154,7 +151,7 @@ pub fn zipfian(
 ) -> Component {
     assert!(objects > 0, "a zipfian pattern needs at least one object");
     assert!((0.0..=1.0).contains(&store_ratio), "store ratio must be a probability");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     // Cumulative mass of ranks 1..=objects (the generalized harmonic sums).
     let mut cumulative = Vec::with_capacity(objects);
     let mut total = 0.0f64;
@@ -165,15 +162,15 @@ pub fn zipfian(
     // Scatter ranks over object slots so popularity is not spatially ordered.
     let mut slot_of_rank: Vec<u64> = (0..objects as u64).collect();
     for i in (1..objects).rev() {
-        let j = rng.gen_range(0..=i);
+        let j = rng.below(i as u64 + 1) as usize;
         slot_of_rank.swap(i, j);
     }
     let base_line = base >> 6;
     Box::new(move || {
-        let pick = rng.gen::<f64>() * total;
+        let pick = rng.unit() * total;
         let rank = cumulative.partition_point(|&c| c <= pick).min(objects - 1);
         let line = base_line + slot_of_rank[rank] * 3; // objects span a few lines
-        let kind = if rng.gen_bool(store_ratio) { AccessKind::Store } else { AccessKind::Load };
+        let kind = if rng.chance(store_ratio) { AccessKind::Store } else { AccessKind::Load };
         MemoryRecord {
             pc: Pc::new(pc),
             addr: Addr::new(line << 6),
@@ -227,7 +224,7 @@ pub fn set_aliasing(
 #[must_use]
 pub fn phase_shift(pc: u64, base: u64, period: u32, gap: u32, seed: u64) -> Component {
     assert!(period > 0, "phase period must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let base_line = base >> 6;
     let mut line = base_line;
     let mut idx: u64 = 0;
@@ -240,7 +237,7 @@ pub fn phase_shift(pc: u64, base: u64, period: u32, gap: u32, seed: u64) -> Comp
             // Scatter phase: jump anywhere in a DRAM-sized window; the draw
             // is consumed only in this phase so the stream phase stays a
             // pure function of `idx`.
-            line = base_line + rng.gen_range(0..(1u64 << 22));
+            line = base_line + rng.below(1 << 22);
         }
         MemoryRecord::load(Pc::new(pc), Addr::new(line << 6), gap)
     })
@@ -264,9 +261,9 @@ pub fn interleave_weighted_iter(
     assert_eq!(components.len(), weights.len(), "one weight per component");
     let weight_sum: f64 = weights.iter().sum();
     assert!(weight_sum > 0.0, "weights must not all be zero");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     std::iter::from_fn(move || {
-        let mut pick = rng.gen::<f64>() * weight_sum;
+        let mut pick = rng.unit() * weight_sum;
         let mut idx = 0;
         for (i, w) in weights.iter().enumerate() {
             if pick < *w {
@@ -302,10 +299,10 @@ pub fn interleave_weighted(
     assert_eq!(components.len(), weights.len(), "one weight per component");
     let weight_sum: f64 = weights.iter().sum();
     assert!(weight_sum > 0.0, "weights must not all be zero");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut out = Vec::with_capacity(total);
     for _ in 0..total {
-        let mut pick = rng.gen::<f64>() * weight_sum;
+        let mut pick = rng.unit() * weight_sum;
         let mut idx = 0;
         for (i, w) in weights.iter().enumerate() {
             if pick < *w {

@@ -61,16 +61,38 @@ pub fn fnv1a_64(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// A simple multiplicative hash used for cache set indexing of line addresses.
-/// Not part of the paper's proposal; used internally by table index functions
-/// to avoid pathological aliasing in synthetic traces.
+/// An FNV-1a-shaped fold of `bytes` from [`FNV1A_OFFSET`] whose multiplier
+/// `0x1_0000_01b3` is not the FNV-1a64 prime, so it is not [`fnv1a_64`].
+/// Its values are pinned: `traces::derive_seed` seeds every generated trace
+/// with it, and persisted fuzz manifests store `fuzz::report_digest`, which
+/// is this fold of a report's `Debug` rendering.
 #[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    // SplitMix64 finalizer.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+pub fn fnv1a_like_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV1A_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3))
+}
+
+/// The splitmix64 state increment, ⌊2^64 / φ⌋; it is odd, so the state
+/// walks the full `u64` period.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output finalizer: two xor-shift-multiply rounds and a
+/// final xor-shift, a bijection on `u64` that spreads every input bit.
+#[must_use]
+#[inline]
+pub fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One splitmix64 step from state `x`: [`splitmix64_finalize`] of
+/// `x + SPLITMIX64_GAMMA`, the word [`crate::SplitMix64::next_u64`] returns
+/// from state `x`. Not part of the paper's proposal; the Sandbox Table and
+/// the prefetch filter index their tables with it to avoid pathological
+/// aliasing in synthetic traces, so its values are pinned.
+#[must_use]
+pub fn mix64(x: u64) -> u64 {
+    splitmix64_finalize(x.wrapping_add(SPLITMIX64_GAMMA))
 }
 
 #[cfg(test)]

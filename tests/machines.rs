@@ -90,6 +90,25 @@ fn oversized_cache_file_is_rejected_by_machines_check() {
 }
 
 #[test]
+fn enormous_cache_geometry_is_rejected_by_machines_check() {
+    // `machines show desktop` with a 1 PiB L2: a power-of-two set count, so
+    // every level is valid, but building the hierarchy would try to
+    // allocate 256 TiB and abort. The total-capacity bound refuses it.
+    let desktop = machine::builtin("desktop").expect("desktop is a built-in").canonical_text();
+    let huge =
+        desktop.replacen("[cache.l2]\nsize_kb = 256\n", "[cache.l2]\nsize_kb = 1099511627776\n", 1);
+    assert_ne!(huge, desktop, "the desktop L2 line moved");
+    let path = std::env::temp_dir().join(format!("alecto-huge-l2-{}.toml", std::process::id()));
+    std::fs::write(&path, huge).expect("write temp machine");
+    let result = machine::load(path.to_str().expect("utf-8 temp path"));
+    std::fs::remove_file(&path).ok();
+    let err = result.expect_err("a 1 PiB L2 must not validate");
+    let total = 4 * ((1u64 << 50) + 32 * 1024) + 8192 * 1024;
+    assert!(err.contains(&format!("= {total} B exceeds")), "{err}");
+    assert!(err.contains("(4 GiB) bound"), "{err}");
+}
+
+#[test]
 fn builtin_machines_rescale_without_losing_their_identity() {
     // `--machine` composes with experiments that sweep the core count
     // (fig17 lowers the spec at several core counts): rescaling preserves
