@@ -72,7 +72,11 @@
 //! [`memsys::HierarchyParams::validate`]): every built-in fits (the largest,
 //! `server`, holds 36.5 MiB), as does the 1024-core Table-I machine
 //! (2.28 GiB), while a valid-looking geometry such as a 1 PiB L2 is an
-//! error rather than an allocation that aborts the process.
+//! error rather than an allocation that aborts the process. Each level may
+//! also have at most 64 ways (the width of the cache's tag-scan match mask)
+//! and at most one MSHR per line (`size / 64`), so a 128-way L1D or 2^40
+//! L1D MSHRs fail validation instead of panicking in, or aborting, the
+//! hierarchy's construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

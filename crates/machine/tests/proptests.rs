@@ -10,13 +10,16 @@ use memsys::{CacheParams, DramKind, TimingParams};
 use proptest::prelude::*;
 
 /// Pow2 set counts and way counts keep every generated geometry valid at
-/// the machine's own (pow2) core count.
+/// the machine's own (pow2) core count, and capping the MSHRs at the line
+/// count keeps it within the one-MSHR-per-line bound.
 fn cache_level() -> impl Strategy<Value = CacheParams> {
     (0u32..8, 0u32..5, 1u64..60, 0u64..8, 1usize..128).prop_map(
         |(sets_log2, ways_log2, latency, miss_latency, mshrs)| {
             let sets = 16u64 << sets_log2;
             let ways = 1usize << ways_log2;
-            CacheParams { size_bytes: sets * ways as u64 * 64, ways, latency, miss_latency, mshrs }
+            let size_bytes = sets * ways as u64 * 64;
+            let mshrs = mshrs.min((size_bytes / 64) as usize);
+            CacheParams { size_bytes, ways, latency, miss_latency, mshrs }
         },
     )
 }

@@ -17,11 +17,15 @@
 //! demand access touches nothing but its set's hot block. The prefetch
 //! attribution (issuer, trigger PC) lives in a separate cold array that is
 //! written by prefetch fills and read only while a way's prefetched-unused
-//! bit is set. No per-access allocation happens anywhere on the lookup/fill
-//! path. The replacement and eviction semantics are bit-for-bit those of
-//! the original `Vec<Vec<LineMeta>>` implementation (LRU stamps are unique,
-//! so victim choice never depends on storage order); the determinism suite
-//! and the golden-JSON test pin this down.
+//! bit is set. Only a prefetch fill sets that bit, so the cold array is
+//! allocated by a cache's first prefetch fill, not at construction: the L3,
+//! which no prefetch fills, and every cache of a NoPrefetch run never hold
+//! it (16 host bytes per simulated line instead of 48). Apart from that one
+//! allocation, nothing on the lookup/fill path allocates. The replacement
+//! and eviction semantics are bit-for-bit those of the original
+//! `Vec<Vec<LineMeta>>` implementation (LRU stamps are unique, so victim
+//! choice never depends on storage order); the determinism suite and the
+//! golden-JSON test pin this down.
 
 use alecto_types::{LineAddr, Pc, PrefetcherId};
 
@@ -75,7 +79,8 @@ pub struct EvictionInfo {
 /// Cold per-way state: the prefetch attribution. Written only by prefetch
 /// fills and read only while a way's [`TAG_PREFETCHED_UNUSED`] bit is set,
 /// so purely demand-driven traffic never touches this array — the access
-/// path stays inside the per-set hot block.
+/// path stays inside the per-set hot block — and a cache that no prefetch
+/// fills never allocates it.
 #[derive(Debug, Clone, Copy)]
 struct ColdMeta {
     /// Which prefetcher brought the line in.
@@ -104,8 +109,9 @@ pub struct Cache {
     /// per set. A tag is [`NO_TAG`] when the way is empty; stamps grow with
     /// recency.
     hot: Box<[u64]>,
-    /// Cold per-way metadata, indexed `set × ways + way`.
-    cold: Box<[ColdMeta]>,
+    /// Cold per-way metadata, indexed `set × ways + way`. Empty until the
+    /// first prefetch fill, which sizes it to `num_sets × ways`.
+    cold: Vec<ColdMeta>,
     stamp: u64,
     stats: CacheStats,
 }
@@ -123,10 +129,7 @@ impl Cache {
     pub fn new(params: CacheParams) -> Self {
         let num_sets = params.num_sets();
         let ways = params.ways;
-        // The wide tag scan accumulates one match bit per way in a u64.
-        assert!(ways <= 64, "associativity {ways} exceeds the 64-way scan-mask limit");
-        let entries = num_sets * ways;
-        let mut hot = vec![0u64; 2 * entries].into_boxed_slice();
+        let mut hot = vec![0u64; 2 * num_sets * ways].into_boxed_slice();
         for set in 0..num_sets {
             let block = set * 2 * ways;
             hot[block..block + ways].fill(NO_TAG);
@@ -136,7 +139,7 @@ impl Cache {
             num_sets,
             ways,
             hot,
-            cold: vec![ColdMeta::EMPTY; entries].into_boxed_slice(),
+            cold: Vec::new(),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -406,11 +409,20 @@ impl Cache {
             t |= TAG_PREFETCHED_UNUSED;
             // Cold attribution is only ever read under the prefetched-unused
             // bit, so demand fills skip this write entirely.
+            if self.cold.is_empty() {
+                self.cold.resize(self.num_sets * self.ways, ColdMeta::EMPTY);
+            }
             self.cold[Self::cold_index(block, way)] =
                 ColdMeta { issuer: prefetch_issuer, trigger: trigger_pc };
         }
         self.hot[block + way] = t;
         self.hot[block + self.ways + way] = stamp;
+    }
+
+    /// Whether the prefetch attribution array has been allocated.
+    #[cfg(test)]
+    pub(crate) fn holds_attribution(&self) -> bool {
+        !self.cold.is_empty()
     }
 
     /// Number of resident lines (for tests and occupancy reporting).
@@ -495,6 +507,38 @@ mod tests {
         let again = c.demand_lookup(LineAddr::new(3), false).unwrap();
         assert!(!again.prefetched_unused);
         assert_eq!(c.stats().useful_prefetch_hits, 1);
+    }
+
+    #[test]
+    fn attribution_array_is_allocated_by_the_first_prefetch_fill() {
+        let mut c = tiny_cache(2, 2);
+        // Demand fills, hits and evictions leave it unallocated, and so does
+        // a prefetch refill of a resident line, which sets no bit.
+        for i in 0..8 {
+            c.fill(LineAddr::new(i), None, None, i % 3 == 0);
+            c.demand_lookup(LineAddr::new(i), i % 2 == 0);
+        }
+        c.fill(LineAddr::new(7), Some(PrefetcherId(1)), Some(Pc::new(0x70)), false);
+        assert_eq!(c.stats().evictions, 4);
+        assert!(!c.holds_attribution());
+        // The first attributed fill sizes it to every way of every set.
+        c.fill(LineAddr::new(8), Some(PrefetcherId(2)), Some(Pc::new(0x80)), false);
+        assert_eq!(c.cold.len(), 4);
+        let hit = c.demand_lookup(LineAddr::new(8), false).expect("prefetched line hits");
+        assert_eq!(
+            (hit.prefetch_issuer, hit.trigger_pc),
+            (Some(PrefetcherId(2)), Some(Pc::new(0x80)))
+        );
+        // Set 0 now holds 8 and the unused prefetch 10; touching 8 makes 10
+        // the victim of the next fill.
+        c.fill(LineAddr::new(10), Some(PrefetcherId(3)), Some(Pc::new(0x90)), false);
+        c.demand_lookup(LineAddr::new(8), false);
+        let ev = c.fill(LineAddr::new(12), None, None, false).expect("full set evicts");
+        assert_eq!((ev.line, ev.was_unused_prefetch), (LineAddr::new(10), true));
+        assert_eq!(
+            (ev.prefetch_issuer, ev.trigger_pc),
+            (Some(PrefetcherId(3)), Some(Pc::new(0x90)))
+        );
     }
 
     #[test]

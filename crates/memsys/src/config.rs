@@ -26,7 +26,9 @@ impl CacheParams {
     /// sets 0–1 … and the "missing" capacity would distort every miss-rate
     /// figure). Configurations that fail this check must be rejected, not
     /// rounded, so sweep scripts cannot quietly simulate a different cache
-    /// than they asked for.
+    /// than they asked for. The associativity is bounded at 64 ways, the
+    /// width of the `u64` match mask the cache's tag scan folds one bit per
+    /// way into.
     ///
     /// # Errors
     ///
@@ -34,6 +36,12 @@ impl CacheParams {
     pub fn validate(&self) -> Result<(), String> {
         if self.ways == 0 {
             return Err("cache must have at least one way".to_string());
+        }
+        if self.ways > 64 {
+            return Err(format!(
+                "associativity {} exceeds the 64-way limit of the tag scan's match mask",
+                self.ways
+            ));
         }
         let lines = self.size_bytes / alecto_types::CACHE_LINE_BYTES;
         let sets = lines as usize / self.ways;
@@ -181,10 +189,11 @@ impl DramParams {
 
 /// The most simulated cache capacity one hierarchy may hold, summed over
 /// every core's L1D and L2 and the shared L3. It admits every built-in
-/// machine and the 1024-core Table-I machine (2.28 GiB), and at 48 host
-/// bytes per simulated 64-byte line it keeps one hierarchy's arrays near
-/// 3 GiB, so a valid-looking but enormous geometry is an error instead of
-/// an allocation that aborts the process.
+/// machine and the 1024-core Table-I machine (2.28 GiB). A simulated 64-byte
+/// line costs 16 host bytes in a level that no prefetch fills, and 48 in an
+/// L1D or L2 once a prefetch lands there, so one hierarchy's arrays stay
+/// within 3 GiB and a valid-looking but enormous geometry is an error
+/// instead of an allocation that aborts the process.
 const MAX_TOTAL_CACHE_BYTES: u64 = 4 << 30;
 
 /// Full hierarchy configuration for `cores` cores.
@@ -208,9 +217,12 @@ impl HierarchyParams {
     /// Validates every cache level of the hierarchy (see
     /// [`CacheParams::validate`]), the core count and the total simulated
     /// capacity, `cores × (L1D + L2) + L3`, which may not exceed 4 GiB. A
-    /// bad sweep configuration fails with one message naming the level (or
-    /// the total and the bound) instead of a panic or a failed allocation
-    /// inside `Cache::new`.
+    /// level may have at most one MSHR per line (`size_bytes / 64`): every
+    /// outstanding miss fills a line of its level, and the MSHR file is
+    /// allocated whole at construction, so the count is bounded by the
+    /// capacity bound too. A bad sweep configuration fails with one message
+    /// naming the level (or the total and the bound) instead of a panic or a
+    /// failed allocation inside `Hierarchy::new`.
     ///
     /// # Errors
     ///
@@ -221,6 +233,13 @@ impl HierarchyParams {
         }
         for (label, level) in [("L1D", &self.l1d), ("L2", &self.l2), ("L3", &self.l3)] {
             level.validate().map_err(|e| format!("{label}: {e}"))?;
+            let lines = level.size_bytes / alecto_types::CACHE_LINE_BYTES;
+            if level.mshrs as u64 > lines {
+                return Err(format!(
+                    "{label}: {} MSHRs exceed the level's {lines} lines",
+                    level.mshrs
+                ));
+            }
         }
         self.timing.validate().map_err(|e| format!("timing: {e}"))?;
         let total = self
@@ -365,6 +384,43 @@ mod tests {
         h.l3.size_bytes = 2 * 1024 * 1024;
         h.cores = usize::MAX;
         assert!(h.validate().unwrap_err().contains("overflows"));
+    }
+
+    #[test]
+    fn associativity_is_bounded_by_the_match_mask() {
+        // 32 KiB at 128 ways is 4 sets, a power of two, so only the way
+        // bound refuses it.
+        let wide = CacheParams {
+            size_bytes: 32 * 1024,
+            ways: 128,
+            latency: 4,
+            miss_latency: 1,
+            mshrs: 16,
+        };
+        let err = wide.validate().unwrap_err();
+        assert!(err.contains("associativity 128 exceeds the 64-way limit"), "{err}");
+        assert!(CacheParams { ways: 64, ..wide }.validate().is_ok());
+        let h = HierarchyParams { l1d: wide, ..HierarchyParams::skylake_like(1) };
+        assert!(h.validate().unwrap_err().starts_with("L1D: associativity 128"));
+    }
+
+    #[test]
+    fn mshrs_are_bounded_by_the_line_count() {
+        // 2^40 MSHRs would allocate 40 TiB of MSHR entries for a 512-line L1D.
+        let mut h = HierarchyParams::skylake_like(1);
+        h.l1d.mshrs = 1 << 40;
+        let err = h.validate().unwrap_err();
+        assert_eq!(err, "L1D: 1099511627776 MSHRs exceed the level's 512 lines");
+        // One MSHR per line is the most a level may have.
+        h.l1d.mshrs = 512;
+        assert!(h.validate().is_ok());
+        h.l3.mshrs = 32 * 1024 + 1;
+        assert_eq!(h.validate().unwrap_err(), "L3: 32769 MSHRs exceed the level's 32768 lines");
+        // `CacheParams::validate` alone leaves MSHRs unbounded: a tiny test
+        // cache may have more MSHRs than lines.
+        assert!(CacheParams { size_bytes: 64, ways: 1, latency: 1, miss_latency: 1, mshrs: 4 }
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -591,6 +591,36 @@ mod tests {
     }
 
     #[test]
+    fn only_prefetched_levels_allocate_attribution() {
+        let mut h = hier(1);
+        let attributed = |h: &Hierarchy| {
+            let core = &h.cores[0];
+            [core.l1d.holds_attribution(), core.l2.holds_attribution(), h.l3.holds_attribution()]
+        };
+        let mut t = 0;
+        for i in 0..64u64 {
+            t = h.demand_access(0, LineAddr::new(0x1000 + i * 64), t, i % 4 == 0) + 1;
+        }
+        assert!(h.l1_stats(0).evictions > 0, "demand traffic must evict");
+        assert_eq!(attributed(&h), [false; 3]);
+        // An L2-targeted prefetch from DRAM fills the L2 and the L3; only
+        // the L2 records who issued it.
+        let line = LineAddr::new(0x9_0000);
+        let req = PrefetchRequest::new(line, Pc::new(0x40), PrefetcherId(0))
+            .with_fill_level(FillLevel::L2);
+        h.issue_prefetch(0, &req, t);
+        assert_eq!(h.l2_stats(0).prefetch_fills, 1);
+        assert!(h.l3.contains(line));
+        assert_eq!(attributed(&h), [false, true, false]);
+        // An L1-targeted one allocates the L1D's array; the L3 still has none.
+        let line = LineAddr::new(0xa_0000);
+        h.issue_prefetch(0, &PrefetchRequest::new(line, Pc::new(0x44), PrefetcherId(1)), t);
+        assert_eq!(h.l1_stats(0).prefetch_fills, 1);
+        assert!(h.l3.contains(line));
+        assert_eq!(attributed(&h), [true, true, false]);
+    }
+
+    #[test]
     fn multicore_cores_are_isolated_in_private_levels() {
         let mut h = hier(2);
         let line = LineAddr::new(0x900);

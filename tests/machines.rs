@@ -109,6 +109,28 @@ fn enormous_cache_geometry_is_rejected_by_machines_check() {
 }
 
 #[test]
+fn unbuildable_mshr_and_way_counts_are_rejected_by_machines_check() {
+    // Both files keep Table I's capacities and power-of-two set counts, but
+    // `Hierarchy::new` cannot build either: 2^40 L1D MSHRs would allocate
+    // 40 TiB of MSHR entries, and the tag scan's match mask holds 64 ways,
+    // not 128.
+    for (stem, level, want) in [
+        ("mshrs", "mshrs = 1099511627776", "L1D: 1099511627776 MSHRs exceed the level's 512 lines"),
+        ("ways", "size_kb = 32\nways = 128", "L1D: associativity 128 exceeds the 64-way limit"),
+    ] {
+        let path = std::env::temp_dir().join(format!("alecto-{stem}-{}.toml", std::process::id()));
+        let text = format!(
+            "format = \"alecto-machine-v1\"\nname = \"m\"\ncores = 1\n\n[cache.l1d]\n{level}\n"
+        );
+        std::fs::write(&path, text).expect("write temp machine");
+        let result = machine::load(path.to_str().expect("utf-8 temp path"));
+        std::fs::remove_file(&path).ok();
+        let err = result.expect_err("the machine must not validate");
+        assert!(err.contains(want), "{err}");
+    }
+}
+
+#[test]
 fn builtin_machines_rescale_without_losing_their_identity() {
     // `--machine` composes with experiments that sweep the core count
     // (fig17 lowers the spec at several core counts): rescaling preserves
