@@ -4,28 +4,24 @@
 //! The table is the decision point of dynamic demand request allocation: a
 //! lookup with the demand request's PC yields the per-prefetcher states, from
 //! which the identifier (which prefetchers may train and with what degree) is
-//! derived.
+//! derived. Like the prefetchers' PC-indexed tables, it is an [`LruTable`].
 
-use alecto_types::Pc;
+use alecto_types::{LruTable, Pc};
 use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
 use crate::config::AlectoConfig;
 use crate::state::{transition, PrefetcherState, StateTransitionInput};
 
-#[derive(Debug, Clone, Copy)]
-struct AllocationEntry {
-    pc: Pc,
-    /// The first `prefetchers` slots are live.
-    states: [PrefetcherState; MAX_COMPOSITE_PREFETCHERS],
-    lru: u64,
-}
+/// One entry's prefetcher states; the first `prefetchers` are live.
+type States = [PrefetcherState; MAX_COMPOSITE_PREFETCHERS];
+
+const ALL_UNIDENTIFIED: States = [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS];
 
 /// The PC-indexed Allocation Table.
 #[derive(Debug, Clone)]
 pub struct AllocationTable {
-    entries: Vec<Option<AllocationEntry>>,
+    entries: LruTable<Pc, States>,
     prefetchers: usize,
-    lru_clock: u64,
     evictions: u64,
 }
 
@@ -44,7 +40,7 @@ impl AllocationTable {
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "allocation table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
+        Self { entries: LruTable::new(entries), prefetchers, evictions: 0 }
     }
 
     /// Number of prefetchers tracked per entry.
@@ -59,58 +55,25 @@ impl AllocationTable {
         self.evictions
     }
 
-    fn find(&self, pc: Pc) -> Option<usize> {
-        self.entries.iter().position(|e| e.as_ref().map(|e| e.pc) == Some(pc))
-    }
-
     /// Returns the states of `pc`, allocating a fresh all-UI entry if the PC
     /// has not been seen (or has been evicted since).
     pub fn lookup_or_insert(&mut self, pc: Pc) -> &[PrefetcherState] {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let slot = match self.find(pc) {
-            Some(i) => i,
-            None => {
-                let slot = if let Some(i) = self.entries.iter().position(Option::is_none) {
-                    i
-                } else {
-                    let victim = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                        .map(|(i, _)| i)
-                        .expect("table non-empty");
-                    self.evictions += 1;
-                    victim
-                };
-                self.entries[slot] = Some(AllocationEntry {
-                    pc,
-                    states: [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS],
-                    lru: clock,
-                });
-                slot
-            }
-        };
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
-        &entry.states[..self.prefetchers]
+        let (states, _, evicted) = self.entries.touch_or_insert_with(pc, || ALL_UNIDENTIFIED);
+        self.evictions += u64::from(evicted.is_some());
+        &states[..self.prefetchers]
     }
 
     /// Returns the states of `pc` without allocating, if present.
     #[must_use]
     pub fn get(&self, pc: Pc) -> Option<&[PrefetcherState]> {
-        self.find(pc).map(|i| {
-            &self.entries[i].as_ref().expect("found index is occupied").states[..self.prefetchers]
-        })
+        self.entries.get(&pc).map(|states| &states[..self.prefetchers])
     }
 
     /// Resets every prefetcher of `pc` back to UI (the dead-counter recovery
     /// path of §IV-C). Does nothing if the PC is not tracked.
     pub fn reset_to_unidentified(&mut self, pc: Pc) {
-        if let Some(i) = self.find(pc) {
-            let entry = self.entries[i].as_mut().expect("found index is occupied");
-            entry.states = [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS];
+        if let Some(states) = self.entries.get_mut(&pc) {
+            *states = ALL_UNIDENTIFIED;
         }
     }
 
@@ -125,11 +88,10 @@ impl AllocationTable {
         is_temporal: &[bool],
         config: &AlectoConfig,
     ) -> &[PrefetcherState] {
-        let Some(i) = self.find(pc) else {
+        let Some(states) = self.entries.get_mut(&pc) else {
             return &[];
         };
-        let entry = self.entries[i].as_mut().expect("found index is occupied");
-        let states = &mut entry.states[..self.prefetchers];
+        let states = &mut states[..self.prefetchers];
         assert_eq!(accuracies.len(), states.len(), "one accuracy per prefetcher");
         assert_eq!(is_temporal.len(), states.len(), "one temporal flag per prefetcher");
 

@@ -15,6 +15,10 @@
 //! * the [`SandboxTable`] — recently issued prefetches, used both to confirm
 //!   prefetch usefulness and as the prefetch filter of step ⑥.
 //!
+//! The two PC-indexed tables are fully associative with LRU replacement:
+//! each is an [`alecto_types::LruTable`], the table the prefetchers' own
+//! metadata tables are built on. The Sandbox Table is direct-mapped.
+//!
 //! [`AlectoSelector`] ties the three together and implements the
 //! [`selectors::Selector`] trait, so the CPU model can schedule it exactly
 //! like the IPCP/DOL/Bandit baselines.

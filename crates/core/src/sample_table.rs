@@ -6,20 +6,21 @@
 //! requests ("ConfirmedP_i"), the Demand Counter that defines the per-PC epoch
 //! (threshold 100), and the Dead Counter that detects PCs stuck in an IA state
 //! without producing prefetches (threshold 150).
+//!
+//! The table is an [`LruTable`]: every update for a PC touches its entry,
+//! allocating one if needed.
 
-use alecto_types::{Pc, RatioCounter};
+use alecto_types::{LruTable, Pc, RatioCounter};
 use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
 use crate::config::AlectoConfig;
 
 #[derive(Debug, Clone, Copy)]
 struct SampleEntry {
-    pc: Pc,
     /// The first `prefetchers` counters are live.
     per_prefetcher: [RatioCounter; MAX_COMPOSITE_PREFETCHERS],
     demand_counter: u32,
     dead_counter: u32,
-    lru: u64,
 }
 
 /// What the Sample Table asks the selector to do after recording a demand
@@ -39,9 +40,8 @@ pub enum SampleEvent {
 /// The PC-indexed Sample Table.
 #[derive(Debug, Clone)]
 pub struct SampleTable {
-    entries: Vec<Option<SampleEntry>>,
+    entries: LruTable<Pc, SampleEntry>,
     prefetchers: usize,
-    lru_clock: u64,
     evictions: u64,
 }
 
@@ -60,7 +60,7 @@ impl SampleTable {
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "sample table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        Self { entries: vec![None; entries], prefetchers, lru_clock: 0, evictions: 0 }
+        Self { entries: LruTable::new(entries), prefetchers, evictions: 0 }
     }
 
     /// Number of entries evicted due to capacity pressure.
@@ -69,45 +69,21 @@ impl SampleTable {
         self.evictions
     }
 
-    fn find(&self, pc: Pc) -> Option<usize> {
-        self.entries.iter().position(|e| e.as_ref().map(|e| e.pc) == Some(pc))
-    }
-
-    fn slot_for(&mut self, pc: Pc) -> usize {
-        if let Some(i) = self.find(pc) {
-            return i;
-        }
-        let slot = if let Some(i) = self.entries.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("table non-empty");
-            self.evictions += 1;
-            victim
-        };
-        self.entries[slot] = Some(SampleEntry {
-            pc,
+    /// The entry of `pc`, touched, and allocated if `pc` is not tracked.
+    fn touch(&mut self, pc: Pc) -> &mut SampleEntry {
+        let (entry, _, evicted) = self.entries.touch_or_insert_with(pc, || SampleEntry {
             per_prefetcher: [RatioCounter::new(); MAX_COMPOSITE_PREFETCHERS],
             demand_counter: 0,
             dead_counter: 0,
-            lru: 0,
         });
-        slot
+        self.evictions += u64::from(evicted.is_some());
+        entry
     }
 
     /// Records one demand access from `pc` and returns what (if anything) the
     /// selector must do in response.
     pub fn record_demand(&mut self, pc: Pc, config: &AlectoConfig) -> SampleEvent {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
+        let entry = self.touch(pc);
         entry.demand_counter += 1;
         if entry.dead_counter >= config.dead_threshold {
             entry.dead_counter = 0;
@@ -125,24 +101,19 @@ impl SampleTable {
         if count == 0 {
             return;
         }
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.per_prefetcher[prefetcher].record_issued(count);
+        self.touch(pc).per_prefetcher[prefetcher].record_issued(count);
     }
 
     /// Records that a previously issued prefetch of prefetcher `prefetcher`
     /// was confirmed by a demand request from `pc`.
     pub fn record_confirmed(&mut self, pc: Pc, prefetcher: usize) {
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
-        entry.per_prefetcher[prefetcher].record_confirmed();
+        self.touch(pc).per_prefetcher[prefetcher].record_confirmed();
     }
 
     /// Bumps the Dead Counter (no prefetch was generated for a prediction) or
     /// decays it (a prefetch was generated).
     pub fn record_prediction_outcome(&mut self, pc: Pc, generated_prefetch: bool) {
-        let slot = self.slot_for(pc);
-        let entry = self.entries[slot].as_mut().expect("slot filled above");
+        let entry = self.touch(pc);
         if generated_prefetch {
             entry.dead_counter = entry.dead_counter.saturating_sub(1);
         } else {
@@ -154,12 +125,10 @@ impl SampleTable {
     /// prefetchers that issued nothing).
     #[must_use]
     pub fn accuracies(&self, pc: Pc) -> Vec<Option<f64>> {
-        match self.find(pc) {
-            Some(i) => self.entries[i].as_ref().expect("found index occupied").per_prefetcher
-                [..self.prefetchers]
-                .iter()
-                .map(RatioCounter::accuracy)
-                .collect(),
+        match self.entries.get(&pc) {
+            Some(e) => {
+                e.per_prefetcher[..self.prefetchers].iter().map(RatioCounter::accuracy).collect()
+            }
             None => vec![None; self.prefetchers],
         }
     }
@@ -167,8 +136,7 @@ impl SampleTable {
     /// Clears the per-epoch counters of `pc` (issued/confirmed and the Demand
     /// Counter). The Dead Counter intentionally survives (§IV-C).
     pub fn reset_epoch(&mut self, pc: Pc) {
-        if let Some(i) = self.find(pc) {
-            let entry = self.entries[i].as_mut().expect("found index occupied");
+        if let Some(entry) = self.entries.get_mut(&pc) {
             entry.per_prefetcher = [RatioCounter::new(); MAX_COMPOSITE_PREFETCHERS];
             entry.demand_counter = 0;
         }
@@ -177,17 +145,13 @@ impl SampleTable {
     /// Current Dead Counter of `pc` (testing/diagnostics).
     #[must_use]
     pub fn dead_counter(&self, pc: Pc) -> u32 {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index occupied").dead_counter)
-            .unwrap_or(0)
+        self.entries.get(&pc).map_or(0, |e| e.dead_counter)
     }
 
     /// Current Demand Counter of `pc` (testing/diagnostics).
     #[must_use]
     pub fn demand_counter(&self, pc: Pc) -> u32 {
-        self.find(pc)
-            .map(|i| self.entries[i].as_ref().expect("found index occupied").demand_counter)
-            .unwrap_or(0)
+        self.entries.get(&pc).map_or(0, |e| e.demand_counter)
     }
 }
 

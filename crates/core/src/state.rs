@@ -27,12 +27,6 @@ pub enum PrefetcherState {
 }
 
 impl PrefetcherState {
-    /// Whether demand requests are currently allocated to the prefetcher.
-    #[must_use]
-    pub const fn receives_requests(&self) -> bool {
-        !matches!(self, PrefetcherState::Blocked(_))
-    }
-
     /// Whether the prefetcher is in any IA sub-state.
     #[must_use]
     pub const fn is_aggressive(&self) -> bool {
@@ -227,9 +221,6 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(PrefetcherState::Unidentified.receives_requests());
-        assert!(PrefetcherState::Aggressive(2).receives_requests());
-        assert!(!PrefetcherState::Blocked(0).receives_requests());
         assert!(PrefetcherState::Aggressive(0).is_aggressive());
         assert!(PrefetcherState::Blocked(3).is_blocked());
         assert_eq!(PrefetcherState::default(), PrefetcherState::Unidentified);

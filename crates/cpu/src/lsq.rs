@@ -103,18 +103,6 @@ impl LoadStoreQueue {
     pub fn push_store(&mut self, completion: u64) {
         self.stores.push_back(completion);
     }
-
-    /// Outstanding loads (exposed for capacity assertions in tests).
-    #[must_use]
-    pub fn loads_outstanding(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Outstanding stores.
-    #[must_use]
-    pub fn stores_outstanding(&self) -> usize {
-        self.stores.len()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +121,7 @@ mod tests {
         assert_eq!(lsq.load_slot_ready(10, &hier, 0), 10);
         lsq.push_load(LineAddr::new(1), 50);
         assert_eq!(lsq.load_slot_ready(10, &hier, 0), 10);
-        assert_eq!(lsq.loads_outstanding(), 1);
+        assert_eq!(lsq.loads.len(), 1);
     }
 
     #[test]
@@ -145,7 +133,7 @@ mod tests {
         // Queue full at cycle 10: the entry completing at 90 frees first,
         // even though it was allocated last.
         assert_eq!(lsq.load_slot_ready(10, &hier, 0), 90);
-        assert_eq!(lsq.loads_outstanding(), 1);
+        assert_eq!(lsq.loads.len(), 1);
     }
 
     #[test]
@@ -156,7 +144,7 @@ mod tests {
         lsq.push_load(LineAddr::new(2), 30);
         // By cycle 40 both completed: no stall, queue empty.
         assert_eq!(lsq.load_slot_ready(40, &hier, 0), 40);
-        assert_eq!(lsq.loads_outstanding(), 0);
+        assert_eq!(lsq.loads.len(), 0);
     }
 
     #[test]
@@ -180,7 +168,7 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(1, 1);
         lsq.push_store(70);
         assert_eq!(lsq.store_slot_ready(5), 70);
-        assert_eq!(lsq.stores_outstanding(), 0);
+        assert_eq!(lsq.stores.len(), 0);
         lsq.push_store(80);
         assert_eq!(lsq.store_slot_ready(90), 90);
     }

@@ -12,7 +12,7 @@
 //!
 //! Two tiers:
 //!
-//! - an in-memory LRU map bounded to a configurable number of entries
+//! - an in-memory [`LruTable`] bounded to a configurable number of entries
 //!   (reports are a few KB each; the default capacity comfortably holds the
 //!   full experiment suite);
 //! - an optional on-disk tier (`--cache-dir`) that persists entries across
@@ -23,14 +23,13 @@
 
 #![deny(missing_docs)]
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use alecto_types::{fnv1a_64, FNV1A_OFFSET};
+use alecto_types::{fnv1a_64, LruTable, FNV1A_OFFSET};
 use cpu::SystemReport;
 
 use crate::runner::{run_cell, CellExecutor, CellJob};
@@ -78,28 +77,12 @@ impl CacheCounters {
     }
 }
 
-/// The LRU bookkeeping behind the memory tier: entries plus a recency list
-/// (front = least recently used). Reports are small and capacities modest,
-/// so the O(n) recency updates are noise next to a single cell simulation.
-struct LruState {
-    entries: HashMap<u64, SystemReport>,
-    recency: Vec<u64>,
-}
-
-impl LruState {
-    fn touch(&mut self, key: u64) {
-        if let Some(at) = self.recency.iter().position(|&k| k == key) {
-            self.recency.remove(at);
-        }
-        self.recency.push(key);
-    }
-}
-
 /// A bounded, thread-safe, content-addressed cache of finished simulation
 /// cells; see the [module docs](self) for the tiering and integrity story.
 pub struct CellCache {
-    state: Mutex<LruState>,
-    capacity: usize,
+    /// The memory tier. Its O(capacity) key scans are noise next to a
+    /// single cell simulation.
+    memory: Mutex<LruTable<u64, SystemReport>>,
     dir: Option<PathBuf>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -111,7 +94,7 @@ pub struct CellCache {
 impl std::fmt::Debug for CellCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellCache")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.memory.lock().expect("cache lock").capacity())
             .field("dir", &self.dir)
             .field("counters", &self.counters())
             .finish()
@@ -130,8 +113,7 @@ impl CellCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(LruState { entries: HashMap::new(), recency: Vec::new() }),
-            capacity: capacity.max(1),
+            memory: Mutex::new(LruTable::new(capacity.max(1))),
             dir: None,
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -163,7 +145,7 @@ impl CellCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             corrupt_entries: self.corrupt_entries.load(Ordering::Relaxed),
-            resident: self.state.lock().expect("cache lock").entries.len() as u64,
+            resident: self.memory.lock().expect("cache lock").len() as u64,
         }
     }
 
@@ -172,13 +154,10 @@ impl CellCache {
     /// means the caller must simulate.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<SystemReport> {
-        {
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(report) = state.entries.get(&key).cloned() {
-                state.touch(key);
-                self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(report);
-            }
+        let resident = self.memory.lock().expect("cache lock").touch(&key).cloned();
+        if let Some(report) = resident {
+            self.memory_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(report);
         }
         if let Some(report) = self.load_from_disk(key) {
             self.insert_memory(key, report.clone());
@@ -203,13 +182,17 @@ impl CellCache {
     }
 
     fn insert_memory(&self, key: u64, report: SystemReport) {
-        let mut state = self.state.lock().expect("cache lock");
-        if state.entries.insert(key, report).is_none() && state.entries.len() > self.capacity {
-            let victim = state.recency.remove(0);
-            state.entries.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut memory = self.memory.lock().expect("cache lock");
+        match memory.touch(&key) {
+            // Concurrent misses on one key both simulate: the last insert wins.
+            Some(resident) => *resident = report,
+            None => {
+                let (_, _, evicted) = memory.touch_or_insert_with(key, || report);
+                if evicted.is_some() {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        state.touch(key);
     }
 
     fn load_from_disk(&self, key: u64) -> Option<SystemReport> {

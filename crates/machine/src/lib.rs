@@ -7,7 +7,7 @@
 //! count — used to be Rust-side configuration, so growing the scenario
 //! matrix meant recompiling. A [`MachineSpec`] captures all of it as data:
 //!
-//! * parsed from a TOML-shaped text file ([`parse`]) with line-numbered,
+//! * parsed from a TOML-shaped text file ([`parse()`]) with line-numbered,
 //!   aliasing-explaining errors that reuse `memsys`'s own validators;
 //! * or taken from the built-in registry ([`builtin`], [`load`]) of named
 //!   machines (`mobile` / `desktop` / `server` / `manycore`) embedded via

@@ -278,13 +278,6 @@ impl MachineSpec {
         self
     }
 
-    /// Same machine with the composite prefetcher stack pinned.
-    #[must_use]
-    pub fn with_prefetch(mut self, stack: PrefetchStack) -> Self {
-        self.prefetch = Some(stack);
-        self
-    }
-
     /// Lowers the machine into the simulator's [`HierarchyParams`] at its
     /// own core count: L3 size and MSHRs are multiplied out to totals, DRAM
     /// channels and ranks derive from the core count the same way the
@@ -526,14 +519,19 @@ mod tests {
     fn prefetch_section_renders_only_when_pinned() {
         let base = MachineSpec::table1(1);
         assert!(!base.canonical_text().contains("[prefetch]"));
-        let pinned = base.clone().with_prefetch(PrefetchStack::BertiOnly);
+        let pinned = MachineSpec { prefetch: Some(PrefetchStack::BertiOnly), ..base.clone() };
         assert!(pinned.canonical_text().contains("[prefetch]\nstack = \"berti\"\n"));
         assert_ne!(base.fingerprint(), pinned.fingerprint());
-        let temporal =
-            base.clone().with_prefetch(PrefetchStack::GsCsPmpTemporal { metadata_kb: 512 });
+        let temporal = MachineSpec {
+            prefetch: Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 512 }),
+            ..base.clone()
+        };
         assert!(temporal.canonical_text().contains("temporal_metadata_kb = 512"));
         assert!(temporal.validate().is_ok());
-        let degenerate = base.with_prefetch(PrefetchStack::GsCsPmpTemporal { metadata_kb: 0 });
+        let degenerate = MachineSpec {
+            prefetch: Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 0 }),
+            ..base
+        };
         assert!(degenerate.validate().unwrap_err().contains("temporal_metadata_kb"));
     }
 

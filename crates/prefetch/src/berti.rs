@@ -8,7 +8,7 @@
 //! accurate prefetch"). Only high-confidence deltas are used, which is what
 //! makes Berti conservative and accurate compared to PMP/CPLX (§VI-B).
 
-use alecto_types::{DemandAccess, LineAddr, Pc};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
@@ -23,10 +23,8 @@ struct DeltaEntry {
 
 #[derive(Debug, Clone)]
 struct BertiEntry {
-    tag: Pc,
     history: Vec<LineAddr>,
     deltas: [DeltaEntry; DELTAS_PER_PC],
-    lru: u64,
 }
 
 /// Configuration of the Berti prefetcher.
@@ -50,8 +48,7 @@ impl Default for BertiConfig {
 #[derive(Debug, Clone)]
 pub struct BertiPrefetcher {
     config: BertiConfig,
-    table: Vec<Option<BertiEntry>>,
-    lru_clock: u64,
+    table: LruTable<Pc, BertiEntry>,
     stats: TableStats,
 }
 
@@ -59,36 +56,13 @@ impl BertiPrefetcher {
     /// Creates a Berti prefetcher with the given configuration.
     #[must_use]
     pub fn new(config: BertiConfig) -> Self {
-        Self {
-            table: vec![None; config.entries],
-            config,
-            lru_clock: 0,
-            stats: TableStats::default(),
-        }
+        Self { table: LruTable::new(config.entries), config, stats: TableStats::default() }
     }
 
     /// Creates a Berti prefetcher with the default configuration.
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(BertiConfig::default())
-    }
-
-    fn slot_for(&mut self, pc: Pc) -> (usize, bool) {
-        if let Some(i) = self.table.iter().position(|e| e.as_ref().map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("table non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
     }
 }
 
@@ -103,26 +77,17 @@ impl Prefetcher for BertiPrefetcher {
 
     fn train_and_predict(&mut self, access: &DemandAccess, degree: u32, out: &mut Vec<LineAddr>) {
         let line = access.line();
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
         self.stats.lookups += 1;
         self.stats.trainings += 1;
         let threshold = self.config.confidence_threshold;
         let max = self.config.confidence_max;
-        let (slot, hit) = self.slot_for(access.pc);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.table[slot] = Some(BertiEntry {
-                tag: access.pc,
-                history: Vec::with_capacity(HISTORY_LEN),
-                deltas: [DeltaEntry::default(); DELTAS_PER_PC],
-                lru: clock,
-            });
-        }
-        let entry = self.table[slot].as_mut().expect("slot filled above");
-        entry.lru = clock;
+        let (entry, hit, evicted) = self.table.touch_or_insert_with(access.pc, || BertiEntry {
+            history: Vec::with_capacity(HISTORY_LEN),
+            deltas: [DeltaEntry::default(); DELTAS_PER_PC],
+        });
+        self.stats.evictions += u64::from(evicted.is_some());
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
 
         // Reward every delta that would have predicted this access from an
         // earlier history entry (older entries imply better timeliness and
@@ -170,9 +135,8 @@ impl Prefetcher for BertiPrefetcher {
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        self.table.iter().flatten().any(|e| {
-            e.tag == access.pc
-                && e.deltas.iter().any(|d| d.confidence >= self.config.confidence_threshold)
+        self.table.get(&access.pc).is_some_and(|e| {
+            e.deltas.iter().any(|d| d.confidence >= self.config.confidence_threshold)
         })
     }
 

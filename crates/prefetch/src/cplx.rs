@@ -7,7 +7,7 @@
 //! Prediction Table (DPT) that stores the next expected delta with a
 //! confidence counter, in the spirit of VLDP.
 
-use alecto_types::{DemandAccess, LineAddr, Pc};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
@@ -15,19 +15,15 @@ const SIGNATURE_DELTAS: usize = 3;
 
 #[derive(Debug, Clone, Copy)]
 struct IpEntry {
-    tag: Pc,
     last_line: LineAddr,
     recent_deltas: [i64; SIGNATURE_DELTAS],
     valid_deltas: usize,
-    lru: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct DptEntry {
-    signature: u32,
     predicted_delta: i64,
     confidence: u8,
-    lru: u64,
 }
 
 /// Configuration of the CPLX prefetcher.
@@ -53,9 +49,9 @@ impl Default for CplxConfig {
 #[derive(Debug, Clone)]
 pub struct CplxPrefetcher {
     config: CplxConfig,
-    ip_table: Vec<Option<IpEntry>>,
-    dpt: Vec<Option<DptEntry>>,
-    lru_clock: u64,
+    ip_table: LruTable<Pc, IpEntry>,
+    /// The Delta Prediction Table, keyed by signature.
+    dpt: LruTable<u32, DptEntry>,
     stats: TableStats,
 }
 
@@ -64,10 +60,9 @@ impl CplxPrefetcher {
     #[must_use]
     pub fn new(config: CplxConfig) -> Self {
         Self {
-            ip_table: vec![None; config.ip_entries],
-            dpt: vec![None; config.dpt_entries],
+            ip_table: LruTable::new(config.ip_entries),
+            dpt: LruTable::new(config.dpt_entries),
             config,
-            lru_clock: 0,
             stats: TableStats::default(),
         }
     }
@@ -90,64 +85,28 @@ impl CplxPrefetcher {
         sig & 0xfff
     }
 
-    fn ip_slot(&mut self, pc: Pc) -> (usize, bool) {
-        if let Some(i) = self.ip_table.iter().position(|e| e.map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.ip_table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .ip_table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("IP table non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
-    }
-
     fn dpt_update(&mut self, signature: u32, observed_delta: i64) {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let max = self.config.confidence_max;
-        if let Some(e) = self.dpt.iter_mut().flatten().find(|e| e.signature == signature) {
-            e.lru = clock;
-            if e.predicted_delta == observed_delta {
-                e.confidence = (e.confidence + 1).min(max);
-            } else if e.confidence > 0 {
-                e.confidence -= 1;
-            } else {
-                e.predicted_delta = observed_delta;
-                e.confidence = 1;
-            }
-            return;
-        }
-        let slot = if let Some(i) = self.dpt.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .dpt
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("DPT non-empty");
-            self.stats.evictions += 1;
-            victim
-        };
-        self.dpt[slot] = Some(DptEntry {
-            signature,
+        let (e, hit, evicted) = self.dpt.touch_or_insert_with(signature, || DptEntry {
             predicted_delta: observed_delta,
             confidence: 1,
-            lru: clock,
         });
+        self.stats.evictions += u64::from(evicted.is_some());
+        if !hit {
+            return;
+        }
+        if e.predicted_delta == observed_delta {
+            e.confidence = (e.confidence + 1).min(self.config.confidence_max);
+        } else if e.confidence > 0 {
+            e.confidence -= 1;
+        } else {
+            e.predicted_delta = observed_delta;
+            e.confidence = 1;
+        }
     }
 
     fn dpt_lookup(&mut self, signature: u32) -> Option<(i64, u8)> {
         self.stats.lookups += 1;
-        match self.dpt.iter().flatten().find(|e| e.signature == signature) {
+        match self.dpt.get(&signature) {
             Some(e) => {
                 self.stats.hits += 1;
                 Some((e.predicted_delta, e.confidence))
@@ -171,44 +130,35 @@ impl Prefetcher for CplxPrefetcher {
 
     fn train_and_predict(&mut self, access: &DemandAccess, degree: u32, out: &mut Vec<LineAddr>) {
         let line = access.line();
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
         self.stats.trainings += 1;
-        let (slot, hit) = self.ip_slot(access.pc);
+        let (entry, hit, evicted) = self.ip_table.touch_or_insert_with(access.pc, || IpEntry {
+            last_line: line,
+            recent_deltas: [0; SIGNATURE_DELTAS],
+            valid_deltas: 0,
+        });
+        self.stats.evictions += u64::from(evicted.is_some());
         if !hit {
-            self.ip_table[slot] = Some(IpEntry {
-                tag: access.pc,
-                last_line: line,
-                recent_deltas: [0; SIGNATURE_DELTAS],
-                valid_deltas: 0,
-                lru: clock,
-            });
             return;
         }
-        let entry = self.ip_table[slot].as_mut().expect("hit entries are present");
-        entry.lru = clock;
         let delta = line.delta_from(entry.last_line);
         entry.last_line = line;
         if delta == 0 {
             return;
         }
 
-        // Train the DPT with the signature of the *previous* deltas → this delta.
-        if entry.valid_deltas == SIGNATURE_DELTAS {
-            let sig = Self::signature(&entry.recent_deltas);
+        // The signature of the *previous* deltas trains the DPT with this delta.
+        let previous_signature =
+            (entry.valid_deltas == SIGNATURE_DELTAS).then(|| Self::signature(&entry.recent_deltas));
+        // Shift the delta history.
+        entry.recent_deltas.rotate_left(1);
+        entry.recent_deltas[SIGNATURE_DELTAS - 1] = delta;
+        entry.valid_deltas = (entry.valid_deltas + 1).min(SIGNATURE_DELTAS);
+        let (deltas, valid_deltas) = (entry.recent_deltas, entry.valid_deltas);
+        if let Some(sig) = previous_signature {
             self.dpt_update(sig, delta);
         }
-        // Shift the delta history.
-        let mut deltas = self.ip_table[slot].as_ref().unwrap().recent_deltas;
-        deltas.rotate_left(1);
-        deltas[SIGNATURE_DELTAS - 1] = delta;
-        {
-            let entry = self.ip_table[slot].as_mut().unwrap();
-            entry.recent_deltas = deltas;
-            entry.valid_deltas = (entry.valid_deltas + 1).min(SIGNATURE_DELTAS);
-        }
 
-        if degree == 0 || self.ip_table[slot].as_ref().unwrap().valid_deltas < SIGNATURE_DELTAS {
+        if degree == 0 || valid_deltas < SIGNATURE_DELTAS {
             return;
         }
         // Chained prediction: follow the DPT from the current signature for up
@@ -232,14 +182,12 @@ impl Prefetcher for CplxPrefetcher {
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        self.ip_table.iter().flatten().any(|e| {
-            e.tag == access.pc && e.valid_deltas == SIGNATURE_DELTAS && {
-                let sig = Self::signature(&e.recent_deltas);
-                self.dpt
-                    .iter()
-                    .flatten()
-                    .any(|d| d.signature == sig && d.confidence >= self.config.confidence_threshold)
-            }
+        self.ip_table.get(&access.pc).is_some_and(|e| {
+            e.valid_deltas == SIGNATURE_DELTAS
+                && self
+                    .dpt
+                    .get(&Self::signature(&e.recent_deltas))
+                    .is_some_and(|d| d.confidence >= self.config.confidence_threshold)
         })
     }
 

@@ -8,7 +8,7 @@
 //! offsets. PMP is the aggressive spatial component of the paper's default
 //! composite (GS + CS + PMP).
 
-use alecto_types::{fold_pc, DemandAccess, LineAddr, PageAddr, Pc, LINES_PER_PAGE};
+use alecto_types::{fold_pc, DemandAccess, LineAddr, LruTable, PageAddr, Pc, LINES_PER_PAGE};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
@@ -16,18 +16,9 @@ const OFFSETS: usize = LINES_PER_PAGE as usize;
 
 #[derive(Debug, Clone)]
 struct AccumulationEntry {
-    page: PageAddr,
     trigger_offset: u64,
     trigger_pc: Pc,
     footprint: u64,
-    lru: u64,
-}
-
-#[derive(Debug, Clone)]
-struct PatternEntry {
-    signature: u32,
-    counters: [u8; OFFSETS],
-    lru: u64,
 }
 
 /// Configuration of the PMP prefetcher.
@@ -53,9 +44,10 @@ impl Default for PmpConfig {
 #[derive(Debug, Clone)]
 pub struct PmpPrefetcher {
     config: PmpConfig,
-    accumulation: Vec<Option<AccumulationEntry>>,
-    pht: Vec<Option<PatternEntry>>,
-    lru_clock: u64,
+    /// The Accumulation Table, keyed by page.
+    accumulation: LruTable<PageAddr, AccumulationEntry>,
+    /// The Pattern History Table: per-offset counters keyed by signature.
+    pht: LruTable<u32, [u8; OFFSETS]>,
     stats: TableStats,
 }
 
@@ -64,10 +56,9 @@ impl PmpPrefetcher {
     #[must_use]
     pub fn new(config: PmpConfig) -> Self {
         Self {
-            accumulation: vec![None; config.accumulation_entries],
-            pht: vec![None; config.pht_entries],
+            accumulation: LruTable::new(config.accumulation_entries),
+            pht: LruTable::new(config.pht_entries),
             config,
-            lru_clock: 0,
             stats: TableStats::default(),
         }
     }
@@ -88,43 +79,19 @@ impl PmpPrefetcher {
 
     fn merge_into_pht(&mut self, entry: &AccumulationEntry) {
         let signature = Self::signature(entry.trigger_pc, entry.trigger_offset);
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
         self.stats.trainings += 1;
         let max = self.config.counter_max;
         // Rotate the footprint so that the trigger offset becomes position 0;
         // patterns become position-independent within the page.
         let rotate = entry.trigger_offset;
-        let slot = if let Some(i) =
-            self.pht.iter().position(|e| e.as_ref().map(|e| e.signature) == Some(signature))
-        {
-            i
-        } else if let Some(i) = self.pht.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .pht
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("PHT is non-empty");
-            self.stats.evictions += 1;
-            self.pht[victim] = None;
-            victim
-        };
-        let pattern = self.pht[slot].get_or_insert(PatternEntry {
-            signature,
-            counters: [0; OFFSETS],
-            lru: clock,
-        });
-        pattern.lru = clock;
+        let (counters, _, evicted) = self.pht.touch_or_insert_with(signature, || [0; OFFSETS]);
+        self.stats.evictions += u64::from(evicted.is_some());
         for bit in 0..OFFSETS as u64 {
             let rotated = ((bit + OFFSETS as u64 - rotate) % OFFSETS as u64) as usize;
             if entry.footprint & (1 << bit) != 0 {
-                pattern.counters[rotated] = (pattern.counters[rotated] + 1).min(max);
+                counters[rotated] = (counters[rotated] + 1).min(max);
             } else {
-                pattern.counters[rotated] = pattern.counters[rotated].saturating_sub(1);
+                counters[rotated] = counters[rotated].saturating_sub(1);
             }
         }
     }
@@ -139,7 +106,7 @@ impl PmpPrefetcher {
     ) {
         let signature = Self::signature(pc, trigger_offset);
         self.stats.lookups += 1;
-        let Some(pattern) = self.pht.iter().flatten().find(|e| e.signature == signature) else {
+        let Some(counters) = self.pht.get(&signature) else {
             self.stats.misses += 1;
             return;
         };
@@ -149,7 +116,7 @@ impl PmpPrefetcher {
         // order (position 0 is the trigger itself).
         let mut budget = degree as usize;
         for value in (self.config.counter_threshold..=self.config.counter_max).rev() {
-            for rel in (1..OFFSETS).filter(|&rel| pattern.counters[rel] == value) {
+            for rel in (1..OFFSETS).filter(|&rel| counters[rel] == value) {
                 if budget == 0 {
                     return;
                 }
@@ -175,38 +142,22 @@ impl Prefetcher for PmpPrefetcher {
         let line = access.line();
         let page = line.page();
         let offset = line.index_in_page();
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-
-        if let Some(entry) = self.accumulation.iter_mut().flatten().find(|e| e.page == page) {
+        let (entry, hit, evicted) =
+            self.accumulation.touch_or_insert_with(page, || AccumulationEntry {
+                trigger_offset: offset,
+                trigger_pc: access.pc,
+                footprint: 1 << offset,
+            });
+        if hit {
             entry.footprint |= 1 << offset;
-            entry.lru = clock;
             return;
         }
 
-        // New page: evict an accumulation entry (learning its pattern), then
-        // allocate and predict from the PHT.
-        let slot = if let Some(i) = self.accumulation.iter().position(Option::is_none) {
-            i
-        } else {
-            let victim = self
-                .accumulation
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.as_ref().map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("accumulation table is non-empty");
-            let old = self.accumulation[victim].take().expect("victim was occupied");
+        // New page: the displaced accumulation entry's footprint is learned,
+        // then the PHT predicts for the new page.
+        if let Some((_, old)) = evicted {
             self.merge_into_pht(&old);
-            victim
-        };
-        self.accumulation[slot] = Some(AccumulationEntry {
-            page,
-            trigger_offset: offset,
-            trigger_pc: access.pc,
-            footprint: 1 << offset,
-            lru: clock,
-        });
+        }
         if degree > 0 {
             self.predict(access.pc, page, offset, degree, out);
         }
@@ -215,14 +166,12 @@ impl Prefetcher for PmpPrefetcher {
     fn probe(&self, access: &DemandAccess) -> bool {
         let line = access.line();
         let page = line.page();
-        let in_accumulation = self.accumulation.iter().flatten().any(|e| e.page == page);
-        if in_accumulation {
+        if self.accumulation.get(&page).is_some() {
             return true;
         }
         let signature = Self::signature(access.pc, line.index_in_page());
-        self.pht.iter().flatten().any(|e| {
-            e.signature == signature
-                && e.counters.iter().filter(|&&c| c >= self.config.counter_threshold).count() > 1
+        self.pht.get(&signature).is_some_and(|counters| {
+            counters.iter().filter(|&&c| c >= self.config.counter_threshold).count() > 1
         })
     }
 
@@ -298,7 +247,7 @@ mod tests {
             counters[rel] = c;
         }
         let signature = PmpPrefetcher::signature(pc, 0);
-        pf.pht[0] = Some(PatternEntry { signature, counters, lru: 0 });
+        pf.pht.touch_or_insert_with(signature, || counters);
         // Relative offsets 4 and 7 (counter 3), then 1 and 9 (counter 2),
         // rotated from the trigger at 60; 12 is below threshold and 0 is the
         // trigger itself.

@@ -7,7 +7,7 @@
 //! whether a PC has been observed following such a stream. Stream PCs
 //! prefetch the next `degree` sequential lines in the stream direction.
 
-use alecto_types::{DemandAccess, LineAddr, Pc, SaturatingCounter};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc, SaturatingCounter};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
@@ -16,21 +16,17 @@ const REGION_LINES: u64 = 32;
 
 #[derive(Debug, Clone, Copy)]
 struct IpEntry {
-    tag: Pc,
     last_line: LineAddr,
     direction_up: bool,
     confidence: SaturatingCounter,
-    lru: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct RegionEntry {
-    region: u64,
     touched: u32,
     last_index: u64,
     ascending: SaturatingCounter,
     descending: SaturatingCounter,
-    lru: u64,
 }
 
 /// Configuration of the stream prefetcher.
@@ -54,9 +50,9 @@ impl Default for StreamConfig {
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
     config: StreamConfig,
-    ip_table: Vec<Option<IpEntry>>,
-    rst: Vec<Option<RegionEntry>>,
-    lru_clock: u64,
+    ip_table: LruTable<Pc, IpEntry>,
+    /// The Region Stream Table, keyed by region number.
+    rst: LruTable<u64, RegionEntry>,
     stats: TableStats,
 }
 
@@ -65,10 +61,9 @@ impl StreamPrefetcher {
     #[must_use]
     pub fn new(config: StreamConfig) -> Self {
         Self {
-            ip_table: vec![None; config.ip_entries],
-            rst: vec![None; config.rst_entries],
+            ip_table: LruTable::new(config.ip_entries),
+            rst: LruTable::new(config.rst_entries),
             config,
-            lru_clock: 0,
             stats: TableStats::default(),
         }
     }
@@ -87,62 +82,29 @@ impl StreamPrefetcher {
     /// dense stream and in which direction.
     fn update_region(&mut self, line: LineAddr) -> Option<bool> {
         let (region, index) = Self::region_of(line);
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        if let Some(e) = self.rst.iter_mut().flatten().find(|e| e.region == region) {
-            e.touched = e.touched.saturating_add(1);
-            e.lru = clock;
-            if index > e.last_index {
-                e.ascending.increment();
-                e.descending.decrement();
-            } else if index < e.last_index {
-                e.descending.increment();
-                e.ascending.decrement();
-            }
-            e.last_index = index;
-            if e.touched >= self.config.density_threshold {
-                return Some(e.ascending.value() >= e.descending.value());
-            }
-            return None;
-        }
-        // Allocate (LRU replace) a region entry.
-        let slot = if let Some(i) = self.rst.iter().position(Option::is_none) {
-            i
-        } else {
-            self.rst
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("RST is non-empty")
-        };
-        self.rst[slot] = Some(RegionEntry {
-            region,
+        // A displaced region entry is not counted as an eviction.
+        let (e, hit, _) = self.rst.touch_or_insert_with(region, || RegionEntry {
             touched: 1,
             last_index: index,
             ascending: SaturatingCounter::with_bits(3),
             descending: SaturatingCounter::with_bits(3),
-            lru: clock,
         });
+        if !hit {
+            return None;
+        }
+        e.touched = e.touched.saturating_add(1);
+        if index > e.last_index {
+            e.ascending.increment();
+            e.descending.decrement();
+        } else if index < e.last_index {
+            e.descending.increment();
+            e.ascending.decrement();
+        }
+        e.last_index = index;
+        if e.touched >= self.config.density_threshold {
+            return Some(e.ascending.value() >= e.descending.value());
+        }
         None
-    }
-
-    fn ip_slot(&mut self, pc: Pc) -> (usize, bool) {
-        if let Some(i) = self.ip_table.iter().position(|e| e.map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.ip_table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .ip_table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("IP table is non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
     }
 }
 
@@ -160,23 +122,14 @@ impl Prefetcher for StreamPrefetcher {
         let stream_direction = self.update_region(line);
         self.stats.lookups += 1;
         self.stats.trainings += 1;
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let (slot, hit) = self.ip_slot(access.pc);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.ip_table[slot] = Some(IpEntry {
-                tag: access.pc,
-                last_line: line,
-                direction_up: true,
-                confidence: SaturatingCounter::with_bits(2),
-                lru: clock,
-            });
-        }
-        let entry = self.ip_table[slot].as_mut().expect("slot was just filled or hit");
-        entry.lru = clock;
+        let (entry, hit, evicted) = self.ip_table.touch_or_insert_with(access.pc, || IpEntry {
+            last_line: line,
+            direction_up: true,
+            confidence: SaturatingCounter::with_bits(2),
+        });
+        self.stats.evictions += u64::from(evicted.is_some());
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
         let delta = line.delta_from(entry.last_line);
         entry.last_line = line;
 
@@ -212,14 +165,10 @@ impl Prefetcher for StreamPrefetcher {
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        let pc_confident =
-            self.ip_table.iter().flatten().any(|e| e.tag == access.pc && e.confidence.value() >= 2);
+        let pc_confident = self.ip_table.get(&access.pc).is_some_and(|e| e.confidence.value() >= 2);
         let (region, _) = Self::region_of(access.line());
-        let region_dense = self
-            .rst
-            .iter()
-            .flatten()
-            .any(|e| e.region == region && e.touched >= self.config.density_threshold);
+        let region_dense =
+            self.rst.get(&region).is_some_and(|e| e.touched >= self.config.density_threshold);
         pc_confident || region_dense
     }
 

@@ -5,17 +5,15 @@
 //! Once the same stride repeats, the prefetcher issues `degree` prefetches
 //! along that stride.
 
-use alecto_types::{DemandAccess, LineAddr, Pc, SaturatingCounter};
+use alecto_types::{DemandAccess, LineAddr, LruTable, Pc, SaturatingCounter};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
-    tag: Pc,
     last_line: LineAddr,
     stride: i64,
     confidence: SaturatingCounter,
-    lru: u64,
 }
 
 /// Configuration of the stride prefetcher.
@@ -37,8 +35,7 @@ impl Default for StrideConfig {
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     config: StrideConfig,
-    table: Vec<Option<StrideEntry>>,
-    lru_clock: u64,
+    table: LruTable<Pc, StrideEntry>,
     stats: TableStats,
 }
 
@@ -46,37 +43,13 @@ impl StridePrefetcher {
     /// Creates a stride prefetcher with the given configuration.
     #[must_use]
     pub fn new(config: StrideConfig) -> Self {
-        Self {
-            table: vec![None; config.entries],
-            config,
-            lru_clock: 0,
-            stats: TableStats::default(),
-        }
+        Self { table: LruTable::new(config.entries), config, stats: TableStats::default() }
     }
 
     /// Creates a stride prefetcher with the Table II configuration.
     #[must_use]
     pub fn default_config() -> Self {
         Self::new(StrideConfig::default())
-    }
-
-    fn find_slot(&mut self, pc: Pc) -> (usize, bool) {
-        // Fully-associative with LRU replacement, matching the small IP table.
-        if let Some(i) = self.table.iter().position(|e| e.map(|e| e.tag) == Some(pc)) {
-            return (i, true);
-        }
-        if let Some(i) = self.table.iter().position(Option::is_none) {
-            return (i, false);
-        }
-        let victim = self
-            .table
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .expect("table is non-empty");
-        self.stats.evictions += 1;
-        (victim, false)
     }
 }
 
@@ -91,25 +64,19 @@ impl Prefetcher for StridePrefetcher {
 
     fn train_and_predict(&mut self, access: &DemandAccess, degree: u32, out: &mut Vec<LineAddr>) {
         let line = access.line();
-        self.lru_clock += 1;
         self.stats.lookups += 1;
         self.stats.trainings += 1;
-        let (slot, hit) = self.find_slot(access.pc);
-        if hit {
-            self.stats.hits += 1;
-        } else {
+        let (entry, hit, evicted) = self.table.touch_or_insert_with(access.pc, || StrideEntry {
+            last_line: line,
+            stride: 0,
+            confidence: SaturatingCounter::with_bits(2),
+        });
+        self.stats.evictions += u64::from(evicted.is_some());
+        if !hit {
             self.stats.misses += 1;
-            self.table[slot] = Some(StrideEntry {
-                tag: access.pc,
-                last_line: line,
-                stride: 0,
-                confidence: SaturatingCounter::with_bits(2),
-                lru: self.lru_clock,
-            });
             return;
         }
-        let entry = self.table[slot].as_mut().expect("hit entries are present");
-        entry.lru = self.lru_clock;
+        self.stats.hits += 1;
         let new_stride = line.delta_from(entry.last_line);
         if new_stride == 0 {
             // Same-line re-reference carries no stride information.
@@ -134,9 +101,8 @@ impl Prefetcher for StridePrefetcher {
 
     fn probe(&self, access: &DemandAccess) -> bool {
         self.table
-            .iter()
-            .flatten()
-            .any(|e| e.tag == access.pc && e.confidence.value() >= self.config.confidence_threshold)
+            .get(&access.pc)
+            .is_some_and(|e| e.confidence.value() >= self.config.confidence_threshold)
     }
 
     fn table_stats(&self) -> &TableStats {

@@ -52,11 +52,14 @@ impl TemporalConfig {
 #[derive(Debug, Clone)]
 pub struct TemporalPrefetcher {
     config: TemporalConfig,
-    /// line -> (successor line, insertion order) correlation table. Ordered
-    /// so that capacity eviction is deterministic across runs and threads.
+    /// line -> (successor line, write stamp) correlation table. Unlike the
+    /// other prefetchers' tables it is no [`alecto_types::LruTable`]: with
+    /// 16,384–131,072 entries keyed by line (Fig. 14's budgets), every
+    /// training step needs an indexed lookup, not a key scan. Ordered so
+    /// that iteration is deterministic across runs and threads.
     table: BTreeMap<LineAddr, (LineAddr, u64)>,
-    /// FIFO order counter used for capacity eviction.
-    insert_clock: u64,
+    /// Stamp of the latest write, bumped on every insert and update.
+    write_clock: u64,
     last_line: Option<LineAddr>,
     stats: TableStats,
 }
@@ -68,7 +71,7 @@ impl TemporalPrefetcher {
         Self {
             table: BTreeMap::new(),
             config,
-            insert_clock: 0,
+            write_clock: 0,
             last_line: None,
             stats: TableStats::default(),
         }
@@ -97,9 +100,10 @@ impl TemporalPrefetcher {
         if self.table.len() < capacity {
             return;
         }
-        // Approximate FIFO eviction: drop the oldest entry. A full Triangel
+        // Drop the least recently *written* correlation: an update re-stamps
+        // its entry, so this is not FIFO over insertions. A full Triangel
         // implementation uses set-associative metadata with usefulness-aware
-        // replacement; FIFO is sufficient to expose the capacity pressure the
+        // replacement; this is sufficient to expose the capacity pressure the
         // paper's Fig. 14 measures.
         if let Some((&victim, _)) = self.table.iter().min_by_key(|(_, (_, order))| *order) {
             self.table.remove(&victim);
@@ -124,12 +128,12 @@ impl Prefetcher for TemporalPrefetcher {
         // Train: record predecessor -> current correlation.
         if let Some(prev) = self.last_line {
             if prev != line {
-                self.insert_clock += 1;
+                self.write_clock += 1;
                 if let Some(slot) = self.table.get_mut(&prev) {
-                    *slot = (line, self.insert_clock);
+                    *slot = (line, self.write_clock);
                 } else {
                     self.evict_if_full();
-                    self.table.insert(prev, (line, self.insert_clock));
+                    self.table.insert(prev, (line, self.write_clock));
                 }
             }
         }

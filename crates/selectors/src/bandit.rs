@@ -110,12 +110,6 @@ impl BanditSelector {
         &self.config
     }
 
-    /// Decodes an arm index into per-prefetcher degrees.
-    #[must_use]
-    pub fn arm_degrees(&self, arm: usize) -> Vec<u32> {
-        (0..self.config.prefetchers).map(|i| self.arm_degree(arm, i)).collect()
-    }
-
     /// Degree arm `arm` gives prefetcher `prefetcher`: digit `prefetcher` of
     /// `arm` written in base `degree_choices.len()`, least significant first.
     fn arm_degree(&self, arm: usize, prefetcher: usize) -> u32 {
@@ -233,24 +227,26 @@ mod tests {
 
     #[test]
     fn arm_decoding_covers_all_degrees() {
-        let b = BanditSelector::bandit3(3);
-        let all_off = b.arm_degrees(0);
-        assert_eq!(all_off, vec![0, 0, 0]);
-        let all_on = b.arm_degrees(7);
-        assert_eq!(all_on, vec![3, 3, 3]);
-        let mixed = b.arm_degrees(5); // binary 101
-        assert_eq!(mixed, vec![3, 0, 3]);
-        // `allocate` decodes the same digits in place, for every base.
+        // `allocate` gives prefetcher i the degree of the current arm's
+        // digit i, least significant first.
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x40));
-        for mut b in [BanditSelector::bandit3(3), BanditSelector::extended(3, 5, 3)] {
-            let arms = b.arms.len();
-            for arm in [0, 1, 5, 7, 100, 511].into_iter().filter(|&a| a < arms) {
-                b.current_arm = arm;
-                let d = b.allocate(&access, &prefetchers);
-                let totals: Vec<u32> = d.per_prefetcher.iter().map(|a| a.unwrap().total).collect();
-                assert_eq!(totals, b.arm_degrees(arm), "arm {arm}");
-            }
+        let totals = |b: &mut BanditSelector, arm: usize| -> Vec<u32> {
+            b.current_arm = arm;
+            let d = b.allocate(&access, &prefetchers);
+            d.per_prefetcher.iter().map(|a| a.unwrap().total).collect()
+        };
+        let mut b = BanditSelector::bandit3(3);
+        assert_eq!(totals(&mut b, 0), [0, 0, 0]);
+        assert_eq!(totals(&mut b, 7), [3, 3, 3]);
+        assert_eq!(totals(&mut b, 5), [3, 0, 3]); // binary 101
+                                                  // The extended arms are base-8 numbers over {0, 3, 4, ..., 9}.
+        let mut b = BanditSelector::extended(3, 5, 3);
+        let choices = [0, 3, 4, 5, 6, 7, 8, 9];
+        for arm in [0, 1, 5, 7, 100, 511] {
+            let digits: Vec<u32> =
+                [1, 8, 64].iter().map(|&place| choices[arm / place % 8]).collect();
+            assert_eq!(totals(&mut b, arm), digits, "arm {arm}");
         }
     }
 

@@ -90,12 +90,6 @@ impl LineAddr {
         self.0
     }
 
-    /// Converts back to the byte address of the first byte in the line.
-    #[must_use]
-    pub const fn base_addr(self) -> Addr {
-        Addr(self.0 << LINE_OFFSET_BITS)
-    }
-
     /// The page containing this line.
     #[must_use]
     pub const fn page(self) -> PageAddr {
@@ -212,8 +206,9 @@ mod tests {
     #[test]
     fn line_round_trip() {
         let l = LineAddr::new(42);
-        assert_eq!(l.base_addr().line(), l);
-        assert_eq!(l.base_addr().raw(), 42 * 64);
+        let base = Addr::new(l.raw() << 6);
+        assert_eq!(base.line(), l);
+        assert_eq!(base.raw(), 42 * 64);
     }
 
     #[test]

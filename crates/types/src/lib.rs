@@ -4,8 +4,9 @@
 //! blocks: strongly typed addresses, demand/prefetch request and prefetch
 //! outcome descriptors, saturating counters, the folded-XOR PC hash used by
 //! the Sandbox Table, the seeded generator behind every random draw, the
-//! geometric mean used when aggregating results, and the ordered worker pool
-//! that spreads independent items across threads.
+//! [`LruTable`] behind every small least-recently-used table, the geometric
+//! mean used when aggregating results, and the ordered worker pool that
+//! spreads independent items across threads.
 //!
 //! # Example
 //!
@@ -22,6 +23,7 @@
 pub mod addr;
 pub mod counter;
 pub mod hash;
+pub mod lru;
 pub mod pool;
 pub mod request;
 pub mod rng;
@@ -34,6 +36,7 @@ pub use addr::{
 };
 pub use counter::{RatioCounter, SaturatingCounter};
 pub use hash::{fnv1a_64, fold_pc, FNV1A_OFFSET};
+pub use lru::LruTable;
 pub use pool::{par_map, worker_count};
 pub use request::{
     AccessKind, DemandAccess, FillLevel, PrefetchOutcome, PrefetchRequest, PrefetcherId,

@@ -5,10 +5,12 @@
 //! pure wall-clock knob and lets CI compare `BENCH_*.json` files across
 //! machines.
 
-use alecto_repro::types::{fnv1a_64, FNV1A_OFFSET};
+use alecto_repro::types::{
+    fnv1a_64, Addr, MemoryRecord, Pc, SplitMix64, TraceSource, Workload, FNV1A_OFFSET,
+};
 use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
 use harness::cellcache::report_to_json;
-use harness::runner::{run_multicore_mix, run_single_core_suite};
+use harness::runner::{run_cell, run_multicore_mix, run_single_core_suite, CellJob};
 use harness::SpeedupGrid;
 
 fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
@@ -179,6 +181,79 @@ fn approx_report_digests_are_pinned() {
 #[test]
 fn out_of_order_report_digests_are_pinned() {
     assert_digests(CoreModelKind::OutOfOrder, 0xfbac_1f8c_8a8c_c96c, 0x749c_f129_75ab_9d2d);
+}
+
+/// A seeded trace whose PC population overflows every PC-indexed table: 12
+/// hot PCs take 60% of the 12,000 accesses (enough for Alecto's 100-demand
+/// epochs), 60 warm PCs 25% and 300 cold PCs 15%. Each PC follows one
+/// pattern in a region of its own: a stream, a constant stride, a repeating
+/// delta chain or random lines.
+fn pc_pressure_source() -> TraceSource {
+    const HOT: u64 = 12;
+    const WARM: u64 = 60;
+    const COLD: u64 = 300;
+    let pcs = (HOT + WARM + COLD) as usize;
+    let mut rng = SplitMix64::new(0x9c_7e55);
+    let mut lines: Vec<u64> = (1..=pcs as u64).map(|i| i << 16).collect();
+    let mut steps = vec![0usize; pcs];
+    let records = (0..12_000)
+        .map(|_| {
+            let tier = rng.below(100);
+            let i = if tier < 60 {
+                rng.below(HOT)
+            } else if tier < 85 {
+                HOT + rng.below(WARM)
+            } else {
+                HOT + WARM + rng.below(COLD)
+            } as usize;
+            let region = (i as u64 + 1) << 16;
+            lines[i] = match i % 4 {
+                0 => lines[i] + 1,
+                1 => lines[i] + 2 + i as u64 % 5,
+                2 => lines[i] + [1, 1, 1, 4][steps[i] % 4],
+                _ => region + rng.below(4_096),
+            };
+            steps[i] += 1;
+            let pc = Pc::new(0x40_0000 + 4 * i as u64);
+            MemoryRecord::load(pc, Addr::new(lines[i] * 64), 3)
+        })
+        .collect();
+    TraceSource::from_workload(Workload::new("pc-pressure", records, true))
+}
+
+#[test]
+fn eviction_order_under_pc_pressure_is_pinned() {
+    // The registered traces carry 2-6 PCs each, so no other check fills a
+    // 64-entry table. These cells evict from every prefetcher table and from
+    // Alecto's Allocation and Sample Tables; DOL reaches the `probe` path.
+    let sources = [pc_pressure_source()];
+    let config = SystemConfig::skylake_like(1);
+    let mut digest = FNV1A_OFFSET;
+    for composite in [CompositeKind::GsCsPmp, CompositeKind::GsBertiCplx] {
+        for algorithm in [
+            SelectionAlgorithm::Ipcp,
+            SelectionAlgorithm::Dol,
+            SelectionAlgorithm::Bandit6,
+            SelectionAlgorithm::Alecto,
+            SelectionAlgorithm::AlectoFixedDegree(6),
+        ] {
+            let report =
+                run_cell(&CellJob { algorithm, composite, config: &config, sources: &sources });
+            for p in &report.cores[0].prefetchers {
+                assert!(
+                    p.stats.evictions > 0,
+                    "{} under {} evicted nothing",
+                    p.name,
+                    algorithm.label()
+                );
+            }
+            digest = fnv1a_64(digest, report_to_json(&report).as_bytes());
+        }
+    }
+    assert_eq!(
+        digest, 0xf5ee_74ce_e90f_8ff3,
+        "PC-pressure reports moved: digest is {digest:#018x}"
+    );
 }
 
 #[test]
