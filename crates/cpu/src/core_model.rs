@@ -23,9 +23,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use alecto_types::{AccessKind, MemoryRecord};
+use machine::{CoreModelKind, MachineSpec};
 use memsys::Hierarchy;
 
-use crate::config::{CoreModelKind, SystemConfig};
 use crate::controller::PrefetchController;
 use crate::metrics::{CoreReport, PrefetcherReport};
 use crate::ooo::OooPipeline;
@@ -80,7 +80,7 @@ impl ChainTable {
     }
 }
 
-/// One simulated core of the timing model [`SystemConfig::core_model`]
+/// One simulated core of the timing model [`MachineSpec::core_model`]
 /// selects.
 #[derive(Debug)]
 pub struct Core {
@@ -99,13 +99,13 @@ pub struct Core {
 }
 
 impl Core {
-    /// Creates core `core_id` with the timing model `config.core_model`
-    /// selects and the given prefetch controller.
+    /// Creates core `core_id` of `machine`, in the timing model
+    /// `machine.core_model` selects, with the given prefetch controller.
     #[must_use]
-    pub fn new(core_id: usize, config: &SystemConfig, controller: PrefetchController) -> Self {
-        let pipeline = match config.core_model {
-            CoreModelKind::Approx => Pipeline::Approx(ApproxPipeline::new(config)),
-            CoreModelKind::OutOfOrder => Pipeline::OutOfOrder(OooPipeline::new(config)),
+    pub fn new(core_id: usize, machine: &MachineSpec, controller: PrefetchController) -> Self {
+        let pipeline = match machine.core_model {
+            CoreModelKind::Approx => Pipeline::Approx(ApproxPipeline::new(machine)),
+            CoreModelKind::OutOfOrder => Pipeline::OutOfOrder(OooPipeline::new(machine)),
         };
         Self {
             core_id,
@@ -113,7 +113,7 @@ impl Core {
             instructions: 0,
             chain_completion: ChainTable::new(CHAIN_TABLE_CAPACITY),
             controller,
-            epoch_len: config.selector_epoch_instructions,
+            epoch_len: machine.selector_epoch_instructions,
             epoch_instr_mark: 0,
             epoch_cycle_mark: 0.0,
         }
@@ -303,12 +303,12 @@ struct ApproxPipeline {
 }
 
 impl ApproxPipeline {
-    fn new(config: &SystemConfig) -> Self {
+    fn new(machine: &MachineSpec) -> Self {
         Self {
-            fetch_width: f64::from(config.fetch_width),
-            commit_width: f64::from(config.commit_width),
-            rob_entries: u64::try_from(config.rob_entries).expect("ROB size fits in u64"),
-            load_queue: config.load_queue,
+            fetch_width: f64::from(machine.fetch_width),
+            commit_width: f64::from(machine.commit_width),
+            rob_entries: u64::try_from(machine.rob_entries).expect("ROB size fits in u64"),
+            load_queue: machine.load_queue,
             fetch_time: 0.0,
             retire_time: 0.0,
             rob_window: VecDeque::with_capacity(64),
@@ -374,7 +374,6 @@ mod tests {
     use super::*;
     use crate::selection::SelectionAlgorithm;
     use alecto_types::{Addr, Pc};
-    use machine::MachineSpec;
     use memsys::HierarchyParams;
     use prefetch::CompositeKind;
 
@@ -385,9 +384,8 @@ mod tests {
     }
 
     fn run(algo: SelectionAlgorithm, records: &[MemoryRecord]) -> CoreReport {
-        let config = SystemConfig::skylake_like(1);
         let controller = PrefetchController::new(CompositeKind::GsCsPmp, algo);
-        let mut core = Core::new(0, &config, controller);
+        let mut core = Core::new(0, &MachineSpec::table1(1), controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         for r in records {
             core.step(r, &mut hier);
@@ -487,11 +485,11 @@ mod tests {
         // slower and expose a higher average memory latency.
         let trace = stream_trace(4_000, 6);
         let run_with = |timing: memsys::TimingParams| {
-            let config = SystemConfig::from_machine(&MachineSpec::table1(1).with_timing(timing));
+            let machine = MachineSpec::table1(1).with_timing(timing);
             let controller =
                 PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-            let mut core = Core::new(0, &config, controller);
-            let mut hier = Hierarchy::new(config.hierarchy.clone());
+            let mut core = Core::new(0, &machine, controller);
+            let mut hier = Hierarchy::new(machine.hierarchy());
             for r in &trace {
                 core.step(r, &mut hier);
             }
@@ -538,20 +536,20 @@ mod tests {
     fn load_queue_never_exceeds_capacity() {
         // The queue frees the earliest-completing entry on a stall and never
         // transiently holds more than `load_queue` completions.
-        let config = SystemConfig::skylake_like(1);
+        let machine = MachineSpec::table1(1);
         let controller =
             PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-        let mut core = Core::new(0, &config, controller);
+        let mut core = Core::new(0, &machine, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         // Zero-gap DRAM-bound loads keep the queue saturated.
         for r in &stream_trace(4_000, 0) {
             core.step(r, &mut hier);
             let Pipeline::Approx(pipeline) = &core.pipeline else { unreachable!("Approx preset") };
             assert!(
-                pipeline.inflight_loads.len() <= config.load_queue,
+                pipeline.inflight_loads.len() <= machine.load_queue,
                 "load queue holds {} entries, capacity {}",
                 pipeline.inflight_loads.len(),
-                config.load_queue
+                machine.load_queue
             );
         }
     }
@@ -580,10 +578,9 @@ mod tests {
     fn dependent_stream_with_many_pcs_keeps_the_core_chain_bounded() {
         // End-to-end flavour of the same regression: distinct dependent PCs
         // flowing through `step` must not grow core state without bound.
-        let config = SystemConfig::skylake_like(1);
         let controller =
             PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-        let mut core = Core::new(0, &config, controller);
+        let mut core = Core::new(0, &MachineSpec::table1(1), controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         let distinct = u64::try_from(CHAIN_TABLE_CAPACITY).unwrap() * 3;
         for i in 0..distinct {
@@ -597,10 +594,10 @@ mod tests {
     #[test]
     fn both_pipelines_honour_the_core_contract() {
         for kind in [CoreModelKind::Approx, CoreModelKind::OutOfOrder] {
-            let config = SystemConfig::skylake_like(1).with_core_model(kind);
+            let machine = MachineSpec::table1(1).with_core_model(kind);
             let controller =
                 PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-            let mut core = Core::new(0, &config, controller);
+            let mut core = Core::new(0, &machine, controller);
             let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
             let mut last_time = 0.0f64;
             for i in 0..500u64 {

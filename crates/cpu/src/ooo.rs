@@ -21,8 +21,9 @@
 use alecto_types::{AccessKind, MemoryRecord};
 use memsys::Hierarchy;
 
+use machine::MachineSpec;
+
 use crate::branch::{GsharePredictor, MISPREDICT_PENALTY};
-use crate::config::SystemConfig;
 use crate::lsq::LoadStoreQueue;
 use crate::rob::ReorderBuffer;
 
@@ -50,11 +51,11 @@ pub(crate) struct OooPipeline {
 }
 
 impl OooPipeline {
-    pub(crate) fn new(config: &SystemConfig) -> Self {
+    pub(crate) fn new(machine: &MachineSpec) -> Self {
         Self {
-            fetch_width: u64::from(config.fetch_width),
-            rob: ReorderBuffer::new(config.rob_entries, config.commit_width),
-            lsq: LoadStoreQueue::new(config.load_queue, config.store_queue),
+            fetch_width: u64::from(machine.fetch_width),
+            rob: ReorderBuffer::new(machine.rob_entries, machine.commit_width),
+            lsq: LoadStoreQueue::new(machine.load_queue, machine.store_queue),
             branch: GsharePredictor::new(),
             fetch_cycle: 0,
             fetch_slots: 0,
@@ -149,7 +150,6 @@ impl OooPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreModelKind;
     use crate::controller::PrefetchController;
     use crate::core_model::Core;
     use crate::metrics::CoreReport;
@@ -165,9 +165,9 @@ mod tests {
     }
 
     fn run(algo: SelectionAlgorithm, records: &[MemoryRecord]) -> CoreReport {
-        let config = SystemConfig::skylake_like(1).with_core_model(CoreModelKind::OutOfOrder);
+        let machine = MachineSpec::table1(1).with_core_model(crate::CoreModelKind::OutOfOrder);
         let controller = PrefetchController::new(CompositeKind::GsCsPmp, algo);
-        let mut core = Core::new(0, &config, controller);
+        let mut core = Core::new(0, &machine, controller);
         let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
         for r in records {
             core.step(r, &mut hier);

@@ -1,5 +1,5 @@
 //! The multi-core [`System`]: one [`Core`] per core (in the timing preset
-//! [`SystemConfig::core_model`] selects), a shared [`memsys::Hierarchy`],
+//! [`MachineSpec::core_model`] selects), a shared [`memsys::Hierarchy`],
 //! and a round-robin-by-time scheduler that keeps the cores in rough lockstep
 //! so that shared-resource contention (L3, DRAM channels) is modelled
 //! faithfully.
@@ -12,10 +12,10 @@ use std::fmt;
 use std::iter::Flatten;
 
 use alecto_types::{MemoryRecord, RecordBatches, TraceSource};
+use machine::MachineSpec;
 use memsys::Hierarchy;
 use prefetch::CompositeKind;
 
-use crate::config::SystemConfig;
 use crate::controller::PrefetchController;
 use crate::core_model::Core;
 use crate::metrics::SystemReport;
@@ -45,39 +45,25 @@ impl std::error::Error for RunError {}
 /// A complete simulated system.
 #[derive(Debug)]
 pub struct System {
-    config: SystemConfig,
-    algorithm: SelectionAlgorithm,
     composite: CompositeKind,
     hierarchy: Hierarchy,
     cores: Vec<Core>,
 }
 
 impl System {
-    /// Builds a system with `config`, running `algorithm` over `composite` on
-    /// every core.
+    /// Builds `machine`, running `algorithm` over `composite` on every core:
+    /// the hierarchy is lowered once, through [`MachineSpec::hierarchy`].
     #[must_use]
     pub fn new(
-        config: SystemConfig,
+        machine: MachineSpec,
         algorithm: SelectionAlgorithm,
         composite: CompositeKind,
     ) -> Self {
-        let hierarchy = Hierarchy::new(config.hierarchy.clone());
-        let cores = (0..config.cores)
-            .map(|id| Core::new(id, &config, PrefetchController::new(composite, algorithm)))
+        let hierarchy = Hierarchy::new(machine.hierarchy());
+        let cores = (0..machine.cores)
+            .map(|id| Core::new(id, &machine, PrefetchController::new(composite, algorithm)))
             .collect();
-        Self { config, algorithm, composite, hierarchy, cores }
-    }
-
-    /// Configuration in use.
-    #[must_use]
-    pub const fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// The selection algorithm being simulated.
-    #[must_use]
-    pub const fn algorithm(&self) -> SelectionAlgorithm {
-        self.algorithm
+        Self { composite, hierarchy, cores }
     }
 
     /// Runs the system to completion over one lazy [`TraceSource`] per core
@@ -169,7 +155,7 @@ impl System {
 type RecordStream = Flatten<RecordBatches>;
 
 // The parallel experiment engine builds a `System` from a shared
-// `&SystemConfig` on a worker thread and sends the `SystemReport` back, so
+// `&MachineSpec` on a worker thread and sends the `SystemReport` back, so
 // all three must be `Send` (and the inputs `Sync`). Asserting it here keeps
 // the whole dependency tree honest: reintroducing an `Rc`, a raw pointer or
 // a non-`Send` trait object anywhere below breaks the build, not the harness.
@@ -177,8 +163,8 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_sync<T: Sync>() {}
     assert_send::<System>();
-    assert_send::<SystemConfig>();
-    assert_sync::<SystemConfig>();
+    assert_send::<MachineSpec>();
+    assert_sync::<MachineSpec>();
     assert_send::<SystemReport>();
     assert_sync::<SystemReport>();
     assert_send::<TraceSource>();
@@ -200,11 +186,11 @@ mod tests {
     }
 
     fn run(
-        config: SystemConfig,
+        machine: MachineSpec,
         algorithm: SelectionAlgorithm,
         sources: &[TraceSource],
     ) -> SystemReport {
-        System::new(config, algorithm, CompositeKind::GsCsPmp)
+        System::new(machine, algorithm, CompositeKind::GsCsPmp)
             .run_sources(sources)
             .expect("non-empty sources")
     }
@@ -212,7 +198,7 @@ mod tests {
     #[test]
     fn single_core_run_produces_report() {
         let report = run(
-            SystemConfig::skylake_like(1),
+            MachineSpec::table1(1),
             SelectionAlgorithm::Alecto,
             &[stream_source(3_000, "stream")],
         );
@@ -225,11 +211,8 @@ mod tests {
 
     #[test]
     fn eight_core_homogeneous_run() {
-        let report = run(
-            SystemConfig::skylake_like(8),
-            SelectionAlgorithm::Ipcp,
-            &[stream_source(800, "stream")],
-        );
+        let report =
+            run(MachineSpec::table1(8), SelectionAlgorithm::Ipcp, &[stream_source(800, "stream")]);
         assert_eq!(report.cores.len(), 8);
         assert!(report.cores.iter().all(|c| c.instructions > 0));
         assert!(report.geomean_ipc().unwrap() > 0.0);
@@ -237,9 +220,8 @@ mod tests {
 
     #[test]
     fn out_of_order_system_runs_and_reports_pipeline_metrics() {
-        let config =
-            SystemConfig::skylake_like(2).with_core_model(crate::config::CoreModelKind::OutOfOrder);
-        let report = run(config, SelectionAlgorithm::Alecto, &[stream_source(1_200, "stream")]);
+        let machine = MachineSpec::table1(2).with_core_model(crate::CoreModelKind::OutOfOrder);
+        let report = run(machine, SelectionAlgorithm::Alecto, &[stream_source(1_200, "stream")]);
         assert_eq!(report.cores.len(), 2);
         for core in &report.cores {
             assert!(core.ipc > 0.0 && core.ipc.is_finite());
@@ -253,7 +235,7 @@ mod tests {
     #[test]
     fn heterogeneous_assignment_wraps_workloads() {
         let report = run(
-            SystemConfig::skylake_like(4),
+            MachineSpec::table1(4),
             SelectionAlgorithm::NoPrefetching,
             &[stream_source(500, "a"), stream_source(700, "b")],
         );
@@ -279,11 +261,9 @@ mod tests {
                 }))
             })
         };
-        let single =
-            run(SystemConfig::skylake_like(1), SelectionAlgorithm::NoPrefetching, &[make(0)]);
+        let single = run(MachineSpec::table1(1), SelectionAlgorithm::NoPrefetching, &[make(0)]);
         let copies: Vec<TraceSource> = (0..8).map(make).collect();
-        let multi_report =
-            run(SystemConfig::skylake_like(8), SelectionAlgorithm::NoPrefetching, &copies);
+        let multi_report = run(MachineSpec::table1(8), SelectionAlgorithm::NoPrefetching, &copies);
         let avg_multi: f64 =
             multi_report.cores.iter().map(|c| c.ipc).sum::<f64>() / multi_report.cores.len() as f64;
         assert!(
@@ -302,20 +282,16 @@ mod tests {
             let lazy = [stream_source(900, "s"), stream_source(500, "t")];
             let materialised: Vec<TraceSource> =
                 lazy.iter().map(|s| TraceSource::from_workload(s.collect())).collect();
-            let a = run(SystemConfig::skylake_like(cores), SelectionAlgorithm::Alecto, &lazy);
-            let b =
-                run(SystemConfig::skylake_like(cores), SelectionAlgorithm::Alecto, &materialised);
+            let a = run(MachineSpec::table1(cores), SelectionAlgorithm::Alecto, &lazy);
+            let b = run(MachineSpec::table1(cores), SelectionAlgorithm::Alecto, &materialised);
             assert_eq!(a, b, "streamed vs materialised reports diverged at {cores} cores");
         }
     }
 
     #[test]
     fn empty_sources_is_a_validation_error() {
-        let mut system = System::new(
-            SystemConfig::skylake_like(1),
-            SelectionAlgorithm::Alecto,
-            CompositeKind::GsCsPmp,
-        );
+        let mut system =
+            System::new(MachineSpec::table1(1), SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
         let err = system.run_sources(&[]).unwrap_err();
         assert_eq!(err, RunError::NoSources);
         assert!(

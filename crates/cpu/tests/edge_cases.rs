@@ -6,10 +6,8 @@
 //! accounting.
 
 use alecto_types::{Addr, MemoryRecord, Pc, TraceSource, Workload};
-use cpu::{
-    CompositeKind, Core, CoreModelKind, PrefetchController, SelectionAlgorithm, System,
-    SystemConfig,
-};
+use cpu::{CompositeKind, Core, CoreModelKind, PrefetchController, SelectionAlgorithm, System};
+use machine::MachineSpec;
 use memsys::{Hierarchy, HierarchyParams};
 
 const BOTH: [CoreModelKind; 2] = [CoreModelKind::Approx, CoreModelKind::OutOfOrder];
@@ -17,10 +15,10 @@ const BOTH: [CoreModelKind; 2] = [CoreModelKind::Approx, CoreModelKind::OutOfOrd
 /// Steps `records` through a fresh core of `kind`, asserting the clock is
 /// monotone, and returns the final report.
 fn run_checked(kind: CoreModelKind, records: &[MemoryRecord]) -> cpu::CoreReport {
-    let config = SystemConfig::skylake_like(1).with_core_model(kind);
+    let machine = MachineSpec::table1(1).with_core_model(kind);
     let controller =
         PrefetchController::new(CompositeKind::GsCsPmp, SelectionAlgorithm::NoPrefetching);
-    let mut core = Core::new(0, &config, controller);
+    let mut core = Core::new(0, &machine, controller);
     let mut hier = Hierarchy::new(HierarchyParams::skylake_like(1));
     let mut last = core.current_time();
     for r in records {
@@ -43,8 +41,8 @@ fn zero_record_source_per_core_still_reports() {
     // rather than divide by zero or panic, under both presets.
     let empty = TraceSource::from_workload(Workload::new("empty", Vec::new(), false));
     for kind in BOTH {
-        let config = SystemConfig::skylake_like(2).with_core_model(kind);
-        let mut system = System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
+        let machine = MachineSpec::table1(2).with_core_model(kind);
+        let mut system = System::new(machine, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
         let report =
             system.run_sources(std::slice::from_ref(&empty)).expect("one source is enough");
         assert_eq!(report.cores.len(), 2);

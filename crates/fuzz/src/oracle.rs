@@ -9,7 +9,7 @@ use std::panic;
 use std::thread;
 
 use alecto_types::TraceSource;
-use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemReport};
 use machine::MachineSpec;
 
 /// Default pathology threshold: the selector must stay within 5% of the best
@@ -98,7 +98,7 @@ pub struct Firing {
 /// GS+CS+PMP stack when the machine file has no `[prefetch]` section.
 #[must_use]
 pub fn machine_composite(spec: &MachineSpec) -> CompositeKind {
-    spec.prefetch.map_or(CompositeKind::GsCsPmp, cpu::composite_from_stack)
+    spec.prefetch.unwrap_or(CompositeKind::GsCsPmp)
 }
 
 /// Runs one cell (machine × algorithm × composite × source) to a report.
@@ -113,7 +113,7 @@ pub fn run_cell(
     algorithm: SelectionAlgorithm,
     composite: CompositeKind,
 ) -> SystemReport {
-    let mut system = System::new(SystemConfig::from_machine(spec), algorithm, composite);
+    let mut system = System::new(spec.clone(), algorithm, composite);
     system.run_sources(std::slice::from_ref(source)).expect("one source provided")
 }
 

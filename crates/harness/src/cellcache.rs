@@ -501,11 +501,12 @@ pub fn report_from_json(body: &str) -> Result<SystemReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+    use cpu::{CompositeKind, SelectionAlgorithm};
+    use machine::MachineSpec;
 
     fn tiny_cell_report(accesses: usize) -> (u64, SystemReport) {
         let sources = [traces::spec06::source("lbm", accesses)];
-        let config = SystemConfig::skylake_like(1);
+        let config = MachineSpec::table1(1);
         let cell = CellJob {
             algorithm: SelectionAlgorithm::Alecto,
             composite: CompositeKind::GsCsPmp,
@@ -562,7 +563,7 @@ mod tests {
     fn executor_memoizes_identical_cells() {
         let cache = CellCache::new(8);
         let sources = [traces::spec06::source("povray", 250)];
-        let config = SystemConfig::skylake_like(1);
+        let config = MachineSpec::table1(1);
         let cell = CellJob {
             algorithm: SelectionAlgorithm::Ipcp,
             composite: CompositeKind::GsCsPmp,

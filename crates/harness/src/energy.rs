@@ -75,10 +75,11 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig};
+    use cpu::{CompositeKind, SelectionAlgorithm, System};
+    use machine::MachineSpec;
 
     fn run(algorithm: SelectionAlgorithm, name: &str, accesses: usize) -> SystemReport {
-        System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp)
+        System::new(MachineSpec::table1(1), algorithm, CompositeKind::GsCsPmp)
             .run_sources(&[traces::spec06::source(name, accesses)])
             .expect("one source")
     }

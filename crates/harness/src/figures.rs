@@ -6,7 +6,7 @@
 
 use alecto::{storage_breakdown, AlectoConfig};
 use alecto_types::TraceSource;
-use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+use cpu::{CompositeKind, SelectionAlgorithm};
 use memsys::DramKind;
 use prefetch::build_composite;
 use selectors::Selector;
@@ -504,8 +504,7 @@ pub fn fig15(scale: &RunScale) -> Experiment {
         h
     });
     for mb in [512 * 1024u64, 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024] {
-        let config = SystemConfig::from_machine(&scale.machine_at(1).with_llc_per_core(mb))
-            .with_core_model(scale.core_model);
+        let config = scale.base_config(1).with_llc_per_core(mb);
         let grid = run_single_core_suite(
             &workloads,
             &main_algorithms(),
@@ -533,8 +532,7 @@ pub fn fig16(scale: &RunScale) -> Experiment {
         h
     });
     for (label, kind) in [("DDR3-1600", DramKind::Ddr3_1600), ("DDR4-2400", DramKind::Ddr4_2400)] {
-        let config = SystemConfig::from_machine(&scale.machine_at(1).with_dram_kind(kind))
-            .with_core_model(scale.core_model);
+        let config = scale.base_config(1).with_dram_kind(kind);
         let grid = run_single_core_suite(
             &workloads,
             &main_algorithms(),
@@ -920,8 +918,7 @@ pub fn timing(scale: &RunScale) -> Experiment {
     ];
     let mut grids = Vec::new();
     for (tag, timing, core_model) in configs {
-        let config = SystemConfig::from_machine(&scale.machine_at(1).with_timing(timing))
-            .with_core_model(core_model);
+        let config = scale.machine_at(1).with_timing(timing).with_core_model(core_model);
         let sources: Vec<TraceSource> = [
             traces::spec06::source("mcf", scale.accesses),
             traces::gc::source("linked-list", scale.accesses),

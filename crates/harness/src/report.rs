@@ -789,12 +789,13 @@ mod tests {
 
     #[test]
     fn grid_cells_flatten_every_pair() {
-        use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+        use cpu::{CompositeKind, SelectionAlgorithm};
+        use machine::MachineSpec;
         let grid = crate::runner::run_single_core_suite(
             &[traces::spec06::source("lbm", 400)],
             &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             1,
         );
         let cells = grid_cells(&grid);
@@ -823,12 +824,13 @@ mod tests {
         // so the emitted JSON was internally inconsistent. For a single-core
         // cell the geomean IPC is that core's IPC, so the emitted fields
         // must satisfy ipc == instructions / cycles exactly as reported.
-        use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+        use cpu::{CompositeKind, SelectionAlgorithm};
+        use machine::MachineSpec;
         let grid = crate::runner::run_single_core_suite(
             &[traces::spec06::source("mcf", 600)],
             &[SelectionAlgorithm::Alecto],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             1,
         );
         let e = Experiment::new("x", "y", Table::new(vec!["a"])).with_grid(&grid);

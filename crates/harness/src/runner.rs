@@ -6,7 +6,7 @@
 //!
 //! Every benchmark × algorithm cell of a sweep — the baseline included — is
 //! an *independent* simulation: it builds its own [`System`] from a shared
-//! `&SystemConfig` and streams its records from a shared, immutable
+//! `&MachineSpec` and streams its records from a shared, immutable
 //! [`TraceSource`] (each cell replays its own lazy iterator, so traces are
 //! never materialised — a 10-million-access sweep holds one record per core
 //! in memory). The engine fans the cells out across
@@ -27,7 +27,8 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use alecto_types::{fnv1a_64, geomean, par_map, TraceSource, FNV1A_OFFSET};
-use cpu::{CompositeKind, SelectionAlgorithm, System, SystemConfig, SystemReport};
+use cpu::{CompositeKind, SelectionAlgorithm, System, SystemReport};
+use machine::MachineSpec;
 
 use crate::report::Table;
 
@@ -50,11 +51,11 @@ pub struct RunScale {
     /// initialised from the machine's `[core] model` and an explicit
     /// `--core-model` flag then overrides it.
     pub core_model: cpu::CoreModelKind,
-    /// Machine description the sweep cells lower their [`SystemConfig`]s
-    /// from (`--machine` / the sweep server's `"machine"` field). `None`
-    /// means the anonymous Table-I defaults — the historical behaviour,
-    /// byte-identical to before machines existed.
-    pub machine: Option<machine::MachineSpec>,
+    /// Machine description the sweep cells run on (`--machine` / the sweep
+    /// server's `"machine"` field). `None` means the anonymous Table-I
+    /// defaults — the historical behaviour, byte-identical to before
+    /// machines existed.
+    pub machine: Option<MachineSpec>,
 }
 
 impl Default for RunScale {
@@ -102,31 +103,29 @@ impl RunScale {
     /// [`RunScale::with_core_model`] still overrides it, mirroring how the
     /// CLI layers `--core-model` over `--machine`).
     #[must_use]
-    pub fn with_machine(mut self, spec: machine::MachineSpec) -> Self {
+    pub fn with_machine(mut self, spec: MachineSpec) -> Self {
         self.core_model = spec.core_model;
         self.machine = Some(spec);
         self
     }
 
-    /// The machine spec experiments lower configs from at a given structural
-    /// core count: the selected machine rescaled to `cores` (keeping its
-    /// per-core geometry), or the anonymous Table-I machine when no machine
-    /// was selected.
+    /// The machine experiments vary at a given structural core count: the
+    /// selected machine rescaled to `cores` (keeping its per-core geometry),
+    /// or the anonymous Table-I machine when no machine was selected.
     #[must_use]
-    pub fn machine_at(&self, cores: usize) -> machine::MachineSpec {
+    pub fn machine_at(&self, cores: usize) -> MachineSpec {
         match &self.machine {
             Some(spec) => spec.clone().with_cores(cores),
-            None => machine::MachineSpec::table1(cores),
+            None => MachineSpec::table1(cores),
         }
     }
 
-    /// The [`SystemConfig`] a sweep cell at `cores` cores runs under: the
-    /// scale's machine lowered at that core count, with the scale's core
-    /// model applied on top. This is the one funnel every figure builder
-    /// goes through.
+    /// The machine a sweep cell at `cores` cores runs on: the scale's
+    /// machine at that core count, with the scale's core model applied on
+    /// top.
     #[must_use]
-    pub fn base_config(&self, cores: usize) -> SystemConfig {
-        SystemConfig::from_machine(&self.machine_at(cores)).with_core_model(self.core_model)
+    pub fn base_config(&self, cores: usize) -> MachineSpec {
+        self.machine_at(cores).with_core_model(self.core_model)
     }
 
     /// Structural core count for multi-core experiments: the machine's own
@@ -144,10 +143,7 @@ impl RunScale {
     /// and do not consult this.
     #[must_use]
     pub fn composite(&self, default: CompositeKind) -> CompositeKind {
-        match self.machine.as_ref().and_then(|spec| spec.prefetch) {
-            Some(stack) => cpu::composite_from_stack(stack),
-            None => default,
-        }
+        self.machine.as_ref().and_then(|spec| spec.prefetch).unwrap_or(default)
     }
 
     /// Resolves a scale request the way the CLI documents, in order: the
@@ -181,7 +177,7 @@ impl RunScale {
 }
 
 /// One independent simulation cell: one algorithm (or the baseline) over one
-/// trace-source assignment under one system configuration. Sources are lazy:
+/// trace-source assignment on one machine. Sources are lazy:
 /// the cell regenerates its records on its worker thread, so a sweep's
 /// memory footprint is O(cells in flight), never O(trace length).
 ///
@@ -196,29 +192,32 @@ pub struct CellJob<'a> {
     pub algorithm: SelectionAlgorithm,
     /// Composite prefetcher configuration simulated under the algorithm.
     pub composite: CompositeKind,
-    /// Shared system configuration (caches, timing, selector epochs).
-    pub config: &'a SystemConfig,
+    /// Shared machine (core, caches, timing, selector epochs).
+    pub config: &'a MachineSpec,
     /// Trace assignment: core `i` replays `sources[i % sources.len()]`.
     pub sources: &'a [TraceSource],
 }
 
 impl CellJob<'_> {
     /// The cell's content-addressed cache key: a canonical FNV-1a64 digest of
-    /// the algorithm, the composite, the full [`SystemConfig`] (its `Debug`
-    /// rendering covers every field, [`memsys::TimingParams`] included) and each
-    /// trace source's [`TraceSource::fingerprint`] (which folds in names,
-    /// access budgets, generation seeds and `.altr` body checksums). Every
-    /// input that can change the cell's report feeds the key, so two cells
-    /// with equal keys produce byte-identical [`SystemReport`]s — the
-    /// invariant `harness::cellcache` memoization rests on.
+    /// the algorithm, the composite, the machine's
+    /// [`MachineSpec::fingerprint`] (the digest of its canonical text, which
+    /// renders every field) and each trace source's
+    /// [`TraceSource::fingerprint`] (which folds in names, access budgets,
+    /// generation seeds and `.altr` body checksums). Every input that can
+    /// change the cell's report feeds the key, so two cells with equal keys
+    /// produce byte-identical [`SystemReport`]s — the invariant
+    /// `harness::cellcache` memoization rests on. A change to this derivation
+    /// bumps the `cell-vN|` tag, so old disk-tier entries miss instead of
+    /// colliding.
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        let mut key = fnv1a_64(FNV1A_OFFSET, b"cell-v1|");
+        let mut key = fnv1a_64(FNV1A_OFFSET, b"cell-v2|");
         key = fnv1a_64(key, self.algorithm.label().as_bytes());
         key = fnv1a_64(key, b"|");
         key = fnv1a_64(key, format!("{:?}", self.composite).as_bytes());
         key = fnv1a_64(key, b"|");
-        key = fnv1a_64(key, format!("{:?}", self.config).as_bytes());
+        key = fnv1a_64(key, &self.config.fingerprint().to_le_bytes());
         key = fnv1a_64(key, &(self.sources.len() as u64).to_le_bytes());
         for source in self.sources {
             key = fnv1a_64(key, &source.fingerprint().to_le_bytes());
@@ -423,7 +422,7 @@ pub fn run_single_core_suite(
     sources: &[TraceSource],
     algorithms: &[SelectionAlgorithm],
     composite: CompositeKind,
-    config: &SystemConfig,
+    config: &MachineSpec,
     jobs: usize,
 ) -> SpeedupGrid {
     let cells: Vec<CellJob<'_>> = sources
@@ -460,7 +459,7 @@ pub fn run_multicore_mix(
     sources: &[TraceSource],
     algorithms: &[SelectionAlgorithm],
     composite: CompositeKind,
-    config: &SystemConfig,
+    config: &MachineSpec,
     jobs: usize,
 ) -> SpeedupGrid {
     let cells: Vec<CellJob<'_>> = std::iter::once(SelectionAlgorithm::NoPrefetching)
@@ -507,7 +506,7 @@ mod tests {
             &tiny_workloads(),
             &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             1,
         );
         assert_eq!(grid.benchmarks.len(), 2);
@@ -522,7 +521,7 @@ mod tests {
     fn serial_and_parallel_grids_are_identical() {
         let workloads = tiny_workloads();
         let algorithms = [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto];
-        let config = SystemConfig::skylake_like(1);
+        let config = MachineSpec::table1(1);
         let serial =
             run_single_core_suite(&workloads, &algorithms, CompositeKind::GsCsPmp, &config, 1);
         let parallel =
@@ -536,7 +535,7 @@ mod tests {
             &[traces::spec06::source("lbm", 400)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             64,
         );
         assert_eq!(grid.benchmarks.len(), 1);
@@ -549,7 +548,7 @@ mod tests {
             &tiny_workloads(),
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             2,
         );
         // Only lbm is memory intensive in the tiny set.
@@ -565,7 +564,7 @@ mod tests {
             &traces::parsec::per_core_sources("streamcluster", 600, 2),
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(2),
+            &MachineSpec::table1(2),
             2,
         );
         assert_eq!(grid.benchmarks.len(), 1);
@@ -576,7 +575,7 @@ mod tests {
     fn multicore_mix_is_deterministic_across_worker_counts() {
         let workloads = traces::parsec::per_core_sources("canneal", 400, 2);
         let algorithms = [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto];
-        let config = SystemConfig::skylake_like(2);
+        let config = MachineSpec::table1(2);
         let serial =
             run_multicore_mix("mix", &workloads, &algorithms, CompositeKind::GsCsPmp, &config, 1);
         let parallel =
@@ -590,14 +589,14 @@ mod tests {
             &[traces::spec06::source("lbm", 800)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             1,
         );
         let b = run_single_core_suite(
             &[traces::spec17::source("lbm_17", 800)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
-            &SystemConfig::skylake_like(1),
+            &MachineSpec::table1(1),
             2,
         );
         let merged = merge_grids(vec![a, b]);
@@ -613,7 +612,7 @@ mod tests {
     #[test]
     fn cache_key_covers_every_cell_input() {
         let sources = tiny_workloads();
-        let config = SystemConfig::skylake_like(1);
+        let config = MachineSpec::table1(1);
         let base = CellJob {
             algorithm: SelectionAlgorithm::Alecto,
             composite: CompositeKind::GsCsPmp,
@@ -631,19 +630,34 @@ mod tests {
             CellJob { composite: CompositeKind::PmpOnly, ..base }.cache_key(),
             "composite"
         );
-        let other_config = SystemConfig::skylake_like(2);
-        assert_ne!(
-            base.cache_key(),
-            CellJob { config: &other_config, ..base }.cache_key(),
-            "system configuration"
-        );
-        let ooo_config =
-            SystemConfig::skylake_like(1).with_core_model(cpu::CoreModelKind::OutOfOrder);
-        assert_ne!(
-            base.cache_key(),
-            CellJob { config: &ooo_config, ..base }.cache_key(),
-            "core timing model"
-        );
+        let mut fast_l1d = MachineSpec::table1(1);
+        fast_l1d.l1d.latency -= 1;
+        let machines = [
+            ("core count", MachineSpec::table1(2)),
+            ("core timing model", config.clone().with_core_model(cpu::CoreModelKind::OutOfOrder)),
+            ("LLC per core", config.clone().with_llc_per_core(512 * 1024)),
+            ("DRAM kind", config.clone().with_dram_kind(memsys::DramKind::Ddr3_1600)),
+            // Explicit knobs equal to the balanced preset still key apart:
+            // the two spellings are distinct specs (a miss, never a wrong hit).
+            ("explicit drain knobs", config.clone().with_timing(memsys::TimingParams::balanced())),
+            (
+                "selector epoch",
+                MachineSpec { selector_epoch_instructions: 10_000, ..config.clone() },
+            ),
+            ("L1D latency", fast_l1d),
+            ("machine name", MachineSpec { name: "t1".to_string(), ..config.clone() }),
+            (
+                "pinned [prefetch] stack",
+                MachineSpec { prefetch: Some(CompositeKind::GsCsPmp), ..config.clone() },
+            ),
+        ];
+        for (input, machine) in &machines {
+            assert_ne!(
+                base.cache_key(),
+                CellJob { config: machine, ..base }.cache_key(),
+                "{input}"
+            );
+        }
         assert_ne!(
             base.cache_key(),
             CellJob { sources: &sources[1..], ..base }.cache_key(),
@@ -663,6 +677,23 @@ mod tests {
     }
 
     #[test]
+    fn cell_key_derivation_is_pinned() {
+        // The disk tier stores cells under this key, so a silent change to
+        // its derivation would make old entries answer for other cells. A
+        // deliberate change bumps the `cell-vN|` tag, updates
+        // docs/PROTOCOL.md and re-records this constant.
+        let config = MachineSpec::table1(1);
+        let sources = [traces::spec06::source("lbm", 300)];
+        let cell = CellJob {
+            algorithm: SelectionAlgorithm::Alecto,
+            composite: CompositeKind::GsCsPmp,
+            config: &config,
+            sources: &sources,
+        };
+        assert_eq!(format!("{:016x}", cell.cache_key()), "4140bbf5f2af6efd");
+    }
+
+    #[test]
     fn scoped_executor_intercepts_every_cell_and_restores() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -676,7 +707,7 @@ mod tests {
 
         let workloads = tiny_workloads();
         let algorithms = [SelectionAlgorithm::Ipcp];
-        let config = SystemConfig::skylake_like(1);
+        let config = MachineSpec::table1(1);
         let plain =
             run_single_core_suite(&workloads, &algorithms, CompositeKind::GsCsPmp, &config, 1);
         let counter = Arc::new(Counting(AtomicUsize::new(0)));

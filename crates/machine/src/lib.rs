@@ -12,17 +12,17 @@
 //! * or taken from the built-in registry ([`builtin`], [`load`]) of named
 //!   machines (`mobile` / `desktop` / `server` / `manycore`) embedded via
 //!   `include_str!`;
-//! * and lowered into the simulator's existing config structs through one
-//!   shared funnel (`SystemConfig::from_machine` in the `cpu` crate, built
-//!   on [`MachineSpec::hierarchy`]) that the CLI, the sweep server and the
-//!   tests all use.
+//! * and simulated as is: `cpu::System::new` takes the spec and lowers its
+//!   memory hierarchy once, through [`MachineSpec::hierarchy`]. The CLI, the
+//!   sweep server and the tests all pass specs; there is no second machine
+//!   type. A pinned `[prefetch]` stack is a `prefetch::CompositeKind`.
 //!
 //! Specs are canonical: [`MachineSpec::canonical_text`] renders a spec back
 //! to the format deterministically, and [`MachineSpec::fingerprint`] is the
 //! FNV-1a64 digest of that rendering — a stable content address that names
-//! the machine in reports and the sweep protocol. The lowered configuration
-//! feeds the harness cell cache's key through `SystemConfig`'s `Debug`
-//! rendering, so memoized cells stay content-addressed per machine.
+//! the machine in reports and the sweep protocol, and keys the harness's
+//! cached cells. `canonical_text` destructures every field, so a field added
+//! to the spec cannot compile until it is rendered, and so fingerprinted.
 //!
 //! # The format, by example
 //!
@@ -87,7 +87,7 @@ mod spec;
 
 pub use parse::{compile_entries, parse, Entry, RawValue, FORMAT_VERSION};
 pub use registry::{builtin, load, BUILTIN_NAMES};
-pub use spec::{MachineSpec, PrefetchStack, TimingPreset, TimingSpec};
+pub use spec::{MachineSpec, TimingPreset, TimingSpec};
 
 /// Which timing model simulates each core.
 ///

@@ -6,8 +6,9 @@
 
 use alecto_types::CACHE_LINE_BYTES;
 use memsys::CacheParams;
+use prefetch::CompositeKind;
 
-use crate::spec::{dram_from_label, MachineSpec, PrefetchStack, TimingPreset, TimingSpec};
+use crate::spec::{dram_from_label, prefetch_from_label, MachineSpec, TimingPreset, TimingSpec};
 use crate::CoreModelKind;
 
 /// The format version this build reads and writes.
@@ -440,17 +441,17 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
     let metadata = pool.take_int("prefetch.temporal_metadata_kb")?;
     match (stack, metadata) {
         (Some((label, line)), metadata) => {
-            let parsed = PrefetchStack::from_label(&label).ok_or_else(|| {
+            let parsed = prefetch_from_label(&label).ok_or_else(|| {
                 err_at(
                     line,
                     format!("unknown prefetch stack {label:?} (expected gs-cs-pmp, gs-berti-cplx, gs-cs-pmp-temporal, pmp or berti)"),
                 )
             })?;
             spec.prefetch = Some(match (parsed, metadata) {
-                (PrefetchStack::GsCsPmpTemporal { .. }, Some((kb, kb_line))) => {
+                (CompositeKind::GsCsPmpTemporal { .. }, Some((kb, kb_line))) => {
                     let key = "prefetch.temporal_metadata_kb";
                     let kb = as_u32(positive(kb, kb_line, key)?, kb_line, key)?;
-                    PrefetchStack::GsCsPmpTemporal { metadata_kb: kb }
+                    CompositeKind::GsCsPmpTemporal { metadata_bytes: u64::from(kb) * 1024 }
                 }
                 (stack, None) => stack,
                 (_, Some((_, kb_line))) => {
@@ -600,19 +601,20 @@ mod tests {
     #[test]
     fn prefetch_section_pins_a_stack() {
         let spec = parse(&minimal("[prefetch]\nstack = \"gs-berti-cplx\"\n")).unwrap();
-        assert_eq!(spec.prefetch, Some(PrefetchStack::GsBertiCplx));
+        assert_eq!(spec.prefetch, Some(CompositeKind::GsBertiCplx));
         let spec = parse(&minimal("[prefetch]\nstack = \"gs-cs-pmp-temporal\"\n")).unwrap();
         assert_eq!(
             spec.prefetch,
-            Some(PrefetchStack::GsCsPmpTemporal {
-                metadata_kb: PrefetchStack::DEFAULT_TEMPORAL_METADATA_KB
-            })
+            Some(CompositeKind::GsCsPmpTemporal { metadata_bytes: 256 * 1024 })
         );
         let spec = parse(&minimal(
             "[prefetch]\nstack = \"gs-cs-pmp-temporal\"\ntemporal_metadata_kb = 1024\n",
         ))
         .unwrap();
-        assert_eq!(spec.prefetch, Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 1024 }));
+        assert_eq!(
+            spec.prefetch,
+            Some(CompositeKind::GsCsPmpTemporal { metadata_bytes: 1024 * 1024 })
+        );
         assert_eq!(parse(&minimal("")).unwrap().prefetch, None);
     }
 

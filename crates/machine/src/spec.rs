@@ -3,6 +3,7 @@
 
 use alecto_types::{fnv1a_64, FNV1A_OFFSET};
 use memsys::{CacheParams, DramKind, DramParams, HierarchyParams, TimingParams};
+use prefetch::CompositeKind;
 
 use crate::parse::FORMAT_VERSION;
 use crate::CoreModelKind;
@@ -76,64 +77,6 @@ impl TimingPreset {
     }
 }
 
-/// The composite prefetcher stack a machine selects via an optional
-/// `[prefetch]` section. Mirrors the simulator's composite bundles without
-/// depending on the prefetch crate: the machine format names stacks by
-/// stable lower-case labels, and `cpu` lowers the chosen stack to its
-/// `CompositeKind` at configuration time. A machine without a `[prefetch]`
-/// section leaves the experiment's own composite choice in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchStack {
-    /// GS + CS + PMP — the paper's default composite.
-    GsCsPmp,
-    /// GS + Berti + CPLX — the Fig. 11 alternate composite.
-    GsBertiCplx,
-    /// GS + CS + PMP plus a temporal prefetcher with the given metadata
-    /// budget (the Fig. 13/14 configuration).
-    GsCsPmpTemporal {
-        /// Temporal-prefetcher metadata budget in KiB.
-        metadata_kb: u32,
-    },
-    /// PMP alone (non-composite baseline).
-    PmpOnly,
-    /// Berti alone (non-composite baseline).
-    BertiOnly,
-}
-
-impl PrefetchStack {
-    /// Metadata budget written when a `gs-cs-pmp-temporal` stack omits
-    /// `temporal_metadata_kb`.
-    pub const DEFAULT_TEMPORAL_METADATA_KB: u32 = 256;
-
-    /// Stable lower-case label used in machine files.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            Self::GsCsPmp => "gs-cs-pmp",
-            Self::GsBertiCplx => "gs-berti-cplx",
-            Self::GsCsPmpTemporal { .. } => "gs-cs-pmp-temporal",
-            Self::PmpOnly => "pmp",
-            Self::BertiOnly => "berti",
-        }
-    }
-
-    /// Parses a machine-file label; a temporal stack starts at
-    /// [`PrefetchStack::DEFAULT_TEMPORAL_METADATA_KB`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "gs-cs-pmp" => Some(Self::GsCsPmp),
-            "gs-berti-cplx" => Some(Self::GsBertiCplx),
-            "gs-cs-pmp-temporal" => {
-                Some(Self::GsCsPmpTemporal { metadata_kb: Self::DEFAULT_TEMPORAL_METADATA_KB })
-            }
-            "pmp" => Some(Self::PmpOnly),
-            "berti" => Some(Self::BertiOnly),
-            _ => None,
-        }
-    }
-}
-
 /// The label of a [`DramKind`] as written in machine files.
 #[must_use]
 pub(crate) const fn dram_label(kind: DramKind) -> &'static str {
@@ -153,9 +96,42 @@ pub(crate) fn dram_from_label(label: &str) -> Option<DramKind> {
     }
 }
 
+/// Metadata budget, in KiB, of a `gs-cs-pmp-temporal` stack whose file
+/// omits `temporal_metadata_kb`.
+pub(crate) const DEFAULT_TEMPORAL_METADATA_KB: u64 = 256;
+
+/// The label of a composite prefetcher stack as written in machine files
+/// (`[prefetch] stack`).
+#[must_use]
+pub(crate) const fn prefetch_label(kind: CompositeKind) -> &'static str {
+    match kind {
+        CompositeKind::GsCsPmp => "gs-cs-pmp",
+        CompositeKind::GsBertiCplx => "gs-berti-cplx",
+        CompositeKind::GsCsPmpTemporal { .. } => "gs-cs-pmp-temporal",
+        CompositeKind::PmpOnly => "pmp",
+        CompositeKind::BertiOnly => "berti",
+    }
+}
+
+/// Parses a machine-file stack label; a temporal stack starts at
+/// [`DEFAULT_TEMPORAL_METADATA_KB`].
+#[must_use]
+pub(crate) fn prefetch_from_label(label: &str) -> Option<CompositeKind> {
+    match label {
+        "gs-cs-pmp" => Some(CompositeKind::GsCsPmp),
+        "gs-berti-cplx" => Some(CompositeKind::GsBertiCplx),
+        "gs-cs-pmp-temporal" => Some(CompositeKind::GsCsPmpTemporal {
+            metadata_bytes: DEFAULT_TEMPORAL_METADATA_KB * 1024,
+        }),
+        "pmp" => Some(CompositeKind::PmpOnly),
+        "berti" => Some(CompositeKind::BertiOnly),
+        _ => None,
+    }
+}
+
 /// One complete machine description: everything a simulation needs beyond
 /// the workload. This is the value the `alecto-machine-v1` format encodes,
-/// the built-in registry stores, and `SystemConfig::from_machine` lowers.
+/// the built-in registry stores, and `cpu::System` simulates.
 ///
 /// The shared L3 is stored **per core** (`l3_per_core`): machine files write
 /// totals at the machine's own core count, and [`MachineSpec::with_cores`]
@@ -165,7 +141,7 @@ pub(crate) fn dram_from_label(label: &str) -> Option<DramKind> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSpec {
     /// The machine's name; empty for anonymous specs built in code (those
-    /// lower without a "Machine" row, keeping default output untouched).
+    /// describe no "Machine" row, keeping default output untouched).
     pub name: String,
     /// Number of cores the machine declares.
     pub cores: usize,
@@ -198,14 +174,16 @@ pub struct MachineSpec {
     /// Composite prefetcher stack the machine pins (`[prefetch]`), or
     /// `None` to let the experiment choose. Only present specs render the
     /// section, so machines written before the key keep their fingerprint.
-    pub prefetch: Option<PrefetchStack>,
+    /// The file writes a temporal stack's budget in KiB, so a pinned
+    /// temporal budget is a whole number of KiB, at least 1.
+    pub prefetch: Option<CompositeKind>,
 }
 
 impl MachineSpec {
     /// The anonymous Table-I machine at `cores` cores — the spec every
-    /// omitted key defaults to, and the one `SystemConfig::skylake_like`
-    /// lowers. Anonymous (`name` empty) on purpose: configurations built
-    /// from it are indistinguishable from the historical hard-coded ones.
+    /// omitted key defaults to. Anonymous (`name` empty) on purpose: its
+    /// reports carry no "Machine" row, byte-identical to the historical
+    /// hard-coded configuration.
     ///
     /// # Panics
     ///
@@ -341,8 +319,11 @@ impl MachineSpec {
         if self.selector_epoch_instructions == 0 {
             return Err("selector epoch_instructions must be at least 1".to_string());
         }
-        if let Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 0 }) = self.prefetch {
-            return Err("prefetch temporal_metadata_kb must be at least 1".to_string());
+        // The canonical text renders the budget in KiB.
+        if let Some(CompositeKind::GsCsPmpTemporal { metadata_bytes }) = self.prefetch {
+            if metadata_bytes < 1024 {
+                return Err("prefetch temporal_metadata_kb must be at least 1".to_string());
+            }
         }
         for (label, level) in [("L1D", &self.l1d), ("L2", &self.l2), ("L3", &self.l3_per_core)] {
             if level.mshrs == 0 {
@@ -361,57 +342,76 @@ impl MachineSpec {
     #[must_use]
     pub fn canonical_text(&self) -> String {
         use std::fmt::Write as _;
+        // Destructured without `..`, as are the cache levels and the timing
+        // knobs below: a field added later fails to compile here until it is
+        // rendered, and so until the fingerprint that keys cached cells
+        // covers it.
+        let Self {
+            name,
+            cores,
+            core_model,
+            rob_entries,
+            fetch_width,
+            commit_width,
+            load_queue,
+            store_queue,
+            selector_epoch_instructions,
+            l1d,
+            l2,
+            l3_per_core,
+            dram,
+            timing,
+            prefetch,
+        } = self;
         let mut out = String::with_capacity(512);
         let _ = writeln!(out, "format = \"{FORMAT_VERSION}\"");
-        let _ = writeln!(out, "name = \"{}\"", self.name);
-        let _ = writeln!(out, "cores = {}", self.cores);
+        let _ = writeln!(out, "name = \"{name}\"");
+        let _ = writeln!(out, "cores = {cores}");
         let _ = writeln!(out, "\n[core]");
-        let _ = writeln!(out, "model = \"{}\"", self.core_model.label());
-        let _ = writeln!(out, "rob = {}", self.rob_entries);
-        let _ = writeln!(out, "fetch_width = {}", self.fetch_width);
-        let _ = writeln!(out, "commit_width = {}", self.commit_width);
-        let _ = writeln!(out, "load_queue = {}", self.load_queue);
-        let _ = writeln!(out, "store_queue = {}", self.store_queue);
-        let levels = [
-            ("l1d", &self.l1d, 1usize),
-            ("l2", &self.l2, 1),
-            ("l3", &self.l3_per_core, self.cores),
-        ];
-        for (section, params, scale) in levels {
+        let _ = writeln!(out, "model = \"{}\"", core_model.label());
+        let _ = writeln!(out, "rob = {rob_entries}");
+        let _ = writeln!(out, "fetch_width = {fetch_width}");
+        let _ = writeln!(out, "commit_width = {commit_width}");
+        let _ = writeln!(out, "load_queue = {load_queue}");
+        let _ = writeln!(out, "store_queue = {store_queue}");
+        for (section, params, scale) in
+            [("l1d", l1d, 1usize), ("l2", l2, 1), ("l3", l3_per_core, *cores)]
+        {
+            let CacheParams { size_bytes, ways, latency, miss_latency, mshrs } = *params;
             let _ = writeln!(out, "\n[cache.{section}]");
-            let size = params.size_bytes * scale as u64;
+            let size = size_bytes * scale as u64;
             if size.is_multiple_of(1024) {
                 let _ = writeln!(out, "size_kb = {}", size / 1024);
             } else {
                 let _ = writeln!(out, "size = {size}");
             }
-            let _ = writeln!(out, "ways = {}", params.ways);
-            let _ = writeln!(out, "latency = {}", params.latency);
-            let _ = writeln!(out, "miss_latency = {}", params.miss_latency);
-            let _ = writeln!(out, "mshrs = {}", params.mshrs * scale);
+            let _ = writeln!(out, "ways = {ways}");
+            let _ = writeln!(out, "latency = {latency}");
+            let _ = writeln!(out, "miss_latency = {miss_latency}");
+            let _ = writeln!(out, "mshrs = {}", mshrs * scale);
         }
         let _ = writeln!(out, "\n[dram]");
-        let _ = writeln!(out, "kind = \"{}\"", dram_label(self.dram));
+        let _ = writeln!(out, "kind = \"{}\"", dram_label(*dram));
         let _ = writeln!(out, "\n[timing]");
-        match self.timing {
+        match timing {
             TimingSpec::Preset(preset) => {
                 let _ = writeln!(out, "preset = \"{}\"", preset.label());
             }
-            TimingSpec::Explicit(params) => {
-                let _ = writeln!(out, "dram_drain_requests = {}", params.dram_drain_requests);
-                let _ = writeln!(out, "dram_drain_period = {}", params.dram_drain_period);
+            TimingSpec::Explicit(TimingParams { dram_drain_requests, dram_drain_period }) => {
+                let _ = writeln!(out, "dram_drain_requests = {dram_drain_requests}");
+                let _ = writeln!(out, "dram_drain_period = {dram_drain_period}");
             }
         }
         let _ = writeln!(out, "\n[selector]");
-        let _ = writeln!(out, "epoch_instructions = {}", self.selector_epoch_instructions);
+        let _ = writeln!(out, "epoch_instructions = {selector_epoch_instructions}");
         // The section is rendered only when a stack is pinned, so every spec
         // written before the key existed keeps its canonical text — and its
         // fingerprint — unchanged.
-        if let Some(stack) = self.prefetch {
+        if let Some(stack) = *prefetch {
             let _ = writeln!(out, "\n[prefetch]");
-            let _ = writeln!(out, "stack = \"{}\"", stack.label());
-            if let PrefetchStack::GsCsPmpTemporal { metadata_kb } = stack {
-                let _ = writeln!(out, "temporal_metadata_kb = {metadata_kb}");
+            let _ = writeln!(out, "stack = \"{}\"", prefetch_label(stack));
+            if let CompositeKind::GsCsPmpTemporal { metadata_bytes } = stack {
+                let _ = writeln!(out, "temporal_metadata_kb = {}", metadata_bytes / 1024);
             }
         }
         out
@@ -419,9 +419,9 @@ impl MachineSpec {
 
     /// The machine's canonical FNV-1a64 fingerprint: the digest of
     /// [`MachineSpec::canonical_text`] under a format-version prefix.
-    /// Specs that lower to the same configuration have equal fingerprints
-    /// regardless of how their source files were formatted; any semantic
-    /// difference — one set count, one latency — changes it.
+    /// Equal specs have equal fingerprints regardless of how their source
+    /// files were formatted; any semantic difference — one set count, one
+    /// latency, the name — changes it. It keys the harness's cached cells.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let key = fnv1a_64(FNV1A_OFFSET, b"alecto-machine|");
@@ -433,6 +433,88 @@ impl MachineSpec {
     #[must_use]
     pub fn fingerprint_hex(&self) -> String {
         format!("{:016x}", self.fingerprint())
+    }
+
+    /// Renders the machine as the rows of Table I (the harness's `table1`
+    /// command). A named machine leads with a "Machine" row naming it;
+    /// anonymous specs render exactly the historical rows. The shared L3
+    /// prints whole MiB as `N MB`, anything else as `N KB`.
+    #[must_use]
+    pub fn describe(&self) -> Vec<(String, String)> {
+        let h = self.hierarchy();
+        let mut rows = Vec::with_capacity(8);
+        if !self.name.is_empty() {
+            rows.push(("Machine".to_string(), format!("{} ({FORMAT_VERSION})", self.name)));
+        }
+        let l3_size = if h.l3.size_bytes.is_multiple_of(1024 * 1024) {
+            format!("{} MB", h.l3.size_bytes / (1024 * 1024))
+        } else {
+            format!("{} KB", h.l3.size_bytes / 1024)
+        };
+        rows.extend([
+            (
+                "Core".to_string(),
+                format!(
+                    "{} cores, {}-entry ROB, {}-width fetch, {}-width commit, {}/{}-entry LQ/SQ",
+                    self.cores,
+                    self.rob_entries,
+                    self.fetch_width,
+                    self.commit_width,
+                    self.load_queue,
+                    self.store_queue
+                ),
+            ),
+            (
+                "Core model".to_string(),
+                match self.core_model {
+                    CoreModelKind::Approx => {
+                        "approx: analytic fetch/retire frontiers (sweep default)".to_string()
+                    }
+                    CoreModelKind::OutOfOrder => {
+                        "ooo: staged ROB/LSQ/gshare pipeline, integer cycles".to_string()
+                    }
+                },
+            ),
+            (
+                "Private L1 D-cache".to_string(),
+                format!(
+                    "{} KB, {}-way, 64B line, {} MSHRs, {} cycles round trip",
+                    h.l1d.size_bytes / 1024,
+                    h.l1d.ways,
+                    h.l1d.mshrs,
+                    h.l1d.latency
+                ),
+            ),
+            (
+                "Private L2 cache".to_string(),
+                format!(
+                    "{} KB, {}-way, {} MSHRs, {} cycles round trip",
+                    h.l2.size_bytes / 1024,
+                    h.l2.ways,
+                    h.l2.mshrs,
+                    h.l2.latency
+                ),
+            ),
+            (
+                "Shared L3 cache".to_string(),
+                format!("{l3_size} total, {}-way, {} cycles round trip", h.l3.ways, h.l3.latency),
+            ),
+            (
+                "Main memory".to_string(),
+                format!(
+                    "{:?}, {} channel(s), {} rank(s)/channel, {} banks/rank",
+                    h.dram.kind, h.dram.channels, h.dram.ranks_per_channel, h.dram.banks_per_rank
+                ),
+            ),
+            (
+                "Memory controller".to_string(),
+                format!(
+                    "admits {} fill(s) per {} cycle(s)",
+                    h.timing.dram_drain_requests, h.timing.dram_drain_period
+                ),
+            ),
+        ]);
+        rows
     }
 }
 
@@ -448,6 +530,34 @@ mod tests {
             assert!(spec.validate().is_ok());
             assert!(spec.name.is_empty(), "table1 must stay anonymous");
         }
+        let spec = MachineSpec::table1(1);
+        assert_eq!(spec.rob_entries, 256);
+        assert_eq!(spec.fetch_width, 6);
+        assert_eq!(spec.commit_width, 4);
+        assert_eq!(spec.load_queue, 72);
+        assert_eq!(spec.store_queue, 56);
+    }
+
+    #[test]
+    fn describe_covers_all_modules() {
+        let rows = MachineSpec::table1(8).describe();
+        let labels: Vec<_> = rows.iter().map(|(k, _)| k.as_str()).collect();
+        assert!(labels.contains(&"Core"));
+        assert!(labels.contains(&"Core model"));
+        assert!(labels.contains(&"Shared L3 cache"));
+        assert!(labels.contains(&"Main memory"));
+        assert!(rows.iter().all(|(_, v)| !v.is_empty()));
+        // Anonymous specs must render the historical rows only: the
+        // "Machine" row is reserved for named specs (default reports stay
+        // byte-identical).
+        assert!(!labels.contains(&"Machine"));
+        let named = MachineSpec { name: "server".to_string(), ..MachineSpec::table1(8) };
+        let rows = named.describe();
+        assert_eq!(rows[0], ("Machine".to_string(), "server (alecto-machine-v1)".to_string()));
+        // `describe()` surfaces the selected model so `table1` documents it.
+        let rows = MachineSpec::table1(1).with_core_model(CoreModelKind::OutOfOrder).describe();
+        let row = rows.iter().find(|(k, _)| k == "Core model").expect("row");
+        assert!(row.1.starts_with("ooo"));
     }
 
     #[test]
@@ -519,35 +629,32 @@ mod tests {
     fn prefetch_section_renders_only_when_pinned() {
         let base = MachineSpec::table1(1);
         assert!(!base.canonical_text().contains("[prefetch]"));
-        let pinned = MachineSpec { prefetch: Some(PrefetchStack::BertiOnly), ..base.clone() };
+        let pinned = MachineSpec { prefetch: Some(CompositeKind::BertiOnly), ..base.clone() };
         assert!(pinned.canonical_text().contains("[prefetch]\nstack = \"berti\"\n"));
         assert_ne!(base.fingerprint(), pinned.fingerprint());
-        let temporal = MachineSpec {
-            prefetch: Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 512 }),
+        let temporal = |metadata_bytes| MachineSpec {
+            prefetch: Some(CompositeKind::GsCsPmpTemporal { metadata_bytes }),
             ..base.clone()
         };
-        assert!(temporal.canonical_text().contains("temporal_metadata_kb = 512"));
-        assert!(temporal.validate().is_ok());
-        let degenerate = MachineSpec {
-            prefetch: Some(PrefetchStack::GsCsPmpTemporal { metadata_kb: 0 }),
-            ..base
-        };
-        assert!(degenerate.validate().unwrap_err().contains("temporal_metadata_kb"));
+        assert!(temporal(512 * 1024).canonical_text().contains("temporal_metadata_kb = 512"));
+        assert!(temporal(512 * 1024).validate().is_ok());
+        // The text renders KiB, so a budget under 1 KiB is invalid.
+        for bytes in [0, 1000] {
+            assert!(temporal(bytes).validate().unwrap_err().contains("temporal_metadata_kb"));
+        }
     }
 
     #[test]
     fn prefetch_labels_round_trip() {
         for stack in [
-            PrefetchStack::GsCsPmp,
-            PrefetchStack::GsBertiCplx,
-            PrefetchStack::GsCsPmpTemporal {
-                metadata_kb: PrefetchStack::DEFAULT_TEMPORAL_METADATA_KB,
-            },
-            PrefetchStack::PmpOnly,
-            PrefetchStack::BertiOnly,
+            CompositeKind::GsCsPmp,
+            CompositeKind::GsBertiCplx,
+            CompositeKind::GsCsPmpTemporal { metadata_bytes: DEFAULT_TEMPORAL_METADATA_KB * 1024 },
+            CompositeKind::PmpOnly,
+            CompositeKind::BertiOnly,
         ] {
-            assert_eq!(PrefetchStack::from_label(stack.label()), Some(stack));
+            assert_eq!(prefetch_from_label(prefetch_label(stack)), Some(stack));
         }
-        assert_eq!(PrefetchStack::from_label("ampm"), None);
+        assert_eq!(prefetch_from_label("ampm"), None);
     }
 }

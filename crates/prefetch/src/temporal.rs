@@ -58,6 +58,10 @@ pub struct TemporalPrefetcher {
     /// training step needs an indexed lookup, not a key scan. Ordered so
     /// that iteration is deterministic across runs and threads.
     table: BTreeMap<LineAddr, (LineAddr, u64)>,
+    /// write stamp -> line: the recency index eviction pops the least
+    /// recently written entry from, so a full table evicts in O(log n).
+    /// Holds exactly one stamp per `table` entry.
+    by_stamp: BTreeMap<u64, LineAddr>,
     /// Stamp of the latest write, bumped on every insert and update.
     write_clock: u64,
     last_line: Option<LineAddr>,
@@ -70,6 +74,7 @@ impl TemporalPrefetcher {
     pub fn new(config: TemporalConfig) -> Self {
         Self {
             table: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
             config,
             write_clock: 0,
             last_line: None,
@@ -104,8 +109,9 @@ impl TemporalPrefetcher {
         // its entry, so this is not FIFO over insertions. A full Triangel
         // implementation uses set-associative metadata with usefulness-aware
         // replacement; this is sufficient to expose the capacity pressure the
-        // paper's Fig. 14 measures.
-        if let Some((&victim, _)) = self.table.iter().min_by_key(|(_, (_, order))| *order) {
+        // paper's Fig. 14 measures. Stamps are unique, so the least one names
+        // exactly one victim.
+        if let Some((_, victim)) = self.by_stamp.pop_first() {
             self.table.remove(&victim);
             self.stats.evictions += 1;
         }
@@ -130,11 +136,13 @@ impl Prefetcher for TemporalPrefetcher {
             if prev != line {
                 self.write_clock += 1;
                 if let Some(slot) = self.table.get_mut(&prev) {
+                    self.by_stamp.remove(&slot.1);
                     *slot = (line, self.write_clock);
                 } else {
                     self.evict_if_full();
                     self.table.insert(prev, (line, self.write_clock));
                 }
+                self.by_stamp.insert(self.write_clock, prev);
             }
         }
         self.last_line = Some(line);
@@ -181,7 +189,7 @@ impl Prefetcher for TemporalPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::{Addr, Pc};
+    use alecto_types::{Addr, Pc, SplitMix64};
 
     fn access(addr_line: u64) -> DemandAccess {
         DemandAccess::load(Pc::new(0xb00), Addr::new(addr_line * 64))
@@ -242,6 +250,32 @@ mod tests {
         assert!(pf.table_stats().evictions > 0);
         assert!(pf.occupancy() <= small.capacity_entries());
         assert!(pf.table_stats().misses > 0, "a thrashing table must miss");
+    }
+
+    #[test]
+    fn eviction_drops_the_least_recently_written_entry() {
+        // A naive model of the policy: every write stamps its key, and an
+        // insert into a full table first drops the key with the least stamp.
+        let mut rng = SplitMix64::new(0x7e3);
+        let small = TemporalConfig { metadata_bytes: 16 * BYTES_PER_ENTRY, max_degree: 1 };
+        let mut pf = TemporalPrefetcher::new(small);
+        let mut model: BTreeMap<LineAddr, u64> = BTreeMap::new();
+        let (mut prev, mut out) = (None, Vec::new());
+        for t in 1..=5_000u64 {
+            let line = LineAddr::new(rng.below(40));
+            pf.train_and_predict(&access(line.raw()), 0, &mut out);
+            if let Some(p) = prev.filter(|&p| p != line) {
+                if !model.contains_key(&p) && model.len() == 16 {
+                    let (&victim, _) = model.iter().min_by_key(|(_, &s)| s).expect("full");
+                    model.remove(&victim);
+                }
+                model.insert(p, t);
+            }
+            prev = Some(line);
+            assert!(pf.table.keys().eq(model.keys()), "step {t}");
+            assert_eq!(pf.by_stamp.len(), pf.table.len(), "step {t}");
+        }
+        assert!(pf.table_stats().evictions > 1_000, "the table must churn");
     }
 
     #[test]

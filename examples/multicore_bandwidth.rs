@@ -4,7 +4,6 @@
 
 use alecto_repro::prelude::*;
 use alecto_repro::types::TraceSource;
-use machine::MachineSpec;
 use memsys::DramKind;
 
 fn mix(accesses: usize) -> Vec<TraceSource> {
@@ -26,7 +25,7 @@ fn main() {
 
     for (label, kind) in [("DDR3-1600", DramKind::Ddr3_1600), ("DDR4-2400", DramKind::Ddr4_2400)] {
         println!("--- {label} ---");
-        let config = SystemConfig::from_machine(&MachineSpec::table1(8).with_dram_kind(kind));
+        let config = MachineSpec::table1(8).with_dram_kind(kind);
         let mut baseline = cpu::System::new(
             config.clone(),
             SelectionAlgorithm::NoPrefetching,

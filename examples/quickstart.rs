@@ -35,7 +35,7 @@ fn main() {
     let suite = traces::Suite::of(benchmark).map_or("file", |suite| suite.name());
     println!("benchmark: {benchmark} (suite {suite}, {accesses} memory accesses)");
     let run = |algorithm| {
-        cpu::System::new(SystemConfig::skylake_like(1), algorithm, CompositeKind::GsCsPmp)
+        cpu::System::new(MachineSpec::table1(1), algorithm, CompositeKind::GsCsPmp)
             .run_sources(std::slice::from_ref(&source))
             .expect("one source")
     };

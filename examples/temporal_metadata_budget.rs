@@ -11,7 +11,7 @@ use alecto_repro::prelude::*;
 use alecto_repro::types::TraceSource;
 
 fn run(algorithm: SelectionAlgorithm, composite: CompositeKind, source: &TraceSource) -> f64 {
-    cpu::System::new(SystemConfig::skylake_like(1), algorithm, composite)
+    cpu::System::new(MachineSpec::table1(1), algorithm, composite)
         .run_sources(std::slice::from_ref(source))
         .expect("one source")
         .cores[0]

@@ -26,8 +26,8 @@
 //! use alecto_repro::prelude::*;
 //!
 //! let source = traces::spec06::source("lbm", 50_000);
-//! let config = cpu::SystemConfig::skylake_like(1);
-//! let mut sim = cpu::System::new(config, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
+//! let machine = MachineSpec::table1(1);
+//! let mut sim = cpu::System::new(machine, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
 //! let report = sim.run_sources(&[source]).unwrap();
 //! assert!(report.cores[0].ipc > 0.0);
 //! ```
@@ -49,5 +49,6 @@ pub mod prelude {
     pub use crate::{
         alecto, cpu, fuzz, harness, machine, memsys, prefetch, selectors, traceio, traces, types,
     };
-    pub use cpu::{CompositeKind, SelectionAlgorithm, SystemConfig};
+    pub use cpu::{CompositeKind, SelectionAlgorithm};
+    pub use machine::MachineSpec;
 }

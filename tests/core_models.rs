@@ -9,9 +9,10 @@
 //! frontier clamp cannot express, so the pipeline model's IPC comes out
 //! ahead across the family.
 
-use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
+use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm};
 use harness::runner::run_single_core_suite;
 use harness::SpeedupGrid;
+use machine::MachineSpec;
 
 fn pointer_chase_suite(core_model: CoreModelKind) -> SpeedupGrid {
     let sources: Vec<_> =
@@ -20,7 +21,7 @@ fn pointer_chase_suite(core_model: CoreModelKind) -> SpeedupGrid {
         &sources,
         &[SelectionAlgorithm::Alecto],
         CompositeKind::GsCsPmp,
-        &SystemConfig::skylake_like(1).with_core_model(core_model),
+        &MachineSpec::table1(1).with_core_model(core_model),
         2,
     )
 }

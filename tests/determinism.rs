@@ -8,10 +8,11 @@
 use alecto_repro::types::{
     fnv1a_64, Addr, MemoryRecord, Pc, SplitMix64, TraceSource, Workload, FNV1A_OFFSET,
 };
-use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm, SystemConfig};
+use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm};
 use harness::cellcache::report_to_json;
 use harness::runner::{run_cell, run_multicore_mix, run_single_core_suite, CellJob};
 use harness::SpeedupGrid;
+use machine::MachineSpec;
 
 fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
     let sources = vec![
@@ -24,7 +25,7 @@ fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid
         &sources,
         &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
         CompositeKind::GsCsPmp,
-        &SystemConfig::skylake_like(1).with_core_model(core_model),
+        &MachineSpec::table1(1).with_core_model(core_model),
         jobs,
     )
 }
@@ -39,7 +40,7 @@ fn canneal_mix(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
         &traces::parsec::per_core_sources("canneal", 500, 4),
         &[SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
         CompositeKind::GsCsPmp,
-        &SystemConfig::skylake_like(4).with_core_model(core_model),
+        &MachineSpec::table1(4).with_core_model(core_model),
         jobs,
     )
 }
@@ -227,7 +228,7 @@ fn eviction_order_under_pc_pressure_is_pinned() {
     // 64-entry table. These cells evict from every prefetcher table and from
     // Alecto's Allocation and Sample Tables; DOL reaches the `probe` path.
     let sources = [pc_pressure_source()];
-    let config = SystemConfig::skylake_like(1);
+    let config = MachineSpec::table1(1);
     let mut digest = FNV1A_OFFSET;
     for composite in [CompositeKind::GsCsPmp, CompositeKind::GsBertiCplx] {
         for algorithm in [
@@ -271,7 +272,7 @@ fn determinism_holds_below_and_above_the_multicore_derivation_floor() {
                 &traces::parsec::per_core_sources("streamcluster", multicore, 4),
                 &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
                 CompositeKind::GsCsPmp,
-                &SystemConfig::skylake_like(4),
+                &MachineSpec::table1(4),
                 jobs,
             )
         };
@@ -292,7 +293,7 @@ fn streamed_suite_matches_a_materialised_rerun() {
         .map(|s| alecto_repro::types::TraceSource::from_workload(s.collect()))
         .collect();
     let algorithms = [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto];
-    let config = SystemConfig::skylake_like(1);
+    let config = MachineSpec::table1(1);
     let a = run_single_core_suite(&streamed, &algorithms, CompositeKind::GsCsPmp, &config, 2);
     let b = run_single_core_suite(&collected, &algorithms, CompositeKind::GsCsPmp, &config, 2);
     assert_grids_identical(&a, &b);

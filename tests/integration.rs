@@ -9,7 +9,7 @@ fn run_with(
     composite: CompositeKind,
     source: &TraceSource,
 ) -> cpu::SystemReport {
-    cpu::System::new(SystemConfig::skylake_like(1), algorithm, composite)
+    cpu::System::new(MachineSpec::table1(1), algorithm, composite)
         .run_sources(std::slice::from_ref(source))
         .expect("one source")
 }
@@ -100,7 +100,7 @@ fn alecto_storage_matches_table3_and_beats_extended_bandit() {
 fn eight_core_simulation_produces_consistent_reports() {
     let per_core = traces::parsec::per_core_sources("streamcluster", 1_200, 8);
     let mut system = cpu::System::new(
-        SystemConfig::skylake_like(8),
+        MachineSpec::table1(8),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
     );

@@ -1,7 +1,7 @@
 //! Machine descriptions as a determinism surface: a `--machine` selection
 //! must behave exactly like the hand-built configs it replaces — byte-
-//! identical reports at any `--jobs`, a stable canonical fingerprint, and a
-//! single lowering funnel into [`SystemConfig`]. The golden fixture pins
+//! identical reports at any `--jobs`, a stable canonical fingerprint, and
+//! cell cache keys derived from it. The golden fixture pins
 //! the `alecto-machine-v1` wire format the same way `golden.altr` pins the
 //! trace codec (see `tests/fixtures/README.md` for the bump rules).
 
@@ -45,14 +45,14 @@ fn golden_machine_round_trips_through_its_canonical_text() {
 #[test]
 fn golden_machine_lowers_into_a_valid_system_config() {
     let spec = machine::parse(&golden_text()).expect("golden fixture parses");
-    let config = cpu::SystemConfig::from_machine(&spec);
-    config.hierarchy.validate().expect("lowered hierarchy is valid");
-    assert_eq!(config.machine.as_deref(), Some("golden"));
-    assert_eq!(config.core_model, machine::CoreModelKind::OutOfOrder);
+    let hierarchy = spec.hierarchy();
+    hierarchy.validate().expect("lowered hierarchy is valid");
+    assert_eq!(spec.describe()[0].1, "golden (alecto-machine-v1)");
+    assert_eq!(spec.core_model, machine::CoreModelKind::OutOfOrder);
     // The fixture spells L3 as machine totals; the lowered hierarchy carries
     // the same totals (4 MiB, 128 MSHRs across 4 cores).
-    assert_eq!(config.hierarchy.l3.size_bytes, 4096 * 1024);
-    assert_eq!(config.hierarchy.l3.mshrs, 128);
+    assert_eq!(hierarchy.l3.size_bytes, 4096 * 1024);
+    assert_eq!(hierarchy.l3.mshrs, 128);
 }
 
 #[test]
@@ -151,15 +151,15 @@ fn builtin_machines_rescale_without_losing_their_identity() {
 
 #[test]
 fn machine_cells_share_cache_keys_between_cli_and_server() {
-    // The CLI lowers `--machine server` via `RunScale::with_machine`; the
-    // server lowers `"machine":"server"` via `machine::builtin`. Both paths
-    // must produce the same `SystemConfig` and therefore the same cell
+    // The CLI selects `--machine server` via `RunScale::with_machine`; the
+    // server resolves `"machine":"server"` via `machine::builtin`. Both paths
+    // must produce the same `MachineSpec` and therefore the same cell
     // cache keys — that is what lets a server sweep hit cells a CLI run
     // warmed (and vice versa, through --cache-dir).
     use harness::runner::CellJob;
 
     let sources = [traces::spec06::source("lbm", 200)];
-    let key_of = |config: &cpu::SystemConfig| {
+    let key_of = |config: &MachineSpec| {
         CellJob {
             algorithm: cpu::SelectionAlgorithm::Alecto,
             composite: cpu::CompositeKind::GsCsPmp,
@@ -171,25 +171,45 @@ fn machine_cells_share_cache_keys_between_cli_and_server() {
 
     let cli_scale = RunScale::default().with_machine(machine::builtin("server").unwrap());
     let cli_config = cli_scale.base_config(1);
-    let server_config =
-        cpu::SystemConfig::from_machine(&machine::builtin("server").unwrap().with_cores(1))
-            .with_core_model(machine::CoreModelKind::OutOfOrder);
-    assert_eq!(cli_config, server_config, "both paths must lower identically");
+    let server_config = machine::builtin("server")
+        .unwrap()
+        .with_cores(1)
+        .with_core_model(machine::CoreModelKind::OutOfOrder);
+    assert_eq!(cli_config, server_config, "both paths must resolve identically");
     assert_eq!(key_of(&cli_config), key_of(&server_config));
 
-    // ...while the machine's name keys it apart from an anonymous config
-    // with the same lowered parameters: named sweeps never poach cells
-    // from (or leak cells to) the hand-built default.
-    let mut anonymous = cli_config.clone();
-    anonymous.machine = None;
+    // ...while the machine's name keys it apart from an anonymous spec
+    // with the same parameters: named sweeps never poach cells from (or
+    // leak cells to) the hand-built default.
+    let anonymous = MachineSpec { name: String::new(), ..cli_config.clone() };
     assert_ne!(key_of(&cli_config), key_of(&anonymous));
 }
 
 #[test]
+fn table1_prints_a_sub_mib_l3_in_kb() {
+    // `table1 --machine` on a one-core machine with a 512 KiB L3 used to
+    // print "0 MB total", and with a 1.5 MiB L3 "1 MB total". Whole MiB
+    // keep their historical "N MB" spelling.
+    let l3_row = |size_kb: u64, ways: u64| {
+        let text = format!(
+            "format = \"alecto-machine-v1\"\nname = \"l3\"\ncores = 1\n\n\
+             [cache.l3]\nsize_kb = {size_kb}\nways = {ways}\n"
+        );
+        let spec = machine::parse(&text).expect("valid machine");
+        let table = figures::table1(&RunScale::default().with_machine(spec)).table.render();
+        let row = table.lines().find(|l| l.starts_with("Shared L3 cache")).expect("L3 row");
+        row.trim_start_matches("Shared L3 cache").trim().to_string()
+    };
+    assert_eq!(l3_row(512, 16), "512 KB total, 16-way, 35 cycles round trip");
+    assert_eq!(l3_row(1536, 12), "1536 KB total, 12-way, 35 cycles round trip");
+    assert_eq!(l3_row(2048, 16), "2 MB total, 16-way, 35 cycles round trip");
+}
+
+#[test]
 fn anonymous_table1_spec_is_not_reported_as_a_machine() {
-    // The default config must keep today's byte-for-byte output: no
-    // "Machine" row may appear unless the config came from a *named* spec.
-    let config = cpu::SystemConfig::from_machine(&MachineSpec::table1(1));
-    assert_eq!(config.machine, None);
-    assert!(config.describe().iter().all(|(k, _)| k != "Machine"));
+    // The default machine must keep today's byte-for-byte output: no
+    // "Machine" row may appear unless the spec is *named*.
+    let spec = MachineSpec::table1(1);
+    assert!(spec.name.is_empty());
+    assert!(spec.describe().iter().all(|(k, _)| k != "Machine"));
 }

@@ -129,7 +129,7 @@ fn file_scheme_sources_drop_into_multicore_runs() {
         })
         .collect();
     let mut system = cpu::System::new(
-        SystemConfig::skylake_like(2),
+        MachineSpec::table1(2),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
     );
@@ -141,7 +141,7 @@ fn file_scheme_sources_drop_into_multicore_runs() {
     let gen_per_core: Vec<TraceSource> =
         (0..2).map(|i| generated.clone().with_addr_offset((i as u64) << 40)).collect();
     let mut system = cpu::System::new(
-        SystemConfig::skylake_like(2),
+        MachineSpec::table1(2),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
     );
@@ -170,7 +170,7 @@ fn champsim_import_round_trips_through_the_simulator() {
     assert_eq!(workload.records[2].addr.raw(), 0x20000);
     assert!(workload.records[3].dependent);
     let report = cpu::System::new(
-        SystemConfig::skylake_like(1),
+        MachineSpec::table1(1),
         SelectionAlgorithm::Alecto,
         CompositeKind::GsCsPmp,
     )
