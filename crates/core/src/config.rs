@@ -53,12 +53,12 @@ impl Default for AlectoConfig {
 }
 
 impl AlectoConfig {
-    /// The ablation configuration of §VII-A: IA-state prefetchers always issue
-    /// 6 prefetches (like Bandit6), isolating the benefit of demand request
-    /// allocation from dynamic degree adjustment.
+    /// The ablation configuration of §VII-A ("Alecto_fix"): IA-state
+    /// prefetchers always issue 6 prefetches (like Bandit6), isolating the
+    /// benefit of demand request allocation from dynamic degree adjustment.
     #[must_use]
-    pub fn fixed_degree(degree: u32) -> Self {
-        Self { fixed_ia_degree: Some(degree), ..Self::default() }
+    pub fn fixed_degree() -> Self {
+        Self { fixed_ia_degree: Some(6), ..Self::default() }
     }
 
     /// Validates the configuration, panicking on nonsensical parameters.
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn fixed_degree_mode() {
-        let c = AlectoConfig::fixed_degree(6);
+        let c = AlectoConfig::fixed_degree();
         assert_eq!(c.fixed_ia_degree, Some(6));
         c.validate();
     }

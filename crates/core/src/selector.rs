@@ -120,14 +120,6 @@ fn decision_for_state(config: &AlectoConfig, state: PrefetcherState) -> Option<D
 }
 
 impl Selector for AlectoSelector {
-    fn name(&self) -> &'static str {
-        if self.config.fixed_ia_degree.is_some() {
-            "Alecto_fix"
-        } else {
-            "Alecto"
-        }
-    }
-
     fn allocate(
         &mut self,
         access: &DemandAccess,
@@ -314,8 +306,7 @@ mod tests {
 
     #[test]
     fn fixed_degree_ablation_uses_flat_degree() {
-        let mut alecto = AlectoSelector::new(AlectoConfig::fixed_degree(6), 3);
-        assert_eq!(alecto.name(), "Alecto_fix");
+        let mut alecto = AlectoSelector::new(AlectoConfig::fixed_degree(), 3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         run_epoch(&mut alecto, &prefetchers, 0x88, 0, 2);
         let d = alecto.allocate(&access(0x88, 77_000), &prefetchers);
@@ -420,7 +411,6 @@ mod tests {
     fn storage_matches_table3() {
         let alecto = AlectoSelector::default_config(3);
         assert_eq!(alecto.storage_bits(), 5312 + 1792 * 3);
-        assert_eq!(alecto.name(), "Alecto");
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub struct ControllerStats {
 /// The per-core L1D prefetch controller.
 pub struct PrefetchController {
     prefetchers: Vec<Box<dyn Prefetcher>>,
+    /// The algorithm `selector` was built from; its label names it.
+    algorithm: SelectionAlgorithm,
     selector: Option<Box<dyn Selector>>,
     filter: PrefetchFilter,
     stats: ControllerStats,
@@ -48,7 +50,7 @@ impl std::fmt::Debug for PrefetchController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrefetchController")
             .field("prefetchers", &self.prefetchers.iter().map(|p| p.name()).collect::<Vec<_>>())
-            .field("selector", &self.selector.as_ref().map(|s| s.name()))
+            .field("selector", &self.selector_name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -62,6 +64,7 @@ impl PrefetchController {
         let selector = build_selector(algorithm, prefetchers.len());
         Self {
             prefetchers,
+            algorithm,
             selector,
             filter: PrefetchFilter::default_config(),
             stats: ControllerStats::default(),
@@ -73,8 +76,8 @@ impl PrefetchController {
 
     /// Name of the selection algorithm in use (`"NoPrefetch"` when disabled).
     #[must_use]
-    pub fn selector_name(&self) -> &'static str {
-        self.selector.as_ref().map_or("NoPrefetch", |s| s.name())
+    pub const fn selector_name(&self) -> &'static str {
+        self.algorithm.label()
     }
 
     /// Controller statistics.

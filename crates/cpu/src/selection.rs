@@ -27,7 +27,7 @@ pub enum SelectionAlgorithm {
     /// Alecto with the paper's default parameters.
     Alecto,
     /// Alecto with the fixed IA degree of the §VII-A ablation.
-    AlectoFixedDegree(u32),
+    AlectoFixedDegree,
     /// IPCP plus the aggressive PPF perceptron filter (§VII-C).
     PpfAggressive,
     /// IPCP plus the conservative PPF perceptron filter (§VII-C).
@@ -38,6 +38,8 @@ pub enum SelectionAlgorithm {
 
 impl SelectionAlgorithm {
     /// Display label used in harness tables (matches the paper's legends).
+    /// It is the algorithm's only name: reports print it and cell cache keys
+    /// fold it, so no two algorithms may share one.
     #[must_use]
     pub const fn label(&self) -> &'static str {
         match self {
@@ -48,7 +50,7 @@ impl SelectionAlgorithm {
             SelectionAlgorithm::Bandit6 => "Bandit6",
             SelectionAlgorithm::BanditExtended => "BanditExt",
             SelectionAlgorithm::Alecto => "Alecto",
-            SelectionAlgorithm::AlectoFixedDegree(_) => "Alecto_fix",
+            SelectionAlgorithm::AlectoFixedDegree => "Alecto_fix",
             SelectionAlgorithm::PpfAggressive => "IPCP+PPF_Agg",
             SelectionAlgorithm::PpfConservative => "IPCP+PPF_Con",
             SelectionAlgorithm::Triangel => "Triangel",
@@ -78,8 +80,8 @@ pub fn build_selector(
 ) -> Option<Box<dyn Selector>> {
     match algorithm {
         SelectionAlgorithm::NoPrefetching => None,
-        SelectionAlgorithm::Ipcp => Some(Box::new(IpcpSelector::default_config())),
-        SelectionAlgorithm::Dol => Some(Box::new(DolSelector::default_config())),
+        SelectionAlgorithm::Ipcp => Some(Box::new(IpcpSelector)),
+        SelectionAlgorithm::Dol => Some(Box::new(DolSelector)),
         SelectionAlgorithm::Bandit3 => Some(Box::new(BanditSelector::bandit3(prefetcher_count))),
         SelectionAlgorithm::Bandit6 => Some(Box::new(BanditSelector::bandit6(prefetcher_count))),
         SelectionAlgorithm::BanditExtended => {
@@ -93,13 +95,12 @@ pub fn build_selector(
         SelectionAlgorithm::Alecto => {
             Some(Box::new(AlectoSelector::new(AlectoConfig::default(), prefetcher_count)))
         }
-        SelectionAlgorithm::AlectoFixedDegree(degree) => Some(Box::new(AlectoSelector::new(
-            AlectoConfig::fixed_degree(degree),
-            prefetcher_count,
-        ))),
+        SelectionAlgorithm::AlectoFixedDegree => {
+            Some(Box::new(AlectoSelector::new(AlectoConfig::fixed_degree(), prefetcher_count)))
+        }
         SelectionAlgorithm::PpfAggressive => Some(Box::new(PpfFilterSelector::aggressive())),
         SelectionAlgorithm::PpfConservative => Some(Box::new(PpfFilterSelector::conservative())),
-        SelectionAlgorithm::Triangel => Some(Box::new(TriangelFilterSelector::default_config())),
+        SelectionAlgorithm::Triangel => Some(Box::new(TriangelFilterSelector::default())),
     }
 }
 
@@ -115,22 +116,40 @@ mod tests {
     #[test]
     fn every_other_algorithm_builds_a_selector() {
         let algos = [
+            SelectionAlgorithm::NoPrefetching,
             SelectionAlgorithm::Ipcp,
             SelectionAlgorithm::Dol,
             SelectionAlgorithm::Bandit3,
             SelectionAlgorithm::Bandit6,
             SelectionAlgorithm::BanditExtended,
             SelectionAlgorithm::Alecto,
-            SelectionAlgorithm::AlectoFixedDegree(6),
+            SelectionAlgorithm::AlectoFixedDegree,
             SelectionAlgorithm::PpfAggressive,
             SelectionAlgorithm::PpfConservative,
             SelectionAlgorithm::Triangel,
         ];
         for a in algos {
+            // Exhaustive on purpose: a new variant must be listed above.
+            match a {
+                SelectionAlgorithm::NoPrefetching => continue,
+                SelectionAlgorithm::Ipcp
+                | SelectionAlgorithm::Dol
+                | SelectionAlgorithm::Bandit3
+                | SelectionAlgorithm::Bandit6
+                | SelectionAlgorithm::BanditExtended
+                | SelectionAlgorithm::Alecto
+                | SelectionAlgorithm::AlectoFixedDegree
+                | SelectionAlgorithm::PpfAggressive
+                | SelectionAlgorithm::PpfConservative
+                | SelectionAlgorithm::Triangel => {}
+            }
             let s = build_selector(a, 3).expect("selector should be built");
-            assert_eq!(s.name(), a.label(), "label should match the selector name for {a:?}");
             assert!(s.storage_bits() > 0);
         }
+        // The label is an algorithm's only name and cell cache keys fold it:
+        // two algorithms with one label would share cached cells.
+        let labels: std::collections::BTreeSet<_> = algos.iter().map(|a| a.label()).collect();
+        assert_eq!(labels.len(), algos.len(), "labels must be pairwise distinct: {labels:?}");
     }
 
     #[test]

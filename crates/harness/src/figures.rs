@@ -718,7 +718,7 @@ pub fn fig19(scale: &RunScale) -> Experiment {
         &workloads,
         &[
             SelectionAlgorithm::Bandit6,
-            SelectionAlgorithm::AlectoFixedDegree(6),
+            SelectionAlgorithm::AlectoFixedDegree,
             SelectionAlgorithm::Alecto,
         ],
         scale.composite(CompositeKind::GsCsPmp),

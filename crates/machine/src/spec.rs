@@ -437,8 +437,9 @@ impl MachineSpec {
 
     /// Renders the machine as the rows of Table I (the harness's `table1`
     /// command). A named machine leads with a "Machine" row naming it;
-    /// anonymous specs render exactly the historical rows. The shared L3
-    /// prints whole MiB as `N MB`, anything else as `N KB`.
+    /// anonymous specs render exactly the historical rows. Sizes print
+    /// exactly: a private level as `N KB` when it is whole KiB, the shared
+    /// L3 as `N MB` when it is whole MiB, and any other size in bytes.
     #[must_use]
     pub fn describe(&self) -> Vec<(String, String)> {
         let h = self.hierarchy();
@@ -446,11 +447,7 @@ impl MachineSpec {
         if !self.name.is_empty() {
             rows.push(("Machine".to_string(), format!("{} ({FORMAT_VERSION})", self.name)));
         }
-        let l3_size = if h.l3.size_bytes.is_multiple_of(1024 * 1024) {
-            format!("{} MB", h.l3.size_bytes / (1024 * 1024))
-        } else {
-            format!("{} KB", h.l3.size_bytes / 1024)
-        };
+        let l3_size = size_text(h.l3.size_bytes, true);
         rows.extend([
             (
                 "Core".to_string(),
@@ -478,8 +475,8 @@ impl MachineSpec {
             (
                 "Private L1 D-cache".to_string(),
                 format!(
-                    "{} KB, {}-way, 64B line, {} MSHRs, {} cycles round trip",
-                    h.l1d.size_bytes / 1024,
+                    "{}, {}-way, 64B line, {} MSHRs, {} cycles round trip",
+                    size_text(h.l1d.size_bytes, false),
                     h.l1d.ways,
                     h.l1d.mshrs,
                     h.l1d.latency
@@ -488,8 +485,8 @@ impl MachineSpec {
             (
                 "Private L2 cache".to_string(),
                 format!(
-                    "{} KB, {}-way, {} MSHRs, {} cycles round trip",
-                    h.l2.size_bytes / 1024,
+                    "{}, {}-way, {} MSHRs, {} cycles round trip",
+                    size_text(h.l2.size_bytes, false),
                     h.l2.ways,
                     h.l2.mshrs,
                     h.l2.latency
@@ -515,6 +512,18 @@ impl MachineSpec {
             ),
         ]);
         rows
+    }
+}
+
+/// `bytes` as a Table I row spells it: `N MB` when `mib` is set and the size
+/// is whole MiB, else `N KB` when it is whole KiB, else `N B`.
+fn size_text(bytes: u64, mib: bool) -> String {
+    if mib && bytes.is_multiple_of(1024 * 1024) {
+        format!("{} MB", bytes / (1024 * 1024))
+    } else if bytes.is_multiple_of(1024) {
+        format!("{} KB", bytes / 1024)
+    } else {
+        format!("{bytes} B")
     }
 }
 

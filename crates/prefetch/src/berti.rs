@@ -14,6 +14,12 @@ use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 const HISTORY_LEN: usize = 8;
 const DELTAS_PER_PC: usize = 8;
+/// Per-PC entries.
+const ENTRIES: usize = 64;
+/// Confidence required before a delta is used for prefetching.
+const CONFIDENCE_THRESHOLD: u8 = 4;
+/// Saturation value of delta confidence counters.
+const CONFIDENCE_MAX: u8 = 15;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct DeltaEntry {
@@ -27,42 +33,18 @@ struct BertiEntry {
     deltas: [DeltaEntry; DELTAS_PER_PC],
 }
 
-/// Configuration of the Berti prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BertiConfig {
-    /// Number of per-PC entries.
-    pub entries: usize,
-    /// Confidence required before a delta is used for prefetching.
-    pub confidence_threshold: u8,
-    /// Saturation value of delta confidence counters.
-    pub confidence_max: u8,
-}
-
-impl Default for BertiConfig {
-    fn default() -> Self {
-        Self { entries: 64, confidence_threshold: 4, confidence_max: 15 }
-    }
-}
-
 /// The Berti local-delta prefetcher.
 #[derive(Debug, Clone)]
 pub struct BertiPrefetcher {
-    config: BertiConfig,
     table: LruTable<Pc, BertiEntry>,
     stats: TableStats,
 }
 
 impl BertiPrefetcher {
-    /// Creates a Berti prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(config: BertiConfig) -> Self {
-        Self { table: LruTable::new(config.entries), config, stats: TableStats::default() }
-    }
-
     /// Creates a Berti prefetcher with the default configuration.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(BertiConfig::default())
+        Self { table: LruTable::new(ENTRIES), stats: TableStats::default() }
     }
 }
 
@@ -79,8 +61,6 @@ impl Prefetcher for BertiPrefetcher {
         let line = access.line();
         self.stats.lookups += 1;
         self.stats.trainings += 1;
-        let threshold = self.config.confidence_threshold;
-        let max = self.config.confidence_max;
         let (entry, hit, evicted) = self.table.touch_or_insert_with(access.pc, || BertiEntry {
             history: Vec::with_capacity(HISTORY_LEN),
             deltas: [DeltaEntry::default(); DELTAS_PER_PC],
@@ -100,7 +80,7 @@ impl Prefetcher for BertiPrefetcher {
             let reward: u8 = if age >= 2 { 2 } else { 1 };
             if let Some(d) = entry.deltas.iter_mut().find(|d| d.confidence > 0 && d.delta == delta)
             {
-                d.confidence = (d.confidence + reward).min(max);
+                d.confidence = (d.confidence + reward).min(CONFIDENCE_MAX);
             } else if let Some(free) = entry.deltas.iter_mut().min_by_key(|d| d.confidence) {
                 if free.confidence == 0 {
                     *free = DeltaEntry { delta, confidence: reward };
@@ -123,7 +103,7 @@ impl Prefetcher for BertiPrefetcher {
             .deltas
             .iter()
             .copied()
-            .filter(|d| d.confidence >= threshold && d.delta != 0)
+            .filter(|d| d.confidence >= CONFIDENCE_THRESHOLD && d.delta != 0)
             .collect();
         best.sort_by(|a, b| {
             b.confidence.cmp(&a.confidence).then(a.delta.abs().cmp(&b.delta.abs()))
@@ -135,9 +115,9 @@ impl Prefetcher for BertiPrefetcher {
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        self.table.get(&access.pc).is_some_and(|e| {
-            e.deltas.iter().any(|d| d.confidence >= self.config.confidence_threshold)
-        })
+        self.table
+            .get(&access.pc)
+            .is_some_and(|e| e.deltas.iter().any(|d| d.confidence >= CONFIDENCE_THRESHOLD))
     }
 
     fn table_stats(&self) -> &TableStats {
@@ -146,8 +126,7 @@ impl Prefetcher for BertiPrefetcher {
 
     fn storage_bits(&self) -> u64 {
         // Per entry: tag 16 b + 8 history lines × 58 b + 8 deltas × (12 + 4) b + LRU 6 b.
-        (self.config.entries as u64)
-            * (16 + (HISTORY_LEN as u64) * 58 + (DELTAS_PER_PC as u64) * 16 + 6)
+        (ENTRIES as u64) * (16 + (HISTORY_LEN as u64) * 58 + (DELTAS_PER_PC as u64) * 16 + 6)
     }
 }
 
@@ -247,12 +226,13 @@ mod tests {
 
     #[test]
     fn eviction_and_storage_accounting() {
-        let mut pf = BertiPrefetcher::new(BertiConfig { entries: 4, ..BertiConfig::default() });
+        // 70 PCs through the 64-entry table: the last 6 each evict one.
+        let mut pf = BertiPrefetcher::default_config();
         let mut out = Vec::new();
-        for pc in 0..10u64 {
+        for pc in 0..70u64 {
             pf.train_and_predict(&access(pc, pc * 0x1000), 1, &mut out);
         }
-        assert!(pf.table_stats().evictions >= 6);
+        assert_eq!(pf.table_stats().evictions, 6);
         assert!(pf.storage_bits() > 0);
         assert_eq!(pf.name(), "Berti");
     }

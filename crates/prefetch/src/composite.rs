@@ -11,7 +11,7 @@ use crate::cplx::CplxPrefetcher;
 use crate::pmp::PmpPrefetcher;
 use crate::stream::StreamPrefetcher;
 use crate::stride::StridePrefetcher;
-use crate::temporal::{TemporalConfig, TemporalPrefetcher};
+use crate::temporal::TemporalPrefetcher;
 use crate::traits::Prefetcher;
 
 /// The most prefetchers any [`CompositeKind`] holds (the temporal bundle's
@@ -85,7 +85,7 @@ pub fn build_composite(kind: CompositeKind) -> Vec<Box<dyn Prefetcher>> {
             Box::new(StreamPrefetcher::default_config()),
             Box::new(StridePrefetcher::default_config()),
             Box::new(PmpPrefetcher::default_config()),
-            Box::new(TemporalPrefetcher::new(TemporalConfig { metadata_bytes, max_degree: 1 })),
+            Box::new(TemporalPrefetcher::new(metadata_bytes)),
         ],
         CompositeKind::PmpOnly => vec![Box::new(PmpPrefetcher::default_config())],
         CompositeKind::BertiOnly => vec![Box::new(BertiPrefetcher::default_config())],

@@ -12,6 +12,14 @@ use alecto_types::{DemandAccess, LineAddr, LruTable, Pc};
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 const SIGNATURE_DELTAS: usize = 3;
+/// Per-PC tracking entries.
+const IP_ENTRIES: usize = 64;
+/// Delta Prediction Table entries.
+const DPT_ENTRIES: usize = 128;
+/// Confidence needed before prefetching.
+const CONFIDENCE_THRESHOLD: u8 = 2;
+/// Confidence saturation value.
+const CONFIDENCE_MAX: u8 = 7;
 
 #[derive(Debug, Clone, Copy)]
 struct IpEntry {
@@ -26,29 +34,9 @@ struct DptEntry {
     confidence: u8,
 }
 
-/// Configuration of the CPLX prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CplxConfig {
-    /// Per-PC tracking entries.
-    pub ip_entries: usize,
-    /// Delta Prediction Table entries.
-    pub dpt_entries: usize,
-    /// Confidence needed before prefetching.
-    pub confidence_threshold: u8,
-    /// Confidence saturation value.
-    pub confidence_max: u8,
-}
-
-impl Default for CplxConfig {
-    fn default() -> Self {
-        Self { ip_entries: 64, dpt_entries: 128, confidence_threshold: 2, confidence_max: 7 }
-    }
-}
-
 /// The CPLX complex-stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct CplxPrefetcher {
-    config: CplxConfig,
     ip_table: LruTable<Pc, IpEntry>,
     /// The Delta Prediction Table, keyed by signature.
     dpt: LruTable<u32, DptEntry>,
@@ -56,21 +44,14 @@ pub struct CplxPrefetcher {
 }
 
 impl CplxPrefetcher {
-    /// Creates a CPLX prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(config: CplxConfig) -> Self {
-        Self {
-            ip_table: LruTable::new(config.ip_entries),
-            dpt: LruTable::new(config.dpt_entries),
-            config,
-            stats: TableStats::default(),
-        }
-    }
-
     /// Creates a CPLX prefetcher with the default configuration.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(CplxConfig::default())
+        Self {
+            ip_table: LruTable::new(IP_ENTRIES),
+            dpt: LruTable::new(DPT_ENTRIES),
+            stats: TableStats::default(),
+        }
     }
 
     fn signature(deltas: &[i64; SIGNATURE_DELTAS]) -> u32 {
@@ -95,7 +76,7 @@ impl CplxPrefetcher {
             return;
         }
         if e.predicted_delta == observed_delta {
-            e.confidence = (e.confidence + 1).min(self.config.confidence_max);
+            e.confidence = (e.confidence + 1).min(CONFIDENCE_MAX);
         } else if e.confidence > 0 {
             e.confidence -= 1;
         } else {
@@ -170,7 +151,7 @@ impl Prefetcher for CplxPrefetcher {
             let Some((next_delta, confidence)) = self.dpt_lookup(sig) else {
                 break;
             };
-            if confidence < self.config.confidence_threshold || next_delta == 0 {
+            if confidence < CONFIDENCE_THRESHOLD || next_delta == 0 {
                 break;
             }
             current = current.offset(next_delta);
@@ -187,7 +168,7 @@ impl Prefetcher for CplxPrefetcher {
                 && self
                     .dpt
                     .get(&Self::signature(&e.recent_deltas))
-                    .is_some_and(|d| d.confidence >= self.config.confidence_threshold)
+                    .is_some_and(|d| d.confidence >= CONFIDENCE_THRESHOLD)
         })
     }
 
@@ -198,8 +179,7 @@ impl Prefetcher for CplxPrefetcher {
     fn storage_bits(&self) -> u64 {
         // IP entry: tag 16 b + last line 58 b + 2×12 b deltas + 2 b valid + 6 b LRU.
         // DPT entry: signature 12 b + delta 12 b + confidence 3 b + LRU 7 b.
-        (self.config.ip_entries as u64) * (16 + 58 + 24 + 2 + 6)
-            + (self.config.dpt_entries as u64) * (12 + 12 + 3 + 7)
+        (IP_ENTRIES as u64) * (16 + 58 + 24 + 2 + 6) + (DPT_ENTRIES as u64) * (12 + 12 + 3 + 7)
     }
 }
 

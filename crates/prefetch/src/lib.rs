@@ -14,6 +14,11 @@
 //! lines. Which demand accesses reach which prefetcher — and with what degree
 //! — is exactly the decision the paper's selection algorithms make.
 //!
+//! The paper fixes every table (Table II), so each prefetcher's sizes and
+//! thresholds are private constants and `default_config()` is its one
+//! constructor. Only the temporal prefetcher takes a size,
+//! [`TemporalPrefetcher::new`]'s metadata budget, which Fig. 14 sweeps.
+//!
 //! # Example
 //!
 //! ```
@@ -48,5 +53,5 @@ pub use cplx::CplxPrefetcher;
 pub use pmp::PmpPrefetcher;
 pub use stream::StreamPrefetcher;
 pub use stride::StridePrefetcher;
-pub use temporal::{TemporalConfig, TemporalPrefetcher};
+pub use temporal::TemporalPrefetcher;
 pub use traits::{Prefetcher, PrefetcherKind, TableStats};

@@ -1,18 +1,26 @@
 //! PMP — a spatial bit-pattern prefetcher (Table II: 16-entry Accumulation
 //! Table, 64-entry Pattern History Table).
 //!
-//! PMP learns, per trigger (PC, page-offset) signature, which cache lines of
-//! a 4 KiB page tend to be touched after the trigger access, by merging
-//! per-page footprints into counter-based patterns. On the trigger access to
-//! a new page it replays the learned pattern, prefetching the most likely
-//! offsets. PMP is the aggressive spatial component of the paper's default
-//! composite (GS + CS + PMP).
+//! PMP learns, per trigger PC, which cache lines of a 4 KiB page tend to be
+//! touched relative to the trigger access, by merging per-page footprints
+//! into counter-based patterns. On the trigger access to a new page it
+//! replays the learned pattern, prefetching the most likely offsets. PMP is
+//! the aggressive spatial component of the paper's default composite
+//! (GS + CS + PMP).
 
 use alecto_types::{fold_pc, DemandAccess, LineAddr, LruTable, PageAddr, Pc, LINES_PER_PAGE};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 const OFFSETS: usize = LINES_PER_PAGE as usize;
+/// Accumulation Table entries (Table II: 16).
+const ACCUMULATION_ENTRIES: usize = 16;
+/// Pattern History Table entries (Table II: 64).
+const PHT_ENTRIES: usize = 64;
+/// Counter value required for an offset to be prefetched.
+const COUNTER_THRESHOLD: u8 = 2;
+/// Saturation value of the per-offset counters.
+const COUNTER_MAX: u8 = 3;
 
 #[derive(Debug, Clone)]
 struct AccumulationEntry {
@@ -21,29 +29,9 @@ struct AccumulationEntry {
     footprint: u64,
 }
 
-/// Configuration of the PMP prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmpConfig {
-    /// Accumulation Table entries (Table II: 16).
-    pub accumulation_entries: usize,
-    /// Pattern History Table entries (Table II: 64).
-    pub pht_entries: usize,
-    /// Counter value required for an offset to be prefetched.
-    pub counter_threshold: u8,
-    /// Saturation value of the per-offset counters.
-    pub counter_max: u8,
-}
-
-impl Default for PmpConfig {
-    fn default() -> Self {
-        Self { accumulation_entries: 16, pht_entries: 64, counter_threshold: 2, counter_max: 3 }
-    }
-}
-
 /// The PMP spatial prefetcher.
 #[derive(Debug, Clone)]
 pub struct PmpPrefetcher {
-    config: PmpConfig,
     /// The Accumulation Table, keyed by page.
     accumulation: LruTable<PageAddr, AccumulationEntry>,
     /// The Pattern History Table: per-offset counters keyed by signature.
@@ -52,35 +40,27 @@ pub struct PmpPrefetcher {
 }
 
 impl PmpPrefetcher {
-    /// Creates a PMP prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(config: PmpConfig) -> Self {
-        Self {
-            accumulation: LruTable::new(config.accumulation_entries),
-            pht: LruTable::new(config.pht_entries),
-            config,
-            stats: TableStats::default(),
-        }
-    }
-
     /// Creates a PMP prefetcher with the Table II configuration.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(PmpConfig::default())
+        Self {
+            accumulation: LruTable::new(ACCUMULATION_ENTRIES),
+            pht: LruTable::new(PHT_ENTRIES),
+            stats: TableStats::default(),
+        }
     }
 
     /// Signature used to index the PHT: the folded PC of the trigger access.
     /// Footprints are rotated so the trigger offset becomes position 0, which
     /// is what makes the learned pattern position-independent within a page
     /// (the "merging similar patterns" idea of PMP).
-    fn signature(pc: Pc, _trigger_offset: u64) -> u32 {
+    fn signature(pc: Pc) -> u32 {
         fold_pc(pc, 10)
     }
 
     fn merge_into_pht(&mut self, entry: &AccumulationEntry) {
-        let signature = Self::signature(entry.trigger_pc, entry.trigger_offset);
+        let signature = Self::signature(entry.trigger_pc);
         self.stats.trainings += 1;
-        let max = self.config.counter_max;
         // Rotate the footprint so that the trigger offset becomes position 0;
         // patterns become position-independent within the page.
         let rotate = entry.trigger_offset;
@@ -89,7 +69,7 @@ impl PmpPrefetcher {
         for bit in 0..OFFSETS as u64 {
             let rotated = ((bit + OFFSETS as u64 - rotate) % OFFSETS as u64) as usize;
             if entry.footprint & (1 << bit) != 0 {
-                counters[rotated] = (counters[rotated] + 1).min(max);
+                counters[rotated] = (counters[rotated] + 1).min(COUNTER_MAX);
             } else {
                 counters[rotated] = counters[rotated].saturating_sub(1);
             }
@@ -104,7 +84,7 @@ impl PmpPrefetcher {
         degree: u32,
         out: &mut Vec<LineAddr>,
     ) {
-        let signature = Self::signature(pc, trigger_offset);
+        let signature = Self::signature(pc);
         self.stats.lookups += 1;
         let Some(counters) = self.pht.get(&signature) else {
             self.stats.misses += 1;
@@ -115,7 +95,7 @@ impl PmpPrefetcher {
         // per counter value from the saturation value down, each in offset
         // order (position 0 is the trigger itself).
         let mut budget = degree as usize;
-        for value in (self.config.counter_threshold..=self.config.counter_max).rev() {
+        for value in (COUNTER_THRESHOLD..=COUNTER_MAX).rev() {
             for rel in (1..OFFSETS).filter(|&rel| counters[rel] == value) {
                 if budget == 0 {
                     return;
@@ -169,9 +149,9 @@ impl Prefetcher for PmpPrefetcher {
         if self.accumulation.get(&page).is_some() {
             return true;
         }
-        let signature = Self::signature(access.pc, line.index_in_page());
+        let signature = Self::signature(access.pc);
         self.pht.get(&signature).is_some_and(|counters| {
-            counters.iter().filter(|&&c| c >= self.config.counter_threshold).count() > 1
+            counters.iter().filter(|&&c| c >= COUNTER_THRESHOLD).count() > 1
         })
     }
 
@@ -182,8 +162,8 @@ impl Prefetcher for PmpPrefetcher {
     fn storage_bits(&self) -> u64 {
         // Accumulation entry: page tag 36 b + footprint 64 b + trigger offset 6 b
         // + PC hash 10 b + LRU 4 b. PHT entry: signature 10 b + 64×2 b counters + LRU 6 b.
-        (self.config.accumulation_entries as u64) * (36 + 64 + 6 + 10 + 4)
-            + (self.config.pht_entries as u64) * (10 + 2 * OFFSETS as u64 + 6)
+        (ACCUMULATION_ENTRIES as u64) * (36 + 64 + 6 + 10 + 4)
+            + (PHT_ENTRIES as u64) * (10 + 2 * OFFSETS as u64 + 6)
     }
 }
 
@@ -246,7 +226,7 @@ mod tests {
         for (rel, c) in [(9, 2), (4, 3), (1, 2), (7, 3), (0, 3), (12, 1)] {
             counters[rel] = c;
         }
-        let signature = PmpPrefetcher::signature(pc, 0);
+        let signature = PmpPrefetcher::signature(pc);
         pf.pht.touch_or_insert_with(signature, || counters);
         // Relative offsets 4 and 7 (counter 3), then 1 and 9 (counter 2),
         // rotated from the trigger at 60; 12 is below threshold and 0 is the

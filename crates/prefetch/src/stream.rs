@@ -13,6 +13,12 @@ use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
 /// Lines per tracked region (2 KiB regions of 64 B lines).
 const REGION_LINES: u64 = 32;
+/// IP-table entries (Table II: 64).
+const IP_ENTRIES: usize = 64;
+/// Region Stream Table entries (Table II: 8).
+const RST_ENTRIES: usize = 8;
+/// Touched lines within a region before it is declared a stream.
+const DENSITY_THRESHOLD: u32 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct IpEntry {
@@ -29,27 +35,9 @@ struct RegionEntry {
     descending: SaturatingCounter,
 }
 
-/// Configuration of the stream prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// IP-table entries (Table II: 64).
-    pub ip_entries: usize,
-    /// Region Stream Table entries (Table II: 8).
-    pub rst_entries: usize,
-    /// Number of touched lines within a region before it is declared a stream.
-    pub density_threshold: u32,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self { ip_entries: 64, rst_entries: 8, density_threshold: 4 }
-    }
-}
-
 /// The GS global-stream prefetcher.
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
-    config: StreamConfig,
     ip_table: LruTable<Pc, IpEntry>,
     /// The Region Stream Table, keyed by region number.
     rst: LruTable<u64, RegionEntry>,
@@ -57,21 +45,14 @@ pub struct StreamPrefetcher {
 }
 
 impl StreamPrefetcher {
-    /// Creates a stream prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(config: StreamConfig) -> Self {
-        Self {
-            ip_table: LruTable::new(config.ip_entries),
-            rst: LruTable::new(config.rst_entries),
-            config,
-            stats: TableStats::default(),
-        }
-    }
-
     /// Creates a stream prefetcher with the Table II configuration.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(StreamConfig::default())
+        Self {
+            ip_table: LruTable::new(IP_ENTRIES),
+            rst: LruTable::new(RST_ENTRIES),
+            stats: TableStats::default(),
+        }
     }
 
     fn region_of(line: LineAddr) -> (u64, u64) {
@@ -101,7 +82,7 @@ impl StreamPrefetcher {
             e.ascending.decrement();
         }
         e.last_index = index;
-        if e.touched >= self.config.density_threshold {
+        if e.touched >= DENSITY_THRESHOLD {
             return Some(e.ascending.value() >= e.descending.value());
         }
         None
@@ -167,8 +148,7 @@ impl Prefetcher for StreamPrefetcher {
     fn probe(&self, access: &DemandAccess) -> bool {
         let pc_confident = self.ip_table.get(&access.pc).is_some_and(|e| e.confidence.value() >= 2);
         let (region, _) = Self::region_of(access.line());
-        let region_dense =
-            self.rst.get(&region).is_some_and(|e| e.touched >= self.config.density_threshold);
+        let region_dense = self.rst.get(&region).is_some_and(|e| e.touched >= DENSITY_THRESHOLD);
         pc_confident || region_dense
     }
 
@@ -179,8 +159,7 @@ impl Prefetcher for StreamPrefetcher {
     fn storage_bits(&self) -> u64 {
         // IP entry: tag 16 b + last line 58 b + dir 1 b + conf 2 b + LRU 6 b.
         // RST entry: region tag 48 b + touched 6 b + last index 5 b + 2×3 b + LRU 3 b.
-        (self.config.ip_entries as u64) * (16 + 58 + 1 + 2 + 6)
-            + (self.config.rst_entries as u64) * (48 + 6 + 5 + 6 + 3)
+        (IP_ENTRIES as u64) * (16 + 58 + 1 + 2 + 6) + (RST_ENTRIES as u64) * (48 + 6 + 5 + 6 + 3)
     }
 }
 

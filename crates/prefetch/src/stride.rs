@@ -9,6 +9,11 @@ use alecto_types::{DemandAccess, LineAddr, LruTable, Pc, SaturatingCounter};
 
 use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 
+/// IP-table entries (Table II: 64).
+const ENTRIES: usize = 64;
+/// Confidence needed before prefetching (2 of a 2-bit counter).
+const CONFIDENCE_THRESHOLD: u32 = 2;
+
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
     last_line: LineAddr,
@@ -16,40 +21,18 @@ struct StrideEntry {
     confidence: SaturatingCounter,
 }
 
-/// Configuration of the stride prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrideConfig {
-    /// Number of IP-table entries (Table II: 64).
-    pub entries: usize,
-    /// Confidence needed before prefetching (2 of a 2-bit counter).
-    pub confidence_threshold: u32,
-}
-
-impl Default for StrideConfig {
-    fn default() -> Self {
-        Self { entries: 64, confidence_threshold: 2 }
-    }
-}
-
 /// The CS constant-stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
-    config: StrideConfig,
     table: LruTable<Pc, StrideEntry>,
     stats: TableStats,
 }
 
 impl StridePrefetcher {
-    /// Creates a stride prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(config: StrideConfig) -> Self {
-        Self { table: LruTable::new(config.entries), config, stats: TableStats::default() }
-    }
-
     /// Creates a stride prefetcher with the Table II configuration.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(StrideConfig::default())
+        Self { table: LruTable::new(ENTRIES), stats: TableStats::default() }
     }
 }
 
@@ -90,7 +73,7 @@ impl Prefetcher for StridePrefetcher {
             entry.confidence.increment();
         }
         entry.last_line = line;
-        if entry.confidence.value() >= self.config.confidence_threshold && entry.stride != 0 {
+        if entry.confidence.value() >= CONFIDENCE_THRESHOLD && entry.stride != 0 {
             let stride = entry.stride;
             for i in 1..=i64::from(degree) {
                 out.push(line.offset(stride * i));
@@ -100,9 +83,7 @@ impl Prefetcher for StridePrefetcher {
     }
 
     fn probe(&self, access: &DemandAccess) -> bool {
-        self.table
-            .get(&access.pc)
-            .is_some_and(|e| e.confidence.value() >= self.config.confidence_threshold)
+        self.table.get(&access.pc).is_some_and(|e| e.confidence.value() >= CONFIDENCE_THRESHOLD)
     }
 
     fn table_stats(&self) -> &TableStats {
@@ -112,7 +93,7 @@ impl Prefetcher for StridePrefetcher {
     fn storage_bits(&self) -> u64 {
         // Per entry: tag (16 b folded PC), last line (58 b), stride (12 b),
         // confidence (2 b), LRU (6 b) — the same ballpark as IPCP's CS.
-        (self.config.entries as u64) * (16 + 58 + 12 + 2 + 6)
+        (ENTRIES as u64) * (16 + 58 + 12 + 2 + 6)
     }
 }
 
@@ -188,12 +169,13 @@ mod tests {
 
     #[test]
     fn capacity_evictions_happen() {
-        let mut pf = StridePrefetcher::new(StrideConfig { entries: 4, confidence_threshold: 2 });
+        // 72 PCs through the 64-entry table: the last 8 each evict one.
+        let mut pf = StridePrefetcher::default_config();
         let mut out = Vec::new();
-        for pc in 0..8u64 {
+        for pc in 0..72u64 {
             pf.train_and_predict(&access(pc, 0x1000), 1, &mut out);
         }
-        assert!(pf.table_stats().evictions >= 4);
+        assert_eq!(pf.table_stats().evictions, 8);
     }
 
     #[test]
@@ -208,11 +190,11 @@ mod tests {
 
     #[test]
     fn storage_is_positive_and_scales() {
-        let small = StridePrefetcher::new(StrideConfig { entries: 16, confidence_threshold: 2 });
-        let big = StridePrefetcher::default_config();
-        assert!(big.storage_bits() > small.storage_bits());
-        assert_eq!(big.kind(), PrefetcherKind::Stride);
-        assert_eq!(big.name(), "CS");
-        assert!(!big.is_temporal());
+        // 94 bits per entry, times the 64 entries of Table II.
+        let pf = StridePrefetcher::default_config();
+        assert_eq!(pf.storage_bits(), 64 * 94);
+        assert_eq!(pf.kind(), PrefetcherKind::Stride);
+        assert_eq!(pf.name(), "CS");
+        assert!(!pf.is_temporal());
     }
 }

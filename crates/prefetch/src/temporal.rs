@@ -24,34 +24,15 @@ use crate::traits::{Prefetcher, PrefetcherKind, TableStats};
 /// "a 1 MB metadata table".
 pub const BYTES_PER_ENTRY: u64 = 8;
 
-/// Configuration of the temporal prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TemporalConfig {
-    /// Metadata table capacity in bytes (Fig. 14: 128 KB – 1 MB).
-    pub metadata_bytes: u64,
-    /// Maximum prefetch degree (the paper fixes it to 1 in §V-C); requests
-    /// beyond this are not emitted even if the selection grants more.
-    pub max_degree: u32,
-}
-
-impl Default for TemporalConfig {
-    fn default() -> Self {
-        Self { metadata_bytes: 1024 * 1024, max_degree: 1 }
-    }
-}
-
-impl TemporalConfig {
-    /// Number of correlation entries the byte budget affords.
-    #[must_use]
-    pub const fn capacity_entries(&self) -> usize {
-        (self.metadata_bytes / BYTES_PER_ENTRY) as usize
-    }
-}
+/// Maximum prefetch degree (§V-C fixes it to 1); requests beyond it are not
+/// emitted even if the selection grants more.
+const MAX_DEGREE: u32 = 1;
 
 /// The temporal (address-correlating) prefetcher.
 #[derive(Debug, Clone)]
 pub struct TemporalPrefetcher {
-    config: TemporalConfig,
+    /// Metadata table capacity in bytes (Fig. 14: 128 KB – 1 MB).
+    metadata_bytes: u64,
     /// line -> (successor line, write stamp) correlation table. Unlike the
     /// other prefetchers' tables it is no [`alecto_types::LruTable`]: with
     /// 16,384–131,072 entries keyed by line (Fig. 14's budgets), every
@@ -69,29 +50,23 @@ pub struct TemporalPrefetcher {
 }
 
 impl TemporalPrefetcher {
-    /// Creates a temporal prefetcher with the given configuration.
+    /// Creates a temporal prefetcher with a `metadata_bytes` metadata table
+    /// (§V-C: 1 MB; Fig. 14 sweeps the budget).
     #[must_use]
-    pub fn new(config: TemporalConfig) -> Self {
+    pub fn new(metadata_bytes: u64) -> Self {
         Self {
+            metadata_bytes,
             table: BTreeMap::new(),
             by_stamp: BTreeMap::new(),
-            config,
             write_clock: 0,
             last_line: None,
             stats: TableStats::default(),
         }
     }
 
-    /// Creates a temporal prefetcher with a 1 MB metadata table (§V-C).
-    #[must_use]
-    pub fn default_config() -> Self {
-        Self::new(TemporalConfig::default())
-    }
-
-    /// Configuration in use.
-    #[must_use]
-    pub const fn config(&self) -> &TemporalConfig {
-        &self.config
+    /// Number of correlation entries the byte budget affords.
+    const fn capacity_entries(&self) -> usize {
+        (self.metadata_bytes / BYTES_PER_ENTRY) as usize
     }
 
     /// Number of currently valid correlation entries.
@@ -101,7 +76,7 @@ impl TemporalPrefetcher {
     }
 
     fn evict_if_full(&mut self) {
-        let capacity = self.config.capacity_entries().max(1);
+        let capacity = self.capacity_entries().max(1);
         if self.table.len() < capacity {
             return;
         }
@@ -148,7 +123,7 @@ impl Prefetcher for TemporalPrefetcher {
         self.last_line = Some(line);
 
         // Predict: chase successors starting from the current line.
-        let degree = degree.min(self.config.max_degree);
+        let degree = degree.min(MAX_DEGREE);
         if degree == 0 {
             return;
         }
@@ -182,7 +157,7 @@ impl Prefetcher for TemporalPrefetcher {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.config.metadata_bytes * 8
+        self.metadata_bytes * 8
     }
 }
 
@@ -202,7 +177,7 @@ mod tests {
 
     #[test]
     fn recurring_sequence_is_predicted_on_second_pass() {
-        let mut pf = TemporalPrefetcher::default_config();
+        let mut pf = TemporalPrefetcher::new(1024 * 1024);
         let seq = chase_sequence();
         let mut out = Vec::new();
         // First pass trains, second pass should predict each successor.
@@ -222,7 +197,7 @@ mod tests {
 
     #[test]
     fn degree_capped_at_max_degree() {
-        let mut pf = TemporalPrefetcher::default_config();
+        let mut pf = TemporalPrefetcher::new(1024 * 1024);
         let seq = chase_sequence();
         let mut out = Vec::new();
         for _ in 0..2 {
@@ -237,8 +212,7 @@ mod tests {
 
     #[test]
     fn capacity_pressure_causes_evictions_and_misses() {
-        let small = TemporalConfig { metadata_bytes: 1024, max_degree: 1 }; // 128 entries
-        let mut pf = TemporalPrefetcher::new(small);
+        let mut pf = TemporalPrefetcher::new(1024); // 128 entries
         let mut out = Vec::new();
         // A recurring sequence longer than the table.
         let seq: Vec<u64> = (0..500).map(|i| (i * 7919) % 100_000).collect();
@@ -248,7 +222,7 @@ mod tests {
             }
         }
         assert!(pf.table_stats().evictions > 0);
-        assert!(pf.occupancy() <= small.capacity_entries());
+        assert!(pf.occupancy() <= 128);
         assert!(pf.table_stats().misses > 0, "a thrashing table must miss");
     }
 
@@ -257,8 +231,7 @@ mod tests {
         // A naive model of the policy: every write stamps its key, and an
         // insert into a full table first drops the key with the least stamp.
         let mut rng = SplitMix64::new(0x7e3);
-        let small = TemporalConfig { metadata_bytes: 16 * BYTES_PER_ENTRY, max_degree: 1 };
-        let mut pf = TemporalPrefetcher::new(small);
+        let mut pf = TemporalPrefetcher::new(16 * BYTES_PER_ENTRY);
         let mut model: BTreeMap<LineAddr, u64> = BTreeMap::new();
         let (mut prev, mut out) = (None, Vec::new());
         for t in 1..=5_000u64 {
@@ -282,8 +255,7 @@ mod tests {
     fn larger_metadata_covers_longer_reuse() {
         let seq: Vec<u64> = (0..2_000).map(|i| (i * 104_729) % 1_000_000).collect();
         let run = |bytes: u64| {
-            let mut pf =
-                TemporalPrefetcher::new(TemporalConfig { metadata_bytes: bytes, max_degree: 1 });
+            let mut pf = TemporalPrefetcher::new(bytes);
             let mut out = Vec::new();
             // Two passes: first trains, second measures hits.
             for &l in &seq {
@@ -309,7 +281,7 @@ mod tests {
 
     #[test]
     fn non_recurring_stream_gains_nothing() {
-        let mut pf = TemporalPrefetcher::default_config();
+        let mut pf = TemporalPrefetcher::new(1024 * 1024);
         let mut out = Vec::new();
         for l in 0..1_000u64 {
             pf.train_and_predict(&access(l * 3 + 7_000_000), 1, &mut out);
@@ -320,10 +292,9 @@ mod tests {
 
     #[test]
     fn metadata_storage_matches_budget() {
-        let pf =
-            TemporalPrefetcher::new(TemporalConfig { metadata_bytes: 256 * 1024, max_degree: 1 });
+        let pf = TemporalPrefetcher::new(256 * 1024);
         assert_eq!(pf.storage_bits(), 256 * 1024 * 8);
-        assert_eq!(pf.config().capacity_entries(), 32 * 1024);
+        assert_eq!(pf.capacity_entries(), 32 * 1024);
         assert!(pf.is_temporal());
         assert_eq!(pf.kind(), PrefetcherKind::Temporal);
         assert_eq!(pf.name(), "TP");

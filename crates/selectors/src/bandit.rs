@@ -13,51 +13,10 @@ use prefetch::Prefetcher;
 
 use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
-/// Which stock Bandit variant is being run (affects only the display name and
-/// the candidate degree set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Variant {
-    Bandit3,
-    Bandit6,
-    Extended,
-}
-
-/// Bandit configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BanditConfig {
-    /// Candidate degree values each prefetcher may be assigned.
-    pub degree_choices: Vec<u32>,
-    /// Number of prefetchers being scheduled.
-    pub prefetchers: usize,
-    /// Exploration probability of the epsilon-greedy policy.
-    pub epsilon: f64,
-    /// RNG seed (fixed for reproducible simulations).
-    pub seed: u64,
-}
-
-impl BanditConfig {
-    /// Bandit with on/off degree `x` for `prefetchers` prefetchers (2^P arms).
-    #[must_use]
-    pub fn on_off(x: u32, prefetchers: usize) -> Self {
-        Self { degree_choices: vec![0, x], prefetchers, epsilon: 0.1, seed: 0xa1ec70 }
-    }
-
-    /// The extended-arm configuration of §VI-H: degrees {0, c, c+1, ..., c+M+1}.
-    #[must_use]
-    pub fn extended(c: u32, m: u32, prefetchers: usize) -> Self {
-        let mut degree_choices = vec![0];
-        for d in c..=(c + m + 1) {
-            degree_choices.push(d);
-        }
-        Self { degree_choices, prefetchers, epsilon: 0.1, seed: 0xa1ec70 }
-    }
-
-    /// Number of arms = `choices ^ prefetchers`.
-    #[must_use]
-    pub fn num_arms(&self) -> usize {
-        self.degree_choices.len().pow(self.prefetchers as u32)
-    }
-}
+/// Exploration probability of the epsilon-greedy policy.
+const EPSILON: f64 = 0.1;
+/// RNG seed (fixed for reproducible simulations).
+const SEED: u64 = 0xa1ec70;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ArmState {
@@ -68,8 +27,11 @@ struct ArmState {
 /// The Bandit selector.
 #[derive(Debug, Clone)]
 pub struct BanditSelector {
-    config: BanditConfig,
-    variant: Variant,
+    /// Candidate degree values each prefetcher may be assigned.
+    degree_choices: Vec<u32>,
+    /// Number of prefetchers being scheduled.
+    prefetchers: usize,
+    /// One arm per combination of degree choices: `choices ^ prefetchers`.
     arms: Vec<ArmState>,
     current_arm: usize,
     epochs: u64,
@@ -77,45 +39,47 @@ pub struct BanditSelector {
 }
 
 impl BanditSelector {
-    fn new_with_variant(config: BanditConfig, variant: Variant) -> Self {
-        let arms = vec![ArmState::default(); config.num_arms()];
-        let rng = SplitMix64::new(config.seed);
+    fn with_degree_choices(degree_choices: Vec<u32>, prefetchers: usize) -> Self {
+        let arms = vec![ArmState::default(); degree_choices.len().pow(prefetchers as u32)];
         // Start from the most aggressive arm (all prefetchers on), which is
         // also what the hardware proposal boots with.
-        let current_arm = config.num_arms() - 1;
-        Self { config, variant, arms, current_arm, epochs: 0, rng }
+        let current_arm = arms.len() - 1;
+        Self {
+            degree_choices,
+            prefetchers,
+            arms,
+            current_arm,
+            epochs: 0,
+            rng: SplitMix64::new(SEED),
+        }
     }
 
-    /// Bandit3: every prefetcher degree is 0 or 3.
+    /// Bandit3: every prefetcher degree is 0 or 3 (2^P arms).
     #[must_use]
     pub fn bandit3(prefetchers: usize) -> Self {
-        Self::new_with_variant(BanditConfig::on_off(3, prefetchers), Variant::Bandit3)
+        Self::with_degree_choices(vec![0, 3], prefetchers)
     }
 
-    /// Bandit6: every prefetcher degree is 0 or 6.
+    /// Bandit6: every prefetcher degree is 0 or 6 (2^P arms).
     #[must_use]
     pub fn bandit6(prefetchers: usize) -> Self {
-        Self::new_with_variant(BanditConfig::on_off(6, prefetchers), Variant::Bandit6)
+        Self::with_degree_choices(vec![0, 6], prefetchers)
     }
 
-    /// The extended-arm variant of §VI-H with Alecto's (c, M) degree range.
+    /// The extended-arm variant of §VI-H with Alecto's (c, M) degree range:
+    /// degrees {0, c, c+1, ..., c+M+1}.
     #[must_use]
     pub fn extended(c: u32, m: u32, prefetchers: usize) -> Self {
-        Self::new_with_variant(BanditConfig::extended(c, m, prefetchers), Variant::Extended)
-    }
-
-    /// Configuration in use.
-    #[must_use]
-    pub const fn config(&self) -> &BanditConfig {
-        &self.config
+        let degree_choices = std::iter::once(0).chain(c..=(c + m + 1)).collect();
+        Self::with_degree_choices(degree_choices, prefetchers)
     }
 
     /// Degree arm `arm` gives prefetcher `prefetcher`: digit `prefetcher` of
     /// `arm` written in base `degree_choices.len()`, least significant first.
     fn arm_degree(&self, arm: usize, prefetcher: usize) -> u32 {
-        let base = self.config.degree_choices.len();
+        let base = self.degree_choices.len();
         let digit = (0..prefetcher).fold(arm, |rest, _| rest / base) % base;
-        self.config.degree_choices[digit]
+        self.degree_choices[digit]
     }
 
     /// Index of the arm currently in use.
@@ -133,7 +97,7 @@ impl BanditSelector {
     fn pick_next_arm(&mut self) {
         // Epsilon-greedy with optimistic initialisation: unexplored arms are
         // preferred, otherwise the best empirical mean wins.
-        if self.rng.chance(self.config.epsilon) {
+        if self.rng.chance(EPSILON) {
             self.current_arm = self.rng.below(self.arms.len() as u64) as usize;
             return;
         }
@@ -154,14 +118,6 @@ impl BanditSelector {
 }
 
 impl Selector for BanditSelector {
-    fn name(&self) -> &'static str {
-        match self.variant {
-            Variant::Bandit3 => "Bandit3",
-            Variant::Bandit6 => "Bandit6",
-            Variant::Extended => "BanditExt",
-        }
-    }
-
     fn allocate(
         &mut self,
         _access: &DemandAccess,
@@ -173,7 +129,7 @@ impl Selector for BanditSelector {
         let mut per_prefetcher = Allocations::filled(prefetchers.len(), None);
         for (i, slot) in per_prefetcher.iter_mut().enumerate() {
             let degree =
-                if i < self.config.prefetchers { self.arm_degree(self.current_arm, i) } else { 0 };
+                if i < self.prefetchers { self.arm_degree(self.current_arm, i) } else { 0 };
             *slot = Some(DegreeAllocation::l1(degree));
         }
         AllocationDecision { per_prefetcher }
@@ -198,7 +154,7 @@ impl Selector for BanditSelector {
 
     fn storage_bits(&self) -> u64 {
         // §VI-H: 8 bytes per arm.
-        8 * 8 * self.config.num_arms() as u64
+        8 * 8 * self.arms.len() as u64
     }
 }
 
@@ -210,11 +166,11 @@ mod tests {
 
     #[test]
     fn arm_counts_match_paper() {
-        assert_eq!(BanditSelector::bandit3(3).config().num_arms(), 8);
-        assert_eq!(BanditSelector::bandit6(3).config().num_arms(), 8);
+        assert_eq!(BanditSelector::bandit3(3).arms.len(), 8);
+        assert_eq!(BanditSelector::bandit6(3).arms.len(), 8);
         // Extended: M = 5 → M + 3 = 8 values per prefetcher → 8^3 arms.
         let ext = BanditSelector::extended(3, 5, 3);
-        assert_eq!(ext.config().num_arms(), 512);
+        assert_eq!(ext.arms.len(), 512);
     }
 
     #[test]
@@ -301,12 +257,5 @@ mod tests {
         let mut b = BanditSelector::bandit3(3);
         b.on_epoch(100, 0);
         assert_eq!(b.epochs(), 1);
-    }
-
-    #[test]
-    fn names_distinguish_variants() {
-        assert_eq!(BanditSelector::bandit3(3).name(), "Bandit3");
-        assert_eq!(BanditSelector::bandit6(3).name(), "Bandit6");
-        assert_eq!(BanditSelector::extended(3, 5, 3).name(), "BanditExt");
     }
 }

@@ -11,33 +11,15 @@
 use alecto_types::{DemandAccess, PrefetchRequest};
 use prefetch::Prefetcher;
 
+use crate::ipcp::BASELINE_DEGREE;
 use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
-/// The DOL sequential-coordinator selector.
-#[derive(Debug, Clone)]
-pub struct DolSelector {
-    degree: u32,
-}
-
-impl DolSelector {
-    /// Creates a DOL selector with per-prefetcher degree `degree`.
-    #[must_use]
-    pub fn new(degree: u32) -> Self {
-        Self { degree }
-    }
-
-    /// Default degree of 4 (same as the IPCP baseline).
-    #[must_use]
-    pub fn default_config() -> Self {
-        Self::new(4)
-    }
-}
+/// The DOL sequential-coordinator selector, with the IPCP baseline's
+/// per-prefetcher degree ([`BASELINE_DEGREE`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DolSelector;
 
 impl Selector for DolSelector {
-    fn name(&self) -> &'static str {
-        "DOL"
-    }
-
     fn allocate(
         &mut self,
         access: &DemandAccess,
@@ -47,7 +29,7 @@ impl Selector for DolSelector {
         // the first one that claims the access gets trained.
         let mut per_prefetcher = Allocations::filled(prefetchers.len(), None);
         for (i, pf) in prefetchers.iter().enumerate() {
-            per_prefetcher[i] = Some(DegreeAllocation::l1(self.degree));
+            per_prefetcher[i] = Some(DegreeAllocation::l1(BASELINE_DEGREE));
             if pf.probe(access) {
                 break;
             }
@@ -79,7 +61,7 @@ mod tests {
 
     #[test]
     fn cold_tables_train_the_whole_chain() {
-        let mut s = DolSelector::default_config();
+        let mut s = DolSelector;
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         let d = s.allocate(&DemandAccess::load(Pc::new(1), Addr::new(0x100)), &prefetchers);
         // Nobody claims a never-seen access: the request walks the full chain.
@@ -88,7 +70,7 @@ mod tests {
 
     #[test]
     fn chain_stops_at_first_claiming_prefetcher() {
-        let mut s = DolSelector::default_config();
+        let mut s = DolSelector;
         let mut prefetchers = build_composite(CompositeKind::GsCsPmp);
         // Make the stride prefetcher (index 1) confident about PC 0x40.
         {
@@ -112,22 +94,21 @@ mod tests {
 
     #[test]
     fn single_prefetcher_composite_works() {
-        let mut s = DolSelector::new(2);
+        let mut s = DolSelector;
         let prefetchers: Vec<Box<dyn Prefetcher>> =
             vec![Box::new(StridePrefetcher::default_config())];
         let d = s.allocate(&DemandAccess::load(Pc::new(5), Addr::new(0x40)), &prefetchers);
         assert_eq!(d.allocated_count(), 1);
-        assert_eq!(d.per_prefetcher[0].unwrap().total, 2);
+        assert_eq!(d.per_prefetcher[0].unwrap().total, BASELINE_DEGREE);
     }
 
     #[test]
     fn select_requests_passes_through() {
         use alecto_types::{LineAddr, PrefetcherId};
-        let mut s = DolSelector::default_config();
+        let mut s = DolSelector;
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         let reqs = vec![PrefetchRequest::new(LineAddr::new(1), Pc::new(1), PrefetcherId(0))];
         assert_eq!(s.select_requests(&access, reqs.clone()), reqs);
-        assert_eq!(s.name(), "DOL");
         assert!(s.storage_bits() < 64);
     }
 }

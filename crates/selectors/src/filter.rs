@@ -9,6 +9,11 @@
 
 use alecto_types::LineAddr;
 
+/// Filter slots: the entry count of Alecto's Sandbox Table, for a fair
+/// baseline. Lines index the array by a hash masked to this power of two.
+const ENTRIES: usize = 512;
+const _: () = assert!(ENTRIES.is_power_of_two());
+
 /// A direct-mapped recently-prefetched-line filter.
 #[derive(Debug, Clone)]
 pub struct PrefetchFilter {
@@ -16,32 +21,20 @@ pub struct PrefetchFilter {
 }
 
 impl PrefetchFilter {
-    /// Creates a filter with `entries` slots (must be a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero or not a power of two.
-    #[must_use]
-    pub fn new(entries: usize) -> Self {
-        assert!(entries > 0 && entries.is_power_of_two(), "filter size must be a power of two");
-        Self { entries: vec![None; entries] }
-    }
-
-    /// The default 512-entry filter (same entry count as Alecto's Sandbox
-    /// Table, for a fair baseline).
+    /// The 512-entry filter.
     #[must_use]
     pub fn default_config() -> Self {
-        Self::new(512)
+        Self { entries: vec![None; ENTRIES] }
     }
 
-    fn index(&self, line: LineAddr) -> usize {
-        (alecto_types::hash::mix64(line.raw()) as usize) & (self.entries.len() - 1)
+    fn index(line: LineAddr) -> usize {
+        (alecto_types::hash::mix64(line.raw()) as usize) & (ENTRIES - 1)
     }
 
     /// Returns `true` if the line was recently prefetched and the request
     /// should be dropped; otherwise records it and returns `false`.
     pub fn check_and_insert(&mut self, line: LineAddr) -> bool {
-        let idx = self.index(line);
+        let idx = Self::index(line);
         if self.entries[idx] == Some(line) {
             return true;
         }
@@ -56,38 +49,32 @@ mod tests {
 
     #[test]
     fn duplicates_are_dropped() {
-        let mut f = PrefetchFilter::new(64);
+        let mut f = PrefetchFilter::default_config();
         assert!(!f.check_and_insert(LineAddr::new(10)));
         assert!(f.check_and_insert(LineAddr::new(10)));
     }
 
     #[test]
     fn distinct_lines_pass() {
-        let mut f = PrefetchFilter::new(64);
-        let mut dropped = 0;
+        // A slot only ever matches the line it holds, so a collision between
+        // distinct lines evicts instead of dropping.
+        let mut f = PrefetchFilter::default_config();
         for i in 0..32u64 {
-            if f.check_and_insert(LineAddr::new(i * 1024 + 7)) {
-                dropped += 1;
-            }
+            assert!(!f.check_and_insert(LineAddr::new(i * 1024 + 7)), "new line {i} was dropped");
         }
-        assert!(dropped <= 2, "few collisions expected among 32 distinct lines in 64 slots");
     }
 
     #[test]
     fn capacity_conflicts_eventually_forget() {
-        let mut f = PrefetchFilter::new(8);
-        assert!(!f.check_and_insert(LineAddr::new(1)));
-        // Flood with many other lines: each is new, so none is dropped, and
-        // together they overwrite the slot of line 1.
-        for i in 2..200u64 {
-            assert!(!f.check_and_insert(LineAddr::new(i)), "line {i} was never seen");
-        }
-        assert!(!f.check_and_insert(LineAddr::new(1)), "line 1 should be forgotten");
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let _ = PrefetchFilter::new(100);
+        let mut f = PrefetchFilter::default_config();
+        let one = LineAddr::new(1);
+        assert!(!f.check_and_insert(one));
+        // The first other line that hashes to line 1's slot overwrites it.
+        let rival = (2..)
+            .map(LineAddr::new)
+            .find(|&l| PrefetchFilter::index(l) == PrefetchFilter::index(one))
+            .expect("some line shares the slot");
+        assert!(!f.check_and_insert(rival), "{rival:?} was never seen");
+        assert!(!f.check_and_insert(one), "line 1 should be forgotten");
     }
 }

@@ -12,39 +12,24 @@ use prefetch::Prefetcher;
 
 use crate::traits::{AllocationDecision, Selector};
 
-/// The IPCP static-priority selector.
-#[derive(Debug, Clone)]
-pub struct IpcpSelector {
-    degree: u32,
-}
+/// Per-prefetcher degree of the static baselines (IPCP, DOL, PPF and
+/// Triangel's non-temporal prefetchers): 4, comparable to the conservative
+/// end of Bandit.
+pub const BASELINE_DEGREE: u32 = 4;
 
-impl IpcpSelector {
-    /// Creates an IPCP selector where each prefetcher may emit up to `degree`
-    /// candidates per training event.
-    #[must_use]
-    pub fn new(degree: u32) -> Self {
-        Self { degree }
-    }
-
-    /// Default degree of 4, comparable to the conservative end of Bandit.
-    #[must_use]
-    pub fn default_config() -> Self {
-        Self::new(4)
-    }
-}
+/// The IPCP static-priority selector: each prefetcher may emit up to
+/// [`BASELINE_DEGREE`] candidates per training event.
+#[derive(Debug, Clone, Copy)]
+pub struct IpcpSelector;
 
 impl Selector for IpcpSelector {
-    fn name(&self) -> &'static str {
-        "IPCP"
-    }
-
     fn allocate(
         &mut self,
         _access: &DemandAccess,
         prefetchers: &[Box<dyn Prefetcher>],
     ) -> AllocationDecision {
         // Non-selective training: everyone sees the request.
-        AllocationDecision::all(prefetchers.len(), self.degree)
+        AllocationDecision::all(prefetchers.len(), BASELINE_DEGREE)
     }
 
     fn select_requests(
@@ -79,16 +64,16 @@ mod tests {
 
     #[test]
     fn all_prefetchers_are_trained() {
-        let mut s = IpcpSelector::default_config();
+        let mut s = IpcpSelector;
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         let d = s.allocate(&DemandAccess::load(Pc::new(1), Addr::new(0x100)), &prefetchers);
         assert_eq!(d.allocated_count(), 3);
-        assert!(d.per_prefetcher.iter().all(|a| a.unwrap().total == 4));
+        assert!(d.per_prefetcher.iter().all(|a| a.unwrap().total == BASELINE_DEGREE));
     }
 
     #[test]
     fn highest_priority_output_wins() {
-        let mut s = IpcpSelector::default_config();
+        let mut s = IpcpSelector;
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         let out = s.select_requests(&access, vec![req(2, 10), req(0, 20), req(1, 30), req(0, 21)]);
         assert_eq!(out, [req(0, 20), req(0, 21)], "the winner's requests, in candidate order");
@@ -96,7 +81,7 @@ mod tests {
 
     #[test]
     fn lower_priority_used_when_alone() {
-        let mut s = IpcpSelector::default_config();
+        let mut s = IpcpSelector;
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         let out = s.select_requests(&access, vec![req(2, 10), req(2, 11)]);
         assert_eq!(out.len(), 2);
@@ -105,16 +90,15 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_nothing() {
-        let mut s = IpcpSelector::default_config();
+        let mut s = IpcpSelector;
         let access = DemandAccess::load(Pc::new(1), Addr::new(0x100));
         assert!(s.select_requests(&access, Vec::new()).is_empty());
     }
 
     #[test]
     fn uses_external_filter_and_tiny_storage() {
-        let s = IpcpSelector::default_config();
+        let s = IpcpSelector;
         assert!(s.needs_external_filter());
         assert!(s.storage_bits() < 64);
-        assert_eq!(s.name(), "IPCP");
     }
 }

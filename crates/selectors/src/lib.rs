@@ -15,6 +15,11 @@
 //! The Alecto selector itself lives in the `alecto` crate; it implements the
 //! same [`Selector`] trait so the CPU model can schedule any of them
 //! interchangeably.
+//!
+//! §V-B evaluates each baseline at one setting, so their tunables are
+//! constants: IPCP, DOL, PPF and Triangel's non-temporal prefetchers share
+//! [`ipcp::BASELINE_DEGREE`], and the [`PrefetchFilter`] has one size.
+//! Selectors carry no name; `cpu::SelectionAlgorithm::label()` names them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +32,10 @@ pub mod ppf;
 pub mod traits;
 pub mod triangel;
 
-pub use bandit::{BanditConfig, BanditSelector};
+pub use bandit::BanditSelector;
 pub use dol::DolSelector;
 pub use filter::PrefetchFilter;
 pub use ipcp::IpcpSelector;
-pub use ppf::{PpfConfig, PpfFilterSelector};
+pub use ppf::PpfFilterSelector;
 pub use traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 pub use triangel::TriangelFilterSelector;

@@ -21,40 +21,16 @@ const FEATURE_TABLE_SIZE: usize = 1 << FEATURE_TABLE_BITS;
 const NUM_FEATURES: usize = 4;
 const WEIGHT_MAX: i32 = 31;
 const WEIGHT_MIN: i32 = -32;
-
-/// PPF tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PpfConfig {
-    /// Perceptron sum required to let a prefetch through. Higher = more
-    /// aggressive filtering.
-    pub filter_threshold: i32,
-    /// Magnitude below which training updates are applied even on correct
-    /// predictions (perceptron margin).
-    pub training_threshold: i32,
-    /// Per-prefetcher degree handed to the underlying IPCP scheduling.
-    pub degree: u32,
-}
-
-impl PpfConfig {
-    /// The aggressive tuning of §VII-C (filters more).
-    #[must_use]
-    pub const fn aggressive() -> Self {
-        Self { filter_threshold: 0, training_threshold: 16, degree: 4 }
-    }
-
-    /// The conservative tuning of §VII-C (filters less).
-    #[must_use]
-    pub const fn conservative() -> Self {
-        Self { filter_threshold: -6, training_threshold: 16, degree: 4 }
-    }
-}
+/// Magnitude below which training updates are applied even on correct
+/// predictions (perceptron margin).
+const TRAINING_THRESHOLD: i32 = 16;
 
 /// IPCP scheduling plus a perceptron prefetch filter.
 #[derive(Debug, Clone)]
 pub struct PpfFilterSelector {
-    config: PpfConfig,
-    aggressive: bool,
-    inner: IpcpSelector,
+    /// Perceptron sum required to let a prefetch through. Higher = more
+    /// aggressive filtering.
+    filter_threshold: i32,
     weights: Vec<Vec<i32>>,
     /// Features of still-in-flight prefetches, keyed by line, so that outcome
     /// feedback can train the same weights the decision used.
@@ -62,28 +38,24 @@ pub struct PpfFilterSelector {
 }
 
 impl PpfFilterSelector {
-    /// Creates a PPF selector.
-    #[must_use]
-    pub fn new(config: PpfConfig, aggressive: bool) -> Self {
+    fn with_filter_threshold(filter_threshold: i32) -> Self {
         Self {
-            inner: IpcpSelector::new(config.degree),
-            config,
-            aggressive,
+            filter_threshold,
             weights: vec![vec![0; FEATURE_TABLE_SIZE]; NUM_FEATURES],
             pending: BTreeMap::new(),
         }
     }
 
-    /// The aggressive configuration of §VII-C.
+    /// The aggressive tuning of §VII-C (filters more).
     #[must_use]
     pub fn aggressive() -> Self {
-        Self::new(PpfConfig::aggressive(), true)
+        Self::with_filter_threshold(0)
     }
 
-    /// The conservative configuration of §VII-C.
+    /// The conservative tuning of §VII-C (filters less).
     #[must_use]
     pub fn conservative() -> Self {
-        Self::new(PpfConfig::conservative(), false)
+        Self::with_filter_threshold(-6)
     }
 
     fn features(access: &DemandAccess, req: &PrefetchRequest) -> [usize; NUM_FEATURES] {
@@ -103,8 +75,8 @@ impl PpfFilterSelector {
 
     fn train(&mut self, features: &[usize; NUM_FEATURES], useful: bool) {
         let sum = self.sum(features);
-        let correct = (sum >= self.config.filter_threshold) == useful;
-        if correct && sum.abs() > self.config.training_threshold {
+        let correct = (sum >= self.filter_threshold) == useful;
+        if correct && sum.abs() > TRAINING_THRESHOLD {
             return;
         }
         for (t, &i) in features.iter().enumerate() {
@@ -119,20 +91,12 @@ impl PpfFilterSelector {
 }
 
 impl Selector for PpfFilterSelector {
-    fn name(&self) -> &'static str {
-        if self.aggressive {
-            "IPCP+PPF_Agg"
-        } else {
-            "IPCP+PPF_Con"
-        }
-    }
-
     fn allocate(
         &mut self,
         access: &DemandAccess,
         prefetchers: &[Box<dyn Prefetcher>],
     ) -> AllocationDecision {
-        self.inner.allocate(access, prefetchers)
+        IpcpSelector.allocate(access, prefetchers)
     }
 
     fn select_requests(
@@ -140,10 +104,10 @@ impl Selector for PpfFilterSelector {
         access: &DemandAccess,
         candidates: Vec<PrefetchRequest>,
     ) -> Vec<PrefetchRequest> {
-        let mut prioritized = self.inner.select_requests(access, candidates);
+        let mut prioritized = IpcpSelector.select_requests(access, candidates);
         prioritized.retain(|req| {
             let features = Self::features(access, req);
-            if self.sum(&features) >= self.config.filter_threshold {
+            if self.sum(&features) >= self.filter_threshold {
                 self.pending.insert(req.line, features);
                 if self.pending.len() > 4096 {
                     // Bound the bookkeeping; the map is ordered, so dropping
@@ -257,9 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_storage() {
-        assert_eq!(PpfFilterSelector::aggressive().name(), "IPCP+PPF_Agg");
-        assert_eq!(PpfFilterSelector::conservative().name(), "IPCP+PPF_Con");
+    fn storage_and_external_filter() {
         assert!(PpfFilterSelector::aggressive().storage_bits() > 0);
         assert!(PpfFilterSelector::aggressive().needs_external_filter());
     }

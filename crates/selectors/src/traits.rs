@@ -124,9 +124,6 @@ impl AllocationDecision {
 /// `Send` is a supertrait so systems holding a boxed selector can be built
 /// and executed on worker threads of the parallel experiment engine.
 pub trait Selector: Send {
-    /// Display name used in harness output (e.g. `"Bandit6"`).
-    fn name(&self) -> &'static str;
-
     /// Decides which prefetchers may train on `access` and with what degree.
     /// `prefetchers` allows read-only probing (DOL's coordinator).
     fn allocate(

@@ -12,7 +12,17 @@ use std::collections::HashMap;
 use alecto_types::{DemandAccess, Pc, PrefetchRequest};
 use prefetch::Prefetcher;
 
+use crate::ipcp::BASELINE_DEGREE;
 use crate::traits::{AllocationDecision, Allocations, DegreeAllocation, Selector};
+
+/// Degree of the temporal prefetcher (§V-C).
+const TEMPORAL_DEGREE: u32 = 1;
+/// Accesses during which a PC trains unconditionally while its reuse
+/// behaviour is being measured.
+const BOOTSTRAP_TRAININGS: u32 = 64;
+/// Minimum fraction of temporal-table hits for a PC to keep training the
+/// temporal prefetcher after bootstrap.
+const REUSE_THRESHOLD: f64 = 0.05;
 
 /// Per-PC reuse tracking state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,55 +31,22 @@ struct PcReuse {
     temporal_hits: u32,
 }
 
-/// Triangel-style selector: IPCP for the non-temporal prefetchers plus
-/// reuse-based training filtering for the temporal prefetcher (assumed to be
-/// the last prefetcher in the composite).
-#[derive(Debug, Clone)]
+/// Triangel-style selector: IPCP's degree ([`BASELINE_DEGREE`]) for the
+/// non-temporal prefetchers plus reuse-based training filtering for the
+/// temporal prefetcher (assumed to be the last prefetcher in the composite).
+#[derive(Debug, Clone, Default)]
 pub struct TriangelFilterSelector {
-    degree: u32,
-    temporal_degree: u32,
-    /// Accesses during which a PC trains unconditionally while its reuse
-    /// behaviour is being measured.
-    bootstrap_trainings: u32,
-    /// Minimum fraction of temporal-table hits for a PC to keep training the
-    /// temporal prefetcher after bootstrap.
-    reuse_threshold: f64,
     reuse: HashMap<Pc, PcReuse>,
 }
 
-impl TriangelFilterSelector {
-    /// Creates a Triangel-style selector.
-    #[must_use]
-    pub fn new(degree: u32, temporal_degree: u32) -> Self {
-        Self {
-            degree,
-            temporal_degree,
-            bootstrap_trainings: 64,
-            reuse_threshold: 0.05,
-            reuse: HashMap::new(),
-        }
-    }
-
-    /// Default configuration: degree 4 for the L1 prefetchers, degree 1 for
-    /// the temporal prefetcher (§V-C).
-    #[must_use]
-    pub fn default_config() -> Self {
-        Self::new(4, 1)
-    }
-}
-
 impl Selector for TriangelFilterSelector {
-    fn name(&self) -> &'static str {
-        "Triangel"
-    }
-
     fn allocate(
         &mut self,
         access: &DemandAccess,
         prefetchers: &[Box<dyn Prefetcher>],
     ) -> AllocationDecision {
         let mut per_prefetcher =
-            Allocations::filled(prefetchers.len(), Some(DegreeAllocation::l1(self.degree)));
+            Allocations::filled(prefetchers.len(), Some(DegreeAllocation::l1(BASELINE_DEGREE)));
         // Identify the temporal prefetcher (by convention the last one; fall
         // back to a kind check so other layouts still work).
         let temporal_idx = prefetchers.iter().rposition(|p| p.is_temporal());
@@ -82,12 +59,12 @@ impl Selector for TriangelFilterSelector {
         if prefetchers[idx].probe(access) {
             entry.temporal_hits += 1;
         }
-        let allow = if entry.trainings <= self.bootstrap_trainings {
+        let allow = if entry.trainings <= BOOTSTRAP_TRAININGS {
             true
         } else {
-            f64::from(entry.temporal_hits) / f64::from(entry.trainings) >= self.reuse_threshold
+            f64::from(entry.temporal_hits) / f64::from(entry.trainings) >= REUSE_THRESHOLD
         };
-        per_prefetcher[idx] = allow.then_some(DegreeAllocation::l1(self.temporal_degree));
+        per_prefetcher[idx] = allow.then_some(DegreeAllocation::l1(TEMPORAL_DEGREE));
         AllocationDecision { per_prefetcher }
     }
 
@@ -122,7 +99,7 @@ mod tests {
 
     #[test]
     fn non_temporal_prefetchers_always_train() {
-        let mut s = TriangelFilterSelector::default_config();
+        let mut s = TriangelFilterSelector::default();
         let prefetchers = composite();
         let d = s.allocate(&access(1, 100), &prefetchers);
         assert!(d.per_prefetcher[0].is_some());
@@ -132,7 +109,7 @@ mod tests {
 
     #[test]
     fn temporal_training_allowed_during_bootstrap() {
-        let mut s = TriangelFilterSelector::default_config();
+        let mut s = TriangelFilterSelector::default();
         let prefetchers = composite();
         let d = s.allocate(&access(0x77, 100), &prefetchers);
         assert!(d.per_prefetcher[3].is_some());
@@ -141,7 +118,7 @@ mod tests {
 
     #[test]
     fn non_recurring_pc_is_eventually_filtered() {
-        let mut s = TriangelFilterSelector::default_config();
+        let mut s = TriangelFilterSelector::default();
         let mut prefetchers = composite();
         // A streaming PC that never revisits a line: the temporal prefetcher's
         // table never hits, so after bootstrap the PC is filtered.
@@ -168,7 +145,7 @@ mod tests {
 
     #[test]
     fn recurring_pc_keeps_training() {
-        let mut s = TriangelFilterSelector::default_config();
+        let mut s = TriangelFilterSelector::default();
         let mut prefetchers = composite();
         // A pointer-chase loop over 50 lines, repeated: the temporal table
         // hits constantly, so training is never cut off.
@@ -192,11 +169,10 @@ mod tests {
 
     #[test]
     fn works_without_temporal_prefetcher() {
-        let mut s = TriangelFilterSelector::default_config();
+        let mut s = TriangelFilterSelector::default();
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         let d = s.allocate(&access(1, 5), &prefetchers);
         assert_eq!(d.allocated_count(), 3);
-        assert_eq!(s.name(), "Triangel");
         assert!(s.storage_bits() > 8 * 1024 * 8, "Triangel metadata should exceed 8 KB");
     }
 }

@@ -236,7 +236,7 @@ fn eviction_order_under_pc_pressure_is_pinned() {
             SelectionAlgorithm::Dol,
             SelectionAlgorithm::Bandit6,
             SelectionAlgorithm::Alecto,
-            SelectionAlgorithm::AlectoFixedDegree(6),
+            SelectionAlgorithm::AlectoFixedDegree,
         ] {
             let report =
                 run_cell(&CellJob { algorithm, composite, config: &config, sources: &sources });

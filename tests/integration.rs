@@ -34,7 +34,7 @@ fn every_selection_algorithm_completes_a_spec_workload() {
         SelectionAlgorithm::Bandit6,
         SelectionAlgorithm::BanditExtended,
         SelectionAlgorithm::Alecto,
-        SelectionAlgorithm::AlectoFixedDegree(6),
+        SelectionAlgorithm::AlectoFixedDegree,
         SelectionAlgorithm::PpfAggressive,
         SelectionAlgorithm::PpfConservative,
         SelectionAlgorithm::Triangel,

@@ -206,6 +206,24 @@ fn table1_prints_a_sub_mib_l3_in_kb() {
 }
 
 #[test]
+fn table1_prints_sizes_that_are_not_whole_kib_in_bytes() {
+    // Sizes that are not whole KiB print in bytes: a valid 1536-byte L1D
+    // and L3 (8 sets of 3 ways) must not round down to "1 KB".
+    let text = "format = \"alecto-machine-v1\"\nname = \"odd\"\ncores = 1\n\n\
+                [cache.l1d]\nsize = 1536\nways = 3\n\n\
+                [cache.l3]\nsize = 1536\nways = 3\nmshrs = 4\n";
+    let spec = machine::parse(text).expect("valid machine");
+    let table = figures::table1(&RunScale::default().with_machine(spec)).table.render();
+    let row = |label: &str| {
+        let line = table.lines().find(|l| l.starts_with(label)).expect("row");
+        line.trim_start_matches(label).trim().to_string()
+    };
+    assert_eq!(row("Private L1 D-cache"), "1536 B, 3-way, 64B line, 16 MSHRs, 4 cycles round trip");
+    assert_eq!(row("Private L2 cache"), "256 KB, 8-way, 32 MSHRs, 15 cycles round trip");
+    assert_eq!(row("Shared L3 cache"), "1536 B total, 3-way, 35 cycles round trip");
+}
+
+#[test]
 fn anonymous_table1_spec_is_not_reported_as_a_machine() {
     // The default machine must keep today's byte-for-byte output: no
     // "Machine" row may appear unless the spec is *named*.
