@@ -9,7 +9,7 @@
 use alecto_types::{LruTable, Pc};
 use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
-use crate::config::AlectoConfig;
+use crate::config::{ALLOCATION_ENTRIES, PROFICIENCY_BOUNDARY};
 use crate::state::{transition, PrefetcherState, StateTransitionInput};
 
 /// One entry's prefetcher states; the first `prefetchers` are live.
@@ -26,21 +26,20 @@ pub struct AllocationTable {
 }
 
 impl AllocationTable {
-    /// Creates an allocation table for `prefetchers` prefetchers.
+    /// Creates an allocation table of [`ALLOCATION_ENTRIES`] entries for
+    /// `prefetchers` prefetchers.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `prefetchers` is zero, or `prefetchers` is above
-    /// [`MAX_COMPOSITE_PREFETCHERS`].
+    /// Panics if `prefetchers` is zero or above [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
-    pub fn new(entries: usize, prefetchers: usize) -> Self {
-        assert!(entries > 0, "allocation table needs entries");
+    pub fn new(prefetchers: usize) -> Self {
         assert!(prefetchers > 0, "allocation table needs at least one prefetcher");
         assert!(
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "allocation table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        Self { entries: LruTable::new(entries), prefetchers, evictions: 0 }
+        Self { entries: LruTable::new(ALLOCATION_ENTRIES), prefetchers, evictions: 0 }
     }
 
     /// Number of prefetchers tracked per entry.
@@ -86,7 +85,6 @@ impl AllocationTable {
         pc: Pc,
         accuracies: &[Option<f64>],
         is_temporal: &[bool],
-        config: &AlectoConfig,
     ) -> &[PrefetcherState] {
         let Some(states) = self.entries.get_mut(&pc) else {
             return &[];
@@ -95,11 +93,11 @@ impl AllocationTable {
         assert_eq!(accuracies.len(), states.len(), "one accuracy per prefetcher");
         assert_eq!(is_temporal.len(), states.len(), "one temporal flag per prefetcher");
 
-        let pb = config.proficiency_boundary;
         // Which prefetchers qualify for promotion this epoch?
         let mut promotable = [false; MAX_COMPOSITE_PREFETCHERS];
         for (p, (s, acc)) in promotable.iter_mut().zip(states.iter().zip(accuracies)) {
-            *p = *s == PrefetcherState::Unidentified && acc.is_some_and(|a| a >= pb);
+            *p = *s == PrefetcherState::Unidentified
+                && acc.is_some_and(|a| a >= PROFICIENCY_BOUNDARY);
         }
         let non_temporal_promotable = promotable.iter().zip(is_temporal).any(|(&p, &t)| p && !t);
         let any_promotable = promotable.iter().any(|&p| p);
@@ -110,7 +108,7 @@ impl AllocationTable {
                 another_promoted: any_promotable && !promotable[j],
                 temporal_demotion: promotable[j] && is_temporal[j] && non_temporal_promotable,
             };
-            *s = transition(*s, input, config);
+            *s = transition(*s, input);
         }
 
         // Event ②/③ follow-up: if no prefetcher remains aggressive, thawed
@@ -129,14 +127,11 @@ impl AllocationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> AlectoConfig {
-        AlectoConfig::default()
-    }
+    use crate::config::{BLOCKED_EPOCHS, MAX_AGGRESSIVE};
 
     #[test]
     fn new_pc_starts_all_unidentified() {
-        let mut t = AllocationTable::new(64, 3);
+        let mut t = AllocationTable::new(3);
         let states = t.lookup_or_insert(Pc::new(0x40));
         assert_eq!(states, &[PrefetcherState::Unidentified; 3]);
         assert_eq!(t.prefetchers(), 3);
@@ -144,13 +139,12 @@ mod tests {
 
     #[test]
     fn promotion_blocks_the_losers() {
-        let mut t = AllocationTable::new(64, 3);
+        let mut t = AllocationTable::new(3);
         t.lookup_or_insert(Pc::new(0x40));
         let states = t.epoch_transition(
             Pc::new(0x40),
             &[Some(0.9), Some(0.3), Some(0.5)],
             &[false, false, false],
-            &cfg(),
         );
         assert_eq!(states[0], PrefetcherState::Aggressive(0));
         assert_eq!(states[1], PrefetcherState::Blocked(0));
@@ -159,34 +153,31 @@ mod tests {
 
     #[test]
     fn temporal_prefetcher_loses_ties_to_non_temporal() {
-        let mut t = AllocationTable::new(64, 2);
+        let mut t = AllocationTable::new(2);
         t.lookup_or_insert(Pc::new(0x44));
-        let states =
-            t.epoch_transition(Pc::new(0x44), &[Some(0.9), Some(0.95)], &[false, true], &cfg());
+        let states = t.epoch_transition(Pc::new(0x44), &[Some(0.9), Some(0.95)], &[false, true]);
         assert_eq!(states[0], PrefetcherState::Aggressive(0));
         assert_eq!(states[1], PrefetcherState::Blocked(0), "temporal prefetcher should be demoted");
     }
 
     #[test]
     fn temporal_prefetcher_promotes_when_alone() {
-        let mut t = AllocationTable::new(64, 2);
+        let mut t = AllocationTable::new(2);
         t.lookup_or_insert(Pc::new(0x48));
-        let states =
-            t.epoch_transition(Pc::new(0x48), &[Some(0.2), Some(0.95)], &[false, true], &cfg());
+        let states = t.epoch_transition(Pc::new(0x48), &[Some(0.2), Some(0.95)], &[false, true]);
         assert_eq!(states[1], PrefetcherState::Aggressive(0));
     }
 
     #[test]
     fn deficient_prefetcher_blocked_for_n_epochs_then_reconsidered() {
-        let cfg = cfg();
-        let mut t = AllocationTable::new(64, 2);
+        let mut t = AllocationTable::new(2);
         t.lookup_or_insert(Pc::new(0x4c));
         // Epoch 1: prefetcher 0 below DB → IB_-N; prefetcher 1 middling → UI.
-        let s = t.epoch_transition(Pc::new(0x4c), &[Some(0.0), Some(0.3)], &[false, false], &cfg);
-        assert_eq!(s[0], PrefetcherState::Blocked(cfg.blocked_epochs));
+        let s = t.epoch_transition(Pc::new(0x4c), &[Some(0.0), Some(0.3)], &[false, false]);
+        assert_eq!(s[0], PrefetcherState::Blocked(BLOCKED_EPOCHS));
         // Thaw for N epochs with no other activity.
-        for _ in 0..cfg.blocked_epochs {
-            t.epoch_transition(Pc::new(0x4c), &[None, None], &[false, false], &cfg);
+        for _ in 0..BLOCKED_EPOCHS {
+            t.epoch_transition(Pc::new(0x4c), &[None, None], &[false, false]);
         }
         // Having reached IB_0 with no aggressive prefetcher, it is reconsidered.
         let s = t.get(Pc::new(0x4c)).unwrap();
@@ -195,14 +186,13 @@ mod tests {
 
     #[test]
     fn blocked_prefetcher_stays_blocked_while_another_is_aggressive() {
-        let cfg = cfg();
-        let mut t = AllocationTable::new(64, 2);
+        let mut t = AllocationTable::new(2);
         t.lookup_or_insert(Pc::new(0x50));
         // Prefetcher 0 promoted, prefetcher 1 blocked.
-        t.epoch_transition(Pc::new(0x50), &[Some(0.9), Some(0.2)], &[false, false], &cfg);
+        t.epoch_transition(Pc::new(0x50), &[Some(0.9), Some(0.2)], &[false, false]);
         // Many epochs with prefetcher 0 staying accurate.
         for _ in 0..12 {
-            t.epoch_transition(Pc::new(0x50), &[Some(0.9), None], &[false, false], &cfg);
+            t.epoch_transition(Pc::new(0x50), &[Some(0.9), None], &[false, false]);
         }
         let s = t.get(Pc::new(0x50)).unwrap();
         assert!(s[0].is_aggressive());
@@ -215,9 +205,9 @@ mod tests {
 
     #[test]
     fn reset_to_unidentified_clears_states() {
-        let mut t = AllocationTable::new(64, 3);
+        let mut t = AllocationTable::new(3);
         t.lookup_or_insert(Pc::new(0x54));
-        t.epoch_transition(Pc::new(0x54), &[Some(0.9), Some(0.0), Some(0.0)], &[false; 3], &cfg());
+        t.epoch_transition(Pc::new(0x54), &[Some(0.9), Some(0.0), Some(0.0)], &[false; 3]);
         t.reset_to_unidentified(Pc::new(0x54));
         assert_eq!(t.get(Pc::new(0x54)).unwrap(), &[PrefetcherState::Unidentified; 3]);
         // Resetting an unknown PC is a no-op.
@@ -226,33 +216,31 @@ mod tests {
 
     #[test]
     fn capacity_eviction_forgets_oldest_pc() {
-        let mut t = AllocationTable::new(4, 1);
-        for pc in 0..6u64 {
+        let mut t = AllocationTable::new(1);
+        for pc in 0..70u64 {
             t.lookup_or_insert(Pc::new(pc));
         }
-        assert!(t.evictions() >= 2);
-        assert!(t.get(Pc::new(0)).is_none(), "oldest PC should have been evicted");
-        assert!(t.get(Pc::new(5)).is_some());
+        assert_eq!(ALLOCATION_ENTRIES, 64);
+        assert_eq!(t.evictions(), 6);
+        for pc in 0..70u64 {
+            assert_eq!(t.get(Pc::new(pc)).is_some(), pc >= 6, "only the six oldest PCs go: {pc}");
+        }
     }
 
     #[test]
     fn untracked_pc_transition_is_empty() {
-        let mut t = AllocationTable::new(8, 2);
-        let s = t.epoch_transition(Pc::new(0x99), &[None, None], &[false, false], &cfg());
+        let mut t = AllocationTable::new(2);
+        let s = t.epoch_transition(Pc::new(0x99), &[None, None], &[false, false]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn aggressive_climb_through_epochs() {
-        let cfg = cfg();
-        let mut t = AllocationTable::new(8, 1);
+        let mut t = AllocationTable::new(1);
         t.lookup_or_insert(Pc::new(0x58));
         for _ in 0..8 {
-            t.epoch_transition(Pc::new(0x58), &[Some(0.95)], &[false], &cfg);
+            t.epoch_transition(Pc::new(0x58), &[Some(0.95)], &[false]);
         }
-        assert_eq!(
-            t.get(Pc::new(0x58)).unwrap()[0],
-            PrefetcherState::Aggressive(cfg.max_aggressive)
-        );
+        assert_eq!(t.get(Pc::new(0x58)).unwrap()[0], PrefetcherState::Aggressive(MAX_AGGRESSIVE));
     }
 }

@@ -21,17 +21,19 @@
 //!
 //! [`AlectoSelector`] ties the three together and implements the
 //! [`selectors::Selector`] trait, so the CPU model can schedule it exactly
-//! like the IPCP/DOL/Bandit baselines.
+//! like the IPCP/DOL/Bandit baselines. Its parameters are the paper's, as
+//! constants in [`config`]; the only setting is the §VII-A ablation,
+//! [`AlectoSelector::fixed_degree`] (Alecto_fix).
 //!
 //! # Example
 //!
 //! ```
-//! use alecto::{AlectoConfig, AlectoSelector};
+//! use alecto::AlectoSelector;
 //! use selectors::Selector;
 //! use prefetch::{build_composite, CompositeKind};
 //! use alecto_types::{DemandAccess, Pc, Addr};
 //!
-//! let mut alecto = AlectoSelector::new(AlectoConfig::default(), 3);
+//! let mut alecto = AlectoSelector::new(3);
 //! let prefetchers = build_composite(CompositeKind::GsCsPmp);
 //! let decision = alecto.allocate(&DemandAccess::load(Pc::new(0x40), Addr::new(0x1000)), &prefetchers);
 //! // A never-seen PC starts with every prefetcher Un-Identified: all train
@@ -51,7 +53,6 @@ pub mod state;
 pub mod storage;
 
 pub use allocation_table::AllocationTable;
-pub use config::AlectoConfig;
 pub use sample_table::SampleTable;
 pub use sandbox_table::SandboxTable;
 pub use selector::AlectoSelector;

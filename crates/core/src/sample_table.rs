@@ -4,8 +4,8 @@
 //! Each entry tracks, for its PC: the number of prefetches issued by each
 //! prefetcher ("IssuedByP_i"), how many of them were confirmed by later demand
 //! requests ("ConfirmedP_i"), the Demand Counter that defines the per-PC epoch
-//! (threshold 100), and the Dead Counter that detects PCs stuck in an IA state
-//! without producing prefetches (threshold 150).
+//! (threshold [`EPOCH_DEMANDS`]), and the Dead Counter that detects PCs stuck
+//! in an IA state without producing prefetches (threshold [`DEAD_THRESHOLD`]).
 //!
 //! The table is an [`LruTable`]: every update for a PC touches its entry,
 //! allocating one if needed.
@@ -13,7 +13,7 @@
 use alecto_types::{LruTable, Pc, RatioCounter};
 use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
-use crate::config::AlectoConfig;
+use crate::config::{DEAD_THRESHOLD, EPOCH_DEMANDS, SAMPLE_ENTRIES};
 
 #[derive(Debug, Clone, Copy)]
 struct SampleEntry {
@@ -46,21 +46,20 @@ pub struct SampleTable {
 }
 
 impl SampleTable {
-    /// Creates a sample table for `prefetchers` prefetchers.
+    /// Creates a sample table of [`SAMPLE_ENTRIES`] entries for
+    /// `prefetchers` prefetchers.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `prefetchers` is zero, or `prefetchers` is above
-    /// [`MAX_COMPOSITE_PREFETCHERS`].
+    /// Panics if `prefetchers` is zero or above [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
-    pub fn new(entries: usize, prefetchers: usize) -> Self {
-        assert!(entries > 0, "sample table needs entries");
+    pub fn new(prefetchers: usize) -> Self {
         assert!(prefetchers > 0, "sample table needs at least one prefetcher");
         assert!(
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "sample table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        Self { entries: LruTable::new(entries), prefetchers, evictions: 0 }
+        Self { entries: LruTable::new(SAMPLE_ENTRIES), prefetchers, evictions: 0 }
     }
 
     /// Number of entries evicted due to capacity pressure.
@@ -82,14 +81,14 @@ impl SampleTable {
 
     /// Records one demand access from `pc` and returns what (if anything) the
     /// selector must do in response.
-    pub fn record_demand(&mut self, pc: Pc, config: &AlectoConfig) -> SampleEvent {
+    pub fn record_demand(&mut self, pc: Pc) -> SampleEvent {
         let entry = self.touch(pc);
         entry.demand_counter += 1;
-        if entry.dead_counter >= config.dead_threshold {
+        if entry.dead_counter >= DEAD_THRESHOLD {
             entry.dead_counter = 0;
             return SampleEvent::DeadlockReset;
         }
-        if entry.demand_counter >= config.epoch_demands {
+        if entry.demand_counter >= EPOCH_DEMANDS {
             return SampleEvent::EpochBoundary;
         }
         SampleEvent::None
@@ -159,18 +158,14 @@ impl SampleTable {
 mod tests {
     use super::*;
 
-    fn cfg() -> AlectoConfig {
-        AlectoConfig::default()
-    }
-
     #[test]
     fn epoch_boundary_after_100_demands() {
-        let mut t = SampleTable::new(64, 3);
+        let mut t = SampleTable::new(3);
         let pc = Pc::new(0x40);
         for i in 1..100 {
-            assert_eq!(t.record_demand(pc, &cfg()), SampleEvent::None, "demand {i}");
+            assert_eq!(t.record_demand(pc), SampleEvent::None, "demand {i}");
         }
-        assert_eq!(t.record_demand(pc, &cfg()), SampleEvent::EpochBoundary);
+        assert_eq!(t.record_demand(pc), SampleEvent::EpochBoundary);
         assert_eq!(t.demand_counter(pc), 100);
         t.reset_epoch(pc);
         assert_eq!(t.demand_counter(pc), 0);
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn accuracy_tracks_issued_and_confirmed() {
-        let mut t = SampleTable::new(64, 2);
+        let mut t = SampleTable::new(2);
         let pc = Pc::new(0x44);
         t.record_issued(pc, 0, 4);
         t.record_confirmed(pc, 0);
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn epoch_reset_clears_ratio_but_not_dead_counter() {
-        let mut t = SampleTable::new(64, 1);
+        let mut t = SampleTable::new(1);
         let pc = Pc::new(0x48);
         t.record_issued(pc, 0, 8);
         for _ in 0..5 {
@@ -206,20 +201,19 @@ mod tests {
 
     #[test]
     fn dead_counter_saturation_triggers_reset_event() {
-        let cfg = cfg();
-        let mut t = SampleTable::new(64, 1);
+        let mut t = SampleTable::new(1);
         let pc = Pc::new(0x4c);
-        for _ in 0..cfg.dead_threshold {
+        for _ in 0..DEAD_THRESHOLD {
             t.record_prediction_outcome(pc, false);
         }
         // The next demand observes the saturated counter.
-        assert_eq!(t.record_demand(pc, &cfg), SampleEvent::DeadlockReset);
+        assert_eq!(t.record_demand(pc), SampleEvent::DeadlockReset);
         assert_eq!(t.dead_counter(pc), 0, "the reset event clears the dead counter");
     }
 
     #[test]
     fn successful_predictions_decay_dead_counter() {
-        let mut t = SampleTable::new(64, 1);
+        let mut t = SampleTable::new(1);
         let pc = Pc::new(0x50);
         for _ in 0..10 {
             t.record_prediction_outcome(pc, false);
@@ -232,7 +226,7 @@ mod tests {
 
     #[test]
     fn zero_count_issue_is_a_noop() {
-        let mut t = SampleTable::new(64, 1);
+        let mut t = SampleTable::new(1);
         let pc = Pc::new(0x54);
         t.record_issued(pc, 0, 0);
         assert_eq!(t.accuracies(pc)[0], None);
@@ -240,16 +234,13 @@ mod tests {
 
     #[test]
     fn capacity_eviction_counts() {
-        let mut t = SampleTable::new(4, 1);
-        for pc in 0..8u64 {
-            t.record_demand(Pc::new(pc), &cfg());
+        let mut t = SampleTable::new(1);
+        for pc in 0..70u64 {
+            t.record_demand(Pc::new(pc));
         }
-        assert!(t.evictions() >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs entries")]
-    fn zero_entries_panics() {
-        let _ = SampleTable::new(0, 1);
+        assert_eq!(SAMPLE_ENTRIES, 64);
+        assert_eq!(t.evictions(), 6);
+        assert_eq!(t.demand_counter(Pc::new(5)), 0, "the six oldest PCs are gone");
+        assert_eq!(t.demand_counter(Pc::new(6)), 1, "the seventh is kept");
     }
 }

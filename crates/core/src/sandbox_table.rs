@@ -14,6 +14,12 @@
 use alecto_types::{fold_pc, hash::mix64, LineAddr, Pc};
 use prefetch::MAX_COMPOSITE_PREFETCHERS;
 
+use crate::config::SANDBOX_ENTRIES;
+
+/// Width of the folded PC hash stored per prefetcher slot: §IV-C matches it
+/// to the logarithm of the entry count, log2(512) = 9.
+const PC_HASH_BITS: u32 = SANDBOX_ENTRIES.ilog2();
+
 /// Per-prefetcher slot inside a sandbox entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PrefetcherSlot {
@@ -34,44 +40,32 @@ struct SandboxEntry {
 pub struct SandboxTable {
     entries: Vec<Option<SandboxEntry>>,
     prefetchers: usize,
-    pc_hash_bits: u32,
     recorded: u64,
     filtered: u64,
     confirmations: u64,
 }
 
 impl SandboxTable {
-    /// Creates a sandbox table with `entries` direct-mapped slots for
+    /// Creates a sandbox table of [`SANDBOX_ENTRIES`] direct-mapped slots for
     /// `prefetchers` prefetchers.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or not a power of two, or `prefetchers` is
-    /// zero or above [`MAX_COMPOSITE_PREFETCHERS`].
+    /// Panics if `prefetchers` is zero or above [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
-    pub fn new(entries: usize, prefetchers: usize) -> Self {
-        assert!(entries > 0 && entries.is_power_of_two(), "sandbox table must be a power of two");
+    pub fn new(prefetchers: usize) -> Self {
         assert!(prefetchers > 0, "sandbox table needs at least one prefetcher");
         assert!(
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "sandbox table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        // §IV-C: the PC hash width matches the logarithm of the entry count.
-        let pc_hash_bits = entries.trailing_zeros().max(1);
         Self {
-            entries: vec![None; entries],
+            entries: vec![None; SANDBOX_ENTRIES],
             prefetchers,
-            pc_hash_bits,
             recorded: 0,
             filtered: 0,
             confirmations: 0,
         }
-    }
-
-    /// Width of the folded PC hash stored per prefetcher slot.
-    #[must_use]
-    pub const fn pc_hash_bits(&self) -> u32 {
-        self.pc_hash_bits
     }
 
     /// Prefetch requests recorded.
@@ -92,8 +86,9 @@ impl SandboxTable {
         self.confirmations
     }
 
-    fn index(&self, line: LineAddr) -> usize {
-        (mix64(line.raw()) as usize) & (self.entries.len() - 1)
+    /// The slot `line` maps to.
+    fn index(line: LineAddr) -> usize {
+        (mix64(line.raw()) as usize) & (SANDBOX_ENTRIES - 1)
     }
 
     /// Step ⑥: returns `true` (duplicate, drop the request) if `line` already
@@ -101,8 +96,8 @@ impl SandboxTable {
     /// triggered by `trigger_pc` and returns `false`.
     pub fn filter_and_record(&mut self, line: LineAddr, prefetcher: usize, trigger_pc: Pc) -> bool {
         assert!(prefetcher < self.prefetchers, "prefetcher index out of range");
-        let idx = self.index(line);
-        let pc_hash = fold_pc(trigger_pc, self.pc_hash_bits);
+        let idx = Self::index(line);
+        let pc_hash = fold_pc(trigger_pc, PC_HASH_BITS);
         match &mut self.entries[idx] {
             Some(e) if e.line == line => {
                 // Tag hit: duplicate. Still remember that this prefetcher also
@@ -126,8 +121,8 @@ impl SandboxTable {
     /// PC matches the demand's PC — bit `i` set means prefetcher `i` gets a
     /// Confirmed increment.
     pub fn confirm_demand(&mut self, line: LineAddr, pc: Pc) -> u32 {
-        let idx = self.index(line);
-        let pc_hash = fold_pc(pc, self.pc_hash_bits);
+        let idx = Self::index(line);
+        let pc_hash = fold_pc(pc, PC_HASH_BITS);
         let Some(entry) = &self.entries[idx] else {
             return 0;
         };
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn record_then_confirm_matching_pc() {
-        let mut t = SandboxTable::new(512, 3);
+        let mut t = SandboxTable::new(3);
         let pc = Pc::new(0x30b00);
         assert!(!t.filter_and_record(LineAddr::new(100), 2, pc));
         let matched = t.confirm_demand(LineAddr::new(100), pc);
@@ -171,7 +166,7 @@ mod tests {
 
     #[test]
     fn mismatched_pc_does_not_confirm() {
-        let mut t = SandboxTable::new(512, 3);
+        let mut t = SandboxTable::new(3);
         t.filter_and_record(LineAddr::new(100), 1, Pc::new(0x30b00));
         let matched = t.confirm_demand(LineAddr::new(100), Pc::new(0x30aca));
         assert_eq!(matched, 0);
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn duplicate_prefetch_is_filtered() {
-        let mut t = SandboxTable::new(512, 3);
+        let mut t = SandboxTable::new(3);
         assert!(!t.filter_and_record(LineAddr::new(7), 0, Pc::new(0x10)));
         assert!(t.filter_and_record(LineAddr::new(7), 1, Pc::new(0x20)));
         assert_eq!(t.filtered(), 1);
@@ -191,43 +186,38 @@ mod tests {
 
     #[test]
     fn unknown_line_confirms_nothing() {
-        let mut t = SandboxTable::new(64, 2);
+        let mut t = SandboxTable::new(2);
         assert_eq!(t.confirm_demand(LineAddr::new(1234), Pc::new(0x40)), 0);
     }
 
     #[test]
     fn conflicting_lines_overwrite_direct_mapped_slot() {
-        let mut t = SandboxTable::new(2, 1);
-        // With only two slots, inserting many lines must overwrite earlier ones
-        // without panicking, and occupancy never exceeds the entry count.
-        for i in 0..64u64 {
-            t.filter_and_record(LineAddr::new(i * 977), 0, Pc::new(0x40));
-        }
-        assert!(t.occupancy() <= 2);
-    }
-
-    #[test]
-    fn pc_hash_width_follows_entry_count() {
-        assert_eq!(SandboxTable::new(512, 3).pc_hash_bits(), 9);
-        assert_eq!(SandboxTable::new(64, 3).pc_hash_bits(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let _ = SandboxTable::new(100, 3);
+        let a = LineAddr::new(7);
+        let b =
+            (8..).map(LineAddr::new).find(|&l| SandboxTable::index(l) == SandboxTable::index(a));
+        let b = b.expect("some line shares the slot of line 7");
+        let pc = Pc::new(0x40);
+        let mut t = SandboxTable::new(1);
+        assert!(!t.filter_and_record(a, 0, pc));
+        assert!(!t.filter_and_record(b, 0, pc), "a different line is no duplicate");
+        assert_eq!(t.occupancy(), 1);
+        assert_eq!(t.confirm_demand(a, pc), 0, "b displaced a");
+        assert!(!t.filter_and_record(a, 0, pc), "a is new again");
+        assert_eq!(t.confirm_demand(b, pc), 0, "a displaced b");
+        assert_eq!(t.confirm_demand(a, pc), 0b1);
+        assert_eq!(t.recorded(), 3);
     }
 
     #[test]
     #[should_panic(expected = "at most 4 prefetchers")]
     fn more_prefetchers_than_the_largest_composite_panic() {
-        let _ = SandboxTable::new(64, MAX_COMPOSITE_PREFETCHERS + 1);
+        let _ = SandboxTable::new(MAX_COMPOSITE_PREFETCHERS + 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_prefetcher_panics() {
-        let mut t = SandboxTable::new(64, 2);
+        let mut t = SandboxTable::new(2);
         t.filter_and_record(LineAddr::new(1), 5, Pc::new(1));
     }
 }

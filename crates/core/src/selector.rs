@@ -15,7 +15,7 @@ use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
 use selectors::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
 use crate::allocation_table::AllocationTable;
-use crate::config::AlectoConfig;
+use crate::config::{CONSERVATIVE_DEGREE, FIXED_IA_DEGREE};
 use crate::sample_table::{SampleEvent, SampleTable};
 use crate::sandbox_table::SandboxTable;
 use crate::state::PrefetcherState;
@@ -38,7 +38,9 @@ pub struct AlectoStats {
 /// The Alecto prefetcher-selection framework.
 #[derive(Debug, Clone)]
 pub struct AlectoSelector {
-    config: AlectoConfig,
+    /// Alecto_fix (§VII-A): IA prefetchers issue [`FIXED_IA_DEGREE`] L1
+    /// lines instead of the state-dependent `c + m + 1` split.
+    fixed_degree: bool,
     prefetcher_count: usize,
     allocation: AllocationTable,
     sample: SampleTable,
@@ -48,16 +50,30 @@ pub struct AlectoSelector {
 }
 
 impl AlectoSelector {
-    /// Creates an Alecto selector for a composite of `prefetcher_count`
-    /// prefetchers.
+    /// Creates full Alecto for a composite of `prefetcher_count` prefetchers.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`AlectoConfig::validate`])
-    /// or `prefetcher_count` is zero or above [`MAX_COMPOSITE_PREFETCHERS`].
+    /// Panics if `prefetcher_count` is zero or above
+    /// [`MAX_COMPOSITE_PREFETCHERS`].
     #[must_use]
-    pub fn new(config: AlectoConfig, prefetcher_count: usize) -> Self {
-        config.validate();
+    pub fn new(prefetcher_count: usize) -> Self {
+        Self::with_mode(prefetcher_count, false)
+    }
+
+    /// Creates Alecto_fix, the ablation of §VII-A: a prefetcher in any IA
+    /// state issues [`FIXED_IA_DEGREE`] prefetches into the L1, isolating the
+    /// benefit of demand request allocation from dynamic degree adjustment.
+    ///
+    /// # Panics
+    ///
+    /// As [`AlectoSelector::new`].
+    #[must_use]
+    pub fn fixed_degree(prefetcher_count: usize) -> Self {
+        Self::with_mode(prefetcher_count, true)
+    }
+
+    fn with_mode(prefetcher_count: usize, fixed_degree: bool) -> Self {
         assert!(prefetcher_count > 0, "Alecto needs at least one prefetcher to schedule");
         assert!(
             prefetcher_count <= MAX_COMPOSITE_PREFETCHERS,
@@ -65,26 +81,14 @@ impl AlectoSelector {
              prefetchers (the largest composite), got {prefetcher_count}"
         );
         Self {
-            allocation: AllocationTable::new(config.allocation_entries, prefetcher_count),
-            sample: SampleTable::new(config.sample_entries, prefetcher_count),
-            sandbox: SandboxTable::new(config.sandbox_entries, prefetcher_count),
+            fixed_degree,
+            allocation: AllocationTable::new(prefetcher_count),
+            sample: SampleTable::new(prefetcher_count),
+            sandbox: SandboxTable::new(prefetcher_count),
             is_temporal: vec![false; prefetcher_count],
             prefetcher_count,
-            config,
             stats: AlectoStats::default(),
         }
-    }
-
-    /// Creates an Alecto selector with the paper's default parameters.
-    #[must_use]
-    pub fn default_config(prefetcher_count: usize) -> Self {
-        Self::new(AlectoConfig::default(), prefetcher_count)
-    }
-
-    /// Configuration in use.
-    #[must_use]
-    pub const fn config(&self) -> &AlectoConfig {
-        &self.config
     }
 
     /// Runtime statistics.
@@ -98,23 +102,16 @@ impl AlectoSelector {
     pub fn states_of(&self, pc: alecto_types::Pc) -> Option<&[PrefetcherState]> {
         self.allocation.get(pc)
     }
-
-    /// Read-only access to the Sandbox Table (diagnostics).
-    #[must_use]
-    pub const fn sandbox(&self) -> &SandboxTable {
-        &self.sandbox
-    }
 }
 
 /// The degree a prefetcher in `state` is allocated (`None`: it must not train).
-fn decision_for_state(config: &AlectoConfig, state: PrefetcherState) -> Option<DegreeAllocation> {
-    let c = config.conservative_degree;
+fn decision_for_state(fixed_degree: bool, state: PrefetcherState) -> Option<DegreeAllocation> {
     match state {
-        PrefetcherState::Unidentified => Some(DegreeAllocation::l1(c)),
-        PrefetcherState::Aggressive(m) => match config.fixed_ia_degree {
-            Some(fixed) => Some(DegreeAllocation::l1(fixed)),
-            None => Some(DegreeAllocation::split(c, m + 1)),
-        },
+        PrefetcherState::Unidentified => Some(DegreeAllocation::l1(CONSERVATIVE_DEGREE)),
+        PrefetcherState::Aggressive(_) if fixed_degree => {
+            Some(DegreeAllocation::l1(FIXED_IA_DEGREE))
+        }
+        PrefetcherState::Aggressive(m) => Some(DegreeAllocation::split(CONSERVATIVE_DEGREE, m + 1)),
         PrefetcherState::Blocked(_) => None,
     }
 }
@@ -147,16 +144,11 @@ impl Selector for AlectoSelector {
         }
 
         // Step ①: per-PC demand counting, epoch transitions, deadlock resets.
-        match self.sample.record_demand(access.pc, &self.config) {
+        match self.sample.record_demand(access.pc) {
             SampleEvent::EpochBoundary => {
                 let accuracies = self.sample.accuracies(access.pc);
                 self.allocation.lookup_or_insert(access.pc);
-                self.allocation.epoch_transition(
-                    access.pc,
-                    &accuracies,
-                    &self.is_temporal,
-                    &self.config,
-                );
+                self.allocation.epoch_transition(access.pc, &accuracies, &self.is_temporal);
                 self.sample.reset_epoch(access.pc);
                 self.stats.epoch_transitions += 1;
             }
@@ -171,7 +163,7 @@ impl Selector for AlectoSelector {
         let mut per_prefetcher = Allocations::filled(self.prefetcher_count, None);
         let states = self.allocation.lookup_or_insert(access.pc);
         for (slot, &state) in per_prefetcher.iter_mut().zip(states) {
-            *slot = decision_for_state(&self.config, state);
+            *slot = decision_for_state(self.fixed_degree, state);
         }
         if per_prefetcher.iter().any(Option::is_none) {
             self.stats.allocations_withheld += 1;
@@ -198,9 +190,7 @@ impl Selector for AlectoSelector {
             // §IV-B: the first c (surviving) lines of a prefetcher fill the
             // cache the prefetchers reside in; the extra lines granted by
             // the IA_m state fill the next-level cache.
-            let fill = if self.config.fixed_ia_degree.is_some()
-                || issued_per_prefetcher[issuer] < self.config.conservative_degree
-            {
+            let fill = if self.fixed_degree || issued_per_prefetcher[issuer] < CONSERVATIVE_DEGREE {
                 FillLevel::L1
             } else {
                 FillLevel::L2
@@ -224,13 +214,14 @@ impl Selector for AlectoSelector {
     }
 
     fn storage_bits(&self) -> u64 {
-        storage_breakdown(&self.config, self.prefetcher_count).total_bits()
+        storage_breakdown(self.prefetcher_count).total_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DEAD_THRESHOLD, EPOCH_DEMANDS};
     use alecto_types::{Addr, LineAddr, Pc, PrefetcherId};
     use prefetch::{build_composite, CompositeKind};
 
@@ -252,8 +243,7 @@ mod tests {
         good: usize,
         bad: usize,
     ) {
-        let epoch = alecto.config().epoch_demands;
-        for i in 0..epoch as u64 {
+        for i in 0..u64::from(EPOCH_DEMANDS) {
             let a = access(pc, 1_000 + i);
             let _ = alecto.allocate(&a, prefetchers);
             // The good prefetcher prefetches exactly the next line the PC will
@@ -265,7 +255,7 @@ mod tests {
 
     #[test]
     fn fresh_pc_gets_conservative_allocation_for_everyone() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         let d = alecto.allocate(&access(0x40, 10), &prefetchers);
         assert_eq!(d.allocated_count(), 3);
@@ -277,7 +267,7 @@ mod tests {
 
     #[test]
     fn accurate_prefetcher_promoted_and_inaccurate_blocked_after_an_epoch() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         run_epoch(&mut alecto, &prefetchers, 0x80, 1, 2);
         // One more access so the post-epoch states are visible in a decision.
@@ -292,21 +282,23 @@ mod tests {
 
     #[test]
     fn aggressive_prefetcher_gets_split_degree() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         // Two epochs of perfect behaviour for prefetcher 0 → IA_1.
         run_epoch(&mut alecto, &prefetchers, 0x84, 0, 2);
         run_epoch(&mut alecto, &prefetchers, 0x84, 0, 2);
         let d = alecto.allocate(&access(0x84, 123_456), &prefetchers);
         let alloc = d.per_prefetcher[0].expect("IA prefetcher is allocated");
-        let c = alecto.config().conservative_degree;
-        assert_eq!(alloc.l1_portion, c, "c lines go to the L1");
-        assert!(alloc.total > c, "the m+1 extra lines go to the next level: {alloc:?}");
+        assert_eq!(alloc.l1_portion, CONSERVATIVE_DEGREE, "c lines go to the L1");
+        assert!(
+            alloc.total > CONSERVATIVE_DEGREE,
+            "the m+1 extra lines go to the next level: {alloc:?}"
+        );
     }
 
     #[test]
     fn fixed_degree_ablation_uses_flat_degree() {
-        let mut alecto = AlectoSelector::new(AlectoConfig::fixed_degree(), 3);
+        let mut alecto = AlectoSelector::fixed_degree(3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         run_epoch(&mut alecto, &prefetchers, 0x88, 0, 2);
         let d = alecto.allocate(&access(0x88, 77_000), &prefetchers);
@@ -317,7 +309,7 @@ mod tests {
 
     #[test]
     fn sandbox_filters_duplicate_requests() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let a = access(0x8c, 10);
         let out = alecto.select_requests(&a, vec![req(0, 0x8c, 500), req(1, 0x8c, 500)]);
         assert_eq!(out.len(), 1, "the second request to the same line is a duplicate");
@@ -327,8 +319,8 @@ mod tests {
 
         // Filtering happens in place: survivors keep candidate order, and
         // each prefetcher's first c survivors fill the L1, the rest the L2.
-        let mut alecto = AlectoSelector::default_config(3);
-        assert_eq!(alecto.config().conservative_degree, 3);
+        let mut alecto = AlectoSelector::new(3);
+        assert_eq!(CONSERVATIVE_DEGREE, 3);
         let candidates = vec![
             req(1, 0x8c, 600),
             req(0, 0x8c, 600),
@@ -355,22 +347,40 @@ mod tests {
     }
 
     #[test]
+    fn fill_split_follows_the_mode_and_storage_does_not() {
+        // Seven distinct lines from one prefetcher: all survive the sandbox.
+        let a = access(0x98, 10);
+        let fills = |alecto: &mut AlectoSelector| -> Vec<FillLevel> {
+            let candidates = (0..7).map(|i| req(1, 0x98, 800 + i)).collect();
+            alecto.select_requests(&a, candidates).iter().map(|r| r.fill_level).collect()
+        };
+        let mut fixed = AlectoSelector::fixed_degree(3);
+        assert_eq!(fills(&mut fixed), [FillLevel::L1; 7], "Alecto_fix fills the L1 only");
+        let mut full = AlectoSelector::new(3);
+        assert_eq!(
+            fills(&mut full),
+            [[FillLevel::L1; 3].as_slice(), &[FillLevel::L2; 4]].concat(),
+            "full Alecto sends the lines after the first c = 3 to the L2"
+        );
+        assert_eq!(fixed.storage_bits(), full.storage_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "at most MAX_COMPOSITE_PREFETCHERS = 4 prefetchers")]
     fn more_prefetchers_than_the_largest_composite_panic() {
-        let _ = AlectoSelector::default_config(MAX_COMPOSITE_PREFETCHERS + 1);
+        let _ = AlectoSelector::new(MAX_COMPOSITE_PREFETCHERS + 1);
     }
 
     #[test]
     fn deadlock_reset_returns_states_to_ui() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let prefetchers = build_composite(CompositeKind::GsCsPmp);
         // Promote prefetcher 0 first.
         run_epoch(&mut alecto, &prefetchers, 0x90, 0, 2);
         assert!(alecto.states_of(Pc::new(0x90)).unwrap()[0].is_aggressive());
         // Now the PC keeps accessing but no prefetcher ever emits anything:
         // the dead counter climbs until the states reset.
-        let threshold = alecto.config().dead_threshold;
-        for i in 0..(threshold + 5) as u64 {
+        for i in 0..u64::from(DEAD_THRESHOLD + 5) {
             let a = access(0x90, 200_000 + i);
             let _ = alecto.allocate(&a, &prefetchers);
             let _ = alecto.select_requests(&a, Vec::new());
@@ -382,13 +392,12 @@ mod tests {
 
     #[test]
     fn temporal_prefetcher_demoted_when_non_temporal_equally_good() {
-        let mut alecto = AlectoSelector::default_config(4);
+        let mut alecto = AlectoSelector::new(4);
         let prefetchers =
             build_composite(CompositeKind::GsCsPmpTemporal { metadata_bytes: 64 * 1024 });
         // Both prefetcher 1 (stride, non-temporal) and 3 (temporal) are always
         // confirmed; prefetcher 2 is useless.
-        let epoch = alecto.config().epoch_demands;
-        for i in 0..epoch as u64 {
+        for i in 0..u64::from(EPOCH_DEMANDS) {
             let a = access(0x94, 3_000 + i);
             let _ = alecto.allocate(&a, &prefetchers);
             let requests = vec![
@@ -409,14 +418,14 @@ mod tests {
 
     #[test]
     fn storage_matches_table3() {
-        let alecto = AlectoSelector::default_config(3);
+        let alecto = AlectoSelector::new(3);
         assert_eq!(alecto.storage_bits(), 5312 + 1792 * 3);
     }
 
     #[test]
     #[should_panic(expected = "configured for 3 prefetchers")]
     fn mismatched_composite_size_panics() {
-        let mut alecto = AlectoSelector::default_config(3);
+        let mut alecto = AlectoSelector::new(3);
         let prefetchers = build_composite(CompositeKind::PmpOnly);
         let _ = alecto.allocate(&access(1, 1), &prefetchers);
     }

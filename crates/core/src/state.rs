@@ -10,8 +10,39 @@
 //! * **IB_n** (Identified and Blocked, n ∈ -N..=0) — the prefetcher is
 //!   unsuitable; it receives no demand requests while it thaws one sub-state
 //!   per epoch.
+//!
+//! # The constants each event reads
+//!
+//! Every event fires at a PC's epoch boundary, after [`EPOCH_DEMANDS`]
+//! demand accesses of that PC (`SampleTable::record_demand`), and compares
+//! the PC's per-prefetcher accuracy over the epoch with the boundaries.
+//!
+//! * Event ①, UI → IA_0: accuracy ≥ [`PROFICIENCY_BOUNDARY`]. The PC's
+//!   other UI prefetchers go to IB_0 unless they fall below DB, and a
+//!   temporal prefetcher goes to IB_0 instead when a non-temporal one
+//!   qualifies too (`AllocationTable::epoch_transition` finds both).
+//! * UI → IB_-N: accuracy < [`DEFICIENCY_BOUNDARY`]; N is
+//!   [`BLOCKED_EPOCHS`].
+//! * Event ②, IA_0 → UI: accuracy < [`PROFICIENCY_BOUNDARY`].
+//! * Event ③, IB_n → IB_n+1: one step per epoch, so IB_-N reaches IB_0 after
+//!   [`BLOCKED_EPOCHS`] epochs. IB_0 returns to UI once no prefetcher of the
+//!   PC is in IA (`AllocationTable::epoch_transition`).
+//! * Event ④, IA_m → IA_m+1: accuracy ≥ [`PROFICIENCY_BOUNDARY`], up to
+//!   IA_M with M = [`MAX_AGGRESSIVE`]. IA_m steps down to IA_m-1 when
+//!   accuracy < [`DEFICIENCY_BOUNDARY`] and m > 0, and otherwise holds.
+//!
+//! Outside the epoch, a PC whose Dead Counter reaches [`DEAD_THRESHOLD`]
+//! returns every prefetcher to UI (§IV-C). The degree a state grants is the
+//! selector's: [`CONSERVATIVE_DEGREE`] in UI; `c + m + 1` in IA_m, of which
+//! the first c fill the L1 (§IV-B), or [`FIXED_IA_DEGREE`] L1 lines in
+//! Alecto_fix (§VII-A).
+//!
+//! [`EPOCH_DEMANDS`]: crate::config::EPOCH_DEMANDS
+//! [`DEAD_THRESHOLD`]: crate::config::DEAD_THRESHOLD
+//! [`CONSERVATIVE_DEGREE`]: crate::config::CONSERVATIVE_DEGREE
+//! [`FIXED_IA_DEGREE`]: crate::config::FIXED_IA_DEGREE
 
-use crate::config::AlectoConfig;
+use crate::config::{BLOCKED_EPOCHS, DEFICIENCY_BOUNDARY, MAX_AGGRESSIVE, PROFICIENCY_BOUNDARY};
 
 /// The state of one prefetcher for one memory-access instruction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -58,16 +89,10 @@ pub struct StateTransitionInput {
 /// Applies one epoch-boundary transition (events ①–④ of Fig. 5) and returns
 /// the next state.
 #[must_use]
-pub fn transition(
-    state: PrefetcherState,
-    input: StateTransitionInput,
-    config: &AlectoConfig,
-) -> PrefetcherState {
-    let pb = config.proficiency_boundary;
-    let db = config.deficiency_boundary;
+pub fn transition(state: PrefetcherState, input: StateTransitionInput) -> PrefetcherState {
     match state {
         PrefetcherState::Unidentified => match input.accuracy {
-            Some(acc) if acc >= pb => {
+            Some(acc) if acc >= PROFICIENCY_BOUNDARY => {
                 if input.temporal_demotion {
                     // Event ① exception: the temporal prefetcher is demoted in
                     // favour of an equally accurate non-temporal prefetcher.
@@ -76,7 +101,7 @@ pub fn transition(
                     PrefetcherState::Aggressive(0)
                 }
             }
-            Some(acc) if acc < db => PrefetcherState::Blocked(config.blocked_epochs),
+            Some(acc) if acc < DEFICIENCY_BOUNDARY => PrefetcherState::Blocked(BLOCKED_EPOCHS),
             Some(_) | None => {
                 if input.another_promoted {
                     // Event ①: prefetchers not meeting PB while another is
@@ -88,12 +113,12 @@ pub fn transition(
             }
         },
         PrefetcherState::Aggressive(m) => match input.accuracy {
-            Some(acc) if acc >= pb => {
+            Some(acc) if acc >= PROFICIENCY_BOUNDARY => {
                 // Event ④: promote aggressiveness up to M.
-                PrefetcherState::Aggressive((m + 1).min(config.max_aggressive))
+                PrefetcherState::Aggressive((m + 1).min(MAX_AGGRESSIVE))
             }
-            Some(acc) if acc < db && m > 0 => PrefetcherState::Aggressive(m - 1),
-            Some(acc) if acc < pb && m == 0 => {
+            Some(acc) if acc < DEFICIENCY_BOUNDARY && m > 0 => PrefetcherState::Aggressive(m - 1),
+            Some(acc) if acc < PROFICIENCY_BOUNDARY && m == 0 => {
                 // Event ②: IA_0 falling below PB returns to UI.
                 PrefetcherState::Unidentified
             }
@@ -116,31 +141,27 @@ pub fn transition(
 mod tests {
     use super::*;
 
-    fn cfg() -> AlectoConfig {
-        AlectoConfig::default()
-    }
-
     fn input(acc: Option<f64>) -> StateTransitionInput {
         StateTransitionInput { accuracy: acc, another_promoted: false, temporal_demotion: false }
     }
 
     #[test]
     fn ui_promotes_above_pb() {
-        let next = transition(PrefetcherState::Unidentified, input(Some(0.9)), &cfg());
+        let next = transition(PrefetcherState::Unidentified, input(Some(0.9)));
         assert_eq!(next, PrefetcherState::Aggressive(0));
     }
 
     #[test]
     fn ui_blocks_below_db() {
-        let next = transition(PrefetcherState::Unidentified, input(Some(0.01)), &cfg());
+        let next = transition(PrefetcherState::Unidentified, input(Some(0.01)));
         assert_eq!(next, PrefetcherState::Blocked(8));
     }
 
     #[test]
     fn ui_stays_with_middling_accuracy_and_no_promotion() {
-        let next = transition(PrefetcherState::Unidentified, input(Some(0.4)), &cfg());
+        let next = transition(PrefetcherState::Unidentified, input(Some(0.4)));
         assert_eq!(next, PrefetcherState::Unidentified);
-        let next = transition(PrefetcherState::Unidentified, input(None), &cfg());
+        let next = transition(PrefetcherState::Unidentified, input(None));
         assert_eq!(next, PrefetcherState::Unidentified);
     }
 
@@ -151,10 +172,7 @@ mod tests {
             another_promoted: true,
             temporal_demotion: false,
         };
-        assert_eq!(
-            transition(PrefetcherState::Unidentified, i, &cfg()),
-            PrefetcherState::Blocked(0)
-        );
+        assert_eq!(transition(PrefetcherState::Unidentified, i), PrefetcherState::Blocked(0));
     }
 
     #[test]
@@ -164,17 +182,14 @@ mod tests {
             another_promoted: true,
             temporal_demotion: true,
         };
-        assert_eq!(
-            transition(PrefetcherState::Unidentified, i, &cfg()),
-            PrefetcherState::Blocked(0)
-        );
+        assert_eq!(transition(PrefetcherState::Unidentified, i), PrefetcherState::Blocked(0));
     }
 
     #[test]
     fn ia_climbs_and_saturates_at_m() {
         let mut s = PrefetcherState::Aggressive(0);
         for _ in 0..10 {
-            s = transition(s, input(Some(0.9)), &cfg());
+            s = transition(s, input(Some(0.9)));
         }
         assert_eq!(s, PrefetcherState::Aggressive(5));
     }
@@ -182,7 +197,7 @@ mod tests {
     #[test]
     fn ia0_returns_to_ui_below_pb() {
         assert_eq!(
-            transition(PrefetcherState::Aggressive(0), input(Some(0.5)), &cfg()),
+            transition(PrefetcherState::Aggressive(0), input(Some(0.5))),
             PrefetcherState::Unidentified
         );
     }
@@ -190,7 +205,7 @@ mod tests {
     #[test]
     fn ia_m_steps_down_below_db() {
         assert_eq!(
-            transition(PrefetcherState::Aggressive(3), input(Some(0.01)), &cfg()),
+            transition(PrefetcherState::Aggressive(3), input(Some(0.01))),
             PrefetcherState::Aggressive(2)
         );
     }
@@ -198,12 +213,12 @@ mod tests {
     #[test]
     fn ia_m_holds_between_db_and_pb() {
         assert_eq!(
-            transition(PrefetcherState::Aggressive(3), input(Some(0.5)), &cfg()),
+            transition(PrefetcherState::Aggressive(3), input(Some(0.5))),
             PrefetcherState::Aggressive(3)
         );
         // Insufficient data also holds the state.
         assert_eq!(
-            transition(PrefetcherState::Aggressive(3), input(None), &cfg()),
+            transition(PrefetcherState::Aggressive(3), input(None)),
             PrefetcherState::Aggressive(3)
         );
     }
@@ -212,11 +227,11 @@ mod tests {
     fn ib_thaws_one_epoch_at_a_time() {
         let mut s = PrefetcherState::Blocked(8);
         for expected in (0..8).rev() {
-            s = transition(s, input(None), &cfg());
+            s = transition(s, input(None));
             assert_eq!(s, PrefetcherState::Blocked(expected));
         }
         // IB_0 stays blocked by itself.
-        assert_eq!(transition(s, input(Some(0.9)), &cfg()), PrefetcherState::Blocked(0));
+        assert_eq!(transition(s, input(Some(0.9))), PrefetcherState::Blocked(0));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the Sandbox Table, which doubles as the prefetch filter every system needs
 //! anyway).
 
-use crate::config::AlectoConfig;
+use crate::config::{ALLOCATION_ENTRIES, SAMPLE_ENTRIES, SANDBOX_ENTRIES};
 
 /// Per-structure storage requirement in bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,18 +53,17 @@ impl StorageBreakdown {
     }
 }
 
-/// Computes the Table III storage breakdown for `prefetchers` prefetchers
-/// under `config`.
+/// Computes the Table III storage breakdown for `prefetchers` prefetchers.
 #[must_use]
-pub fn storage_breakdown(config: &AlectoConfig, prefetchers: usize) -> StorageBreakdown {
+pub fn storage_breakdown(prefetchers: usize) -> StorageBreakdown {
     let p = prefetchers as u64;
     let alloc_entry_bits = 1 + 9 + 4 * p;
     let sample_entry_bits = 1 + 9 + 8 * p + 8 * p + 7 + 8;
     let sandbox_entry_bits = 6 + p;
     StorageBreakdown {
-        allocation_table_bits: config.allocation_entries as u64 * alloc_entry_bits,
-        sample_table_bits: config.sample_entries as u64 * sample_entry_bits,
-        sandbox_table_bits: config.sandbox_entries as u64 * sandbox_entry_bits,
+        allocation_table_bits: ALLOCATION_ENTRIES as u64 * alloc_entry_bits,
+        sample_table_bits: SAMPLE_ENTRIES as u64 * sample_entry_bits,
+        sandbox_table_bits: SANDBOX_ENTRIES as u64 * sandbox_entry_bits,
     }
 }
 
@@ -74,9 +73,8 @@ mod tests {
 
     #[test]
     fn matches_table3_closed_form() {
-        let cfg = AlectoConfig::default();
         for p in 1..=6usize {
-            let b = storage_breakdown(&cfg, p);
+            let b = storage_breakdown(p);
             assert_eq!(b.allocation_table_bits, 640 + 256 * p as u64, "allocation table, P={p}");
             assert_eq!(b.sample_table_bits, 1600 + 1024 * p as u64, "sample table, P={p}");
             assert_eq!(b.sandbox_table_bits, 3072 + 512 * p as u64, "sandbox table, P={p}");
@@ -86,7 +84,7 @@ mod tests {
 
     #[test]
     fn p3_is_about_1_3_kb_total_and_760_b_excluding_sandbox() {
-        let b = storage_breakdown(&AlectoConfig::default(), 3);
+        let b = storage_breakdown(3);
         // 5312 + 1792×3 = 10688 bits = 1336 bytes ≈ 1.30 KB.
         assert_eq!(b.total_bits(), 10_688);
         assert_eq!(b.total_bytes(), 1_336);
@@ -99,9 +97,8 @@ mod tests {
 
     #[test]
     fn storage_scales_linearly_not_exponentially() {
-        let cfg = AlectoConfig::default();
-        let p3 = storage_breakdown(&cfg, 3).total_bits();
-        let p6 = storage_breakdown(&cfg, 6).total_bits();
+        let p3 = storage_breakdown(3).total_bits();
+        let p6 = storage_breakdown(6).total_bits();
         // Doubling the prefetcher count less than doubles the storage, in
         // contrast to Bandit's #actions^P growth.
         assert!(p6 < 2 * p3);

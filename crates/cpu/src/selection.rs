@@ -1,6 +1,7 @@
 //! Factory for the prefetcher-selection algorithms evaluated in the paper.
 
-use alecto::{AlectoConfig, AlectoSelector};
+use alecto::config::{CONSERVATIVE_DEGREE, MAX_AGGRESSIVE};
+use alecto::AlectoSelector;
 use selectors::{
     BanditSelector, DolSelector, IpcpSelector, PpfFilterSelector, Selector, TriangelFilterSelector,
 };
@@ -24,9 +25,9 @@ pub enum SelectionAlgorithm {
     Bandit6,
     /// The extended-arm Bandit of §VI-H (degrees 0, c, ..., c+M+1).
     BanditExtended,
-    /// Alecto with the paper's default parameters.
+    /// Alecto with the paper's parameters.
     Alecto,
-    /// Alecto with the fixed IA degree of the §VII-A ablation.
+    /// Alecto with the fixed IA degree of the §VII-A ablation (Alecto_fix).
     AlectoFixedDegree,
     /// IPCP plus the aggressive PPF perceptron filter (§VII-C).
     PpfAggressive,
@@ -84,19 +85,14 @@ pub fn build_selector(
         SelectionAlgorithm::Dol => Some(Box::new(DolSelector)),
         SelectionAlgorithm::Bandit3 => Some(Box::new(BanditSelector::bandit3(prefetcher_count))),
         SelectionAlgorithm::Bandit6 => Some(Box::new(BanditSelector::bandit6(prefetcher_count))),
-        SelectionAlgorithm::BanditExtended => {
-            let cfg = AlectoConfig::default();
-            Some(Box::new(BanditSelector::extended(
-                cfg.conservative_degree,
-                cfg.max_aggressive,
-                prefetcher_count,
-            )))
-        }
-        SelectionAlgorithm::Alecto => {
-            Some(Box::new(AlectoSelector::new(AlectoConfig::default(), prefetcher_count)))
-        }
+        SelectionAlgorithm::BanditExtended => Some(Box::new(BanditSelector::extended(
+            CONSERVATIVE_DEGREE,
+            MAX_AGGRESSIVE,
+            prefetcher_count,
+        ))),
+        SelectionAlgorithm::Alecto => Some(Box::new(AlectoSelector::new(prefetcher_count))),
         SelectionAlgorithm::AlectoFixedDegree => {
-            Some(Box::new(AlectoSelector::new(AlectoConfig::fixed_degree(), prefetcher_count)))
+            Some(Box::new(AlectoSelector::fixed_degree(prefetcher_count)))
         }
         SelectionAlgorithm::PpfAggressive => Some(Box::new(PpfFilterSelector::aggressive())),
         SelectionAlgorithm::PpfConservative => Some(Box::new(PpfFilterSelector::conservative())),

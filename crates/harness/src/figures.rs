@@ -4,14 +4,14 @@
 //! series of the corresponding figure, so `alecto-harness <id>` regenerates
 //! it and EXPERIMENTS.md can record paper-vs-measured values.
 
-use alecto::{storage_breakdown, AlectoConfig};
+use alecto::storage_breakdown;
 use alecto_types::TraceSource;
 use cpu::{CompositeKind, SelectionAlgorithm};
+use machine::MachineSpec;
 use memsys::DramKind;
 use prefetch::build_composite;
-use selectors::Selector;
 
-use crate::energy::EnergyModel;
+use crate::energy;
 use crate::report::{Experiment, Table};
 use crate::runner::{merge_grids, run_multicore_mix, run_single_core_suite, RunScale, SpeedupGrid};
 
@@ -50,6 +50,31 @@ fn temporal_benchmarks(scale: &RunScale) -> Vec<TraceSource> {
         .iter()
         .map(|n| traces::spec06::source(n, scale.accesses * 4))
         .collect()
+}
+
+/// A single-core grid of `algorithms` over `sources` on `machine`, with the
+/// composite every figure but Figs. 11–14 runs: the machine's pinned
+/// `[prefetch]` stack, else GS+CS+PMP.
+fn suite(
+    scale: &RunScale,
+    machine: &MachineSpec,
+    sources: &[TraceSource],
+    algorithms: &[SelectionAlgorithm],
+) -> SpeedupGrid {
+    let composite = scale.composite(CompositeKind::GsCsPmp);
+    run_single_core_suite(sources, algorithms, composite, machine, scale.jobs)
+}
+
+/// [`suite`] for one multi-core mix named `name`: core `i` runs `sources[i]`.
+fn mix(
+    scale: &RunScale,
+    machine: &MachineSpec,
+    name: &str,
+    sources: &[TraceSource],
+    algorithms: &[SelectionAlgorithm],
+) -> SpeedupGrid {
+    let composite = scale.composite(CompositeKind::GsCsPmp);
+    run_multicore_mix(name, sources, algorithms, composite, machine, scale.jobs)
 }
 
 fn geomean_row(grid: &SpeedupGrid, label: &str, mem_only: bool) -> Vec<String> {
@@ -101,7 +126,6 @@ pub fn table2() -> Experiment {
 /// the Bandit comparison of §VI-H.
 #[must_use]
 pub fn table3() -> Experiment {
-    let cfg = AlectoConfig::default();
     let mut table = Table::new(vec![
         "P",
         "Allocation (bits)",
@@ -111,7 +135,7 @@ pub fn table3() -> Experiment {
         "Excl. sandbox (bytes)",
     ]);
     for p in [1usize, 2, 3, 4, 6] {
-        let b = storage_breakdown(&cfg, p);
+        let b = storage_breakdown(p);
         table.push_row(vec![
             p.to_string(),
             b.allocation_table_bits.to_string(),
@@ -121,8 +145,8 @@ pub fn table3() -> Experiment {
             b.bytes_excluding_sandbox().to_string(),
         ]);
     }
-    let bandit_ext =
-        selectors::BanditSelector::extended(cfg.conservative_degree, cfg.max_aggressive, 3);
+    let bandit_ext = cpu::build_selector(SelectionAlgorithm::BanditExtended, 3)
+        .expect("the extended Bandit is a selector");
     Experiment::new("table3", "Alecto storage overhead (Table III)", table)
         .with_note(
             "paper: 5312 + 1792*P bits; P=3 gives 1336 B total, 760 B excluding the sandbox"
@@ -132,7 +156,7 @@ pub fn table3() -> Experiment {
             "extended Bandit (§VI-H) needs {} bytes, {:.1}x Alecto's P=3 requirement",
             bandit_ext.storage_bits() / 8,
             bandit_ext.storage_bits() as f64
-                / f64::from(u32::try_from(storage_breakdown(&cfg, 3).total_bits()).unwrap_or(1))
+                / f64::from(u32::try_from(storage_breakdown(3).total_bits()).unwrap_or(1))
         ))
 }
 
@@ -153,12 +177,11 @@ pub fn fig1(scale: &RunScale) -> Experiment {
     for (label, workloads) in
         [("SPEC CPU2006", spec06_workloads(scale)), ("SPEC CPU2017", spec17_workloads(scale))]
     {
-        let grid = run_single_core_suite(
+        let grid = suite(
+            scale,
+            &scale.base_config(1),
             &workloads,
             &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
-            scale.composite(CompositeKind::GsCsPmp),
-            &scale.base_config(1),
-            scale.jobs,
         );
         let misses = |algo: &str| -> u64 {
             grid.benchmarks
@@ -241,13 +264,7 @@ pub fn fig2(scale: &RunScale) -> Experiment {
 /// Fig. 8: SPEC CPU2006 single-core speedups of the five selection schemes.
 #[must_use]
 pub fn fig8(scale: &RunScale) -> Experiment {
-    let grid = run_single_core_suite(
-        &spec06_workloads(scale),
-        &main_algorithms(),
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
-    );
+    let grid = suite(scale, &scale.base_config(1), &spec06_workloads(scale), &main_algorithms());
     Experiment::new("fig8", "SPEC CPU2006 speedup over no prefetching (Fig. 8)", grid.to_table())
         .with_grid(&grid)
         .with_note("paper: Alecto beats IPCP by 8.14%, DOL by 8.04%, Bandit3 by 4.77%, Bandit6 by 3.20% (geomean)")
@@ -257,13 +274,7 @@ pub fn fig8(scale: &RunScale) -> Experiment {
 /// Fig. 9: SPEC CPU2017 single-core speedups.
 #[must_use]
 pub fn fig9(scale: &RunScale) -> Experiment {
-    let grid = run_single_core_suite(
-        &spec17_workloads(scale),
-        &main_algorithms(),
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
-    );
+    let grid = suite(scale, &scale.base_config(1), &spec17_workloads(scale), &main_algorithms());
     Experiment::new("fig9", "SPEC CPU2017 speedup over no prefetching (Fig. 9)", grid.to_table())
         .with_grid(&grid)
         .with_note("paper: Alecto beats IPCP by 5.47%, DOL by 5.65%, Bandit3 by 3.67%, Bandit6 by 2.32% (geomean)")
@@ -274,13 +285,7 @@ pub fn fig9(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig10(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let grid = run_single_core_suite(
-        &workloads,
-        &main_algorithms(),
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
-    );
+    let grid = suite(scale, &scale.base_config(1), &workloads, &main_algorithms());
     let mut table = Table::new(vec![
         "algorithm",
         "covered timely",
@@ -505,13 +510,7 @@ pub fn fig15(scale: &RunScale) -> Experiment {
     });
     for mb in [512 * 1024u64, 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024] {
         let config = scale.base_config(1).with_llc_per_core(mb);
-        let grid = run_single_core_suite(
-            &workloads,
-            &main_algorithms(),
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        );
+        let grid = suite(scale, &config, &workloads, &main_algorithms());
         let mut row = vec![format!("{:.1} MB", mb as f64 / (1024.0 * 1024.0))];
         for algo in &grid.algorithm_labels {
             row.push(format!("{:.3}", grid.geomean_speedup(algo, false).unwrap_or(f64::NAN)));
@@ -533,13 +532,7 @@ pub fn fig16(scale: &RunScale) -> Experiment {
     });
     for (label, kind) in [("DDR3-1600", DramKind::Ddr3_1600), ("DDR4-2400", DramKind::Ddr4_2400)] {
         let config = scale.base_config(1).with_dram_kind(kind);
-        let grid = run_single_core_suite(
-            &workloads,
-            &main_algorithms(),
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        );
+        let grid = suite(scale, &config, &workloads, &main_algorithms());
         let mut row = vec![label.to_string()];
         for algo in &grid.algorithm_labels {
             row.push(format!("{:.3}", grid.geomean_speedup(algo, false).unwrap_or(f64::NAN)));
@@ -568,14 +561,7 @@ pub fn fig17(scale: &RunScale) -> Experiment {
         .enumerate()
         .map(|(i, n)| offset_source(traces::spec06::source(n, scale.multicore_accesses), i))
         .collect();
-    grids.push(run_multicore_mix(
-        "SPEC06-mix",
-        &spec06_mix,
-        &algorithms,
-        scale.composite(CompositeKind::GsCsPmp),
-        &config,
-        scale.jobs,
-    ));
+    grids.push(mix(scale, &config, "SPEC06-mix", &spec06_mix, &algorithms));
     let spec17_mix: Vec<TraceSource> = traces::spec17::memory_intensive()
         .iter()
         .cycle()
@@ -583,40 +569,19 @@ pub fn fig17(scale: &RunScale) -> Experiment {
         .enumerate()
         .map(|(i, n)| offset_source(traces::spec17::source(n, scale.multicore_accesses), i))
         .collect();
-    grids.push(run_multicore_mix(
-        "SPEC17-mix",
-        &spec17_mix,
-        &algorithms,
-        scale.composite(CompositeKind::GsCsPmp),
-        &config,
-        scale.jobs,
-    ));
+    grids.push(mix(scale, &config, "SPEC17-mix", &spec17_mix, &algorithms));
 
     // PARSEC: each core runs one thread of the same benchmark.
     for bench in ["canneal", "streamcluster"] {
         let per_core = traces::parsec::per_core_sources(bench, scale.multicore_accesses, cores);
-        grids.push(run_multicore_mix(
-            &format!("PARSEC-{bench}"),
-            &per_core,
-            &algorithms,
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        ));
+        grids.push(mix(scale, &config, &format!("PARSEC-{bench}"), &per_core, &algorithms));
     }
     // Ligra: each core runs a kernel instance over its own graph partition.
     for kernel in ["BFS", "PageRank"] {
         let per_core: Vec<TraceSource> = (0..cores)
             .map(|i| offset_source(traces::ligra::source(kernel, scale.multicore_accesses), i))
             .collect();
-        grids.push(run_multicore_mix(
-            &format!("Ligra-{kernel}"),
-            &per_core,
-            &algorithms,
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        ));
+        grids.push(mix(scale, &config, &format!("Ligra-{kernel}"), &per_core, &algorithms));
     }
 
     let merged = merge_grids(grids);
@@ -651,18 +616,16 @@ fn offset_source(source: TraceSource, core: usize) -> TraceSource {
 pub fn fig18(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
     let config = scale.base_config(1);
-    let grid = run_single_core_suite(
+    let grid = suite(
+        scale,
+        &config,
         &workloads,
         &[SelectionAlgorithm::Bandit6, SelectionAlgorithm::Alecto],
-        scale.composite(CompositeKind::GsCsPmp),
-        &config,
-        scale.jobs,
     );
     let totals = |algo: &str| -> (Vec<(String, u64)>, f64, f64) {
         let mut by_pf: Vec<(String, u64)> = Vec::new();
         let mut hierarchy = 0.0;
         let mut prefetcher = 0.0;
-        let model = EnergyModel::default();
         for bench in &grid.benchmarks {
             if let Some(a) = bench.algorithms.iter().find(|a| a.algorithm == algo) {
                 for (name, trainings) in a.report.trainings_by_prefetcher() {
@@ -671,7 +634,7 @@ pub fn fig18(scale: &RunScale) -> Experiment {
                         None => by_pf.push((name, trainings)),
                     }
                 }
-                let e = model.evaluate(&a.report);
+                let e = energy::evaluate(&a.report);
                 hierarchy += e.hierarchy_nj;
                 prefetcher += e.prefetcher_nj;
             }
@@ -714,16 +677,15 @@ pub fn fig18(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig19(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let grid = run_single_core_suite(
+    let grid = suite(
+        scale,
+        &scale.base_config(1),
         &workloads,
         &[
             SelectionAlgorithm::Bandit6,
             SelectionAlgorithm::AlectoFixedDegree,
             SelectionAlgorithm::Alecto,
         ],
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
     );
     Experiment::new("fig19", "Ablation: Alecto with fixed prefetching degree (Fig. 19)", grid.to_table())
         .with_grid(&grid)
@@ -734,16 +696,15 @@ pub fn fig19(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig20(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let grid = run_single_core_suite(
+    let grid = suite(
+        scale,
+        &scale.base_config(1),
         &workloads,
         &[
             SelectionAlgorithm::PpfAggressive,
             SelectionAlgorithm::PpfConservative,
             SelectionAlgorithm::Alecto,
         ],
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
     );
     Experiment::new(
         "fig20",
@@ -760,16 +721,15 @@ pub fn fig20(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn bandit_extended(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let grid = run_single_core_suite(
+    let grid = suite(
+        scale,
+        &scale.base_config(1),
         &workloads,
         &[
             SelectionAlgorithm::Bandit6,
             SelectionAlgorithm::BanditExtended,
             SelectionAlgorithm::Alecto,
         ],
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
     );
     let mut table = Table::new(vec!["algorithm", "geomean speedup", "storage (bytes)"]);
     for (algo, selector) in [
@@ -823,23 +783,11 @@ pub fn stress(scale: &RunScale) -> Experiment {
             s.with_name(name)
         })
         .collect();
-        grids.push(run_single_core_suite(
-            &sources,
-            &algorithms,
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        ));
+        grids.push(suite(scale, &config, &sources, &algorithms));
     }
     let corpus_count = corpus.len();
     if !corpus.is_empty() {
-        grids.push(run_single_core_suite(
-            &corpus,
-            &algorithms,
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        ));
+        grids.push(suite(scale, &config, &corpus, &algorithms));
     }
     let merged = merge_grids(grids);
     let mut experiment = Experiment::new(
@@ -931,13 +879,7 @@ pub fn timing(scale: &RunScale) -> Experiment {
             s.with_name(name)
         })
         .collect();
-        grids.push(run_single_core_suite(
-            &sources,
-            &algorithms,
-            scale.composite(CompositeKind::GsCsPmp),
-            &config,
-            scale.jobs,
-        ));
+        grids.push(suite(scale, &config, &sources, &algorithms));
     }
     let merged = merge_grids(grids);
     let mut table = Table::new(vec![
@@ -990,13 +932,7 @@ pub fn timing(scale: &RunScale) -> Experiment {
 /// `trace_replay` integration test and the CI `trace-roundtrip` job).
 #[must_use]
 pub fn replay(sources: &[TraceSource], scale: &RunScale) -> Experiment {
-    let grid = run_single_core_suite(
-        sources,
-        &main_algorithms(),
-        scale.composite(CompositeKind::GsCsPmp),
-        &scale.base_config(1),
-        scale.jobs,
-    );
+    let grid = suite(scale, &scale.base_config(1), sources, &main_algorithms());
     Experiment::new("replay", "Hierarchy x selector grid over trace sources", grid.to_table())
         .with_grid(&grid)
         .with_note(

@@ -26,7 +26,8 @@
 //!   persistent worker pool with the cell cache scoped in; the wire
 //!   protocol is specified in `docs/PROTOCOL.md`.
 //! * [`energy`] — the per-access energy model behind the `hierarchy_nj`
-//!   report fields.
+//!   and `prefetcher_nj` report fields: five constants and
+//!   [`energy::evaluate`].
 //!
 //! Everything rests on the determinism contract (`docs/ARCHITECTURE.md`):
 //! equal cell inputs produce byte-identical reports at any worker count,
@@ -54,7 +55,7 @@ pub mod runner;
 pub mod server;
 
 pub use cellcache::{CacheCounters, CellCache};
-pub use energy::{EnergyModel, HierarchyEnergy};
+pub use energy::HierarchyEnergy;
 pub use report::{experiments_to_json, Experiment, GridCell, Table, JSON_SCHEMA};
 pub use runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScale, SpeedupGrid};
 pub use server::{Server, ServerConfig};

@@ -8,7 +8,7 @@
 //! this environment): [`json`] contains a minimal writer and a strict
 //! recursive-descent parser, the latter doubling as the golden-test checker.
 
-use crate::energy::EnergyModel;
+use crate::energy;
 use crate::runner::SpeedupGrid;
 
 /// Version tag embedded in every JSON report so downstream tooling can
@@ -117,9 +117,11 @@ pub struct GridCell {
     pub accuracy: f64,
     /// Prefetch coverage over the run.
     pub coverage: f64,
-    /// Cache-hierarchy + DRAM energy (nJ, default energy model).
+    /// Cache-hierarchy + DRAM energy in nJ: the run's L1, L2, L3 and DRAM
+    /// accesses at the fixed per-access energies of [`energy::evaluate`].
     pub hierarchy_nj: f64,
-    /// Prefetcher-table energy (nJ, default energy model).
+    /// Prefetcher-table energy in nJ: the run's prefetcher training
+    /// occurrences at the fixed per-access energy of [`energy::evaluate`].
     pub prefetcher_nj: f64,
     /// Total instructions retired across all cores (`v2`).
     pub instructions: u64,
@@ -169,10 +171,9 @@ impl GridCell {
 }
 
 /// Flattens a [`SpeedupGrid`] into one [`GridCell`] per benchmark ×
-/// algorithm pair, evaluating the default [`EnergyModel`] on each report.
+/// algorithm pair, evaluating [`energy::evaluate`] on each report.
 #[must_use]
 pub fn grid_cells(grid: &SpeedupGrid) -> Vec<GridCell> {
-    let model = EnergyModel::default();
     let mut cells = Vec::new();
     for bench in &grid.benchmarks {
         // Same fallback as the runner's speedup denominator, so the cell
@@ -180,7 +181,7 @@ pub fn grid_cells(grid: &SpeedupGrid) -> Vec<GridCell> {
         let baseline_ipc = bench.baseline.geomean_ipc().unwrap_or(1e-9);
         for algo in &bench.algorithms {
             let quality = algo.report.total_quality();
-            let energy = model.evaluate(&algo.report);
+            let energy = energy::evaluate(&algo.report);
             cells.push(GridCell {
                 benchmark: bench.benchmark.clone(),
                 memory_intensive: bench.memory_intensive,

@@ -7,9 +7,7 @@
 //! no notion of "this PC is already handled by a cheaper prefetcher", which is
 //! precisely the gap Fig. 13 measures.
 
-use std::collections::HashMap;
-
-use alecto_types::{DemandAccess, Pc, PrefetchRequest};
+use alecto_types::{DemandAccess, LruTable, Pc, PrefetchRequest};
 use prefetch::Prefetcher;
 
 use crate::ipcp::BASELINE_DEGREE;
@@ -23,6 +21,9 @@ const BOOTSTRAP_TRAININGS: u32 = 64;
 /// Minimum fraction of temporal-table hits for a PC to keep training the
 /// temporal prefetcher after bootstrap.
 const REUSE_THRESHOLD: f64 = 0.05;
+/// PCs whose reuse is tracked; the least recently seen PC makes room for a
+/// new one, which bootstraps afresh.
+const PC_ENTRIES: usize = 2_048;
 
 /// Per-PC reuse tracking state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,9 +35,15 @@ struct PcReuse {
 /// Triangel-style selector: IPCP's degree ([`BASELINE_DEGREE`]) for the
 /// non-temporal prefetchers plus reuse-based training filtering for the
 /// temporal prefetcher (assumed to be the last prefetcher in the composite).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TriangelFilterSelector {
-    reuse: HashMap<Pc, PcReuse>,
+    reuse: LruTable<Pc, PcReuse>,
+}
+
+impl Default for TriangelFilterSelector {
+    fn default() -> Self {
+        Self { reuse: LruTable::new(PC_ENTRIES) }
+    }
 }
 
 impl Selector for TriangelFilterSelector {
@@ -54,7 +61,7 @@ impl Selector for TriangelFilterSelector {
             return AllocationDecision { per_prefetcher };
         };
 
-        let entry = self.reuse.entry(access.pc).or_default();
+        let (entry, _, _) = self.reuse.touch_or_insert_with(access.pc, PcReuse::default);
         entry.trainings += 1;
         if prefetchers[idx].probe(access) {
             entry.temporal_hits += 1;
@@ -78,8 +85,8 @@ impl Selector for TriangelFilterSelector {
 
     fn storage_bits(&self) -> u64 {
         // Triangel's PC-classification structures dominate: the paper quotes
-        // > 17 KB of filtering metadata. Model 2K PCs × ~70 bits.
-        2048 * 70
+        // > 17 KB of filtering metadata. Model ~70 bits per tracked PC.
+        PC_ENTRIES as u64 * 70
     }
 }
 
@@ -165,6 +172,28 @@ mod tests {
             }
         }
         assert_eq!(allowed, 500, "a strongly recurring PC must keep its temporal training");
+    }
+
+    #[test]
+    fn reuse_tracking_is_bounded_and_evicted_pcs_bootstrap_again() {
+        let mut s = TriangelFilterSelector::default();
+        let prefetchers = composite();
+        // Untrained, the temporal table never hits, so a PC loses its
+        // temporal training slot once its bootstrap is over.
+        let temporal_allowed = |s: &mut TriangelFilterSelector, pc: u64, line: u64| {
+            s.allocate(&access(pc, line), &prefetchers).per_prefetcher[3].is_some()
+        };
+        for line in 0..u64::from(BOOTSTRAP_TRAININGS) {
+            assert!(temporal_allowed(&mut s, 0x99, line), "bootstrap access {line}");
+        }
+        assert!(!temporal_allowed(&mut s, 0x99, 1_000));
+        for pc in 0..3_000u64 {
+            assert!(temporal_allowed(&mut s, 0x10_000 + pc, pc), "a new PC bootstraps");
+        }
+        assert_eq!(s.reuse.len(), PC_ENTRIES, "at most {PC_ENTRIES} PCs are tracked");
+        assert!(s.reuse.get(&Pc::new(0x99)).is_none(), "the oldest PC was evicted");
+        assert!(temporal_allowed(&mut s, 0x99, 2_000), "an evicted PC bootstraps again");
+        assert_eq!(s.storage_bits(), 2_048 * 70);
     }
 
     #[test]

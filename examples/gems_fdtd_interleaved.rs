@@ -18,7 +18,7 @@ fn main() {
     let workload = traces::spec06::source("GemsFDTD", 30_000).collect();
     let mut prefetchers = build_composite(CompositeKind::GsCsPmp);
     let names: Vec<&str> = prefetchers.iter().map(|p| p.name()).collect();
-    let mut alecto = AlectoSelector::default_config(prefetchers.len());
+    let mut alecto = AlectoSelector::new(prefetchers.len());
 
     // Drive the selector + prefetchers directly (no timing model needed to
     // observe the allocation decisions).

@@ -3,7 +3,6 @@
 //! the Alecto state machine, the Sandbox/Sample tables, cache behaviour,
 //! the prefetchers' output contracts and the JSON reader's failure mode.
 
-use alecto::AlectoConfig;
 use proptest::prelude::*;
 
 mod addr_props {
@@ -76,6 +75,7 @@ mod counter_props {
 
 mod state_machine_props {
     use super::*;
+    use alecto::config::{BLOCKED_EPOCHS, MAX_AGGRESSIVE};
     use alecto::state::{transition, PrefetcherState, StateTransitionInput};
 
     fn arb_state() -> impl Strategy<Value = PrefetcherState> {
@@ -94,16 +94,15 @@ mod state_machine_props {
             another in any::<bool>(),
             temporal in any::<bool>(),
         ) {
-            let config = AlectoConfig::default();
             let input = StateTransitionInput {
                 accuracy,
                 another_promoted: another,
                 temporal_demotion: temporal,
             };
-            let next = transition(state, input, &config);
+            let next = transition(state, input);
             match next {
-                PrefetcherState::Aggressive(m) => prop_assert!(m <= config.max_aggressive),
-                PrefetcherState::Blocked(n) => prop_assert!(n <= config.blocked_epochs),
+                PrefetcherState::Aggressive(m) => prop_assert!(m <= MAX_AGGRESSIVE),
+                PrefetcherState::Blocked(n) => prop_assert!(n <= BLOCKED_EPOCHS),
                 PrefetcherState::Unidentified => {}
             }
             // Blocked states only thaw by one per epoch; they never jump to IA.
@@ -116,13 +115,12 @@ mod state_machine_props {
         fn high_accuracy_never_blocks_an_unidentified_non_temporal_prefetcher(
             accuracy in 0.75f64..=1.0,
         ) {
-            let config = AlectoConfig::default();
             let input = StateTransitionInput {
                 accuracy: Some(accuracy),
                 another_promoted: false,
                 temporal_demotion: false,
             };
-            let next = transition(PrefetcherState::Unidentified, input, &config);
+            let next = transition(PrefetcherState::Unidentified, input);
             prop_assert_eq!(next, PrefetcherState::Aggressive(0));
         }
     }
@@ -139,7 +137,7 @@ mod sandbox_props {
             lines in proptest::collection::vec(0u64..10_000, 1..100),
             pcs in proptest::collection::vec(0u64..64, 1..100),
         ) {
-            let mut table = SandboxTable::new(512, 3);
+            let mut table = SandboxTable::new(3);
             let n = lines.len().min(pcs.len());
             for i in 0..n {
                 table.filter_and_record(LineAddr::new(lines[i]), i % 3, Pc::new(pcs[i] << 3));
