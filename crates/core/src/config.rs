@@ -49,6 +49,14 @@ pub const ALLOCATION_ENTRIES: usize = 64;
 /// Sample Table entries.
 pub const SAMPLE_ENTRIES: usize = 64;
 
+// Both tables are indexed by the demand's PC and every demand touches both,
+// so they always hold the same PCs: the model keeps them as one table of
+// ALLOCATION_ENTRIES entries, which is exact only while the sizes agree.
+const _: () = assert!(
+    ALLOCATION_ENTRIES == SAMPLE_ENTRIES,
+    "the Allocation and Sample Tables are held as one PC table and need equal sizes"
+);
+
 /// Sandbox Table entries (direct-mapped).
 pub const SANDBOX_ENTRIES: usize = 512;
 

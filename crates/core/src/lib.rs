@@ -8,16 +8,21 @@
 //!
 //! Alecto consists of three small SRAM structures (Fig. 4):
 //!
-//! * the [`AllocationTable`] — per-PC, per-prefetcher state machine
+//! * the Allocation Table — per-PC, per-prefetcher state machine
 //!   (UI / IA_m / IB_n, Fig. 5) driving allocation and degree,
-//! * the [`SampleTable`] — per-PC issued/confirmed counters, the epoch
+//! * the Sample Table — per-PC issued/confirmed counters, the epoch
 //!   (demand) counter and the deadlock (dead) counter,
 //! * the [`SandboxTable`] — recently issued prefetches, used both to confirm
 //!   prefetch usefulness and as the prefetch filter of step ⑥.
 //!
-//! The two PC-indexed tables are fully associative with LRU replacement:
-//! each is an [`alecto_types::LruTable`], the table the prefetchers' own
-//! metadata tables are built on. The Sandbox Table is direct-mapped.
+//! The model holds the two PC-indexed tables as one table, the crate-private
+//! `pc_table`: both are indexed by the demand's PC and have 64 entries
+//! (Table III), and every demand touches both with its own PC, so they always
+//! hold the same PCs in the same recency order. One
+//! [`alecto_types::LruTable`] entry per PC carries the PC's states and its
+//! counters, so a demand finds both with one lookup and an eviction drops
+//! both together; [`storage_breakdown`] still charges the two tables. The
+//! Sandbox Table is direct-mapped.
 //!
 //! [`AlectoSelector`] ties the three together and implements the
 //! [`selectors::Selector`] trait, so the CPU model can schedule it exactly
@@ -44,16 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allocation_table;
 pub mod config;
-pub mod sample_table;
+mod pc_table;
 pub mod sandbox_table;
 pub mod selector;
 pub mod state;
 pub mod storage;
 
-pub use allocation_table::AllocationTable;
-pub use sample_table::SampleTable;
 pub use sandbox_table::SandboxTable;
 pub use selector::AlectoSelector;
 pub use state::{PrefetcherState, StateTransitionInput};

@@ -40,8 +40,6 @@ struct SandboxEntry {
 pub struct SandboxTable {
     entries: Vec<Option<SandboxEntry>>,
     prefetchers: usize,
-    recorded: u64,
-    filtered: u64,
     confirmations: u64,
 }
 
@@ -59,25 +57,7 @@ impl SandboxTable {
             prefetchers <= MAX_COMPOSITE_PREFETCHERS,
             "sandbox table holds at most {MAX_COMPOSITE_PREFETCHERS} prefetchers per entry"
         );
-        Self {
-            entries: vec![None; SANDBOX_ENTRIES],
-            prefetchers,
-            recorded: 0,
-            filtered: 0,
-            confirmations: 0,
-        }
-    }
-
-    /// Prefetch requests recorded.
-    #[must_use]
-    pub const fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Prefetch requests dropped as duplicates.
-    #[must_use]
-    pub const fn filtered(&self) -> u64 {
-        self.filtered
+        Self { entries: vec![None; SANDBOX_ENTRIES], prefetchers, confirmations: 0 }
     }
 
     /// Demand-request confirmations produced.
@@ -103,14 +83,12 @@ impl SandboxTable {
                 // Tag hit: duplicate. Still remember that this prefetcher also
                 // wanted the line so it can be credited on confirmation.
                 e.slots[prefetcher] = PrefetcherSlot { valid: true, pc_hash };
-                self.filtered += 1;
                 true
             }
             slot => {
                 let mut slots = [PrefetcherSlot::default(); MAX_COMPOSITE_PREFETCHERS];
                 slots[prefetcher] = PrefetcherSlot { valid: true, pc_hash };
                 *slot = Some(SandboxEntry { line, slots });
-                self.recorded += 1;
                 false
             }
         }
@@ -137,12 +115,6 @@ impl SandboxTable {
             .fold(0, |mask, (i, _)| mask | 1 << i);
         self.confirmations += u64::from(matched.count_ones());
         matched
-    }
-
-    /// Number of currently valid entries (diagnostics).
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
     }
 }
 
@@ -175,10 +147,8 @@ mod tests {
     #[test]
     fn duplicate_prefetch_is_filtered() {
         let mut t = SandboxTable::new(3);
-        assert!(!t.filter_and_record(LineAddr::new(7), 0, Pc::new(0x10)));
-        assert!(t.filter_and_record(LineAddr::new(7), 1, Pc::new(0x20)));
-        assert_eq!(t.filtered(), 1);
-        assert_eq!(t.recorded(), 1);
+        assert!(!t.filter_and_record(LineAddr::new(7), 0, Pc::new(0x10)), "the first is recorded");
+        assert!(t.filter_and_record(LineAddr::new(7), 1, Pc::new(0x20)), "the second is filtered");
         // Both prefetchers can now be confirmed by their own PCs.
         assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x10)), 0b01);
         assert_eq!(t.confirm_demand(LineAddr::new(7), Pc::new(0x20)), 0b10);
@@ -200,12 +170,12 @@ mod tests {
         let mut t = SandboxTable::new(1);
         assert!(!t.filter_and_record(a, 0, pc));
         assert!(!t.filter_and_record(b, 0, pc), "a different line is no duplicate");
-        assert_eq!(t.occupancy(), 1);
         assert_eq!(t.confirm_demand(a, pc), 0, "b displaced a");
+        assert_eq!(t.confirm_demand(b, pc), 0b1, "b holds the slot");
         assert!(!t.filter_and_record(a, 0, pc), "a is new again");
         assert_eq!(t.confirm_demand(b, pc), 0, "a displaced b");
         assert_eq!(t.confirm_demand(a, pc), 0b1);
-        assert_eq!(t.recorded(), 3);
+        assert!(t.filter_and_record(a, 0, pc), "a is now a duplicate");
     }
 
     #[test]

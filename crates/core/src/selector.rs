@@ -14,9 +14,8 @@ use alecto_types::{DemandAccess, FillLevel, PrefetchRequest};
 use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
 use selectors::{AllocationDecision, Allocations, DegreeAllocation, Selector};
 
-use crate::allocation_table::AllocationTable;
 use crate::config::{CONSERVATIVE_DEGREE, FIXED_IA_DEGREE};
-use crate::sample_table::{SampleEvent, SampleTable};
+use crate::pc_table::{DemandEvent, PcTable};
 use crate::sandbox_table::SandboxTable;
 use crate::state::PrefetcherState;
 use crate::storage::storage_breakdown;
@@ -42,10 +41,9 @@ pub struct AlectoSelector {
     /// lines instead of the state-dependent `c + m + 1` split.
     fixed_degree: bool,
     prefetcher_count: usize,
-    allocation: AllocationTable,
-    sample: SampleTable,
+    /// The Allocation and Sample Tables, one entry per PC.
+    table: PcTable,
     sandbox: SandboxTable,
-    is_temporal: Vec<bool>,
     stats: AlectoStats,
 }
 
@@ -82,10 +80,8 @@ impl AlectoSelector {
         );
         Self {
             fixed_degree,
-            allocation: AllocationTable::new(prefetcher_count),
-            sample: SampleTable::new(prefetcher_count),
+            table: PcTable::new(),
             sandbox: SandboxTable::new(prefetcher_count),
-            is_temporal: vec![false; prefetcher_count],
             prefetcher_count,
             stats: AlectoStats::default(),
         }
@@ -100,7 +96,14 @@ impl AlectoSelector {
     /// The current state of every prefetcher for `pc`, if tracked.
     #[must_use]
     pub fn states_of(&self, pc: alecto_types::Pc) -> Option<&[PrefetcherState]> {
-        self.allocation.get(pc)
+        self.table.get(pc).map(|entry| &entry.states[..self.prefetcher_count])
+    }
+
+    /// PCs evicted so far from the Allocation and Sample Tables, which hold
+    /// the same PCs and so evict together (capacity pressure).
+    #[must_use]
+    pub const fn evictions(&self) -> u64 {
+        self.table.evictions()
     }
 }
 
@@ -129,40 +132,27 @@ impl Selector for AlectoSelector {
             self.prefetcher_count,
             prefetchers.len()
         );
-        // Learn which composite slots hold temporal prefetchers (cheap and
-        // idempotent; avoids a separate configuration step).
-        for (flag, pf) in self.is_temporal.iter_mut().zip(prefetchers) {
-            *flag = pf.is_temporal();
-        }
         self.stats.demands += 1;
 
         // Step ④/⑤: confirm earlier prefetches that this demand request hits.
+        // One touch of the PC's entry serves the rest of the demand.
         let mut confirmed = self.sandbox.confirm_demand(access.line(), access.pc);
+        let entry = self.table.touch(access.pc);
         while confirmed != 0 {
-            self.sample.record_confirmed(access.pc, confirmed.trailing_zeros() as usize);
+            entry.record_confirmed(confirmed.trailing_zeros() as usize);
             confirmed &= confirmed - 1;
         }
 
         // Step ①: per-PC demand counting, epoch transitions, deadlock resets.
-        match self.sample.record_demand(access.pc) {
-            SampleEvent::EpochBoundary => {
-                let accuracies = self.sample.accuracies(access.pc);
-                self.allocation.lookup_or_insert(access.pc);
-                self.allocation.epoch_transition(access.pc, &accuracies, &self.is_temporal);
-                self.sample.reset_epoch(access.pc);
-                self.stats.epoch_transitions += 1;
-            }
-            SampleEvent::DeadlockReset => {
-                self.allocation.reset_to_unidentified(access.pc);
-                self.stats.deadlock_resets += 1;
-            }
-            SampleEvent::None => {}
+        match entry.record_demand(prefetchers) {
+            DemandEvent::EpochTransition => self.stats.epoch_transitions += 1,
+            DemandEvent::DeadlockReset => self.stats.deadlock_resets += 1,
+            DemandEvent::None => {}
         }
 
         // Step ②: build the identifier from the per-prefetcher states.
         let mut per_prefetcher = Allocations::filled(self.prefetcher_count, None);
-        let states = self.allocation.lookup_or_insert(access.pc);
-        for (slot, &state) in per_prefetcher.iter_mut().zip(states) {
+        for (slot, &state) in per_prefetcher.iter_mut().zip(&entry.states) {
             *slot = decision_for_state(self.fixed_degree, state);
         }
         if per_prefetcher.iter().any(Option::is_none) {
@@ -199,12 +189,9 @@ impl Selector for AlectoSelector {
             *req = req.with_fill_level(fill);
             true
         });
-        for (i, &count) in issued_per_prefetcher[..self.prefetcher_count].iter().enumerate() {
-            self.sample.record_issued(access.pc, i, count);
-        }
-
-        // Dead-counter bookkeeping: did this prediction produce any prefetch?
-        self.sample.record_prediction_outcome(access.pc, !candidates.is_empty());
+        // One touch of the PC's entry records the issues and the Dead
+        // Counter: did this prediction produce any prefetch?
+        self.table.touch(access.pc).record_prediction(&issued_per_prefetcher);
         candidates
     }
 
@@ -414,6 +401,51 @@ mod tests {
             states[3].is_blocked(),
             "temporal prefetcher should be demoted in favour of the non-temporal one: {states:?}"
         );
+    }
+
+    #[test]
+    fn evicted_pc_loses_states_and_counters_together() {
+        let mut alecto = AlectoSelector::new(3);
+        let prefetchers = build_composite(CompositeKind::GsCsPmp);
+        let a = 0x9c;
+        run_epoch(&mut alecto, &prefetchers, a, 1, 2);
+        assert!(alecto.states_of(Pc::new(a)).unwrap()[1].is_aggressive());
+        assert_eq!(alecto.stats().epoch_transitions, 1);
+        // One demand from each of 64 other PCs fills the table and evicts A.
+        for pc in 0..64u64 {
+            let other = access(0x1_0000 + pc, 60_000 + pc);
+            let _ = alecto.allocate(&other, &prefetchers);
+            let _ = alecto.select_requests(&other, vec![req(0, 0x1_0000 + pc, 70_000 + pc)]);
+        }
+        assert_eq!(alecto.states_of(Pc::new(a)), None, "A is evicted");
+        // A returns as a fresh PC: every prefetcher trains at degree c, and
+        // its new epoch ends after exactly EPOCH_DEMANDS more demands.
+        for i in 1..=u64::from(EPOCH_DEMANDS) {
+            let d = alecto.allocate(&access(a, 80_000 + i), &prefetchers);
+            if i == 1 {
+                assert_eq!(d.allocated_count(), 3);
+                for alloc in d.per_prefetcher.iter().flatten() {
+                    assert_eq!((alloc.total, alloc.l1_portion), (3, 3));
+                }
+            }
+            let expected = if i < u64::from(EPOCH_DEMANDS) { 1 } else { 2 };
+            assert_eq!(alecto.stats().epoch_transitions, expected, "demand {i} after the return");
+            let _ = alecto.select_requests(&access(a, 80_000 + i), Vec::new());
+        }
+        // The two lines A's last pre-eviction demand issued left with it, so
+        // the new epoch measured nothing and blocked no prefetcher.
+        let states = alecto.states_of(Pc::new(a)).unwrap();
+        assert_eq!(states, [PrefetcherState::Unidentified; 3], "no counter survived the eviction");
+    }
+
+    #[test]
+    fn evictions_count_pcs_pushed_out_of_the_pc_table() {
+        let mut alecto = AlectoSelector::new(3);
+        let prefetchers = build_composite(CompositeKind::GsCsPmp);
+        for pc in 0..70 {
+            let _ = alecto.allocate(&access(pc, pc), &prefetchers);
+        }
+        assert_eq!(alecto.evictions(), 6, "64 entries hold 70 PCs with 6 evictions");
     }
 
     #[test]

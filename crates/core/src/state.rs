@@ -14,25 +14,26 @@
 //! # The constants each event reads
 //!
 //! Every event fires at a PC's epoch boundary, after [`EPOCH_DEMANDS`]
-//! demand accesses of that PC (`SampleTable::record_demand`), and compares
-//! the PC's per-prefetcher accuracy over the epoch with the boundaries.
+//! demand accesses of that PC (counted by `PcEntry::record_demand`, the
+//! crate-private PC table's entry), and compares the PC's per-prefetcher
+//! accuracy over the epoch with the boundaries.
 //!
 //! * Event ①, UI → IA_0: accuracy ≥ [`PROFICIENCY_BOUNDARY`]. The PC's
 //!   other UI prefetchers go to IB_0 unless they fall below DB, and a
 //!   temporal prefetcher goes to IB_0 instead when a non-temporal one
-//!   qualifies too (`AllocationTable::epoch_transition` finds both).
+//!   qualifies too (`PcEntry::epoch_transition` finds both).
 //! * UI → IB_-N: accuracy < [`DEFICIENCY_BOUNDARY`]; N is
 //!   [`BLOCKED_EPOCHS`].
 //! * Event ②, IA_0 → UI: accuracy < [`PROFICIENCY_BOUNDARY`].
 //! * Event ③, IB_n → IB_n+1: one step per epoch, so IB_-N reaches IB_0 after
 //!   [`BLOCKED_EPOCHS`] epochs. IB_0 returns to UI once no prefetcher of the
-//!   PC is in IA (`AllocationTable::epoch_transition`).
+//!   PC is in IA (`PcEntry::epoch_transition`).
 //! * Event ④, IA_m → IA_m+1: accuracy ≥ [`PROFICIENCY_BOUNDARY`], up to
 //!   IA_M with M = [`MAX_AGGRESSIVE`]. IA_m steps down to IA_m-1 when
 //!   accuracy < [`DEFICIENCY_BOUNDARY`] and m > 0, and otherwise holds.
 //!
 //! Outside the epoch, a PC whose Dead Counter reaches [`DEAD_THRESHOLD`]
-//! returns every prefetcher to UI (§IV-C). The degree a state grants is the
+//! returns every prefetcher to UI (§IV-C; `PcEntry::record_demand`). The degree a state grants is the
 //! selector's: [`CONSERVATIVE_DEGREE`] in UI; `c + m + 1` in IA_m, of which
 //! the first c fill the L1 (§IV-B), or [`FIXED_IA_DEGREE`] L1 lines in
 //! Alecto_fix (§VII-A).
@@ -129,8 +130,8 @@ pub fn transition(state: PrefetcherState, input: StateTransitionInput) -> Prefet
                 // Event ③: thaw one sub-state per epoch.
                 PrefetcherState::Blocked(n - 1)
             } else {
-                // IB_0 stays blocked; reconsideration to UI is applied by the
-                // Allocation Table when no prefetcher remains in IA.
+                // IB_0 stays blocked; reconsideration to UI is applied by
+                // `PcEntry::epoch_transition` when no prefetcher remains in IA.
                 PrefetcherState::Blocked(0)
             }
         }

@@ -212,7 +212,7 @@ impl CellJob<'_> {
     /// colliding.
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        let mut key = fnv1a_64(FNV1A_OFFSET, b"cell-v2|");
+        let mut key = fnv1a_64(FNV1A_OFFSET, b"cell-v3|");
         key = fnv1a_64(key, self.algorithm.label().as_bytes());
         key = fnv1a_64(key, b"|");
         key = fnv1a_64(key, format!("{:?}", self.composite).as_bytes());
@@ -690,7 +690,7 @@ mod tests {
             config: &config,
             sources: &sources,
         };
-        assert_eq!(format!("{:016x}", cell.cache_key()), "4140bbf5f2af6efd");
+        assert_eq!(format!("{:016x}", cell.cache_key()), "4e758ea3c902f7ba");
     }
 
     #[test]

@@ -24,6 +24,11 @@ const WEIGHT_MIN: i32 = -32;
 /// Magnitude below which training updates are applied even on correct
 /// predictions (perceptron margin).
 const TRAINING_THRESHOLD: i32 = 16;
+/// In-flight prefetches whose features are kept for outcome training.
+const PENDING_ENTRIES: usize = 4_096;
+/// Bits charged per pending line's tag: a 6-bit partial tag, as the Sandbox
+/// Table charges its lines (Table III).
+const PENDING_TAG_BITS: u64 = 6;
 
 /// IPCP scheduling plus a perceptron prefetch filter.
 #[derive(Debug, Clone)]
@@ -33,7 +38,8 @@ pub struct PpfFilterSelector {
     filter_threshold: i32,
     weights: Vec<Vec<i32>>,
     /// Features of still-in-flight prefetches, keyed by line, so that outcome
-    /// feedback can train the same weights the decision used.
+    /// feedback can train the same weights the decision used; at most
+    /// [`PENDING_ENTRIES`].
     pending: BTreeMap<LineAddr, [usize; NUM_FEATURES]>,
 }
 
@@ -109,7 +115,7 @@ impl Selector for PpfFilterSelector {
             let features = Self::features(access, req);
             if self.sum(&features) >= self.filter_threshold {
                 self.pending.insert(req.line, features);
-                if self.pending.len() > 4096 {
+                if self.pending.len() > PENDING_ENTRIES {
                     // Bound the bookkeeping; the map is ordered, so dropping
                     // the smallest line address is deterministic run-to-run
                     // (a HashMap's "first key" would not be).
@@ -135,8 +141,11 @@ impl Selector for PpfFilterSelector {
     }
 
     fn storage_bits(&self) -> u64 {
-        // Weight tables (6-bit weights) plus the prefetch bookkeeping table.
-        (NUM_FEATURES * FEATURE_TABLE_SIZE) as u64 * 6 + 1024
+        // Weight tables (6-bit weights) plus the pending table: per line its
+        // feature indices and a partial tag.
+        let pending_entry_bits =
+            NUM_FEATURES as u64 * u64::from(FEATURE_TABLE_BITS) + PENDING_TAG_BITS;
+        (NUM_FEATURES * FEATURE_TABLE_SIZE) as u64 * 6 + PENDING_ENTRIES as u64 * pending_entry_bits
     }
 }
 
@@ -218,6 +227,22 @@ mod tests {
         // borderline prefetches earlier than the conservative one.
         let run = |mut ppf| count_filtered(&mut ppf, &a, 1, 0x900, 300, |i| i % 2 == 0);
         assert!(run(PpfFilterSelector::aggressive()) >= run(PpfFilterSelector::conservative()));
+    }
+
+    #[test]
+    fn pending_table_is_bounded_and_charged() {
+        // 4 × 256 six-bit weights, and 4,096 lines × (4 × 8-bit indices + 6):
+        // 6,144 + 4,096 × 38 bits.
+        for ppf in [PpfFilterSelector::aggressive(), PpfFilterSelector::conservative()] {
+            assert_eq!(ppf.storage_bits(), 161_792);
+        }
+        // Fresh weights pass every prefetch, so each distinct line is pending.
+        let mut ppf = PpfFilterSelector::aggressive();
+        let a = access(0x66, 0xb000);
+        for line in 0..5_000 {
+            assert_eq!(ppf.select_requests(&a, vec![req(0, 0x4000 + line)]).len(), 1);
+        }
+        assert_eq!(ppf.pending.len(), PENDING_ENTRIES);
     }
 
     #[test]
