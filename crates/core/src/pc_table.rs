@@ -280,8 +280,9 @@ mod tests {
         assert_eq!(e.states, [PrefetcherState::Unidentified; MAX_COMPOSITE_PREFETCHERS]);
     }
 
-    #[test]
-    fn capacity_eviction_forgets_oldest_pc() {
+    /// A table that has seen PCs 0..70, each with prefetcher 0 at IA_1, four
+    /// lines issued and one demand counted, so the six oldest were evicted.
+    fn overfilled() -> PcTable {
         let prefetchers = build_composite(CompositeKind::PmpOnly);
         let mut t = PcTable::new();
         for pc in 0..70u64 {
@@ -291,16 +292,31 @@ mod tests {
             assert_eq!(e.record_demand(&prefetchers), DemandEvent::None);
         }
         assert_eq!(ALLOCATION_ENTRIES, 64);
+        t
+    }
+
+    #[test]
+    fn capacity_eviction_forgets_oldest_pc() {
+        let mut t = overfilled();
         assert_eq!(t.evictions(), 6);
         for pc in 0..70u64 {
             assert_eq!(t.get(Pc::new(pc)).is_some(), pc >= 6, "only the six oldest PCs go: {pc}");
         }
         let kept = t.get(Pc::new(6)).expect("the seventh is kept");
         assert_eq!(kept.states[0], PrefetcherState::Aggressive(1));
+        // An evicted PC lost its states: it returns all UI.
+        assert_eq!(t.touch(Pc::new(0)).states[0], PrefetcherState::Unidentified);
+    }
+
+    #[test]
+    fn capacity_eviction_counts() {
+        let mut t = overfilled();
+        assert_eq!(t.evictions(), 6);
+        let kept = t.get(Pc::new(6)).expect("the seventh is kept");
         assert_eq!((kept.samples[0].issued(), kept.demand_counter), (4, 1));
-        // An evicted PC lost its states and its counters together: it
-        // returns all UI with nothing issued and no demand counted.
-        let back = t.touch(Pc::new(0));
+        // An evicted PC lost its counters with its states: it returns with
+        // nothing issued and no demand counted, and its return evicts again.
+        let back = t.touch(Pc::new(5));
         assert_eq!(back.states[0], PrefetcherState::Unidentified);
         assert_eq!((back.samples[0].issued(), back.demand_counter), (0, 0));
         assert_eq!(t.evictions(), 7);
