@@ -78,7 +78,7 @@ impl PcEntry {
         }
         let mut is_temporal = [false; MAX_COMPOSITE_PREFETCHERS];
         for (flag, prefetcher) in is_temporal.iter_mut().zip(prefetchers) {
-            *flag = prefetcher.is_temporal();
+            *flag = prefetcher.kind().is_temporal();
         }
         self.epoch_transition(&is_temporal[..prefetchers.len()]);
         DemandEvent::EpochTransition

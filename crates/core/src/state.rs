@@ -11,32 +11,29 @@
 //!   unsuitable; it receives no demand requests while it thaws one sub-state
 //!   per epoch.
 //!
-//! # The constants each event reads
+//! # The rules
 //!
-//! Every event fires at a PC's epoch boundary, after [`EPOCH_DEMANDS`]
-//! demand accesses of that PC (counted by `PcEntry::record_demand`, the
-//! crate-private PC table's entry), and compares the PC's per-prefetcher
-//! accuracy over the epoch with the boundaries.
+//! Every rule but the dead-counter reset fires at a PC's epoch boundary,
+//! after [`EPOCH_DEMANDS`] demand accesses of that PC (counted by
+//! `PcEntry::record_demand`, the crate-private PC table's entry), and
+//! compares each prefetcher's accuracy for the PC over the epoch with PB =
+//! [`PROFICIENCY_BOUNDARY`] and DB = [`DEFICIENCY_BOUNDARY`]. A prefetcher
+//! that issued nothing in the epoch has no accuracy, which meets no bound.
+//! Tests named without a path are in this module; the others are in
+//! `pc_table` and `selector`.
 //!
-//! * Event ①, UI → IA_0: accuracy ≥ [`PROFICIENCY_BOUNDARY`]. The PC's
-//!   other UI prefetchers go to IB_0 unless they fall below DB, and a
-//!   temporal prefetcher goes to IB_0 instead when a non-temporal one
-//!   qualifies too (`PcEntry::epoch_transition` finds both).
-//! * UI → IB_-N: accuracy < [`DEFICIENCY_BOUNDARY`]; N is
-//!   [`BLOCKED_EPOCHS`].
-//! * Event ②, IA_0 → UI: accuracy < [`PROFICIENCY_BOUNDARY`].
-//! * Event ③, IB_n → IB_n+1: one step per epoch, so IB_-N reaches IB_0 after
-//!   [`BLOCKED_EPOCHS`] epochs. IB_0 returns to UI once no prefetcher of the
-//!   PC is in IA (`PcEntry::epoch_transition`).
-//! * Event ④, IA_m → IA_m+1: accuracy ≥ [`PROFICIENCY_BOUNDARY`], up to
-//!   IA_M with M = [`MAX_AGGRESSIVE`]. IA_m steps down to IA_m-1 when
-//!   accuracy < [`DEFICIENCY_BOUNDARY`] and m > 0, and otherwise holds.
-//!
-//! Outside the epoch, a PC whose Dead Counter reaches [`DEAD_THRESHOLD`]
-//! returns every prefetcher to UI (§IV-C; `PcEntry::record_demand`). The degree a state grants is the
-//! selector's: [`CONSERVATIVE_DEGREE`] in UI; `c + m + 1` in IA_m, of which
-//! the first c fill the L1 (§IV-B), or [`FIXED_IA_DEGREE`] L1 lines in
-//! Alecto_fix (§VII-A).
+//! | rule | source | reading the code implements | code | tests |
+//! |---|---|---|---|---|
+//! | ① UI → IA_0 | Fig. 5 ① | accuracy ≥ PB; the PC's other UI prefetchers go to IB_0 unless they fall below DB | [`transition`], `PcEntry::epoch_transition` | `ui_promotes_above_pb`, `ui_goes_to_ib0_when_someone_else_promotes`, `pc_table::tests::promotion_blocks_the_losers` |
+//! | ① temporal exception | Fig. 5 ① | a temporal UI prefetcher that meets PB goes to IB_0 instead when a non-temporal UI prefetcher of the PC meets PB in the same epoch | `PcEntry::epoch_transition`, [`transition`] | `temporal_exception_demotes_despite_high_accuracy`, `pc_table::tests::temporal_prefetcher_loses_ties_to_non_temporal`, `selector::tests::temporal_prefetcher_demoted_when_non_temporal_equally_good` |
+//! | UI → IB_-N | Fig. 5 | accuracy < DB; N is [`BLOCKED_EPOCHS`] | [`transition`] | `ui_blocks_below_db`, `pc_table::tests::deficient_prefetcher_blocked_for_n_epochs_then_reconsidered` |
+//! | ② IA_0 → UI | Fig. 5 ② | accuracy < PB | [`transition`] | `ia0_returns_to_ui_below_pb` |
+//! | ③ IB_n → IB_n+1 | Fig. 5 ③ | one step per epoch at any accuracy, so IB_-N reaches IB_0 after N epochs | [`transition`] | `ib_thaws_one_epoch_at_a_time` |
+//! | IB_0 → UI | Fig. 5 ③ | IB_0 holds while any prefetcher of the PC is in IA; once none is, after the epoch's transitions, every IB_0 returns to UI | `PcEntry::epoch_transition` | `pc_table::tests::deficient_prefetcher_blocked_for_n_epochs_then_reconsidered`, `pc_table::tests::blocked_prefetcher_stays_blocked_while_another_is_aggressive` |
+//! | ④ IA_m → IA_m+1 | Fig. 5 ④ | accuracy ≥ PB, up to IA_M with M = [`MAX_AGGRESSIVE`] | [`transition`] | `ia_climbs_and_saturates_at_m`, `pc_table::tests::aggressive_climb_through_epochs` |
+//! | ④ IA_m → IA_m-1 | Fig. 5 ④ | **unverified against the paper's text**: IA_m steps down when accuracy < DB and m > 0, and holds between DB and PB, as coded; the other reading steps down below PB | [`transition`] | `ia_m_steps_down_below_db`, `ia_m_holds_between_db_and_pb` |
+//! | dead-counter reset | §IV-C | a prediction that issues no prefetch raises the PC's Dead Counter and one that issues any lowers it; a demand that finds it at [`DEAD_THRESHOLD`] clears it and returns every prefetcher to UI, outside the epoch; an epoch boundary keeps it | `PcEntry::record_prediction`, `PcEntry::record_demand` | `pc_table::tests::dead_counter_saturation_triggers_reset_event`, `pc_table::tests::epoch_reset_clears_ratio_but_not_dead_counter`, `selector::tests::deadlock_reset_returns_states_to_ui` |
+//! | L1/L2 split | §IV-B, §VII-A | UI trains with degree c = [`CONSERVATIVE_DEGREE`] into the L1; IA_m with c + m + 1, of which a prefetcher's first c requests that survive the Sandbox fill the L1 and the rest the L2; Alecto_fix grants IA_m [`FIXED_IA_DEGREE`] L1 lines; IB_n gets no demands | `decision_for_state`, `AlectoSelector::select_requests` | `selector::tests::aggressive_prefetcher_gets_split_degree`, `selector::tests::fill_split_follows_the_mode_and_storage_does_not`, `selector::tests::fixed_degree_ablation_uses_flat_degree` |
 //!
 //! [`EPOCH_DEMANDS`]: crate::config::EPOCH_DEMANDS
 //! [`DEAD_THRESHOLD`]: crate::config::DEAD_THRESHOLD

@@ -77,25 +77,27 @@ impl Scenario {
         let phase_period = 1u32 << (6 + rng.below(6));
         let chase_nodes = (1 + rng.below(8) as usize) * 1_024;
 
-        let blend = Blend::builder(&name)
-            .memory_intensive()
-            .seed(seed)
-            .gap(gap)
-            .stream(stream)
-            .stride(stride)
-            .spatial(spatial)
-            .delta(delta)
-            .loop_stream(loop_stream)
-            .resident(resident)
-            .noise(noise)
-            .chase(chase)
-            .chase_nodes(chase_nodes)
-            .zipf(zipf)
-            .alias(alias)
-            .alias_geometry(alias_stride, alias_lines)
-            .phase(phase)
-            .phase_period(phase_period)
-            .finish();
+        let blend = Blend {
+            memory_intensive: true,
+            seed,
+            gap,
+            stream,
+            stride,
+            spatial,
+            delta,
+            loop_stream,
+            resident,
+            noise,
+            chase,
+            chase_nodes,
+            zipf,
+            alias,
+            alias_stride,
+            alias_lines,
+            phase,
+            phase_period,
+            ..Blend::new(&name)
+        };
 
         Self { index, seed, accesses, blend }
     }

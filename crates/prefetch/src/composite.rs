@@ -119,7 +119,7 @@ mod tests {
         let kind = CompositeKind::GsCsPmpTemporal { metadata_bytes: 512 * 1024 };
         let pfs = build_composite(kind);
         assert_eq!(pfs.len(), 4);
-        assert!(pfs[3].is_temporal());
+        assert!(pfs[3].kind().is_temporal());
         assert_eq!(pfs[3].kind(), PrefetcherKind::Temporal);
         assert_eq!(kind.label(), "GS+CS+PMP+TP(512KB)");
     }

@@ -195,6 +195,6 @@ mod tests {
         assert_eq!(pf.storage_bits(), 64 * 94);
         assert_eq!(pf.kind(), PrefetcherKind::Stride);
         assert_eq!(pf.name(), "CS");
-        assert!(!pf.is_temporal());
+        assert!(!pf.kind().is_temporal());
     }
 }

@@ -295,7 +295,7 @@ mod tests {
         let pf = TemporalPrefetcher::new(256 * 1024);
         assert_eq!(pf.storage_bits(), 256 * 1024 * 8);
         assert_eq!(pf.capacity_entries(), 32 * 1024);
-        assert!(pf.is_temporal());
+        assert!(pf.kind().is_temporal());
         assert_eq!(pf.kind(), PrefetcherKind::Temporal);
         assert_eq!(pf.name(), "TP");
     }

@@ -89,11 +89,6 @@ pub trait Prefetcher: Send {
     /// Storage requirement of the prefetcher's metadata in bits, for the
     /// Table III-style storage accounting.
     fn storage_bits(&self) -> u64;
-
-    /// Whether this is a temporal prefetcher (default: derived from `kind`).
-    fn is_temporal(&self) -> bool {
-        self.kind().is_temporal()
-    }
 }
 
 #[cfg(test)]

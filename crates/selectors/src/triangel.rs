@@ -56,7 +56,7 @@ impl Selector for TriangelFilterSelector {
             Allocations::filled(prefetchers.len(), Some(DegreeAllocation::l1(BASELINE_DEGREE)));
         // Identify the temporal prefetcher (by convention the last one; fall
         // back to a kind check so other layouts still work).
-        let temporal_idx = prefetchers.iter().rposition(|p| p.is_temporal());
+        let temporal_idx = prefetchers.iter().rposition(|p| p.kind().is_temporal());
         let Some(idx) = temporal_idx else {
             return AllocationDecision { per_prefetcher };
         };

@@ -23,32 +23,48 @@ pub const BENCHMARKS: [&str; 4] = ["seq-scan", "hash-join", "index-join", "agg-g
 #[must_use]
 pub fn blend(name: &str) -> Blend {
     assert!(BENCHMARKS.contains(&name), "unknown database benchmark: {name}");
-    let b = Blend::builder(name);
+    let base = Blend::new(name);
     match name {
         // Full table scan with predicate evaluation: streaming columns plus a
         // fixed per-page tuple footprint.
-        "seq-scan" => b.memory_intensive().stream(0.6).spatial(0.25).resident(0.15).gap(9).finish(),
+        "seq-scan" => Blend {
+            memory_intensive: true,
+            stream: 0.6,
+            spatial: 0.25,
+            resident: 0.15,
+            gap: 9,
+            ..base
+        },
         // Hash join: stream the probe input, hit the build-side hash table at
         // effectively random buckets.
-        "hash-join" => {
-            b.memory_intensive().stream(0.3).noise(0.45).resident(0.15).stride(0.1).gap(10).finish()
-        }
+        "hash-join" => Blend {
+            memory_intensive: true,
+            stream: 0.3,
+            noise: 0.45,
+            resident: 0.15,
+            stride: 0.1,
+            gap: 10,
+            ..base
+        },
         // Index nested-loop join: dependent B-tree descents with a skewed,
         // cache-warm set of inner pages.
-        "index-join" => b
-            .memory_intensive()
-            .chase(0.4)
-            .zipf(0.25)
-            .stream(0.2)
-            .resident(0.15)
-            .gap(12)
-            .chase_nodes(16_000)
-            .zipf_objects(32 * 1024)
-            .zipf_theta(0.9)
-            .finish(),
+        "index-join" => Blend {
+            memory_intensive: true,
+            chase: 0.4,
+            zipf: 0.25,
+            stream: 0.2,
+            resident: 0.15,
+            gap: 12,
+            chase_nodes: 16_000,
+            zipf_objects: 32 * 1024,
+            zipf_theta: 0.9,
+            ..base
+        },
         // Aggregation with GROUP BY: scan plus strided accumulator updates
         // over a mid-sized group table.
-        "agg-groupby" => b.stream(0.4).stride(0.25).resident(0.25).noise(0.1).gap(15).finish(),
+        "agg-groupby" => {
+            Blend { stream: 0.4, stride: 0.25, resident: 0.25, noise: 0.1, gap: 15, ..base }
+        }
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

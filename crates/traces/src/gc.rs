@@ -24,43 +24,52 @@ pub const BENCHMARKS: [&str; 4] = ["linked-list", "gc-mark", "gc-sweep", "skipli
 #[must_use]
 pub fn blend(name: &str) -> Blend {
     assert!(BENCHMARKS.contains(&name), "unknown pointer-chase benchmark: {name}");
-    let b = Blend::builder(name);
+    let base = Blend::new(name);
     match name {
         // A cold, DRAM-sized list walk: nearly pure dependent loads.
-        "linked-list" => b
-            .memory_intensive()
-            .chase(0.85)
-            .noise(0.1)
-            .resident(0.05)
-            .gap(6)
-            .chase_nodes(60_000)
-            .finish(),
+        "linked-list" => Blend {
+            memory_intensive: true,
+            chase: 0.85,
+            noise: 0.1,
+            resident: 0.05,
+            gap: 6,
+            chase_nodes: 60_000,
+            ..base
+        },
         // Tracing GC mark phase: pointer graph traversal plus mark-bitmap
         // writes (spatial) and allocation-site noise.
-        "gc-mark" => b
-            .memory_intensive()
-            .chase(0.5)
-            .spatial(0.2)
-            .noise(0.25)
-            .resident(0.05)
-            .gap(8)
-            .chase_nodes(40_000)
-            .finish(),
+        "gc-mark" => Blend {
+            memory_intensive: true,
+            chase: 0.5,
+            spatial: 0.2,
+            noise: 0.25,
+            resident: 0.05,
+            gap: 8,
+            chase_nodes: 40_000,
+            ..base
+        },
         // Sweep phase: the heap is walked linearly, free lists are threaded
         // through it (recurring chase over a smaller set).
-        "gc-sweep" => b
-            .memory_intensive()
-            .stream(0.5)
-            .spatial(0.2)
-            .chase(0.2)
-            .resident(0.1)
-            .gap(10)
-            .chase_nodes(8_000)
-            .finish(),
+        "gc-sweep" => Blend {
+            memory_intensive: true,
+            stream: 0.5,
+            spatial: 0.2,
+            chase: 0.2,
+            resident: 0.1,
+            gap: 10,
+            chase_nodes: 8_000,
+            ..base
+        },
         // Skiplist search: short dependent descents with hot upper levels.
-        "skiplist" => {
-            b.chase(0.45).resident(0.3).stride(0.15).noise(0.1).gap(14).chase_nodes(12_000).finish()
-        }
+        "skiplist" => Blend {
+            chase: 0.45,
+            resident: 0.3,
+            stride: 0.15,
+            noise: 0.1,
+            gap: 14,
+            chase_nodes: 12_000,
+            ..base
+        },
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

@@ -34,7 +34,7 @@ pub mod spec06;
 pub mod spec17;
 pub mod web;
 
-pub use blend::{derive_seed, Blend, BlendBuilder};
+pub use blend::{derive_seed, Blend};
 pub use patterns::{
     delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
     pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian,

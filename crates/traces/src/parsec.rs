@@ -29,28 +29,48 @@ pub const BENCHMARKS: [&str; 9] = [
 #[must_use]
 pub fn blend(name: &str) -> Blend {
     assert!(BENCHMARKS.contains(&name), "unknown PARSEC benchmark: {name}");
-    let b = Blend::builder(name);
+    let base = Blend::new(name);
     match name {
-        "blackscholes" => b.stream(0.5).resident(0.5).gap(24).finish(),
-        "bodytrack" => b.stride(0.4).resident(0.4).noise(0.2).gap(20).finish(),
-        "canneal" => b
-            .memory_intensive()
-            .chase(0.55)
-            .noise(0.35)
-            .resident(0.1)
-            .gap(8)
-            .chase_nodes(30_000)
-            .finish(),
-        "dedup" => b.memory_intensive().spatial(0.35).noise(0.4).stride(0.25).gap(12).finish(),
-        "fluidanimate" => {
-            b.memory_intensive().stream(0.45).spatial(0.35).resident(0.2).gap(12).finish()
+        "blackscholes" => Blend { stream: 0.5, resident: 0.5, gap: 24, ..base },
+        "bodytrack" => Blend { stride: 0.4, resident: 0.4, noise: 0.2, gap: 20, ..base },
+        "canneal" => Blend {
+            memory_intensive: true,
+            chase: 0.55,
+            noise: 0.35,
+            resident: 0.1,
+            gap: 8,
+            chase_nodes: 30_000,
+            ..base
+        },
+        "dedup" => Blend {
+            memory_intensive: true,
+            spatial: 0.35,
+            noise: 0.4,
+            stride: 0.25,
+            gap: 12,
+            ..base
+        },
+        "fluidanimate" => Blend {
+            memory_intensive: true,
+            stream: 0.45,
+            spatial: 0.35,
+            resident: 0.2,
+            gap: 12,
+            ..base
+        },
+        "freqmine" => {
+            Blend { chase: 0.35, resident: 0.4, noise: 0.25, gap: 18, chase_nodes: 10_000, ..base }
         }
-        "freqmine" => b.chase(0.35).resident(0.4).noise(0.25).gap(18).chase_nodes(10_000).finish(),
-        "streamcluster" => {
-            b.memory_intensive().stream(0.75).noise(0.15).resident(0.1).gap(7).finish()
-        }
-        "swaptions" => b.resident(0.8).stride(0.2).gap(45).finish(),
-        "vips" => b.stream(0.5).stride(0.3).resident(0.2).gap(16).finish(),
+        "streamcluster" => Blend {
+            memory_intensive: true,
+            stream: 0.75,
+            noise: 0.15,
+            resident: 0.1,
+            gap: 7,
+            ..base
+        },
+        "swaptions" => Blend { resident: 0.8, stride: 0.2, gap: 45, ..base },
+        "vips" => Blend { stream: 0.5, stride: 0.3, resident: 0.2, gap: 16, ..base },
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

@@ -62,79 +62,93 @@ pub fn blend(name: &str) -> Blend {
         .iter()
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("unknown SPEC CPU2006 benchmark: {name}"));
-    let b = Blend::builder(name);
-    let b = if info.memory_intensive { b.memory_intensive() } else { b };
+    let base = Blend { memory_intensive: info.memory_intensive, ..Blend::new(name) };
     match name {
         // Streaming floating-point codes.
-        "lbm" => b.stream(0.8).stride(0.15).noise(0.05).gap(8).finish(),
-        "libquantum" => b.stream(0.9).resident(0.1).gap(10).finish(),
-        "bwaves" => b.stream(0.6).stride(0.3).noise(0.1).gap(9).finish(),
-        "leslie3d" => b.stream(0.55).spatial(0.3).stride(0.15).gap(10).finish(),
-        "milc" => b.stream(0.5).noise(0.35).stride(0.15).gap(9).finish(),
-        "zeusmp" => b.stream(0.5).stride(0.3).spatial(0.2).gap(12).finish(),
+        "lbm" => Blend { stream: 0.8, stride: 0.15, noise: 0.05, gap: 8, ..base },
+        "libquantum" => Blend { stream: 0.9, resident: 0.1, gap: 10, ..base },
+        "bwaves" => Blend { stream: 0.6, stride: 0.3, noise: 0.1, gap: 9, ..base },
+        "leslie3d" => Blend { stream: 0.55, spatial: 0.3, stride: 0.15, gap: 10, ..base },
+        "milc" => Blend { stream: 0.5, noise: 0.35, stride: 0.15, gap: 9, ..base },
+        "zeusmp" => Blend { stream: 0.5, stride: 0.3, spatial: 0.2, gap: 12, ..base },
         // Fig. 2: interleaved spatial (PC 0x30b00) and stream (PC 0x30aca).
-        "GemsFDTD" => b.spatial(0.5).stream(0.35).delta(0.15).gap(8).finish(),
+        "GemsFDTD" => Blend { spatial: 0.5, stream: 0.35, delta: 0.15, gap: 8, ..base },
         // Pointer chasing / irregular integer codes.
-        "mcf" => b
-            .chase(0.55)
-            .loop_stream(0.15)
-            .noise(0.2)
-            .stride(0.1)
-            .gap(14)
-            .chase_nodes(10_000)
-            .finish(),
-        "omnetpp" => b
-            .chase(0.45)
-            .loop_stream(0.15)
-            .noise(0.2)
-            .resident(0.2)
-            .gap(16)
-            .chase_nodes(8_000)
-            .finish(),
-        "xalancbmk" => b
-            .chase(0.4)
-            .loop_stream(0.1)
-            .spatial(0.2)
-            .resident(0.3)
-            .gap(16)
-            .chase_nodes(6_000)
-            .finish(),
-        "astar" => b
-            .chase(0.35)
-            .loop_stream(0.1)
-            .stride(0.25)
-            .resident(0.3)
-            .gap(16)
-            .chase_nodes(5_000)
-            .finish(),
+        "mcf" => Blend {
+            chase: 0.55,
+            loop_stream: 0.15,
+            noise: 0.2,
+            stride: 0.1,
+            gap: 14,
+            chase_nodes: 10_000,
+            ..base
+        },
+        "omnetpp" => Blend {
+            chase: 0.45,
+            loop_stream: 0.15,
+            noise: 0.2,
+            resident: 0.2,
+            gap: 16,
+            chase_nodes: 8_000,
+            ..base
+        },
+        "xalancbmk" => Blend {
+            chase: 0.4,
+            loop_stream: 0.1,
+            spatial: 0.2,
+            resident: 0.3,
+            gap: 16,
+            chase_nodes: 6_000,
+            ..base
+        },
+        "astar" => Blend {
+            chase: 0.35,
+            loop_stream: 0.1,
+            stride: 0.25,
+            resident: 0.3,
+            gap: 16,
+            chase_nodes: 5_000,
+            ..base
+        },
         // Mixed integer codes.
-        "gcc" => b
-            .spatial(0.3)
-            .chase(0.2)
-            .loop_stream(0.1)
-            .stride(0.15)
-            .resident(0.25)
-            .gap(16)
-            .chase_nodes(4_000)
-            .finish(),
-        "bzip2" => b.stride(0.4).resident(0.35).noise(0.25).gap(14).finish(),
-        "soplex" => b.spatial(0.35).stride(0.25).loop_stream(0.1).noise(0.3).gap(12).finish(),
-        "sphinx3" => b.stream(0.35).spatial(0.3).loop_stream(0.1).resident(0.25).gap(13).finish(),
-        "hmmer" => b.stride(0.7).resident(0.3).gap(16).finish(),
-        "cactusADM" => b.stride(0.5).stream(0.3).noise(0.2).gap(12).finish(),
-        "gromacs" => b.stride(0.4).spatial(0.3).resident(0.3).gap(18).finish(),
+        "gcc" => Blend {
+            spatial: 0.3,
+            chase: 0.2,
+            loop_stream: 0.1,
+            stride: 0.15,
+            resident: 0.25,
+            gap: 16,
+            chase_nodes: 4_000,
+            ..base
+        },
+        "bzip2" => Blend { stride: 0.4, resident: 0.35, noise: 0.25, gap: 14, ..base },
+        "soplex" => {
+            Blend { spatial: 0.35, stride: 0.25, loop_stream: 0.1, noise: 0.3, gap: 12, ..base }
+        }
+        "sphinx3" => {
+            Blend { stream: 0.35, spatial: 0.3, loop_stream: 0.1, resident: 0.25, gap: 13, ..base }
+        }
+        "hmmer" => Blend { stride: 0.7, resident: 0.3, gap: 16, ..base },
+        "cactusADM" => Blend { stride: 0.5, stream: 0.3, noise: 0.2, gap: 12, ..base },
+        "gromacs" => Blend { stride: 0.4, spatial: 0.3, resident: 0.3, gap: 18, ..base },
         // Compute-bound codes: large gaps, cache-resident working sets.
-        "calculix" => b.resident(0.7).stride(0.3).gap(45).finish(),
-        "dealII" => b.resident(0.6).chase(0.2).stride(0.2).gap(40).chase_nodes(1_000).finish(),
-        "gamess" => b.resident(0.85).stride(0.15).gap(60).finish(),
-        "gobmk" => b.resident(0.7).noise(0.2).chase(0.1).gap(50).chase_nodes(800).finish(),
-        "h264ref" => b.stride(0.45).resident(0.45).spatial(0.1).gap(35).finish(),
-        "namd" => b.resident(0.65).stride(0.25).stream(0.1).gap(48).finish(),
-        "perlbench" => b.resident(0.7).chase(0.15).noise(0.15).gap(42).chase_nodes(1_500).finish(),
-        "povray" => b.resident(0.85).noise(0.15).gap(65).finish(),
-        "sjeng" => b.resident(0.75).noise(0.25).gap(55).finish(),
-        "tonto" => b.resident(0.7).stride(0.3).gap(50).finish(),
-        "wrf" => b.stream(0.35).stride(0.3).resident(0.35).gap(30).finish(),
+        "calculix" => Blend { resident: 0.7, stride: 0.3, gap: 45, ..base },
+        "dealII" => {
+            Blend { resident: 0.6, chase: 0.2, stride: 0.2, gap: 40, chase_nodes: 1_000, ..base }
+        }
+        "gamess" => Blend { resident: 0.85, stride: 0.15, gap: 60, ..base },
+        "gobmk" => {
+            Blend { resident: 0.7, noise: 0.2, chase: 0.1, gap: 50, chase_nodes: 800, ..base }
+        }
+        "h264ref" => Blend { stride: 0.45, resident: 0.45, spatial: 0.1, gap: 35, ..base },
+        "namd" => Blend { resident: 0.65, stride: 0.25, stream: 0.1, gap: 48, ..base },
+        "perlbench" => {
+            Blend { resident: 0.7, chase: 0.15, noise: 0.15, gap: 42, chase_nodes: 1_500, ..base }
+        }
+        "povray" => Blend { resident: 0.85, noise: 0.15, gap: 65, ..base },
+        "sjeng" => Blend { resident: 0.75, noise: 0.25, gap: 55, ..base },
+        "tonto" => Blend { resident: 0.7, stride: 0.3, gap: 50, ..base },
+        "wrf" => Blend { stream: 0.35, stride: 0.3, resident: 0.35, gap: 30, ..base },
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

@@ -41,61 +41,66 @@ pub fn blend(name: &str) -> Blend {
         .iter()
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("unknown SPEC CPU2017 benchmark: {name}"));
-    let b = Blend::builder(name);
-    let b = if info.memory_intensive { b.memory_intensive() } else { b };
+    let base = Blend { memory_intensive: info.memory_intensive, ..Blend::new(name) };
     match name {
-        "bwaves_17" => b.stream(0.65).stride(0.25).noise(0.1).gap(9).finish(),
-        "cactuBSSN_17" => b.stride(0.5).stream(0.3).spatial(0.2).gap(10).finish(),
-        "cam4_17" => b.stream(0.45).spatial(0.3).resident(0.25).gap(13).finish(),
-        "fotonik3d_17" => b.stream(0.7).stride(0.2).noise(0.1).gap(8).finish(),
-        "gcc_17" => b
-            .spatial(0.3)
-            .chase(0.25)
-            .loop_stream(0.1)
-            .resident(0.25)
-            .stride(0.1)
-            .gap(15)
-            .chase_nodes(5_000)
-            .finish(),
-        "lbm_17" => b.stream(0.85).stride(0.1).noise(0.05).gap(7).finish(),
-        "mcf_17" => b
-            .chase(0.5)
-            .loop_stream(0.15)
-            .noise(0.2)
-            .stride(0.15)
-            .gap(14)
-            .chase_nodes(12_000)
-            .finish(),
-        "omnetpp_17" => b
-            .chase(0.45)
-            .loop_stream(0.15)
-            .noise(0.2)
-            .resident(0.2)
-            .gap(16)
-            .chase_nodes(9_000)
-            .finish(),
-        "roms_17" => b.stream(0.55).stride(0.3).spatial(0.15).gap(10).finish(),
-        "xalancbmk_17" => b
-            .chase(0.4)
-            .loop_stream(0.1)
-            .spatial(0.25)
-            .resident(0.25)
-            .gap(15)
-            .chase_nodes(7_000)
-            .finish(),
-        "xz_17" => b.spatial(0.35).noise(0.35).stride(0.3).gap(11).finish(),
-        "blender" => b.resident(0.6).stride(0.25).spatial(0.15).gap(38).finish(),
-        "deepsjeng" => b.resident(0.75).noise(0.25).gap(50).finish(),
-        "exchange2" => b.resident(0.9).stride(0.1).gap(70).finish(),
-        "imagick" => b.resident(0.55).stream(0.3).stride(0.15).gap(40).finish(),
-        "leela" => b.resident(0.7).chase(0.15).noise(0.15).gap(48).chase_nodes(1_200).finish(),
-        "nab" => b.resident(0.6).stride(0.3).stream(0.1).gap(42).finish(),
-        "namd_17" => b.resident(0.65).stride(0.25).stream(0.1).gap(48).finish(),
-        "parest" => b.resident(0.55).stride(0.3).spatial(0.15).gap(36).finish(),
-        "perlbench_17" => {
-            b.resident(0.7).chase(0.15).noise(0.15).gap(44).chase_nodes(1_500).finish()
+        "bwaves_17" => Blend { stream: 0.65, stride: 0.25, noise: 0.1, gap: 9, ..base },
+        "cactuBSSN_17" => Blend { stride: 0.5, stream: 0.3, spatial: 0.2, gap: 10, ..base },
+        "cam4_17" => Blend { stream: 0.45, spatial: 0.3, resident: 0.25, gap: 13, ..base },
+        "fotonik3d_17" => Blend { stream: 0.7, stride: 0.2, noise: 0.1, gap: 8, ..base },
+        "gcc_17" => Blend {
+            spatial: 0.3,
+            chase: 0.25,
+            loop_stream: 0.1,
+            resident: 0.25,
+            stride: 0.1,
+            gap: 15,
+            chase_nodes: 5_000,
+            ..base
+        },
+        "lbm_17" => Blend { stream: 0.85, stride: 0.1, noise: 0.05, gap: 7, ..base },
+        "mcf_17" => Blend {
+            chase: 0.5,
+            loop_stream: 0.15,
+            noise: 0.2,
+            stride: 0.15,
+            gap: 14,
+            chase_nodes: 12_000,
+            ..base
+        },
+        "omnetpp_17" => Blend {
+            chase: 0.45,
+            loop_stream: 0.15,
+            noise: 0.2,
+            resident: 0.2,
+            gap: 16,
+            chase_nodes: 9_000,
+            ..base
+        },
+        "roms_17" => Blend { stream: 0.55, stride: 0.3, spatial: 0.15, gap: 10, ..base },
+        "xalancbmk_17" => Blend {
+            chase: 0.4,
+            loop_stream: 0.1,
+            spatial: 0.25,
+            resident: 0.25,
+            gap: 15,
+            chase_nodes: 7_000,
+            ..base
+        },
+        "xz_17" => Blend { spatial: 0.35, noise: 0.35, stride: 0.3, gap: 11, ..base },
+        "blender" => Blend { resident: 0.6, stride: 0.25, spatial: 0.15, gap: 38, ..base },
+        "deepsjeng" => Blend { resident: 0.75, noise: 0.25, gap: 50, ..base },
+        "exchange2" => Blend { resident: 0.9, stride: 0.1, gap: 70, ..base },
+        "imagick" => Blend { resident: 0.55, stream: 0.3, stride: 0.15, gap: 40, ..base },
+        "leela" => {
+            Blend { resident: 0.7, chase: 0.15, noise: 0.15, gap: 48, chase_nodes: 1_200, ..base }
         }
-        "povray_17" => b.resident(0.85).noise(0.15).gap(65).finish(),
+        "nab" => Blend { resident: 0.6, stride: 0.3, stream: 0.1, gap: 42, ..base },
+        "namd_17" => Blend { resident: 0.65, stride: 0.25, stream: 0.1, gap: 48, ..base },
+        "parest" => Blend { resident: 0.55, stride: 0.3, spatial: 0.15, gap: 36, ..base },
+        "perlbench_17" => {
+            Blend { resident: 0.7, chase: 0.15, noise: 0.15, gap: 44, chase_nodes: 1_500, ..base }
+        }
+        "povray_17" => Blend { resident: 0.85, noise: 0.15, gap: 65, ..base },
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

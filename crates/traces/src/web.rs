@@ -22,43 +22,46 @@ pub const BENCHMARKS: [&str; 3] = ["web-cache", "kv-store", "api-session"];
 #[must_use]
 pub fn blend(name: &str) -> Blend {
     assert!(BENCHMARKS.contains(&name), "unknown web-serving benchmark: {name}");
-    let b = Blend::builder(name);
+    let base = Blend::new(name);
     match name {
         // CDN-style content cache: strongly skewed object popularity with a
         // streaming component (log append / object body reads).
-        "web-cache" => b
-            .memory_intensive()
-            .zipf(0.65)
-            .stream(0.2)
-            .resident(0.15)
-            .gap(9)
-            .zipf_objects(256 * 1024)
-            .zipf_theta(0.99)
-            .finish(),
+        "web-cache" => Blend {
+            memory_intensive: true,
+            zipf: 0.65,
+            stream: 0.2,
+            resident: 0.15,
+            gap: 9,
+            zipf_objects: 256 * 1024,
+            zipf_theta: 0.99,
+            ..base
+        },
         // Key-value store under YCSB-like load: a larger, flatter key space
         // and index descents (chase) for misses in the hot set.
-        "kv-store" => b
-            .memory_intensive()
-            .zipf(0.5)
-            .chase(0.25)
-            .noise(0.15)
-            .resident(0.1)
-            .gap(11)
-            .zipf_objects(512 * 1024)
-            .zipf_theta(0.8)
-            .chase_nodes(20_000)
-            .finish(),
+        "kv-store" => Blend {
+            memory_intensive: true,
+            zipf: 0.5,
+            chase: 0.25,
+            noise: 0.15,
+            resident: 0.1,
+            gap: 11,
+            zipf_objects: 512 * 1024,
+            zipf_theta: 0.8,
+            chase_nodes: 20_000,
+            ..base
+        },
         // API server with per-session state: hot session table plus template
         // rendering (resident) and body streaming.
-        "api-session" => b
-            .zipf(0.4)
-            .resident(0.35)
-            .stream(0.15)
-            .noise(0.1)
-            .gap(22)
-            .zipf_objects(64 * 1024)
-            .zipf_theta(1.1)
-            .finish(),
+        "api-session" => Blend {
+            zipf: 0.4,
+            resident: 0.35,
+            stream: 0.15,
+            noise: 0.1,
+            gap: 22,
+            zipf_objects: 64 * 1024,
+            zipf_theta: 1.1,
+            ..base
+        },
         _ => unreachable!("benchmark {name} is listed but has no blend"),
     }
 }

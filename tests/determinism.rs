@@ -257,6 +257,53 @@ fn eviction_order_under_pc_pressure_is_pinned() {
     );
 }
 
+/// A trace that sees the size of Alecto's PC table: 64 PCs, then 65, take
+/// turns one access at a time for 300 rounds each, so every PC passes three
+/// 100-demand epochs at a reuse distance of exactly 64, then 65, PCs. A
+/// 64-entry LRU table keeps all 64 PCs and then thrashes on the 65; a table
+/// one entry smaller or larger flips one of the two phases. Even PCs stream,
+/// odd PCs hit random lines of a region of their own.
+fn pc_rotation_source() -> TraceSource {
+    let mut rng = SplitMix64::new(0x64_65);
+    let mut lines: Vec<u64> = (1..=65u64).map(|i| i << 16).collect();
+    let mut records = Vec::new();
+    for pcs in [64u64, 65] {
+        for _ in 0..300 {
+            for i in 0..pcs {
+                let line = &mut lines[i as usize];
+                *line = if i % 2 == 0 { *line + 1 } else { ((i + 1) << 16) + rng.below(4_096) };
+                records.push(MemoryRecord::load(
+                    Pc::new(0x50_0000 + 4 * i),
+                    Addr::new(*line * 64),
+                    3,
+                ));
+            }
+        }
+    }
+    TraceSource::from_workload(Workload::new("pc-rotation", records, true))
+}
+
+#[test]
+fn pc_table_size_is_pinned_by_a_pc_rotation() {
+    let sources = [pc_rotation_source()];
+    let config = MachineSpec::table1(1);
+    let digest = [SelectionAlgorithm::Alecto, SelectionAlgorithm::AlectoFixedDegree]
+        .into_iter()
+        .fold(FNV1A_OFFSET, |h, algorithm| {
+            let job = CellJob {
+                algorithm,
+                composite: CompositeKind::GsCsPmp,
+                config: &config,
+                sources: &sources,
+            };
+            fnv1a_64(h, report_to_json(&run_cell(&job)).as_bytes())
+        });
+    assert_eq!(
+        digest, 0x0576_84c4_18f8_fc97,
+        "PC-rotation reports moved: digest is {digest:#018x}"
+    );
+}
+
 #[test]
 fn determinism_holds_below_and_above_the_multicore_derivation_floor() {
     // `--accesses N` derives the multi-core per-core budget as

@@ -5,7 +5,9 @@
 //! contract that lets the experiment engine stream 10-million-access traces
 //! in O(1) memory without changing a single golden grid value.
 
-use alecto_repro::types::{TraceSource, Workload};
+use alecto_repro::types::{fnv1a_64, TraceSource, Workload, FNV1A_OFFSET};
+use fuzz::Scenario;
+use machine::MachineSpec;
 use proptest::prelude::*;
 use traces::Suite;
 
@@ -63,12 +65,13 @@ proptest! {
         job in 0u64..16,
         accesses in 1usize..400,
     ) {
-        let blend = traces::Blend::builder("prop-job")
-            .stream(0.4)
-            .chase(0.3)
-            .noise(0.3)
-            .seed(traces::derive_seed("prop-job", job))
-            .finish();
+        let blend = traces::Blend {
+            stream: 0.4,
+            chase: 0.3,
+            noise: 0.3,
+            seed: traces::derive_seed("prop-job", job),
+            ..traces::Blend::new("prop-job")
+        };
         let eager = blend.build(accesses);
         let source = blend.source(accesses);
         let a: Vec<_> = source.records().collect();
@@ -137,4 +140,34 @@ fn workload_bridge_round_trips() {
     let w = traces::web::source("kv-store", 123).collect();
     let s = TraceSource::from_workload(w.clone());
     assert_eq!(s.collect(), w);
+}
+
+/// Folds `source`'s fingerprint and every record it streams into `digest`.
+fn fold_source(digest: u64, source: &TraceSource) -> u64 {
+    source.records().fold(fnv1a_64(digest, &source.fingerprint().to_le_bytes()), |h, r| {
+        let h = fnv1a_64(h, &r.pc.raw().to_le_bytes());
+        let h = fnv1a_64(h, &r.addr.raw().to_le_bytes());
+        let h = fnv1a_64(h, &r.gap_instructions.to_le_bytes());
+        fnv1a_64(h, &[u8::from(r.kind.is_load()), u8::from(r.dependent)])
+    })
+}
+
+/// Every registered trace, pinned: the fingerprint and records of each of
+/// the 75 benchmarks at 2,000 accesses, then of the first 16 seed-42 fuzz
+/// scenarios. 14 blend-backed benchmarks reach no committed baseline, and
+/// the tests above compare each blend only with itself, so this digest is
+/// what sees a changed weight, working set or component. It moves only with
+/// a change that means to change a workload (see tests/fixtures/README.md).
+#[test]
+fn every_registered_trace_is_pinned() {
+    let reg = registry();
+    assert_eq!(reg.len(), 75);
+    let mut digest = reg
+        .iter()
+        .fold(FNV1A_OFFSET, |h, (suite, name)| fold_source(h, &suite.source(name, 2_000)));
+    let spec = MachineSpec::table1(1);
+    for index in 0..16 {
+        digest = fold_source(digest, &Scenario::generate(42, index, 2_000, &spec).source());
+    }
+    assert_eq!(digest, 0xc30d_03da_6d49_2156, "registered traces moved: digest is {digest:#018x}");
 }
