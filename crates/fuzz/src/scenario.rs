@@ -7,6 +7,7 @@ use machine::MachineSpec;
 use traces::Blend;
 
 /// The benign pattern ingredients the fuzzer may sprinkle into a scenario.
+/// With [`ADVERSARIAL`] it names each [`Blend::weights_mut`] component once.
 const BENIGN: [&str; 7] =
     ["stream", "stride", "spatial", "delta", "loop_stream", "resident", "noise"];
 
@@ -129,43 +130,22 @@ impl Scenario {
     }
 }
 
-/// Reads the weight of the named component. Component names are the benign
-/// pattern names and the [`ADVERSARIAL`] strings; anything else panics (the
-/// set is closed and internal to the fuzzer).
+/// Reads the weight of the named component. Component names are the
+/// [`Blend::weights_mut`] names, which `BENIGN` and [`ADVERSARIAL`] list;
+/// anything else panics (the set is closed and internal to the fuzzer).
 #[must_use]
 pub fn component_weight(blend: &Blend, name: &str) -> f64 {
-    match name {
-        "stream" => blend.stream,
-        "stride" => blend.stride,
-        "spatial" => blend.spatial,
-        "delta" => blend.delta,
-        "chase" => blend.chase,
-        "loop_stream" => blend.loop_stream,
-        "resident" => blend.resident,
-        "noise" => blend.noise,
-        "zipf" => blend.zipf,
-        "alias" => blend.alias,
-        "phase" => blend.phase,
-        other => panic!("unknown blend component {other:?}"),
-    }
+    *weight_mut(&mut blend.clone(), name)
 }
 
 /// Writes the weight of the named component (the shrinker's zeroing hook).
 pub fn set_component_weight(blend: &mut Blend, name: &str, weight: f64) {
-    match name {
-        "stream" => blend.stream = weight,
-        "stride" => blend.stride = weight,
-        "spatial" => blend.spatial = weight,
-        "delta" => blend.delta = weight,
-        "chase" => blend.chase = weight,
-        "loop_stream" => blend.loop_stream = weight,
-        "resident" => blend.resident = weight,
-        "noise" => blend.noise = weight,
-        "zipf" => blend.zipf = weight,
-        "alias" => blend.alias = weight,
-        "phase" => blend.phase = weight,
-        other => panic!("unknown blend component {other:?}"),
-    }
+    *weight_mut(blend, name) = weight;
+}
+
+fn weight_mut<'a>(blend: &'a mut Blend, name: &str) -> &'a mut f64 {
+    let field = blend.weights_mut().into_iter().find(|&(field, _)| field == name);
+    field.unwrap_or_else(|| panic!("unknown blend component {name:?}")).1
 }
 
 #[cfg(test)]
@@ -207,6 +187,16 @@ mod tests {
         assert_eq!(s.blend.alias_stride, sets * 64);
         assert!(s.blend.alias_lines >= 2 * spec.l2.ways);
         assert!(s.blend.alias_lines <= 4 * spec.l2.ways);
+    }
+
+    #[test]
+    fn benign_and_adversarial_name_every_blend_weight_once() {
+        let mut drawn: Vec<&str> = BENIGN.iter().chain(&ADVERSARIAL).copied().collect();
+        let mut listed: Vec<&str> =
+            Blend::new("all").weights_mut().into_iter().map(|(name, _)| name).collect();
+        drawn.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(drawn, listed);
     }
 
     #[test]

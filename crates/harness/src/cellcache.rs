@@ -8,7 +8,8 @@
 //! equal keys produce byte-identical reports, serving a cached report is
 //! indistinguishable from re-simulating: the sweep server layers this cache
 //! under the experiment engine via [`CellExecutor`] and repeated or
-//! overlapping sweeps cost near zero.
+//! overlapping sweeps cost near zero. The CLI scopes a memory-only one in
+//! for each run, so a cell that several figures share simulates once.
 //!
 //! Two tiers:
 //!
@@ -181,6 +182,24 @@ impl CellCache {
         self.insert_memory(key, report);
     }
 
+    /// Memoized execution, the one path the CLI and the sweep server take:
+    /// serves `cell` from the cache when its key is present, otherwise
+    /// simulates it with [`run_cell`] and remembers the result. Returns the
+    /// cell's key, its report and whether the cache held it. Concurrent misses
+    /// on the same key may both simulate (the result is identical by
+    /// construction; last insert wins) — the lock is never held across a
+    /// simulation.
+    #[must_use]
+    pub fn get_or_run(&self, cell: &CellJob<'_>) -> (u64, SystemReport, bool) {
+        let key = cell.cache_key();
+        if let Some(report) = self.lookup(key) {
+            return (key, report, true);
+        }
+        let report = run_cell(cell);
+        self.insert(key, report.clone());
+        (key, report, false)
+    }
+
     fn insert_memory(&self, key: u64, report: SystemReport) {
         let mut memory = self.memory.lock().expect("cache lock");
         match memory.touch(&key) {
@@ -213,19 +232,9 @@ impl CellCache {
 }
 
 impl CellExecutor for CellCache {
-    /// Memoized execution: serve `cell` from the cache when its key is
-    /// present, otherwise simulate it with [`run_cell`] and remember the
-    /// result. Concurrent misses on the same key may both simulate (the
-    /// result is identical by construction; last insert wins) — the lock is
-    /// never held across a simulation.
+    /// [`CellCache::get_or_run`]'s report.
     fn execute(&self, cell: &CellJob<'_>) -> SystemReport {
-        let key = cell.cache_key();
-        if let Some(report) = self.lookup(key) {
-            return report;
-        }
-        let report = run_cell(cell);
-        self.insert(key, report.clone());
-        report
+        self.get_or_run(cell).1
     }
 }
 
@@ -570,11 +579,13 @@ mod tests {
             config: &config,
             sources: &sources,
         };
-        let cold = cache.execute(&cell);
+        let (key, cold, hit) = cache.get_or_run(&cell);
+        assert_eq!((key, hit), (cell.cache_key(), false));
         let warm = cache.execute(&cell);
         assert_eq!(cold, warm);
+        assert!(cache.get_or_run(&cell).2, "a remembered cell is a hit");
         let c = cache.counters();
-        assert_eq!((c.memory_hits, c.misses), (1, 1));
+        assert_eq!((c.memory_hits, c.misses), (2, 1));
     }
 
     #[test]

@@ -968,96 +968,55 @@ pub fn resolve_trace_spec(
     Ok((suite.source(spec, accesses), traces::derive_seed(spec, 0)))
 }
 
-/// Every experiment id the CLI dispatches, in paper order, plus the
-/// composite runs — what `alecto-harness list` prints. Kept next to
-/// [`all`] so a new experiment is added to both or neither.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig2",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "bandit-ext",
-    "stress",
-    "timing",
-    "all",
-    "quick",
+/// An experiment id and the function that builds that experiment.
+pub type ExperimentRow = (&'static str, fn(&RunScale) -> Experiment);
+
+/// Every experiment the CLI and the sweep server dispatch, in the order
+/// `all` and `quick` run them (the order `BENCH_quick.json` pins). It is the
+/// one list: [`builder`], `alecto-harness list` and the usage line read it,
+/// so a new experiment is one row.
+pub const EXPERIMENTS: &[ExperimentRow] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("table1", table1),
+    ("table2", |_| table2()),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("table3", |_| table3()),
+    ("bandit-ext", bandit_extended),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20),
+    ("stress", stress),
+    ("timing", timing),
 ];
 
-/// Maps an experiment id to its builder, or `None` for unknown ids. The
-/// recognized set must match [`EXPERIMENT_IDS`] (what `alecto-harness list`
-/// advertises) — a unit test pins the two together, so adding an experiment
-/// to one and not the other fails the build, not a user. Both the CLI
-/// dispatch and the sweep server's `POST /v1/sweep` resolve ids here, which
-/// is one of the preconditions for their reports being byte-identical.
+/// The rows of [`EXPERIMENTS`] an experiment id runs: every row for `all`
+/// and `quick`, else the id's own row (`vi_h`, the paper's section, names
+/// `bandit-ext`); `None` for unknown ids. Both the CLI dispatch and the
+/// sweep server's `POST /v1/sweep` resolve ids here, which is one of the
+/// preconditions for their reports being byte-identical.
 #[must_use]
-pub fn builder(id: &str) -> Option<fn(&RunScale) -> Vec<Experiment>> {
-    Some(match id {
-        "table1" => |s| vec![table1(s)],
-        "table2" => |_| vec![table2()],
-        "table3" => |_| vec![table3()],
-        "fig1" => |s| vec![fig1(s)],
-        "fig2" => |s| vec![fig2(s)],
-        "fig8" => |s| vec![fig8(s)],
-        "fig9" => |s| vec![fig9(s)],
-        "fig10" => |s| vec![fig10(s)],
-        "fig11" => |s| vec![fig11(s)],
-        "fig12" => |s| vec![fig12(s)],
-        "fig13" => |s| vec![fig13(s)],
-        "fig14" => |s| vec![fig14(s)],
-        "fig15" => |s| vec![fig15(s)],
-        "fig16" => |s| vec![fig16(s)],
-        "fig17" => |s| vec![fig17(s)],
-        "fig18" => |s| vec![fig18(s)],
-        "fig19" => |s| vec![fig19(s)],
-        "fig20" => |s| vec![fig20(s)],
-        "bandit-ext" | "vi_h" => |s| vec![bandit_extended(s)],
-        "stress" => |s| vec![stress(s)],
-        "timing" => |s| vec![timing(s)],
-        "all" | "quick" => all,
-        _ => return None,
-    })
+pub fn builder(id: &str) -> Option<&'static [ExperimentRow]> {
+    let id = if id == "vi_h" { "bandit-ext" } else { id };
+    if id == "all" || id == "quick" {
+        return Some(EXPERIMENTS);
+    }
+    EXPERIMENTS.iter().position(|&(row, _)| row == id).map(|at| &EXPERIMENTS[at..=at])
 }
 
-/// Every experiment, in paper order (used by `alecto-harness all`).
+/// Builds the experiments of `rows` at `scale`, in row order.
 #[must_use]
-pub fn all(scale: &RunScale) -> Vec<Experiment> {
-    vec![
-        fig1(scale),
-        fig2(scale),
-        table1(scale),
-        table2(),
-        fig8(scale),
-        fig9(scale),
-        fig10(scale),
-        fig11(scale),
-        fig12(scale),
-        fig13(scale),
-        fig14(scale),
-        fig15(scale),
-        fig16(scale),
-        fig17(scale),
-        table3(),
-        bandit_extended(scale),
-        fig18(scale),
-        fig19(scale),
-        fig20(scale),
-        stress(scale),
-        timing(scale),
-    ]
+pub fn build(rows: &[ExperimentRow], scale: &RunScale) -> Vec<Experiment> {
+    rows.iter().map(|(_, experiment)| experiment(scale)).collect()
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //!
 //! # Module map
 //!
-//! * [`figures`] — the experiment definitions themselves, plus
-//!   [`figures::builder`] mapping CLI/server experiment ids to builders and
-//!   [`figures::resolve_trace_spec`], the one resolver of trace specs
+//! * [`figures`] — the experiment definitions themselves, listed once in
+//!   [`figures::EXPERIMENTS`], the (id, builder) table that
+//!   [`figures::builder`] resolves CLI and server experiment ids against,
+//!   plus [`figures::resolve_trace_spec`], the one resolver of trace specs
 //!   (benchmark names and verified `file:<path>` traces).
 //! * [`runner`] — the parallel cell engine: [`CellJob`] (one benchmark ×
 //!   algorithm simulation with a content-addressed [`CellJob::cache_key`]),
@@ -22,6 +23,9 @@
 //!   (`report::json`).
 //! * [`cellcache`] — the two-tier (LRU memory + checksummed disk)
 //!   content-addressed memoization of cell results.
+//!   [`CellCache::get_or_run`] is the one memoizing path: the CLI takes it
+//!   with one memory-only cache per run, the sweep server with its shared
+//!   cache.
 //! * [`server`] — `alecto-harness serve`: the sweep HTTP API over a
 //!   persistent worker pool with the cell cache scoped in; the wire
 //!   protocol is specified in `docs/PROTOCOL.md`.

@@ -1,31 +1,7 @@
 //! `alecto-harness` — regenerate the paper's tables and figures, serve them
 //! over HTTP, and record/replay binary `.altr` traces.
 //!
-//! ```text
-//! alecto-harness <experiment> [--accesses N] [--multicore-accesses N]
-//!                [--quick] [--jobs N] [--machine NAME|FILE]
-//!                [--core-model approx|ooo] [--json PATH]
-//! alecto-harness list
-//! alecto-harness machines [list]
-//! alecto-harness machines show <name|file>
-//! alecto-harness machines check <name|file>...
-//! alecto-harness serve [--addr HOST:PORT] [--jobs N] [--cache-dir PATH]
-//! alecto-harness trace record <benchmark> [--accesses N] --out PATH
-//! alecto-harness trace info <file.altr>
-//! alecto-harness trace replay <benchmark|file:PATH> [--accesses N] [--jobs N]
-//!                             [--machine NAME|FILE] [--core-model approx|ooo] [--json PATH]
-//! alecto-harness trace import <records.txt> --out PATH [--name NAME] [--memory-intensive]
-//! alecto-harness trace import --dir DIR [--out DIR] [--jobs N] [--memory-intensive]
-//! alecto-harness fuzz run [--seed N] [--budget N] [--accesses N] [--jobs N]
-//!                         [--machine NAME|FILE] [--oracle KINDS] [--threshold PCT]
-//!                         [--out DIR] [--no-shrink]
-//! alecto-harness fuzz repro <manifest>
-//! alecto-harness fuzz corpus <dir>
-//!
-//! experiments: table1 table2 table3 fig1 fig2 fig8 fig9 fig10 fig11 fig12
-//!              fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 bandit-ext
-//!              stress timing all quick
-//! ```
+//! Run it without arguments for the synopsis of every subcommand and flag.
 //!
 //! `list` prints every registered benchmark (grouped by suite) and every
 //! experiment id, then exits 0.
@@ -75,18 +51,15 @@
 //! * `corpus` tabulates the repro manifests in a directory — the corpus the
 //!   `stress` experiment graduates via `ALECTO_STRESS_CORPUS`.
 //!
-//! Each `trace` and `fuzz` action takes only the flags its usage line lists.
-//! Any other flag, including one a sibling action reads, exits 2 with usage
-//! like an unknown flag does, instead of being silently ignored.
+//! Each subcommand (an experiment, a `trace` or `fuzz` action, `serve`)
+//! takes only the flags its usage line lists, its row of `COMMANDS`; one
+//! loop parses them all. Any other flag, including one a sibling reads,
+//! exits 2 naming itself, instead of being silently ignored.
 //!
-//! `serve` turns the harness into a long-running sweep server: experiments
-//! are submitted over HTTP (`POST /v1/sweep`), executed two at a time by a
-//! persistent worker pool, and every finished simulation cell is memoized
-//! in a content-addressed cache of 4096 cells in memory (`--cache-dir`
-//! persists it across restarts), so repeated or overlapping sweeps cost
-//! near zero. `--jobs N` sets the default cell workers per sweep.
-//! `GET /v1/results/<id>` serves the same bytes `--json` would write for
-//! the equivalent CLI run. See `docs/PROTOCOL.md` for the wire format.
+//! `serve` runs the sweep server (`harness::server`; wire format in
+//! `docs/PROTOCOL.md`): sweeps submitted over HTTP, every cell memoized in
+//! a 4096-cell cache that `--cache-dir` persists, `--jobs N` cell workers
+//! per sweep by default, and results byte-identical to the CLI's `--json`.
 //!
 //! Flag interaction is explicit and position-independent:
 //!
@@ -107,6 +80,9 @@
 //! engine (default: one per available hardware thread), which spreads whole
 //! grid cells across threads. It is the only execution knob and changes
 //! wall-clock only — results are byte-identical for every worker count.
+//! An experiment run or a `trace replay` simulates each distinct cell once:
+//! figures share cells (fig14 repeats half of its own), so the run scopes
+//! in one `CellCache`, as the sweep server does across requests.
 //! `--json PATH` additionally writes the machine-readable
 //! `alecto-bench-v2` report to `PATH`. Both report (`--json`) and trace
 //! (`--out`) destinations are checked for writability up front, so a bad
@@ -114,12 +90,44 @@
 //! any file it created, so a later usage error (an unknown experiment or
 //! trace spec) leaves no empty report or trace behind.
 
+use std::sync::Arc;
+
 use alecto_types::TraceSource;
 use harness::figures;
-use harness::report::{experiments_to_json, Table};
-use harness::RunScale;
+use harness::report::{experiments_to_json, Experiment, Table};
+use harness::{with_cell_executor, CellCache, RunScale};
+
+/// Each subcommand and the flags it takes, its usage line's flags; [`parse`]
+/// exits 2 on any other flag, naming it. Bulk `trace import --dir` names
+/// each trace after its file and runs a worker pool, so it takes other flags
+/// than a single import.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "an experiment",
+        "--accesses --multicore-accesses --quick --jobs --machine --core-model --json",
+    ),
+    ("serve", "--addr --jobs --cache-dir"),
+    ("trace record", "--accesses --out"),
+    ("trace info", ""),
+    ("trace replay", "--accesses --jobs --machine --core-model --json"),
+    ("trace import", "--out --name --memory-intensive"),
+    ("trace import --dir", "--dir --out --jobs --memory-intensive"),
+    (
+        "fuzz run",
+        "--seed --budget --accesses --jobs --machine --oracle --threshold --out --no-shrink",
+    ),
+    ("fuzz repro", ""),
+    ("fuzz corpus", ""),
+];
+
+/// Every experiment id the CLI runs: [`figures::EXPERIMENTS`]' ids, then
+/// the two runs of all of them.
+fn experiment_ids() -> Vec<&'static str> {
+    figures::EXPERIMENTS.iter().map(|&(id, _)| id).chain(["all", "quick"]).collect()
+}
 
 fn usage() -> ! {
+    let ids: Vec<String> = experiment_ids().chunks(10).map(|line| line.join(" ")).collect();
     eprintln!(
         "usage: alecto-harness <experiment> [--accesses N] [--multicore-accesses N] [--quick]\n\
          \x20                  [--jobs N] [--machine NAME|FILE]\n\
@@ -143,9 +151,7 @@ fn usage() -> ! {
          \x20                              [--threshold PCT] [--out DIR] [--no-shrink]\n\
          \x20      alecto-harness fuzz repro <manifest>\n\
          \x20      alecto-harness fuzz corpus <dir>\n\
-         experiments: table1 table2 table3 fig1 fig2 fig8 fig9 fig10 fig11 fig12\n\
-         \x20            fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 bandit-ext\n\
-         \x20            stress timing all quick\n\
+         experiments: {}\n\
          flags:\n\
          \x20 --accesses N            single-core accesses (N >= 1); the multi-core per-core\n\
          \x20                         budget is derived as max(N / 3, 100) unless overridden\n\
@@ -188,7 +194,8 @@ fn usage() -> ! {
          \x20                         dropping components / halving accesses\n\
          \x20 --addr HOST:PORT        serve: listen address (default 127.0.0.1:7171; port 0\n\
          \x20                         picks a free port, printed on startup)\n\
-         \x20 --cache-dir PATH        serve: persist cache entries across restarts under PATH"
+         \x20 --cache-dir PATH        serve: persist cache entries across restarts under PATH",
+        ids.join("\n             ")
     );
     std::process::exit(2);
 }
@@ -196,7 +203,7 @@ fn usage() -> ! {
 /// The `list` subcommand: every registered benchmark and experiment id.
 fn run_list() -> ! {
     println!("experiments:");
-    println!("  {}", figures::EXPERIMENT_IDS.join(" "));
+    println!("  {}", experiment_ids().join(" "));
     println!("benchmarks (suite: members):");
     for suite in traces::Suite::ALL {
         println!("  {:14} {}", format!("{}:", suite.name()), suite.benchmarks().join(" "));
@@ -206,15 +213,6 @@ fn run_list() -> ! {
         "file:<PATH>"
     );
     std::process::exit(0);
-}
-
-/// Resolves a `--machine` argument (built-in name or machine file) or exits
-/// 2 with usage — always before any simulation, mirroring `--core-model`.
-fn resolve_machine(arg: &str) -> machine::MachineSpec {
-    machine::load(arg).unwrap_or_else(|err| {
-        eprintln!("error: --machine {err}");
-        usage();
-    })
 }
 
 /// The `machines` subcommand family: list / show / check.
@@ -321,27 +319,201 @@ fn resolve_spec(spec: &str, accesses: Option<usize>) -> (TraceSource, u64) {
     })
 }
 
-/// The `serve` subcommand: run the sweep server until killed. Exit 2 on bad
-/// flags, 1 when binding or serving fails.
-fn run_serve(args: &[String]) -> ! {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut config = harness::ServerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = parse_path_value(args, &mut i),
-            "--jobs" => {
-                let n: usize = parse_flag_value(args, &mut i);
-                if n == 0 {
+/// Every flag any subcommand reads, as [`parse`] found them. A subcommand
+/// reads the fields of the flags its [`COMMANDS`] row lists; the others
+/// stay unset.
+#[derive(Default)]
+struct Flags {
+    /// The arguments that are not flags or flag values, in order.
+    positionals: Vec<String>,
+    accesses: Option<usize>,
+    multicore_accesses: Option<usize>,
+    quick: bool,
+    jobs: Option<usize>,
+    /// `--machine`'s argument and the machine it names.
+    machine: Option<(String, machine::MachineSpec)>,
+    core_model: Option<cpu::CoreModelKind>,
+    json: Option<String>,
+    out: Option<String>,
+    name: Option<String>,
+    memory_intensive: bool,
+    dir: Option<String>,
+    seed: Option<u64>,
+    budget: Option<u64>,
+    oracles: Option<Vec<fuzz::OracleKind>>,
+    threshold: Option<f64>,
+    no_shrink: bool,
+    addr: Option<String>,
+    cache_dir: Option<String>,
+}
+
+impl Flags {
+    /// The scale an experiment or `trace replay` runs at, in the order the
+    /// module docs give. The sweep server resolves its request bodies
+    /// through the same [`RunScale::resolve`], so equivalent HTTP and CLI
+    /// runs are byte-identical.
+    fn scale(&self, quick: bool) -> RunScale {
+        let mut scale = RunScale::resolve(quick, self.accesses, self.multicore_accesses, self.jobs);
+        if let Some((_, spec)) = &self.machine {
+            scale = scale.with_machine(spec.clone());
+        }
+        if let Some(kind) = self.core_model {
+            scale = scale.with_core_model(kind);
+        }
+        scale
+    }
+}
+
+/// The one flag loop: parses `args` for `command`, a [`COMMANDS`] row. A
+/// flag outside the row exits 2 naming itself; a missing or malformed
+/// value, a zero count, and an unknown machine, core model or oracle exit 2
+/// with usage, all before anything runs.
+fn parse(command: &str, args: &[String]) -> Flags {
+    let Some(&(_, accepted)) = COMMANDS.iter().find(|&&(name, _)| name == command) else { usage() };
+    let mut flags = Flags::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            flags.positionals.push(arg.clone());
+            continue;
+        }
+        if !accepted.split(' ').any(|name| name == flag) {
+            eprintln!("error: {command} does not take {flag}");
+            usage();
+        }
+        match flag {
+            "--accesses" => flags.accesses = Some(count(&mut args)),
+            "--multicore-accesses" => flags.multicore_accesses = Some(count(&mut args)),
+            "--jobs" => flags.jobs = Some(count(&mut args)),
+            "--budget" => flags.budget = Some(count(&mut args) as u64),
+            "--quick" => flags.quick = true,
+            "--machine" => {
+                let arg = parse_path_value(&mut args);
+                let spec = machine::load(&arg).unwrap_or_else(|err| {
+                    eprintln!("error: --machine {err}");
+                    usage();
+                });
+                flags.machine = Some((arg, spec));
+            }
+            "--core-model" => {
+                let label: String = parse_flag_value(&mut args);
+                let Some(kind) = cpu::CoreModelKind::from_label(&label) else {
+                    eprintln!("error: unknown core model {label:?} (expected approx or ooo)");
+                    usage();
+                };
+                flags.core_model = Some(kind);
+            }
+            "--json" => flags.json = Some(parse_path_value(&mut args)),
+            "--out" => flags.out = Some(parse_path_value(&mut args)),
+            "--name" => flags.name = Some(parse_path_value(&mut args)),
+            "--memory-intensive" => flags.memory_intensive = true,
+            "--dir" => flags.dir = Some(parse_path_value(&mut args)),
+            "--seed" => flags.seed = Some(parse_flag_value(&mut args)),
+            "--oracle" => {
+                let labels: String = parse_flag_value(&mut args);
+                let mut kinds = Vec::new();
+                for label in labels.split(',') {
+                    let Some(kind) = fuzz::OracleKind::from_label(label.trim()) else {
+                        eprintln!(
+                            "error: unknown oracle {label:?} (expected sanity, determinism or pathology)"
+                        );
+                        usage();
+                    };
+                    if !kinds.contains(&kind) {
+                        kinds.push(kind);
+                    }
+                }
+                flags.oracles = Some(kinds);
+            }
+            "--threshold" => {
+                let pct: f64 = parse_flag_value(&mut args);
+                if !pct.is_finite() || pct < 0.0 {
                     usage();
                 }
-                config.default_jobs = n;
+                flags.threshold = Some(pct);
             }
-            "--cache-dir" => config.cache_dir = Some(parse_path_value(args, &mut i).into()),
-            _ => usage(),
+            "--no-shrink" => flags.no_shrink = true,
+            "--addr" => flags.addr = Some(parse_path_value(&mut args)),
+            "--cache-dir" => flags.cache_dir = Some(parse_path_value(&mut args)),
+            _ => unreachable!("{flag} is in a COMMANDS row but has no parse arm"),
         }
-        i += 1;
     }
+    flags
+}
+
+/// A count flag's value, which must be positive: zero is always a typo (a
+/// zero access budget would emit an all-NaN report).
+fn count(args: &mut std::slice::Iter<'_, String>) -> usize {
+    let n = parse_flag_value(args);
+    if n == 0 {
+        usage();
+    }
+    n
+}
+
+fn parse_flag_value<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>) -> T {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// Like [`parse_flag_value`] for path/name operands, rejecting a following
+/// flag: a leading dash is a forgotten value, and swallowing the next flag
+/// would silently change the run (e.g. `--json --quick` dropping quick mode).
+fn parse_path_value(args: &mut std::slice::Iter<'_, String>) -> String {
+    let value = args.next().cloned().unwrap_or_else(|| usage());
+    if value.starts_with('-') {
+        usage();
+    }
+    value
+}
+
+/// The one run step of an experiment and of `trace replay`: probes the
+/// `--json` destination, builds the experiments at the flags' scale, prints
+/// each and writes the report. `build` runs after the probe, so when it
+/// exits 2 on an unknown experiment id or trace spec the probe has left no
+/// file behind.
+fn run_and_report(
+    flags: &Flags,
+    quick: bool,
+    build: impl FnOnce(&RunScale) -> Vec<Experiment>,
+) -> ! {
+    if let Some(path) = &flags.json {
+        check_writable(path, "--json");
+    }
+    // One cache per run: a cell that two figures share, or one figure runs
+    // twice, simulates once.
+    let cache = Arc::new(CellCache::new(CellCache::DEFAULT_CAPACITY));
+    let scale = flags.scale(quick);
+    let experiments = with_cell_executor(cache, || build(&scale));
+    for e in &experiments {
+        println!("{}", e.render());
+    }
+    if let Some(path) = &flags.json {
+        if let Err(err) = std::fs::write(path, experiments_to_json(&experiments)) {
+            eprintln!("error: cannot write JSON report to {path}: {err}");
+            std::process::exit(1);
+        }
+    }
+    std::process::exit(0);
+}
+
+/// An experiment run: the one positional names a [`figures::builder`] id.
+fn run_experiment(flags: Flags) -> ! {
+    let [id] = &flags.positionals[..] else { usage() };
+    run_and_report(&flags, flags.quick || id == "quick", |scale| {
+        let Some(rows) = figures::builder(id) else { usage() };
+        figures::build(rows, scale)
+    })
+}
+
+/// The `serve` subcommand: run the sweep server until killed. Exit 2 on bad
+/// flags, 1 when binding or serving fails.
+fn run_serve(flags: Flags) -> ! {
+    let [] = flags.positionals[..] else { usage() };
+    let addr = flags.addr.unwrap_or_else(|| "127.0.0.1:7171".to_string());
+    let mut config = harness::ServerConfig::default();
+    config.default_jobs = flags.jobs.unwrap_or(config.default_jobs);
+    config.cache_dir = flags.cache_dir.map(Into::into);
     let server = harness::Server::bind(&addr, config).unwrap_or_else(|err| {
         eprintln!("error: cannot bind {addr}: {err}");
         std::process::exit(1);
@@ -357,91 +529,18 @@ fn run_serve(args: &[String]) -> ! {
 }
 
 /// The `trace` subcommand family: record / info / replay / import.
-fn run_trace(args: &[String]) -> ! {
-    let Some(action) = args.first() else { usage() };
-    let rest = &args[1..];
-    let accepted: &[&str] = match action.as_str() {
-        "record" => &["--accesses", "--out"],
-        "info" => &[],
-        "replay" => &["--accesses", "--jobs", "--machine", "--core-model", "--json"],
-        // Bulk mode names each trace after its file; a single import runs on
-        // one thread. An argument `--dir` is always the flag: no import
-        // value may start with a dash.
-        "import" if rest.iter().any(|arg| arg == "--dir") => {
-            &["--dir", "--out", "--jobs", "--memory-intensive"]
-        }
-        "import" => &["--out", "--name", "--memory-intensive"],
-        _ => usage(),
-    };
-
-    let mut accesses: Option<usize> = None;
-    let mut jobs = 0usize;
-    let mut machine_spec: Option<machine::MachineSpec> = None;
-    let mut core_model: Option<cpu::CoreModelKind> = None;
-    let mut out: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut memory_intensive = false;
-    let mut dir: Option<String> = None;
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            flag if flag.starts_with("--") && !accepted.contains(&flag) => {
-                eprintln!("error: trace {action} does not take {flag}");
-                usage();
-            }
-            "--accesses" => {
-                let n: usize = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                accesses = Some(n);
-            }
-            "--jobs" => {
-                let n: usize = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                jobs = n;
-            }
-            "--machine" => {
-                let arg: String = parse_path_value(rest, &mut i);
-                machine_spec = Some(resolve_machine(&arg));
-            }
-            "--core-model" => {
-                let label: String = parse_flag_value(rest, &mut i);
-                let Some(kind) = cpu::CoreModelKind::from_label(&label) else {
-                    eprintln!("error: unknown core model {label:?} (expected approx or ooo)");
-                    usage();
-                };
-                core_model = Some(kind);
-            }
-            "--out" => out = Some(parse_path_value(rest, &mut i)),
-            "--json" => json_path = Some(parse_path_value(rest, &mut i)),
-            "--name" => name = Some(parse_path_value(rest, &mut i)),
-            "--memory-intensive" => memory_intensive = true,
-            "--dir" => dir = Some(parse_path_value(rest, &mut i)),
-            _ => positionals.push(&rest[i]),
-        }
-        i += 1;
-    }
-
-    match (action.as_str(), &positionals[..]) {
+fn run_trace(action: &str, flags: Flags) -> ! {
+    match (action, &flags.positionals[..]) {
         ("record", [benchmark]) => {
-            let Some(out) = out else {
-                eprintln!("error: trace record needs --out PATH");
-                usage();
-            };
-            check_writable(&out, "--out");
-            let (source, seed) = resolve_spec(benchmark, accesses);
+            let out = out_path(action, &flags);
+            let (source, seed) = resolve_spec(benchmark, flags.accesses);
             let count =
-                write_trace_atomically(&out, |tmp| traceio::record_source(&source, seed, tmp))
+                write_trace_atomically(out, |tmp| traceio::record_source(&source, seed, tmp))
                     .unwrap_or_else(|err| {
                         eprintln!("error: cannot record to {out}: {err}");
                         std::process::exit(1);
                     });
-            let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
+            let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
                 "recorded {count} record(s) of {} to {out} ({bytes} bytes, {:.2} B/record)",
                 source.name(),
@@ -450,48 +549,24 @@ fn run_trace(args: &[String]) -> ! {
             std::process::exit(0);
         }
         ("info", [path]) => run_trace_info(path),
-        ("replay", [spec]) => {
-            if let Some(path) = &json_path {
-                check_writable(path, "--json");
-            }
-            let mut scale = RunScale { jobs, ..RunScale::default() };
-            if let Some(spec) = machine_spec {
-                scale = scale.with_machine(spec);
-            }
-            if let Some(kind) = core_model {
-                scale = scale.with_core_model(kind);
-            }
-            let (source, _) = resolve_spec(spec, accesses);
-            let experiment = figures::replay(std::slice::from_ref(&source), &scale);
-            println!("{}", experiment.render());
-            if let Some(path) = json_path {
-                if let Err(err) = std::fs::write(&path, experiments_to_json(&[experiment])) {
-                    eprintln!("error: cannot write JSON report to {path}: {err}");
-                    std::process::exit(1);
-                }
-            }
-            std::process::exit(0);
+        ("replay", [spec]) => run_and_report(&flags, false, |scale| {
+            let (source, _) = resolve_spec(spec, flags.accesses);
+            vec![figures::replay(std::slice::from_ref(&source), scale)]
+        }),
+        ("import", []) => {
+            let Some(dir) = &flags.dir else { usage() };
+            run_trace_import_dir(dir, &flags)
         }
-        ("import", []) if dir.is_some() => {
-            run_trace_import_dir(&dir.unwrap_or_default(), out.as_deref(), jobs, memory_intensive)
-        }
-        ("import", [input]) if dir.is_none() => {
-            let Some(out) = out else {
-                eprintln!("error: trace import needs --out PATH");
-                usage();
-            };
-            check_writable(&out, "--out");
+        ("import", [input]) if flags.dir.is_none() => {
+            let out = out_path(action, &flags);
             let file = std::fs::File::open(input).unwrap_or_else(|err| {
                 eprintln!("error: cannot read {input}: {err}");
                 usage();
             });
-            let name = name.unwrap_or_else(|| {
-                std::path::Path::new(input)
-                    .file_stem()
-                    .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned())
-            });
-            let count = write_trace_atomically(&out, |tmp| {
-                traceio::import_text(std::io::BufReader::new(file), &name, memory_intensive, tmp)
+            let name = flags.name.clone().unwrap_or_else(|| stem(std::path::Path::new(input)));
+            let count = write_trace_atomically(out, |tmp| {
+                let reader = std::io::BufReader::new(file);
+                traceio::import_text(reader, &name, flags.memory_intensive, tmp)
             })
             .unwrap_or_else(|err| {
                 eprintln!("error: importing {input}: {err}");
@@ -504,47 +579,57 @@ fn run_trace(args: &[String]) -> ! {
     }
 }
 
+/// `trace record`'s and `trace import`'s `--out`, which they need, probed
+/// with [`check_writable`].
+fn out_path<'a>(action: &str, flags: &'a Flags) -> &'a str {
+    let Some(out) = &flags.out else {
+        eprintln!("error: trace {action} needs --out PATH");
+        usage();
+    };
+    check_writable(out, "--out");
+    out
+}
+
+/// The files in `dir` with one of `extensions`, sorted; an unreadable `dir`
+/// exits 2 with usage.
+fn files_in(dir: &str, extensions: &[&str]) -> Vec<std::path::PathBuf> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|err| {
+        eprintln!("error: cannot read {dir}: {err}");
+        usage();
+    });
+    let mut files: Vec<std::path::PathBuf> = entries
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().is_some_and(|ext| extensions.iter().any(|e| ext == *e)))
+        .collect();
+    files.sort();
+    files
+}
+
+/// The benchmark name an imported file gets: its file stem.
+fn stem(path: &std::path::Path) -> String {
+    path.file_stem().map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned())
+}
+
 /// `trace import --dir`: fan every ChampSim text file in `dir` across a
 /// worker pool, continuing past per-file failures, and render a per-file
 /// summary table. Inputs that would write the same `<stem>.altr` fail
 /// without writing it. Exits 0 when every file imported, 1 when any failed,
 /// 2 when the directory is unreadable or holds no importable files.
-fn run_trace_import_dir(
-    dir: &str,
-    out_dir: Option<&str>,
-    jobs: usize,
-    memory_intensive: bool,
-) -> ! {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|err| {
-        eprintln!("error: cannot read {dir}: {err}");
-        usage();
-    });
-    let mut inputs: Vec<std::path::PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|entry| entry.path())
-        .filter(|path| {
-            path.extension().is_some_and(|ext| ext == "txt" || ext == "csv" || ext == "champsim")
-        })
-        .collect();
-    inputs.sort();
+fn run_trace_import_dir(dir: &str, flags: &Flags) -> ! {
+    let (jobs, memory_intensive) = (flags.jobs.unwrap_or(0), flags.memory_intensive);
+    let inputs = files_in(dir, &["txt", "csv", "champsim"]);
     if inputs.is_empty() {
         eprintln!("error: no .txt/.csv/.champsim files in {dir}");
         std::process::exit(2);
     }
-    let out_root = std::path::PathBuf::from(out_dir.unwrap_or(dir));
+    let out_root = std::path::PathBuf::from(flags.out.as_deref().unwrap_or(dir));
     if let Err(err) = std::fs::create_dir_all(&out_root) {
         eprintln!("error: cannot create {}: {err}", out_root.display());
         usage();
     }
 
-    let stems: Vec<String> = inputs
-        .iter()
-        .map(|input| {
-            input
-                .file_stem()
-                .map_or_else(|| "imported".to_string(), |s| s.to_string_lossy().into_owned())
-        })
-        .collect();
+    let stems: Vec<String> = inputs.iter().map(|input| stem(input)).collect();
     let outputs: Vec<std::path::PathBuf> =
         stems.iter().map(|stem| out_root.join(format!("{stem}.altr"))).collect();
     // Inputs that share an output path (`a.txt` and `a.csv`) are all refused:
@@ -585,24 +670,14 @@ fn run_trace_import_dir(
     });
 
     let mut table = Table::new(vec!["input", "records", "output", "status"]);
-    let mut failed = 0usize;
     for (input, outcome) in inputs.iter().zip(&results) {
-        let input = input.display().to_string();
-        match outcome {
-            Ok((count, out)) => {
-                table.push_row(vec![input, count.to_string(), out.clone(), "ok".to_string()]);
-            }
-            Err(err) => {
-                failed += 1;
-                table.push_row(vec![
-                    input,
-                    "-".to_string(),
-                    "-".to_string(),
-                    format!("failed: {err}"),
-                ]);
-            }
-        }
+        let (count, out, status) = match outcome {
+            Ok((count, out)) => (count.to_string(), out.clone(), "ok".to_string()),
+            Err(err) => ("-".to_string(), "-".to_string(), format!("failed: {err}")),
+        };
+        table.push_row(vec![input.display().to_string(), count, out, status]);
     }
+    let failed = results.iter().filter(|outcome| outcome.is_err()).count();
     println!("{}", table.render());
     println!(
         "imported {}/{} file(s) from {dir} on {} worker(s)",
@@ -666,110 +741,34 @@ fn run_trace_info(path: &str) -> ! {
 }
 
 /// The `fuzz` subcommand family: run / repro / corpus (see the module docs
-/// for exit codes).
-fn run_fuzz_cli(args: &[String]) -> ! {
-    let Some(action) = args.first() else { usage() };
-    let rest = &args[1..];
-
-    let mut seed = 1u64;
-    let mut budget = 16u64;
-    let mut accesses = 4_000usize;
-    let mut jobs = 0usize;
-    let mut machine_arg: Option<String> = None;
-    let mut oracles: Option<Vec<fuzz::OracleKind>> = None;
-    let mut threshold = fuzz::DEFAULT_PATHOLOGY_THRESHOLD_PCT;
-    let mut out_dir: Option<String> = None;
-    let mut no_shrink = false;
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            // Only `run` reads flags; `repro` and `corpus` take none.
-            flag if flag.starts_with("--") && action != "run" => {
-                eprintln!("error: fuzz {action} does not take {flag}");
-                usage();
-            }
-            "--seed" => seed = parse_flag_value(rest, &mut i),
-            "--budget" => {
-                let n: u64 = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                budget = n;
-            }
-            "--accesses" => {
-                let n: usize = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                accesses = n;
-            }
-            "--jobs" => {
-                let n: usize = parse_flag_value(rest, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                jobs = n;
-            }
-            "--machine" => machine_arg = Some(parse_path_value(rest, &mut i)),
-            "--oracle" => {
-                let labels: String = parse_flag_value(rest, &mut i);
-                let mut kinds = Vec::new();
-                for label in labels.split(',') {
-                    let Some(kind) = fuzz::OracleKind::from_label(label.trim()) else {
-                        eprintln!(
-                            "error: unknown oracle {label:?} (expected sanity, determinism or pathology)"
-                        );
-                        usage();
-                    };
-                    if !kinds.contains(&kind) {
-                        kinds.push(kind);
-                    }
-                }
-                if kinds.is_empty() {
-                    usage();
-                }
-                oracles = Some(kinds);
-            }
-            "--threshold" => {
-                let pct: f64 = parse_flag_value(rest, &mut i);
-                if !pct.is_finite() || pct < 0.0 {
-                    usage();
-                }
-                threshold = pct;
-            }
-            "--out" => out_dir = Some(parse_path_value(rest, &mut i)),
-            "--no-shrink" => no_shrink = true,
-            flag if flag.starts_with("--") => usage(),
-            _ => positionals.push(&rest[i]),
-        }
-        i += 1;
-    }
-
-    match (action.as_str(), &positionals[..]) {
+/// for exit codes). `fuzz run`'s defaults are [`fuzz::FuzzConfig::new`]'s;
+/// each flag given overrides one.
+fn run_fuzz(action: &str, flags: Flags) -> ! {
+    match (action, &flags.positionals[..]) {
         ("run", []) => {
-            let machine_label = machine_arg.clone().unwrap_or_else(|| "table1".to_string());
-            let spec = machine_arg
-                .map_or_else(|| machine::MachineSpec::table1(1), |arg| resolve_machine(&arg));
+            let (machine_label, spec) = flags
+                .machine
+                .unwrap_or_else(|| ("table1".to_string(), machine::MachineSpec::table1(1)));
             // Check the repro destination up front, like --json/--out do:
             // finding a pathology and then losing it to a typo'd path would
             // throw the whole scan away.
-            if let Some(dir) = &out_dir {
+            if let Some(dir) = &flags.out {
                 if let Err(err) = std::fs::create_dir_all(dir) {
                     eprintln!("error: --out {dir}: {err}");
                     usage();
                 }
             }
-            let mut config = fuzz::FuzzConfig::new(seed, spec);
-            config.budget = budget;
-            config.accesses = accesses;
-            config.jobs = jobs;
-            if let Some(kinds) = oracles {
+            let mut config = fuzz::FuzzConfig::new(flags.seed.unwrap_or(1), spec);
+            config.budget = flags.budget.unwrap_or(config.budget);
+            config.accesses = flags.accesses.unwrap_or(config.accesses);
+            config.jobs = flags.jobs.unwrap_or(config.jobs);
+            if let Some(kinds) = flags.oracles {
                 config.panel.kinds = kinds;
             }
-            config.panel.pathology_threshold_pct = threshold;
-            config.out_dir = out_dir.map(Into::into);
-            config.shrink = !no_shrink;
+            let threshold = &mut config.panel.pathology_threshold_pct;
+            *threshold = flags.threshold.unwrap_or(*threshold);
+            config.out_dir = flags.out.map(Into::into);
+            config.shrink = !flags.no_shrink;
             let outcome = fuzz::run_fuzz(&config).unwrap_or_else(|err| {
                 eprintln!("error: persisting repro: {err}");
                 std::process::exit(1);
@@ -805,16 +804,7 @@ fn run_fuzz_cli(args: &[String]) -> ! {
             std::process::exit(1);
         }
         ("corpus", [dir]) => {
-            let entries = std::fs::read_dir(dir).unwrap_or_else(|err| {
-                eprintln!("error: cannot read {dir}: {err}");
-                usage();
-            });
-            let mut manifests: Vec<std::path::PathBuf> = entries
-                .filter_map(Result::ok)
-                .map(|entry| entry.path())
-                .filter(|path| path.extension().is_some_and(|ext| ext == "manifest"))
-                .collect();
-            manifests.sort();
+            let manifests = files_in(dir, &["manifest"]);
             let mut table = Table::new(vec!["manifest", "oracle", "accesses", "digest", "trace"]);
             for path in &manifests {
                 let text = std::fs::read_to_string(path).unwrap_or_else(|err| {
@@ -845,150 +835,58 @@ fn run_fuzz_cli(args: &[String]) -> ! {
     }
 }
 
-fn parse_flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
-    *i += 1;
-    args.get(*i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-}
-
-/// Like [`parse_flag_value`] for path/name operands, rejecting a following
-/// flag: a leading dash is a forgotten value, and swallowing the next flag
-/// would silently change the run (e.g. `--json --quick` dropping quick mode).
-fn parse_path_value(args: &[String], i: &mut usize) -> String {
-    *i += 1;
-    let value = args.get(*i).cloned().unwrap_or_else(|| usage());
-    if value.starts_with('-') {
-        usage();
-    }
-    value
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    match args[0].as_str() {
+    let Some(first) = args.first() else { usage() };
+    match first.as_str() {
         "list" => run_list(),
         "machines" => run_machines(&args[1..]),
-        "serve" => run_serve(&args[1..]),
-        "trace" => run_trace(&args[1..]),
-        "fuzz" => run_fuzz_cli(&args[1..]),
-        _ => {}
-    }
-    let mut quick = false;
-    let mut accesses_override: Option<usize> = None;
-    let mut multicore_override: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut machine_spec: Option<machine::MachineSpec> = None;
-    let mut core_model: Option<cpu::CoreModelKind> = None;
-    let mut json_path: Option<String> = None;
-    let mut experiment = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--machine" => {
-                let arg: String = parse_path_value(&args, &mut i);
-                machine_spec = Some(resolve_machine(&arg));
-            }
-            "--core-model" => {
-                let label: String = parse_flag_value(&args, &mut i);
-                let Some(kind) = cpu::CoreModelKind::from_label(&label) else {
-                    eprintln!("error: unknown core model {label:?} (expected approx or ooo)");
-                    usage();
-                };
-                core_model = Some(kind);
-            }
-            "--accesses" => {
-                let n: usize = parse_flag_value(&args, &mut i);
-                // A zero access budget is always a typo; reject it like
-                // `--jobs 0` rather than emitting an all-NaN report.
-                if n == 0 {
-                    usage();
-                }
-                accesses_override = Some(n);
-            }
-            "--multicore-accesses" => {
-                let n: usize = parse_flag_value(&args, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                multicore_override = Some(n);
-            }
-            "--jobs" => {
-                let n: usize = parse_flag_value(&args, &mut i);
-                if n == 0 {
-                    usage();
-                }
-                jobs = Some(n);
-            }
-            "--json" => json_path = Some(parse_path_value(&args, &mut i)),
-            name if experiment.is_none() && !name.starts_with('-') => {
-                experiment = Some(name.to_string());
-            }
-            _ => usage(),
+        "serve" => run_serve(parse("serve", &args[1..])),
+        "trace" | "fuzz" => {
+            let Some(action) = args.get(1) else { usage() };
+            let rest = &args[2..];
+            // An argument `--dir` is always the flag: no import value may
+            // start with a dash.
+            let bulk = action == "import" && rest.iter().any(|arg| arg == "--dir");
+            let command = format!("{first} {action}{}", if bulk { " --dir" } else { "" });
+            let run = if first == "trace" { run_trace } else { run_fuzz };
+            run(action, parse(&command, rest))
         }
-        i += 1;
-    }
-    let experiment = experiment.unwrap_or_else(|| usage());
-
-    // Scale resolution, in documented order: preset, then --accesses (which
-    // derives the multi-core budget), then --multicore-accesses. The sweep
-    // server resolves its request bodies through the same function, so
-    // equivalent HTTP and CLI runs are byte-identical.
-    let mut scale = RunScale::resolve(
-        quick || experiment == "quick",
-        accesses_override,
-        multicore_override,
-        jobs,
-    );
-    // The machine supplies the default core model; an explicit --core-model
-    // then overrides it, whatever the flag order on the command line.
-    if let Some(spec) = machine_spec {
-        scale = scale.with_machine(spec);
-    }
-    if let Some(kind) = core_model {
-        scale = scale.with_core_model(kind);
-    }
-
-    if let Some(path) = &json_path {
-        check_writable(path, "--json");
-    }
-
-    let Some(build) = figures::builder(&experiment) else { usage() };
-    let experiments = build(&scale);
-    for e in &experiments {
-        println!("{}", e.render());
-    }
-    if let Some(path) = json_path {
-        if let Err(err) = std::fs::write(&path, experiments_to_json(&experiments)) {
-            eprintln!("error: cannot write JSON report to {path}: {err}");
-            std::process::exit(1);
-        }
+        _ => run_experiment(parse("an experiment", &args)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harness::CellExecutor;
+    use std::collections::HashSet;
+
+    /// The ids of the rows `id` runs, `None` for an unknown id.
+    fn row_ids(id: &str) -> Option<Vec<&'static str>> {
+        figures::builder(id).map(|rows| rows.iter().map(|&(row, _)| row).collect())
+    }
 
     #[test]
     fn every_listed_experiment_id_dispatches() {
-        for id in figures::EXPERIMENT_IDS {
-            assert!(
-                figures::builder(id).is_some(),
-                "`list` advertises {id} but the dispatch rejects it"
-            );
+        let ids = experiment_ids();
+        let distinct: HashSet<&str> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "an experiment id is listed twice: {ids:?}");
+        for &(id, _) in figures::EXPERIMENTS {
+            assert_eq!(row_ids(id), Some(vec![id]), "{id} must run its own row");
+        }
+        for id in ["all", "quick"] {
+            assert_eq!(row_ids(id).as_deref(), Some(&ids[..ids.len() - 2]), "{id} runs every row");
         }
     }
 
     #[test]
     fn unknown_experiment_ids_are_rejected() {
         for id in ["fig99", "", "trace", "compare", "list", "serve"] {
-            assert!(figures::builder(id).is_none(), "{id} must not dispatch");
+            assert_eq!(row_ids(id), None, "{id} must not dispatch");
         }
         // The paper-section alias stays dispatchable though unlisted.
-        assert!(figures::builder("vi_h").is_some());
+        assert_eq!(row_ids("vi_h"), Some(vec!["bandit-ext"]));
     }
 
     #[test]
@@ -1001,5 +899,40 @@ mod tests {
         assert_eq!(RunScale::resolve(false, Some(30), None, None).multicore_accesses, 100);
         // An explicit multi-core budget overrides the derived one.
         assert_eq!(RunScale::resolve(true, Some(900), Some(42), None).multicore_accesses, 42);
+    }
+
+    #[test]
+    fn every_command_parses_every_flag_it_lists() {
+        let value = |flag| match flag {
+            "--quick" | "--memory-intensive" | "--no-shrink" => None,
+            "--machine" => Some("desktop"),
+            "--core-model" => Some("ooo"),
+            "--oracle" => Some("sanity"),
+            _ => Some("7"),
+        };
+        for &(command, flags) in COMMANDS {
+            let args: Vec<String> = flags
+                .split_whitespace()
+                .flat_map(|flag| std::iter::once(flag).chain(value(flag)))
+                .map(String::from)
+                .collect();
+            assert!(parse(command, &args).positionals.is_empty(), "{command} {args:?}");
+        }
+    }
+
+    #[test]
+    fn one_run_simulates_each_distinct_cell_once() {
+        let scale = RunScale::with_accesses(100, 100).with_jobs(1);
+        let both = || vec![figures::fig13(&scale), figures::fig14(&scale)];
+        // The memo `run_and_report` scopes in for a run.
+        let cache = Arc::new(CellCache::new(CellCache::DEFAULT_CAPACITY));
+        let once = with_cell_executor(Arc::clone(&cache) as Arc<dyn CellExecutor>, both);
+        assert_eq!(experiments_to_json(&once), experiments_to_json(&both()));
+        // At one worker each miss is one simulation, and each key looked up
+        // stays resident: equal counts mean no key simulated twice.
+        let counters = cache.counters();
+        assert_eq!(counters.evictions, 0);
+        assert_eq!(counters.misses, counters.resident, "a key was simulated twice");
+        assert!(counters.hits() > 0, "fig13 and fig14 repeat cells");
     }
 }

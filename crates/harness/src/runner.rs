@@ -181,10 +181,10 @@ impl RunScale {
 /// the cell regenerates its records on its worker thread, so a sweep's
 /// memory footprint is O(cells in flight), never O(trace length).
 ///
-/// This is the unit of work the sweep server's cell cache memoizes:
-/// [`CellJob::cache_key`] digests everything that determines the cell's
-/// [`SystemReport`], so equal keys mean byte-identical results (the
-/// determinism contract — see `docs/ARCHITECTURE.md`).
+/// This is the unit of work the cell cache memoizes, in the sweep server and
+/// in each CLI run: [`CellJob::cache_key`] digests everything that
+/// determines the cell's [`SystemReport`], so equal keys mean byte-identical
+/// results (the determinism contract — see `docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Copy)]
 pub struct CellJob<'a> {
     /// Selection algorithm of this cell ([`SelectionAlgorithm::NoPrefetching`]

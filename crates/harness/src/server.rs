@@ -18,12 +18,13 @@
 //! `POST /v1/sweep` only validates and enqueues, so submission latency is
 //! independent of simulation time. A separate persistent pool of sweep
 //! workers pulls queued jobs and runs them through the same
-//! `figures::builder` / [`RunScale::resolve`] pipeline as the CLI, with a
-//! memoizing [`CellExecutor`] scoped in: each benchmark × algorithm cell is
-//! served from the [`CellCache`] when its content-addressed key is present
-//! and simulated (then remembered) otherwise. Inside one sweep the cells
-//! still fan out across the experiment engine's work-stealing workers, so a
-//! cold sweep is exactly as parallel as a CLI run.
+//! [`figures::builder`] / [`RunScale::resolve`] pipeline as the CLI, with a
+//! memoizing [`CellExecutor`] scoped in, as the CLI scopes one per run: each
+//! benchmark × algorithm cell is served from the [`CellCache`] when its
+//! content-addressed key is present and simulated (then remembered)
+//! otherwise. Inside one sweep the cells still fan out across the
+//! experiment engine's work-stealing workers, so a cold sweep is exactly as
+//! parallel as a CLI run.
 //!
 //! Because cell keys digest *everything* that can influence a result and
 //! grids are byte-identical at any worker count, a fully cached sweep's
@@ -46,9 +47,9 @@ use alecto_types::TraceSource;
 
 use crate::cellcache::CellCache;
 use crate::figures;
+use crate::report::experiments_to_json;
 use crate::report::json::{self, JsonValue};
-use crate::report::{experiments_to_json, Experiment};
-use crate::runner::{run_cell, with_cell_executor, CellExecutor, CellJob, RunScale};
+use crate::runner::{with_cell_executor, CellExecutor, CellJob, RunScale};
 
 /// Upper bound on a request body; sweep submissions are a few hundred bytes,
 /// so anything near this is abuse or a protocol error.
@@ -80,11 +81,11 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
 }
 
-/// What a sweep job runs: a registered experiment builder, or a replay over
+/// What a sweep job runs: rows of the experiment table, or a replay over
 /// resolved trace sources.
 enum SweepKind {
-    /// One of the `figures::EXPERIMENT_IDS` builders.
-    Experiment(fn(&RunScale) -> Vec<Experiment>),
+    /// The rows of [`figures::EXPERIMENTS`] the request's id names.
+    Experiment(&'static [figures::ExperimentRow]),
     /// `figures::replay` over the request's resolved trace specs.
     Replay(Vec<TraceSource>),
 }
@@ -244,15 +245,7 @@ struct JobExecutor {
 
 impl CellExecutor for JobExecutor {
     fn execute(&self, cell: &CellJob<'_>) -> cpu::SystemReport {
-        let key = cell.cache_key();
-        let (report, cached) = match self.cache.lookup(key) {
-            Some(report) => (report, true),
-            None => {
-                let report = run_cell(cell);
-                self.cache.insert(key, report.clone());
-                (report, false)
-            }
-        };
+        let (key, report, cached) = self.cache.get_or_run(cell);
         if cached {
             self.job.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -291,7 +284,7 @@ fn sweep_worker(state: &Arc<ServerState>) {
             let executor =
                 Arc::new(JobExecutor { cache: Arc::clone(&state.cache), job: Arc::clone(&job) });
             let experiments = with_cell_executor(executor, || match &kind {
-                Some(SweepKind::Experiment(build)) => build(&job.scale),
+                Some(SweepKind::Experiment(rows)) => figures::build(rows, &job.scale),
                 Some(SweepKind::Replay(sources)) => {
                     vec![figures::replay(sources, &job.scale)]
                 }
@@ -676,7 +669,7 @@ fn submit_sweep(state: &Arc<ServerState>, body: &str) -> Response {
             );
         }
         match figures::builder(experiment) {
-            Some(build) => SweepKind::Experiment(build),
+            Some(rows) => SweepKind::Experiment(rows),
             None => {
                 return Response::error(
                     400,

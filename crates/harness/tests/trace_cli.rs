@@ -290,14 +290,25 @@ fn trace_usage_errors_exit_two() {
         &["trace", "record", "mcf", "--bogus", "--out", out],
         // Unknown benchmark and unreadable trace file.
         &["trace", "record", "no-such-bench", "--out", out],
-        // A flag the action does not read.
-        &["trace", "info", trace.as_str(), "--json", report.as_str()],
-        &["trace", "record", "mcf", "--out", out, "--jobs", "4", "--core-model", "ooo"],
-        &["fuzz", "corpus", corpus.as_str(), "--seed", "3"],
     ];
     for args in cases {
         let output = harness().args(*args).output().expect("spawn harness");
         assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
+    }
+    // A flag the action does not read exits 2 and names the flag.
+    let unread: &[(&[&str], &str)] = &[
+        (&["trace", "info", trace.as_str(), "--json", report.as_str()], "--json"),
+        (&["trace", "record", "mcf", "--out", out, "--jobs", "4", "--core-model", "ooo"], "--jobs"),
+        (&["fuzz", "corpus", corpus.as_str(), "--seed", "3"], "--seed"),
+        (&["fig8", "--out", out], "--out"),
+        (&["serve", "--json", report.as_str()], "--json"),
+        (&["fuzz", "run", "--dir", corpus.as_str()], "--dir"),
+    ];
+    for (args, flag) in unread {
+        let output = harness().args(*args).output().expect("spawn harness");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8");
+        assert!(stderr.contains(&format!("does not take {flag}")), "{args:?}:\n{stderr}");
     }
     let output =
         harness().args(["trace", "info", missing.as_str()]).output().expect("spawn harness");

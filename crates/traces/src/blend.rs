@@ -133,6 +133,48 @@ impl Blend {
         .with_content_tag(&identity)
     }
 
+    /// Each pattern weight field with its name, in declaration order. The
+    /// destructuring names every field, so a new field does not compile until
+    /// it is listed here or marked as not a weight.
+    pub fn weights_mut(&mut self) -> [(&'static str, &mut f64); 11] {
+        let Blend {
+            name: _,
+            memory_intensive: _,
+            stream,
+            stride,
+            spatial,
+            delta,
+            chase,
+            loop_stream,
+            resident,
+            noise,
+            zipf,
+            alias,
+            phase,
+            alias_stride: _,
+            alias_lines: _,
+            phase_period: _,
+            gap: _,
+            chase_nodes: _,
+            zipf_objects: _,
+            zipf_theta: _,
+            seed: _,
+        } = self;
+        [
+            ("stream", stream),
+            ("stride", stride),
+            ("spatial", spatial),
+            ("delta", delta),
+            ("chase", chase),
+            ("loop_stream", loop_stream),
+            ("resident", resident),
+            ("noise", noise),
+            ("zipf", zipf),
+            ("alias", alias),
+            ("phase", phase),
+        ]
+    }
+
     /// The weighted component streams this blend mixes, one row per
     /// component in a fixed order. A row's constructor runs only for a
     /// positive weight (a Zipfian or chase working set costs O(objects) to
@@ -220,6 +262,21 @@ mod tests {
         assert_eq!(w.memory_accesses(), 1_000);
         // gap 10 → roughly 11 instructions per access.
         assert!(w.instructions() >= 10_000);
+    }
+
+    #[test]
+    fn weights_are_named_after_their_fields() {
+        for i in 0..11 {
+            let mut blend = Blend::new("named");
+            let (name, weight) = blend.weights_mut().into_iter().nth(i).expect("11 weights");
+            *weight = 0.5;
+            let debug = format!("{blend:?}");
+            assert!(
+                debug.contains(&format!(" {name}: 0.5,")),
+                "{name} sets another field: {debug}"
+            );
+            assert_eq!(debug.matches(": 0.5,").count(), 1, "{debug}");
+        }
     }
 
     #[test]

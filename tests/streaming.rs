@@ -46,7 +46,7 @@ proptest! {
     // benchmark × access budget.
     #[test]
     fn streamed_equals_collected_for_every_registered_benchmark(
-        bench_idx in 0usize..70,
+        bench_idx in 0usize..75,
         accesses in 0usize..600,
     ) {
         let reg = registry();
@@ -87,7 +87,7 @@ proptest! {
     // and every batch except the last is full.
     #[test]
     fn batched_streams_equal_per_record_streams_for_every_registered_benchmark(
-        bench_idx in 0usize..70,
+        bench_idx in 0usize..75,
         accesses in 0usize..600,
         batch in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
