@@ -77,6 +77,15 @@ fn mix(
     run_multicore_mix(name, sources, algorithms, composite, machine, scale.jobs)
 }
 
+/// A table headed `first` and then one column per algorithm label.
+fn algorithm_table(first: &str, algorithms: &[SelectionAlgorithm]) -> Table {
+    let mut header = vec![first.to_string()];
+    header.extend(algorithms.iter().map(|a| a.label().to_string()));
+    Table::new(header)
+}
+
+/// A row labelled `label` with each algorithm's geomean speedup over the
+/// grid's benchmarks (`mem_only` restricts them to the memory-intensive box).
 fn geomean_row(grid: &SpeedupGrid, label: &str, mem_only: bool) -> Vec<String> {
     let mut row = vec![label.to_string()];
     for algo in &grid.algorithm_labels {
@@ -341,11 +350,7 @@ pub fn fig11(scale: &RunScale) -> Experiment {
             scale.jobs,
         ),
     ]);
-    let mut table = Table::new({
-        let mut h = vec!["set".to_string()];
-        h.extend(grid.algorithm_labels.clone());
-        h
-    });
+    let mut table = algorithm_table("set", &main_algorithms());
     table.push_row(geomean_row(&grid, "Geomean (SPEC06+17)", false));
     table.push_row(geomean_row(&grid, "Geomean-Mem", true));
     Experiment::new("fig11", "Alternate composite GS+Berti+CPLX (Fig. 11)", table)
@@ -503,19 +508,12 @@ pub fn fig14(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig15(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let mut table = Table::new({
-        let mut h = vec!["LLC / core".to_string()];
-        h.extend(main_algorithms().iter().map(|a| a.label().to_string()));
-        h
-    });
+    let mut table = algorithm_table("LLC / core", &main_algorithms());
     for mb in [512 * 1024u64, 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024] {
         let config = scale.base_config(1).with_llc_per_core(mb);
         let grid = suite(scale, &config, &workloads, &main_algorithms());
-        let mut row = vec![format!("{:.1} MB", mb as f64 / (1024.0 * 1024.0))];
-        for algo in &grid.algorithm_labels {
-            row.push(format!("{:.3}", grid.geomean_speedup(algo, false).unwrap_or(f64::NAN)));
-        }
-        table.push_row(row);
+        let label = format!("{:.1} MB", mb as f64 / (1024.0 * 1024.0));
+        table.push_row(geomean_row(&grid, &label, false));
     }
     Experiment::new("fig15", "Geomean speedup vs LLC size (Fig. 15)", table)
         .with_note("paper: Alecto stays 2.76%–3.10% ahead of Bandit6 across 0.5–4 MB LLCs")
@@ -525,19 +523,11 @@ pub fn fig15(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig16(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let mut table = Table::new({
-        let mut h = vec!["DRAM".to_string()];
-        h.extend(main_algorithms().iter().map(|a| a.label().to_string()));
-        h
-    });
+    let mut table = algorithm_table("DRAM", &main_algorithms());
     for (label, kind) in [("DDR3-1600", DramKind::Ddr3_1600), ("DDR4-2400", DramKind::Ddr4_2400)] {
         let config = scale.base_config(1).with_dram_kind(kind);
         let grid = suite(scale, &config, &workloads, &main_algorithms());
-        let mut row = vec![label.to_string()];
-        for algo in &grid.algorithm_labels {
-            row.push(format!("{:.3}", grid.geomean_speedup(algo, false).unwrap_or(f64::NAN)));
-        }
-        table.push_row(row);
+        table.push_row(geomean_row(&grid, label, false));
     }
     Experiment::new("fig16", "Geomean speedup vs DRAM bandwidth (Fig. 16)", table)
         .with_note("paper: Alecto beats Bandit6 by 3.18% on DDR3-1600 and 2.76% on DDR4-2400")
@@ -586,13 +576,7 @@ pub fn fig17(scale: &RunScale) -> Experiment {
 
     let merged = merge_grids(grids);
     let mut table = merged.to_table();
-    table.push_row({
-        let mut row = vec!["Geomean".to_string()];
-        for algo in &merged.algorithm_labels {
-            row.push(format!("{:.3}", merged.geomean_speedup(algo, false).unwrap_or(f64::NAN)));
-        }
-        row
-    });
+    table.push_row(geomean_row(&merged, "Geomean", false));
     Experiment::new("fig17", "Eight-core speedup over no prefetching (Fig. 17)", table)
         .with_grid(&merged)
         .with_note(

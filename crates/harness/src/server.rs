@@ -128,8 +128,6 @@ struct JobState {
     kind: Mutex<Option<SweepKind>>,
     status: Mutex<JobStatus>,
     cells: Mutex<Vec<CellDone>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     result: Mutex<Option<String>>,
 }
 
@@ -246,11 +244,6 @@ struct JobExecutor {
 impl CellExecutor for JobExecutor {
     fn execute(&self, cell: &CellJob<'_>) -> cpu::SystemReport {
         let (key, report, cached) = self.cache.get_or_run(cell);
-        if cached {
-            self.job.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.job.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
         let benchmark: Vec<&str> = cell.sources.iter().map(TraceSource::name).collect();
         self.job.cells.lock().expect("job cells lock").push(CellDone {
             key,
@@ -688,8 +681,6 @@ fn submit_sweep(state: &Arc<ServerState>, body: &str) -> Response {
         kind: Mutex::new(Some(kind)),
         status: Mutex::new(JobStatus::Queued),
         cells: Mutex::new(Vec::new()),
-        cache_hits: AtomicU64::new(0),
-        cache_misses: AtomicU64::new(0),
         result: Mutex::new(None),
     });
     state.jobs.lock().expect("job registry lock").insert(id, Arc::clone(&job));
@@ -715,10 +706,11 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
         return Response::error(404, "unknown_job", &format!("no job {id:?}"));
     };
     let status = job.status.lock().expect("job status lock").clone();
-    let cells: Vec<String> = job
-        .cells
-        .lock()
-        .expect("job cells lock")
+    // One snapshot of the finished cells backs the list and both counts, so
+    // `cache_hits + cache_misses == completed` in every poll.
+    let done = job.cells.lock().expect("job cells lock");
+    let hits = done.iter().filter(|c| c.cached).count();
+    let cells: Vec<String> = done
         .iter()
         .map(|c| {
             format!(
@@ -732,6 +724,7 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
             )
         })
         .collect();
+    drop(done);
     let error_member = match &status {
         JobStatus::Failed(message) => format!(",\"error\":{}", json::string(message)),
         _ => String::new(),
@@ -761,8 +754,8 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
         job.scale.jobs,
         json::string(job.scale.core_model.label()),
         cells.len(),
-        job.cache_hits.load(Ordering::Relaxed),
-        job.cache_misses.load(Ordering::Relaxed),
+        hits,
+        cells.len() - hits,
         json::array(cells),
         job.id,
     ))
@@ -965,6 +958,28 @@ mod tests {
             busy_workers: AtomicUsize::new(0),
             config: ServerConfig::default(),
         })
+    }
+
+    #[test]
+    fn job_counts_split_the_completed_cells() {
+        let state = idle_state();
+        assert_eq!(submit_sweep(&state, r#"{"experiment":"quick"}"#).status, 202);
+        let job = find_job(&state, "1").expect("job 1 is registered");
+        for (key, cached) in [(1, false), (2, true), (3, true)] {
+            job.cells.lock().unwrap().push(CellDone {
+                key,
+                algorithm: "IPCP".to_string(),
+                benchmark: "mcf".to_string(),
+                ipc: 1.0,
+                cached,
+            });
+        }
+        let doc = json::parse(&job_response(&state, "1").body).expect("job view is valid JSON");
+        let count =
+            |key: &str| doc.get("cells").and_then(|c| c.get(key)).and_then(JsonValue::as_f64);
+        assert_eq!(count("completed"), Some(3.0));
+        assert_eq!(count("cache_hits"), Some(2.0));
+        assert_eq!(count("cache_misses"), Some(1.0));
     }
 
     #[test]

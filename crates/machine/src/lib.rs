@@ -108,6 +108,9 @@ pub enum CoreModelKind {
 }
 
 impl CoreModelKind {
+    /// Every core model.
+    const ALL: [Self; 2] = [Self::Approx, Self::OutOfOrder];
+
     /// Stable lower-case label used by machine files, the CLI flag, the
     /// sweep-server JSON field and report annotations.
     #[must_use]
@@ -121,11 +124,7 @@ impl CoreModelKind {
     /// Parses a machine-file/CLI/server label (`"approx"` or `"ooo"`).
     #[must_use]
     pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "approx" => Some(Self::Approx),
-            "ooo" => Some(Self::OutOfOrder),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|kind| kind.label() == label)
     }
 }
 

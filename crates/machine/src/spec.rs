@@ -45,6 +45,9 @@ pub enum TimingPreset {
 }
 
 impl TimingPreset {
+    /// Every preset.
+    const ALL: [Self; 3] = [Self::Balanced, Self::LatencySensitive, Self::BandwidthBound];
+
     /// Stable lower-case label used in machine files.
     #[must_use]
     pub const fn label(self) -> &'static str {
@@ -58,12 +61,7 @@ impl TimingPreset {
     /// Parses a machine-file label.
     #[must_use]
     pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "balanced" => Some(Self::Balanced),
-            "latency-sensitive" => Some(Self::LatencySensitive),
-            "bandwidth-bound" => Some(Self::BandwidthBound),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|preset| preset.label() == label)
     }
 
     /// The preset's lowered [`TimingParams`].
@@ -89,11 +87,7 @@ pub(crate) const fn dram_label(kind: DramKind) -> &'static str {
 /// Parses a machine-file DRAM label.
 #[must_use]
 pub(crate) fn dram_from_label(label: &str) -> Option<DramKind> {
-    match label {
-        "ddr3-1600" => Some(DramKind::Ddr3_1600),
-        "ddr4-2400" => Some(DramKind::Ddr4_2400),
-        _ => None,
-    }
+    [DramKind::Ddr3_1600, DramKind::Ddr4_2400].into_iter().find(|&kind| dram_label(kind) == label)
 }
 
 /// Metadata budget, in KiB, of a `gs-cs-pmp-temporal` stack whose file
@@ -113,20 +107,21 @@ pub(crate) const fn prefetch_label(kind: CompositeKind) -> &'static str {
     }
 }
 
+/// Every composite stack a machine file can pin, the temporal one at
+/// [`DEFAULT_TEMPORAL_METADATA_KB`].
+const PREFETCH_STACKS: [CompositeKind; 5] = [
+    CompositeKind::GsCsPmp,
+    CompositeKind::GsBertiCplx,
+    CompositeKind::GsCsPmpTemporal { metadata_bytes: DEFAULT_TEMPORAL_METADATA_KB * 1024 },
+    CompositeKind::PmpOnly,
+    CompositeKind::BertiOnly,
+];
+
 /// Parses a machine-file stack label; a temporal stack starts at
 /// [`DEFAULT_TEMPORAL_METADATA_KB`].
 #[must_use]
 pub(crate) fn prefetch_from_label(label: &str) -> Option<CompositeKind> {
-    match label {
-        "gs-cs-pmp" => Some(CompositeKind::GsCsPmp),
-        "gs-berti-cplx" => Some(CompositeKind::GsBertiCplx),
-        "gs-cs-pmp-temporal" => Some(CompositeKind::GsCsPmpTemporal {
-            metadata_bytes: DEFAULT_TEMPORAL_METADATA_KB * 1024,
-        }),
-        "pmp" => Some(CompositeKind::PmpOnly),
-        "berti" => Some(CompositeKind::BertiOnly),
-        _ => None,
-    }
+    PREFETCH_STACKS.into_iter().find(|&stack| prefetch_label(stack) == label)
 }
 
 /// One complete machine description: everything a simulation needs beyond
@@ -500,7 +495,10 @@ impl MachineSpec {
                 "Main memory".to_string(),
                 format!(
                     "{:?}, {} channel(s), {} rank(s)/channel, {} banks/rank",
-                    h.dram.kind, h.dram.channels, h.dram.ranks_per_channel, h.dram.banks_per_rank
+                    h.dram.kind,
+                    h.dram.channels,
+                    h.dram.ranks_per_channel,
+                    memsys::dram::BANKS_PER_RANK
                 ),
             ),
             (

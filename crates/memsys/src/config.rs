@@ -1,5 +1,7 @@
 //! Memory-system configuration mirroring Table I of the paper.
 
+use crate::dram::{BANKS_PER_RANK, CORE_GHZ};
+
 /// Parameters of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
@@ -108,7 +110,9 @@ pub enum DramKind {
     Ddr4_2400,
 }
 
-/// DRAM organisation and timing.
+/// DRAM organisation: the device generation and how many channels and
+/// ranks it has. The bank count per rank and the timings every machine
+/// shares are constants beside [`crate::DramModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramParams {
     /// Device generation, which sets the per-channel bandwidth.
@@ -117,18 +121,6 @@ pub struct DramParams {
     pub channels: usize,
     /// Ranks per channel.
     pub ranks_per_channel: usize,
-    /// Banks per rank (Table I: 8).
-    pub banks_per_rank: usize,
-    /// Core clock frequency in GHz used to convert nanoseconds to cycles.
-    pub core_ghz: f64,
-    /// Row activate latency (tRCD) in nanoseconds.
-    pub trcd_ns: f64,
-    /// Column access latency (tCAS) in nanoseconds.
-    pub tcas_ns: f64,
-    /// Precharge latency (tRP) in nanoseconds.
-    pub trp_ns: f64,
-    /// Row-buffer size in bytes (8 KiB typical).
-    pub row_bytes: u64,
 }
 
 impl DramParams {
@@ -145,17 +137,7 @@ impl DramParams {
     }
 
     fn with_channels(kind: DramKind, channels: usize, ranks: usize) -> Self {
-        Self {
-            kind,
-            channels,
-            ranks_per_channel: ranks,
-            banks_per_rank: 8,
-            core_ghz: 2.5,
-            trcd_ns: 14.0,
-            tcas_ns: 14.0,
-            trp_ns: 14.0,
-            row_bytes: 8 * 1024,
-        }
+        Self { kind, channels, ranks_per_channel: ranks }
     }
 
     /// Per-channel bandwidth in bytes per nanosecond.
@@ -177,13 +159,13 @@ impl DramParams {
     /// Converts nanoseconds to core cycles (rounded up, at least 1).
     #[must_use]
     pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        ((ns * self.core_ghz).ceil() as u64).max(1)
+        ((ns * CORE_GHZ).ceil() as u64).max(1)
     }
 
     /// Total number of banks across the whole memory system.
     #[must_use]
     pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
+        self.channels * self.ranks_per_channel * BANKS_PER_RANK
     }
 }
 

@@ -12,6 +12,24 @@ use alecto_types::LineAddr;
 use crate::config::DramParams;
 use crate::stats::Cycle;
 
+/// Banks per rank (Table I: 8).
+pub const BANKS_PER_RANK: usize = 8;
+
+/// Core clock frequency in GHz, which converts DRAM nanoseconds to cycles.
+pub(crate) const CORE_GHZ: f64 = 2.5;
+
+/// Row activate latency (tRCD) in nanoseconds.
+const TRCD_NS: f64 = 14.0;
+
+/// Column access latency (tCAS) in nanoseconds.
+const TCAS_NS: f64 = 14.0;
+
+/// Precharge latency (tRP) in nanoseconds.
+const TRP_NS: f64 = 14.0;
+
+/// Row-buffer size in bytes.
+const ROW_BYTES: u64 = 8 * 1024;
+
 /// Statistics kept by the DRAM model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
@@ -55,9 +73,9 @@ impl DramModel {
     pub fn new(params: DramParams) -> Self {
         let total_banks = params.total_banks();
         Self {
-            act_cycles: params.ns_to_cycles(params.trcd_ns),
-            cas_cycles: params.ns_to_cycles(params.tcas_ns),
-            pre_cycles: params.ns_to_cycles(params.trp_ns),
+            act_cycles: params.ns_to_cycles(TRCD_NS),
+            cas_cycles: params.ns_to_cycles(TCAS_NS),
+            pre_cycles: params.ns_to_cycles(TRP_NS),
             burst_cycles: params.burst_cycles(),
             banks: vec![BankState::default(); total_banks],
             channel_busy_until: vec![0; params.channels],
@@ -84,10 +102,10 @@ impl DramModel {
         // bank-level parallelism for streaming patterns.
         let raw = line.raw();
         let channel = (raw as usize) % self.params.channels;
-        let per_channel_banks = self.params.ranks_per_channel * self.params.banks_per_rank;
+        let per_channel_banks = self.params.ranks_per_channel * BANKS_PER_RANK;
         let bank_in_channel = ((raw / self.params.channels as u64) as usize) % per_channel_banks;
         let bank = channel * per_channel_banks + bank_in_channel;
-        let lines_per_row = self.params.row_bytes / alecto_types::CACHE_LINE_BYTES;
+        let lines_per_row = ROW_BYTES / alecto_types::CACHE_LINE_BYTES;
         let row = raw / (lines_per_row * self.params.channels as u64 * per_channel_banks as u64);
         (channel, bank, row)
     }
@@ -182,7 +200,7 @@ mod tests {
         let done = d.access(LineAddr::new(0), 0);
         // Activation + column access + one burst on an idle bank and bus.
         let p = *d.params();
-        assert_eq!(done, p.ns_to_cycles(p.trcd_ns) + p.ns_to_cycles(p.tcas_ns) + p.burst_cycles());
+        assert_eq!(done, p.ns_to_cycles(TRCD_NS) + p.ns_to_cycles(TCAS_NS) + p.burst_cycles());
         assert_eq!(d.stats().row_misses, 1);
     }
 
@@ -245,7 +263,7 @@ mod tests {
         let mut d = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
         let done = (0..64).map(|i| d.access(LineAddr::new(i), 0)).max().unwrap_or(0);
         let p = *d.params();
-        let eight_in_one_bank = 8 * p.ns_to_cycles(p.tcas_ns);
+        let eight_in_one_bank = 8 * p.ns_to_cycles(TCAS_NS);
         assert!(
             done < eight_in_one_bank,
             "64 consecutive lines should hit many banks: {done} >= {eight_in_one_bank} cycles"

@@ -9,11 +9,12 @@
 //! engine is preserved — timing makes runs slower or faster in simulated
 //! cycles, never different.
 //!
-//! [`TimingParams`] lives inside the system configuration, so every knob
-//! here reaches the harness cell cache's content-addressed key through the
-//! config's `Debug` rendering: changing a drain rate or a latency invalidates
-//! exactly the cached cells it would have changed (see `docs/ARCHITECTURE.md`,
-//! "The determinism contract").
+//! A machine's [`TimingParams`] are part of its `machine::MachineSpec` (a
+//! named preset or explicit drain knobs), and the harness cell cache's
+//! content-addressed key folds `MachineSpec::fingerprint()`, the digest of
+//! the spec's canonical text: changing a drain rate invalidates exactly the
+//! cached cells it would have changed (see `docs/ARCHITECTURE.md`, "The
+//! determinism contract").
 
 use crate::stats::Cycle;
 

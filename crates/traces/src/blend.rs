@@ -229,6 +229,18 @@ impl Blend {
     }
 }
 
+/// One row of a suite's benchmark table: the benchmark's name, whether the
+/// paper lists it as memory intensive, and the fields its blend sets over
+/// [`Blend::new`]'s defaults.
+pub type Benchmark = (&'static str, bool, fn(Blend) -> Blend);
+
+/// The blend of benchmark `name` from its row of `table`; `None` if no row
+/// has that name.
+pub(crate) fn lookup(table: &[Benchmark], name: &str) -> Option<Blend> {
+    let &(name, memory_intensive, fields) = table.iter().find(|row| row.0 == name)?;
+    Some(fields(Blend { memory_intensive, ..Blend::new(name) }))
+}
+
 /// Derives the trace-generation seed for `name` and a job (or core) index.
 ///
 /// Seeds are a pure function of `(name, job)` — never of global state or of

@@ -10,10 +10,47 @@
 
 use alecto_types::TraceSource;
 
-use crate::blend::Blend;
+use crate::blend::{lookup, Benchmark, Blend};
 
 /// The database benchmarks of the family.
-pub const BENCHMARKS: [&str; 4] = ["seq-scan", "hash-join", "index-join", "agg-groupby"];
+pub const BENCHMARKS: [Benchmark; 4] = [
+    // Full table scan with predicate evaluation: streaming columns plus a
+    // fixed per-page tuple footprint.
+    ("seq-scan", true, |b| Blend { stream: 0.6, spatial: 0.25, resident: 0.15, gap: 9, ..b }),
+    // Hash join: stream the probe input, hit the build-side hash table at
+    // effectively random buckets.
+    ("hash-join", true, |b| Blend {
+        stream: 0.3,
+        noise: 0.45,
+        resident: 0.15,
+        stride: 0.1,
+        gap: 10,
+        ..b
+    }),
+    // Index nested-loop join: dependent B-tree descents with a skewed,
+    // cache-warm set of inner pages.
+    ("index-join", true, |b| Blend {
+        chase: 0.4,
+        zipf: 0.25,
+        stream: 0.2,
+        resident: 0.15,
+        gap: 12,
+        chase_nodes: 16_000,
+        zipf_objects: 32 * 1024,
+        zipf_theta: 0.9,
+        ..b
+    }),
+    // Aggregation with GROUP BY: scan plus strided accumulator updates
+    // over a mid-sized group table.
+    ("agg-groupby", false, |b| Blend {
+        stream: 0.4,
+        stride: 0.25,
+        resident: 0.25,
+        noise: 0.1,
+        gap: 15,
+        ..b
+    }),
+];
 
 /// Builds the blend describing `name`.
 ///
@@ -22,51 +59,7 @@ pub const BENCHMARKS: [&str; 4] = ["seq-scan", "hash-join", "index-join", "agg-g
 /// Panics if `name` is not in [`BENCHMARKS`].
 #[must_use]
 pub fn blend(name: &str) -> Blend {
-    assert!(BENCHMARKS.contains(&name), "unknown database benchmark: {name}");
-    let base = Blend::new(name);
-    match name {
-        // Full table scan with predicate evaluation: streaming columns plus a
-        // fixed per-page tuple footprint.
-        "seq-scan" => Blend {
-            memory_intensive: true,
-            stream: 0.6,
-            spatial: 0.25,
-            resident: 0.15,
-            gap: 9,
-            ..base
-        },
-        // Hash join: stream the probe input, hit the build-side hash table at
-        // effectively random buckets.
-        "hash-join" => Blend {
-            memory_intensive: true,
-            stream: 0.3,
-            noise: 0.45,
-            resident: 0.15,
-            stride: 0.1,
-            gap: 10,
-            ..base
-        },
-        // Index nested-loop join: dependent B-tree descents with a skewed,
-        // cache-warm set of inner pages.
-        "index-join" => Blend {
-            memory_intensive: true,
-            chase: 0.4,
-            zipf: 0.25,
-            stream: 0.2,
-            resident: 0.15,
-            gap: 12,
-            chase_nodes: 16_000,
-            zipf_objects: 32 * 1024,
-            zipf_theta: 0.9,
-            ..base
-        },
-        // Aggregation with GROUP BY: scan plus strided accumulator updates
-        // over a mid-sized group table.
-        "agg-groupby" => {
-            Blend { stream: 0.4, stride: 0.25, resident: 0.25, noise: 0.1, gap: 15, ..base }
-        }
-        _ => unreachable!("benchmark {name} is listed but has no blend"),
-    }
+    lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown database benchmark: {name}"))
 }
 
 /// A lazy [`TraceSource`] of the named database workload: `accesses`
@@ -87,7 +80,7 @@ mod tests {
 
     #[test]
     fn all_benchmarks_have_blends() {
-        for name in BENCHMARKS {
+        for (name, ..) in BENCHMARKS {
             let w = blend(name).build(130);
             assert_eq!(w.memory_accesses(), 130);
             assert_eq!(source(name, 130).collect(), w);

@@ -11,10 +11,52 @@
 
 use alecto_types::TraceSource;
 
-use crate::blend::Blend;
+use crate::blend::{lookup, Benchmark, Blend};
 
 /// The pointer-chasing benchmarks of the family.
-pub const BENCHMARKS: [&str; 4] = ["linked-list", "gc-mark", "gc-sweep", "skiplist"];
+pub const BENCHMARKS: [Benchmark; 4] = [
+    // A cold, DRAM-sized list walk: nearly pure dependent loads.
+    ("linked-list", true, |b| Blend {
+        chase: 0.85,
+        noise: 0.1,
+        resident: 0.05,
+        gap: 6,
+        chase_nodes: 60_000,
+        ..b
+    }),
+    // Tracing GC mark phase: pointer graph traversal plus mark-bitmap
+    // writes (spatial) and allocation-site noise.
+    ("gc-mark", true, |b| Blend {
+        chase: 0.5,
+        spatial: 0.2,
+        noise: 0.25,
+        resident: 0.05,
+        gap: 8,
+        chase_nodes: 40_000,
+        ..b
+    }),
+    // Sweep phase: the heap is walked linearly, free lists are threaded
+    // through it (recurring chase over a smaller set).
+    ("gc-sweep", true, |b| Blend {
+        stream: 0.5,
+        spatial: 0.2,
+        chase: 0.2,
+        resident: 0.1,
+        gap: 10,
+        chase_nodes: 8_000,
+        ..b
+    }),
+    // Skiplist search: short dependent descents with hot upper levels.
+    ("skiplist", false, |b| Blend {
+        chase: 0.45,
+        resident: 0.3,
+        stride: 0.15,
+        noise: 0.1,
+        gap: 14,
+        chase_nodes: 12_000,
+        ..b
+    }),
+];
 
 /// Builds the blend describing `name`.
 ///
@@ -23,55 +65,7 @@ pub const BENCHMARKS: [&str; 4] = ["linked-list", "gc-mark", "gc-sweep", "skipli
 /// Panics if `name` is not in [`BENCHMARKS`].
 #[must_use]
 pub fn blend(name: &str) -> Blend {
-    assert!(BENCHMARKS.contains(&name), "unknown pointer-chase benchmark: {name}");
-    let base = Blend::new(name);
-    match name {
-        // A cold, DRAM-sized list walk: nearly pure dependent loads.
-        "linked-list" => Blend {
-            memory_intensive: true,
-            chase: 0.85,
-            noise: 0.1,
-            resident: 0.05,
-            gap: 6,
-            chase_nodes: 60_000,
-            ..base
-        },
-        // Tracing GC mark phase: pointer graph traversal plus mark-bitmap
-        // writes (spatial) and allocation-site noise.
-        "gc-mark" => Blend {
-            memory_intensive: true,
-            chase: 0.5,
-            spatial: 0.2,
-            noise: 0.25,
-            resident: 0.05,
-            gap: 8,
-            chase_nodes: 40_000,
-            ..base
-        },
-        // Sweep phase: the heap is walked linearly, free lists are threaded
-        // through it (recurring chase over a smaller set).
-        "gc-sweep" => Blend {
-            memory_intensive: true,
-            stream: 0.5,
-            spatial: 0.2,
-            chase: 0.2,
-            resident: 0.1,
-            gap: 10,
-            chase_nodes: 8_000,
-            ..base
-        },
-        // Skiplist search: short dependent descents with hot upper levels.
-        "skiplist" => Blend {
-            chase: 0.45,
-            resident: 0.3,
-            stride: 0.15,
-            noise: 0.1,
-            gap: 14,
-            chase_nodes: 12_000,
-            ..base
-        },
-        _ => unreachable!("benchmark {name} is listed but has no blend"),
-    }
+    lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown pointer-chase benchmark: {name}"))
 }
 
 /// A lazy [`TraceSource`] of the named pointer-chasing workload: `accesses`
@@ -91,7 +85,7 @@ mod tests {
 
     #[test]
     fn all_benchmarks_have_blends() {
-        for name in BENCHMARKS {
+        for (name, ..) in BENCHMARKS {
             let w = blend(name).build(120);
             assert_eq!(w.memory_accesses(), 120);
             assert_eq!(source(name, 120).collect(), w);

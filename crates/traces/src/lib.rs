@@ -13,6 +13,13 @@
 //! DRAM-sized footprints. What the substitution preserves is the property the
 //! selection algorithms act on: *which prefetcher suits which PC*.
 //!
+//! Each suite module holds one `BENCHMARKS` table with one row per
+//! benchmark, in registry order. A blend-backed suite's row is a
+//! [`Benchmark`]: the name, whether the paper lists the benchmark as memory
+//! intensive, and the fields its [`Blend`] sets over [`Blend::new`]'s
+//! defaults. Ligra's row is a [`ligra::Kernel`] (name, per-edge gap,
+//! frontier ratio). A new benchmark is one row in its suite's table.
+//!
 //! # Example
 //!
 //! ```
@@ -34,13 +41,17 @@ pub mod spec06;
 pub mod spec17;
 pub mod web;
 
-pub use blend::{derive_seed, Blend};
+pub use blend::{derive_seed, Benchmark, Blend};
 pub use patterns::{
     delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
     pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian,
 };
 
 use alecto_types::TraceSource;
+
+/// A suite module's `blend`: the named benchmark's blend, built from its
+/// table row.
+type BlendLookup = fn(&str) -> Blend;
 
 /// The registered benchmark suites: the four the paper evaluates and the
 /// three production-scenario families (pointer chasing, Zipfian web serving,
@@ -97,18 +108,40 @@ impl Suite {
         Suite::ALL.into_iter().find(|s| s.benchmarks().contains(&benchmark))
     }
 
-    /// Names of all benchmarks in the suite.
+    /// A blend-backed suite's benchmark table and its `blend` lookup (which
+    /// panics with the suite's own unknown-benchmark message); `None` for
+    /// Ligra, whose kernels are a graph walk, not a blend.
+    fn table(self) -> Option<(&'static [Benchmark], BlendLookup)> {
+        Some(match self {
+            Suite::Spec06 => (&spec06::BENCHMARKS, spec06::blend),
+            Suite::Spec17 => (&spec17::BENCHMARKS, spec17::blend),
+            Suite::Parsec => (&parsec::BENCHMARKS, parsec::blend),
+            Suite::PointerChase => (&gc::BENCHMARKS, gc::blend),
+            Suite::WebServe => (&web::BENCHMARKS, web::blend),
+            Suite::Database => (&db::BENCHMARKS, db::blend),
+            Suite::Ligra => return None,
+        })
+    }
+
+    /// Names of all benchmarks in the suite, in table order.
     #[must_use]
     pub fn benchmarks(&self) -> Vec<&'static str> {
-        match self {
-            Suite::Spec06 => spec06::BENCHMARKS.iter().map(|b| b.name).collect(),
-            Suite::Spec17 => spec17::BENCHMARKS.iter().map(|b| b.name).collect(),
-            Suite::Parsec => parsec::BENCHMARKS.to_vec(),
-            Suite::Ligra => ligra::BENCHMARKS.to_vec(),
-            Suite::PointerChase => gc::BENCHMARKS.to_vec(),
-            Suite::WebServe => web::BENCHMARKS.to_vec(),
-            Suite::Database => db::BENCHMARKS.to_vec(),
+        match self.table() {
+            Some((table, _)) => table.iter().map(|row| row.0).collect(),
+            None => ligra::BENCHMARKS.iter().map(|kernel| kernel.0).collect(),
         }
+    }
+
+    /// The blend the named benchmark's source streams — the eager reference
+    /// [`Blend::build`] materialises — or `None` for Ligra, whose kernels are
+    /// a graph walk, not a blend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a blend-backed suite has no benchmark `name`.
+    #[must_use]
+    pub fn blend(&self, name: &str) -> Option<Blend> {
+        self.table().map(|(_, blend)| blend(name))
     }
 
     /// A lazy [`TraceSource`] of the named benchmark: `accesses` records
@@ -119,14 +152,9 @@ impl Suite {
     /// Panics if the benchmark name is not part of the suite.
     #[must_use]
     pub fn source(&self, name: &str, accesses: usize) -> TraceSource {
-        match self {
-            Suite::Spec06 => spec06::source(name, accesses),
-            Suite::Spec17 => spec17::source(name, accesses),
-            Suite::Parsec => parsec::source(name, accesses),
-            Suite::Ligra => ligra::source(name, accesses),
-            Suite::PointerChase => gc::source(name, accesses),
-            Suite::WebServe => web::source(name, accesses),
-            Suite::Database => db::source(name, accesses),
+        match self.blend(name) {
+            Some(blend) => blend.source(accesses),
+            None => ligra::source(name, accesses),
         }
     }
 
@@ -177,26 +205,12 @@ mod tests {
         assert_eq!(Suite::WebServe.name(), "web-serve");
     }
 
-    /// The eager reference of a blend-backed suite's benchmark; `None` for
-    /// Ligra, whose kernels are generated by a graph walk, not a blend.
-    fn eager_blend(suite: Suite, name: &str) -> Option<Blend> {
-        match suite {
-            Suite::Spec06 => Some(spec06::blend(name)),
-            Suite::Spec17 => Some(spec17::blend(name)),
-            Suite::Parsec => Some(parsec::blend(name)),
-            Suite::PointerChase => Some(gc::blend(name)),
-            Suite::WebServe => Some(web::blend(name)),
-            Suite::Database => Some(db::blend(name)),
-            Suite::Ligra => None,
-        }
-    }
-
     #[test]
     fn sources_match_workloads_across_the_registry() {
         for suite in Suite::ALL {
             let name = suite.benchmarks()[0];
             let s = suite.source(name, 200);
-            match eager_blend(suite, name) {
+            match suite.blend(name) {
                 Some(blend) => assert_eq!(s.collect(), blend.build(200), "{name}"),
                 None => assert_eq!(s.collect(), s.collect(), "{name} replays identically"),
             }

@@ -11,8 +11,19 @@ use std::collections::VecDeque;
 
 use alecto_types::{Addr, MemoryRecord, Pc, SplitMix64, TraceSource};
 
+/// One Ligra kernel: its name, the non-memory instructions before each of
+/// its loads (PageRank does more FP work per edge, BFS almost none) and how
+/// often an edge visit stores to the frontier array.
+pub type Kernel = (&'static str, u32, f64);
+
 /// The Ligra kernels modelled.
-pub const BENCHMARKS: [&str; 5] = ["BFS", "PageRank", "Components", "BC", "Radii"];
+pub const BENCHMARKS: [Kernel; 5] = [
+    ("BFS", 4, 0.25),
+    ("PageRank", 14, 0.05),
+    ("Components", 6, 0.2),
+    ("BC", 10, 0.15),
+    ("Radii", 8, 0.2),
+];
 
 /// Number of vertices in the synthetic rMat-like graph.
 const VERTICES: usize = 16_384;
@@ -40,31 +51,18 @@ fn rmat_edges(seed: u64) -> Vec<u32> {
     edges
 }
 
-/// Kernel-dependent cost per edge (PageRank does more FP work per edge, BFS
-/// almost none) and how often the frontier array is touched.
-fn kernel_params(name: &str) -> (u32, f64) {
-    match name {
-        "BFS" => (4, 0.25),
-        "PageRank" => (14, 0.05),
-        "Components" => (6, 0.2),
-        "BC" => (10, 0.15),
-        "Radii" => (8, 0.2),
-        _ => panic!("unknown Ligra kernel: {name}"),
-    }
-}
-
 fn kernel_seed(name: &str) -> u64 {
     name.bytes().fold(0x9e37_79b9u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)))
 }
 
-/// The unbounded record stream of the named kernel: one CSR-offsets sweep
-/// record per vertex, followed by its [`AVG_DEGREE`] edge visits (edge-array
-/// stream + irregular per-vertex data access + occasional frontier store).
-/// State is O(graph), never O(trace length).
-fn record_stream(name: &'static str) -> impl Iterator<Item = MemoryRecord> + Send {
+/// The unbounded record stream of `kernel`: one CSR-offsets sweep record per
+/// vertex, followed by its [`AVG_DEGREE`] edge visits (edge-array stream +
+/// irregular per-vertex data access + occasional frontier store). State is
+/// O(graph), never O(trace length).
+fn record_stream(kernel: Kernel) -> impl Iterator<Item = MemoryRecord> + Send {
+    let (name, gap, frontier_ratio) = kernel;
     let seed = kernel_seed(name);
     let edges = rmat_edges(seed);
-    let (gap, frontier_ratio) = kernel_params(name);
 
     // Address map: offsets array, edges array, and per-vertex data array live
     // in separate regions so their PCs see distinct patterns.
@@ -120,16 +118,6 @@ fn record_stream(name: &'static str) -> impl Iterator<Item = MemoryRecord> + Sen
     })
 }
 
-/// Resolves `name` to its `'static` spelling in [`BENCHMARKS`] so the lazy
-/// stream does not have to own a `String`.
-fn static_name(name: &str) -> &'static str {
-    BENCHMARKS
-        .iter()
-        .find(|&&b| b == name)
-        .copied()
-        .unwrap_or_else(|| panic!("unknown Ligra kernel: {name}"))
-}
-
 /// A lazy [`TraceSource`] of the named Ligra-like kernel: `accesses` records
 /// generated on demand in O(1) memory with respect to the trace length (the
 /// synthetic rMat graph itself — a few hundred KB — is rebuilt per replay).
@@ -139,8 +127,11 @@ fn static_name(name: &str) -> &'static str {
 /// Panics if `name` is not one of [`BENCHMARKS`].
 #[must_use]
 pub fn source(name: &str, accesses: usize) -> TraceSource {
-    let name = static_name(name);
-    TraceSource::new(name, true, accesses, move || Box::new(record_stream(name)))
+    let kernel = *BENCHMARKS
+        .iter()
+        .find(|kernel| kernel.0 == name)
+        .unwrap_or_else(|| panic!("unknown Ligra kernel: {name}"));
+    TraceSource::new(kernel.0, true, accesses, move || Box::new(record_stream(kernel)))
 }
 
 #[cfg(test)]
@@ -150,7 +141,7 @@ mod tests {
 
     #[test]
     fn all_kernels_generate() {
-        for name in BENCHMARKS {
+        for (name, ..) in BENCHMARKS {
             let w = source(name, 400).collect();
             assert_eq!(w.memory_accesses(), 400);
             assert!(w.memory_intensive);
@@ -189,13 +180,14 @@ mod tests {
 
     #[test]
     fn source_streams_what_workload_collects() {
-        for name in BENCHMARKS {
+        for kernel in BENCHMARKS {
+            let name = kernel.0;
             // Cut mid-batch on purpose (batches are 1 + ~2·AVG_DEGREE records).
             for accesses in [0usize, 7, 501] {
                 let s = source(name, accesses);
                 assert_eq!(s.memory_accesses(), accesses);
                 assert!(s.memory_intensive());
-                let collected: Vec<MemoryRecord> = record_stream(name).take(accesses).collect();
+                let collected: Vec<MemoryRecord> = record_stream(kernel).take(accesses).collect();
                 assert_eq!(s.collect().records, collected, "{name}@{accesses}");
                 assert_eq!(s.collect(), s.collect(), "{name}@{accesses} replays identically");
             }

@@ -6,19 +6,33 @@
 
 use alecto_types::TraceSource;
 
-use crate::blend::Blend;
+use crate::blend::{lookup, Benchmark, Blend};
 
 /// The PARSEC benchmarks used in the multi-core evaluation.
-pub const BENCHMARKS: [&str; 9] = [
-    "blackscholes",
-    "bodytrack",
-    "canneal",
-    "dedup",
-    "fluidanimate",
-    "freqmine",
-    "streamcluster",
-    "swaptions",
-    "vips",
+pub const BENCHMARKS: [Benchmark; 9] = [
+    ("blackscholes", false, |b| Blend { stream: 0.5, resident: 0.5, gap: 24, ..b }),
+    ("bodytrack", false, |b| Blend { stride: 0.4, resident: 0.4, noise: 0.2, gap: 20, ..b }),
+    ("canneal", true, |b| Blend {
+        chase: 0.55,
+        noise: 0.35,
+        resident: 0.1,
+        gap: 8,
+        chase_nodes: 30_000,
+        ..b
+    }),
+    ("dedup", true, |b| Blend { spatial: 0.35, noise: 0.4, stride: 0.25, gap: 12, ..b }),
+    ("fluidanimate", true, |b| Blend { stream: 0.45, spatial: 0.35, resident: 0.2, gap: 12, ..b }),
+    ("freqmine", false, |b| Blend {
+        chase: 0.35,
+        resident: 0.4,
+        noise: 0.25,
+        gap: 18,
+        chase_nodes: 10_000,
+        ..b
+    }),
+    ("streamcluster", true, |b| Blend { stream: 0.75, noise: 0.15, resident: 0.1, gap: 7, ..b }),
+    ("swaptions", false, |b| Blend { resident: 0.8, stride: 0.2, gap: 45, ..b }),
+    ("vips", false, |b| Blend { stream: 0.5, stride: 0.3, resident: 0.2, gap: 16, ..b }),
 ];
 
 /// Builds the blend describing `name`.
@@ -28,51 +42,7 @@ pub const BENCHMARKS: [&str; 9] = [
 /// Panics if `name` is not in [`BENCHMARKS`].
 #[must_use]
 pub fn blend(name: &str) -> Blend {
-    assert!(BENCHMARKS.contains(&name), "unknown PARSEC benchmark: {name}");
-    let base = Blend::new(name);
-    match name {
-        "blackscholes" => Blend { stream: 0.5, resident: 0.5, gap: 24, ..base },
-        "bodytrack" => Blend { stride: 0.4, resident: 0.4, noise: 0.2, gap: 20, ..base },
-        "canneal" => Blend {
-            memory_intensive: true,
-            chase: 0.55,
-            noise: 0.35,
-            resident: 0.1,
-            gap: 8,
-            chase_nodes: 30_000,
-            ..base
-        },
-        "dedup" => Blend {
-            memory_intensive: true,
-            spatial: 0.35,
-            noise: 0.4,
-            stride: 0.25,
-            gap: 12,
-            ..base
-        },
-        "fluidanimate" => Blend {
-            memory_intensive: true,
-            stream: 0.45,
-            spatial: 0.35,
-            resident: 0.2,
-            gap: 12,
-            ..base
-        },
-        "freqmine" => {
-            Blend { chase: 0.35, resident: 0.4, noise: 0.25, gap: 18, chase_nodes: 10_000, ..base }
-        }
-        "streamcluster" => Blend {
-            memory_intensive: true,
-            stream: 0.75,
-            noise: 0.15,
-            resident: 0.1,
-            gap: 7,
-            ..base
-        },
-        "swaptions" => Blend { resident: 0.8, stride: 0.2, gap: 45, ..base },
-        "vips" => Blend { stream: 0.5, stride: 0.3, resident: 0.2, gap: 16, ..base },
-        _ => unreachable!("benchmark {name} is listed but has no blend"),
-    }
+    lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown PARSEC benchmark: {name}"))
 }
 
 /// A lazy [`TraceSource`] of one thread's worth of the named PARSEC-like
@@ -130,7 +100,7 @@ mod tests {
 
     #[test]
     fn all_benchmarks_have_blends() {
-        for name in BENCHMARKS {
+        for (name, ..) in BENCHMARKS {
             let w = source(name, 100).collect();
             assert_eq!(w.memory_accesses(), 100);
         }

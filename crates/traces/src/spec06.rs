@@ -7,48 +7,121 @@
 
 use alecto_types::TraceSource;
 
-use crate::blend::Blend;
-
-/// Static description of one benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchmarkInfo {
-    /// Benchmark name as it appears in the paper's figures.
-    pub name: &'static str,
-    /// Whether Fig. 8 lists it inside the memory-intensive box.
-    pub memory_intensive: bool,
-}
+use crate::blend::{lookup, Benchmark, Blend};
 
 /// The 29 SPEC CPU2006 benchmarks of Fig. 8, memory-intensive ones first.
-pub const BENCHMARKS: [BenchmarkInfo; 29] = [
-    BenchmarkInfo { name: "astar", memory_intensive: true },
-    BenchmarkInfo { name: "bwaves", memory_intensive: true },
-    BenchmarkInfo { name: "bzip2", memory_intensive: true },
-    BenchmarkInfo { name: "cactusADM", memory_intensive: true },
-    BenchmarkInfo { name: "gcc", memory_intensive: true },
-    BenchmarkInfo { name: "GemsFDTD", memory_intensive: true },
-    BenchmarkInfo { name: "gromacs", memory_intensive: true },
-    BenchmarkInfo { name: "hmmer", memory_intensive: true },
-    BenchmarkInfo { name: "lbm", memory_intensive: true },
-    BenchmarkInfo { name: "leslie3d", memory_intensive: true },
-    BenchmarkInfo { name: "libquantum", memory_intensive: true },
-    BenchmarkInfo { name: "mcf", memory_intensive: true },
-    BenchmarkInfo { name: "milc", memory_intensive: true },
-    BenchmarkInfo { name: "omnetpp", memory_intensive: true },
-    BenchmarkInfo { name: "soplex", memory_intensive: true },
-    BenchmarkInfo { name: "sphinx3", memory_intensive: true },
-    BenchmarkInfo { name: "xalancbmk", memory_intensive: true },
-    BenchmarkInfo { name: "zeusmp", memory_intensive: true },
-    BenchmarkInfo { name: "calculix", memory_intensive: false },
-    BenchmarkInfo { name: "dealII", memory_intensive: false },
-    BenchmarkInfo { name: "gamess", memory_intensive: false },
-    BenchmarkInfo { name: "gobmk", memory_intensive: false },
-    BenchmarkInfo { name: "h264ref", memory_intensive: false },
-    BenchmarkInfo { name: "namd", memory_intensive: false },
-    BenchmarkInfo { name: "perlbench", memory_intensive: false },
-    BenchmarkInfo { name: "povray", memory_intensive: false },
-    BenchmarkInfo { name: "sjeng", memory_intensive: false },
-    BenchmarkInfo { name: "tonto", memory_intensive: false },
-    BenchmarkInfo { name: "wrf", memory_intensive: false },
+/// The streaming floating-point codes (`lbm`, `libquantum`, `bwaves`, ...)
+/// are stream- and stride-heavy, the irregular integer codes (`mcf`,
+/// `omnetpp`, `xalancbmk`, `astar`) chase pointers, and the compute-bound
+/// codes outside the memory-intensive box get large gaps and cache-resident
+/// working sets.
+pub const BENCHMARKS: [Benchmark; 29] = [
+    ("astar", true, |b| Blend {
+        chase: 0.35,
+        loop_stream: 0.1,
+        stride: 0.25,
+        resident: 0.3,
+        gap: 16,
+        chase_nodes: 5_000,
+        ..b
+    }),
+    ("bwaves", true, |b| Blend { stream: 0.6, stride: 0.3, noise: 0.1, gap: 9, ..b }),
+    ("bzip2", true, |b| Blend { stride: 0.4, resident: 0.35, noise: 0.25, gap: 14, ..b }),
+    ("cactusADM", true, |b| Blend { stride: 0.5, stream: 0.3, noise: 0.2, gap: 12, ..b }),
+    ("gcc", true, |b| Blend {
+        spatial: 0.3,
+        chase: 0.2,
+        loop_stream: 0.1,
+        stride: 0.15,
+        resident: 0.25,
+        gap: 16,
+        chase_nodes: 4_000,
+        ..b
+    }),
+    // Fig. 2: interleaved spatial (PC 0x30b00) and stream (PC 0x30aca).
+    ("GemsFDTD", true, |b| Blend { spatial: 0.5, stream: 0.35, delta: 0.15, gap: 8, ..b }),
+    ("gromacs", true, |b| Blend { stride: 0.4, spatial: 0.3, resident: 0.3, gap: 18, ..b }),
+    ("hmmer", true, |b| Blend { stride: 0.7, resident: 0.3, gap: 16, ..b }),
+    ("lbm", true, |b| Blend { stream: 0.8, stride: 0.15, noise: 0.05, gap: 8, ..b }),
+    ("leslie3d", true, |b| Blend { stream: 0.55, spatial: 0.3, stride: 0.15, gap: 10, ..b }),
+    ("libquantum", true, |b| Blend { stream: 0.9, resident: 0.1, gap: 10, ..b }),
+    ("mcf", true, |b| Blend {
+        chase: 0.55,
+        loop_stream: 0.15,
+        noise: 0.2,
+        stride: 0.1,
+        gap: 14,
+        chase_nodes: 10_000,
+        ..b
+    }),
+    ("milc", true, |b| Blend { stream: 0.5, noise: 0.35, stride: 0.15, gap: 9, ..b }),
+    ("omnetpp", true, |b| Blend {
+        chase: 0.45,
+        loop_stream: 0.15,
+        noise: 0.2,
+        resident: 0.2,
+        gap: 16,
+        chase_nodes: 8_000,
+        ..b
+    }),
+    ("soplex", true, |b| Blend {
+        spatial: 0.35,
+        stride: 0.25,
+        loop_stream: 0.1,
+        noise: 0.3,
+        gap: 12,
+        ..b
+    }),
+    ("sphinx3", true, |b| Blend {
+        stream: 0.35,
+        spatial: 0.3,
+        loop_stream: 0.1,
+        resident: 0.25,
+        gap: 13,
+        ..b
+    }),
+    ("xalancbmk", true, |b| Blend {
+        chase: 0.4,
+        loop_stream: 0.1,
+        spatial: 0.2,
+        resident: 0.3,
+        gap: 16,
+        chase_nodes: 6_000,
+        ..b
+    }),
+    ("zeusmp", true, |b| Blend { stream: 0.5, stride: 0.3, spatial: 0.2, gap: 12, ..b }),
+    ("calculix", false, |b| Blend { resident: 0.7, stride: 0.3, gap: 45, ..b }),
+    ("dealII", false, |b| Blend {
+        resident: 0.6,
+        chase: 0.2,
+        stride: 0.2,
+        gap: 40,
+        chase_nodes: 1_000,
+        ..b
+    }),
+    ("gamess", false, |b| Blend { resident: 0.85, stride: 0.15, gap: 60, ..b }),
+    ("gobmk", false, |b| Blend {
+        resident: 0.7,
+        noise: 0.2,
+        chase: 0.1,
+        gap: 50,
+        chase_nodes: 800,
+        ..b
+    }),
+    ("h264ref", false, |b| Blend { stride: 0.45, resident: 0.45, spatial: 0.1, gap: 35, ..b }),
+    ("namd", false, |b| Blend { resident: 0.65, stride: 0.25, stream: 0.1, gap: 48, ..b }),
+    ("perlbench", false, |b| Blend {
+        resident: 0.7,
+        chase: 0.15,
+        noise: 0.15,
+        gap: 42,
+        chase_nodes: 1_500,
+        ..b
+    }),
+    ("povray", false, |b| Blend { resident: 0.85, noise: 0.15, gap: 65, ..b }),
+    ("sjeng", false, |b| Blend { resident: 0.75, noise: 0.25, gap: 55, ..b }),
+    ("tonto", false, |b| Blend { resident: 0.7, stride: 0.3, gap: 50, ..b }),
+    ("wrf", false, |b| Blend { stream: 0.35, stride: 0.3, resident: 0.35, gap: 30, ..b }),
 ];
 
 /// Builds the blend describing `name`.
@@ -58,99 +131,7 @@ pub const BENCHMARKS: [BenchmarkInfo; 29] = [
 /// Panics if `name` is not a SPEC CPU2006 benchmark from [`BENCHMARKS`].
 #[must_use]
 pub fn blend(name: &str) -> Blend {
-    let info = BENCHMARKS
-        .iter()
-        .find(|b| b.name == name)
-        .unwrap_or_else(|| panic!("unknown SPEC CPU2006 benchmark: {name}"));
-    let base = Blend { memory_intensive: info.memory_intensive, ..Blend::new(name) };
-    match name {
-        // Streaming floating-point codes.
-        "lbm" => Blend { stream: 0.8, stride: 0.15, noise: 0.05, gap: 8, ..base },
-        "libquantum" => Blend { stream: 0.9, resident: 0.1, gap: 10, ..base },
-        "bwaves" => Blend { stream: 0.6, stride: 0.3, noise: 0.1, gap: 9, ..base },
-        "leslie3d" => Blend { stream: 0.55, spatial: 0.3, stride: 0.15, gap: 10, ..base },
-        "milc" => Blend { stream: 0.5, noise: 0.35, stride: 0.15, gap: 9, ..base },
-        "zeusmp" => Blend { stream: 0.5, stride: 0.3, spatial: 0.2, gap: 12, ..base },
-        // Fig. 2: interleaved spatial (PC 0x30b00) and stream (PC 0x30aca).
-        "GemsFDTD" => Blend { spatial: 0.5, stream: 0.35, delta: 0.15, gap: 8, ..base },
-        // Pointer chasing / irregular integer codes.
-        "mcf" => Blend {
-            chase: 0.55,
-            loop_stream: 0.15,
-            noise: 0.2,
-            stride: 0.1,
-            gap: 14,
-            chase_nodes: 10_000,
-            ..base
-        },
-        "omnetpp" => Blend {
-            chase: 0.45,
-            loop_stream: 0.15,
-            noise: 0.2,
-            resident: 0.2,
-            gap: 16,
-            chase_nodes: 8_000,
-            ..base
-        },
-        "xalancbmk" => Blend {
-            chase: 0.4,
-            loop_stream: 0.1,
-            spatial: 0.2,
-            resident: 0.3,
-            gap: 16,
-            chase_nodes: 6_000,
-            ..base
-        },
-        "astar" => Blend {
-            chase: 0.35,
-            loop_stream: 0.1,
-            stride: 0.25,
-            resident: 0.3,
-            gap: 16,
-            chase_nodes: 5_000,
-            ..base
-        },
-        // Mixed integer codes.
-        "gcc" => Blend {
-            spatial: 0.3,
-            chase: 0.2,
-            loop_stream: 0.1,
-            stride: 0.15,
-            resident: 0.25,
-            gap: 16,
-            chase_nodes: 4_000,
-            ..base
-        },
-        "bzip2" => Blend { stride: 0.4, resident: 0.35, noise: 0.25, gap: 14, ..base },
-        "soplex" => {
-            Blend { spatial: 0.35, stride: 0.25, loop_stream: 0.1, noise: 0.3, gap: 12, ..base }
-        }
-        "sphinx3" => {
-            Blend { stream: 0.35, spatial: 0.3, loop_stream: 0.1, resident: 0.25, gap: 13, ..base }
-        }
-        "hmmer" => Blend { stride: 0.7, resident: 0.3, gap: 16, ..base },
-        "cactusADM" => Blend { stride: 0.5, stream: 0.3, noise: 0.2, gap: 12, ..base },
-        "gromacs" => Blend { stride: 0.4, spatial: 0.3, resident: 0.3, gap: 18, ..base },
-        // Compute-bound codes: large gaps, cache-resident working sets.
-        "calculix" => Blend { resident: 0.7, stride: 0.3, gap: 45, ..base },
-        "dealII" => {
-            Blend { resident: 0.6, chase: 0.2, stride: 0.2, gap: 40, chase_nodes: 1_000, ..base }
-        }
-        "gamess" => Blend { resident: 0.85, stride: 0.15, gap: 60, ..base },
-        "gobmk" => {
-            Blend { resident: 0.7, noise: 0.2, chase: 0.1, gap: 50, chase_nodes: 800, ..base }
-        }
-        "h264ref" => Blend { stride: 0.45, resident: 0.45, spatial: 0.1, gap: 35, ..base },
-        "namd" => Blend { resident: 0.65, stride: 0.25, stream: 0.1, gap: 48, ..base },
-        "perlbench" => {
-            Blend { resident: 0.7, chase: 0.15, noise: 0.15, gap: 42, chase_nodes: 1_500, ..base }
-        }
-        "povray" => Blend { resident: 0.85, noise: 0.15, gap: 65, ..base },
-        "sjeng" => Blend { resident: 0.75, noise: 0.25, gap: 55, ..base },
-        "tonto" => Blend { resident: 0.7, stride: 0.3, gap: 50, ..base },
-        "wrf" => Blend { stream: 0.35, stride: 0.3, resident: 0.35, gap: 30, ..base },
-        _ => unreachable!("benchmark {name} is listed but has no blend"),
-    }
+    lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown SPEC CPU2006 benchmark: {name}"))
 }
 
 /// A lazy [`TraceSource`] of the named SPEC CPU2006-like workload: `accesses`
@@ -167,7 +148,10 @@ pub fn source(name: &str, accesses: usize) -> TraceSource {
 /// Names of the memory-intensive subset (the dotted box of Fig. 8).
 #[must_use]
 pub fn memory_intensive() -> Vec<&'static str> {
-    BENCHMARKS.iter().filter(|b| b.memory_intensive).map(|b| b.name).collect()
+    BENCHMARKS
+        .iter()
+        .filter_map(|&(name, memory_intensive, _)| memory_intensive.then_some(name))
+        .collect()
 }
 
 #[cfg(test)]
@@ -176,10 +160,10 @@ mod tests {
 
     #[test]
     fn all_29_benchmarks_have_blends() {
-        for b in &BENCHMARKS {
-            let w = source(b.name, 200).collect();
+        for (name, memory_intensive, _) in BENCHMARKS {
+            let w = source(name, 200).collect();
             assert_eq!(w.memory_accesses(), 200);
-            assert_eq!(w.memory_intensive, b.memory_intensive, "{}", b.name);
+            assert_eq!(w.memory_intensive, memory_intensive, "{name}");
         }
     }
 

@@ -9,10 +9,47 @@
 
 use alecto_types::TraceSource;
 
-use crate::blend::Blend;
+use crate::blend::{lookup, Benchmark, Blend};
 
 /// The web-serving benchmarks of the family.
-pub const BENCHMARKS: [&str; 3] = ["web-cache", "kv-store", "api-session"];
+pub const BENCHMARKS: [Benchmark; 3] = [
+    // CDN-style content cache: strongly skewed object popularity with a
+    // streaming component (log append / object body reads).
+    ("web-cache", true, |b| Blend {
+        zipf: 0.65,
+        stream: 0.2,
+        resident: 0.15,
+        gap: 9,
+        zipf_objects: 256 * 1024,
+        zipf_theta: 0.99,
+        ..b
+    }),
+    // Key-value store under YCSB-like load: a larger, flatter key space
+    // and index descents (chase) for misses in the hot set.
+    ("kv-store", true, |b| Blend {
+        zipf: 0.5,
+        chase: 0.25,
+        noise: 0.15,
+        resident: 0.1,
+        gap: 11,
+        zipf_objects: 512 * 1024,
+        zipf_theta: 0.8,
+        chase_nodes: 20_000,
+        ..b
+    }),
+    // API server with per-session state: hot session table plus template
+    // rendering (resident) and body streaming.
+    ("api-session", false, |b| Blend {
+        zipf: 0.4,
+        resident: 0.35,
+        stream: 0.15,
+        noise: 0.1,
+        gap: 22,
+        zipf_objects: 64 * 1024,
+        zipf_theta: 1.1,
+        ..b
+    }),
+];
 
 /// Builds the blend describing `name`.
 ///
@@ -21,49 +58,7 @@ pub const BENCHMARKS: [&str; 3] = ["web-cache", "kv-store", "api-session"];
 /// Panics if `name` is not in [`BENCHMARKS`].
 #[must_use]
 pub fn blend(name: &str) -> Blend {
-    assert!(BENCHMARKS.contains(&name), "unknown web-serving benchmark: {name}");
-    let base = Blend::new(name);
-    match name {
-        // CDN-style content cache: strongly skewed object popularity with a
-        // streaming component (log append / object body reads).
-        "web-cache" => Blend {
-            memory_intensive: true,
-            zipf: 0.65,
-            stream: 0.2,
-            resident: 0.15,
-            gap: 9,
-            zipf_objects: 256 * 1024,
-            zipf_theta: 0.99,
-            ..base
-        },
-        // Key-value store under YCSB-like load: a larger, flatter key space
-        // and index descents (chase) for misses in the hot set.
-        "kv-store" => Blend {
-            memory_intensive: true,
-            zipf: 0.5,
-            chase: 0.25,
-            noise: 0.15,
-            resident: 0.1,
-            gap: 11,
-            zipf_objects: 512 * 1024,
-            zipf_theta: 0.8,
-            chase_nodes: 20_000,
-            ..base
-        },
-        // API server with per-session state: hot session table plus template
-        // rendering (resident) and body streaming.
-        "api-session" => Blend {
-            zipf: 0.4,
-            resident: 0.35,
-            stream: 0.15,
-            noise: 0.1,
-            gap: 22,
-            zipf_objects: 64 * 1024,
-            zipf_theta: 1.1,
-            ..base
-        },
-        _ => unreachable!("benchmark {name} is listed but has no blend"),
-    }
+    lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown web-serving benchmark: {name}"))
 }
 
 /// A lazy [`TraceSource`] of the named web-serving workload: `accesses`
@@ -84,7 +79,7 @@ mod tests {
 
     #[test]
     fn all_benchmarks_have_blends() {
-        for name in BENCHMARKS {
+        for (name, ..) in BENCHMARKS {
             let w = blend(name).build(150);
             assert_eq!(w.memory_accesses(), 150);
             assert_eq!(source(name, 150).collect(), w);

@@ -15,8 +15,7 @@ use harness::SpeedupGrid;
 use machine::MachineSpec;
 
 fn pointer_chase_suite(core_model: CoreModelKind) -> SpeedupGrid {
-    let sources: Vec<_> =
-        traces::gc::BENCHMARKS.iter().map(|name| traces::gc::source(name, 2_500)).collect();
+    let sources = traces::Suite::PointerChase.all_sources(2_500);
     run_single_core_suite(
         &sources,
         &[SelectionAlgorithm::Alecto],

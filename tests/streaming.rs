@@ -5,7 +5,7 @@
 //! contract that lets the experiment engine stream 10-million-access traces
 //! in O(1) memory without changing a single golden grid value.
 
-use alecto_repro::types::{fnv1a_64, TraceSource, Workload, FNV1A_OFFSET};
+use alecto_repro::types::{fnv1a_64, TraceSource, FNV1A_OFFSET};
 use fuzz::Scenario;
 use machine::MachineSpec;
 use proptest::prelude::*;
@@ -16,27 +16,17 @@ fn registry() -> Vec<(Suite, &'static str)> {
     Suite::ALL.iter().flat_map(|s| s.benchmarks().into_iter().map(move |b| (*s, b))).collect()
 }
 
-/// The eager reference for `name`: its registry blend built in one pass.
-/// `None` for Ligra, whose kernels come from a graph walk, not a blend.
-fn eager_build(suite: Suite, name: &str, accesses: usize) -> Option<Workload> {
-    let blend = match suite {
-        Suite::Spec06 => traces::spec06::blend(name),
-        Suite::Spec17 => traces::spec17::blend(name),
-        Suite::Parsec => traces::parsec::blend(name),
-        Suite::PointerChase => traces::gc::blend(name),
-        Suite::WebServe => traces::web::blend(name),
-        Suite::Database => traces::db::blend(name),
-        Suite::Ligra => return None,
-    };
-    Some(blend.build(accesses))
-}
-
-/// Asserts that `source` streams its eager reference; for Ligra, which has
-/// none, that two replays agree.
+/// Asserts that `source` streams its eager reference — the benchmark's
+/// registry blend built in one pass; for Ligra, whose kernels come from a
+/// graph walk and have none, that two replays agree.
 fn assert_streams_its_reference(suite: Suite, name: &str, source: &TraceSource) {
     let streamed = source.collect();
-    match eager_build(suite, name, source.memory_accesses()) {
-        Some(eager) => assert_eq!(streamed, eager, "suite {suite:?} benchmark {name}"),
+    match suite.blend(name) {
+        Some(blend) => assert_eq!(
+            streamed,
+            blend.build(source.memory_accesses()),
+            "suite {suite:?} benchmark {name}"
+        ),
         None => assert_eq!(streamed, source.collect(), "suite {suite:?} benchmark {name}"),
     }
 }
@@ -125,12 +115,20 @@ proptest! {
 }
 
 /// The whole registry, exhaustively, at one representative budget — the
-/// proptest above samples pairs; this pins every benchmark at least once.
+/// proptests above sample pairs; this pins every benchmark at least once,
+/// per record and batched at the degenerate, awkward-prime and block-sized
+/// batch sizes.
 #[test]
 fn every_registered_benchmark_streams_exactly_its_collected_records() {
     for (suite, name) in registry() {
         // Odd budget: mid-batch cuts.
-        assert_streams_its_reference(suite, name, &suite.source(name, 257));
+        let source = suite.source(name, 257);
+        assert_streams_its_reference(suite, name, &source);
+        let per_record: Vec<_> = source.records().collect();
+        for batch in [1, 7, 4096] {
+            let batched: Vec<_> = source.record_batches(batch).flatten().collect();
+            assert_eq!(batched, per_record, "{name} in batches of {batch}");
+        }
     }
 }
 
