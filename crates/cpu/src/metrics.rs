@@ -15,7 +15,7 @@ pub struct PrefetcherReport {
 /// Results of one core over one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreReport {
-    /// Workload (benchmark) name.
+    /// Benchmark name.
     pub workload: String,
     /// Selection algorithm name.
     pub selector: String,

@@ -280,8 +280,12 @@ mod tests {
         // core, with wrap-around assignment sharing one source between cores.
         for cores in [1usize, 4] {
             let lazy = [stream_source(900, "s"), stream_source(500, "t")];
-            let materialised: Vec<TraceSource> =
-                lazy.iter().map(|s| TraceSource::from_workload(s.collect())).collect();
+            let materialised: Vec<TraceSource> = lazy
+                .iter()
+                .map(|s| {
+                    TraceSource::from_records(s.name(), s.memory_intensive(), s.records().collect())
+                })
+                .collect();
             let a = run(MachineSpec::table1(cores), SelectionAlgorithm::Alecto, &lazy);
             let b = run(MachineSpec::table1(cores), SelectionAlgorithm::Alecto, &materialised);
             assert_eq!(a, b, "streamed vs materialised reports diverged at {cores} cores");

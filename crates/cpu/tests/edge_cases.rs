@@ -5,7 +5,7 @@
 //! clock never runs backwards, and the two presets agree on the instruction
 //! accounting.
 
-use alecto_types::{Addr, MemoryRecord, Pc, TraceSource, Workload};
+use alecto_types::{Addr, MemoryRecord, Pc, TraceSource};
 use cpu::{CompositeKind, Core, CoreModelKind, PrefetchController, SelectionAlgorithm, System};
 use machine::MachineSpec;
 use memsys::{Hierarchy, HierarchyParams};
@@ -39,7 +39,7 @@ fn zero_record_source_per_core_still_reports() {
     // A source that yields nothing: every core runs an empty trace. The
     // system must produce a well-formed report (cycles clamp to 1, IPC 0)
     // rather than divide by zero or panic, under both presets.
-    let empty = TraceSource::from_workload(Workload::new("empty", Vec::new(), false));
+    let empty = TraceSource::from_records("empty", false, Vec::new());
     for kind in BOTH {
         let machine = MachineSpec::table1(2).with_core_model(kind);
         let mut system = System::new(machine, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);

@@ -514,7 +514,7 @@ mod tests {
     use machine::MachineSpec;
 
     fn tiny_cell_report(accesses: usize) -> (u64, SystemReport) {
-        let sources = [traces::spec06::source("lbm", accesses)];
+        let sources = [traces::Suite::Spec06.source("lbm", accesses)];
         let config = MachineSpec::table1(1);
         let cell = CellJob {
             algorithm: SelectionAlgorithm::Alecto,
@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn executor_memoizes_identical_cells() {
         let cache = CellCache::new(8);
-        let sources = [traces::spec06::source("povray", 250)];
+        let sources = [traces::Suite::Spec06.source("povray", 250)];
         let config = MachineSpec::table1(1);
         let cell = CellJob {
             algorithm: SelectionAlgorithm::Ipcp,

@@ -61,7 +61,7 @@ mod tests {
 
     fn run(algorithm: SelectionAlgorithm, name: &str, accesses: usize) -> SystemReport {
         System::new(MachineSpec::table1(1), algorithm, CompositeKind::GsCsPmp)
-            .run_sources(&[traces::spec06::source(name, accesses)])
+            .run_sources(&[traces::Suite::Spec06.source(name, accesses)])
             .expect("one source")
     }
 

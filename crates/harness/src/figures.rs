@@ -10,6 +10,7 @@ use cpu::{CompositeKind, SelectionAlgorithm};
 use machine::MachineSpec;
 use memsys::DramKind;
 use prefetch::build_composite;
+use traces::Suite;
 
 use crate::energy;
 use crate::report::{Experiment, Table};
@@ -21,23 +22,22 @@ fn main_algorithms() -> Vec<SelectionAlgorithm> {
 }
 
 fn spec06_workloads(scale: &RunScale) -> Vec<TraceSource> {
-    traces::Suite::Spec06.all_sources(scale.accesses)
+    Suite::Spec06.all_sources(scale.accesses)
 }
 
 fn spec17_workloads(scale: &RunScale) -> Vec<TraceSource> {
-    traces::Suite::Spec17.all_sources(scale.accesses)
+    Suite::Spec17.all_sources(scale.accesses)
+}
+
+/// The benchmarks of `suite` the paper counts as memory intensive (the
+/// dotted boxes of Figs. 8/9), in table order.
+fn memory_intensive(suite: Suite, accesses: usize) -> Vec<TraceSource> {
+    suite.all_sources(accesses).into_iter().filter(TraceSource::memory_intensive).collect()
 }
 
 fn memory_intensive_workloads(scale: &RunScale) -> Vec<TraceSource> {
-    let mut v: Vec<TraceSource> = traces::spec06::memory_intensive()
-        .iter()
-        .map(|n| traces::spec06::source(n, scale.accesses))
-        .collect();
-    v.extend(
-        traces::spec17::memory_intensive()
-            .iter()
-            .map(|n| traces::spec17::source(n, scale.accesses)),
-    );
+    let mut v = memory_intensive(Suite::Spec06, scale.accesses);
+    v.extend(memory_intensive(Suite::Spec17, scale.accesses));
     v
 }
 
@@ -48,7 +48,7 @@ fn temporal_benchmarks(scale: &RunScale) -> Vec<TraceSource> {
     // working sets to recur several times, hence the larger access budget.
     ["astar", "gcc", "mcf", "omnetpp", "soplex", "sphinx3", "xalancbmk"]
         .iter()
-        .map(|n| traces::spec06::source(n, scale.accesses * 4))
+        .map(|n| Suite::Spec06.source(n, scale.accesses * 4))
         .collect()
 }
 
@@ -217,10 +217,10 @@ pub fn fig1(scale: &RunScale) -> Experiment {
 /// deltas of the two dominant PCs over a window of the trace.
 #[must_use]
 pub fn fig2(scale: &RunScale) -> Experiment {
-    let w = traces::spec06::source("GemsFDTD", scale.accesses.min(4_000)).collect();
+    let source = Suite::Spec06.source("GemsFDTD", scale.accesses.min(4_000));
     // The two busiest PCs stand in for 0x30b00 (spatial) and 0x30aca (stream).
     let mut counts: Vec<(u64, usize)> = Vec::new();
-    for r in &w.records {
+    for r in source.records() {
         match counts.iter_mut().find(|(pc, _)| *pc == r.pc.raw()) {
             Some((_, c)) => *c += 1,
             None => counts.push((r.pc.raw(), 1)),
@@ -230,9 +230,8 @@ pub fn fig2(scale: &RunScale) -> Experiment {
     let mut table =
         Table::new(vec!["PC", "accesses", "distinct deltas", "dominant delta", "classification"]);
     for &(pc, n) in counts.iter().take(4) {
-        let lines: Vec<i64> = w
-            .records
-            .iter()
+        let lines: Vec<i64> = source
+            .records()
             .filter(|r| r.pc.raw() == pc)
             .map(|r| r.addr.line().raw() as i64)
             .collect();
@@ -544,22 +543,16 @@ pub fn fig17(scale: &RunScale) -> Experiment {
 
     // Heterogeneous SPEC06 and SPEC17 mixes over the memory-intensive subset
     // (cycled when the machine has more cores than the subset has members).
-    let spec06_mix: Vec<TraceSource> = traces::spec06::memory_intensive()
-        .iter()
-        .cycle()
-        .take(cores)
-        .enumerate()
-        .map(|(i, n)| offset_source(traces::spec06::source(n, scale.multicore_accesses), i))
-        .collect();
-    grids.push(mix(scale, &config, "SPEC06-mix", &spec06_mix, &algorithms));
-    let spec17_mix: Vec<TraceSource> = traces::spec17::memory_intensive()
-        .iter()
-        .cycle()
-        .take(cores)
-        .enumerate()
-        .map(|(i, n)| offset_source(traces::spec17::source(n, scale.multicore_accesses), i))
-        .collect();
-    grids.push(mix(scale, &config, "SPEC17-mix", &spec17_mix, &algorithms));
+    for (suite, name) in [(Suite::Spec06, "SPEC06-mix"), (Suite::Spec17, "SPEC17-mix")] {
+        let spec_mix: Vec<TraceSource> = memory_intensive(suite, scale.multicore_accesses)
+            .iter()
+            .cycle()
+            .take(cores)
+            .enumerate()
+            .map(|(i, source)| offset_source(source.clone(), i))
+            .collect();
+        grids.push(mix(scale, &config, name, &spec_mix, &algorithms));
+    }
 
     // PARSEC: each core runs one thread of the same benchmark.
     for bench in ["canneal", "streamcluster"] {
@@ -569,7 +562,7 @@ pub fn fig17(scale: &RunScale) -> Experiment {
     // Ligra: each core runs a kernel instance over its own graph partition.
     for kernel in ["BFS", "PageRank"] {
         let per_core: Vec<TraceSource> = (0..cores)
-            .map(|i| offset_source(traces::ligra::source(kernel, scale.multicore_accesses), i))
+            .map(|i| offset_source(Suite::Ligra.source(kernel, scale.multicore_accesses), i))
             .collect();
         grids.push(mix(scale, &config, &format!("Ligra-{kernel}"), &per_core, &algorithms));
     }
@@ -756,10 +749,10 @@ pub fn stress(scale: &RunScale) -> Experiment {
     for mult in [1usize, 2, 4] {
         let accesses = scale.accesses.saturating_mul(mult);
         let sources: Vec<TraceSource> = [
-            traces::gc::source("linked-list", accesses),
-            traces::web::source("web-cache", accesses),
-            traces::db::source("hash-join", accesses),
-            traces::spec06::source("mcf", accesses),
+            Suite::PointerChase.source("linked-list", accesses),
+            Suite::WebServe.source("web-cache", accesses),
+            Suite::Database.source("hash-join", accesses),
+            Suite::Spec06.source("mcf", accesses),
         ]
         .into_iter()
         .map(|s| {
@@ -852,10 +845,10 @@ pub fn timing(scale: &RunScale) -> Experiment {
     for (tag, timing, core_model) in configs {
         let config = scale.machine_at(1).with_timing(timing).with_core_model(core_model);
         let sources: Vec<TraceSource> = [
-            traces::spec06::source("mcf", scale.accesses),
-            traces::gc::source("linked-list", scale.accesses),
-            traces::web::source("web-cache", scale.accesses),
-            traces::db::source("seq-scan", scale.accesses),
+            Suite::Spec06.source("mcf", scale.accesses),
+            Suite::PointerChase.source("linked-list", scale.accesses),
+            Suite::WebServe.source("web-cache", scale.accesses),
+            Suite::Database.source("seq-scan", scale.accesses),
         ]
         .into_iter()
         .map(|s| {
@@ -946,7 +939,7 @@ pub fn resolve_trace_spec(
         reader.stats().map_err(|err| format!("{}: {err}", path.display()))?;
         return Ok((reader.source(accesses), reader.header().seed));
     }
-    let suite = traces::Suite::of(spec)
+    let suite = Suite::of(spec)
         .ok_or_else(|| format!("unknown benchmark {spec:?} (see `alecto-harness list`)"))?;
     let accesses = accesses.unwrap_or(RunScale::default().accesses);
     Ok((suite.source(spec, accesses), traces::derive_seed(spec, 0)))

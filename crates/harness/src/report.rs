@@ -793,7 +793,7 @@ mod tests {
         use cpu::{CompositeKind, SelectionAlgorithm};
         use machine::MachineSpec;
         let grid = crate::runner::run_single_core_suite(
-            &[traces::spec06::source("lbm", 400)],
+            &[traces::Suite::Spec06.source("lbm", 400)],
             &[SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto],
             CompositeKind::GsCsPmp,
             &MachineSpec::table1(1),
@@ -828,7 +828,7 @@ mod tests {
         use cpu::{CompositeKind, SelectionAlgorithm};
         use machine::MachineSpec;
         let grid = crate::runner::run_single_core_suite(
-            &[traces::spec06::source("mcf", 600)],
+            &[traces::Suite::Spec06.source("mcf", 600)],
             &[SelectionAlgorithm::Alecto],
             CompositeKind::GsCsPmp,
             &MachineSpec::table1(1),

@@ -497,7 +497,10 @@ mod tests {
     use super::*;
 
     fn tiny_workloads() -> Vec<TraceSource> {
-        vec![traces::spec06::source("lbm", 1_500), traces::spec06::source("povray", 1_500)]
+        vec![
+            traces::Suite::Spec06.source("lbm", 1_500),
+            traces::Suite::Spec06.source("povray", 1_500),
+        ]
     }
 
     #[test]
@@ -532,7 +535,7 @@ mod tests {
     #[test]
     fn worker_count_exceeding_job_count_is_harmless() {
         let grid = run_single_core_suite(
-            &[traces::spec06::source("lbm", 400)],
+            &[traces::Suite::Spec06.source("lbm", 400)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
             &MachineSpec::table1(1),
@@ -586,14 +589,14 @@ mod tests {
     #[test]
     fn merge_concatenates_benchmarks() {
         let a = run_single_core_suite(
-            &[traces::spec06::source("lbm", 800)],
+            &[traces::Suite::Spec06.source("lbm", 800)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
             &MachineSpec::table1(1),
             1,
         );
         let b = run_single_core_suite(
-            &[traces::spec17::source("lbm_17", 800)],
+            &[traces::Suite::Spec17.source("lbm_17", 800)],
             &[SelectionAlgorithm::Ipcp],
             CompositeKind::GsCsPmp,
             &MachineSpec::table1(1),
@@ -668,7 +671,7 @@ mod tests {
             CellJob { sources: &sources, ..base }.cache_key(),
             "source count"
         );
-        let resized = [traces::spec06::source("lbm", 1_600)];
+        let resized = [traces::Suite::Spec06.source("lbm", 1_600)];
         assert_ne!(
             base.cache_key(),
             CellJob { sources: &resized, ..base }.cache_key(),
@@ -683,7 +686,7 @@ mod tests {
         // deliberate change bumps the `cell-vN|` tag, updates
         // docs/PROTOCOL.md and re-records this constant.
         let config = MachineSpec::table1(1);
-        let sources = [traces::spec06::source("lbm", 300)];
+        let sources = [traces::Suite::Spec06.source("lbm", 300)];
         let cell = CellJob {
             algorithm: SelectionAlgorithm::Alecto,
             composite: CompositeKind::GsCsPmp,

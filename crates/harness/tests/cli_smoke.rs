@@ -221,6 +221,31 @@ fn machine_flag_unreadable_or_invalid_file_exits_two_with_usage() {
 }
 
 #[test]
+fn machine_unbuildable_at_one_core_exits_two() {
+    // 3 MiB of 12-way L3 has 4,096 sets at the file's 3 cores, but
+    // single-core experiments run one core's 1 MiB share: 1,365 sets, which
+    // `Hierarchy::new` cannot build. Both commands refuse the file up front.
+    let path = std::env::temp_dir().join(format!("alecto-3core-l3-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "format = \"alecto-machine-v1\"\nname = \"m\"\ncores = 3\n\
+         [cache.l3]\nsize_kb = 3072\nways = 12\nmshrs = 192\n",
+    )
+    .expect("write temp machine");
+    let file = path.to_str().expect("utf-8 temp path");
+    let check = harness().args(["machines", "check", file]).output().expect("spawn");
+    let fig8 =
+        harness().args(["fig8", "--machine", file, "--accesses", "100"]).output().expect("spawn");
+    std::fs::remove_file(&path).ok();
+    assert!(fig8.stdout.is_empty(), "no experiment may run before the machine check");
+    for (command, output) in [("machines check", check), ("fig8 --machine", fig8)] {
+        assert_eq!(output.status.code(), Some(2), "{command} must exit 2");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 error");
+        assert!(stderr.contains("L3:") && stderr.contains("got 1365"), "{command}:\n{stderr}");
+    }
+}
+
+#[test]
 fn machines_subcommand_lists_shows_and_checks() {
     // `machines` (and `machines list`) tabulate the built-in registry.
     let output = harness().arg("machines").output().expect("spawn");

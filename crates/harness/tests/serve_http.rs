@@ -271,8 +271,10 @@ fn hostile_requests_are_400s_and_the_server_keeps_serving() {
     assert_eq!(status, 400, "{body}");
     assert_eq!(error_code(&body).as_deref(), Some("invalid_machine"));
 
-    // So are 2^40 L1D MSHRs, which aborted the server allocating them, and
-    // a 128-way L1D, which failed its job on the tag scan's 64-way limit.
+    // So are 2^40 L1D MSHRs, which aborted the server allocating them, a
+    // 128-way L1D, which failed its job on the tag scan's 64-way limit, and
+    // a 3-core machine whose one-core L3 share has 1,365 sets, which failed
+    // every single-core job.
     for level in [r#"{"mshrs":1099511627776}"#, r#"{"size_kb":32,"ways":128}"#] {
         let body = format!(
             r#"{{"experiment":"fig8","accesses":100,"jobs":1,"machine":{{"format":"alecto-machine-v1","name":"m","cores":1,"cache":{{"l1d":{level}}}}}}}"#
@@ -281,6 +283,14 @@ fn hostile_requests_are_400s_and_the_server_keeps_serving() {
         assert_eq!(status, 400, "{level}: {body}");
         assert_eq!(error_code(&body).as_deref(), Some("invalid_machine"), "{level}");
     }
+    let (status, body) = http(
+        &addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"experiment":"fig8","accesses":100,"jobs":1,"machine":{"format":"alecto-machine-v1","name":"m","cores":3,"cache":{"l3":{"size_kb":3072,"ways":12,"mshrs":192}}}}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_code(&body).as_deref(), Some("invalid_machine"));
 
     let (status, body) = http(&addr, "GET", "/v1/health", "");
     assert_eq!(status, 200, "{body}");

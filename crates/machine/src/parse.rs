@@ -641,6 +641,19 @@ mod tests {
     }
 
     #[test]
+    fn l3_must_build_at_one_core_too() {
+        // Valid at the file's 3 cores, but 1,365 sets in the one-core share
+        // single-core experiments run.
+        let text = format!(
+            "format = \"{FORMAT_VERSION}\"\nname = \"m\"\ncores = 3\n\
+             [cache.l3]\nsize_kb = 3072\nways = 12\nmshrs = 192\n"
+        );
+        let err = parse(&text).unwrap_err();
+        assert!(err.starts_with("line 5: L3:"), "anchored to [cache.l3]: {err}");
+        assert!(err.contains("power of two, got 1365"), "{err}");
+    }
+
+    #[test]
     fn inline_mode_defaults_the_name_and_drops_line_prefixes() {
         let entries = vec![
             Entry { path: "format".into(), value: RawValue::Str(FORMAT_VERSION.into()), line: 0 },

@@ -272,10 +272,12 @@ impl MachineSpec {
         }
     }
 
-    /// Validates the machine: core parameters are non-degenerate and the
+    /// Validates the machine: core parameters are non-degenerate, the
     /// lowered hierarchy passes [`HierarchyParams::validate`] (which runs
     /// [`CacheParams::validate`] per level, producing the power-of-two-sets
-    /// aliasing explanation for bad geometries).
+    /// aliasing explanation for bad geometries), and so does the per-core
+    /// L3, which is the whole L3 when a single-core experiment runs the
+    /// machine at one core.
     ///
     /// # Errors
     ///
@@ -325,7 +327,13 @@ impl MachineSpec {
                 return Err(format!("{label}: cache must have at least one MSHR"));
             }
         }
-        self.hierarchy().validate()
+        self.hierarchy().validate()?;
+        // At one core only the L3's set count can fail where the lowering
+        // at the machine's own count passed: 3 MiB over 3 cores is 4,096
+        // sets of 12 ways, its 1 MiB share 1,365.
+        self.l3_per_core
+            .validate()
+            .map_err(|e| format!("L3: one core's share (what single-core experiments run): {e}"))
     }
 
     /// Renders the spec back to `alecto-machine-v1` text, deterministically:
@@ -599,6 +607,14 @@ mod tests {
         spec.l2.size_bytes = 3 * 64 * 8; // 3 sets at 8 ways
         let err = spec.validate().unwrap_err();
         assert!(err.starts_with("L2:"), "level must be named: {err}");
+        assert!(err.contains("alias"), "the mask aliasing must be explained: {err}");
+        // 3 MiB of 12-way L3 has 4,096 sets at 3 cores but 1,365 in the one
+        // core's share that single-core experiments run.
+        let mut spec = MachineSpec::table1(3);
+        spec.l3_per_core = CacheParams { size_bytes: 1 << 20, ways: 12, ..spec.l3_per_core };
+        assert!(spec.hierarchy().validate().is_ok());
+        let err = spec.validate().unwrap_err();
+        assert!(err.starts_with("L3:") && err.contains("got 1365"), "{err}");
         assert!(err.contains("alias"), "the mask aliasing must be explained: {err}");
     }
 

@@ -1,6 +1,6 @@
 //! Memory-system configuration mirroring Table I of the paper.
 
-use crate::dram::{BANKS_PER_RANK, CORE_GHZ};
+use crate::dram::{ns_to_cycles, BANKS_PER_RANK};
 
 /// Parameters of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,13 +153,7 @@ impl DramParams {
     #[must_use]
     pub fn burst_cycles(&self) -> u64 {
         let ns = alecto_types::CACHE_LINE_BYTES as f64 / self.channel_bytes_per_ns();
-        self.ns_to_cycles(ns)
-    }
-
-    /// Converts nanoseconds to core cycles (rounded up, at least 1).
-    #[must_use]
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        ((ns * CORE_GHZ).ceil() as u64).max(1)
+        ns_to_cycles(ns)
     }
 
     /// Total number of banks across the whole memory system.
@@ -429,8 +423,12 @@ mod tests {
 
     #[test]
     fn ns_to_cycles_rounds_up() {
-        let d = DramParams::for_cores(DramKind::Ddr4_2400, 1);
-        assert_eq!(d.ns_to_cycles(0.1), 1);
-        assert_eq!(d.ns_to_cycles(14.0), 35);
+        assert_eq!(ns_to_cycles(0.1), 1);
+        assert_eq!(ns_to_cycles(14.0), 35);
+        // The hand-rolled rounding agrees with `f64::ceil` at 2.5 GHz.
+        for tenths in 0..2_000 {
+            let ns = f64::from(tenths) / 10.0;
+            assert_eq!(ns_to_cycles(ns), ((ns * 2.5).ceil() as u64).max(1), "{ns} ns");
+        }
     }
 }

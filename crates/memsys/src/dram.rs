@@ -16,7 +16,7 @@ use crate::stats::Cycle;
 pub const BANKS_PER_RANK: usize = 8;
 
 /// Core clock frequency in GHz, which converts DRAM nanoseconds to cycles.
-pub(crate) const CORE_GHZ: f64 = 2.5;
+const CORE_GHZ: f64 = 2.5;
 
 /// Row activate latency (tRCD) in nanoseconds.
 const TRCD_NS: f64 = 14.0;
@@ -27,8 +27,33 @@ const TCAS_NS: f64 = 14.0;
 /// Precharge latency (tRP) in nanoseconds.
 const TRP_NS: f64 = 14.0;
 
+/// Row activate latency in core cycles.
+const ACT_CYCLES: u64 = ns_to_cycles(TRCD_NS);
+
+/// Column access latency in core cycles.
+const CAS_CYCLES: u64 = ns_to_cycles(TCAS_NS);
+
+/// Precharge latency in core cycles.
+const PRE_CYCLES: u64 = ns_to_cycles(TRP_NS);
+
 /// Row-buffer size in bytes.
 const ROW_BYTES: u64 = 8 * 1024;
+
+/// Converts nanoseconds to core cycles at [`CORE_GHZ`] (rounded up, at
+/// least 1).
+#[must_use]
+pub(crate) const fn ns_to_cycles(ns: f64) -> u64 {
+    let cycles = ns * CORE_GHZ;
+    // `f64::ceil` is not a `const fn` at the workspace's minimum Rust
+    // version, so round up by hand; the cast saturates like `ceil() as u64`.
+    let whole = cycles as u64;
+    let up = if (whole as f64) < cycles { whole.saturating_add(1) } else { whole };
+    if up == 0 {
+        1
+    } else {
+        up
+    }
+}
 
 /// Statistics kept by the DRAM model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,10 +85,7 @@ pub struct DramModel {
     /// read priority over best-effort prefetches).
     prefetch_backlog: Vec<Cycle>,
     stats: DramStats,
-    /// Lazily computed latencies in core cycles.
-    act_cycles: u64,
-    cas_cycles: u64,
-    pre_cycles: u64,
+    /// One line's transfer time on a channel, which the DRAM kind sets.
     burst_cycles: u64,
 }
 
@@ -73,9 +95,6 @@ impl DramModel {
     pub fn new(params: DramParams) -> Self {
         let total_banks = params.total_banks();
         Self {
-            act_cycles: params.ns_to_cycles(TRCD_NS),
-            cas_cycles: params.ns_to_cycles(TCAS_NS),
-            pre_cycles: params.ns_to_cycles(TRP_NS),
             burst_cycles: params.burst_cycles(),
             banks: vec![BankState::default(); total_banks],
             channel_busy_until: vec![0; params.channels],
@@ -135,15 +154,15 @@ impl DramModel {
         let array_latency = match bank_state.open_row {
             Some(open) if open == row => {
                 self.stats.row_hits += 1;
-                self.cas_cycles
+                CAS_CYCLES
             }
             Some(_) => {
                 self.stats.row_misses += 1;
-                self.pre_cycles + self.act_cycles + self.cas_cycles
+                PRE_CYCLES + ACT_CYCLES + CAS_CYCLES
             }
             None => {
                 self.stats.row_misses += 1;
-                self.act_cycles + self.cas_cycles
+                ACT_CYCLES + CAS_CYCLES
             }
         };
         bank_state.open_row = Some(row);
@@ -200,7 +219,7 @@ mod tests {
         let done = d.access(LineAddr::new(0), 0);
         // Activation + column access + one burst on an idle bank and bus.
         let p = *d.params();
-        assert_eq!(done, p.ns_to_cycles(TRCD_NS) + p.ns_to_cycles(TCAS_NS) + p.burst_cycles());
+        assert_eq!(done, ACT_CYCLES + CAS_CYCLES + p.burst_cycles());
         assert_eq!(d.stats().row_misses, 1);
     }
 
@@ -262,8 +281,7 @@ mod tests {
         // drains before eight column accesses has used more than 8 banks.
         let mut d = DramModel::new(DramParams::for_cores(DramKind::Ddr4_2400, 8));
         let done = (0..64).map(|i| d.access(LineAddr::new(i), 0)).max().unwrap_or(0);
-        let p = *d.params();
-        let eight_in_one_bank = 8 * p.ns_to_cycles(TCAS_NS);
+        let eight_in_one_bank = 8 * CAS_CYCLES;
         assert!(
             done < eight_in_one_bank,
             "64 consecutive lines should hit many banks: {done} >= {eight_in_one_bank} cycles"

@@ -1,12 +1,12 @@
 //! Benchmark blends: a declarative description of how much of each access
-//! pattern a benchmark exhibits, turned into a concrete trace.
+//! pattern a benchmark exhibits, turned into a streamed trace.
 
 use alecto_types::hash::{fnv1a_like_64, splitmix64_finalize, SPLITMIX64_GAMMA};
-use alecto_types::{TraceSource, Workload};
+use alecto_types::TraceSource;
 
 use crate::patterns::{
-    delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
-    pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian, Component,
+    delta_chain, interleave_weighted, looping_stream, phase_shift, pointer_chase, random_noise,
+    set_aliasing, spatial_pages, stream, strided, zipfian, Component,
 };
 
 /// Pattern mixture and intensity of one benchmark: plain data, written as
@@ -101,23 +101,14 @@ impl Blend {
         }
     }
 
-    /// Materialises the blend into a trace of `accesses` memory accesses.
-    ///
-    /// This is the eager reference (O(accesses) memory) the streaming tests
-    /// compare against; runs should use [`Blend::source`], which generates
-    /// the identical records lazily.
-    #[must_use]
-    pub fn build(&self, accesses: usize) -> Workload {
-        let (components, weights) = self.components();
-        let records = interleave_weighted(components, &weights, accesses, self.seed);
-        Workload::new(self.name.clone(), records, self.memory_intensive)
-    }
-
     /// Turns the blend into a lazy, restartable [`TraceSource`] producing
     /// `accesses` records per replay in O(1) memory (with respect to the
-    /// trace length). Record-for-record identical to [`Blend::build`]:
-    /// components are rebuilt from the blend description on every replay and
-    /// interleaved by the same seeded draw sequence.
+    /// trace length): components are rebuilt from the blend description on
+    /// every replay and interleaved by the same seeded draw sequence.
+    ///
+    /// # Panics
+    ///
+    /// A replay panics if every weight is zero (there is nothing to draw).
     #[must_use]
     pub fn source(&self, accesses: usize) -> TraceSource {
         let blend = self.clone();
@@ -128,7 +119,7 @@ impl Blend {
         let identity = format!("{self:?}");
         TraceSource::new(self.name.clone(), self.memory_intensive, accesses, move || {
             let (components, weights) = blend.components();
-            Box::new(interleave_weighted_iter(components, weights, blend.seed))
+            Box::new(interleave_weighted(components, weights, blend.seed))
         })
         .with_content_tag(&identity)
     }
@@ -263,17 +254,24 @@ pub fn derive_seed(name: &str, job: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::Pc;
+    use alecto_types::{MemoryRecord, Pc};
+
+    /// One replay of `blend`'s source of `accesses` records.
+    fn records(blend: &Blend, accesses: usize) -> Vec<MemoryRecord> {
+        blend.source(accesses).records().collect()
+    }
 
     #[test]
     fn new_blend_produces_named_workload() {
         let blend = Blend { memory_intensive: true, stream: 1.0, gap: 10, ..Blend::new("toy") };
-        let w = blend.build(1_000);
-        assert_eq!(w.name, "toy");
-        assert!(w.memory_intensive);
-        assert_eq!(w.memory_accesses(), 1_000);
+        let source = blend.source(1_000);
+        assert_eq!(source.name(), "toy");
+        assert!(source.memory_intensive());
+        assert_eq!(source.memory_accesses(), 1_000);
+        let records = records(&blend, 1_000);
+        assert_eq!(records.len(), 1_000);
         // gap 10 → roughly 11 instructions per access.
-        assert!(w.instructions() >= 10_000);
+        assert!(records.iter().map(MemoryRecord::instructions).sum::<u64>() >= 10_000);
     }
 
     #[test]
@@ -294,21 +292,20 @@ mod tests {
     #[test]
     fn weights_steer_the_pattern_mix() {
         let blend = Blend { chase: 0.9, stream: 0.1, gap: 5, ..Blend::new("chase-heavy") };
-        let w = blend.build(4_000);
-        let chase_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_5000)).count();
+        let chase_pc = records(&blend, 4_000).iter().filter(|r| r.pc == Pc::new(0x4_5000)).count();
         assert!(chase_pc > 3_000, "chase PC should dominate, got {chase_pc}");
     }
 
     #[test]
     fn different_names_get_different_seeds() {
-        let a = Blend { noise: 1.0, ..Blend::new("a") }.build(200);
-        let b = Blend { noise: 1.0, ..Blend::new("b") }.build(200);
-        assert_ne!(a.records, b.records);
+        let a = records(&Blend { noise: 1.0, ..Blend::new("a") }, 200);
+        let b = records(&Blend { noise: 1.0, ..Blend::new("b") }, 200);
+        assert_ne!(a, b);
     }
 
     #[test]
     fn same_blend_is_reproducible() {
-        let mk = || Blend { stream: 0.5, chase: 0.5, ..Blend::new("repro") }.build(300);
+        let mk = || records(&Blend { stream: 0.5, chase: 0.5, ..Blend::new("repro") }, 300);
         assert_eq!(mk(), mk());
     }
 
@@ -326,23 +323,23 @@ mod tests {
         // Generation order cannot matter: building B before A yields the
         // same records as building A before B.
         let mk = |name: &str, job: u64| {
-            Blend { noise: 1.0, seed: derive_seed(name, job), ..Blend::new(name) }.build(200)
+            records(&Blend { noise: 1.0, seed: derive_seed(name, job), ..Blend::new(name) }, 200)
         };
         let (a1, b1) = (mk("a", 3), mk("b", 3));
         let (b2, a2) = (mk("b", 3), mk("a", 3));
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
-        assert_ne!(a1.records, b1.records);
+        assert_ne!(a1, b1);
     }
 
     #[test]
     #[should_panic(expected = "at least one component")]
     fn empty_blend_panics() {
-        let _ = Blend::new("empty").build(10);
+        let _ = Blend::new("empty").source(10).records().next();
     }
 
     #[test]
-    fn source_streams_the_same_records_as_build() {
+    fn source_replays_identically() {
         let blend = Blend {
             stream: 0.3,
             chase: 0.3,
@@ -351,28 +348,25 @@ mod tests {
             gap: 7,
             ..Blend::new("stream-eq")
         };
-        let eager = blend.build(1_200);
         let source = blend.source(1_200);
         assert_eq!(source.name(), "stream-eq");
-        assert_eq!(source.collect(), eager);
         // Replays are restartable and identical.
         let first: Vec<_> = source.records().collect();
         let second: Vec<_> = source.records().collect();
+        assert_eq!(first.len(), 1_200);
         assert_eq!(first, second);
     }
 
     #[test]
     fn zipf_weight_steers_the_mix() {
         let blend = Blend { zipf: 0.9, stream: 0.1, gap: 4, ..Blend::new("webby") };
-        let w = blend.build(3_000);
-        let zipf_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
+        let zipf_pc = records(&blend, 3_000).iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
         assert!(zipf_pc > 2_300, "zipf PC should dominate, got {zipf_pc}");
     }
 
     #[test]
     fn zero_accesses_build_an_empty_trace() {
         let blend = Blend { stream: 1.0, ..Blend::new("empty-ok") };
-        assert_eq!(blend.build(0).records.len(), 0);
         assert_eq!(blend.source(0).records().count(), 0);
     }
 }

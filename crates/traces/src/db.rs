@@ -8,8 +8,6 @@
 //! pages), so the family spans the whole selection difficulty range inside
 //! single queries.
 
-use alecto_types::TraceSource;
-
 use crate::blend::{lookup, Benchmark, Blend};
 
 /// The database benchmarks of the family.
@@ -62,28 +60,15 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown database benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of the named database workload: `accesses`
-/// records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::Workload;
+    use alecto_types::MemoryRecord;
 
     #[test]
     fn all_benchmarks_have_blends() {
         for (name, ..) in BENCHMARKS {
-            let w = blend(name).build(130);
-            assert_eq!(w.memory_accesses(), 130);
-            assert_eq!(source(name, 130).collect(), w);
+            assert_eq!(blend(name).source(130).records().count(), 130);
         }
     }
 
@@ -91,16 +76,15 @@ mod tests {
     fn scan_streams_while_join_probes() {
         // The scan's dominant pattern is sequential; the hash join's is not:
         // count how many consecutive-record line deltas are exactly +1.
-        let sequential = |w: &Workload| {
-            w.records
+        let sequential = |name| {
+            let records: Vec<MemoryRecord> = blend(name).source(2_000).records().collect();
+            records
                 .windows(2)
                 .filter(|p| p[1].addr.line().delta_from(p[0].addr.line()) == 1)
                 .count()
         };
-        let scan = source("seq-scan", 2_000).collect();
-        let join = source("hash-join", 2_000).collect();
         assert!(
-            sequential(&scan) > 2 * sequential(&join),
+            sequential("seq-scan") > 2 * sequential("hash-join"),
             "a table scan must look far more sequential than a hash-join probe stream"
         );
     }
@@ -108,6 +92,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown database benchmark")]
     fn unknown_name_panics() {
-        let _ = source("sort-merge", 10);
+        let _ = blend("sort-merge");
     }
 }

@@ -9,8 +9,6 @@
 //! with the workloads that stress Alecto's demand request allocation the
 //! hardest.
 
-use alecto_types::TraceSource;
-
 use crate::blend::{lookup, Benchmark, Blend};
 
 /// The pointer-chasing benchmarks of the family.
@@ -68,17 +66,6 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown pointer-chase benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of the named pointer-chasing workload: `accesses`
-/// records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,23 +73,21 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for (name, ..) in BENCHMARKS {
-            let w = blend(name).build(120);
-            assert_eq!(w.memory_accesses(), 120);
-            assert_eq!(source(name, 120).collect(), w);
+            assert_eq!(blend(name).source(120).records().count(), 120);
         }
     }
 
     #[test]
     fn chasing_dominates_the_list_walk() {
-        let w = source("linked-list", 2_000).collect();
-        let dependent = w.records.iter().filter(|r| r.dependent).count();
+        let s = blend("linked-list").source(2_000);
+        let dependent = s.records().filter(|r| r.dependent).count();
         assert!(dependent > 1_400, "most accesses should be dependent loads, got {dependent}");
-        assert!(w.memory_intensive);
+        assert!(s.memory_intensive());
     }
 
     #[test]
     #[should_panic(expected = "unknown pointer-chase benchmark")]
     fn unknown_name_panics() {
-        let _ = source("btree", 10);
+        let _ = blend("btree");
     }
 }

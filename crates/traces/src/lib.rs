@@ -20,10 +20,14 @@
 //! defaults. Ligra's row is a [`ligra::Kernel`] (name, per-edge gap,
 //! frontier ratio). A new benchmark is one row in its suite's table.
 //!
+//! A trace is always a lazy [`TraceSource`]: [`Suite::source`] names one
+//! registered benchmark and [`Suite::all_sources`] a whole suite, in table
+//! order.
+//!
 //! # Example
 //!
 //! ```
-//! let source = traces::spec06::source("GemsFDTD", 5_000);
+//! let source = traces::Suite::Spec06.source("GemsFDTD", 5_000);
 //! assert!(source.memory_intensive());
 //! assert_eq!(source.records().count(), 5_000);
 //! ```
@@ -43,8 +47,8 @@ pub mod web;
 
 pub use blend::{derive_seed, Benchmark, Blend};
 pub use patterns::{
-    delta_chain, interleave_weighted, interleave_weighted_iter, looping_stream, phase_shift,
-    pointer_chase, random_noise, set_aliasing, spatial_pages, stream, strided, zipfian,
+    delta_chain, interleave_weighted, looping_stream, phase_shift, pointer_chase, random_noise,
+    set_aliasing, spatial_pages, stream, strided, zipfian,
 };
 
 use alecto_types::TraceSource;
@@ -132,9 +136,8 @@ impl Suite {
         }
     }
 
-    /// The blend the named benchmark's source streams — the eager reference
-    /// [`Blend::build`] materialises — or `None` for Ligra, whose kernels are
-    /// a graph walk, not a blend.
+    /// The blend the named benchmark's source streams, or `None` for Ligra,
+    /// whose kernels are a graph walk, not a blend.
     ///
     /// # Panics
     ///
@@ -185,9 +188,9 @@ mod tests {
     fn every_benchmark_generates_a_trace() {
         for suite in Suite::ALL {
             for name in suite.benchmarks() {
-                let w = suite.source(name, 500).collect();
-                assert_eq!(w.memory_accesses(), 500, "{name}");
-                assert!(w.instructions() >= 500, "{name}");
+                let records: Vec<_> = suite.source(name, 500).records().collect();
+                assert_eq!(records.len(), 500, "{name}");
+                assert!(records.iter().map(|r| r.instructions()).sum::<u64>() >= 500, "{name}");
             }
         }
     }
@@ -210,9 +213,10 @@ mod tests {
         for suite in Suite::ALL {
             let name = suite.benchmarks()[0];
             let s = suite.source(name, 200);
-            match suite.blend(name) {
-                Some(blend) => assert_eq!(s.collect(), blend.build(200), "{name}"),
-                None => assert_eq!(s.collect(), s.collect(), "{name} replays identically"),
+            let replay: Vec<_> = s.records().collect();
+            assert_eq!(replay, s.records().collect::<Vec<_>>(), "{name} replays identically");
+            if let Some(blend) = suite.blend(name) {
+                assert_eq!(s.fingerprint(), blend.source(200).fingerprint(), "{name}");
             }
         }
         assert_eq!(Suite::Database.all_sources(10).len(), Suite::Database.benchmarks().len());
@@ -220,8 +224,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Suite::Spec06.source("mcf", 1_000).collect();
-        let b = Suite::Spec06.source("mcf", 1_000).collect();
+        let a: Vec<_> = Suite::Spec06.source("mcf", 1_000).records().collect();
+        let b: Vec<_> = Suite::Spec06.source("mcf", 1_000).records().collect();
         assert_eq!(a, b);
     }
 

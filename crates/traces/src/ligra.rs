@@ -121,12 +121,13 @@ fn record_stream(kernel: Kernel) -> impl Iterator<Item = MemoryRecord> + Send {
 /// A lazy [`TraceSource`] of the named Ligra-like kernel: `accesses` records
 /// generated on demand in O(1) memory with respect to the trace length (the
 /// synthetic rMat graph itself — a few hundred KB — is rebuilt per replay).
+/// Reached through [`crate::Suite::source`].
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of [`BENCHMARKS`].
 #[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
+pub(crate) fn source(name: &str, accesses: usize) -> TraceSource {
     let kernel = *BENCHMARKS
         .iter()
         .find(|kernel| kernel.0 == name)
@@ -139,27 +140,32 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// One replay of the named kernel's source of `accesses` records.
+    fn records(name: &str, accesses: usize) -> Vec<MemoryRecord> {
+        source(name, accesses).records().collect()
+    }
+
     #[test]
     fn all_kernels_generate() {
         for (name, ..) in BENCHMARKS {
-            let w = source(name, 400).collect();
-            assert_eq!(w.memory_accesses(), 400);
-            assert!(w.memory_intensive);
+            let s = source(name, 400);
+            assert_eq!(s.records().count(), 400);
+            assert!(s.memory_intensive());
         }
     }
 
     #[test]
     fn mixes_streaming_and_irregular_pcs() {
-        let w = source("BFS", 3_000).collect();
-        let pcs: HashSet<u64> = w.records.iter().map(|r| r.pc.raw()).collect();
+        let records = records("BFS", 3_000);
+        let pcs: HashSet<u64> = records.iter().map(|r| r.pc.raw()).collect();
         assert!(pcs.len() >= 3, "BFS should exercise several distinct PCs");
         // The edges PC is a pure stream: consecutive accesses differ by 4 bytes.
         let edge_addrs: Vec<u64> =
-            w.records.iter().filter(|r| r.pc.raw() == 0x7_0010).map(|r| r.addr.raw()).collect();
+            records.iter().filter(|r| r.pc.raw() == 0x7_0010).map(|r| r.addr.raw()).collect();
         assert!(edge_addrs.windows(2).all(|w| w[1] - w[0] == 4));
         // The vertex PC is irregular but recurring (power-law reuse).
         let vertex_addrs: Vec<u64> =
-            w.records.iter().filter(|r| r.pc.raw() == 0x7_0020).map(|r| r.addr.raw()).collect();
+            records.iter().filter(|r| r.pc.raw() == 0x7_0020).map(|r| r.addr.raw()).collect();
         let distinct: HashSet<u64> = vertex_addrs.iter().copied().collect();
         assert!(distinct.len() > 50);
         assert!(distinct.len() < vertex_addrs.len(), "hub vertices must recur");
@@ -167,9 +173,9 @@ mod tests {
 
     #[test]
     fn kernels_differ_in_compute_intensity() {
-        let bfs = source("BFS", 2_000).collect();
-        let pr = source("PageRank", 2_000).collect();
-        assert!(pr.instructions() > bfs.instructions());
+        let instructions =
+            |name| records(name, 2_000).iter().map(MemoryRecord::instructions).sum::<u64>();
+        assert!(instructions("PageRank") > instructions("BFS"));
     }
 
     #[test]
@@ -188,8 +194,9 @@ mod tests {
                 assert_eq!(s.memory_accesses(), accesses);
                 assert!(s.memory_intensive());
                 let collected: Vec<MemoryRecord> = record_stream(kernel).take(accesses).collect();
-                assert_eq!(s.collect().records, collected, "{name}@{accesses}");
-                assert_eq!(s.collect(), s.collect(), "{name}@{accesses} replays identically");
+                let replay: Vec<MemoryRecord> = s.records().collect();
+                assert_eq!(replay, collected, "{name}@{accesses}");
+                assert_eq!(replay, s.records().collect::<Vec<_>>(), "{name}@{accesses} replays");
             }
         }
     }

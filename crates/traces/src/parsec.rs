@@ -45,17 +45,6 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown PARSEC benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of one thread's worth of the named PARSEC-like
-/// workload: `accesses` records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
 /// `cores` lazy per-thread sources of the named workload, each shifted into
 /// a disjoint slice of the address space (threads share code but mostly work
 /// on private data partitions in these benchmarks' regions of interest).
@@ -92,17 +81,17 @@ pub fn per_core_sources(name: &str, accesses: usize, cores: usize) -> Vec<TraceS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::{Addr, MemoryRecord, Workload};
+    use alecto_types::{Addr, MemoryRecord};
 
-    fn collect_per_core(name: &str, accesses: usize, cores: usize) -> Vec<Workload> {
-        per_core_sources(name, accesses, cores).iter().map(TraceSource::collect).collect()
+    /// One replay of each per-core source's records.
+    fn collect_per_core(name: &str, accesses: usize, cores: usize) -> Vec<Vec<MemoryRecord>> {
+        per_core_sources(name, accesses, cores).iter().map(|s| s.records().collect()).collect()
     }
 
     #[test]
     fn all_benchmarks_have_blends() {
         for (name, ..) in BENCHMARKS {
-            let w = source(name, 100).collect();
-            assert_eq!(w.memory_accesses(), 100);
+            assert_eq!(blend(name).source(100).records().count(), 100);
         }
     }
 
@@ -112,13 +101,13 @@ mod tests {
         assert_eq!(per_core.len(), 4);
         // Guarded aggregation: an empty per-core trace (tiny access budgets)
         // must fail the test with a message, not panic inside max()/min().
-        let a_max = per_core[0].records.iter().map(|r| r.addr.raw()).max();
-        let b_min = per_core[1].records.iter().map(|r| r.addr.raw()).min();
+        let a_max = per_core[0].iter().map(|r| r.addr.raw()).max();
+        let b_min = per_core[1].iter().map(|r| r.addr.raw()).min();
         match (a_max, b_min) {
             (Some(a), Some(b)) => assert!(b > a, "core address slices must not overlap"),
             _ => panic!("a 200-access budget must give every core records"),
         }
-        assert!(per_core[0].memory_intensive);
+        assert!(per_core_sources("canneal", 200, 4)[0].memory_intensive());
     }
 
     #[test]
@@ -126,28 +115,27 @@ mod tests {
         // A tiny or zero --accesses budget must not panic anywhere in the
         // per-core pipeline: cores simply receive empty (or short) traces.
         for accesses in [0usize, 1, 2] {
-            let per_core = collect_per_core("canneal", accesses, 3);
+            let per_core = per_core_sources("canneal", accesses, 3);
             assert_eq!(per_core.len(), 3);
-            for (core, w) in per_core.iter().enumerate() {
-                assert_eq!(w.memory_accesses(), accesses, "core {core}");
-                assert_eq!(w.instructions(), w.records.iter().map(|r| r.instructions()).sum());
+            for (core, s) in per_core.iter().enumerate() {
+                assert_eq!(s.memory_accesses(), accesses, "core {core}");
+                assert_eq!(s.records().count(), accesses, "core {core}");
             }
         }
     }
 
     #[test]
     fn per_core_sources_stream_what_workloads_collect() {
-        // Each lazy per-core source replays the eagerly built blend of its
-        // thread seed, shifted into the thread's address slice.
+        // Each per-core source replays the blend of its thread seed, shifted
+        // into the thread's address slice.
         for (core, s) in per_core_sources("dedup", 150, 2).iter().enumerate() {
-            let mut eager = blend("dedup");
-            eager.seed = crate::derive_seed("dedup", core as u64);
+            let mut thread = blend("dedup");
+            thread.seed = crate::derive_seed("dedup", core as u64);
             let offset = (core as u64) << 38;
-            let expected: Vec<MemoryRecord> = eager
-                .build(150)
-                .records
-                .iter()
-                .map(|r| MemoryRecord { addr: Addr::new(r.addr.raw() + offset), ..*r })
+            let expected: Vec<MemoryRecord> = thread
+                .source(150)
+                .records()
+                .map(|r| MemoryRecord { addr: Addr::new(r.addr.raw() + offset), ..r })
                 .collect();
             assert_eq!(s.records().collect::<Vec<_>>(), expected, "core {core}");
             assert_eq!(s.name(), format!("dedup#t{core}"));
@@ -158,10 +146,10 @@ mod tests {
     fn per_core_threads_are_decorrelated_but_position_independent() {
         let per_core = collect_per_core("canneal", 300, 3);
         // Core 0 is the canonical (job 0) trace, unshifted.
-        assert_eq!(per_core[0].records, source("canneal", 300).collect().records);
+        assert_eq!(per_core[0], blend("canneal").source(300).records().collect::<Vec<_>>());
         // Sibling threads draw different interleavings from derived seeds.
-        let strip = |w: &Workload, core: u64| -> Vec<u64> {
-            w.records.iter().map(|r| r.addr.raw() - (core << 38)).collect()
+        let strip = |records: &[MemoryRecord], core: u64| -> Vec<u64> {
+            records.iter().map(|r| r.addr.raw() - (core << 38)).collect()
         };
         assert_ne!(strip(&per_core[1], 1), strip(&per_core[2], 2));
         // Regenerating the same core in isolation reproduces it exactly.
@@ -171,6 +159,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown PARSEC benchmark")]
     fn unknown_name_panics() {
-        let _ = source("raytrace", 10);
+        let _ = blend("raytrace");
     }
 }

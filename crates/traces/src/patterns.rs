@@ -243,16 +243,14 @@ pub fn phase_shift(pc: u64, base: u64, period: u32, gap: u32, seed: u64) -> Comp
     })
 }
 
-/// Streaming form of [`interleave_weighted`]: an *unbounded* iterator that
-/// draws from `components` with probability proportional to `weights`,
-/// deterministically for a given `seed`. The eager variant collects exactly
-/// this stream; the `streamed_equals_collected` property test in the root
-/// crate locks the two paths together.
+/// Interleaves component streams according to `weights`: an *unbounded*
+/// iterator that draws component `i` with probability proportional to
+/// `weights[i]`, deterministically for a given `seed`.
 ///
 /// # Panics
 ///
 /// Panics if the inputs are empty, mismatched in length, or all-zero weight.
-pub fn interleave_weighted_iter(
+pub fn interleave_weighted(
     mut components: Vec<Component>,
     weights: Vec<f64>,
     seed: u64,
@@ -275,46 +273,6 @@ pub fn interleave_weighted_iter(
         }
         Some(components[idx]())
     })
-}
-
-/// Interleaves component streams according to `weights`, producing exactly
-/// `total` records. Component `i` is chosen with probability proportional to
-/// `weights[i]`; selection is deterministic for a given `seed`.
-///
-/// This is the *legacy, eagerly collected* generation path, kept alongside
-/// [`interleave_weighted_iter`] so property tests can assert that streaming
-/// reproduces it record for record.
-///
-/// # Panics
-///
-/// Panics if the inputs are empty, mismatched in length, or all-zero weight.
-#[must_use]
-pub fn interleave_weighted(
-    mut components: Vec<Component>,
-    weights: &[f64],
-    total: usize,
-    seed: u64,
-) -> Vec<MemoryRecord> {
-    assert!(!components.is_empty(), "need at least one component");
-    assert_eq!(components.len(), weights.len(), "one weight per component");
-    let weight_sum: f64 = weights.iter().sum();
-    assert!(weight_sum > 0.0, "weights must not all be zero");
-    let mut rng = SplitMix64::new(seed);
-    let mut out = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut pick = rng.unit() * weight_sum;
-        let mut idx = 0;
-        for (i, w) in weights.iter().enumerate() {
-            if pick < *w {
-                idx = i;
-                break;
-            }
-            pick -= w;
-            idx = i;
-        }
-        out.push(components[idx]());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -422,7 +380,8 @@ mod tests {
     fn interleave_respects_total_and_weights() {
         let a = stream(0x1, 0, 1, true);
         let b = stream(0x2, 1 << 30, 1, true);
-        let records = interleave_weighted(vec![a, b], &[0.9, 0.1], 2_000, 42);
+        let records: Vec<MemoryRecord> =
+            interleave_weighted(vec![a, b], vec![0.9, 0.1], 42).take(2_000).collect();
         assert_eq!(records.len(), 2_000);
         let from_a = records.iter().filter(|r| r.pc == Pc::new(0x1)).count();
         assert!(
@@ -433,13 +392,10 @@ mod tests {
 
     #[test]
     fn interleave_is_deterministic() {
-        let mk = || {
-            interleave_weighted(
-                vec![stream(0x1, 0, 1, true), random_noise(0x2, 1 << 30, 1 << 18, 1, 9)],
-                &[0.5, 0.5],
-                500,
-                7,
-            )
+        let mk = || -> Vec<MemoryRecord> {
+            let components =
+                vec![stream(0x1, 0, 1, true), random_noise(0x2, 1 << 30, 1 << 18, 1, 9)];
+            interleave_weighted(components, vec![0.5, 0.5], 7).take(500).collect()
         };
         assert_eq!(mk(), mk());
     }
@@ -447,17 +403,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one weight per component")]
     fn mismatched_weights_panic() {
-        let _ = interleave_weighted(vec![stream(0x1, 0, 1, true)], &[0.5, 0.5], 10, 1);
-    }
-
-    #[test]
-    fn streaming_interleave_matches_collected() {
-        let mk_components =
-            || vec![stream(0x1, 0, 1, true), random_noise(0x2, 1 << 30, 1 << 18, 1, 9)];
-        let eager = interleave_weighted(mk_components(), &[0.7, 0.3], 800, 11);
-        let streamed: Vec<MemoryRecord> =
-            interleave_weighted_iter(mk_components(), vec![0.7, 0.3], 11).take(800).collect();
-        assert_eq!(eager, streamed, "lazy generation must replay the legacy path exactly");
+        let _ = interleave_weighted(vec![stream(0x1, 0, 1, true)], vec![0.5, 0.5], 1);
     }
 
     #[test]

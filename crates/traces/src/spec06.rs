@@ -5,8 +5,6 @@
 //! (e.g. `GemsFDTD` interleaves a spatial PC with a stream PC as in Fig. 2,
 //! `mcf`/`omnetpp` are pointer-chasing, `lbm`/`libquantum` stream).
 
-use alecto_types::TraceSource;
-
 use crate::blend::{lookup, Benchmark, Blend};
 
 /// The 29 SPEC CPU2006 benchmarks of Fig. 8, memory-intensive ones first.
@@ -134,26 +132,6 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown SPEC CPU2006 benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of the named SPEC CPU2006-like workload: `accesses`
-/// records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
-/// Names of the memory-intensive subset (the dotted box of Fig. 8).
-#[must_use]
-pub fn memory_intensive() -> Vec<&'static str> {
-    BENCHMARKS
-        .iter()
-        .filter_map(|&(name, memory_intensive, _)| memory_intensive.then_some(name))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,15 +139,17 @@ mod tests {
     #[test]
     fn all_29_benchmarks_have_blends() {
         for (name, memory_intensive, _) in BENCHMARKS {
-            let w = source(name, 200).collect();
-            assert_eq!(w.memory_accesses(), 200);
-            assert_eq!(w.memory_intensive, memory_intensive, "{name}");
+            let s = blend(name).source(200);
+            assert_eq!(s.records().count(), 200);
+            assert_eq!(s.memory_intensive(), memory_intensive, "{name}");
         }
     }
 
     #[test]
     fn memory_intensive_subset_matches_fig8() {
-        let m = memory_intensive();
+        let sources = crate::Suite::Spec06.all_sources(0);
+        let m: Vec<&str> =
+            sources.iter().filter(|s| s.memory_intensive()).map(|s| s.name()).collect();
         assert_eq!(m.len(), 18);
         assert!(m.contains(&"mcf"));
         assert!(m.contains(&"GemsFDTD"));
@@ -178,10 +158,10 @@ mod tests {
 
     #[test]
     fn intensity_shows_up_in_instruction_gaps() {
-        let mem = source("mcf", 2_000).collect();
-        let compute = source("povray", 2_000).collect();
+        let instructions =
+            |name| blend(name).source(2_000).records().map(|r| r.instructions()).sum::<u64>();
         assert!(
-            compute.instructions() > 3 * mem.instructions(),
+            instructions("povray") > 3 * instructions("mcf"),
             "compute-bound benchmarks must have far larger gaps"
         );
     }
@@ -189,6 +169,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown SPEC CPU2006 benchmark")]
     fn unknown_name_panics() {
-        let _ = source("not-a-benchmark", 10);
+        let _ = blend("not-a-benchmark");
     }
 }

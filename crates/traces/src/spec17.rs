@@ -1,7 +1,5 @@
 //! SPEC CPU2017-like workloads (Fig. 9).
 
-use alecto_types::TraceSource;
-
 use crate::blend::{lookup, Benchmark, Blend};
 
 /// The 21 SPEC CPU2017 benchmarks of Fig. 9, memory-intensive ones first.
@@ -86,26 +84,6 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown SPEC CPU2017 benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of the named SPEC CPU2017-like workload: `accesses`
-/// records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
-/// Names of the memory-intensive subset (the dotted box of Fig. 9).
-#[must_use]
-pub fn memory_intensive() -> Vec<&'static str> {
-    BENCHMARKS
-        .iter()
-        .filter_map(|&(name, memory_intensive, _)| memory_intensive.then_some(name))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,15 +91,17 @@ mod tests {
     #[test]
     fn all_21_benchmarks_have_blends() {
         for (name, memory_intensive, _) in BENCHMARKS {
-            let w = source(name, 150).collect();
-            assert_eq!(w.memory_accesses(), 150);
-            assert_eq!(w.memory_intensive, memory_intensive, "{name}");
+            let s = blend(name).source(150);
+            assert_eq!(s.records().count(), 150);
+            assert_eq!(s.memory_intensive(), memory_intensive, "{name}");
         }
     }
 
     #[test]
     fn memory_intensive_subset_matches_fig9() {
-        let m = memory_intensive();
+        let sources = crate::Suite::Spec17.all_sources(0);
+        let m: Vec<&str> =
+            sources.iter().filter(|s| s.memory_intensive()).map(|s| s.name()).collect();
         assert_eq!(m.len(), 11);
         assert!(m.contains(&"mcf_17"));
         assert!(!m.contains(&"leela"));
@@ -130,6 +110,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown SPEC CPU2017 benchmark")]
     fn unknown_name_panics() {
-        let _ = source("mcf", 10);
+        let _ = blend("mcf");
     }
 }

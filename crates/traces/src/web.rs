@@ -7,8 +7,6 @@
 //! separates selection schemes that can keep the tail out of the prefetcher
 //! tables from those that let it thrash them.
 
-use alecto_types::TraceSource;
-
 use crate::blend::{lookup, Benchmark, Blend};
 
 /// The web-serving benchmarks of the family.
@@ -61,17 +59,6 @@ pub fn blend(name: &str) -> Blend {
     lookup(&BENCHMARKS, name).unwrap_or_else(|| panic!("unknown web-serving benchmark: {name}"))
 }
 
-/// A lazy [`TraceSource`] of the named web-serving workload: `accesses`
-/// records generated on demand in O(1) memory.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown.
-#[must_use]
-pub fn source(name: &str, accesses: usize) -> TraceSource {
-    blend(name).source(accesses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,26 +67,24 @@ mod tests {
     #[test]
     fn all_benchmarks_have_blends() {
         for (name, ..) in BENCHMARKS {
-            let w = blend(name).build(150);
-            assert_eq!(w.memory_accesses(), 150);
-            assert_eq!(source(name, 150).collect(), w);
+            assert_eq!(blend(name).source(150).records().count(), 150);
         }
     }
 
     #[test]
     fn zipf_requests_dominate_the_cache_mix() {
-        let w = source("web-cache", 3_000).collect();
-        let zipf_pc = w.records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
+        let records: Vec<_> = blend("web-cache").source(3_000).records().collect();
+        let zipf_pc = records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).count();
         assert!(zipf_pc > 1_500, "object requests should dominate, got {zipf_pc}");
         // Power-law reuse: far fewer distinct lines than accesses.
         let distinct: std::collections::HashSet<u64> =
-            w.records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).map(|r| r.addr.raw()).collect();
+            records.iter().filter(|r| r.pc == Pc::new(0x4_8000)).map(|r| r.addr.raw()).collect();
         assert!(distinct.len() < zipf_pc, "hot objects must recur");
     }
 
     #[test]
     #[should_panic(expected = "unknown web-serving benchmark")]
     fn unknown_name_panics() {
-        let _ = source("memcached", 10);
+        let _ = blend("memcached");
     }
 }

@@ -43,7 +43,7 @@ pub use request::{
 };
 pub use rng::SplitMix64;
 pub use stats::geomean;
-pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource, Workload};
+pub use trace::{BoxedRecordIter, MemoryRecord, RecordBatches, TraceSource};
 
 #[cfg(test)]
 mod tests {

@@ -65,57 +65,33 @@ impl MemoryRecord {
     }
 }
 
-/// A named workload: a benchmark-like memory trace.
+/// One replay of a [`TraceSource`], materialised by
+/// [`TraceSource::collect`]. Workspace code reads traces through
+/// [`TraceSource::records`]; this type and `collect` remain only because
+/// the self-tests of `perfbench/` compare collected traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
-    /// Benchmark name (e.g. `"mcf"` or `"459.GemsFDTD"`).
+    /// Benchmark name.
     pub name: String,
-    /// The memory access trace.
+    /// The replayed records.
     pub records: Vec<MemoryRecord>,
-    /// Whether the paper counts this benchmark as memory intensive (drives the
-    /// separate geomean of Figs. 8/9 and the Fig. 19/20 benchmark set).
+    /// Whether the paper counts the benchmark as memory intensive.
     pub memory_intensive: bool,
-}
-
-impl Workload {
-    /// Creates a workload.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        records: Vec<MemoryRecord>,
-        memory_intensive: bool,
-    ) -> Self {
-        Self { name: name.into(), records, memory_intensive }
-    }
-
-    /// Total instruction count represented by the trace.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.records.iter().map(MemoryRecord::instructions).sum()
-    }
-
-    /// Number of memory accesses in the trace.
-    #[must_use]
-    pub fn memory_accesses(&self) -> usize {
-        self.records.len()
-    }
 }
 
 /// A boxed, sendable record iterator — what a [`TraceSource`] factory yields.
 pub type BoxedRecordIter = Box<dyn Iterator<Item = MemoryRecord> + Send>;
 
-/// A lazily generated, restartable workload: the streaming counterpart of
-/// [`Workload`].
+/// A named, lazily generated, restartable trace: how every workload,
+/// generated or recorded, reaches the simulator.
 ///
-/// Where a `Workload` eagerly materialises its whole trace as a
-/// `Vec<MemoryRecord>` (O(accesses) memory), a `TraceSource` holds only a
-/// *factory* that can mint fresh record iterators on demand, so a
-/// 10-million-access run costs the same memory as a 100-access one. The
-/// factory must be a pure function of the source's construction parameters:
-/// every call to [`TraceSource::records`] yields the **same** record
-/// sequence, which is what lets the parallel experiment engine hand one
-/// shared source to many simulation cells (and several cores of one cell)
-/// without coordination.
+/// A `TraceSource` holds no records, only a *factory* that can mint fresh
+/// record iterators on demand, so a 10-million-access run costs the same
+/// memory as a 100-access one. The factory must be a pure function of the
+/// source's construction parameters: every call to [`TraceSource::records`]
+/// yields the **same** record sequence, which is what lets the parallel
+/// experiment engine hand one shared source to many simulation cells (and
+/// several cores of one cell) without coordination.
 ///
 /// Cloning is cheap (the factory is behind an [`Arc`]).
 #[derive(Clone)]
@@ -154,14 +130,17 @@ impl TraceSource {
         Self { name, memory_intensive, accesses, fingerprint, factory: Arc::new(factory) }
     }
 
-    /// Wraps an already-materialised workload (the records are shared, not
-    /// copied, between replays) — how tests replay hand-built or edited
-    /// record vectors. The fingerprint covers the actual record
-    /// bytes, so two materialised workloads share a fingerprint exactly when
-    /// their traces are identical.
+    /// A source replaying `records`, shared rather than copied between
+    /// replays — how tests replay hand-built or edited record vectors. The
+    /// fingerprint covers the record bytes, so two such sources share a
+    /// fingerprint exactly when their names, intensity flags and records
+    /// are equal.
     #[must_use]
-    pub fn from_workload(workload: Workload) -> Self {
-        let Workload { name, records, memory_intensive } = workload;
+    pub fn from_records(
+        name: impl Into<String>,
+        memory_intensive: bool,
+        records: Vec<MemoryRecord>,
+    ) -> Self {
         let accesses = records.len();
         let mut content = fnv1a_64(FNV1A_OFFSET, b"records|");
         for r in &records {
@@ -217,11 +196,16 @@ impl TraceSource {
         RecordBatches { inner: self.records(), batch: batch.max(1) }
     }
 
-    /// Materialises the trace into a [`Workload`] (O(accesses) memory, for
-    /// record-introspecting tests and figures).
+    /// Materialises one replay into a [`Workload`] (O(accesses) memory).
+    /// Read [`TraceSource::records`] instead; see [`Workload`] for why this
+    /// remains.
     #[must_use]
     pub fn collect(&self) -> Workload {
-        Workload::new(self.name.clone(), self.records().collect(), self.memory_intensive)
+        Workload {
+            name: self.name.clone(),
+            records: self.records().collect(),
+            memory_intensive: self.memory_intensive,
+        }
     }
 
     /// The source's content fingerprint: an FNV-1a64 digest of everything
@@ -354,18 +338,18 @@ mod tests {
 
     #[test]
     fn workload_totals() {
-        let w = Workload::new(
+        let s = TraceSource::from_records(
             "toy",
+            true,
             vec![
                 MemoryRecord::load(Pc::new(1), Addr::new(64), 4),
                 MemoryRecord::store(Pc::new(2), Addr::new(128), 5),
             ],
-            true,
         );
-        assert_eq!(w.instructions(), 11);
-        assert_eq!(w.memory_accesses(), 2);
-        assert!(w.memory_intensive);
-        assert_eq!(w.name, "toy");
+        assert_eq!(s.records().map(|r| r.instructions()).sum::<u64>(), 11);
+        assert_eq!(s.memory_accesses(), 2);
+        assert!(s.memory_intensive());
+        assert_eq!(s.name(), "toy");
     }
 
     fn counting_source(accesses: usize) -> TraceSource {
@@ -389,10 +373,11 @@ mod tests {
 
     #[test]
     fn source_round_trips_through_workload() {
-        let w = counting_source(4).collect();
-        let s = TraceSource::from_workload(w.clone());
-        assert_eq!(s.collect(), w);
+        let records: Vec<MemoryRecord> = counting_source(4).records().collect();
+        let s = TraceSource::from_records("count", true, records.clone());
+        assert_eq!(s.records().collect::<Vec<_>>(), records);
         assert_eq!(s.memory_accesses(), 4);
+        assert_eq!((s.name(), s.memory_intensive()), ("count", true));
     }
 
     #[test]
@@ -478,11 +463,10 @@ mod tests {
     #[test]
     fn workload_fingerprint_tracks_record_content() {
         let mk = |gap| {
-            Workload::new("w", vec![MemoryRecord::load(Pc::new(1), Addr::new(64), gap)], false)
+            let record = MemoryRecord::load(Pc::new(1), Addr::new(64), gap);
+            TraceSource::from_records("w", false, vec![record])
         };
-        let a = TraceSource::from_workload(mk(4));
-        let b = TraceSource::from_workload(mk(4));
-        let c = TraceSource::from_workload(mk(5));
+        let (a, b, c) = (mk(4), mk(4), mk(5));
         assert_eq!(a.fingerprint(), b.fingerprint(), "identical traces share identity");
         assert_ne!(a.fingerprint(), c.fingerprint(), "record content must matter");
     }

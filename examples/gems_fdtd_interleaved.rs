@@ -15,7 +15,7 @@ use prefetch::build_composite;
 use selectors::Selector;
 
 fn main() {
-    let workload = traces::spec06::source("GemsFDTD", 30_000).collect();
+    let source = traces::Suite::Spec06.source("GemsFDTD", 30_000);
     let mut prefetchers = build_composite(CompositeKind::GsCsPmp);
     let names: Vec<&str> = prefetchers.iter().map(|p| p.name()).collect();
     let mut alecto = AlectoSelector::new(prefetchers.len());
@@ -23,7 +23,7 @@ fn main() {
     // Drive the selector + prefetchers directly (no timing model needed to
     // observe the allocation decisions).
     let mut scratch = Vec::new();
-    for record in &workload.records {
+    for record in source.records() {
         let access = record.demand();
         let decision = alecto.allocate(&access, &prefetchers);
         let mut candidates = Vec::new();
@@ -44,7 +44,7 @@ fn main() {
 
     // Count accesses per PC so we report the dominant instructions.
     let mut per_pc: Vec<(u64, usize)> = Vec::new();
-    for r in &workload.records {
+    for r in source.records() {
         match per_pc.iter_mut().find(|(pc, _)| *pc == r.pc.raw()) {
             Some((_, n)) => *n += 1,
             None => per_pc.push((r.pc.raw(), 1)),

@@ -7,14 +7,14 @@ use alecto_repro::types::TraceSource;
 use memsys::DramKind;
 
 fn mix(accesses: usize) -> Vec<TraceSource> {
-    traces::spec06::memory_intensive()
-        .iter()
+    traces::Suite::Spec06
+        .all_sources(accesses)
+        .into_iter()
+        .filter(TraceSource::memory_intensive)
         .take(8)
         .enumerate()
         // Give each core a private address-space slice (SPEC-rate style).
-        .map(|(core, name)| {
-            traces::spec06::source(name, accesses).with_addr_offset((core as u64) << 40)
-        })
+        .map(|(core, source)| source.with_addr_offset((core as u64) << 40))
         .collect()
 }
 

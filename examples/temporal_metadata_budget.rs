@@ -20,7 +20,7 @@ fn run(algorithm: SelectionAlgorithm, composite: CompositeKind, source: &TraceSo
 
 fn main() {
     let accesses: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(40_000);
-    let source = traces::spec06::source("mcf", accesses);
+    let source = traces::Suite::Spec06.source("mcf", accesses);
     println!("workload: mcf-like pointer chase, {accesses} accesses\n");
 
     // Reference: each policy scheduling only the L1 composite.

@@ -25,7 +25,7 @@
 //! ```
 //! use alecto_repro::prelude::*;
 //!
-//! let source = traces::spec06::source("lbm", 50_000);
+//! let source = traces::Suite::Spec06.source("lbm", 50_000);
 //! let machine = MachineSpec::table1(1);
 //! let mut sim = cpu::System::new(machine, SelectionAlgorithm::Alecto, CompositeKind::GsCsPmp);
 //! let report = sim.run_sources(&[source]).unwrap();

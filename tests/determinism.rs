@@ -6,7 +6,7 @@
 //! machines.
 
 use alecto_repro::types::{
-    fnv1a_64, Addr, MemoryRecord, Pc, SplitMix64, TraceSource, Workload, FNV1A_OFFSET,
+    fnv1a_64, Addr, MemoryRecord, Pc, SplitMix64, TraceSource, FNV1A_OFFSET,
 };
 use cpu::{CompositeKind, CoreModelKind, SelectionAlgorithm};
 use harness::cellcache::report_to_json;
@@ -16,10 +16,10 @@ use machine::MachineSpec;
 
 fn quick_suite_with_model(jobs: usize, core_model: CoreModelKind) -> SpeedupGrid {
     let sources = vec![
-        traces::spec06::source("lbm", 800),
-        traces::spec06::source("mcf", 800),
-        traces::spec06::source("GemsFDTD", 800),
-        traces::spec17::source("povray_17", 800),
+        traces::Suite::Spec06.source("lbm", 800),
+        traces::Suite::Spec06.source("mcf", 800),
+        traces::Suite::Spec06.source("GemsFDTD", 800),
+        traces::Suite::Spec17.source("povray_17", 800),
     ];
     run_single_core_suite(
         &sources,
@@ -219,7 +219,7 @@ fn pc_pressure_source() -> TraceSource {
             MemoryRecord::load(pc, Addr::new(lines[i] * 64), 3)
         })
         .collect();
-    TraceSource::from_workload(Workload::new("pc-pressure", records, true))
+    TraceSource::from_records("pc-pressure", true, records)
 }
 
 #[test]
@@ -280,7 +280,7 @@ fn pc_rotation_source() -> TraceSource {
             }
         }
     }
-    TraceSource::from_workload(Workload::new("pc-rotation", records, true))
+    TraceSource::from_records("pc-rotation", true, records)
 }
 
 #[test]
@@ -329,15 +329,15 @@ fn determinism_holds_below_and_above_the_multicore_derivation_floor() {
 
 #[test]
 fn streamed_suite_matches_a_materialised_rerun() {
-    // The streaming engine must reproduce what eagerly collected workloads
-    // produce: collect each source into a Workload, wrap it back into a
+    // The streaming engine must reproduce what materialised records
+    // produce: collect each source's records, wrap them back into a
     // (records-backed) source, and compare full grids.
     let names = ["lbm", "mcf"];
-    let streamed: Vec<alecto_repro::types::TraceSource> =
-        names.iter().map(|n| traces::spec06::source(n, 600)).collect();
-    let collected: Vec<alecto_repro::types::TraceSource> = streamed
+    let streamed: Vec<TraceSource> =
+        names.iter().map(|n| traces::Suite::Spec06.source(n, 600)).collect();
+    let collected: Vec<TraceSource> = streamed
         .iter()
-        .map(|s| alecto_repro::types::TraceSource::from_workload(s.collect()))
+        .map(|s| TraceSource::from_records(s.name(), s.memory_intensive(), s.records().collect()))
         .collect();
     let algorithms = [SelectionAlgorithm::Ipcp, SelectionAlgorithm::Alecto];
     let config = MachineSpec::table1(1);

@@ -25,7 +25,7 @@ fn instructions(source: &TraceSource) -> u64 {
 
 #[test]
 fn every_selection_algorithm_completes_a_spec_workload() {
-    let source = traces::spec06::source("GemsFDTD", 3_000);
+    let source = traces::Suite::Spec06.source("GemsFDTD", 3_000);
     for algorithm in [
         SelectionAlgorithm::NoPrefetching,
         SelectionAlgorithm::Ipcp,
@@ -48,7 +48,7 @@ fn every_selection_algorithm_completes_a_spec_workload() {
 
 #[test]
 fn prefetching_helps_a_prefetch_friendly_benchmark() {
-    let source = traces::spec06::source("leslie3d", 8_000);
+    let source = traces::Suite::Spec06.source("leslie3d", 8_000);
     let base = run(SelectionAlgorithm::NoPrefetching, &source).cores[0].ipc;
     let alecto = run(SelectionAlgorithm::Alecto, &source).cores[0].ipc;
     assert!(
@@ -59,7 +59,7 @@ fn prefetching_helps_a_prefetch_friendly_benchmark() {
 
 #[test]
 fn prefetching_is_harmless_on_a_compute_bound_benchmark() {
-    let source = traces::spec06::source("povray", 6_000);
+    let source = traces::Suite::Spec06.source("povray", 6_000);
     let base = run(SelectionAlgorithm::NoPrefetching, &source).cores[0].ipc;
     for algorithm in SelectionAlgorithm::main_comparison() {
         let ipc = run(algorithm, &source).cores[0].ipc;
@@ -77,7 +77,7 @@ fn alecto_reduces_prefetcher_table_pressure_versus_ipcp() {
     let mut ipcp_trainings = 0u64;
     let mut alecto_trainings = 0u64;
     for name in ["GemsFDTD", "mcf", "omnetpp", "soplex"] {
-        let source = traces::spec06::source(name, 5_000);
+        let source = traces::Suite::Spec06.source(name, 5_000);
         ipcp_trainings += run(SelectionAlgorithm::Ipcp, &source).cores[0].training_occurrences;
         alecto_trainings += run(SelectionAlgorithm::Alecto, &source).cores[0].training_occurrences;
     }
@@ -125,7 +125,7 @@ fn harness_quick_experiments_render() {
 
 #[test]
 fn alternate_composite_works_end_to_end() {
-    let source = traces::spec17::source("roms_17", 4_000);
+    let source = traces::Suite::Spec17.source("roms_17", 4_000);
     let report = run_with(SelectionAlgorithm::Alecto, CompositeKind::GsBertiCplx, &source);
     assert_eq!(report.composite, "GS+Berti+CPLX");
     assert_eq!(report.cores[0].prefetchers.len(), 3);
@@ -134,7 +134,7 @@ fn alternate_composite_works_end_to_end() {
 
 #[test]
 fn temporal_composite_trains_the_temporal_prefetcher() {
-    let source = traces::spec06::source("mcf", 6_000);
+    let source = traces::Suite::Spec06.source("mcf", 6_000);
     let report = run_with(
         SelectionAlgorithm::Triangel,
         CompositeKind::GsCsPmpTemporal { metadata_bytes: 256 * 1024 },

@@ -61,8 +61,10 @@ fn server_machine_report_is_jobs_invariant() {
     // re-introduce any scheduling sensitivity. The full JSON report for a
     // `--machine server` replay is byte-identical at `--jobs 1` and `--jobs 4`
     // — the same contract `tests/determinism.rs` pins for the default config.
-    let sources =
-        vec![traces::spec06::source("lbm", 400), traces::spec17::source("povray_17", 400)];
+    let sources = vec![
+        traces::Suite::Spec06.source("lbm", 400),
+        traces::Suite::Spec17.source("povray_17", 400),
+    ];
     let report_at = |jobs: usize| {
         let scale = RunScale { jobs, ..RunScale::resolve(false, Some(400), None, None) }
             .with_machine(machine::builtin("server").expect("server is a built-in"));
@@ -158,7 +160,7 @@ fn machine_cells_share_cache_keys_between_cli_and_server() {
     // warmed (and vice versa, through --cache-dir).
     use harness::runner::CellJob;
 
-    let sources = [traces::spec06::source("lbm", 200)];
+    let sources = [traces::Suite::Spec06.source("lbm", 200)];
     let key_of = |config: &MachineSpec| {
         CellJob {
             algorithm: cpu::SelectionAlgorithm::Alecto,

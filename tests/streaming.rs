@@ -1,11 +1,12 @@
-//! Streaming ↔ eager equivalence: the lazy `TraceSource` path must
-//! reproduce the eager reference — each benchmark's blend built in one pass
-//! by `Blend::build` — record for record, for every benchmark registered in
-//! the `Suite` registry, at every access budget and per-job seed. This is the
-//! contract that lets the experiment engine stream 10-million-access traces
-//! in O(1) memory without changing a single golden grid value.
+//! Streamed traces, for every benchmark registered in the `Suite` registry:
+//! replays are restartable and identical at every access budget and per-job
+//! seed, batching only re-chunks the per-record stream, address offsets
+//! commute with replay, and `every_registered_trace_is_pinned` digests the
+//! records and fingerprint of every registered trace. Together these are
+//! the contract that lets the experiment engine stream 10-million-access
+//! traces in O(1) memory without changing a single golden grid value.
 
-use alecto_repro::types::{fnv1a_64, TraceSource, FNV1A_OFFSET};
+use alecto_repro::types::{fnv1a_64, MemoryRecord, TraceSource, FNV1A_OFFSET};
 use fuzz::Scenario;
 use machine::MachineSpec;
 use proptest::prelude::*;
@@ -16,24 +17,14 @@ fn registry() -> Vec<(Suite, &'static str)> {
     Suite::ALL.iter().flat_map(|s| s.benchmarks().into_iter().map(move |b| (*s, b))).collect()
 }
 
-/// Asserts that `source` streams its eager reference — the benchmark's
-/// registry blend built in one pass; for Ligra, whose kernels come from a
-/// graph walk and have none, that two replays agree.
-fn assert_streams_its_reference(suite: Suite, name: &str, source: &TraceSource) {
-    let streamed = source.collect();
-    match suite.blend(name) {
-        Some(blend) => assert_eq!(
-            streamed,
-            blend.build(source.memory_accesses()),
-            "suite {suite:?} benchmark {name}"
-        ),
-        None => assert_eq!(streamed, source.collect(), "suite {suite:?} benchmark {name}"),
-    }
+/// One replay of `source`.
+fn replay(source: &TraceSource) -> Vec<MemoryRecord> {
+    source.records().collect()
 }
 
 proptest! {
-    // Streamed records equal the eager reference for a random registered
-    // benchmark × access budget.
+    // A random registered benchmark × access budget streams exactly its
+    // budget, under its own name, and every replay collects the same records.
     #[test]
     fn streamed_equals_collected_for_every_registered_benchmark(
         bench_idx in 0usize..75,
@@ -44,7 +35,9 @@ proptest! {
         let streamed = suite.source(name, accesses);
         prop_assert_eq!(streamed.name(), name);
         prop_assert_eq!(streamed.memory_accesses(), accesses);
-        assert_streams_its_reference(suite, name, &streamed);
+        let collected = replay(&streamed);
+        prop_assert_eq!(collected.len(), accesses);
+        prop_assert_eq!(replay(&streamed), collected);
     }
 
     // Per-job derived seeds stay position independent through the streaming
@@ -62,12 +55,10 @@ proptest! {
             seed: traces::derive_seed("prop-job", job),
             ..traces::Blend::new("prop-job")
         };
-        let eager = blend.build(accesses);
         let source = blend.source(accesses);
-        let a: Vec<_> = source.records().collect();
-        let b: Vec<_> = source.records().collect();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a, eager.records);
+        let a = replay(&source);
+        prop_assert_eq!(&a, &replay(&source));
+        prop_assert_eq!(a, replay(&blend.source(accesses)));
     }
 
     // Record batches are a pure re-chunking of the per-record stream: for
@@ -104,8 +95,8 @@ proptest! {
         accesses in 1usize..300,
     ) {
         let offset = (core as u64) << 40;
-        let base = traces::spec06::source("mcf", accesses);
-        let shifted = traces::spec06::source("mcf", accesses).with_addr_offset(offset);
+        let base = Suite::Spec06.source("mcf", accesses);
+        let shifted = Suite::Spec06.source("mcf", accesses).with_addr_offset(offset);
         for (s, b) in shifted.records().zip(base.records()) {
             prop_assert_eq!(s.addr.raw(), b.addr.raw() + offset);
             prop_assert_eq!(s.pc, b.pc);
@@ -115,7 +106,7 @@ proptest! {
 }
 
 /// The whole registry, exhaustively, at one representative budget — the
-/// proptests above sample pairs; this pins every benchmark at least once,
+/// proptests above sample pairs; this checks every benchmark at least once,
 /// per record and batched at the degenerate, awkward-prime and block-sized
 /// batch sizes.
 #[test]
@@ -123,8 +114,9 @@ fn every_registered_benchmark_streams_exactly_its_collected_records() {
     for (suite, name) in registry() {
         // Odd budget: mid-batch cuts.
         let source = suite.source(name, 257);
-        assert_streams_its_reference(suite, name, &source);
-        let per_record: Vec<_> = source.records().collect();
+        let per_record = replay(&source);
+        assert_eq!(per_record.len(), 257, "{name}");
+        assert_eq!(replay(&source), per_record, "{name} replays identically");
         for batch in [1, 7, 4096] {
             let batched: Vec<_> = source.record_batches(batch).flatten().collect();
             assert_eq!(batched, per_record, "{name} in batches of {batch}");
@@ -132,12 +124,14 @@ fn every_registered_benchmark_streams_exactly_its_collected_records() {
     }
 }
 
-/// Workload-backed sources round-trip losslessly.
+/// Record-backed sources round-trip losslessly.
 #[test]
 fn workload_bridge_round_trips() {
-    let w = traces::web::source("kv-store", 123).collect();
-    let s = TraceSource::from_workload(w.clone());
-    assert_eq!(s.collect(), w);
+    let generated = Suite::WebServe.source("kv-store", 123);
+    let records = replay(&generated);
+    let s = TraceSource::from_records("kv-store", generated.memory_intensive(), records.clone());
+    assert_eq!(replay(&s), records);
+    assert_eq!((s.name(), s.memory_intensive()), ("kv-store", generated.memory_intensive()));
 }
 
 /// Folds `source`'s fingerprint and every record it streams into `digest`.
@@ -153,7 +147,7 @@ fn fold_source(digest: u64, source: &TraceSource) -> u64 {
 /// Every registered trace, pinned: the fingerprint and records of each of
 /// the 75 benchmarks at 2,000 accesses, then of the first 16 seed-42 fuzz
 /// scenarios. 14 blend-backed benchmarks reach no committed baseline, and
-/// the tests above compare each blend only with itself, so this digest is
+/// the tests above compare each trace only with itself, so this digest is
 /// what sees a changed weight, working set or component. It moves only with
 /// a change that means to change a workload (see tests/fixtures/README.md).
 #[test]

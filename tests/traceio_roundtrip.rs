@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use alecto_repro::prelude::*;
-use alecto_repro::types::TraceSource;
+use alecto_repro::types::{MemoryRecord, TraceSource};
 use harness::report::experiments_to_json;
 use harness::RunScale;
 use proptest::prelude::*;
@@ -43,6 +43,11 @@ fn record(source: &TraceSource, tag: &str) -> (ScratchFile, TraceSource) {
     (scratch, replayed)
 }
 
+/// What one replay of `source` carries: its name, intensity flag and records.
+fn replay(source: &TraceSource) -> (String, bool, Vec<MemoryRecord>) {
+    (source.name().to_string(), source.memory_intensive(), source.records().collect())
+}
+
 /// Flattened registry: every (suite, benchmark) pair.
 fn registry() -> Vec<(Suite, &'static str)> {
     Suite::ALL.iter().flat_map(|s| s.benchmarks().into_iter().map(move |b| (*s, b))).collect()
@@ -53,7 +58,7 @@ proptest! {
     // access budget: same name, same intensity flag, same records.
     #[test]
     fn every_registered_benchmark_survives_the_disk_round_trip(
-        bench_idx in 0usize..70,
+        bench_idx in 0usize..75,
         accesses in 1usize..400,
     ) {
         let reg = registry();
@@ -62,7 +67,7 @@ proptest! {
         let (_scratch, replayed) = record(&source, "prop");
         prop_assert_eq!(replayed.name(), name);
         prop_assert_eq!(replayed.memory_accesses(), accesses);
-        prop_assert_eq!(replayed.collect(), source.collect());
+        prop_assert_eq!(replay(&replayed), replay(&source));
     }
 }
 
@@ -74,7 +79,7 @@ fn every_registered_benchmark_round_trips_at_fixed_small_budgets() {
         for accesses in [1usize, 127] {
             let source = suite.source(name, accesses);
             let (_scratch, replayed) = record(&source, "sweep");
-            assert_eq!(replayed.collect(), source.collect(), "{name}@{accesses}");
+            assert_eq!(replay(&replayed), replay(&source), "{name}@{accesses}");
         }
     }
 }
@@ -85,7 +90,7 @@ fn replayed_grid_cells_are_byte_identical_across_sources_and_worker_counts() {
     // alecto-bench-v2 report — byte for byte — as the generated-source run,
     // and neither depends on the worker count.
     let accesses = 600;
-    let generated = traces::spec06::source("mcf", accesses);
+    let generated = traces::Suite::Spec06.source("mcf", accesses);
     let (_scratch, replayed) = record(&generated, "grid");
 
     let reports: Vec<String> = [(&generated, 1), (&generated, 4), (&replayed, 1), (&replayed, 3)]
@@ -117,7 +122,7 @@ fn file_scheme_sources_drop_into_multicore_runs() {
     // A recorded trace is a first-class TraceSource: once a `file:` spec is
     // resolved through the harness resolver, per-core address slicing and
     // System::run_sources work on it unchanged.
-    let generated = traces::parsec::source("canneal", 300);
+    let generated = traces::Suite::Parsec.source("canneal", 300);
     let (scratch, _) = record(&generated, "mc");
     let spec = format!("file:{}", scratch.0.display());
     let per_core: Vec<TraceSource> = (0..2)
