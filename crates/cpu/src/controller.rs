@@ -8,9 +8,7 @@
 //! prefetch requests back to the caller (the core model) for issue into the
 //! memory hierarchy.
 
-use alecto_types::{
-    DemandAccess, FillLevel, LineAddr, PrefetchOutcome, PrefetchRequest, PrefetcherId,
-};
+use alecto_types::{DemandAccess, LineAddr, PrefetchOutcome, PrefetchRequest, PrefetcherId};
 use memsys::Hierarchy;
 use prefetch::{build_composite, CompositeKind, Prefetcher, TableStats};
 use selectors::{PrefetchFilter, Selector};
@@ -129,12 +127,8 @@ impl PrefetchController {
             let Some(alloc) = allocation else { continue };
             self.scratch.clear();
             self.prefetchers[idx].train_and_predict(access, alloc.total, &mut self.scratch);
-            for (j, &line) in self.scratch.iter().enumerate() {
-                let to_l1 = u32::try_from(j).is_ok_and(|j| j < alloc.l1_portion);
-                let fill = if to_l1 { FillLevel::L1 } else { FillLevel::L2 };
-                candidates.push(
-                    PrefetchRequest::new(line, access.pc, PrefetcherId(idx)).with_fill_level(fill),
-                );
+            for &line in &self.scratch {
+                candidates.push(PrefetchRequest::new(line, access.pc, PrefetcherId(idx)));
             }
         }
         let candidate_count = u64::try_from(candidates.len()).expect("count fits in u64");

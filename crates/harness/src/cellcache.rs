@@ -322,8 +322,10 @@ fn cache_stats_json(s: &memsys::CacheStats) -> String {
     ])
 }
 
-/// Serialises a [`SystemReport`] to a canonical single-line JSON object (the
-/// disk-entry body; also reused by the server's `/v1/jobs` cell previews).
+/// Serialises a [`SystemReport`] to a canonical single-line JSON object: the
+/// disk-entry body. `tests/determinism.rs` hashes these exact bytes into its
+/// pinned digests, so a format change moves those pins too. (The server's
+/// `/v1/jobs` cell previews are built separately.)
 #[must_use]
 pub fn report_to_json(report: &SystemReport) -> String {
     let cores: Vec<String> = report

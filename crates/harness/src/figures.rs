@@ -84,16 +84,6 @@ fn algorithm_table(first: &str, algorithms: &[SelectionAlgorithm]) -> Table {
     Table::new(header)
 }
 
-/// A row labelled `label` with each algorithm's geomean speedup over the
-/// grid's benchmarks (`mem_only` restricts them to the memory-intensive box).
-fn geomean_row(grid: &SpeedupGrid, label: &str, mem_only: bool) -> Vec<String> {
-    let mut row = vec![label.to_string()];
-    for algo in &grid.algorithm_labels {
-        row.push(format!("{:.3}", grid.geomean_speedup(algo, mem_only).unwrap_or(f64::NAN)));
-    }
-    row
-}
-
 // ---------------------------------------------------------------------------
 // Tables I–III
 // ---------------------------------------------------------------------------
@@ -350,8 +340,8 @@ pub fn fig11(scale: &RunScale) -> Experiment {
         ),
     ]);
     let mut table = algorithm_table("set", &main_algorithms());
-    table.push_row(geomean_row(&grid, "Geomean (SPEC06+17)", false));
-    table.push_row(geomean_row(&grid, "Geomean-Mem", true));
+    table.push_row(grid.geomean_row("Geomean (SPEC06+17)", false));
+    table.push_row(grid.geomean_row("Geomean-Mem", true));
     Experiment::new("fig11", "Alternate composite GS+Berti+CPLX (Fig. 11)", table)
         .with_grid(&grid)
         .with_note(
@@ -507,15 +497,31 @@ pub fn fig14(scale: &RunScale) -> Experiment {
 #[must_use]
 pub fn fig15(scale: &RunScale) -> Experiment {
     let workloads = memory_intensive_workloads(scale);
-    let mut table = algorithm_table("LLC / core", &main_algorithms());
+    let algorithms = main_algorithms();
+    let mut table = algorithm_table("LLC / core", &algorithms);
+    let mut unbuilt = Vec::new();
     for mb in [512 * 1024u64, 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024] {
         let config = scale.base_config(1).with_llc_per_core(mb);
-        let grid = suite(scale, &config, &workloads, &main_algorithms());
         let label = format!("{:.1} MB", mb as f64 / (1024.0 * 1024.0));
-        table.push_row(geomean_row(&grid, &label, false));
+        // The sweep keeps the machine's L3 associativity, so a size can
+        // leave a set count that is no power of two (12 ways at 512 KB).
+        match config.validate() {
+            Ok(()) => {
+                table.push_row(
+                    suite(scale, &config, &workloads, &algorithms).geomean_row(&label, false),
+                );
+            }
+            Err(err) => {
+                let mut row = vec![label.clone()];
+                row.resize(algorithms.len() + 1, "n/a".to_string());
+                table.push_row(row);
+                unbuilt.push(format!("{label} LLC / core: n/a, the machine does not build: {err}"));
+            }
+        }
     }
-    Experiment::new("fig15", "Geomean speedup vs LLC size (Fig. 15)", table)
-        .with_note("paper: Alecto stays 2.76%–3.10% ahead of Bandit6 across 0.5–4 MB LLCs")
+    let experiment = Experiment::new("fig15", "Geomean speedup vs LLC size (Fig. 15)", table)
+        .with_note("paper: Alecto stays 2.76%–3.10% ahead of Bandit6 across 0.5–4 MB LLCs");
+    unbuilt.into_iter().fold(experiment, Experiment::with_note)
 }
 
 /// Fig. 16: geomean speedup under DDR3-1600 and DDR4-2400.
@@ -526,7 +532,7 @@ pub fn fig16(scale: &RunScale) -> Experiment {
     for (label, kind) in [("DDR3-1600", DramKind::Ddr3_1600), ("DDR4-2400", DramKind::Ddr4_2400)] {
         let config = scale.base_config(1).with_dram_kind(kind);
         let grid = suite(scale, &config, &workloads, &main_algorithms());
-        table.push_row(geomean_row(&grid, label, false));
+        table.push_row(grid.geomean_row(label, false));
     }
     Experiment::new("fig16", "Geomean speedup vs DRAM bandwidth (Fig. 16)", table)
         .with_note("paper: Alecto beats Bandit6 by 3.18% on DDR3-1600 and 2.76% on DDR4-2400")
@@ -569,7 +575,7 @@ pub fn fig17(scale: &RunScale) -> Experiment {
 
     let merged = merge_grids(grids);
     let mut table = merged.to_table();
-    table.push_row(geomean_row(&merged, "Geomean", false));
+    table.push_row(merged.geomean_row("Geomean", false));
     Experiment::new("fig17", "Eight-core speedup over no prefetching (Fig. 17)", table)
         .with_grid(&merged)
         .with_note(

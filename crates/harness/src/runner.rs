@@ -374,15 +374,21 @@ impl SpeedupGrid {
             }
             table.push_row(row);
         }
-        for (label_row, mem_only) in [("Geomean-Mem", true), ("Geomean-All", false)] {
-            let mut row = vec![label_row.to_string()];
-            for label in &self.algorithm_labels {
-                let g = self.geomean_speedup(label, mem_only).unwrap_or(f64::NAN);
-                row.push(format!("{g:.3}"));
-            }
-            table.push_row(row);
-        }
+        table.push_row(self.geomean_row("Geomean-Mem", true));
+        table.push_row(self.geomean_row("Geomean-All", false));
         table
+    }
+
+    /// A row labelled `label` with each algorithm's geomean speedup over the
+    /// grid's benchmarks (`mem_only` restricts them to the memory-intensive
+    /// box).
+    #[must_use]
+    pub fn geomean_row(&self, label: &str, mem_only: bool) -> Vec<String> {
+        let mut row = vec![label.to_string()];
+        for algo in &self.algorithm_labels {
+            row.push(format!("{:.3}", self.geomean_speedup(algo, mem_only).unwrap_or(f64::NAN)));
+        }
+        row
     }
 }
 

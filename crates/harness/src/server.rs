@@ -14,17 +14,17 @@
 //!
 //! # Execution model
 //!
-//! Accepted connections are handled by a small pool of connection threads;
-//! `POST /v1/sweep` only validates and enqueues, so submission latency is
-//! independent of simulation time. A separate persistent pool of sweep
-//! workers pulls queued jobs and runs them through the same
-//! [`figures::builder`] / [`RunScale::resolve`] pipeline as the CLI, with a
-//! memoizing [`CellExecutor`] scoped in, as the CLI scopes one per run: each
-//! benchmark × algorithm cell is served from the [`CellCache`] when its
-//! content-addressed key is present and simulated (then remembered)
-//! otherwise. Inside one sweep the cells still fan out across the
-//! experiment engine's work-stealing workers, so a cold sweep is exactly as
-//! parallel as a CLI run.
+//! Accepted connections go over a channel to a small pool of handler
+//! threads; `POST /v1/sweep` only validates and enqueues, so submission
+//! latency is independent of simulation time. A second pool, the persistent
+//! sweep workers, reads submitted jobs from a channel of their own and runs
+//! them through the same [`figures::builder`] / [`RunScale::resolve`]
+//! pipeline as the CLI, with a memoizing [`CellExecutor`] scoped in, as the
+//! CLI scopes one per run: each benchmark × algorithm cell is served from
+//! the [`CellCache`] when its content-addressed key is present and
+//! simulated (then remembered) otherwise. Inside one sweep the cells still
+//! fan out across the experiment engine's work-stealing workers, so a cold
+//! sweep is exactly as parallel as a CLI run.
 //!
 //! Because cell keys digest *everything* that can influence a result and
 //! grids are byte-identical at any worker count, a fully cached sweep's
@@ -33,13 +33,14 @@
 
 #![deny(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -90,12 +91,12 @@ enum SweepKind {
     Replay(Vec<TraceSource>),
 }
 
-/// Lifecycle of a submitted sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Lifecycle of a submitted sweep; a finished sweep carries its report, the
+/// exact `experiments_to_json` bytes.
 enum JobStatus {
     Queued,
     Running,
-    Done,
+    Done(String),
     Failed(String),
 }
 
@@ -104,7 +105,7 @@ impl JobStatus {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running => "running",
-            JobStatus::Done => "done",
+            JobStatus::Done(_) => "done",
             JobStatus::Failed(_) => "failed",
         }
     }
@@ -120,27 +121,32 @@ struct CellDone {
     cached: bool,
 }
 
-/// All mutable state of one submitted sweep.
+/// One submitted sweep. Its status and finished cells change under one lock,
+/// so every poll sees them agree and a `done` job always has its report.
 struct JobState {
     id: u64,
     experiment: String,
     scale: RunScale,
-    kind: Mutex<Option<SweepKind>>,
-    status: Mutex<JobStatus>,
-    cells: Mutex<Vec<CellDone>>,
-    result: Mutex<Option<String>>,
+    progress: Mutex<Progress>,
 }
+
+/// The mutable part of a [`JobState`].
+struct Progress {
+    status: JobStatus,
+    cells: Vec<CellDone>,
+}
+
+/// A job on its way to a sweep worker, with the sweep it runs.
+type QueuedSweep = (Arc<JobState>, SweepKind);
 
 /// State shared between connection handlers and sweep workers.
 struct ServerState {
     cache: Arc<CellCache>,
     jobs: Mutex<HashMap<u64, Arc<JobState>>>,
-    queue: Mutex<VecDeque<Arc<JobState>>>,
-    queue_signal: Condvar,
+    queue: Sender<QueuedSweep>,
     next_job_id: AtomicU64,
     started: Instant,
     requests: AtomicU64,
-    busy_workers: AtomicUsize,
     config: ServerConfig,
 }
 
@@ -165,24 +171,20 @@ impl Server {
             Some(dir) => CellCache::with_dir(CellCache::DEFAULT_CAPACITY, dir)?,
             None => CellCache::new(CellCache::DEFAULT_CAPACITY),
         };
+        let (queue, queued) = mpsc::channel();
         let state = Arc::new(ServerState {
             cache: Arc::new(cache),
             jobs: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_signal: Condvar::new(),
+            queue,
             next_job_id: AtomicU64::new(1),
             started: Instant::now(),
             requests: AtomicU64::new(0),
-            busy_workers: AtomicUsize::new(0),
             config,
         });
-        for worker in 0..SWEEP_WORKERS {
-            let state = Arc::clone(&state);
-            thread::Builder::new()
-                .name(format!("sweep-worker-{worker}"))
-                .spawn(move || sweep_worker(&state))
-                .expect("spawn sweep worker");
-        }
+        let workers = Arc::clone(&state);
+        spawn_pool("sweep-worker", SWEEP_WORKERS, queued, move |(job, kind)| {
+            run_sweep(&workers, &job, kind);
+        });
         Ok(Self { listener, state })
     }
 
@@ -203,34 +205,39 @@ impl Server {
     ///
     /// Returns the listener's accept error.
     pub fn run(self) -> io::Result<()> {
-        let pending: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
-            Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-        for handler in 0..HANDLER_THREADS {
-            let pending = Arc::clone(&pending);
-            let state = Arc::clone(&self.state);
-            thread::Builder::new()
-                .name(format!("http-handler-{handler}"))
-                .spawn(move || loop {
-                    let stream = {
-                        let (lock, signal) = &*pending;
-                        let mut queue = lock.lock().expect("connection queue lock");
-                        loop {
-                            if let Some(stream) = queue.pop_front() {
-                                break stream;
-                            }
-                            queue = signal.wait(queue).expect("connection queue lock");
-                        }
-                    };
-                    handle_connection(stream, &state);
-                })
-                .expect("spawn connection handler");
-        }
+        let (connections, accepted) = mpsc::channel();
+        let state = Arc::clone(&self.state);
+        spawn_pool("http-handler", HANDLER_THREADS, accepted, move |stream| {
+            handle_connection(stream, &state);
+        });
         loop {
             let (stream, _) = self.listener.accept()?;
-            let (lock, signal) = &*pending;
-            lock.lock().expect("connection queue lock").push_back(stream);
-            signal.notify_one();
+            connections.send(stream).expect("connection handlers outlive the listener");
         }
+    }
+}
+
+/// Spawns `threads` threads named `<name>-<i>` that take items from `items`
+/// one at a time and pass each to `handle`, until every sender is gone.
+fn spawn_pool<T: Send + 'static>(
+    name: &str,
+    threads: usize,
+    items: Receiver<T>,
+    handle: impl Fn(T) + Send + Sync + 'static,
+) {
+    let items = Arc::new(Mutex::new(items));
+    let handle = Arc::new(handle);
+    for index in 0..threads {
+        let (items, handle) = (Arc::clone(&items), Arc::clone(&handle));
+        thread::Builder::new()
+            .name(format!("{name}-{index}"))
+            .spawn(move || loop {
+                // A statement of its own, so the receiver's lock is released
+                // before `handle` runs and the threads work side by side.
+                let Ok(item) = items.lock().expect("pool channel lock").recv() else { return };
+                handle(item);
+            })
+            .expect("spawn pool thread");
     }
 }
 
@@ -245,7 +252,7 @@ impl CellExecutor for JobExecutor {
     fn execute(&self, cell: &CellJob<'_>) -> cpu::SystemReport {
         let (key, report, cached) = self.cache.get_or_run(cell);
         let benchmark: Vec<&str> = cell.sources.iter().map(TraceSource::name).collect();
-        self.job.cells.lock().expect("job cells lock").push(CellDone {
+        self.job.progress.lock().expect("job lock").cells.push(CellDone {
             key,
             algorithm: cell.algorithm.label().to_string(),
             benchmark: benchmark.join("+"),
@@ -256,52 +263,32 @@ impl CellExecutor for JobExecutor {
     }
 }
 
-/// A sweep worker's main loop: pull a queued job, run it to completion (or
-/// failure), repeat. Panics inside a sweep (e.g. a trace file deleted
-/// between validation and replay) fail that job only, never the server.
-fn sweep_worker(state: &Arc<ServerState>) {
-    loop {
-        let job = {
-            let mut queue = state.queue.lock().expect("job queue lock");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                queue = state.queue_signal.wait(queue).expect("job queue lock");
-            }
-        };
-        state.busy_workers.fetch_add(1, Ordering::Relaxed);
-        *job.status.lock().expect("job status lock") = JobStatus::Running;
-        let kind = job.kind.lock().expect("job kind lock").take();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let executor =
-                Arc::new(JobExecutor { cache: Arc::clone(&state.cache), job: Arc::clone(&job) });
-            let experiments = with_cell_executor(executor, || match &kind {
-                Some(SweepKind::Experiment(rows)) => figures::build(rows, &job.scale),
-                Some(SweepKind::Replay(sources)) => {
-                    vec![figures::replay(sources, &job.scale)]
-                }
-                None => unreachable!("job dequeued twice"),
-            });
-            experiments_to_json(&experiments)
-        }));
-        match outcome {
-            Ok(body) => {
-                *job.result.lock().expect("job result lock") = Some(body);
-                *job.status.lock().expect("job status lock") = JobStatus::Done;
-            }
-            Err(panic) => {
-                let message = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("sweep panicked")
-                    .to_string();
-                *job.status.lock().expect("job status lock") = JobStatus::Failed(message);
-            }
-        }
-        state.busy_workers.fetch_sub(1, Ordering::Relaxed);
-    }
+/// Runs one dequeued job to completion (or failure). Panics inside a sweep
+/// (e.g. a trace file deleted between validation and replay) fail that job
+/// only, never the server.
+fn run_sweep(state: &ServerState, job: &Arc<JobState>, kind: SweepKind) {
+    job.progress.lock().expect("job lock").status = JobStatus::Running;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let executor =
+            Arc::new(JobExecutor { cache: Arc::clone(&state.cache), job: Arc::clone(job) });
+        let experiments = with_cell_executor(executor, || match &kind {
+            SweepKind::Experiment(rows) => figures::build(rows, &job.scale),
+            SweepKind::Replay(sources) => vec![figures::replay(sources, &job.scale)],
+        });
+        experiments_to_json(&experiments)
+    }));
+    let status = match outcome {
+        Ok(body) => JobStatus::Done(body),
+        Err(panic) => JobStatus::Failed(
+            panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("sweep panicked")
+                .to_string(),
+        ),
+    };
+    job.progress.lock().expect("job lock").status = status;
 }
 
 // --- HTTP plumbing ---------------------------------------------------------
@@ -346,7 +333,7 @@ fn reason(status: u16) -> &'static str {
 /// Reads one request, routes it, writes the response, closes the socket
 /// (`Connection: close` — submissions are rare and cheap, keep-alive would
 /// only complicate the protocol).
-fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
+fn handle_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
     let response = match read_request(&mut reader) {
@@ -424,7 +411,7 @@ fn read_request(reader: &mut impl BufRead) -> Result<(String, String, String), S
     Ok((method, target, body))
 }
 
-fn route(state: &Arc<ServerState>, method: &str, target: &str, body: &str) -> Response {
+fn route(state: &ServerState, method: &str, target: &str, body: &str) -> Response {
     match (method, target) {
         ("GET", "/v1/health") => Response::ok(format!(
             "{{\"status\":\"ok\",\"uptime_seconds\":{}}}\n",
@@ -448,22 +435,24 @@ fn route(state: &Arc<ServerState>, method: &str, target: &str, body: &str) -> Re
     }
 }
 
-fn stats_response(state: &Arc<ServerState>) -> Response {
+fn stats_response(state: &ServerState) -> Response {
     let counters = state.cache.counters();
     let (mut queued, mut running, mut done, mut failed) = (0u64, 0u64, 0u64, 0u64);
     for job in state.jobs.lock().expect("job registry lock").values() {
-        match &*job.status.lock().expect("job status lock") {
+        match job.progress.lock().expect("job lock").status {
             JobStatus::Queued => queued += 1,
             JobStatus::Running => running += 1,
-            JobStatus::Done => done += 1,
+            JobStatus::Done(_) => done += 1,
             JobStatus::Failed(_) => failed += 1,
         }
     }
+    // A job runs only while a sweep worker holds it, so the running jobs
+    // are the busy workers.
     Response::ok(format!(
         "{{\"uptime_seconds\":{},\"requests\":{},\
          \"cache\":{{\"memory_hits\":{},\"disk_hits\":{},\"hits\":{},\"misses\":{},\
          \"evictions\":{},\"corrupt_entries\":{},\"resident\":{},\"hit_rate\":{}}},\
-         \"workers\":{{\"total\":{},\"busy\":{}}},\
+         \"workers\":{{\"total\":{},\"busy\":{running}}},\
          \"jobs\":{{\"queued\":{queued},\"running\":{running},\"done\":{done},\
          \"failed\":{failed}}}}}\n",
         state.started.elapsed().as_secs(),
@@ -477,7 +466,6 @@ fn stats_response(state: &Arc<ServerState>) -> Response {
         counters.resident,
         json::number(counters.hit_rate()),
         SWEEP_WORKERS,
-        state.busy_workers.load(Ordering::Relaxed).min(SWEEP_WORKERS),
     ))
 }
 
@@ -544,173 +532,127 @@ fn flatten_machine_object(prefix: &str, value: &JsonValue) -> Result<Vec<machine
     Ok(entries)
 }
 
-fn submit_sweep(state: &Arc<ServerState>, body: &str) -> Response {
-    let doc = match json::parse(body) {
-        Ok(doc) => doc,
-        Err(err) => return Response::error(400, "invalid_json", &err),
-    };
-    let Some(experiment) = doc.get("experiment").and_then(JsonValue::as_str) else {
-        return Response::error(400, "missing_experiment", "body needs an \"experiment\" string");
-    };
+/// Validates a `POST /v1/sweep` body into the experiment id, the resolved
+/// scale and the sweep to run; a rejection is the `400` to answer.
+fn parse_sweep(body: &str, default_jobs: usize) -> Result<(String, RunScale, SweepKind), Response> {
+    let bad = |code: &str, message: &str| Response::error(400, code, message);
+    let doc = json::parse(body).map_err(|err| bad("invalid_json", &err))?;
+    let experiment = doc
+        .get("experiment")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| bad("missing_experiment", "body needs an \"experiment\" string"))?;
     let quick = match doc.get("quick") {
         None => false,
         Some(JsonValue::Bool(b)) => *b,
-        Some(_) => return Response::error(400, "invalid_scale", "quick must be a boolean"),
+        Some(_) => return Err(bad("invalid_scale", "quick must be a boolean")),
     };
-    let (accesses, multicore, jobs) = match (
-        optional_positive(&doc, "accesses"),
-        optional_positive(&doc, "multicore_accesses"),
-        optional_positive(&doc, "jobs"),
-    ) {
-        (Ok(a), Ok(m), Ok(j)) => (a, m, j),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-            return Response::error(400, "invalid_scale", &e)
-        }
-    };
+    let count = |key| optional_positive(&doc, key).map_err(|err| bad("invalid_scale", &err));
+    let (accesses, multicore, jobs) =
+        (count("accesses")?, count("multicore_accesses")?, count("jobs")?);
     let mut scale = RunScale::resolve(
         quick || experiment == "quick",
         accesses,
         multicore,
-        jobs.or(Some(state.config.default_jobs)),
+        jobs.or(Some(default_jobs)),
     );
     // The machine is applied before "core_model" so an explicit core model
     // overrides the machine's default — the same layering as the CLI's
     // `--machine` / `--core-model` flags.
-    match doc.get("machine") {
-        None => {}
-        Some(JsonValue::String(name)) => match machine::builtin(name) {
-            Some(spec) => scale = scale.with_machine(spec),
-            None => {
-                return Response::error(
-                    400,
-                    "invalid_machine",
-                    &format!(
-                        "{name:?} is not a built-in machine (expected one of: {})",
-                        machine::BUILTIN_NAMES.join(", ")
-                    ),
-                )
-            }
-        },
-        Some(object @ JsonValue::Object(_)) => {
-            match flatten_machine_object("", object)
-                .and_then(|entries| machine::compile_entries(&entries, true))
-            {
-                Ok(spec) => scale = scale.with_machine(spec),
-                Err(err) => return Response::error(400, "invalid_machine", &err),
-            }
-        }
-        Some(_) => {
-            return Response::error(
-                400,
-                "invalid_machine",
-                "machine must be a built-in machine name or an inline spec object",
-            )
-        }
-    }
-    match doc.get("core_model") {
-        None => {}
-        Some(JsonValue::String(label)) => match cpu::CoreModelKind::from_label(label) {
-            Some(kind) => scale = scale.with_core_model(kind),
-            None => {
-                return Response::error(
-                    400,
-                    "invalid_core_model",
-                    &format!("{label:?} is not a core model (expected \"approx\" or \"ooo\")"),
-                )
-            }
-        },
-        Some(_) => {
-            return Response::error(400, "invalid_core_model", "core_model must be a string")
-        }
-    }
-
-    let trace_specs: Vec<String> = match doc.get("traces") {
-        None => Vec::new(),
-        Some(JsonValue::Array(items)) => {
-            let mut specs = Vec::new();
-            for item in items {
-                match item.as_str() {
-                    Some(s) => specs.push(s.to_string()),
-                    None => {
-                        return Response::error(400, "invalid_traces", "traces must be strings")
-                    }
-                }
-            }
-            specs
-        }
-        Some(_) => return Response::error(400, "invalid_traces", "traces must be an array"),
+    let machine = match doc.get("machine") {
+        None => Ok(None),
+        Some(JsonValue::String(name)) => machine::builtin(name).map(Some).ok_or_else(|| {
+            let expected = machine::BUILTIN_NAMES.join(", ");
+            format!("{name:?} is not a built-in machine (expected one of: {expected})")
+        }),
+        Some(object @ JsonValue::Object(_)) => flatten_machine_object("", object)
+            .and_then(|entries| machine::compile_entries(&entries, true))
+            .map(Some),
+        Some(_) => Err("machine must be a built-in machine name or an inline spec object".into()),
     };
+    if let Some(spec) = machine.map_err(|err| bad("invalid_machine", &err))? {
+        scale = scale.with_machine(spec);
+    }
+    let core_model = match doc.get("core_model") {
+        None => Ok(None),
+        Some(JsonValue::String(label)) => {
+            cpu::CoreModelKind::from_label(label).map(Some).ok_or_else(|| {
+                format!("{label:?} is not a core model (expected \"approx\" or \"ooo\")")
+            })
+        }
+        Some(_) => Err("core_model must be a string".into()),
+    };
+    if let Some(kind) = core_model.map_err(|err| bad("invalid_core_model", &err))? {
+        scale = scale.with_core_model(kind);
+    }
 
+    let trace_specs: Vec<&str> = match doc.get("traces") {
+        None => Vec::new(),
+        Some(JsonValue::Array(items)) => items
+            .iter()
+            .map(JsonValue::as_str)
+            .collect::<Option<_>>()
+            .ok_or_else(|| bad("invalid_traces", "traces must be strings"))?,
+        Some(_) => return Err(bad("invalid_traces", "traces must be an array")),
+    };
     let kind = if experiment == "replay" {
         if trace_specs.is_empty() {
-            return Response::error(400, "missing_traces", "replay needs a non-empty traces array");
+            return Err(bad("missing_traces", "replay needs a non-empty traces array"));
         }
-        let mut sources = Vec::new();
-        for spec in &trace_specs {
-            match figures::resolve_trace_spec(spec, Some(scale.accesses)) {
-                Ok((source, _)) => sources.push(source),
-                Err(message) => return Response::error(400, "invalid_trace", &message),
-            }
-        }
+        let sources = trace_specs
+            .iter()
+            .map(|spec| match figures::resolve_trace_spec(spec, Some(scale.accesses)) {
+                Ok((source, _)) => Ok(source),
+                Err(message) => Err(bad("invalid_trace", &message)),
+            })
+            .collect::<Result<_, _>>()?;
         SweepKind::Replay(sources)
+    } else if trace_specs.is_empty() {
+        SweepKind::Experiment(figures::builder(experiment).ok_or_else(|| {
+            bad("unknown_experiment", &format!("{experiment:?} is not a known experiment id"))
+        })?)
     } else {
-        if !trace_specs.is_empty() {
-            return Response::error(
-                400,
-                "invalid_traces",
-                "traces are only accepted with the \"replay\" experiment",
-            );
-        }
-        match figures::builder(experiment) {
-            Some(rows) => SweepKind::Experiment(rows),
-            None => {
-                return Response::error(
-                    400,
-                    "unknown_experiment",
-                    &format!("{experiment:?} is not a known experiment id"),
-                )
-            }
-        }
+        let message = "traces are only accepted with the \"replay\" experiment";
+        return Err(bad("invalid_traces", message));
     };
+    Ok((experiment.to_string(), scale, kind))
+}
 
+fn submit_sweep(state: &ServerState, body: &str) -> Response {
+    let (experiment, scale, kind) = match parse_sweep(body, state.config.default_jobs) {
+        Ok(sweep) => sweep,
+        Err(rejection) => return rejection,
+    };
     let id = state.next_job_id.fetch_add(1, Ordering::Relaxed);
-    let job = Arc::new(JobState {
-        id,
-        experiment: experiment.to_string(),
-        scale,
-        kind: Mutex::new(Some(kind)),
-        status: Mutex::new(JobStatus::Queued),
-        cells: Mutex::new(Vec::new()),
-        result: Mutex::new(None),
-    });
-    state.jobs.lock().expect("job registry lock").insert(id, Arc::clone(&job));
-    state.queue.lock().expect("job queue lock").push_back(job);
-    state.queue_signal.notify_one();
-    Response {
+    let accepted = Response {
         status: 202,
         body: format!(
             "{{\"id\":\"{id}\",\"status\":\"queued\",\"experiment\":{},\
              \"links\":{{\"job\":\"/v1/jobs/{id}\",\"result\":\"/v1/results/{id}\"}}}}\n",
-            json::string(experiment)
+            json::string(&experiment)
         ),
-    }
+    };
+    let progress = Mutex::new(Progress { status: JobStatus::Queued, cells: Vec::new() });
+    let job = Arc::new(JobState { id, experiment, scale, progress });
+    state.jobs.lock().expect("job registry lock").insert(id, Arc::clone(&job));
+    state.queue.send((job, kind)).expect("sweep workers outlive the server state");
+    accepted
 }
 
-fn find_job(state: &Arc<ServerState>, id: &str) -> Option<Arc<JobState>> {
+fn find_job(state: &ServerState, id: &str) -> Option<Arc<JobState>> {
     let id: u64 = id.parse().ok()?;
     state.jobs.lock().expect("job registry lock").get(&id).cloned()
 }
 
-fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
+fn job_response(state: &ServerState, id: &str) -> Response {
     let Some(job) = find_job(state, id) else {
         return Response::error(404, "unknown_job", &format!("no job {id:?}"));
     };
-    let status = job.status.lock().expect("job status lock").clone();
-    // One snapshot of the finished cells backs the list and both counts, so
+    // One snapshot backs the status, the cell list and both counts, so
     // `cache_hits + cache_misses == completed` in every poll.
-    let done = job.cells.lock().expect("job cells lock");
-    let hits = done.iter().filter(|c| c.cached).count();
-    let cells: Vec<String> = done
+    let progress = job.progress.lock().expect("job lock");
+    let hits = progress.cells.iter().filter(|c| c.cached).count();
+    let cells: Vec<String> = progress
+        .cells
         .iter()
         .map(|c| {
             format!(
@@ -724,11 +666,12 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
             )
         })
         .collect();
-    drop(done);
-    let error_member = match &status {
+    let status = progress.status.label();
+    let error_member = match &progress.status {
         JobStatus::Failed(message) => format!(",\"error\":{}", json::string(message)),
         _ => String::new(),
     };
+    drop(progress);
     // The resolved machine is echoed by name + canonical fingerprint (null
     // when the job runs the anonymous Table-I defaults), so clients can
     // verify which machine actually served their sweep.
@@ -741,14 +684,13 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
         None => "null".to_string(),
     };
     Response::ok(format!(
-        "{{\"id\":\"{}\",\"experiment\":{},\"status\":\"{}\",\
+        "{{\"id\":\"{}\",\"experiment\":{},\"status\":\"{status}\",\
          \"scale\":{{\"accesses\":{},\"multicore_accesses\":{},\"jobs\":{},\
          \"core_model\":{},\"machine\":{machine_member}}},\
          \"cells\":{{\"completed\":{},\"cache_hits\":{},\"cache_misses\":{}}},\
          \"completed_cells\":{}{error_member},\"result\":\"/v1/results/{}\"}}\n",
         job.id,
         json::string(&job.experiment),
-        status.label(),
         job.scale.accesses,
         job.scale.multicore_accesses,
         job.scale.jobs,
@@ -761,21 +703,18 @@ fn job_response(state: &Arc<ServerState>, id: &str) -> Response {
     ))
 }
 
-fn result_response(state: &Arc<ServerState>, id: &str) -> Response {
+fn result_response(state: &ServerState, id: &str) -> Response {
     let Some(job) = find_job(state, id) else {
         return Response::error(404, "unknown_job", &format!("no job {id:?}"));
     };
-    let status = job.status.lock().expect("job status lock").clone();
-    match status {
-        JobStatus::Done => {
-            let body = job.result.lock().expect("job result lock").clone();
-            // The stored string is the exact `experiments_to_json` output —
-            // served verbatim so the body is byte-identical to the CLI's
-            // `--json` file for the same request.
-            Response::ok(body.expect("done jobs store their result"))
-        }
-        JobStatus::Failed(message) => Response::error(500, "sweep_failed", &message),
-        JobStatus::Queued | JobStatus::Running => Response::error(
+    let progress = job.progress.lock().expect("job lock");
+    match &progress.status {
+        // The stored string is the exact `experiments_to_json` output —
+        // served verbatim so the body is byte-identical to the CLI's
+        // `--json` file for the same request.
+        JobStatus::Done(body) => Response::ok(body.clone()),
+        JobStatus::Failed(message) => Response::error(500, "sweep_failed", message),
+        status => Response::error(
             409,
             "not_ready",
             &format!("job {} is still {}; poll /v1/jobs/{}", job.id, status.label(), job.id),
@@ -786,7 +725,8 @@ fn result_response(state: &Arc<ServerState>, id: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alecto_types::SplitMix64;
+    use alecto_types::{BoxedRecordIter, SplitMix64};
+    use std::sync::Barrier;
 
     #[test]
     fn config_defaults_are_sane() {
@@ -923,7 +863,7 @@ mod tests {
     fn status_labels_cover_the_lifecycle() {
         assert_eq!(JobStatus::Queued.label(), "queued");
         assert_eq!(JobStatus::Running.label(), "running");
-        assert_eq!(JobStatus::Done.label(), "done");
+        assert_eq!(JobStatus::Done(String::new()).label(), "done");
         assert_eq!(JobStatus::Failed("boom".into()).label(), "failed");
     }
 
@@ -946,27 +886,30 @@ mod tests {
         assert_eq!(error.get("message").and_then(JsonValue::as_str), Some("bad \"quote\""));
     }
 
-    fn idle_state() -> Arc<ServerState> {
-        Arc::new(ServerState {
+    /// A server state with no sweep workers attached, and the receiving end
+    /// of its job queue: submissions only queue, and a test runs a queued
+    /// sweep itself with [`run_sweep`].
+    fn idle_state() -> (ServerState, Receiver<QueuedSweep>) {
+        let (queue, queued) = mpsc::channel();
+        let state = ServerState {
             cache: Arc::new(CellCache::new(4)),
             jobs: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_signal: Condvar::new(),
+            queue,
             next_job_id: AtomicU64::new(1),
             started: Instant::now(),
             requests: AtomicU64::new(0),
-            busy_workers: AtomicUsize::new(0),
             config: ServerConfig::default(),
-        })
+        };
+        (state, queued)
     }
 
     #[test]
     fn job_counts_split_the_completed_cells() {
-        let state = idle_state();
+        let (state, _queued) = idle_state();
         assert_eq!(submit_sweep(&state, r#"{"experiment":"quick"}"#).status, 202);
         let job = find_job(&state, "1").expect("job 1 is registered");
         for (key, cached) in [(1, false), (2, true), (3, true)] {
-            job.cells.lock().unwrap().push(CellDone {
+            job.progress.lock().unwrap().cells.push(CellDone {
                 key,
                 algorithm: "IPCP".to_string(),
                 benchmark: "mcf".to_string(),
@@ -986,7 +929,7 @@ mod tests {
     fn submit_validates_the_core_model_knob() {
         // No sweep workers are attached: submissions only queue, which is all
         // the validation path needs.
-        let state = idle_state();
+        let (state, queued) = idle_state();
         let bad = submit_sweep(&state, r#"{"experiment":"quick","core_model":"fast"}"#);
         assert_eq!(bad.status, 400);
         assert!(bad.body.contains("invalid_core_model"), "{}", bad.body);
@@ -994,14 +937,14 @@ mod tests {
         assert_eq!(not_a_string.status, 400);
         let ok = submit_sweep(&state, r#"{"experiment":"quick","core_model":"ooo"}"#);
         assert_eq!(ok.status, 202, "{}", ok.body);
-        let queued = state.queue.lock().unwrap();
+        let queued: Vec<QueuedSweep> = queued.try_iter().collect();
         assert_eq!(queued.len(), 1);
-        assert_eq!(queued[0].scale.core_model, cpu::CoreModelKind::OutOfOrder);
+        assert_eq!(queued[0].0.scale.core_model, cpu::CoreModelKind::OutOfOrder);
     }
 
     #[test]
     fn submit_validates_the_machine_field() {
-        let state = idle_state();
+        let (state, queued) = idle_state();
         // Unknown built-in name → the invalid_machine envelope.
         let bad = submit_sweep(&state, r#"{"experiment":"quick","machine":"laptop"}"#);
         assert_eq!(bad.status, 400);
@@ -1019,7 +962,7 @@ mod tests {
         assert_eq!(inline_bad.status, 400);
         assert!(inline_bad.body.contains("invalid_machine"), "{}", inline_bad.body);
         assert!(!inline_bad.body.contains("line "), "{}", inline_bad.body);
-        assert!(state.queue.lock().unwrap().is_empty(), "nothing may queue on a 400");
+        assert!(queued.try_recv().is_err(), "nothing may queue on a 400");
 
         // A built-in name queues with the machine's core model applied...
         let ok = submit_sweep(&state, r#"{"experiment":"quick","machine":"server"}"#);
@@ -1036,13 +979,92 @@ mod tests {
             r#"{"experiment":"quick","machine":{"format":"alecto-machine-v1","cores":2}}"#,
         );
         assert_eq!(inline_ok.status, 202, "{}", inline_ok.body);
-        let queued = state.queue.lock().unwrap();
+        let queued: Vec<QueuedSweep> = queued.try_iter().collect();
         assert_eq!(queued.len(), 3);
-        assert_eq!(queued[0].scale.core_model, cpu::CoreModelKind::OutOfOrder);
-        assert_eq!(queued[0].scale.machine.as_ref().unwrap().name, "server");
-        assert_eq!(queued[1].scale.core_model, cpu::CoreModelKind::Approx);
-        assert_eq!(queued[2].scale.machine.as_ref().unwrap().name, "inline");
-        assert_eq!(queued[2].scale.machine.as_ref().unwrap().cores, 2);
+        assert_eq!(queued[0].0.scale.core_model, cpu::CoreModelKind::OutOfOrder);
+        assert_eq!(queued[0].0.scale.machine.as_ref().unwrap().name, "server");
+        assert_eq!(queued[1].0.scale.core_model, cpu::CoreModelKind::Approx);
+        assert_eq!(queued[2].0.scale.machine.as_ref().unwrap().name, "inline");
+        assert_eq!(queued[2].0.scale.machine.as_ref().unwrap().cores, 2);
+    }
+
+    /// The `status` and, for a failed job, `error` members of job `id`'s
+    /// `/v1/jobs` document.
+    fn job_status(state: &ServerState, id: &str) -> (String, Option<String>) {
+        let doc = json::parse(&job_response(state, id).body).expect("job view is valid JSON");
+        let member = |key| doc.get(key).and_then(JsonValue::as_str).map(str::to_string);
+        (member("status").expect("every job has a status"), member("error"))
+    }
+
+    #[test]
+    fn a_panicking_sweep_fails_its_job_and_the_server_keeps_serving() {
+        let (state, queued) = idle_state();
+        // At one cell worker the cells run inline on the sweep's thread.
+        let body = r#"{"experiment":"replay","traces":["mcf"],"accesses":100,"jobs":1}"#;
+        assert_eq!(submit_sweep(&state, body).status, 202);
+        // The queued job runs a replay whose one trace panics when read.
+        let (job, _) = queued.try_recv().expect("the sweep is queued");
+        let exploding = TraceSource::new("exploding", true, 100, || -> BoxedRecordIter {
+            panic!("trace factory exploded")
+        });
+        run_sweep(&state, &job, SweepKind::Replay(vec![exploding]));
+        assert_eq!(
+            job_status(&state, "1"),
+            ("failed".to_string(), Some("trace factory exploded".to_string()))
+        );
+        let result = result_response(&state, "1");
+        assert_eq!(result.status, 500);
+        assert!(result.body.contains("\"sweep_failed\""), "{}", result.body);
+
+        // The server keeps serving: stats count the failure, and the same
+        // request with its own trace queues and runs to the end.
+        let stats = json::parse(&route(&state, "GET", "/v1/stats", "").body).unwrap();
+        let failed = stats.get("jobs").and_then(|j| j.get("failed")).and_then(JsonValue::as_f64);
+        assert_eq!(failed, Some(1.0));
+        assert_eq!(submit_sweep(&state, body).status, 202);
+        let (job, kind) = queued.try_recv().expect("the second sweep is queued");
+        run_sweep(&state, &job, kind);
+        assert_eq!(job_status(&state, "2"), ("done".to_string(), None));
+        assert_eq!(result_response(&state, "2").status, 200);
+    }
+
+    #[test]
+    fn fig15_on_an_l3_that_builds_at_no_swept_size_ends_done() {
+        // 3 MiB of 12-way L3 over two cores: each of fig15's 0.5-4 MB
+        // per-core sizes has a set count that is no power of two, so every
+        // row is n/a and no cell simulates.
+        let (state, queued) = idle_state();
+        let body = r#"{"experiment":"fig15","accesses":100,"jobs":1,"machine":
+            {"format":"alecto-machine-v1","name":"m","cores":2,
+             "cache":{"l3":{"size_kb":3072,"ways":12,"mshrs":128}}}}"#;
+        let accepted = submit_sweep(&state, body);
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        let (job, kind) = queued.try_recv().expect("the sweep is queued");
+        run_sweep(&state, &job, kind);
+        assert_eq!(job_status(&state, "1"), ("done".to_string(), None));
+        let result = result_response(&state, "1");
+        assert_eq!(result.status, 200);
+        assert_eq!(result.body.matches("\"n/a\"").count(), 4 * 5, "{}", result.body);
+    }
+
+    #[test]
+    fn pool_threads_handle_items_side_by_side() {
+        // Each item's handler waits for the other's, so both items finish
+        // only if the pool's two threads handle them at the same time.
+        let barrier = Barrier::new(2);
+        let (finished, finishes) = mpsc::channel();
+        let (items, received) = mpsc::channel();
+        spawn_pool("pool-test", 2, received, move |item: u32| {
+            barrier.wait();
+            finished.send(item).expect("the test awaits every item");
+        });
+        items.send(1).unwrap();
+        items.send(2).unwrap();
+        let mut done: Vec<u32> = (0..2)
+            .map(|_| finishes.recv_timeout(Duration::from_secs(10)).expect("both items finish"))
+            .collect();
+        done.sort_unstable();
+        assert_eq!(done, [1, 2]);
     }
 
     #[test]

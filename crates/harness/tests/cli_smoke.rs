@@ -246,6 +246,36 @@ fn machine_unbuildable_at_one_core_exits_two() {
 }
 
 #[test]
+fn fig15_prints_n_a_rows_for_llc_sizes_the_machine_cannot_build() {
+    // 3 MiB of 12-way L3 over two cores passes the machine check, but fig15
+    // keeps the 12 ways at 0.5-4 MB per core, where no set count is a power
+    // of two. Each size is a row of n/a and a note, not a panic (exit 101).
+    let path = std::env::temp_dir().join(format!("alecto-12way-l3-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "format = \"alecto-machine-v1\"\nname = \"m\"\ncores = 2\n\
+         [cache.l3]\nsize_kb = 3072\nways = 12\nmshrs = 128\n",
+    )
+    .expect("write temp machine");
+    let file = path.to_str().expect("utf-8 temp path");
+    let output = harness()
+        .args(["fig15", "--machine", file, "--accesses", "100", "--jobs", "1"])
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(output.status.code(), Some(0), "fig15 must exit 0");
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 report");
+    let na_rows =
+        stdout.lines().filter(|l| l.split_whitespace().filter(|c| *c == "n/a").count() == 5);
+    assert_eq!(na_rows.count(), 4, "one n/a row per LLC size:\n{stdout}");
+    assert!(
+        stdout.contains("note: 0.5 MB LLC / core: n/a, the machine does not build: L3:")
+            && stdout.contains("got 682"),
+        "the note names the size and the reason:\n{stdout}"
+    );
+}
+
+#[test]
 fn machines_subcommand_lists_shows_and_checks() {
     // `machines` (and `machines list`) tabulate the built-in registry.
     let output = harness().arg("machines").output().expect("spawn");

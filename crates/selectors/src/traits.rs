@@ -22,8 +22,11 @@ use prefetch::{Prefetcher, MAX_COMPOSITE_PREFETCHERS};
 pub struct DegreeAllocation {
     /// Total number of candidate lines the prefetcher may emit.
     pub total: u32,
-    /// How many of those lines should be filled into the L1 (the rest go to
-    /// the L2, as Alecto does for its aggressive extra lines, §IV-B).
+    /// How many of those lines belong in the L1; the rest belong in the L2,
+    /// as Alecto's extra lines for an aggressive prefetcher do (§IV-B).
+    /// Alecto's `select_requests` applies the same split to the requests
+    /// that survive its Sandbox Table. The prefetch controller does not read
+    /// this field, so every other selector's requests fill the L1.
     pub l1_portion: u32,
 }
 
