@@ -486,8 +486,9 @@ pub fn report_from_json(body: &str) -> Result<SystemReport, String> {
                 training_occurrences: get_u64(c, "training_occurrences")?,
                 table_misses: get_u64(c, "table_misses")?,
                 prefetches_issued: get_u64(c, "prefetches_issued")?,
-                // Optional so entries written before the pipeline metrics
-                // existed still parse (they carried only Approx cells anyway).
+                // Optional because every Approx cell stores both as `null`
+                // (the analytic core measures neither). Entries from before
+                // the fields sit under older key tags and are never read.
                 branch_mpki: c.get("branch_mpki").and_then(JsonValue::as_f64),
                 rob_occupancy: c.get("rob_occupancy").and_then(JsonValue::as_f64),
             })

@@ -646,9 +646,15 @@ mod tests {
             ("core timing model", config.clone().with_core_model(cpu::CoreModelKind::OutOfOrder)),
             ("LLC per core", config.clone().with_llc_per_core(512 * 1024)),
             ("DRAM kind", config.clone().with_dram_kind(memsys::DramKind::Ddr3_1600)),
-            // Explicit knobs equal to the balanced preset still key apart:
-            // the two spellings are distinct specs (a miss, never a wrong hit).
-            ("explicit drain knobs", config.clone().with_timing(memsys::TimingParams::balanced())),
+            // Knobs equal to a preset are that preset and share its key, so
+            // the drain rate is covered by knobs that equal none.
+            (
+                "DRAM drain rate",
+                config.clone().with_timing(memsys::TimingParams {
+                    dram_drain_requests: 3,
+                    dram_drain_period: 1,
+                }),
+            ),
             (
                 "selector epoch",
                 MachineSpec { selector_epoch_instructions: 10_000, ..config.clone() },

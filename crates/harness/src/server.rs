@@ -63,6 +63,10 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 /// Upper bound on the number of header lines in one request.
 const MAX_HEADERS: usize = 64;
 
+/// How long a handler waits for one whole request, from taking the
+/// connection to the last byte of the body.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Connection-handler threads servicing the HTTP side; sweeps themselves run
 /// on the sweep workers.
 const HANDLER_THREADS: usize = 4;
@@ -334,8 +338,8 @@ fn reason(status: u16) -> &'static str {
 /// (`Connection: close` — submissions are rare and cheap, keep-alive would
 /// only complicate the protocol).
 fn handle_connection(stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut reader = BufReader::new(stream);
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline });
     let response = match read_request(&mut reader) {
         Ok((method, target, body)) => {
             state.requests.fetch_add(1, Ordering::Relaxed);
@@ -343,7 +347,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
         }
         Err(message) => Response::error(400, "malformed_request", &message),
     };
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().stream;
     // One write: the pieces of a response written separately can be held
     // back by Nagle's algorithm and then lost to the reset that closing a
     // socket with unread request bytes (a rejected request) sends.
@@ -356,6 +360,25 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
     );
     let _ = stream.write_all(message.as_bytes());
     let _ = stream.flush();
+}
+
+/// A connection whose reads all end by one deadline: each read waits only
+/// for the time left, so a client that trickles bytes cannot hold a handler
+/// thread past [`REQUEST_DEADLINE`].
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request deadline passed"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Reads one newline-terminated line of at most [`MAX_LINE_BYTES`] bytes

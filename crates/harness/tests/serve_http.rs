@@ -297,6 +297,39 @@ fn hostile_requests_are_400s_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn clients_trickling_headers_do_not_starve_the_server() {
+    let addr = start_server(ServerConfig::default());
+    // One client per handler thread sends a request line and then a header
+    // byte a second: no read waits long, but the request never ends. Each
+    // stops once the server has hung up on it. The handlers take
+    // connections in the order they were made, so the four hold all of
+    // them before the health request below arrives.
+    let tricklers: Vec<_> = (0..4)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).expect("connect to server");
+            stream.write_all(b"GET /v1/health HTTP/1.1\r\n").expect("send request line");
+            std::thread::spawn(move || {
+                for _ in 0..40 {
+                    if stream.write_all(b"x").is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            })
+        })
+        .collect();
+    let mut health = TcpStream::connect(&addr).expect("connect to server");
+    health.set_read_timeout(Some(Duration::from_secs(25))).unwrap();
+    health.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").expect("send health request");
+    let mut raw = String::new();
+    let _ = health.read_to_string(&mut raw);
+    assert!(raw.starts_with("HTTP/1.1 200 "), "health unanswered within 25 s: {raw:?}");
+    for trickler in tricklers {
+        trickler.join().expect("trickling client");
+    }
+}
+
+#[test]
 fn cache_dir_serves_warm_sweeps_across_server_instances() {
     let dir = std::env::temp_dir().join(format!("alecto-serve-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -57,7 +57,8 @@
 //! kind = "ddr4-2400"        # or "ddr3-1600"
 //!
 //! [timing]
-//! preset = "balanced"       # or explicit dram_drain_requests/_period
+//! preset = "balanced"       # or the knobs dram_drain_requests/_period;
+//!                           # knobs equal to a preset are that preset
 //!
 //! [prefetch]                # optional: pin the composite stack
 //! stack = "gs-cs-pmp"       # gs-berti-cplx | gs-cs-pmp-temporal | pmp | berti
@@ -87,7 +88,7 @@ mod spec;
 
 pub use parse::{compile_entries, parse, Entry, RawValue, FORMAT_VERSION};
 pub use registry::{builtin, load, BUILTIN_NAMES};
-pub use spec::{MachineSpec, TimingPreset, TimingSpec};
+pub use spec::MachineSpec;
 
 /// Which timing model simulates each core.
 ///

@@ -8,7 +8,7 @@ use alecto_types::CACHE_LINE_BYTES;
 use memsys::CacheParams;
 use prefetch::CompositeKind;
 
-use crate::spec::{dram_from_label, prefetch_from_label, MachineSpec, TimingPreset, TimingSpec};
+use crate::spec::{dram_from_label, prefetch_from_label, timing_from_label, MachineSpec};
 use crate::CoreModelKind;
 
 /// The format version this build reads and writes.
@@ -155,6 +155,19 @@ impl Pool {
         }
     }
 
+    /// Takes the [`count`] key `path`, with its source line.
+    fn take_count<T: TryFrom<u64>>(&mut self, path: &str) -> Result<Option<(T, usize)>, String> {
+        self.take_int(path)?.map(|(value, line)| Ok((count(value, line, path)?, line))).transpose()
+    }
+
+    /// Sets `field` from the [`count`] key `path` when the entries have it.
+    fn set_count<T: TryFrom<u64>>(&mut self, path: &str, field: &mut T) -> Result<(), String> {
+        if let Some((value, _)) = self.take_count(path)? {
+            *field = value;
+        }
+        Ok(())
+    }
+
     fn take_str(&mut self, path: &str) -> Result<Option<(String, usize)>, String> {
         match self.take(path) {
             None => Ok(None),
@@ -176,21 +189,13 @@ impl Pool {
     }
 }
 
-fn positive(value: u64, line: usize, path: &str) -> Result<u64, String> {
+/// The value of the count key `path` as a `T`: at least 1, and small enough
+/// for the field it sets.
+fn count<T: TryFrom<u64>>(value: u64, line: usize, path: &str) -> Result<T, String> {
     if value == 0 {
         return Err(err_at(line, format!("key `{path}` must be at least 1")));
     }
-    Ok(value)
-}
-
-fn as_usize(value: u64, line: usize, path: &str) -> Result<usize, String> {
-    usize::try_from(value)
-        .map_err(|_| err_at(line, format!("key `{path}` value {value} is too large")))
-}
-
-fn as_u32(value: u64, line: usize, path: &str) -> Result<u32, String> {
-    u32::try_from(value)
-        .map_err(|_| err_at(line, format!("key `{path}` value {value} is too large")))
+    T::try_from(value).map_err(|_| err_at(line, format!("key `{path}` value {value} is too large")))
 }
 
 /// Applies one `[cache.<level>]` section to `params`. `scale` is 1 for the
@@ -203,13 +208,7 @@ fn apply_cache_section(
     scale: usize,
 ) -> Result<(), String> {
     let prefix = format!("cache.{section}");
-    if let Some((ways, line)) = pool.take_int(&format!("{prefix}.ways"))? {
-        params.ways = as_usize(
-            positive(ways, line, &format!("{prefix}.ways"))?,
-            line,
-            &format!("{prefix}.ways"),
-        )?;
-    }
+    pool.set_count(&format!("{prefix}.ways"), &mut params.ways)?;
     if let Some((line_bytes, line)) = pool.take_int(&format!("{prefix}.line"))? {
         if line_bytes != CACHE_LINE_BYTES {
             return Err(err_at(
@@ -220,12 +219,10 @@ fn apply_cache_section(
     }
     // The capacity can be spelled three ways; when more than one is given
     // they must agree (after converting through ways × line size).
-    let mut size: Option<(u64, usize, &str)> = None;
-    if let Some((bytes, line)) = pool.take_int(&format!("{prefix}.size"))? {
-        size = Some((positive(bytes, line, &format!("{prefix}.size"))?, line, "size"));
-    }
-    if let Some((kb, line)) = pool.take_int(&format!("{prefix}.size_kb"))? {
-        let bytes = positive(kb, line, &format!("{prefix}.size_kb"))?
+    let mut size: Option<(u64, usize, &str)> =
+        pool.take_count(&format!("{prefix}.size"))?.map(|(bytes, line)| (bytes, line, "size"));
+    if let Some((kb, line)) = pool.take_count::<u64>(&format!("{prefix}.size_kb"))? {
+        let bytes = kb
             .checked_mul(1024)
             .ok_or_else(|| err_at(line, format!("`{prefix}.size_kb` = {kb} is too large")))?;
         if let Some((prev, prev_line, prev_key)) = size {
@@ -238,8 +235,8 @@ fn apply_cache_section(
         }
         size = Some((bytes, line, "size_kb"));
     }
-    if let Some((sets, line)) = pool.take_int(&format!("{prefix}.sets"))? {
-        let bytes = positive(sets, line, &format!("{prefix}.sets"))?
+    if let Some((sets, line)) = pool.take_count::<u64>(&format!("{prefix}.sets"))? {
+        let bytes = sets
             .checked_mul(params.ways as u64)
             .and_then(|lines| lines.checked_mul(CACHE_LINE_BYTES))
             .ok_or_else(|| err_at(line, format!("`{prefix}.sets` = {sets} is too large")))?;
@@ -265,22 +262,18 @@ fn apply_cache_section(
         }
         params.size_bytes = bytes / scale as u64;
     }
-    if let Some((latency, line)) = pool.take_int(&format!("{prefix}.latency"))? {
-        params.latency = positive(latency, line, &format!("{prefix}.latency"))?;
-    }
+    pool.set_count(&format!("{prefix}.latency"), &mut params.latency)?;
     if let Some((miss, _)) = pool.take_int(&format!("{prefix}.miss_latency"))? {
         params.miss_latency = miss;
     }
-    if let Some((mshrs, line)) = pool.take_int(&format!("{prefix}.mshrs"))? {
-        let key = format!("{prefix}.mshrs");
-        let mshrs = positive(mshrs, line, &key)?;
-        if scale > 1 && !mshrs.is_multiple_of(scale as u64) {
+    if let Some((mshrs, line)) = pool.take_count::<usize>(&format!("{prefix}.mshrs"))? {
+        if scale > 1 && !mshrs.is_multiple_of(scale) {
             return Err(err_at(
                 line,
-                format!("`{key}` totals {mshrs} MSHRs, which does not divide evenly across {scale} cores"),
+                format!("`{prefix}.mshrs` totals {mshrs} MSHRs, which does not divide evenly across {scale} cores"),
             ));
         }
-        params.mshrs = as_usize(mshrs, line, &key)? / scale;
+        params.mshrs = mshrs / scale;
     }
     Ok(())
 }
@@ -347,10 +340,9 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
         None => return Err("missing required key `name`".to_string()),
     };
 
-    let Some((cores, cores_line)) = pool.take_int("cores")? else {
+    let Some((cores, _)) = pool.take_count("cores")? else {
         return Err("missing required key `cores`".to_string());
     };
-    let cores = as_usize(positive(cores, cores_line, "cores")?, cores_line, "cores")?;
 
     let mut spec = MachineSpec::table1(cores);
     spec.name = name;
@@ -360,25 +352,11 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
             err_at(line, format!("unknown core model {model:?} (expected approx or ooo)"))
         })?;
     }
-    if let Some((rob, line)) = pool.take_int("core.rob")? {
-        spec.rob_entries = as_usize(positive(rob, line, "core.rob")?, line, "core.rob")?;
-    }
-    if let Some((width, line)) = pool.take_int("core.fetch_width")? {
-        spec.fetch_width =
-            as_u32(positive(width, line, "core.fetch_width")?, line, "core.fetch_width")?;
-    }
-    if let Some((width, line)) = pool.take_int("core.commit_width")? {
-        spec.commit_width =
-            as_u32(positive(width, line, "core.commit_width")?, line, "core.commit_width")?;
-    }
-    if let Some((entries, line)) = pool.take_int("core.load_queue")? {
-        spec.load_queue =
-            as_usize(positive(entries, line, "core.load_queue")?, line, "core.load_queue")?;
-    }
-    if let Some((entries, line)) = pool.take_int("core.store_queue")? {
-        spec.store_queue =
-            as_usize(positive(entries, line, "core.store_queue")?, line, "core.store_queue")?;
-    }
+    pool.set_count("core.rob", &mut spec.rob_entries)?;
+    pool.set_count("core.fetch_width", &mut spec.fetch_width)?;
+    pool.set_count("core.commit_width", &mut spec.commit_width)?;
+    pool.set_count("core.load_queue", &mut spec.load_queue)?;
+    pool.set_count("core.store_queue", &mut spec.store_queue)?;
 
     apply_cache_section(&mut pool, "l1d", &mut spec.l1d, 1)?;
     apply_cache_section(&mut pool, "l2", &mut spec.l2, 1)?;
@@ -390,33 +368,25 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
         })?;
     }
 
+    // The knobs are checked only once the preset is known to be absent, so
+    // a preset beside a zero knob reports the conflict, not the zero.
     let preset = pool.take_str("timing.preset")?;
     let drain_requests = pool.take_int("timing.dram_drain_requests")?;
     let drain_period = pool.take_int("timing.dram_drain_period")?;
     match (preset, drain_requests, drain_period) {
         (Some((label, line)), None, None) => {
-            spec.timing = TimingSpec::Preset(TimingPreset::from_label(&label).ok_or_else(|| {
+            spec.timing = timing_from_label(&label).ok_or_else(|| {
                 err_at(
                     line,
                     format!("unknown timing preset {label:?} (expected balanced, latency-sensitive or bandwidth-bound)"),
                 )
-            })?);
+            })?;
         }
         (None, Some((requests, rline)), Some((period, pline))) => {
-            let requests = as_u32(
-                positive(requests, rline, "timing.dram_drain_requests")?,
-                rline,
-                "timing.dram_drain_requests",
-            )?;
-            let period = as_u32(
-                positive(period, pline, "timing.dram_drain_period")?,
-                pline,
-                "timing.dram_drain_period",
-            )?;
-            spec.timing = TimingSpec::Explicit(memsys::TimingParams {
-                dram_drain_requests: requests,
-                dram_drain_period: period,
-            });
+            spec.timing = memsys::TimingParams {
+                dram_drain_requests: count(requests, rline, "timing.dram_drain_requests")?,
+                dram_drain_period: count(period, pline, "timing.dram_drain_period")?,
+            };
         }
         (Some((_, line)), Some(_), _) | (Some((_, line)), _, Some(_)) => {
             return Err(err_at(
@@ -433,10 +403,10 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
         (None, None, None) => {}
     }
 
-    if let Some((epoch, line)) = pool.take_int("selector.epoch_instructions")? {
-        spec.selector_epoch_instructions = positive(epoch, line, "selector.epoch_instructions")?;
-    }
+    pool.set_count("selector.epoch_instructions", &mut spec.selector_epoch_instructions)?;
 
+    // The budget is checked in the temporal arm only, so a budget beside
+    // another stack, or none, reports that rather than its value.
     let stack = pool.take_str("prefetch.stack")?;
     let metadata = pool.take_int("prefetch.temporal_metadata_kb")?;
     match (stack, metadata) {
@@ -449,8 +419,7 @@ pub fn compile_entries(entries: &[Entry], inline: bool) -> Result<MachineSpec, S
             })?;
             spec.prefetch = Some(match (parsed, metadata) {
                 (CompositeKind::GsCsPmpTemporal { .. }, Some((kb, kb_line))) => {
-                    let key = "prefetch.temporal_metadata_kb";
-                    let kb = as_u32(positive(kb, kb_line, key)?, kb_line, key)?;
+                    let kb: u32 = count(kb, kb_line, "prefetch.temporal_metadata_kb")?;
                     CompositeKind::GsCsPmpTemporal { metadata_bytes: u64::from(kb) * 1024 }
                 }
                 (stack, None) => stack,
@@ -565,10 +534,19 @@ mod tests {
     }
 
     #[test]
+    fn counts_are_at_least_one_and_fit_their_field() {
+        let err = parse(&minimal("[core]\nrob = 0\n")).unwrap_err();
+        assert_eq!(err, "line 5: key `core.rob` must be at least 1");
+        let err =
+            parse(&minimal("[core]\nload_queue = 72\nfetch_width = 4294967296\n")).unwrap_err();
+        assert_eq!(err, "line 6: key `core.fetch_width` value 4294967296 is too large");
+    }
+
+    #[test]
     fn explicit_timing_requires_both_knobs_and_excludes_presets() {
         let spec =
             parse(&minimal("[timing]\ndram_drain_requests = 1\ndram_drain_period = 16\n")).unwrap();
-        assert_eq!(spec.timing, TimingSpec::Explicit(TimingParams::bandwidth_bound()));
+        assert_eq!(spec.timing, TimingParams::bandwidth_bound());
         let err = parse(&minimal("[timing]\ndram_drain_requests = 1\n")).unwrap_err();
         assert!(err.contains("both"), "{err}");
         let err = parse(&minimal("[timing]\npreset = \"balanced\"\ndram_drain_requests = 1\n"))

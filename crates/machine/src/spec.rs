@@ -8,71 +8,19 @@ use prefetch::CompositeKind;
 use crate::parse::FORMAT_VERSION;
 use crate::CoreModelKind;
 
-/// The memory-controller timing of a machine: one of the named presets, or
-/// explicit drain-rate knobs. Presets survive the canonical round trip as
-/// presets (a machine that says `preset = "balanced"` re-renders that way),
-/// while explicit knobs stay explicit even when they happen to equal a
-/// preset — the distinction is part of the spec's identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingSpec {
-    /// A named [`TimingPreset`].
-    Preset(TimingPreset),
-    /// Explicit `dram_drain_requests` / `dram_drain_period` values.
-    Explicit(TimingParams),
-}
+/// The memory-controller timings a machine file can name with
+/// `[timing] preset = "<label>"`. A preset is only a spelling: drain knobs
+/// equal to a row are that preset, and the canonical text writes its label.
+const TIMING_PRESETS: [(&str, TimingParams); 3] = [
+    ("balanced", TimingParams::balanced()),
+    ("latency-sensitive", TimingParams::latency_sensitive()),
+    ("bandwidth-bound", TimingParams::bandwidth_bound()),
+];
 
-impl TimingSpec {
-    /// The lowered [`TimingParams`] this spec configures.
-    #[must_use]
-    pub fn params(self) -> TimingParams {
-        match self {
-            Self::Preset(preset) => preset.params(),
-            Self::Explicit(params) => params,
-        }
-    }
-}
-
-/// The named memory-controller timing presets a machine file can select via
-/// `[timing] preset = "..."`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingPreset {
-    /// [`TimingParams::balanced`]: two fills admitted per cycle.
-    Balanced,
-    /// [`TimingParams::latency_sensitive`]: four fills per cycle.
-    LatencySensitive,
-    /// [`TimingParams::bandwidth_bound`]: one fill per sixteen cycles.
-    BandwidthBound,
-}
-
-impl TimingPreset {
-    /// Every preset.
-    const ALL: [Self; 3] = [Self::Balanced, Self::LatencySensitive, Self::BandwidthBound];
-
-    /// Stable lower-case label used in machine files.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            Self::Balanced => "balanced",
-            Self::LatencySensitive => "latency-sensitive",
-            Self::BandwidthBound => "bandwidth-bound",
-        }
-    }
-
-    /// Parses a machine-file label.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|preset| preset.label() == label)
-    }
-
-    /// The preset's lowered [`TimingParams`].
-    #[must_use]
-    pub fn params(self) -> TimingParams {
-        match self {
-            Self::Balanced => TimingParams::balanced(),
-            Self::LatencySensitive => TimingParams::latency_sensitive(),
-            Self::BandwidthBound => TimingParams::bandwidth_bound(),
-        }
-    }
+/// Parses a machine-file timing preset label.
+#[must_use]
+pub(crate) fn timing_from_label(label: &str) -> Option<TimingParams> {
+    TIMING_PRESETS.into_iter().find(|&(name, _)| name == label).map(|(_, params)| params)
 }
 
 /// The label of a [`DramKind`] as written in machine files.
@@ -164,8 +112,9 @@ pub struct MachineSpec {
     /// DRAM device generation (channels and ranks derive from the core
     /// count, exactly as the Table-I presets do).
     pub dram: DramKind,
-    /// Memory-controller timing: preset or explicit.
-    pub timing: TimingSpec,
+    /// Memory-controller timing (`[timing]`: a preset or the two drain
+    /// knobs, which set the same value).
+    pub timing: TimingParams,
     /// Composite prefetcher stack the machine pins (`[prefetch]`), or
     /// `None` to let the experiment choose. Only present specs render the
     /// section, so machines written before the key keep their fingerprint.
@@ -202,7 +151,7 @@ impl MachineSpec {
             // count, so its one-core geometry is the per-core share.
             l3_per_core: CacheParams::l3_default(1),
             dram: DramKind::Ddr4_2400,
-            timing: TimingSpec::Preset(TimingPreset::Balanced),
+            timing: TimingParams::balanced(),
             prefetch: None,
         }
     }
@@ -243,11 +192,11 @@ impl MachineSpec {
         self
     }
 
-    /// Same machine with explicit memory-controller timing knobs (the
-    /// `timing` experiment's axis).
+    /// Same machine with the given memory-controller timing (the `timing`
+    /// experiment's axis).
     #[must_use]
     pub fn with_timing(mut self, timing: TimingParams) -> Self {
-        self.timing = TimingSpec::Explicit(timing);
+        self.timing = timing;
         self
     }
 
@@ -268,7 +217,7 @@ impl MachineSpec {
                 ..self.l3_per_core
             },
             dram: DramParams::for_cores(self.dram, cores),
-            timing: self.timing.params(),
+            timing: self.timing,
         }
     }
 
@@ -338,10 +287,11 @@ impl MachineSpec {
 
     /// Renders the spec back to `alecto-machine-v1` text, deterministically:
     /// every field is written explicitly (no defaults are elided), sizes as
-    /// `size_kb` when whole-KB and `size` (bytes) otherwise, the L3 as
-    /// totals at the machine's core count. `parse(canonical_text(spec))`
-    /// reproduces `spec` exactly — the round-trip property the parser
-    /// proptests pin — and [`MachineSpec::fingerprint`] digests this text.
+    /// `size_kb` when whole-KB and `size` (bytes) otherwise, the timing as
+    /// its `preset` when the drain knobs equal one, the L3 as totals at the
+    /// machine's core count. `parse(canonical_text(spec))` reproduces
+    /// `spec` exactly — the round-trip property the parser proptests pin —
+    /// and [`MachineSpec::fingerprint`] digests this text.
     #[must_use]
     pub fn canonical_text(&self) -> String {
         use std::fmt::Write as _;
@@ -396,14 +346,14 @@ impl MachineSpec {
         let _ = writeln!(out, "\n[dram]");
         let _ = writeln!(out, "kind = \"{}\"", dram_label(*dram));
         let _ = writeln!(out, "\n[timing]");
-        match timing {
-            TimingSpec::Preset(preset) => {
-                let _ = writeln!(out, "preset = \"{}\"", preset.label());
-            }
-            TimingSpec::Explicit(TimingParams { dram_drain_requests, dram_drain_period }) => {
-                let _ = writeln!(out, "dram_drain_requests = {dram_drain_requests}");
-                let _ = writeln!(out, "dram_drain_period = {dram_drain_period}");
-            }
+        // Knobs equal to a preset render as the preset, so both spellings
+        // of one timing share one text and one fingerprint.
+        if let Some((label, _)) = TIMING_PRESETS.iter().find(|(_, params)| params == timing) {
+            let _ = writeln!(out, "preset = \"{label}\"");
+        } else {
+            let TimingParams { dram_drain_requests, dram_drain_period } = timing;
+            let _ = writeln!(out, "dram_drain_requests = {dram_drain_requests}");
+            let _ = writeln!(out, "dram_drain_period = {dram_drain_period}");
         }
         let _ = writeln!(out, "\n[selector]");
         let _ = writeln!(out, "epoch_instructions = {selector_epoch_instructions}");
@@ -640,12 +590,38 @@ mod tests {
             base.fingerprint(),
             base.clone().with_dram_kind(DramKind::Ddr3_1600).fingerprint()
         );
-        // An explicit timing equal to a preset is a distinct spec.
-        assert_ne!(
+        // A timing equal to a preset is that preset; any other drain rate
+        // is a distinct spec.
+        assert_eq!(
             base.fingerprint(),
             base.clone().with_timing(TimingParams::balanced()).fingerprint()
         );
+        let knobs = TimingParams { dram_drain_requests: 3, dram_drain_period: 1 };
+        assert_ne!(base.fingerprint(), base.clone().with_timing(knobs).fingerprint());
         assert_eq!(base.fingerprint_hex().len(), 16);
+    }
+
+    #[test]
+    fn knobs_equal_to_a_preset_render_as_the_preset() {
+        let parse_timing = |timing: &str| {
+            crate::parse(&format!(
+                "format = \"{FORMAT_VERSION}\"\nname = \"t\"\ncores = 2\n[timing]\n{timing}"
+            ))
+            .unwrap()
+        };
+        for (label, TimingParams { dram_drain_requests, dram_drain_period }) in TIMING_PRESETS {
+            let preset = parse_timing(&format!("preset = \"{label}\"\n"));
+            let knobs = parse_timing(&format!(
+                "dram_drain_requests = {dram_drain_requests}\ndram_drain_period = {dram_drain_period}\n"
+            ));
+            assert_eq!(knobs.canonical_text(), preset.canonical_text(), "{label}");
+            assert_eq!(knobs.fingerprint(), preset.fingerprint(), "{label}");
+            assert!(knobs.canonical_text().contains(&format!("[timing]\npreset = \"{label}\"\n")));
+        }
+        let knobs = parse_timing("dram_drain_requests = 2\ndram_drain_period = 24\n");
+        assert!(knobs
+            .canonical_text()
+            .contains("[timing]\ndram_drain_requests = 2\ndram_drain_period = 24\n"));
     }
 
     #[test]

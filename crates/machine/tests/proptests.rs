@@ -5,7 +5,7 @@
 //! errors must point at the offending source line, and no integer value
 //! makes the parser panic.
 
-use machine::{parse, CoreModelKind, MachineSpec, TimingPreset, TimingSpec};
+use machine::{parse, CoreModelKind, MachineSpec};
 use memsys::{CacheParams, DramKind, TimingParams};
 use proptest::prelude::*;
 
@@ -24,14 +24,17 @@ fn cache_level() -> impl Strategy<Value = CacheParams> {
     )
 }
 
-fn timing_spec() -> impl Strategy<Value = TimingSpec> {
+/// Half the draws are the three presets, so the round trip keeps covering
+/// the `preset` line; the rest are arbitrary drain knobs.
+fn timing_params() -> impl Strategy<Value = TimingParams> {
     prop_oneof![
-        (0u32..3).prop_map(|i| TimingSpec::Preset(
-            [TimingPreset::Balanced, TimingPreset::LatencySensitive, TimingPreset::BandwidthBound]
-                [i as usize]
-        )),
+        (0u32..3).prop_map(|i| [
+            TimingParams::balanced(),
+            TimingParams::latency_sensitive(),
+            TimingParams::bandwidth_bound()
+        ][i as usize]),
         (1u32..8, 1u32..32).prop_map(|(dram_drain_requests, dram_drain_period)| {
-            TimingSpec::Explicit(TimingParams { dram_drain_requests, dram_drain_period })
+            TimingParams { dram_drain_requests, dram_drain_period }
         }),
     ]
 }
@@ -39,7 +42,7 @@ fn timing_spec() -> impl Strategy<Value = TimingSpec> {
 fn machine_spec() -> impl Strategy<Value = MachineSpec> {
     let core = (1usize..512, 1u32..10, 1u32..10, (1usize..128, 1usize..128));
     let caches = (cache_level(), cache_level(), cache_level());
-    (0u32..5, core, caches, timing_spec(), (0u32..3, any::<bool>(), 1u64..100_000)).prop_map(
+    (0u32..5, core, caches, timing_params(), (0u32..3, any::<bool>(), 1u64..100_000)).prop_map(
         |(
             cores_log2,
             (rob, fetch, commit, (lq, sq)),
@@ -133,14 +136,23 @@ proptest! {
     #[test]
     fn fingerprint_ignores_formatting_noise(spec in machine_spec(), seed in 0u64..1_000) {
         let canonical = spec.canonical_text();
-        // Re-dress the same document: comments, indentation and blank
-        // lines — none of it semantic.
+        // Re-dress the same document: comments, indentation, blank lines
+        // and, on some seeds, a preset spelled as its two drain knobs —
+        // none of it semantic.
+        let TimingParams { dram_drain_requests, dram_drain_period } = spec.timing;
+        let knobs = format!(
+            "dram_drain_requests = {dram_drain_requests}\ndram_drain_period = {dram_drain_period}"
+        );
         let mut noisy = String::from("# prologue comment\n\n");
         for (i, line) in canonical.lines().enumerate() {
             if i as u64 % 3 == seed % 3 {
                 noisy.push_str("   ");
             }
-            noisy.push_str(line);
+            if line.starts_with("preset = ") && seed % 2 == 0 {
+                noisy.push_str(&knobs);
+            } else {
+                noisy.push_str(line);
+            }
             if !line.is_empty() && !line.starts_with('[') && i as u64 % 4 == seed % 4 {
                 noisy.push_str("   # trailing note");
             }

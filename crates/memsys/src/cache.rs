@@ -63,19 +63,6 @@ pub struct LineMeta {
     pub trigger_pc: Option<Pc>,
 }
 
-/// Information about a line evicted to make room for a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictionInfo {
-    /// The evicted line.
-    pub line: LineAddr,
-    /// Whether the line was prefetched and never used (an overprediction).
-    pub was_unused_prefetch: bool,
-    /// Which prefetcher had brought it in, if any.
-    pub prefetch_issuer: Option<PrefetcherId>,
-    /// PC that triggered the prefetch, if any.
-    pub trigger_pc: Option<Pc>,
-}
-
 /// Cold per-way state: the prefetch attribution. Written only by prefetch
 /// fills and read only while a way's [`TAG_PREFETCHED_UNUSED`] bit is set,
 /// so purely demand-driven traffic never touches this array — the access
@@ -275,29 +262,16 @@ impl Cache {
             self.stats.demand_misses += 1;
             return None;
         };
-        let prefetched_unused = t & TAG_PREFETCHED_UNUSED != 0;
-        let (prefetch_issuer, trigger_pc) = if prefetched_unused {
-            let m = self.cold[Self::cold_index(block, way)];
-            (m.issuer, m.trigger)
-        } else {
-            (None, None)
-        };
-        let before = LineMeta {
-            line,
-            dirty: t & TAG_DIRTY != 0,
-            prefetched_unused,
-            prefetch_issuer,
-            trigger_pc,
-        };
+        let before = self.meta_at(block, way);
         self.hot[block + self.ways + way] = stamp;
         // Write the tag word back only when a flag actually changes — the
         // common load-hit leaves it untouched.
         if is_store && t & TAG_DIRTY == 0 {
             self.hot[block + way] = (t | TAG_DIRTY) & !TAG_PREFETCHED_UNUSED;
-        } else if prefetched_unused {
+        } else if before.prefetched_unused {
             self.hot[block + way] = t & !TAG_PREFETCHED_UNUSED;
         }
-        if prefetched_unused {
+        if before.prefetched_unused {
             self.stats.useful_prefetch_hits += 1;
         }
         self.stats.demand_hits += 1;
@@ -318,7 +292,7 @@ impl Cache {
     }
 
     /// Fills `line` into the cache, evicting the LRU way if the set is full.
-    /// Returns information about the victim, if one was evicted.
+    /// Returns the victim's metadata, if one was evicted.
     #[inline]
     pub fn fill(
         &mut self,
@@ -326,7 +300,7 @@ impl Cache {
         prefetch_issuer: Option<PrefetcherId>,
         trigger_pc: Option<Pc>,
         dirty: bool,
-    ) -> Option<EvictionInfo> {
+    ) -> Option<LineMeta> {
         let stamp = self.next_stamp();
         let block = self.hot_block(line);
         // One fused pass over the hot block gathers everything a fill can
@@ -377,12 +351,7 @@ impl Cache {
             self.stats.unused_prefetch_evictions += 1;
         }
         self.write_way(block, victim, line, prefetch_issuer, trigger_pc, dirty, stamp);
-        Some(EvictionInfo {
-            line: evicted.line,
-            was_unused_prefetch: evicted.prefetched_unused,
-            prefetch_issuer: evicted.prefetch_issuer,
-            trigger_pc: evicted.trigger_pc,
-        })
+        Some(evicted)
     }
 
     /// Overwrites `way` of the set at `block` with a freshly filled line.
@@ -490,7 +459,7 @@ mod tests {
         c.fill(LineAddr::new(3), Some(PrefetcherId(0)), Some(Pc::new(0x10)), false);
         // Evicting it before use counts as an unused prefetch eviction.
         let ev = c.fill(LineAddr::new(4), None, None, false).unwrap();
-        assert!(ev.was_unused_prefetch);
+        assert!(ev.prefetched_unused);
         assert_eq!(ev.prefetch_issuer, Some(PrefetcherId(0)));
         assert_eq!(ev.trigger_pc, Some(Pc::new(0x10)));
         assert_eq!(c.stats().unused_prefetch_evictions, 1);
@@ -534,7 +503,7 @@ mod tests {
         c.fill(LineAddr::new(10), Some(PrefetcherId(3)), Some(Pc::new(0x90)), false);
         c.demand_lookup(LineAddr::new(8), false);
         let ev = c.fill(LineAddr::new(12), None, None, false).expect("full set evicts");
-        assert_eq!((ev.line, ev.was_unused_prefetch), (LineAddr::new(10), true));
+        assert_eq!((ev.line, ev.prefetched_unused), (LineAddr::new(10), true));
         assert_eq!(
             (ev.prefetch_issuer, ev.trigger_pc),
             (Some(PrefetcherId(3)), Some(Pc::new(0x90)))

@@ -155,12 +155,8 @@ impl Hierarchy {
 
     /// Reports a prefetched line evicted before any demand used it as
     /// useless feedback, charged to `core`'s overprediction count.
-    fn record_eviction_feedback(
-        &mut self,
-        core: usize,
-        evicted: Option<crate::cache::EvictionInfo>,
-    ) {
-        let Some(ev) = evicted.filter(|ev| ev.was_unused_prefetch) else { return };
+    fn record_eviction_feedback(&mut self, core: usize, evicted: Option<LineMeta>) {
+        let Some(ev) = evicted.filter(|ev| ev.prefetched_unused) else { return };
         let Some(issuer) = ev.prefetch_issuer else { return };
         self.feedback.push(PrefetchOutcome {
             issuer,

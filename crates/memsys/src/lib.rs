@@ -34,7 +34,7 @@ pub mod mshr;
 pub mod stats;
 pub mod timing;
 
-pub use cache::{Cache, EvictionInfo, LineMeta};
+pub use cache::{Cache, LineMeta};
 pub use config::{CacheParams, DramKind, DramParams, HierarchyParams};
 pub use dram::DramModel;
 pub use dram::DramStats;
